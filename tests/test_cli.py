@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from kida import cli, verify
 
 
@@ -29,6 +31,85 @@ p = 11
 path = table
 type = ups:a=10,c=1
 """
+# One spec per row of the hv case table: full stdout, in process.
+HV_CASES = [
+    ("ups:a=2,c=1 --p 11 --e 11", """a = 2
+c = 1
+case = both_frobenius_eigenvalues_trivial
+e = 11
+h = 20
+p = 11
+path = table
+type = ups:a=2,c=1
+"""),
+    ("ups:a=5,c=4 --p 11 --e 11", """a = 5
+c = 4
+case = one_frobenius_eigenvalue_trivial
+e = 11
+h = 10
+p = 11
+path = table
+type = ups:a=5,c=4
+"""),
+    ("ups:a=10,c=1 --p 11 --e 11", """a = 10
+c = 1
+case = no_trivial_frobenius_eigenvalue
+e = 11
+h = 0
+p = 11
+path = table
+type = ups:a=10,c=1
+"""),
+    ("special:unram,nontriv --p 5 --e 5", """case = character_nontrivial_mod_p
+e = 5
+h = 0
+p = 5
+path = table
+type = special:unram,nontriv
+"""),
+    ("special:unram,triv --p 5 --e 5", """case = character_unramified_trivial_mod_p
+e = 5
+h = 4
+p = 5
+path = table
+type = special:unram,triv
+"""),
+    ("special:ram,triv,dies --p 5 --e 5", """case = character_dies_over_extension
+e = 5
+h = -1
+p = 5
+path = table
+type = special:ram,triv,dies
+"""),
+    ("special:ram,triv,survives --p 5 --e 5", """case = character_survives_ramified
+e = 5
+h = 0
+p = 5
+path = table
+type = special:ram,triv,survives
+"""),
+    ("ramps:unram,triv;ram,triv,dies --p 5 --e 5", """case = character_unramified_trivial_mod_p+character_dies_over_extension
+e = 5
+h = 3
+p = 5
+path = table
+type = ramps:unram,triv;ram,triv,dies
+"""),
+    ("sc --e 5", """case = supercuspidal_or_extraordinary
+e = 5
+h = 0
+path = table
+type = sc
+"""),
+    ("generic:2,0,0 --p 3 --e 3", """case = generic_m_summation
+e = 3
+h = 4
+p = 3
+path = generic
+type = generic:2,0,0
+"""),
+]
+
 
 GOLDEN_TRANSITION_23 = """base = Q
 degree = 11
@@ -125,6 +206,12 @@ class TestHv:
                                "--e", "7")
         assert code == 0
         assert "h = -1" in out.splitlines()
+
+    @pytest.mark.parametrize("argv,expected", HV_CASES,
+                             ids=[a.split()[0] for a, _ in HV_CASES])
+    def test_case_table(self, argv, expected, capsys):
+        assert cli.main(["hv", "--form", *argv.split()]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestTransition:
