@@ -28,9 +28,6 @@ class Residue:
             raise ValueError("modulus must be >= 1")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
-
     def __mul__(self, other: "Residue") -> "Residue":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
@@ -127,23 +124,14 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = residues[i] mod moduli[i] for pairwise coprime moduli."""
     x, m = 0, 1
     for r, q in zip(residues, moduli):
-        g, inv, _ = _xgcd(m % q, q)
-        if g != 1:
-            raise ValueError("moduli not coprime")
+        try:
+            inv = pow(m, -1, q)
+        except ValueError:
+            raise ValueError("moduli not coprime") from None
         t = ((r - x) * inv) % q
         x += m * t
         m *= q
     return x % m
-
-
-def _xgcd(a, b):
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def _primitive_root(q: int, e: int) -> int:
@@ -335,11 +323,6 @@ class UnitGroup:
         for g, c, d in zip(self.generators, coords, self.invariant_factors):
             x = (x * pow(g, c % d, self.modulus)) % self.modulus
         return x
-
-    def units(self):
-        """All unit residues, ascending."""
-        return [x for x in range(self.modulus)
-                if math.gcd(x, self.modulus) == 1] or [0]
 
 
 @lru_cache(maxsize=None)

@@ -51,18 +51,12 @@ class FiniteAbelianGroup:
             e = e * d // math.gcd(e, d)
         return e
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def elements(self):
         return itertools.product(*[range(d) for d in self.invariant_factors])
 
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d
                      in zip(a, b, self.invariant_factors))
-
-    def scale(self, k, a):
-        return tuple((k * x) % d for x, d in zip(a, self.invariant_factors))
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())

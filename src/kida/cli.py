@@ -121,25 +121,6 @@ def cmd_tau(args) -> int:
 
 # -- hv -------------------------------------------------------------------
 
-def _ups_case(V: localfactor.UnramifiedPS) -> str:
-    p = V.p
-    if V.a == 2 % p and V.c == 1 % p:
-        return "both_frobenius_eigenvalues_trivial"
-    if V.a == (V.c + 1) % p:
-        return "one_frobenius_eigenvalue_trivial"
-    return "no_trivial_frobenius_eigenvalue"
-
-
-def _special_case(phi: localfactor.LocalCharData) -> str:
-    if not phi.trivial_mod_p:
-        return "character_nontrivial_mod_p"
-    if not phi.ramified:
-        return "character_unramified_trivial_mod_p"
-    if phi.becomes_unramified_over_extension:
-        return "character_dies_over_extension"
-    return "character_survives_ramified"
-
-
 def cmd_hv(args) -> int:
     _apply_config(args, {"form": str, "p": int, "ell": int,
                          "e": int, "ext": str})
@@ -176,22 +157,14 @@ def cmd_hv(args) -> int:
     record["type"] = localfactor.describe_local_type(V)
     if isinstance(V, localfactor.Generic):
         record["h"] = localfactor.m_extension(V, e)
-        record["case"] = "generic_m_summation"
         record["path"] = "generic"
     else:
         record["h"] = localfactor.h_v(V, e)
         record["path"] = "table"
-        if isinstance(V, localfactor.UnramifiedPS):
-            record["a"] = V.a
-            record["c"] = V.c
-            record["case"] = _ups_case(V)
-        elif isinstance(V, localfactor.Special):
-            record["case"] = _special_case(V.phi)
-        elif isinstance(V, localfactor.RamifiedPS):
-            record["case"] = (f"{_special_case(V.phi1)}"
-                              f"+{_special_case(V.phi2)}")
-        else:
-            record["case"] = "supercuspidal_or_extraordinary"
+    if isinstance(V, localfactor.UnramifiedPS):
+        record["a"] = V.a
+        record["c"] = V.c
+    record["case"] = localfactor.case_of(V, e)
     print(_render(record, args.json))
     return 0
 
@@ -318,8 +291,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except KidaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.command == "hv" and isinstance(exc, MissingLocalType):
-            return 2
         for klass, code in _EXIT_CODES:
             if isinstance(exc, klass):
                 return code

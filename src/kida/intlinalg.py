@@ -81,31 +81,8 @@ def kernel(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
     # mat-part vanishes record kernel combinations in the identity part.
     aug = [list(mat[i]) + [1 if j == i else 0 for j in range(rows)]
            for i in range(rows)]
-    m = aug
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            if not m[i][c]:
-                continue
-            g, x, y = xgcd(m[r][c], m[i][c])
-            ar, ai = m[r][c] // g, m[i][c] // g
-            row_r, row_i = m[r], m[i]
-            width = ncols + rows
-            new_r = [x * row_r[j] + y * row_i[j] for j in range(width)]
-            new_i = [-ai * row_r[j] + ar * row_i[j] for j in range(width)]
-            m[r], m[i] = new_r, new_i
-        r += 1
-        if r == rows:
-            break
-    return [row[ncols:] for row in m[r:]]
+    return [row[ncols:] for row in hnf(aug, ncols + rows)
+            if not any(row[:ncols])]
 
 
 class Lattice:
@@ -117,16 +94,9 @@ class Lattice:
         self.n = n
         self.basis = hnf(rows, n)
 
-    @classmethod
-    def from_rows(cls, rows, n: int) -> "Lattice":
-        return cls([list(r) for r in rows], n)
-
     def key(self) -> tuple:
         """Hashable canonical identity (HNF rows are unique per lattice)."""
         return (self.n, tuple(tuple(r) for r in self.basis))
-
-    def rank(self) -> int:
-        return len(self.basis)
 
     def det(self) -> int:
         """Index [Z^n : L] for full-rank L (product of HNF pivots)."""
@@ -177,9 +147,6 @@ class Lattice:
             rows.append(vec)
         return Lattice(rows, self.n)
 
-    def is_sublattice_of(self, other: "Lattice") -> bool:
-        return other.contains_lattice(self)
-
 
 def preimage_lattice(n: int, amat: list[list[int]], target: Lattice) -> Lattice:
     """Lattice {x in Z^n : x * amat in target}, with ``amat`` n x target.n.
@@ -201,13 +168,3 @@ def subgroup_lattice(gens, orders) -> Lattice:
     rows += [[orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
     return Lattice(rows, n)
 
-
-def subgroup_order(gens, orders) -> int:
-    """Order of the subgroup of prod Z/orders generated by ``gens``."""
-    group_order = 1
-    for d in orders:
-        group_order *= d
-    if not orders:
-        return 1
-    lat = subgroup_lattice(gens, orders)
-    return group_order // lat.det()

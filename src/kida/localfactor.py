@@ -149,6 +149,20 @@ class TwistCharacter:
 TRIVIAL_TWIST = TwistCharacter(1, 0)
 
 
+def trivial_eigenvalues(V: UnramifiedPS) -> int:
+    """How many Frobenius eigenvalues of V are trivial mod p: 0, 1 or 2."""
+    p = V.p
+    if V.a == 2 % p and V.c == 1 % p:
+        return 2
+    return 1 if V.a == (V.c + 1) % p else 0
+
+
+# case names by the number of trivial Frobenius eigenvalues
+_UPS_CASES = ("no_trivial_frobenius_eigenvalue",
+              "one_frobenius_eigenvalue_trivial",
+              "both_frobenius_eigenvalues_trivial")
+
+
 def _matching_exponent(phi: LocalCharData, degree: int) -> int | None:
     """Exponent of the unique twist chi with chi*phi unramified, if any.
 
@@ -185,12 +199,7 @@ def m_single(V: LocalType, chi: TwistCharacter = TRIVIAL_TWIST) -> int:
     if isinstance(V, UnramifiedPS):
         if not chi.is_trivial():
             return 0    # ramified twist kills the coinvariants
-        p = V.p
-        if V.a == 2 % p and V.c == 1 % p:
-            return 2    # both Frobenius eigenvalues trivial mod p
-        if V.a == (V.c + 1) % p:
-            return 1    # exactly one trivial eigenvalue
-        return 0
+        return trivial_eigenvalues(V)
     if isinstance(V, Special):
         return _m_char(V.phi, chi, chi.degree)
     if isinstance(V, RamifiedPS):
@@ -221,15 +230,31 @@ def m_extension(V: LocalType, local_degree: int) -> int:
                for j in range(local_degree))
 
 
+def char_case(phi: LocalCharData, e: int) -> str:
+    """Row of the per-character h-table that ``phi`` falls in."""
+    if not phi.trivial_mod_p:
+        return "character_nontrivial_mod_p"
+    if not phi.ramified:
+        return "character_unramified_trivial_mod_p"
+    if phi.dies_over(e):
+        return "character_dies_over_extension"
+    return "character_survives_ramified"
+
+
+# per-character h-table: row name -> value at ramification index e
+_H_CHAR_ROWS = {
+    "character_nontrivial_mod_p": lambda e: 0,
+    "character_unramified_trivial_mod_p": lambda e: e - 1,
+    "character_dies_over_extension": lambda e: -1,
+    "character_survives_ramified": lambda e: 0,
+}
+
+
 def h_char(phi: LocalCharData, e: int) -> int:
     """Per-character table: -1 / 0 / e-1."""
     if e < 1:
         raise ValueError("ramification index must be >= 1")
-    if not phi.trivial_mod_p:
-        return 0
-    if not phi.ramified:
-        return e - 1
-    return -1 if phi.dies_over(e) else 0
+    return _H_CHAR_ROWS[char_case(phi, e)](e)
 
 
 def h_v(V: LocalType, e: int) -> int:
@@ -241,16 +266,26 @@ def h_v(V: LocalType, e: int) -> int:
     if isinstance(V, Supercuspidal):
         return 0
     if isinstance(V, UnramifiedPS):
-        p = V.p
-        if V.a == 2 % p and V.c == 1 % p:
-            return 2 * (e - 1)
-        if V.a == (V.c + 1) % p:
-            return e - 1
-        return 0
+        return trivial_eigenvalues(V) * (e - 1)
     if isinstance(V, Special):
         return h_char(V.phi, e)
     if isinstance(V, RamifiedPS):
         return h_char(V.phi1, e) + h_char(V.phi2, e)
+    raise TypeError(f"unknown local type {V!r}")
+
+
+def case_of(V: LocalType, e: int) -> str:
+    """Name of the table case V falls in at ramification index e."""
+    if isinstance(V, Generic):
+        return "generic_m_summation"
+    if isinstance(V, Supercuspidal):
+        return "supercuspidal_or_extraordinary"
+    if isinstance(V, UnramifiedPS):
+        return _UPS_CASES[trivial_eigenvalues(V)]
+    if isinstance(V, Special):
+        return char_case(V.phi, e)
+    if isinstance(V, RamifiedPS):
+        return f"{char_case(V.phi1, e)}+{char_case(V.phi2, e)}"
     raise TypeError(f"unknown local type {V!r}")
 
 

@@ -40,25 +40,6 @@ class PowerSeries:
                                     f"{self.precision}")
         return self.coefficients[n - 1]
 
-    def add(self, other: "PowerSeries") -> "PowerSeries":
-        B = min(self.precision, other.precision)
-        return PowerSeries(tuple(a + b for a, b in
-                                 zip(self.coefficients[:B],
-                                     other.coefficients[:B])))
-
-    def mul(self, other: "PowerSeries") -> "PowerSeries":
-        """Truncated product; both factors start at q^1."""
-        B = min(self.precision, other.precision)
-        a, b = self.coefficients, other.coefficients
-        out = [0] * B
-        for i in range(1, B):
-            ai = a[i - 1]
-            if not ai:
-                continue
-            for j in range(1, B - i + 1):
-                out[i + j - 1] += ai * b[j - 1]
-        return PowerSeries(tuple(out))
-
 
 def _pentagonal_terms(bound: int) -> list[tuple[int, int]]:
     """(exponent, sign) pairs of Euler's series sum (-1)^k q^(k(3k+1)/2)."""
@@ -514,21 +495,10 @@ class DirichletCharacter:
         return self.character.is_trivial()
 
 
-@dataclass(frozen=True)
-class TwistedForm:
-    """Base form twisted by a Dirichlet character: a_n -> a_n * psi(n)."""
-
-    base: ModularFormData
-    psi: DirichletCharacter
-
-    def coefficient(self, n: int, precision: int | None = None) -> CycValue:
-        v = self.psi.value(n)
-        if v.is_zero():
-            return CycValue(0)
-        return v * self.base.a_coefficient(n, precision)
-
-
 def twist_coefficients(f: ModularFormData, psi: DirichletCharacter,
                        n: int, precision: int | None = None) -> CycValue:
     """a_n * psi(n) in the exact model; zero when n meets the conductor."""
-    return TwistedForm(f, psi).coefficient(n, precision)
+    v = psi.value(n)
+    if v.is_zero():
+        return CycValue(0)
+    return v * f.a_coefficient(n, precision)

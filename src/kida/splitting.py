@@ -43,14 +43,8 @@ class AbelianField:
         """[F : Q] = index of H in the unit group."""
         return self._lattice.det() if self.unit_group.rank else 1
 
-    def subgroup_order(self) -> int:
-        return self.unit_group.order // self.degree
-
     def is_rationals(self) -> bool:
         return self.degree == 1
-
-    def contains_unit(self, residue: int) -> bool:
-        return self._lattice.contains(self.unit_group.log(residue))
 
     def spec_string(self) -> str:
         if self.degree == 1:

@@ -285,11 +285,12 @@ def hasse_suite(bound: int = 100, seed: int = 0) -> SuiteResult:
     return res
 
 
+# name -> (suite function, keyword that ``--size`` sets, or None)
 SUITES = {
-    "group-identity": group_identity_suite,
-    "tower-additivity": tower_additivity_suite,
-    "path-agreement": path_agreement_suite,
-    "hasse": hasse_suite,
+    "group-identity": (group_identity_suite, "max_order"),
+    "tower-additivity": (tower_additivity_suite, "max_size"),
+    "path-agreement": (path_agreement_suite, None),
+    "hasse": (hasse_suite, "bound"),
 }
 
 
@@ -297,10 +298,6 @@ def run_suite(name: str, seed: int = 0, size: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise KidaError(f"unknown suite {name!r}; "
                         f"choose from {sorted(SUITES)}")
-    if name == "group-identity":
-        return group_identity_suite(max_order=size or 200, seed=seed)
-    if name == "tower-additivity":
-        return tower_additivity_suite(max_size=size or 27, seed=seed)
-    if name == "path-agreement":
-        return path_agreement_suite(seed=seed)
-    return hasse_suite(bound=size or 100, seed=seed)
+    suite, size_kw = SUITES[name]
+    sized = {size_kw: size} if size_kw and size else {}
+    return suite(seed=seed, **sized)

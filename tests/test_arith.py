@@ -165,6 +165,22 @@ class TestUnitGroup:
                 assert arith.mult_order(arith.Residue(g, N)) == d
 
 
+class TestCrt:
+    def test_matches_brute_force(self):
+        moduli = [4, 9, 5, 7]
+        for residues in ([1, 2, 3, 4], [0, 0, 0, 0], [3, 8, 4, 6]):
+            x = arith.crt(residues, moduli)
+            assert 0 <= x < 4 * 9 * 5 * 7
+            assert [x % q for q in moduli] == residues
+
+    def test_unit_modulus(self):
+        assert arith.crt([5, 0], [7, 1]) == 5
+
+    def test_rejects_common_factor(self):
+        with pytest.raises(ValueError, match="moduli not coprime"):
+            arith.crt([1, 2], [6, 9])
+
+
 class TestResidue:
     def test_reduction(self):
         r = arith.Residue(25, 11)

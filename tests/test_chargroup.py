@@ -166,6 +166,12 @@ class TestSubgroups:
                 for b in els:
                     assert H.contains(G.add(a, b))
 
+    def test_subgroup_order(self):
+        assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4
+        assert cg.Subgroup(cg.cyclic(8), []).order == 1
+        assert cg.Subgroup(cg.FiniteAbelianGroup((2, 4)),
+                           [(1, 0), (0, 1)]).order == 8
+
     def test_annihilator_size(self):
         G = cg.FiniteAbelianGroup((2, 6))
         for H in cg.subgroups(G):

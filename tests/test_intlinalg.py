@@ -1,7 +1,8 @@
+import itertools
 import random
 
 from kida.intlinalg import (Lattice, hnf, kernel, preimage_lattice,
-                            subgroup_lattice, subgroup_order, xgcd)
+                            subgroup_lattice, xgcd)
 
 
 class TestXgcd:
@@ -53,6 +54,20 @@ class TestKernel:
             rank_m = len(hnf([list(r) for r in M], cols))
             assert len(hnf([list(r) for r in K], rows)) == rows - rank_m
 
+    def test_contains_every_kernel_vector_in_a_box(self):
+        # equal rank alone would accept a finite-index sublattice
+        rng = random.Random(4)
+        for _ in range(60):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 3)
+            M = [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(rows)]
+            span = Lattice(kernel(M, cols), rows)
+            for v in itertools.product(range(-3, 4), repeat=rows):
+                if not any(sum(v[i] * M[i][j] for i in range(rows))
+                           for j in range(cols)):
+                    assert span.contains(v)
+
 
 class TestSubgroupLattices:
     def test_intersection_product_formula(self):
@@ -78,11 +93,6 @@ class TestSubgroupLattices:
             assert (total // meet.det()) * (total // join.det()) == a * b
             for row in meet.basis:
                 assert A.contains(row) and B.contains(row)
-
-    def test_subgroup_order(self):
-        assert subgroup_order([(2,)], (8,)) == 4
-        assert subgroup_order([], (8,)) == 1
-        assert subgroup_order([(1, 0), (0, 1)], (2, 4)) == 8
 
     def test_preimage_under_reduction(self):
         # map C_8 -> C_4 (mod 4): preimage of <2> has index 2

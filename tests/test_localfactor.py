@@ -95,6 +95,14 @@ class TestHTables:
         surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
         assert lf.h_char(surv, 5) == 0
 
+    def test_char_case_follows_inertia_order(self):
+        surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
+        assert lf.char_case(surv, 5) == "character_survives_ramified"
+        assert lf.char_case(surv, 25) == "character_dies_over_extension"
+        assert lf.h_char(surv, 25) == -1
+        assert lf.case_of(lf.RamifiedPS(surv, UNRAM_NONTRIV), 25) == (
+            "character_dies_over_extension+character_nontrivial_mod_p")
+
     def test_h_v_reference_cases(self):
         assert lf.h_v(lf.UnramifiedPS(10, 1, 11), 11) == 0
         assert lf.h_v(lf.UnramifiedPS(2, 1, 11), 11) == 20

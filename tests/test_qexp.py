@@ -63,14 +63,6 @@ class TestPowerSeries:
         with pytest.raises(PrecisionExceeded):
             s.coefficient(0)
 
-    def test_truncated_product_never_reads_beyond(self):
-        a = qexp.PowerSeries((1, 2, 3, 4))
-        b = qexp.PowerSeries((5, 6, 7, 8))
-        prod = a.mul(b)
-        assert prod.precision == 4
-        # q^2 coefficient: 1*5; q^3: 1*6 + 2*5; q^4: 1*7 + 2*6 + 3*5
-        assert prod.coefficients == (0, 5, 16, 34)
-
 
 class TestEllipticCurve:
     def test_x0_11_discriminant(self):

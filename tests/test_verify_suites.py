@@ -1,4 +1,7 @@
+import pytest
+
 from kida import verify
+from kida.errors import KidaError
 
 
 class TestGroupIdentitySuite:
@@ -39,3 +42,27 @@ class TestRendering:
         assert m["suite"] == "path-agreement"
         assert m["result"] == "pass"
         assert m["checks"] == res.checks
+
+
+class TestRunSuite:
+    def test_size_reaches_the_suite_keyword(self):
+        assert verify.run_suite("hasse", size=30).params["bound"] == 30
+        res = verify.run_suite("tower-additivity", seed=1, size=9)
+        assert res.params["max_size"] == 9
+        res = verify.run_suite("group-identity", size=12)
+        assert res.params["max_order"] == 12
+
+    @pytest.mark.parametrize("size", [None, 0])
+    def test_unset_size_keeps_the_suite_default(self, size):
+        assert verify.run_suite("hasse", size=size).params["bound"] == 100
+        res = verify.run_suite("tower-additivity", size=size)
+        assert res.params["max_size"] == 27
+
+    def test_path_agreement_ignores_size(self):
+        res = verify.run_suite("path-agreement", seed=2, size=5)
+        ref = verify.path_agreement_suite(seed=2)
+        assert res.as_mapping() == ref.as_mapping()
+
+    def test_unknown_name(self):
+        with pytest.raises(KidaError, match="unknown suite"):
+            verify.run_suite("no-such-suite")
