@@ -241,20 +241,13 @@ def char_case(phi: LocalCharData, e: int) -> str:
     return "character_survives_ramified"
 
 
-# per-character h-table: row name -> value at ramification index e
-_H_CHAR_ROWS = {
-    "character_nontrivial_mod_p": lambda e: 0,
-    "character_unramified_trivial_mod_p": lambda e: e - 1,
-    "character_dies_over_extension": lambda e: -1,
-    "character_survives_ramified": lambda e: 0,
-}
-
-
 def h_char(phi: LocalCharData, e: int) -> int:
     """Per-character table: -1 / 0 / e-1."""
     if e < 1:
         raise ValueError("ramification index must be >= 1")
-    return _H_CHAR_ROWS[char_case(phi, e)](e)
+    c = char_case(phi, e)
+    return (e - 1 if c == "character_unramified_trivial_mod_p"
+            else -1 if c == "character_dies_over_extension" else 0)
 
 
 def h_v(V: LocalType, e: int) -> int:

@@ -63,6 +63,21 @@ class TestRunSuite:
         ref = verify.path_agreement_suite(seed=2)
         assert res.as_mapping() == ref.as_mapping()
 
+    def test_suite_is_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on the module attribute after import (as a
+        # tracer does) must be the function that run_suite reaches
+        calls = []
+        real = verify.hasse_suite
+
+        def wrapped(**kw):
+            calls.append(kw)
+            return real(**kw)
+
+        monkeypatch.setattr(verify, "hasse_suite", wrapped)
+        res = verify.run_suite("hasse", seed=3, size=20)
+        assert calls == [{"seed": 3, "bound": 20}]
+        assert res.params == {"bound": 20, "seed": 3}
+
     def test_unknown_name(self):
         with pytest.raises(KidaError, match="unknown suite"):
             verify.run_suite("no-such-suite")
