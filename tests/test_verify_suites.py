@@ -1,18 +1,63 @@
 import pytest
 
-from kida import verify
+from kida import chargroup, cli, verify
 from kida.errors import KidaError
+
+GROUP_IDENTITY_DOC = """checks = {checks}
+param.max_order = {size}
+param.reps = 100
+param.seed = {seed}
+result = pass
+suite = group-identity
+"""
 
 
 class TestGroupIdentitySuite:
     def test_small_sweep_passes(self):
         res = verify.group_identity_suite(max_order=48, reps=30, seed=7)
-        assert res.passed and res.checks > 1000
+        assert res.passed and res.checks == 44622
 
     def test_deterministic(self):
         a = verify.group_identity_suite(max_order=24, reps=10, seed=3)
         b = verify.group_identity_suite(max_order=24, reps=10, seed=3)
         assert a.checks == b.checks and a.failures == b.failures
+
+    @pytest.mark.parametrize("size,seed,checks", [
+        (12, 0, 8032), (64, 1, 602432), (70, 3, 606646)])
+    def test_golden_stdout(self, size, seed, checks, capsys):
+        argv = ["verify", "--suite", "group-identity",
+                "--size", str(size), "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == GROUP_IDENTITY_DOC.format(
+            checks=checks, size=size, seed=seed)
+
+    def test_golden_json(self, capsys):
+        argv = ["verify", "--suite", "group-identity", "--size", "40",
+                "--seed", "2", "--json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{"checks": 118134, "param.max_order": 40, "param.reps": 100, '
+            '"param.seed": 2, "result": "pass", "suite": "group-identity"}\n')
+
+    def test_wrong_subgroup_order_is_caught(self, monkeypatch):
+        # one subgroup of C_2 x C_4 claims order 4 instead of 2; the
+        # annihilator count must expose it (and the reference subsample
+        # at this seed does not draw it)
+        real = chargroup.subgroups
+
+        def faulty(G):
+            subs = real(G)
+            if G.invariant_factors == (2, 4):
+                subs[3].order *= 2
+            return subs
+
+        monkeypatch.setattr(chargroup, "subgroups", faulty)
+        res = verify.group_identity_suite(max_order=12, reps=100, seed=0)
+        assert res.as_mapping() == {
+            "suite": "group-identity", "checks": 7932, "result": "FAIL",
+            "param.max_order": 12, "param.reps": 100, "param.seed": 0,
+            "counterexample.0": "annihilator size 4 != 8/4 "
+                                "for G=(2, 4) H=((1, 2),)"}
 
 
 class TestTowerAdditivitySuite:
