@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import localfactor, qexp, splitting, transition, verify
+from . import arith, localfactor, qexp, splitting, transition, verify
 from .errors import (KidaError, MissingLocalType, MuNonzero,
                      NotASubfield, NotPPower, PrecisionExceeded,
                      RamifiedLevel, SpecParseError)
@@ -112,6 +112,8 @@ def cmd_tau(args) -> int:
     _apply_config(args, {"n": int, "mod": int})
     if args.n is None:
         raise SpecParseError("tau needs --n")
+    if args.mod == 0:
+        raise SpecParseError("--mod must be nonzero")
     value = qexp.tau(args.n, _precision(args))
     if args.mod is not None:
         value %= args.mod
@@ -126,6 +128,10 @@ def cmd_hv(args) -> int:
                          "e": int, "ext": str})
     if args.form is None:
         raise SpecParseError("hv needs --form")
+    if args.e is not None and args.e < 1:
+        raise SpecParseError("--e must be >= 1")
+    if args.ell is not None and not arith.is_prime(args.ell):
+        raise SpecParseError("--ell must be prime")
     spec = args.form.strip()
     record: dict[str, object] = {}
     if spec == "sc" or any(spec.startswith(pre) for pre in
@@ -137,6 +143,8 @@ def cmd_hv(args) -> int:
         form = parse_form_spec(spec)
         if args.p is None or args.ell is None:
             raise SpecParseError("hv with a form spec needs --p and --ell")
+        if not arith.is_prime(args.p):
+            raise SpecParseError("--p must be prime")
         a, c = qexp.frobenius_data(form, args.ell, args.p, _precision(args))
         V = localfactor.UnramifiedPS(a, c, args.p)
         record["form"] = form.describe()
@@ -193,6 +201,8 @@ def cmd_transition(args) -> int:
             raise SpecParseError(f"transition needs --{name}")
     if args.lam is None or args.mu is None:
         raise SpecParseError("transition needs --lambda and --mu")
+    if args.p == 2 or not arith.is_prime(args.p):
+        raise SpecParseError("--p must be an odd prime")
     kind = args.kind or "algebraic"
     if kind not in transition.KINDS:
         raise SpecParseError(f"kind must be one of {transition.KINDS}")

@@ -357,6 +357,8 @@ def parse_local_type(spec: str, p: int) -> LocalType:
     s = spec.strip()
     if s == "sc":
         return Supercuspidal()
+    if s.startswith(("ups:", "generic:")) and p < 2:
+        raise SpecParseError(f"{spec!r} needs p >= 2, got p = {p}")
     if s.startswith("ups:"):
         fields = {}
         for item in s[len("ups:"):].split(","):

@@ -2,17 +2,16 @@
 
 Each suite returns a SuiteResult with a counterexample dump on failure;
 all randomness comes from a seeded random.Random, so runs are
-reproducible byte for byte.  The group-identity sweep is vectorized with
-numpy over the random representations; its quantities are cross-checked
-against the plain reference implementation on a deterministic subsample.
+reproducible byte for byte.  The group-identity sweep, in plain integers,
+checks per subgroup the annihilator size, the class count and trivial
+class = annihilator, then a subsample by reference and trace oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from . import chargroup, localfactor, qexp
 from .errors import KidaError
@@ -43,92 +42,92 @@ class SuiteResult:
         return out
 
 
-def _random_mult_matrix(order: int, reps: int, rng: random.Random,
-                        max_dim: int = 20) -> np.ndarray:
-    """reps x order multiplicity matrix of random character multisets."""
-    M = np.zeros((reps, order), dtype=np.int64)
+def _random_columns(order: int, reps: int, rng: random.Random):
+    """``reps`` random character multisets of dimension 1..20: byte i of
+    cols[j] is rep i's multiplicity of character j.  A rep's entries sum
+    to <= 20, so a sum of columns still keeps one rep per byte."""
+    cols, dims = [0] * order, []
     for i in range(reps):
-        dim = rng.randint(1, max_dim)
+        dim = rng.randint(1, 20)
+        dims.append(dim)
         while dim > 0:
             j = rng.randrange(order)
             m = rng.randint(1, dim)
-            M[i, j] += m
+            cols[j] += m << (8 * i)
             dim -= m
-    return M
+    return cols, dims
 
 
 def group_identity_suite(max_order: int = 200, reps: int = 100,
                          seed: int = 0) -> SuiteResult:
-    """The multiplicity identity over every abelian group of order <=
-    max_order, every subgroup, ``reps`` random representations each.
+    """The multiplicity identity over every abelian group G of order <=
+    max_order, every subgroup H, ``reps`` random representations each.
 
-    Both sides are evaluated from independently computed ingredients:
-    the annihilator route tests characters against the subgroup
-    generators, the restriction route classifies characters by their
-    value tuples; the duality facts (annihilator size, class count,
-    class-of-trivial = annihilator membership) are asserted alongside.
+    A character's key is the mixed-radix integer (base exp(G)) of its
+    value logs on the generators of H.  Per subgroup: annihilator size
+    (|G|/|H| keys are 0), class count (|H| distinct keys) and trivial
+    class = annihilator; the identity, evaluated per representation,
+    follows from the last.  Per group, two draws go to the reference
+    ``chargroup.check_group_identity`` and to the trace oracle
+    (``multiplicity`` = ``multiplicity_trace`` for the trivial character
+    over H); each draw is one check.
     """
     rng = random.Random(seed)
     res = SuiteResult("group-identity",
                       {"max_order": max_order, "reps": reps, "seed": seed})
     for G in chargroup.abelian_groups_upto(max_order):
-        n, r = G.order, G.rank
-        if r == 0:
+        n, e = G.order, G.exponent
+        if G.rank == 0:
             res.checks += reps
             continue
-        d = np.array(G.invariant_factors, dtype=np.int64)
-        e = G.exponent
-        exps = np.array(list(G.elements()), dtype=np.int64)  # |G| x r, lex
-        scaled = (exps * (e // d)) % e
-        M = _random_mult_matrix(n, reps, rng)
-        m1 = M[:, 0]
-        dims = M.sum(axis=1)
-        lhs = (m1[:, None] - M).sum(axis=1)       # sum over all characters
+        cols, dims = _random_columns(n, reps, rng)
+        m1 = cols[0].to_bytes(reps, "little")
         subs = chargroup.subgroups(G)
+        dual = chargroup.dual_group(G)
+        logs = {}       # generator -> value logs of all characters at it
         for H in subs:
-            k = len(H.generators)
-            order_h = H.order
-            if k == 0:
-                A = np.zeros((n, 0), dtype=np.int64)
-            else:
-                B = np.array(H.generators, dtype=np.int64)   # k x r
-                A = (scaled @ B.T) % e                        # |G| x k
-            ann = np.all(A == 0, axis=1)
-            if int(ann.sum()) != n // order_h:
-                res.fail(f"annihilator size {int(ann.sum())} != {n}/{order_h} "
-                         f"for G={G.invariant_factors} H={H.generators}")
+            h = H.order
+            keys = [0] * n
+            for g in H.generators:
+                if g not in logs:
+                    logs[g] = [chi.value_log(g) for chi in dual]
+                keys = [k * e + v for k, v in zip(keys, logs[g])]
+            ann = [k == 0 for k in keys]
+            triv = [k == keys[0] for k in keys]
+            n_ann, n_classes = sum(ann), len(set(keys))
+            why = (f"annihilator size {n_ann} != {n}/{h}" if n_ann != n // h
+                   else f"{n_classes} restriction classes != |H|={h}"
+                   if n_classes != h
+                   else "trivial-class != annihilator" if triv != ann
+                   else None)
+            if why:
+                res.fail(f"{why} for G={G.invariant_factors} H={H.generators}")
                 continue
-            _, class_ids = np.unique(A, axis=0, return_inverse=True)
-            n_classes = int(class_ids.max()) + 1
-            if n_classes != order_h:
-                res.fail(f"{n_classes} restriction classes != |H|={order_h} "
-                         f"for G={G.invariant_factors} H={H.generators}")
-                continue
-            triv_ind = class_ids == class_ids[0]
-            if not np.array_equal(triv_ind, ann):
-                res.fail(f"trivial-class != annihilator for "
-                         f"G={G.invariant_factors} H={H.generators}")
-                continue
-            s_ann = M @ ann
-            rhs1 = order_h * ((n // order_h) * m1 - s_ann)
-            s_triv = M @ triv_ind
-            rhs2 = order_h * s_triv - dims
-            bad = np.nonzero(lhs != rhs1 + rhs2)[0]
+            s_ann = sum(compress(cols, ann)).to_bytes(reps, "little")
+            s_triv = sum(compress(cols, triv)).to_bytes(reps, "little")
             res.checks += reps
-            if bad.size:
-                i = int(bad[0])
-                res.fail(f"identity fails: G={G.invariant_factors} "
-                         f"H={H.generators} W#{i} lhs={int(lhs[i])} "
-                         f"rhs={int(rhs1[i] + rhs2[i])}")
-        # reference implementation on a deterministic subsample
+            for i in range(reps):
+                lhs = n * m1[i] - dims[i]       # sum over all characters
+                rhs = (h * ((n // h) * m1[i] - s_ann[i])
+                       + h * s_triv[i] - dims[i])
+                if lhs != rhs:
+                    res.fail(f"identity fails: G={G.invariant_factors} "
+                             f"H={H.generators} W#{i} lhs={lhs} rhs={rhs}")
+                    break
+        # reference implementation and trace oracle on a subsample
         for _ in range(2):
             W = chargroup.random_rep(G, rng, 12)
             H = subs[rng.randrange(len(subs))]
             ok, l, rr = chargroup.check_group_identity(W, H)
+            m = chargroup.multiplicity(W, dual[0], H)  # dual[0] is trivial
+            mt = chargroup.multiplicity_trace(W, dual[0], H)
             res.checks += 1
             if not ok:
                 res.fail(f"reference check fails: G={G.invariant_factors} "
                          f"H={H.generators} lhs={l} rhs={rr}")
+            elif m != mt:
+                res.fail(f"trace oracle fails: G={G.invariant_factors} "
+                         f"H={H.generators} <W,1>_H={m} trace={mt}")
     return res
 
 

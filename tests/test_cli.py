@@ -15,8 +15,58 @@ def run_cli(*argv, env_extra=None):
         env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "kida.cli", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+TRANSITION_23 = ("transition", "--form", "delta", "--base", "Q", "--ext",
+                 "cyclotomic:23:degree=11", "--lambda", "1", "--mu", "0")
+# inputs that once hung (generic with p = 1) or ended in a traceback
+# with exit code 1; each is a malformed input, so exit 3
+BAD_INPUTS = [
+    ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
+    ("transition", "--form", "delta", "--p", "1", "--base", "Q", "--ext",
+     "cyclotomic:13:degree=1", "--lambda", "0", "--mu", "0",
+     "--local", "13=generic:1,2"),
+    ("hv", "--form", "generic:1,2,3", "--p", "0", "--e", "3"),
+    ("hv", "--form", "ups:a=1,c=1", "--p", "0", "--e", "3"),
+    ("hv", "--form", "sc", "--e", "0"),
+    ("tau", "--n", "23", "--mod", "0"),
+    TRANSITION_23 + ("--p", "4"),
+    TRANSITION_23 + ("--p", "-3"),
+    ("hv", "--form", "delta", "--p", "11", "--ell", "4", "--e", "11"),
+    ("hv", "--form", "delta", "--p", "4", "--ell", "23", "--e", "11"),
+    ("hv", "--form", "sc", "--ell", "4", "--ext", "cyclotomic:23:degree=11"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_is_a_typed_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_runs_without_numpy():
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import kida.cli\n"
+        "sys.exit(kida.cli.main(['verify', '--suite', 'group-identity', "
+        "'--size', '16']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "result = pass" in proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = _run_python("import sys, kida.cli\n"
+                       "print('numpy' in sys.modules)\n")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 GOLDEN_HV_23 = """a = 10
