@@ -166,6 +166,37 @@ class TestSubgroups:
                 for b in els:
                     assert H.contains(G.add(a, b))
 
+    def test_brute_force_closure_oracle(self):
+        # every subgroup is reached from {0} by adding one element at a
+        # time and closing under +; the enumerator must list exactly those
+        for G in cg.abelian_groups_upto(32):
+            zero = (0,) * G.rank
+            found = {frozenset([zero])}
+            frontier = list(found)
+            while frontier:
+                new = []
+                for H in frontier:
+                    for g in G.elements():
+                        if g in H:
+                            continue
+                        # H + <g>: the cosets H + kg until they return to H
+                        block = set(H)
+                        coset = frozenset(G.add(h, g) for h in H)
+                        while coset != H:
+                            block |= coset
+                            coset = frozenset(G.add(h, g) for h in coset)
+                        closed = frozenset(block)
+                        if closed not in found:
+                            found.add(closed)
+                            new.append(closed)
+                frontier = new
+            subs = cg.subgroups(G)
+            listed = [frozenset(H.elements()) for H in subs]
+            assert set(listed) == found, G.invariant_factors
+            assert len(listed) == len(found)
+            for H in subs:
+                assert len(H.elements()) == H.order
+
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4
         assert cg.Subgroup(cg.cyclic(8), []).order == 1

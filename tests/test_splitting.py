@@ -275,6 +275,26 @@ class TestFieldSpecGrammar:
         with pytest.raises(SpecParseError):
             sp.parse_field_spec("cyclotomic:8:degree=2")
 
+    @pytest.mark.parametrize("spec,printed", [
+        ("cyclotomic:23:degree=11", "cyclotomic:23:gens=22"),
+        ("cyclotomic:1123:degree=11", "cyclotomic:1123:gens=1038,1089,1122"),
+        ("cyclotomic:65:degree=3", "cyclotomic:65:gens=14,27,31,51"),
+        ("cyclotomic:15015:degree=5",
+         "cyclotomic:15015:gens=1156,3004,5006,8581,10396,10726,12013,"
+         "12286,12706"),
+    ])
+    def test_degree_spec_golden(self, spec, printed):
+        assert sp.parse_field_spec(spec).spec_string() == printed
+
+    @pytest.mark.parametrize("N,d,count", [
+        (8, 2, 3), (15015, 2, 31), (15015, 3, 4)])
+    def test_non_unique_degree_golden(self, N, d, count):
+        with pytest.raises(SpecParseError) as info:
+            sp.parse_field_spec(f"cyclotomic:{N}:degree={d}")
+        assert str(info.value) == (
+            f"index-{d} subgroup of (Z/{N})^* is not unique "
+            f"({count} candidates); use gens=...")
+
     def test_degree_must_divide(self):
         with pytest.raises(SpecParseError):
             sp.parse_field_spec("cyclotomic:23:degree=7")

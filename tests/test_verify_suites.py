@@ -40,15 +40,17 @@ class TestGroupIdentitySuite:
             '"param.seed": 2, "result": "pass", "suite": "group-identity"}\n')
 
     def test_wrong_subgroup_order_is_caught(self, monkeypatch):
-        # one subgroup of C_2 x C_4 claims order 4 instead of 2; the
-        # annihilator count must expose it (and the reference subsample
-        # at this seed does not draw it)
+        # the subgroup <(1, 2)> of C_2 x C_4 claims order 4 instead of 2;
+        # the annihilator count must expose it (and the reference
+        # subsample at this seed does not draw it)
         real = chargroup.subgroups
+        G24 = chargroup.FiniteAbelianGroup((2, 4))
+        target = chargroup.Subgroup(G24, [(1, 2)]).key()
 
         def faulty(G):
             subs = real(G)
-            if G.invariant_factors == (2, 4):
-                subs[3].order *= 2
+            if G == G24:
+                next(H for H in subs if H.key() == target).order *= 2
             return subs
 
         monkeypatch.setattr(chargroup, "subgroups", faulty)
