@@ -7,6 +7,10 @@ e = lcm(d_i).  All pairings are computed by exact counting; a second
 route through exact cyclotomic-integer sums (reduced mod the e-th
 cyclotomic polynomial) is provided as an independent oracle.  No
 floating point anywhere.
+
+Subgroups of G = Z^r / diag(d) are the lattices L between diag(d) Z^r
+and Z^r; one walk over their Hermite normal forms lists each subgroup
+once, and a form with diagonal a_1..a_r has order |G| / prod a_i.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .errors import SubgroupMismatch
+from .errors import InternalAdditivityViolation, SubgroupMismatch
 from .intlinalg import subgroup_lattice
 
 
@@ -221,12 +225,12 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0, "non-exact cyclotomic division"
+        q = num[i + len(den) - 1] // den[-1]
         out[i] = q
         for j, c in enumerate(den):
             num[i + j] -= q * c
-    assert not any(num), "non-exact cyclotomic division"
+    if any(num):   # a step that left a remainder left it in num
+        raise InternalAdditivityViolation("non-exact cyclotomic division")
     return out
 
 
@@ -248,18 +252,18 @@ def multiplicity_trace(W: RepMultiset, chi: Character, H: Subgroup) -> int:
     if e == 1:
         total = acc[0]
     else:
-        phi = _cyclotomic_polynomial(e)
+        phi = _cyclotomic_polynomial(e)     # monic
         rem = list(acc)
         for i in range(len(rem) - 1, len(phi) - 2, -1):
-            q, r = divmod(rem[i], phi[-1])
-            assert r == 0
+            q = rem[i]
             for j, c in enumerate(phi):
                 rem[i - len(phi) + 1 + j] -= q * c
-        assert not any(rem[len(phi) - 1:]), "trace sum not rational"
-        assert not any(rem[1:len(phi) - 1]), "trace sum not rational"
+        if any(rem[1:]):
+            raise SubgroupMismatch("trace sum not rational")
         total = rem[0]
     q, r = divmod(total, H.order)
-    assert r == 0, "trace sum not divisible by |H|"
+    if r:
+        raise SubgroupMismatch(f"trace sum not divisible by |H|={H.order}")
     return q
 
 
@@ -289,7 +293,9 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
         classes.setdefault(chi.restriction_tuple(H.generators), 0)
     for psi, m in W.entries.items():
         classes[psi.restriction_tuple(H.generators)] += m
-    assert len(classes) == H.order, "restriction classes != |H|"
+    if len(classes) != H.order:
+        raise SubgroupMismatch(
+            f"{len(classes)} restriction classes != |H|={H.order}")
     m1h = classes[tuple([0] * len(H.generators))]
     rhs2 = sum(m1h - v for v in classes.values())
     rhs = rhs1 + rhs2
@@ -334,111 +340,59 @@ def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
     return out
 
 
-def _elementary_subgroup_matrices(p: int, r: int):
-    """All subspaces of F_p^r as reduced-echelon generator matrices."""
-    yield []
-    for k in range(1, r + 1):
-        for pivots in itertools.combinations(range(r), k):
-            free_pos = []
-            for i, pc in enumerate(pivots):
-                for c in range(pc + 1, r):
-                    if c not in pivots:
-                        free_pos.append((i, c))
-            for vals in itertools.product(range(p), repeat=len(free_pos)):
-                mat = [[0] * r for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    mat[i][pc] = 1
-                for (i, c), v in zip(free_pos, vals):
-                    mat[i][c] = v
-                yield [row[:] for row in mat]
+def subgroup_lattices(d, index=None):
+    """Hermite normal forms of the lattices L with diag(d) Z^r <= L <= Z^r.
 
+    A form is r upper-triangular rows, built from the bottom row up: row
+    i has a pivot a_i dividing d_i on the diagonal and entries right of
+    it in [0, a_j), a_j the pivot of row j.  The row is kept iff
+    (d_i / a_i) times its off-diagonal part lies in the span of the rows
+    below, i.e. iff d_i e_i lies in L.  Each such L has exactly one form
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
+    and L / diag(d) Z^r runs once over every subgroup of Z^r / diag(d),
+    of order prod d_i / prod a_i.  With ``index`` set, only the forms
+    with prod a_i = index are listed.
+    """
+    def in_span(vec, rows):
+        for k, row in enumerate(rows):
+            q, rem = divmod(vec[k], row[k])
+            if rem:
+                return False
+            vec = [x - q * y for x, y in zip(vec, row)]
+        return True
 
-def _p_component(G: FiniteAbelianGroup, p: int):
-    """Exponents e_i with p^{e_i} || d_i (zeros dropped), plus embeddings."""
-    exps, embed = [], []
-    for i, d in enumerate(G.invariant_factors):
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e:
-            exps.append(e)
-            embed.append((i, G.invariant_factors[i] // p ** e))
-    return exps, embed
+    def walk(i, below, rest):
+        if i < 0:
+            if rest in (None, 1):
+                yield below
+            return
+        top = d[i] if rest is None else math.gcd(d[i], rest)
+        pivots = [row[j] for j, row in enumerate(below, i + 1)]
+        tails = [row[i + 1:] for row in below]
+        for a in range(1, top + 1):
+            if top % a:
+                continue
+            for off in itertools.product(*map(range, pivots)):
+                if in_span([d[i] // a * x for x in off], tails):
+                    yield from walk(i - 1, [[0] * i + [a, *off]] + below,
+                                    None if rest is None else rest // a)
 
-
-def _p_group_subgroups(p: int, exps: list[int]):
-    """Generator matrices (rows of coordinates) of all subgroups of
-    prod C_{p^{e_i}}."""
-    r = len(exps)
-    if r == 0:
-        return [[]]
-    if r == 1:
-        e = exps[0]
-        return [[[p ** j]] for j in range(e)] + [[]]
-    if all(e == 1 for e in exps):
-        return list(_elementary_subgroup_matrices(p, r))
-    # Mixed shape: BFS over index-p extensions with element-set dedup.
-    orders = [p ** e for e in exps]
-    elements = list(itertools.product(*[range(o) for o in orders]))
-    index = {el: i for i, el in enumerate(elements)}
-    n = len(elements)
-    add = [[index[tuple((a[t] + b[t]) % orders[t] for t in range(r))]
-            for b in elements] for a in elements]
-    pmul = [index[tuple((p * a[t]) % orders[t] for t in range(r))]
-            for a in elements]
-    zero = index[(0,) * r]
-    found = {frozenset([zero]): []}
-    frontier = [(frozenset([zero]), [])]
-    while frontier:
-        new_frontier = []
-        for elems, gens in frontier:
-            for g in range(n):
-                if g in elems or pmul[g] not in elems:
-                    continue
-                block = set(elems)
-                cur = g
-                for _ in range(p - 1):
-                    addc = add[cur]
-                    block.update(addc[s] for s in elems)
-                    cur = addc[g]
-                key = frozenset(block)
-                if key not in found:
-                    item = (key, gens + [g])
-                    found[key] = item[1]
-                    new_frontier.append(item)
-        frontier = new_frontier
-    return [[list(elements[g]) for g in gens] for gens in found.values()]
+    yield from walk(len(d) - 1, [], index)
 
 
 def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     """Every subgroup of G, one Subgroup per distinct subgroup.
 
-    Decomposes G into p-primary components (every subgroup is the direct
-    sum of its p-parts), enumerates each component, and recombines.
+    The subgroups of G = Z^r / diag(d) are the lattices between
+    diag(d) Z^r and Z^r, each listed once by its Hermite normal form
+    (``subgroup_lattices``).  A form with pivots a_i gives the subgroup
+    of order |G| / prod a_i generated by its nonzero rows reduced mod d.
     """
-    if G.rank == 0:
-        return [Subgroup(G, [])]
-    primes = sorted({p for d in G.invariant_factors
-                     for p, _ in arith.factor(d)})
-    per_prime = []
-    for p in primes:
-        exps, embed = _p_component(G, p)
-        mats = _p_group_subgroups(p, exps)
-        embedded = []
-        for mat in mats:
-            gens = []
-            for row in mat:
-                vec = [0] * G.rank
-                for (coord, mult), v in zip(embed, row):
-                    vec[coord] = (v * mult) % G.invariant_factors[coord]
-                gens.append(tuple(vec))
-            embedded.append(gens)
-        per_prime.append(embedded)
+    d = G.invariant_factors
     out = []
-    for combo in itertools.product(*per_prime):
-        gens = [g for part in combo for g in part]
-        out.append(Subgroup(G, gens))
+    for rows in subgroup_lattices(d):
+        gens = [tuple(x % m for x, m in zip(row, d)) for row in rows]
+        out.append(Subgroup(G, [g for g in gens if any(g)]))
     return out
 
 

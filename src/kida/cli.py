@@ -145,6 +145,8 @@ def cmd_hv(args) -> int:
             raise SpecParseError("hv with a form spec needs --p and --ell")
         if not arith.is_prime(args.p):
             raise SpecParseError("--p must be prime")
+        if args.ell == args.p:
+            raise SpecParseError("--ell must differ from --p")
         a, c = qexp.frobenius_data(form, args.ell, args.p, _precision(args))
         V = localfactor.UnramifiedPS(a, c, args.p)
         record["form"] = form.describe()
@@ -210,7 +212,10 @@ def cmd_transition(args) -> int:
     ext_field = splitting.parse_field_spec(args.ext)
     form = parse_form_spec(args.form) if args.form else None
     lam = args.lam if args.mu == 0 else None
-    base = transition.InvariantRecord(kind, args.mu, lam)
+    try:
+        base = transition.InvariantRecord(kind, args.mu, lam)
+    except ValueError as exc:   # negative mu or lambda
+        raise SpecParseError(str(exc))
     overrides = _parse_local_overrides(args.local, args.p)
     report = transition.transition(
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,

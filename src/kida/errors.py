@@ -22,7 +22,8 @@ class ZeroInput(KidaError):
 # -- chargroup ---------------------------------------------------------
 
 class SubgroupMismatch(KidaError):
-    """Subgroup does not live inside the expected ambient group."""
+    """Subgroup does not live inside the expected ambient group, or its
+    stated order contradicts its elements."""
 
 
 # -- qexp --------------------------------------------------------------
@@ -86,7 +87,8 @@ class ChainMismatch(KidaError):
 
 
 class InternalAdditivityViolation(KidaError):
-    """Tower bookkeeping identity failed; indicates a library bug."""
+    """Tower bookkeeping or exact cyclotomic division failed; indicates a
+    library bug."""
 
 
 class MismatchedInputs(KidaError):

@@ -331,9 +331,22 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
 
 # -- field input grammar --------------------------------------------------
 
+def _p_component(d, p: int):
+    """(i, e_i, d_i / p^e_i) for each d_i with p^e_i || d_i, e_i > 0."""
+    return [(i, e, di // p ** e) for i, di in enumerate(d)
+            for e in [arith.padic_val(di, p)] if e]
+
+
 @lru_cache(maxsize=None)
 def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
-    """Generators of the unique index-d subgroup of (Z/N)^*, if unique."""
+    """Generators of the unique index-d subgroup of (Z/N)^*, if unique.
+
+    Its q-part has index q^v, v = v_q(d), in the q-part of G = (Z/N)^*.
+    By duality that is unique iff the q-part has one subgroup of order
+    q^v, so the subgroup is unique iff every q-part with 0 < v_q(d) <
+    v_q(|G|) is cyclic.  Each q-part is then written down: all of it
+    (v = 0), none (v = v_q(|G|)) or q^v times its generator.
+    """
     U = arith.unit_group(N)
     if U.order % d:
         raise SpecParseError(f"(Z/{N})^* has no subgroup of index {d}")
@@ -341,14 +354,27 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
         if d != 1:
             raise SpecParseError(f"(Z/{N})^* is trivial; degree must be 1")
         return ()
-    G = chargroup.FiniteAbelianGroup(U.invariant_factors)
-    found = [H for H in chargroup.subgroups(G)
-             if G.order // H.order == d]
-    if len(found) != 1:
-        raise SpecParseError(
-            f"index-{d} subgroup of (Z/{N})^* is not unique "
-            f"({len(found)} candidates); use gens=...")
-    return tuple(U.element(g) for g in found[0].generators)
+    gens = []
+    for q, n in arith.factor(U.order):
+        v = arith.padic_val(d, q)
+        part = _p_component(U.invariant_factors, q)
+        if v == n:
+            continue
+        if v and len(part) > 1:
+            count = sum(1 for _ in chargroup.subgroup_lattices(
+                U.invariant_factors, index=d))
+            raise SpecParseError(
+                f"index-{d} subgroup of (Z/{N})^* is not unique "
+                f"({count} candidates); use gens=...")
+        # the generator sets spec strings have always printed: q^v times
+        # the generator of a cyclic q-part, every q^j e_i (0 <= j < e_i)
+        # of a whole non-cyclic one
+        for i, e, cofactor in part:
+            for j in [v] if len(part) == 1 else range(e):
+                vec = [0] * U.rank
+                vec[i] = q ** j * cofactor
+                gens.append(U.element(vec))
+    return tuple(gens)
 
 
 def parse_field_spec(spec: str) -> AbelianField:

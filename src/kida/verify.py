@@ -118,9 +118,14 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
         for _ in range(2):
             W = chargroup.random_rep(G, rng, 12)
             H = subs[rng.randrange(len(subs))]
-            ok, l, rr = chargroup.check_group_identity(W, H)
-            m = chargroup.multiplicity(W, dual[0], H)  # dual[0] is trivial
-            mt = chargroup.multiplicity_trace(W, dual[0], H)
+            try:
+                ok, l, rr = chargroup.check_group_identity(W, H)
+                m = chargroup.multiplicity(W, dual[0], H)  # dual[0]: trivial
+                mt = chargroup.multiplicity_trace(W, dual[0], H)
+            except KidaError as exc:
+                res.fail(f"reference check fails: G={G.invariant_factors} "
+                         f"H={H.generators}: {exc}")
+                continue
             res.checks += 1
             if not ok:
                 res.fail(f"reference check fails: G={G.invariant_factors} "

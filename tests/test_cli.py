@@ -37,6 +37,9 @@ BAD_INPUTS = [
     ("hv", "--form", "delta", "--p", "11", "--ell", "4", "--e", "11"),
     ("hv", "--form", "delta", "--p", "4", "--ell", "23", "--e", "11"),
     ("hv", "--form", "sc", "--ell", "4", "--ext", "cyclotomic:23:degree=11"),
+    TRANSITION_23 + ("--mu", "-1", "--p", "11"),
+    TRANSITION_23 + ("--lambda", "-1", "--p", "11"),
+    ("hv", "--form", "delta", "--p", "11", "--ell", "11", "--e", "11"),
 ]
 
 
@@ -45,6 +48,15 @@ def test_bad_input_is_a_typed_error(argv):
     code, out, err = run_cli(*argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_large_conductor_degree_spec_resolves():
+    # (Z/255255)^* has 5-part C_5, so its index-5 subgroup is written down
+    # directly: the field is the quintic subfield of Q(zeta_11)
+    code, out, err = run_cli("hv", "--form", "sc", "--ell", "11", "--ext",
+                             "cyclotomic:255255:degree=5")
+    assert code == 0, err
+    assert "e = 5" in out.splitlines()
 
 
 def _run_python(code):

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
 from kida import chargroup, cli, verify
@@ -9,6 +13,24 @@ param.reps = 100
 param.seed = {seed}
 result = pass
 suite = group-identity
+"""
+
+# the sweep at (12, 100, 0) with <(0, 1)> of C_2 x C_4 claiming order 8
+WRONG_ORDER_SWEEP = """
+import json
+from kida import chargroup, verify
+G24 = chargroup.FiniteAbelianGroup((2, 4))
+target = chargroup.Subgroup(G24, [(0, 1)]).key()
+real = chargroup.subgroups
+
+def faulty(G):
+    subs = real(G)
+    if G == G24:
+        next(H for H in subs if H.key() == target).order *= 2
+    return subs
+
+chargroup.subgroups = faulty
+print(json.dumps(verify.group_identity_suite(12, 100, 0).as_mapping()))
 """
 
 
@@ -60,6 +82,24 @@ class TestGroupIdentitySuite:
             "param.max_order": 12, "param.reps": 100, "param.seed": 0,
             "counterexample.0": "annihilator size 4 != 8/4 "
                                 "for G=(2, 4) H=((1, 2),)"}
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
+    def test_wrong_order_in_reference_draw_is_a_fail(self, flags):
+        # the reference subsample at this seed draws <(0, 1)> of C_2 x C_4;
+        # claiming order 8 for it must give FAIL counterexamples, not an
+        # AssertionError, and the same ones when python -O strips asserts
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", WRONG_ORDER_SWEEP],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "suite": "group-identity", "checks": 7931, "result": "FAIL",
+            "param.max_order": 12, "param.reps": 100, "param.seed": 0,
+            "counterexample.0": "annihilator size 2 != 8/8 "
+                                "for G=(2, 4) H=((0, 1),)",
+            "counterexample.1": "reference check fails: G=(2, 4) "
+                                "H=((0, 1),): 4 restriction classes "
+                                "!= |H|=8"}
 
 
 class TestTowerAdditivitySuite:
