@@ -343,15 +343,12 @@ def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
 def subgroup_lattices(d, index=None):
     """Hermite normal forms of the lattices L with diag(d) Z^r <= L <= Z^r.
 
-    A form is r upper-triangular rows, built from the bottom row up: row
-    i has a pivot a_i dividing d_i on the diagonal and entries right of
-    it in [0, a_j), a_j the pivot of row j.  The row is kept iff
+    Rows are built from the bottom up: row i has a pivot a_i | d_i on the
+    diagonal and entries right of it in [0, a_j), and is kept iff
     (d_i / a_i) times its off-diagonal part lies in the span of the rows
-    below, i.e. iff d_i e_i lies in L.  Each such L has exactly one form
-    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
-    and L / diag(d) Z^r runs once over every subgroup of Z^r / diag(d),
-    of order prod d_i / prod a_i.  With ``index`` set, only the forms
-    with prod a_i = index are listed.
+    below, i.e. iff d_i e_i lies in L.  Each L has one such form (Cohen,
+    *A Course in Computational Algebraic Number Theory*, 2.4).  With
+    ``index`` set, only the forms with prod a_i = index are listed.
     """
     def in_span(vec, rows):
         for k, row in enumerate(rows):

@@ -333,8 +333,12 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
 
 def _p_component(d, p: int):
     """(i, e_i, d_i / p^e_i) for each d_i with p^e_i || d_i, e_i > 0."""
-    return [(i, e, di // p ** e) for i, di in enumerate(d)
-            for e in [arith.padic_val(di, p)] if e]
+    out = []
+    for i, di in enumerate(d):
+        e = arith.padic_val(di, p)
+        if e:
+            out.append((i, e, di // p ** e))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -366,9 +370,10 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
             raise SpecParseError(
                 f"index-{d} subgroup of (Z/{N})^* is not unique "
                 f"({count} candidates); use gens=...")
-        # the generator sets spec strings have always printed: q^v times
-        # the generator of a cyclic q-part, every q^j e_i (0 <= j < e_i)
-        # of a whole non-cyclic one
+        # spec_string() prints these generators (the ``extension =`` line
+        # of a transition report), so the sets are fixed output: q^v times
+        # the generator of a cyclic q-part, and every q^j e_i
+        # (0 <= j < e_i) of a whole non-cyclic one
         for i, e, cofactor in part:
             for j in [v] if len(part) == 1 else range(e):
                 vec = [0] * U.rank
