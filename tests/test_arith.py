@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -194,3 +195,48 @@ class TestResidue:
         r = arith.Residue(2, 7)
         assert (r ** 3).value == 1
         assert (r * arith.Residue(5, 7)).value == 3
+
+
+# sha256 of f"{N}:{invariant_factors}:{generators}\n" over N = 1..2000
+UNIT_GROUP_DIGEST = (
+    "c5548f5e78b99e4a1de98109e0a87ac767cffd15d43f767e55c23828d82d0f34")
+UNIT_GROUP_SAMPLE = {
+    1: ((), ()),
+    2: ((), ()),
+    4: ((2,), (3,)),
+    8: ((2, 2), (7, 5)),
+    16: ((2, 4), (15, 5)),
+    23: ((22,), (21,)),
+    40: ((2, 2, 4), (31, 21, 17)),
+    72: ((2, 2, 6), (55, 37, 41)),
+    105: ((2, 2, 12), (71, 76, 37)),
+    1123: ((1122,), (756,)),
+    1680: ((2, 2, 2, 4, 12), (1471, 1121, 1441, 421, 1297)),
+    2000: ((2, 4, 100), (751, 501, 1537)),
+}
+
+
+class TestUnitGroupGolden:
+    def test_sample(self):
+        for N, (d, gens) in UNIT_GROUP_SAMPLE.items():
+            U = arith.unit_group(N)
+            assert (U.invariant_factors, U.generators) == (d, gens), N
+
+    def test_digest_up_to_2000(self):
+        h = hashlib.sha256()
+        for N in range(1, 2001):
+            U = arith.unit_group(N)
+            h.update(f"{N}:{U.invariant_factors}:{U.generators}\n".encode())
+        assert h.hexdigest() == UNIT_GROUP_DIGEST
+
+    @pytest.mark.parametrize("N", [999983, 2 ** 10 * 3 ** 5 * 7])
+    def test_log_round_trip_large_moduli(self, N):
+        U = arith.unit_group(N)
+        rng = random.Random(N)
+        for _ in range(20):
+            x = rng.randrange(1, N)
+            if math.gcd(x, N) != 1:
+                continue
+            c = U.log(x)
+            assert all(0 <= ci < di for ci, di in zip(c, U.invariant_factors))
+            assert U.element(c) == x

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kida import qexp
+from kida import arith, chargroup, qexp
 from kida.errors import (BadReduction, BoundExceeded, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
 
@@ -197,6 +197,21 @@ class TestDirichletAndTwists:
             conds[exps] = qexp.DirichletCharacter.from_exponents(8, exps).conductor
         assert conds[(0, 0)] == 1
         assert sorted(conds.values()) == [1, 4, 8, 8]
+
+    def test_conductor_brute_force_oracle(self):
+        # conductor = least f | N with chi(x) = 1 for every unit x = 1 mod f
+        for N in range(1, 65):
+            U = arith.unit_group(N)
+            units = [x for x in range(N) if math.gcd(x, N) == 1]
+            divisors = [f for f in range(1, N + 1) if N % f == 0]
+            G = chargroup.FiniteAbelianGroup(U.invariant_factors)
+            logs = {x: U.log(x) for x in units}
+            for chi in chargroup.dual_group(G):
+                psi = qexp.DirichletCharacter(N, chi)
+                expected = next(f for f in divisors if all(
+                    chi.value_log(logs[x]) == 0
+                    for x in units if x % f == 1 % f))
+                assert psi.conductor == expected, (N, chi.exponents)
 
     def test_cyc_value_normalization(self):
         assert qexp.CycValue(3, 2, 4) == qexp.CycValue(3, 1, 2) * 1

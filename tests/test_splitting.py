@@ -262,6 +262,53 @@ class TestUnramifiedAtPReduction:
         assert sp.same_field(R, F23), (R.conductor, R.subgroup_gens)
 
 
+def _closure(gens, N):
+    """The subgroup of (Z/N)^* generated by ``gens``, as a set."""
+    out = {1 % N}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g % N
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+        frontier = new
+    return out
+
+
+class TestEfgOrbitOracle:
+    def test_efg_by_orbit_counting(self):
+        # Places of ell in the fixed field of H are the orbits of the
+        # decomposition group D = <H, inertia, Frobenius> on (Z/N)^* / H:
+        # g = |G| / |D|, e = |H I| / |H|, f = order of Frobenius mod H I.
+        rng = random.Random(100)
+        for N in range(1, 101):
+            units = [x for x in range(N) if math.gcd(x, N) == 1]
+            for _ in range(3):
+                gens = rng.sample(units, min(len(units), rng.randint(0, 2)))
+                F = sp.AbelianField(N, gens)
+                H = _closure(gens, N)
+                ells = sorted({q for q, _ in arith.factor(N)}
+                              | {2, 3, 5, 7, 11, 13})
+                for ell in ells:
+                    k = arith.padic_val(N, ell) if N > 1 else 0
+                    rest = N // ell ** k
+                    inertia = [x for x in units if x % rest == 1 % rest]
+                    frob = arith.crt([1, ell % rest], [ell ** k, rest])
+                    HI = _closure(list(H) + inertia, N)
+                    D = _closure(list(HI) + [frob], N)
+                    f = 1
+                    while pow(frob, f, N) not in HI:
+                        f += 1
+                    data = sp.efg(F, ell)
+                    assert (data.e, data.f, data.g) == (
+                        len(HI) // len(H), f, len(units) // len(D)), \
+                        (N, gens, ell)
+                    assert data.degree == len(units) // len(H)
+
+
 class TestFieldSpecGrammar:
     def test_Q(self):
         assert sp.parse_field_spec("Q").is_rationals()
