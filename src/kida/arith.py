@@ -2,13 +2,21 @@
 
 Trial-division factorization, multiplicative orders, p-adic valuations,
 and the unit group (Z/N)^* presented in invariant-factor form with
-bidirectional residue <-> coordinate maps.  Everything is plain Python
-int arithmetic, so there is no overflow to detect; inputs are desk-scale
-(factorization targets up to ~10^12).
+bidirectional residue <-> coordinate maps.  ``UnitGroup`` is the one
+place that knows how (Z/N)^* is built: from the cyclic factors of each
+(Z/q^e)^*, which ``local_generators(q)`` returns as residues mod N that
+are 1 at the other prime powers.  ``log`` stores no table of the group:
+it projects x onto each cyclic piece of prime-power order rho^a and
+solves there by Pohlig-Hellman, one base-rho digit at a time by
+baby-step giant-step, in O(sqrt(rho)) memory (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1.4).  Everything is plain
+Python int arithmetic, so there is no overflow to detect; inputs are
+desk-scale (factorization targets up to ~10^12).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,63 +159,65 @@ def _primitive_root(q: int, e: int) -> int:
     return g
 
 
-class _CyclicComponent:
-    """One cyclic factor of (Z/N)^*.
+def _local_cyclic(q: int, e: int) -> list[tuple[int, int, int]]:
+    """(generator mod q^e, order, modulus it is read at) of each cyclic
+    factor of (Z/q^e)^*: a primitive root for odd q, 3 mod 4, and -1, 5
+    mod 2^e for e >= 3, where the sign of x = +-5^t is read mod 4."""
+    if q > 2:
+        return [(_primitive_root(q, e), (q - 1) * q ** (e - 1), q ** e)]
+    if e < 3:
+        return [(3, 2, 4)] if e == 2 else []
+    return [(q ** e - 1, 2, 4), (5, 2 ** (e - 2), q ** e)]
 
-    ``kind`` is "cyclic" for factors whose generator spans the whole local
-    unit group, "sign" / "five" for the two joint factors of (Z/2^e)^*
-    with e >= 3, where x = (-1)^s * 5^t.
+
+def _piece_log(mod: int, g: int, n: int, rho: int, a: int):
+    """The map x -> log_g(x) mod rho^a on the cyclic factor <g> = C_n of
+    (Z/mod)^*, where rho^a || n.
+
+    Pohlig-Hellman: x^(n / rho^a) = h^t with h = g^(n / rho^a) of order
+    rho^a and t = log_g(x) mod rho^a, found one digit at a time, each by
+    baby-step giant-step in the subgroup of order B.  The base B is the
+    largest rho^b <= 64 with b | a, whose digits take one lookup in a
+    table of all B of them, or rho > 64 itself, with a table of about
+    sqrt(rho) baby steps.  Mod 2^e with e >= 3 the factor <5> reads x up
+    to sign.
     """
+    cof = n // rho ** a
+    b = max((b for b in range(1, a + 1) if a % b == 0 and rho ** b <= 64),
+            default=1)
+    rho, a = rho ** b, a // b
+    h_inv = pow(g, -cof, mod)
+    gamma = pow(h_inv, -rho ** (a - 1), mod)
+    m = rho if rho <= 64 else math.isqrt(rho - 1) + 1
+    baby, z = {}, 1
+    for j in range(m):
+        baby[z] = j
+        z = z * gamma % mod
+    giant = pow(z, -1, mod)
+    fold = mod % 8 == 0
+    # digit i: raise to rho^(a-1-i), and strip it with h^(-rho^i)
+    digits = [(rho ** (a - 1 - i), pow(h_inv, rho ** i, mod), rho ** i)
+              for i in range(a)]
 
-    __slots__ = ("prime_power", "order", "gen_local", "kind", "_dlog")
+    def log(x: int) -> int:
+        x %= mod
+        if fold and x % 4 == 3:
+            x = mod - x
+        y = pow(x, cof, mod)
+        k = 0
+        for exponent, strip, place in digits:
+            z = pow(y, exponent, mod)
+            for step in range(m):  # z is in <gamma>, so this finds it
+                if z in baby:
+                    break
+                z = z * giant % mod
+            digit = step * m + baby[z]
+            if digit:
+                y = y * pow(strip, digit, mod) % mod
+                k += digit * place
+        return k
 
-    def __init__(self, prime_power: int, order: int, gen_local: int,
-                 kind: str = "cyclic"):
-        self.prime_power = prime_power
-        self.order = order
-        self.gen_local = gen_local % prime_power
-        self.kind = kind
-        self._dlog = None
-
-    def _table(self) -> dict:
-        if self._dlog is None:
-            table = {}
-            acc = 1
-            for k in range(self.order):
-                table[acc] = k
-                acc = (acc * self.gen_local) % self.prime_power
-            self._dlog = table
-        return self._dlog
-
-    def dlog(self, x: int) -> int:
-        x %= self.prime_power
-        if self.kind == "sign":
-            return 0 if x % 4 == 1 else 1
-        if self.kind == "five":
-            if x % 4 != 1:
-                x = self.prime_power - x
-        try:
-            return self._table()[x]
-        except KeyError:
-            raise NotAUnit(f"{x} not generated mod {self.prime_power}")
-
-
-def _components_of(N: int) -> list[_CyclicComponent]:
-    comps = []
-    for q, e in factor(N):
-        qe = q ** e
-        if q == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                comps.append(_CyclicComponent(4, 2, 3))
-            else:
-                comps.append(_CyclicComponent(qe, 2, qe - 1, kind="sign"))
-                comps.append(_CyclicComponent(qe, 2 ** (e - 2), 5, kind="five"))
-        else:
-            comps.append(_CyclicComponent(qe, (q - 1) * q ** (e - 1),
-                                          _primitive_root(q, e)))
-    return comps
+    return log
 
 
 class UnitGroup:
@@ -220,82 +230,51 @@ class UnitGroup:
 
     def __init__(self, modulus: int):
         self.modulus = modulus
-        self._components = _components_of(modulus)
+        self._local: dict[int, tuple[int, ...]] = {}
+        # rho -> [(rho^a, local factor index, n / rho^a, generator mod N,
+        #          x -> log_g(x) mod rho^a)] over the local factors <g> = C_n
+        pieces: dict[int, list] = {}
         self.order = 1
-        for c in self._components:
-            self.order *= c.order
-        self._build_invariant_factors()
+        index = 0
+        for q, e in factor(modulus):
+            local = _local_cyclic(q, e)
+            qe = q ** e
+            lifts = tuple(crt([g, 1], [qe, modulus // qe]) for g, _, _ in local)
+            self._local[q] = lifts
+            for (g, n, mod), lift in zip(local, lifts):
+                for rho, a in factor(n):
+                    cof = n // rho ** a
+                    pieces.setdefault(rho, []).append(
+                        (rho ** a, index, cof, pow(lift, cof, modulus),
+                         _piece_log(mod, g, n, rho, a)))
+                self.order *= n
+                index += 1
+        # Invariant factors, largest first: the largest piece of every prime
+        # together, then the next largest, ...; of two equal pieces the one
+        # of the later local factor comes first.  Stored ascending.
+        for column in pieces.values():
+            column.sort(key=lambda piece: piece[:2], reverse=True)
+        levels = [[piece for piece in level if piece] for level in
+                  itertools.zip_longest(*pieces.values())][::-1]
+        self.invariant_factors = tuple(math.prod(piece[0] for piece in level)
+                                       for level in levels)
+        self.generators = tuple(
+            math.prod(piece[3] for piece in level) % modulus
+            for level in levels)
+        # coordinate j: by CRT over its pieces, log_g(x) / (n / rho^a) mod
+        # rho^a, the exponent of the piece's generator g^(n / rho^a)
+        self._coordinates = [
+            (d, [(log, d // r * pow(d // r * cof, -1, r))
+                 for r, _, cof, _, log in level])
+            for d, level in zip(self.invariant_factors, levels)]
+        self.rank = len(levels)
 
-    # -- construction ---------------------------------------------------
-
-    def _lift(self, comp_idx: int, local_value: int) -> int:
-        """CRT-lift a value on one component to a residue mod N (1 elsewhere).
-
-        For the two components at 2^e (e >= 3) the lift keeps the other
-        2-adic generator coordinate at 1 by multiplying values inside the
-        same prime power, so the moduli list stays coprime.
-        """
-        res, mods = [], []
-        seen = {}
-        for i, c in enumerate(self._components):
-            if c.prime_power in seen:
-                j = seen[c.prime_power]
-                res[j] = (res[j] * (local_value if i == comp_idx else 1)) % c.prime_power
-                continue
-            seen[c.prime_power] = len(res)
-            res.append(local_value % c.prime_power if i == comp_idx else 1)
-            mods.append(c.prime_power)
-        rest = self.modulus
-        for m in mods:
-            rest //= m
-        if rest > 1:
-            res.append(1)
-            mods.append(rest)
-        return crt(res, mods) if mods else 0 if self.modulus == 1 else 1
-
-    def _component_dlogs(self, x: int) -> list[int]:
-        if math.gcd(x, self.modulus) != 1:
-            raise NotAUnit(f"{x} is not a unit mod {self.modulus}")
-        return [c.dlog(x) for c in self._components]
-
-    def _build_invariant_factors(self):
-        # Split each cyclic component into prime-power pieces, regroup by
-        # prime, and zip the largest pieces across primes into invariant
-        # factors (descending), then store ascending.
-        per_prime: dict[int, list[tuple[int, int, int]]] = {}
-        for idx, comp in enumerate(self._components):
-            for rho, a in factor(comp.order):
-                cof = comp.order // rho ** a
-                per_prime.setdefault(rho, []).append((rho ** a, idx, cof))
-        for rho in per_prime:
-            per_prime[rho].sort(reverse=True)
-        depth = max((len(v) for v in per_prime.values()), default=0)
-        inv_factors = []
-        generators = []
-        gen_recipes = []  # per factor: list of (comp_idx, power, rho_part)
-        for level in range(depth):
-            d = 1
-            recipe = []
-            for rho, pieces in per_prime.items():
-                if level < len(pieces):
-                    rho_a, idx, cof = pieces[level]
-                    d *= rho_a
-                    recipe.append((idx, cof, rho_a))
-            inv_factors.append(d)
-            gen_recipes.append(recipe)
-            g = 1
-            for idx, cof, _ in recipe:
-                comp = self._components[idx]
-                local = pow(comp.gen_local, cof, comp.prime_power)
-                g = (g * self._lift(idx, local)) % self.modulus
-            generators.append(g if self.modulus > 1 else 0)
-        inv_factors.reverse()
-        generators.reverse()
-        gen_recipes.reverse()
-        self.invariant_factors = tuple(inv_factors)
-        self.generators = tuple(generators)
-        self._gen_recipes = gen_recipes
-        self.rank = len(inv_factors)
+    def local_generators(self, q: int) -> tuple[int, ...]:
+        """Residues mod N generating the q-part of (Z/N)^*, each 1 modulo
+        the other prime powers of N: a primitive root mod q^e for odd q,
+        3 for 4 || N, and -1, 5 mod 2^e for 2^e || N with e >= 3.  Empty
+        when the q-part is trivial."""
+        return self._local.get(q, ())
 
     # -- maps -------------------------------------------------------------
 
@@ -303,18 +282,11 @@ class UnitGroup:
         """Coordinates of the unit x in the invariant-factor basis."""
         if self.modulus == 1:
             return ()
-        dlogs = self._component_dlogs(x % self.modulus)
-        coords = []
-        for d, recipe in zip(self.invariant_factors, self._gen_recipes):
-            res, mods = [], []
-            for idx, cof, rho_a in recipe:
-                comp = self._components[idx]
-                # coordinate of x's rho-part w.r.t. gen^cof inside C_{comp.order}
-                w = pow(cof, -1, rho_a)
-                res.append((dlogs[idx] * w) % rho_a)
-                mods.append(rho_a)
-            coords.append(crt(res, mods) % d)
-        return tuple(coords)
+        x %= self.modulus
+        if math.gcd(x, self.modulus) != 1:
+            raise NotAUnit(f"{x} is not a unit mod {self.modulus}")
+        return tuple(sum(log(x) * w for log, w in maps) % d
+                     for d, maps in self._coordinates)
 
     def element(self, coords) -> int:
         if self.modulus == 1:

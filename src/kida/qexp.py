@@ -441,31 +441,16 @@ class DirichletCharacter:
         cond = 1
         E = (self.character.group.exponent
              if self.character.group.rank else 1)
-        for q, e in arith.factor(self.modulus):
-            qe = q ** e
-            comps = [(i, c) for i, c in enumerate(self.group._components)
-                     if c.prime_power == qe]
-            if not comps:
-                continue  # q = 2, e = 1: no component, no contribution
-            orders = []
-            for i, c in comps:
-                y = self.group._lift(i, c.gen_local)
-                lg = self._value_log_unit(y)
-                orders.append(E // math.gcd(E, lg) if lg else 1)
-            if q != 2:
-                o = orders[0]
-                if o > 1:
-                    cond *= q ** (1 + arith.padic_val(o, q))
-            else:
-                if e == 2:
-                    if orders[0] > 1:
-                        cond *= 4
-                else:
-                    o_sign, o_five = orders
-                    if o_five > 1:
-                        cond *= 2 ** (2 + arith.padic_val(o_five, 2))
-                    elif o_sign > 1:
-                        cond *= 4
+        for q, _ in arith.factor(self.modulus):
+            # orders of chi on the local generators (a primitive root, 3
+            # mod 4, or -1 and 5 mod 2^e): order q^v on the last one needs
+            # q^(v+1), or 2^(v+2) past the sign; the sign alone needs 4
+            *sign, o = [E // math.gcd(E, self._value_log_unit(g))
+                        for g in self.group.local_generators(q)] or [1]
+            if o > 1:
+                cond *= q ** (arith.padic_val(o, q) + 1 + len(sign))
+            elif any(s > 1 for s in sign):
+                cond *= 4
         return cond
 
     def order(self) -> int:

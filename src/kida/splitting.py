@@ -125,15 +125,7 @@ class PlaceData:
 
 def _inertia_rows(U: arith.UnitGroup, ell: int) -> list[list[int]]:
     """Coordinates of generators of the inertia subgroup at ell."""
-    rows = []
-    for i, comp in enumerate(U._components):
-        q = comp.prime_power
-        while q % ell == 0 and q > 1:
-            q //= ell
-        if q == 1:  # component at a power of ell
-            res = U._lift(i, comp.gen_local)
-            rows.append(list(U.log(res)))
-    return rows
+    return [list(U.log(g)) for g in U.local_generators(ell)]
 
 
 def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
@@ -314,15 +306,9 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
         return F
     U = F.unit_group
     # K = (everything prime to p) x (Teichmueller part at p)
-    rows = []
-    for i, comp in enumerate(U._components):
-        res = None
-        if comp.prime_power == p ** a:
-            t_local = pow(comp.gen_local, p ** (a - 1), comp.prime_power)
-            res = U._lift(i, t_local)
-        else:
-            res = U._lift(i, comp.gen_local)
-        rows.append(list(U.log(res)))
+    rows = [list(U.log(pow(g, p ** (a - 1) if q == p else 1, U.modulus)))
+            for q, _ in arith.factor(U.modulus)
+            for g in U.local_generators(q)]
     L_K = subgroup_lattice(rows, U.invariant_factors)
     L_int = F._lattice.intersect(L_K)
     gens = sorted({U.element(row) % N for row in L_int.basis})

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -229,7 +231,8 @@ class TestUnitGroupGolden:
             h.update(f"{N}:{U.invariant_factors}:{U.generators}\n".encode())
         assert h.hexdigest() == UNIT_GROUP_DIGEST
 
-    @pytest.mark.parametrize("N", [999983, 2 ** 10 * 3 ** 5 * 7])
+    @pytest.mark.parametrize("N", [999983, 9999991, 2 ** 10 * 3 ** 5 * 7,
+                                   1000000000039])
     def test_log_round_trip_large_moduli(self, N):
         U = arith.unit_group(N)
         rng = random.Random(N)
@@ -240,3 +243,50 @@ class TestUnitGroupGolden:
             c = U.log(x)
             assert all(0 <= ci < di for ci, di in zip(c, U.invariant_factors))
             assert U.element(c) == x
+
+
+class TestLocalGenerators:
+    @pytest.mark.parametrize("N", [2, 4, 8, 32, 3 * 25, 8 * 9 * 7,
+                                   4 * 11 ** 2, 16 * 3 * 5 * 13])
+    def test_generate_the_local_parts(self, N):
+        U = arith.unit_group(N)
+        fac = arith.factor(N)
+        total = 1
+        for q, e in fac:
+            gens = U.local_generators(q)
+            qe = q ** e
+            # 1 at every other prime power of N
+            assert all(g % (N // qe) == 1 % (N // qe) for g in gens)
+            # independent generators of (Z/q^e)^*: their orders multiply
+            # to phi(q^e) and their products are pairwise distinct
+            orders = [arith.mult_order(g, qe) for g in gens]
+            local = {1 % qe}
+            for g, n in zip(gens, orders):
+                local = {x * pow(g, k, qe) % qe for x in local
+                         for k in range(n)}
+            assert len(local) == math.prod(orders) == arith.euler_phi(qe)
+            total *= len(local)
+        assert total == U.order
+        assert U.local_generators(101) == ()
+
+    def test_two_adic_generators(self):
+        U = arith.unit_group(16 * 3)
+        assert [g % 16 for g in U.local_generators(2)] == [15, 5]
+        assert [g % 4 for g in arith.unit_group(4 * 3).local_generators(2)] \
+            == [3]
+
+
+def test_log_mod_prime_near_10_7_is_small_and_fast():
+    # a table-based log holds phi(N) entries: about 1 GB and seconds here
+    tracemalloc.start()
+    try:
+        t = time.perf_counter()
+        U = arith.UnitGroup(9999991)
+        coords = U.log(5)
+        ms = (time.perf_counter() - t) * 1000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U.element(coords) == 5
+    assert peak < 50 * 2 ** 20, peak
+    assert ms < 1000, ms
