@@ -340,15 +340,14 @@ def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
     return out
 
 
-def subgroup_lattices(d, index=None):
+def subgroup_lattices(d):
     """Hermite normal forms of the lattices L with diag(d) Z^r <= L <= Z^r.
 
     Rows are built from the bottom up: row i has a pivot a_i | d_i on the
     diagonal and entries right of it in [0, a_j), and is kept iff
     (d_i / a_i) times its off-diagonal part lies in the span of the rows
     below, i.e. iff d_i e_i lies in L.  Each L has one such form (Cohen,
-    *A Course in Computational Algebraic Number Theory*, 2.4).  With
-    ``index`` set, only the forms with prod a_i = index are listed.
+    *A Course in Computational Algebraic Number Theory*, 2.4).
     """
     def in_span(vec, rows):
         for k, row in enumerate(rows):
@@ -358,23 +357,58 @@ def subgroup_lattices(d, index=None):
             vec = [x - q * y for x, y in zip(vec, row)]
         return True
 
-    def walk(i, below, rest):
+    def walk(i, below):
         if i < 0:
-            if rest in (None, 1):
-                yield below
+            yield below
             return
-        top = d[i] if rest is None else math.gcd(d[i], rest)
         pivots = [row[j] for j, row in enumerate(below, i + 1)]
         tails = [row[i + 1:] for row in below]
-        for a in range(1, top + 1):
-            if top % a:
+        for a in range(1, d[i] + 1):
+            if d[i] % a:
                 continue
             for off in itertools.product(*map(range, pivots)):
                 if in_span([d[i] // a * x for x in off], tails):
-                    yield from walk(i - 1, [[0] * i + [a, *off]] + below,
-                                    None if rest is None else rest // a)
+                    yield from walk(i - 1, [[0] * i + [a, *off]] + below)
 
-    yield from walk(len(d) - 1, [], index)
+    yield from walk(len(d) - 1, [])
+
+
+def subgroup_count(d, index: int) -> int:
+    """Number of subgroups of index ``index`` in Z^r / diag(d).
+
+    A subgroup is the product of its q-parts.  In an abelian q-group of
+    type lambda the subgroups of type mu number (Birkhoff 1934; Butler,
+    *Subgroup Lattices and Symmetric Functions*, 1994)
+    prod_i q^(mu'_{i+1} (lambda'_i - mu'_i))
+           [lambda'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_q,
+    with ' the conjugate partition; index q^v takes every mu inside lambda
+    with |mu| = |lambda| - v.
+    """
+    def conj(part, i):
+        return sum(1 for x in part if x >= i)
+
+    def gaussian(n, k, q):
+        num = den = 1
+        for j in range(k):
+            num *= q ** (n - j) - 1
+            den *= q ** (j + 1) - 1
+        return num // den
+
+    order = math.prod(d)
+    if order % index:
+        return 0
+    count = 1
+    for q, n in arith.factor(order):
+        lam = sorted((arith.padic_val(x, q) for x in d if x % q == 0),
+                     reverse=True)
+        count *= sum(
+            math.prod(q ** (conj(mu, i + 1) * (conj(lam, i) - conj(mu, i)))
+                      * gaussian(conj(lam, i) - conj(mu, i + 1),
+                                 conj(mu, i) - conj(mu, i + 1), q)
+                      for i in range(1, lam[0] + 1))
+            for mu in _partitions(n - arith.padic_val(index, q))
+            if len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam)))
+    return count
 
 
 def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import arith, chargroup
-from .errors import NotASubfield, NotPPower, SpecParseError
+from .errors import (BoundExceeded, InternalAdditivityViolation,
+                     NotASubfield, NotPPower, SpecParseError)
 from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
 
 _MAX_TOWER_LAYERS = 40
+_MAX_CONDUCTOR = 10 ** 12   # the scale trial-division factor() serves
 
 
 class AbelianField:
@@ -164,7 +166,9 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     f = _element_order_mod_lattice(U, L_HI, frob, L_HI.det())
     L_D = Lattice(L_HI.basis + [frob], U.rank)
     g = L_D.det()
-    assert e * f * g == F.degree, "efg does not multiply to the degree"
+    if e * f * g != F.degree:
+        raise InternalAdditivityViolation(
+            f"efg: e*f*g = {e}*{f}*{g} != degree {F.degree}")
     return PlaceData(ell, e, f, g, F.degree)
 
 
@@ -219,11 +223,14 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     for n in range(_MAX_TOWER_LAYERS):
         gs.append(layer_place_count(F, ell, p, n))
         if n >= 1:
-            assert gs[n] in (gs[n - 1], gs[n - 1] * p), \
-                "layer place count must grow by a factor of 1 or p"
+            if gs[n] not in (gs[n - 1], gs[n - 1] * p):
+                raise InternalAdditivityViolation(
+                    f"layer place count grew from {gs[n - 1]} to {gs[n]}, "
+                    f"not by a factor of 1 or {p}")
             if gs[n] == gs[n - 1]:
                 return TowerPlaceData(ell, p, tuple(gs), gs[n], n - 1)
-    raise AssertionError("tower place count failed to stabilize")
+    raise InternalAdditivityViolation(
+        f"tower place count failed to stabilize in {_MAX_TOWER_LAYERS} layers")
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,9 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
             continue
         e_base = efg(F, ell).e
         e_ext = efg(Fp, ell).e
-        assert e_ext % e_base == 0
+        if e_ext % e_base:
+            raise InternalAdditivityViolation(
+                f"e at {ell}: base {e_base} does not divide extension {e_ext}")
         e_rel = e_ext // e_base
         if e_rel == 1:
             continue
@@ -351,8 +360,7 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
         if v == n:
             continue
         if v and len(part) > 1:
-            count = sum(1 for _ in chargroup.subgroup_lattices(
-                U.invariant_factors, index=d))
+            count = chargroup.subgroup_count(U.invariant_factors, d)
             raise SpecParseError(
                 f"index-{d} subgroup of (Z/{N})^* is not unique "
                 f"({count} candidates); use gens=...")
@@ -383,6 +391,10 @@ def parse_field_spec(spec: str) -> AbelianField:
         raise SpecParseError(f"bad conductor in {spec!r}")
     if N < 1:
         raise SpecParseError(f"conductor must be >= 1 in {spec!r}")
+    if N > _MAX_CONDUCTOR:
+        raise BoundExceeded(
+            f"conductor {N} in {spec!r} exceeds the factorization bound "
+            f"10^12")
     body = parts[2]
     if body.startswith("degree="):
         try:

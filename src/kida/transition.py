@@ -212,7 +212,8 @@ def transition(*, p: int,
             "extension ramified above p: fields replaced by their maximal "
             "subfields unramified at p (the towers are unchanged)")
     rs = splitting.ramified_set(base_red, ext_red, p)
-    assert rs.unramified_at_p, "reduction left ramification at p"
+    if not rs.unramified_at_p:
+        raise InternalAdditivityViolation("reduction left ramification at p")
     if not assert_hypotheses:
         warnings.append(
             "standard hypotheses not asserted by the caller; the formula "
@@ -420,7 +421,10 @@ def mc_transfer(alg: TransitionReport, an: TransitionReport,
         raise MismatchedInputs(
             f"input lambdas differ: algebraic {alg.lambda_in} vs "
             f"analytic {an.lambda_in}")
-    assert alg.lambda_out == an.lambda_out, "shared formula must agree"
+    if alg.lambda_out != an.lambda_out:
+        raise InternalAdditivityViolation(
+            f"shared formula disagrees: algebraic {alg.lambda_out} vs "
+            f"analytic {an.lambda_out}")
     ext = alg.ext_spec
     base = alg.base_spec
     verdict = "holds" if holds_over_base else "is open"

@@ -197,6 +197,25 @@ class TestSubgroups:
             for H in subs:
                 assert len(H.elements()) == H.order
 
+    def test_birkhoff_count_matches_enumeration(self):
+        # subgroup_count is Birkhoff's closed form; the oracle is the list
+        # of every subgroup, filtered by order
+        for G in cg.abelian_groups_upto(96):
+            orders = [H.order for H in cg.subgroups(G)]
+            for index in range(1, G.order + 1):
+                want = orders.count(G.order // index) \
+                    if G.order % index == 0 else 0
+                assert cg.subgroup_count(G.invariant_factors, index) == \
+                    want, (G.invariant_factors, index)
+
+    def test_birkhoff_count_large(self):
+        # (Z/111546435)^*: the walk over its index-16 lattices visited
+        # 859,891 of them to count them
+        d = (2, 2, 2, 2, 2, 12, 12, 7920)
+        assert cg.subgroup_count(d, 16) == 859891
+        assert cg.subgroup_count(d, 1) == 1
+        assert cg.subgroup_count((4,), 3) == 0
+
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4
         assert cg.Subgroup(cg.cyclic(8), []).order == 1

@@ -50,6 +50,17 @@ def test_bad_input_is_a_typed_error(argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", [
+    "cyclotomic:10000000000000000051:degree=2",
+    "cyclotomic:1000000000039:gens=2"])
+def test_conductor_beyond_bound_exits_2(spec):
+    code, out, err = run_cli("transition", "--form", "delta", "--p", "11",
+                             "--base", "Q", "--ext", spec, "--lambda", "1",
+                             "--mu", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: conductor ") and "Traceback" not in err
+
+
 def test_large_conductor_degree_spec_resolves():
     # (Z/255255)^* has 5-part C_5, so its index-5 subgroup is written down
     # directly: the field is the quintic subfield of Q(zeta_11)

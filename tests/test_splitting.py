@@ -4,7 +4,8 @@ import random
 import pytest
 
 from kida import arith, chargroup, splitting as sp
-from kida.errors import NotASubfield, NotPPower, SpecParseError
+from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
+                         SpecParseError)
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
@@ -334,13 +335,20 @@ class TestFieldSpecGrammar:
         assert sp.parse_field_spec(spec).spec_string() == printed
 
     @pytest.mark.parametrize("N,d,count", [
-        (8, 2, 3), (15015, 2, 31), (15015, 3, 4)])
+        (8, 2, 3), (15015, 2, 31), (15015, 3, 4), (4849845, 8, 26179),
+        (111546435, 16, 859891)])
     def test_non_unique_degree_golden(self, N, d, count):
         with pytest.raises(SpecParseError) as info:
             sp.parse_field_spec(f"cyclotomic:{N}:degree={d}")
         assert str(info.value) == (
             f"index-{d} subgroup of (Z/{N})^* is not unique "
             f"({count} candidates); use gens=...")
+
+    def test_conductor_beyond_factorization_bound(self):
+        with pytest.raises(BoundExceeded):
+            sp.parse_field_spec("cyclotomic:10000000000000000051:degree=2")
+        with pytest.raises(BoundExceeded):
+            sp.parse_field_spec(f"cyclotomic:{10 ** 12 + 1}:gens=2")
 
     def test_degree_must_divide(self):
         with pytest.raises(SpecParseError):

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -357,3 +360,71 @@ class TestEllipticCurveCriterion:
             assert (h != 0) == (n_points % 11 == 0), ell
             hits += h != 0
         assert hits >= 1   # the criterion fires somewhere in range
+
+
+# Each fault breaks one invariant the library checks; every check must
+# raise InternalAdditivityViolation, also when python -O strips asserts.
+FAULT_INJECTION = r"""
+import dataclasses, json
+from kida import qexp, splitting as sp, transition as tr
+from kida.errors import InternalAdditivityViolation
+
+Q = sp.rationals()
+F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
+real = {name: getattr(sp, name) for name in
+        ("_element_order_mod_lattice", "layer_place_count", "efg",
+         "ramified_set")}
+
+def run(name, call, attr=None, fake=None):
+    if attr:
+        setattr(sp, attr, fake)
+    try:
+        call()
+        out[name] = "no error"
+    except InternalAdditivityViolation as exc:
+        out[name] = str(exc)
+    finally:
+        if attr:
+            setattr(sp, attr, real[attr])
+
+def transition(kind="algebraic"):
+    return tr.transition(p=11, base_field=Q, ext_field=F23,
+                         base=tr.InvariantRecord(kind, 0, 1),
+                         form=qexp.delta_form())
+
+out = {}
+run("efg", lambda: sp.efg(F23, 2),
+    "_element_order_mod_lattice", lambda *a: 1)
+run("tower_growth", lambda: sp.tower_places(Q, 2, 3),
+    "layer_place_count", lambda F, ell, p, n: 2 ** n)
+run("tower_stabilize", lambda: sp.tower_places(Q, 2, 3),
+    "layer_place_count", lambda F, ell, p, n: 3 ** n)
+run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
+    "efg", lambda F, ell: sp.PlaceData(
+        ell, 2 if F.is_rationals() else 3, 1, 1, 1))
+run("transition", transition,
+    "ramified_set", lambda *a: dataclasses.replace(
+        real["ramified_set"](*a), unramified_at_p=False))
+alg, an = transition("algebraic"), transition("analytic")
+run("mc_transfer", lambda: tr.mc_transfer(
+    alg, dataclasses.replace(an, lambda_out=an.lambda_out + 1)))
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
+def test_broken_invariants_raise_typed_errors(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", FAULT_INJECTION],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "efg": "efg: e*f*g = 1*1*1 != degree 11",
+        "tower_growth": "layer place count grew from 1 to 2, "
+                        "not by a factor of 1 or 3",
+        "tower_stabilize": "tower place count failed to stabilize "
+                           "in 40 layers",
+        "ramified_set": "e at 23: base 2 does not divide extension 3",
+        "transition": "reduction left ramification at p",
+        "mc_transfer": "shared formula disagrees: algebraic 11 vs "
+                       "analytic 12",
+    }
