@@ -17,8 +17,8 @@ from .localfactor import (Generic, LocalCharData, RamifiedPS, Special,
                           check_tower_additivity, h_char, h_v, m_extension,
                           m_single)
 from .qexp import (CoefficientTable, DirichletCharacter, EllipticCurve,
-                   ModularFormData, PowerSeries, delta_form, ec_ap,
-                   frobenius_data, tau, twist_coefficients)
+                   ModularFormData, delta_form, frobenius_data, tau,
+                   twist_coefficients)
 from .splitting import (AbelianField, efg, parse_field_spec, ramified_set,
                         rationals, tower_places, unramified_at_p_reduction)
 from .transition import (InvariantRecord, TransitionReport, compose,
@@ -35,8 +35,8 @@ __all__ = [
     "UnramifiedPS", "check_tower_additivity", "h_char", "h_v",
     "m_extension", "m_single",
     "CoefficientTable", "DirichletCharacter", "EllipticCurve",
-    "ModularFormData", "PowerSeries", "delta_form", "ec_ap",
-    "frobenius_data", "tau", "twist_coefficients",
+    "ModularFormData", "delta_form", "frobenius_data", "tau",
+    "twist_coefficients",
     "AbelianField", "efg", "parse_field_spec", "ramified_set", "rationals",
     "tower_places", "unramified_at_p_reduction",
     "InvariantRecord", "TransitionReport", "compose", "lambda_via_twists",

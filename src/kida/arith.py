@@ -74,13 +74,6 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def unfactor(pairs) -> int:
-    prod = 1
-    for p, e in pairs:
-        prod *= p ** e
-    return prod
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

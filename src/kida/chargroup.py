@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import arith
 from .errors import InternalAdditivityViolation, SubgroupMismatch
-from .intlinalg import subgroup_lattice
+from .intlinalg import Lattice, subgroup_lattice
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,21 @@ class Subgroup:
         self.order = (group.order // self._lattice.det()
                       if group.rank else 1)
 
+    @classmethod
+    def from_hermite(cls, group: FiniteAbelianGroup, rows) -> "Subgroup":
+        """Subgroup of the lattice with Hermite rows ``rows``, trusted as
+        ``subgroup_lattices`` yields them: pivots a_i on the diagonal give
+        order |G| / prod a_i, and the nonzero rows mod d generate it."""
+        d = group.invariant_factors
+        H = cls.__new__(cls)
+        H.group = group
+        gens = (tuple(x % m for x, m in zip(row, d)) for row in rows)
+        H.generators = tuple(g for g in gens if any(g))
+        H._lattice = Lattice(rows, len(d), hermite=True)
+        H.order = group.order // math.prod(
+            row[i] for i, row in enumerate(rows))
+        return H
+
     def contains(self, element) -> bool:
         return self._lattice.contains(element)
 
@@ -176,14 +191,6 @@ class RepMultiset:
     @property
     def dim(self) -> int:
         return sum(self.entries.values())
-
-    @classmethod
-    def regular(cls, group: FiniteAbelianGroup) -> "RepMultiset":
-        return cls(group, {chi: 1 for chi in dual_group(group)})
-
-    @classmethod
-    def isotypic(cls, chi: Character, mult: int) -> "RepMultiset":
-        return cls(chi.group, {chi: mult})
 
 
 def multiplicity(W: RepMultiset, chi: Character,
@@ -419,12 +426,8 @@ def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     (``subgroup_lattices``).  A form with pivots a_i gives the subgroup
     of order |G| / prod a_i generated by its nonzero rows reduced mod d.
     """
-    d = G.invariant_factors
-    out = []
-    for rows in subgroup_lattices(d):
-        gens = [tuple(x % m for x, m in zip(row, d)) for row in rows]
-        out.append(Subgroup(G, [g for g in gens if any(g)]))
-    return out
+    return [Subgroup.from_hermite(G, rows)
+            for rows in subgroup_lattices(G.invariant_factors)]
 
 
 def random_rep(G: FiniteAbelianGroup, rng, max_dim: int = 20) -> RepMultiset:

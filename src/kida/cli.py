@@ -5,11 +5,12 @@ deterministic key/value document (sorted keys, ``key = value`` per
 line); ``--json`` renders the same record as canonical JSON.  A config
 file supplies defaults with the same keys as the long flags; explicit
 flags win.  The environment variable KIDA_PRECISION overrides the
-series precision budget.
+series precision budget (default 2000, at most 10000; a larger budget
+exits 2 before any work).
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
-(mu != 0, precision, missing local type for hv); 3 malformed field or
-form specs; 4 missing local data in a transition.
+(mu != 0, precision, work bounds, missing local type for hv); 3
+malformed field or form specs; 4 missing local data in a transition.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import os
 import sys
 
 from . import arith, localfactor, qexp, splitting, transition, verify
-from .errors import (KidaError, MissingLocalType, MuNonzero,
-                     NotASubfield, NotPPower, PrecisionExceeded,
-                     RamifiedLevel, SpecParseError)
+from .errors import (KidaError, MissingLocalType, NotASubfield, NotPPower,
+                     SpecParseError)
 
 _LOCAL_TYPE_PREFIXES = ("sc", "ups:", "ramps:", "special:", "generic:")
 
@@ -290,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _EXIT_CODES: list[tuple[type, int]] = [
-    (MuNonzero, 2),
-    (PrecisionExceeded, 2),
-    (RamifiedLevel, 2),
     (MissingLocalType, 4),
     (SpecParseError, 3),
     (NotASubfield, 3),

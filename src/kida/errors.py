@@ -37,7 +37,8 @@ class BadReduction(KidaError):
 
 
 class BoundExceeded(KidaError):
-    """Point-counting prime beyond the supported bound."""
+    """Input beyond a supported work bound: a point-counting prime, a
+    field conductor or a precision budget."""
 
 
 class RamifiedLevel(KidaError):

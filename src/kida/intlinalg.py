@@ -86,13 +86,17 @@ def kernel(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
 
 
 class Lattice:
-    """Full or partial rank sublattice of Z^n given by an HNF basis."""
+    """Full or partial rank sublattice of Z^n given by an HNF basis.
+
+    ``hermite=True`` trusts ``rows`` to be ``hnf`` output already and
+    skips the reduction.
+    """
 
     __slots__ = ("n", "basis")
 
-    def __init__(self, rows: list[list[int]], n: int):
+    def __init__(self, rows: list[list[int]], n: int, hermite: bool = False):
         self.n = n
-        self.basis = hnf(rows, n)
+        self.basis = rows if hermite else hnf(rows, n)
 
     def key(self) -> tuple:
         """Hashable canonical identity (HNF rows are unique per lattice)."""

@@ -12,90 +12,67 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import arith, chargroup
 from .errors import (BadReduction, BoundExceeded, MissingCoefficient,
                      PrecisionExceeded, RamifiedLevel, SpecParseError)
 
 DEFAULT_PRECISION = 2000
+MAX_PRECISION = 10_000
 EC_PRIME_BOUND = 100_000
 
 
-# -- truncated integer power series -------------------------------------
+# -- the eta-product ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Cusp-form style q-expansion: coefficients of q^1 .. q^B."""
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.coefficients)
-
-    def coefficient(self, n: int) -> int:
-        if not 1 <= n <= self.precision:
-            raise PrecisionExceeded(f"coefficient {n} beyond precision "
-                                    f"{self.precision}")
-        return self.coefficients[n - 1]
+# tau(1), tau(2), ...: the coefficients of Delta/q = prod (1-q^n)^24, grown
+# on demand by _extend.  A new prefix is built in a copy and published by
+# rebinding this name; a published list is never mutated, so concurrent
+# readers need no lock.  It starts empty so that the first call, whatever
+# its index, builds the default prefix.
+_tau_prefix: list[int] = []
 
 
-def _pentagonal_terms(bound: int) -> list[tuple[int, int]]:
-    """(exponent, sign) pairs of Euler's series sum (-1)^k q^(k(3k+1)/2)."""
-    terms = [(0, 1)]
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        s = -1 if k % 2 else 1
-        added = False
-        if e1 <= bound:
-            terms.append((e1, s))
-            added = True
-        if e2 <= bound:
-            terms.append((e2, s))
-            added = True
-        if not added:
-            return sorted(terms)
-        k += 1
+def _extend(size: int) -> list[int]:
+    """Publish and return a prefix of at least ``size`` coefficients.
 
-
-@lru_cache(maxsize=8)
-def _eta24_coefficients(B: int) -> tuple[int, ...]:
-    """Coefficients of the 24th power of the pentagonal series up to q^(B-1).
-
-    24 successive truncated multiplications by the (sparse) pentagonal
-    series; exact integers throughout.  After the q-shift, entry n-1 is
-    the n-th Fourier coefficient of the weight-12 level-1 cusp form.
+    Delta/q is the 8th power of Jacobi's eta^3/q^(1/8) = sum_k (-1)^k
+    (2k+1) q^(k(k+1)/2).  J. C. P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, 4.7) gives b_n = (1/n) sum_j (9j - n) a_j b_(n-j) over
+    the triangular j, and the division is exact.
     """
-    pent = _pentagonal_terms(B - 1)
-    cur = [0] * B
-    cur[0] = 1
-    for _ in range(24):
-        new = [0] * B
-        for off, s in pent:
-            if s > 0:
-                for n in range(off, B):
-                    new[n] += cur[n - off]
-            else:
-                for n in range(off, B):
-                    new[n] -= cur[n - off]
-        cur = new
-    return tuple(cur)
-
-
-def delta_qexp(precision: int = DEFAULT_PRECISION) -> PowerSeries:
-    """q-expansion q * prod (1-q^n)^24 to the given precision."""
-    return PowerSeries(_eta24_coefficients(precision))
+    global _tau_prefix
+    b = _tau_prefix[:] or [1]
+    terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+             for k in range(1, (math.isqrt(8 * size) + 1) // 2 + 1)]
+    for n in range(len(b), size):
+        s = 0
+        for j, a in terms:
+            if j > n:
+                break
+            s += (9 * j - n) * a * b[n - j]
+        b.append(s // n)
+    _tau_prefix = b
+    return b
 
 
 def tau(n: int, precision: int | None = None) -> int:
-    """n-th coefficient of the eta-product, exact."""
+    """n-th coefficient of the eta-product, exact.
+
+    ``precision`` (default DEFAULT_PRECISION) is a budget: indices past it
+    raise PrecisionExceeded, and budgets past MAX_PRECISION raise
+    BoundExceeded before any work.  The budget never sets the work: a
+    miss grows the prefix to max(n, DEFAULT_PRECISION).
+    """
     budget = DEFAULT_PRECISION if precision is None else precision
+    if budget > MAX_PRECISION:
+        raise BoundExceeded(f"precision budget {budget} beyond bound "
+                            f"{MAX_PRECISION}")
     if n < 1 or n > budget:
         raise PrecisionExceeded(f"tau({n}) beyond precision budget {budget}")
-    return _eta24_coefficients(budget)[n - 1]
+    b = _tau_prefix
+    if n > len(b):
+        b = _extend(max(n, DEFAULT_PRECISION))
+    return b[n - 1]
 
 
 # -- elliptic curves over Q ---------------------------------------------
@@ -155,12 +132,9 @@ class EllipticCurve:
         return ell + 1 + chi_sum
 
     def ap(self, ell: int) -> int:
+        """Trace of Frobenius a_ell = ell + 1 - #E(F_ell), with
+        |a_ell| <= 2 sqrt(ell)."""
         return ell + 1 - self.count_points(ell)
-
-
-def ec_ap(curve: EllipticCurve, ell: int) -> int:
-    """Trace of Frobenius a_ell = ell + 1 - #E(F_ell); |a_ell| <= 2 sqrt(ell)."""
-    return curve.ap(ell)
 
 
 # -- coefficient tables --------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every tolerance is exact integer equality; the two timed criteria state
 their wall-clock budgets explicitly and measure fresh computations
-(series caches are cleared first).
+(the tau prefix is reset to its cold state first).
 """
 
 import time
@@ -25,7 +25,7 @@ def report(num, ok, desc):
 
 class TestAcceptance:
     def test_c01_tau_23(self):
-        qexp._eta24_coefficients.cache_clear()
+        qexp._tau_prefix = []
         t0 = time.perf_counter()
         value = qexp.tau(23, precision=2000)
         dt = time.perf_counter() - t0
@@ -33,7 +33,7 @@ class TestAcceptance:
                f"tau(23) = {value} at precision 2000 in {dt:.2f}s (< 1s)")
 
     def test_c02_tau_1123_mod_11(self):
-        qexp._eta24_coefficients.cache_clear()
+        qexp._tau_prefix = []
         t0 = time.perf_counter()
         value = qexp.tau(1123, precision=1200) % 11
         dt = time.perf_counter() - t0

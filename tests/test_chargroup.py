@@ -4,6 +4,7 @@ import random
 import pytest
 
 from kida import chargroup as cg
+from kida.intlinalg import hnf
 from kida.errors import SubgroupMismatch
 
 
@@ -37,12 +38,12 @@ class TestDualGroup:
 class TestMultiplicity:
     def test_isotypic_trivial(self):
         G = cg.FiniteAbelianGroup((4,))
-        W = cg.RepMultiset.isotypic(cg.trivial_character(G), 5)
+        W = cg.RepMultiset(G, {cg.trivial_character(G): 5})
         assert cg.multiplicity(W, cg.trivial_character(G)) == 5
 
     def test_regular_rep(self):
         G = cg.cyclic(3)
-        W = cg.RepMultiset.regular(G)
+        W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         for chi in cg.dual_group(G):
             assert cg.multiplicity(W, chi) == 1
 
@@ -79,7 +80,7 @@ class TestMultiplicity:
     def test_subgroup_mismatch(self):
         G = cg.FiniteAbelianGroup((2, 2))
         G2 = cg.FiniteAbelianGroup((4,))
-        W = cg.RepMultiset.regular(G)
+        W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         with pytest.raises(SubgroupMismatch):
             cg.multiplicity(W, cg.trivial_character(G2))
 
@@ -94,14 +95,14 @@ class TestGroupIdentity:
 
     def test_one_dimensional_trivial(self):
         G = cg.FiniteAbelianGroup((8,))
-        W = cg.RepMultiset.isotypic(cg.trivial_character(G), 1)
+        W = cg.RepMultiset(G, {cg.trivial_character(G): 1})
         for H in cg.subgroups(G):
             ok, lhs, rhs = cg.check_group_identity(W, H)
             assert ok and lhs == G.order - 1
 
     def test_z9_regular_with_z3(self):
         G = cg.cyclic(9)
-        W = cg.RepMultiset.regular(G)
+        W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         H = cg.Subgroup(G, [(3,)])
         ok, lhs, rhs = cg.check_group_identity(W, H)
         assert ok and lhs == rhs == 0
@@ -215,6 +216,18 @@ class TestSubgroups:
         assert cg.subgroup_count(d, 16) == 859891
         assert cg.subgroup_count(d, 1) == 1
         assert cg.subgroup_count((4,), 3) == 0
+
+    def test_hermite_rows_match_hnf_route(self):
+        # subgroups() trusts the walk's rows; the reference is hnf of
+        # those rows and a Subgroup rebuilt from its generators by hnf
+        for G in cg.abelian_groups_upto(64):
+            d = G.invariant_factors
+            for rows in cg.subgroup_lattices(d):
+                assert hnf(rows, len(d)) == rows, (d, rows)
+            subs = cg.subgroups(G)
+            rebuilt = [cg.Subgroup(G, H.generators) for H in subs]
+            assert [H.key() for H in subs] == [R.key() for R in rebuilt]
+            assert [H.order for H in subs] == [R.order for R in rebuilt]
 
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4

@@ -8,14 +8,14 @@ import pytest
 from kida import cli, verify
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=120):
     env = dict(os.environ)
     env.pop("KIDA_PRECISION", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "kida.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -231,6 +231,16 @@ class TestTau:
         code, out, _ = run_cli("tau", "--n", "40",
                                env_extra={"KIDA_PRECISION": "40"})
         assert code == 0
+
+    @pytest.mark.parametrize("n", ["999999", "5"])
+    def test_hostile_budget_exits_2_promptly(self, n):
+        # a budget past MAX_PRECISION is refused before any coefficient
+        # is built; subprocess.run raises TimeoutExpired on a hang
+        code, out, err = run_cli("tau", "--n", n, timeout=10,
+                                 env_extra={"KIDA_PRECISION": "1000000"})
+        assert code == 2 and out == ""
+        assert err.startswith("error: precision budget 1000000 beyond bound")
+        assert "Traceback" not in err
 
 
 class TestHv:

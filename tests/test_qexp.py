@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -20,6 +21,11 @@ def eta24_naive(B):
 
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
 
+# SHA-256 of ",".join(map(str, tau(1..5000))) as the 24-pass product of
+# Euler's pentagonal series computed it, before the power recurrence.
+TAU_5000_SHA256 = ("91d9b02b8dbb749d6754b63493bf3df8"
+                   "b495447a5af441ab8093e33e4c0fbca6")
+
 
 class TestTau:
     def test_leading(self):
@@ -33,9 +39,32 @@ class TestTau:
 
     def test_series_vs_naive_oracle(self):
         B = 40
-        naive = eta24_naive(B)
-        series = qexp.delta_qexp(B)
-        assert list(series.coefficients) == naive
+        assert [qexp.tau(n) for n in range(1, B + 1)] == eta24_naive(B)
+
+    def test_golden_digest_5000(self):
+        coeffs = [qexp.tau(n, 5000) for n in range(1, 5001)]
+        digest = hashlib.sha256(",".join(map(str, coeffs)).encode())
+        assert digest.hexdigest() == TAU_5000_SHA256
+
+    def test_ramanujan_congruence_mod_691(self):
+        # tau(n) = sigma_11(n) mod 691, with sigma_11 from a divisor sieve
+        B = 5000
+        sigma = [0] * (B + 1)
+        for d in range(1, B + 1):
+            d11 = pow(d, 11, 691)
+            for m in range(d, B + 1, d):
+                sigma[m] += d11
+        for n in range(1, B + 1):
+            assert (qexp.tau(n, B) - sigma[n]) % 691 == 0, n
+
+    def test_prefix_grows_to_index_not_budget(self):
+        # a cold tau(1) is a warm-up: it builds the default prefix
+        for n in (1, 23):
+            qexp._tau_prefix = []
+            qexp.tau(n, precision=qexp.MAX_PRECISION)
+            assert len(qexp._tau_prefix) == qexp.DEFAULT_PRECISION
+        qexp.tau(2500, precision=3000)
+        assert len(qexp._tau_prefix) == 2500
 
     def test_multiplicativity(self):
         for m, n in [(2, 3), (3, 4), (4, 5), (5, 7), (8, 9), (6, 35)]:
@@ -53,15 +82,14 @@ class TestTau:
             qexp.tau(101, precision=100)
         assert qexp.tau(100, precision=100) == qexp.tau(100)
 
-
-class TestPowerSeries:
-    def test_coefficient_bounds(self):
-        s = qexp.PowerSeries((1, -24, 252))
-        assert s.coefficient(2) == -24
-        with pytest.raises(PrecisionExceeded):
-            s.coefficient(4)
-        with pytest.raises(PrecisionExceeded):
-            s.coefficient(0)
+    def test_budget_cap_before_any_work(self):
+        qexp._tau_prefix = []
+        for n in (5, qexp.MAX_PRECISION + 1):
+            with pytest.raises(BoundExceeded):
+                qexp.tau(n, precision=qexp.MAX_PRECISION + 1)
+        assert qexp._tau_prefix == []
+        assert qexp.tau(qexp.MAX_PRECISION,
+                        precision=qexp.MAX_PRECISION) != 0
 
 
 class TestEllipticCurve:
@@ -80,12 +108,12 @@ class TestEllipticCurve:
                                + X0_11.a6)) % ell == 0:
                         cnt += 1
             assert ell + 1 - cnt == expected
-            assert qexp.ec_ap(X0_11, ell) == expected
+            assert X0_11.ap(ell) == expected
 
     def test_hasse_bound_and_recount(self):
         for ell in (2, 3, 5, 7, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97):
-            a = qexp.ec_ap(X0_11, ell)
+            a = X0_11.ap(ell)
             assert a * a <= 4 * ell
             assert X0_11.count_points(ell) == ell + 1 - a
 
@@ -97,11 +125,11 @@ class TestEllipticCurve:
 
     def test_bad_reduction(self):
         with pytest.raises(BadReduction):
-            qexp.ec_ap(X0_11, 11)
+            X0_11.ap(11)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            qexp.ec_ap(X0_11, 100003)
+            X0_11.ap(100003)
 
 
 class TestFrobeniusData:
@@ -234,7 +262,7 @@ class TestHeckeCompositeReconstruction:
 
     def test_ec_composites_match_delta_style_recursion(self):
         f = qexp.ec_form(X0_11)
-        a2 = qexp.ec_ap(X0_11, 2)
+        a2 = X0_11.ap(2)
         assert f.a_coefficient(8) == a2 ** 3 - 2 * 2 * a2
 
     def test_nontrivial_nebentypus_rejects_powers(self):
@@ -288,20 +316,34 @@ class TestFormValidation:
 
 class TestConcurrentCoefficientAccess:
     def test_parallel_tau_reads_consistent(self):
+        # threads race to extend the prefix from cold; each must read
+        # exact values whichever extension gets published
+        import sys
         import threading
-        qexp._eta24_coefficients.cache_clear()
+        want = [qexp.tau(n, 4000) for n in range(1, 4001)]
+        qexp._tau_prefix = []
         results = []
         lock = threading.Lock()
 
-        def worker():
-            vals = [qexp.tau(n, precision=120) for n in (1, 23, 60, 120)]
+        def worker(seed):
+            ns = [1, 23, 60, 120] + [2000 + 97 * seed + 13 * k
+                                     for k in range(10)]
+            vals = [(n, qexp.tau(n, precision=4000)) for n in ns]
             with lock:
                 results.append(vals)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len({tuple(v) for v in results}) == 1
-        assert results[0][1] == 18643272
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        for vals in results:
+            assert all(v == want[n - 1] for n, v in vals)
