@@ -133,9 +133,6 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(row) for row in other.basis)
 
-    def sum(self, other: "Lattice") -> "Lattice":
-        return Lattice(self.basis + other.basis, self.n)
-
     def intersect(self, other: "Lattice") -> "Lattice":
         # u*B1 = v*B2 solutions: left kernel of [B1; -B2] stacked.
         b1, b2 = self.basis, other.basis

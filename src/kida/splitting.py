@@ -5,8 +5,9 @@ An abelian field is (conductor N, subgroup H of (Z/N)^*): the fixed field
 of H acting on the N-th cyclotomic field.  Decomposition data at a prime
 ell comes from the standard dictionary: inertia at ell is the
 ell-component of the unit group, Frobenius is the class of ell prime to
-ell, and places of a layer correspond to cosets of H times the
-decomposition subgroup.
+ell, and places correspond to cosets of H times the decomposition
+subgroup.  Place counts in the layers of the cyclotomic p-tower follow
+from efg and two p-adic valuations, with no layer built (tower_places).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (BoundExceeded, InternalAdditivityViolation,
                      NotASubfield, NotPPower, SpecParseError)
 from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
 
-_MAX_TOWER_LAYERS = 40
 _MAX_CONDUCTOR = 10 ** 12   # the scale trial-division factor() serves
 
 
@@ -107,10 +107,9 @@ def same_field(F: AbelianField, Fp: AbelianField) -> bool:
 
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     """[Fp : F] for F contained in Fp."""
-    if not is_subfield(F, Fp):
-        raise NotASubfield(
-            f"{F!r} is not contained in {Fp!r} after conductor alignment")
     _, LF, LFp = _aligned(F, Fp)
+    if not LF.contains_lattice(LFp):
+        raise NotASubfield("extension field does not contain the base field")
     return LFp.det() // LF.det()
 
 
@@ -178,40 +177,34 @@ class TowerPlaceData:
 
     ell: int
     p: int
-    g_layers: tuple[int, ...]
+    g_layers: tuple[int, ...]   # g_0, ..., g_(stabilized_at + 1)
     g_infinity: int
-    stabilized_at: int
+    stabilized_at: int          # first layer with g_infinity places
 
 
-def _layer_subgroup_lattice(U: arith.UnitGroup, F: AbelianField,
-                            p: int, n: int) -> Lattice:
-    """Fixer of F * (n-th tower layer) inside U(lcm(N, p^(n+1)))."""
-    L_F = _pullback_lattice(U, F)
-    pk = p ** (n + 1)
-    Upk = arith.unit_group(pk)
-    # fixer of the layer: unique index-p^n subgroup of the cyclic U(p^(n+1))
-    layer = AbelianField(pk, (Upk.element((p ** n,)),))
-    L_layer = _pullback_lattice(U, layer)
-    return L_F.intersect(L_layer)
+def _tower_overlap(F: AbelianField, p: int) -> int:
+    """t = v_p([F cap Q_inf : Q]).
 
-
-def layer_place_count(F: AbelianField, ell: int, p: int, n: int) -> int:
-    """Number of places above ell in the n-th tower layer of F."""
-    M = F.conductor * p ** (n + 1) // math.gcd(F.conductor, p ** (n + 1))
-    U = arith.unit_group(M)
-    L_Hn = _layer_subgroup_lattice(U, F, p, n)
-    rows = [list(r) for r in L_Hn.basis] + _inertia_rows(U, ell)
-    rows.append(list(U.log(_frobenius_residue(U, ell))))
-    return Lattice(rows, U.rank).det()
+    For p^a || N, Q(zeta_N) meets Q_inf in the layer of degree p^(a-1),
+    and H cuts out of it the index of its image in the cyclic p-part of
+    (Z/p^a)^*, whose order is the largest p-part of ord(h mod p^a).
+    """
+    a = arith.padic_val(F.conductor, p)
+    if a == 0:
+        return 0
+    return a - 1 - max((arith.padic_val(arith.mult_order(h, p ** a), p)
+                        for h in F.subgroup_gens), default=0)
 
 
 def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
-    """Stable number of places above ell in the cyclotomic p-tower of F.
+    """Places above ell in the layers F_n = F Q_n of F's cyclotomic p-tower.
 
-    Computes the place count layer by layer (layer n presented with
-    conductor lcm(N, p^(n+1))) and stops at the first repeat; the count
-    is nondecreasing and multiplies by 1 or p per step, so one equal
-    step certifies stabilization.
+    With g, f from efg(F, ell), k = v_p(ell^(p-1) - 1) + v_p(f) and
+    p^t = [F cap Q_inf : Q], layer n has g p^min(max(n - t, 0), k - 1 - t)
+    places and the tower g p^(k - 1 - t) (Washington, Introduction to
+    Cyclotomic Fields, section 13): Gal(F_inf/F) = 1 + p^(t+1) Z_p, and the
+    decomposition group of a place over ell is topologically generated by
+    <ell>^f, which generates 1 + p^k Z_p.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -219,18 +212,16 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
         raise ValueError("tower place counts are for ell != p")
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    gs: list[int] = []
-    for n in range(_MAX_TOWER_LAYERS):
-        gs.append(layer_place_count(F, ell, p, n))
-        if n >= 1:
-            if gs[n] not in (gs[n - 1], gs[n - 1] * p):
-                raise InternalAdditivityViolation(
-                    f"layer place count grew from {gs[n - 1]} to {gs[n]}, "
-                    f"not by a factor of 1 or {p}")
-            if gs[n] == gs[n - 1]:
-                return TowerPlaceData(ell, p, tuple(gs), gs[n], n - 1)
-    raise InternalAdditivityViolation(
-        f"tower place count failed to stabilize in {_MAX_TOWER_LAYERS} layers")
+    place = efg(F, ell)
+    k = 1
+    while pow(ell, p - 1, p ** (k + 1)) == 1:
+        k += 1
+    k += arith.padic_val(place.f, p)
+    t = _tower_overlap(F, p)
+    n0 = k - 1 if k - 1 > t else 0
+    gs = tuple(place.g * p ** min(max(n - t, 0), k - 1 - t)
+               for n in range(n0 + 2))
+    return TowerPlaceData(ell, p, gs, gs[-1], n0)
 
 
 @dataclass(frozen=True)
@@ -238,12 +229,8 @@ class RamifiedPlace:
     """One prime-to-p prime ramified in the tower extension."""
 
     ell: int
-    tower: TowerPlaceData
     local_degree: int          # [F'_{infty,w'} : F_{infty,w}], a p-power
     places: int                # number of places of F'_infty above ell
-
-    def __iter__(self):
-        return iter((self.ell, self.tower, self.local_degree))
 
 
 @dataclass(frozen=True)
@@ -263,8 +250,6 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
-    if not is_subfield(F, Fp):
-        raise NotASubfield("extension field does not contain the base field")
     degree = relative_degree(F, Fp)
     t = degree
     while t % p == 0:
@@ -286,10 +271,9 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
         e_rel = e_ext // e_base
         if e_rel == 1:
             continue
-        tw = tower_places(Fp, ell, p)
-        entries.append(RamifiedPlace(ell=ell, tower=tw,
-                                     local_degree=e_rel,
-                                     places=tw.g_infinity))
+        entries.append(RamifiedPlace(
+            ell=ell, local_degree=e_rel,
+            places=tower_places(Fp, ell, p).g_infinity))
     return RamifiedSet(entries=tuple(entries), degree=degree,
                        unramified_at_p=(e_p_rel == 1))
 

@@ -289,10 +289,6 @@ def lambda_via_twists(twist_invariants, expected_count: int | None = None,
     return total
 
 
-def _tower_count(report_field: splitting.AbelianField, ell: int, p: int) -> int:
-    return splitting.tower_places(report_field, ell, p).g_infinity
-
-
 def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
     """Composite report for F''/F from reports for F'/F and F''/F'.
 
@@ -329,10 +325,10 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
                 raise ChainMismatch(
                     f"local type at {ell} in the upper report does not "
                     f"restrict from the lower report")
-        count_total = (bc[ell].places if ell in bc
-                       else _tower_count(r_bc.ext_field, ell, p))
-        count_mid = (ab[ell].places if ell in ab
-                     else _tower_count(r_ab.ext_field, ell, p))
+        count_total = (bc[ell].places if ell in bc else splitting.tower_places(
+            r_bc.ext_field, ell, p).g_infinity)
+        count_mid = (ab[ell].places if ell in ab else splitting.tower_places(
+            r_ab.ext_field, ell, p).g_infinity)
         lhs = count_total * localfactor.m_extension(v_base, d_tot)
         rhs = (r_bc.degree * count_mid * localfactor.m_extension(v_base, d_ab)
                + count_total * localfactor.m_extension(

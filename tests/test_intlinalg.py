@@ -89,7 +89,7 @@ class TestSubgroupLattices:
             A, B = rand_sub(), rand_sub()
             a, b = total // A.det(), total // B.det()
             meet = A.intersect(B)
-            join = A.sum(B)
+            join = Lattice(A.basis + B.basis, n)
             assert (total // meet.det()) * (total // join.det()) == a * b
             for row in meet.basis:
                 assert A.contains(row) and B.contains(row)

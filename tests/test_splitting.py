@@ -6,6 +6,7 @@ import pytest
 from kida import arith, chargroup, splitting as sp
 from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
                          SpecParseError)
+from kida.intlinalg import Lattice
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
@@ -36,6 +37,8 @@ class TestAbelianField:
         assert not sp.is_subfield(z23, F23)
         assert sp.relative_degree(F23, z23) == 2
         assert sp.relative_degree(Q, F23) == 11
+        with pytest.raises(NotASubfield, match="does not contain"):
+            sp.relative_degree(z23, F23)
 
     def test_alignment_across_presentations(self):
         # Q presented with conductor 23 (full subgroup) equals Q
@@ -117,7 +120,62 @@ class TestEfg:
                     assert pd.e * pd.f * pd.g == F.degree
 
 
+def layer_place_count(F, ell, p, n):
+    """Reference oracle: places above ell in the n-th tower layer of F,
+    counted in (Z/M)^*, M = lcm(N, p^(n+1)), as the index of the layer's
+    fixer times inertia and Frobenius at ell."""
+    pk = p ** (n + 1)
+    U = arith.unit_group(F.conductor * pk // math.gcd(F.conductor, pk))
+    # fixer of the layer: the unique index-p^n subgroup of cyclic U(p^(n+1))
+    layer = sp.AbelianField(pk, (arith.unit_group(pk).element((p ** n,)),))
+    L_Hn = sp._pullback_lattice(U, F).intersect(sp._pullback_lattice(U, layer))
+    rows = [list(r) for r in L_Hn.basis] + sp._inertia_rows(U, ell)
+    rows.append(list(U.log(sp._frobenius_residue(U, ell))))
+    return Lattice(rows, U.rank).det()
+
+
+def _all_fields(max_conductor):
+    """Every (conductor, subgroup) presentation with conductor <= bound."""
+    for N in range(1, max_conductor + 1):
+        U = arith.unit_group(N)
+        if U.rank == 0:
+            yield sp.AbelianField(N)
+            continue
+        G = chargroup.FiniteAbelianGroup(U.invariant_factors)
+        for H in chargroup.subgroups(G):
+            yield sp.AbelianField(N, [U.element(g) for g in H.generators])
+
+
 class TestTowerPlaces:
+    def test_closed_form_matches_layer_walk_grid(self):
+        cases = 0
+        for F in _all_fields(30):
+            for p in (3, 5, 7):
+                for ell in (2, 7, 13, 53, 251):
+                    if ell == p:
+                        continue
+                    t = sp.tower_places(F, ell, p)
+                    n_end = len(t.g_layers) - 1
+                    assert n_end == t.stabilized_at + 1
+                    walked = tuple(layer_place_count(F, ell, p, n)
+                                   for n in range(n_end + 3))
+                    assert t.g_layers == walked[:n_end + 1], \
+                        (F.conductor, F.subgroup_gens, ell, p, walked)
+                    assert walked[-2:] == (t.g_infinity,) * 2
+                    assert t.g_layers.index(t.g_infinity) == t.stabilized_at
+                    cases += 1
+        assert cases == 2254
+
+    @pytest.mark.parametrize("N,gens,ell,p,g_inf", [
+        (9, (8,), 53, 3, 9),      # F = Q_1: counts stall for one layer
+        (9, (), 53, 3, 9),
+        (25, (7,), 251, 5, 25),
+    ])
+    def test_field_meeting_the_tower(self, N, gens, ell, p, g_inf):
+        F = sp.AbelianField(N, gens)
+        assert sp.tower_places(F, ell, p).g_infinity == g_inf
+        assert layer_place_count(F, ell, p, 4) == g_inf
+
     def test_1123_over_Q_at_11(self):
         t = sp.tower_places(Q, 1123, 11)
         assert t.g_infinity == 1
@@ -145,7 +203,7 @@ class TestTowerPlaces:
             t = sp.tower_places(F, ell, p)
             n0 = t.stabilized_at
             for extra in (1, 2, 3):
-                assert sp.layer_place_count(F, ell, p, n0 + extra) == \
+                assert layer_place_count(F, ell, p, n0 + extra) == \
                     t.g_infinity
 
     def test_rejects_bad_primes(self):

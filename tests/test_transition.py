@@ -372,8 +372,7 @@ from kida.errors import InternalAdditivityViolation
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 real = {name: getattr(sp, name) for name in
-        ("_element_order_mod_lattice", "layer_place_count", "efg",
-         "ramified_set")}
+        ("_element_order_mod_lattice", "efg", "ramified_set")}
 
 def run(name, call, attr=None, fake=None):
     if attr:
@@ -395,10 +394,6 @@ def transition(kind="algebraic"):
 out = {}
 run("efg", lambda: sp.efg(F23, 2),
     "_element_order_mod_lattice", lambda *a: 1)
-run("tower_growth", lambda: sp.tower_places(Q, 2, 3),
-    "layer_place_count", lambda F, ell, p, n: 2 ** n)
-run("tower_stabilize", lambda: sp.tower_places(Q, 2, 3),
-    "layer_place_count", lambda F, ell, p, n: 3 ** n)
 run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
     "efg", lambda F, ell: sp.PlaceData(
         ell, 2 if F.is_rationals() else 3, 1, 1, 1))
@@ -419,10 +414,6 @@ def test_broken_invariants_raise_typed_errors(flags):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "efg": "efg: e*f*g = 1*1*1 != degree 11",
-        "tower_growth": "layer place count grew from 1 to 2, "
-                        "not by a factor of 1 or 3",
-        "tower_stabilize": "tower place count failed to stabilize "
-                           "in 40 layers",
         "ramified_set": "e at 23: base 2 does not divide extension 3",
         "transition": "reduction left ramification at p",
         "mc_transfer": "shared formula disagrees: algebraic 11 vs "
