@@ -7,38 +7,53 @@ representations along abelian p-extensions of the rationals:
 
 with all local factors (place counts, ramification data, h-table values,
 character multiplicities) computed in exact integer arithmetic.
+
+Submodules load on first use: ``import kida`` imports none of them, and
+``kida.qexp`` or ``kida.tau`` imports the module that holds it (PEP 562).
 """
 
-from .arith import Residue, factor, mult_order, padic_val, unit_group
-from .chargroup import (Character, FiniteAbelianGroup, RepMultiset, Subgroup,
-                        check_group_identity, dual_group, multiplicity)
-from .localfactor import (Generic, LocalCharData, RamifiedPS, Special,
-                          Supercuspidal, UnramifiedPS,
-                          check_tower_additivity, h_char, h_v, m_extension,
-                          m_single)
-from .qexp import (CoefficientTable, DirichletCharacter, EllipticCurve,
-                   ModularFormData, delta_form, frobenius_data, tau,
-                   twist_coefficients)
-from .splitting import (AbelianField, efg, parse_field_spec, ramified_set,
-                        rationals, tower_places, unramified_at_p_reduction)
-from .transition import (InvariantRecord, TransitionReport, compose,
-                         lambda_via_twists, mc_transfer)
-from .transition import transition as run_transition
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Residue", "factor", "mult_order", "padic_val", "unit_group",
-    "Character", "FiniteAbelianGroup", "RepMultiset", "Subgroup",
-    "check_group_identity", "dual_group", "multiplicity",
-    "Generic", "LocalCharData", "RamifiedPS", "Special", "Supercuspidal",
-    "UnramifiedPS", "check_tower_additivity", "h_char", "h_v",
-    "m_extension", "m_single",
-    "CoefficientTable", "DirichletCharacter", "EllipticCurve",
-    "ModularFormData", "delta_form", "frobenius_data", "tau",
-    "twist_coefficients",
-    "AbelianField", "efg", "parse_field_spec", "ramified_set", "rationals",
-    "tower_places", "unramified_at_p_reduction",
-    "InvariantRecord", "TransitionReport", "compose", "lambda_via_twists",
-    "mc_transfer", "run_transition",
-]
+# module -> the public names it exports here
+_EXPORTS = {
+    "arith": ("factor", "mult_order", "padic_val", "unit_group"),
+    "chargroup": ("Character", "FiniteAbelianGroup", "RepMultiset",
+                  "Subgroup", "check_group_identity", "dual_group",
+                  "multiplicity"),
+    "localfactor": ("Generic", "LocalCharData", "RamifiedPS", "Special",
+                    "Supercuspidal", "UnramifiedPS", "check_tower_additivity",
+                    "h_char", "h_v", "m_extension", "m_single"),
+    "qexp": ("CoefficientTable", "DirichletCharacter", "EllipticCurve",
+             "ModularFormData", "delta_form", "frobenius_data", "tau",
+             "twist_coefficients"),
+    "splitting": ("AbelianField", "efg", "parse_field_spec", "ramified_set",
+                  "rationals", "tower_places", "unramified_at_p_reduction"),
+    "transition": ("InvariantRecord", "TransitionReport", "compose",
+                   "lambda_via_twists", "mc_transfer"),
+}
+# public name -> (module, attribute)
+_ORIGIN = {name: (module, name)
+           for module, names in _EXPORTS.items() for name in names}
+_ORIGIN["run_transition"] = ("transition", "transition")
+
+_SUBMODULES = ("arith", "chargroup", "cli", "errors", "intlinalg",
+               "localfactor", "qexp", "splitting", "transition", "verify")
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _ORIGIN[name]
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -18,37 +18,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotAUnit, ZeroInput
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Integer residue; the constructor reduces into [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return Residue(self.value * other.value, self.modulus)
-
-    def __pow__(self, k: int) -> "Residue":
-        return Residue(pow(self.value, k, self.modulus), self.modulus)
 
 
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, ascending primes."""
     if n < 1:
         raise ValueError("factor() needs n >= 1")
+    return list(_factor(n))
+
+
+@lru_cache(maxsize=4096)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """factor(n) as a tuple, cached: a unit group mod q factors q - 1 for
+    its primitive root and for its pieces, and a degree= spec factors the
+    group order again, each up to 10^6 trial divisions at q ~ 10^12."""
     out = []
     m = n
     for d in (2, 3):
@@ -71,7 +57,7 @@ def factor(n: int) -> list[tuple[int, int]]:
         step = 6 - step
     if m > 1:
         out.append((m, 1))
-    return out
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:
@@ -94,22 +80,19 @@ def padic_val(n: int, p: int) -> int:
     return t
 
 
-def mult_order(a: Residue | int, modulus: int | None = None) -> int:
+def mult_order(a: int, modulus: int) -> int:
     """Least k >= 1 with a^k = 1 modulo the modulus."""
-    if isinstance(a, Residue):
-        value, mod = a.value, a.modulus
-    else:
-        if modulus is None:
-            raise ValueError("modulus required when a is a plain int")
-        value, mod = a % modulus, modulus
-    if math.gcd(value, mod) != 1:
-        raise NotAUnit(f"{value} is not a unit mod {mod}")
-    if mod == 1:
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    a %= modulus
+    if math.gcd(a, modulus) != 1:
+        raise NotAUnit(f"{a} is not a unit mod {modulus}")
+    if modulus == 1:
         return 1
     # Start from the group order and strip prime factors while possible.
-    order = euler_phi(mod)
+    order = euler_phi(modulus)
     for q, _ in factor(order):
-        while order % q == 0 and pow(value, order // q, mod) == 1:
+        while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q
     return order
 
@@ -172,8 +155,9 @@ def _piece_log(mod: int, g: int, n: int, rho: int, a: int):
     baby-step giant-step in the subgroup of order B.  The base B is the
     largest rho^b <= 64 with b | a, whose digits take one lookup in a
     table of all B of them, or rho > 64 itself, with a table of about
-    sqrt(rho) baby steps.  Mod 2^e with e >= 3 the factor <5> reads x up
-    to sign.
+    sqrt(rho) baby steps, built on the first call: a piece that is never
+    asked for a log keeps no table.  Mod 2^e with e >= 3 the factor <5>
+    reads x up to sign.
     """
     cof = n // rho ** a
     b = max((b for b in range(1, a + 1) if a % b == 0 and rho ** b <= 64),
@@ -182,17 +166,22 @@ def _piece_log(mod: int, g: int, n: int, rho: int, a: int):
     h_inv = pow(g, -cof, mod)
     gamma = pow(h_inv, -rho ** (a - 1), mod)
     m = rho if rho <= 64 else math.isqrt(rho - 1) + 1
-    baby, z = {}, 1
-    for j in range(m):
-        baby[z] = j
-        z = z * gamma % mod
-    giant = pow(z, -1, mod)
+    giant = pow(gamma, -m, mod)
+    table = None        # gamma^j -> j for j < m, built on the first log
     fold = mod % 8 == 0
     # digit i: raise to rho^(a-1-i), and strip it with h^(-rho^i)
     digits = [(rho ** (a - 1 - i), pow(h_inv, rho ** i, mod), rho ** i)
               for i in range(a)]
 
     def log(x: int) -> int:
+        nonlocal table
+        baby = table
+        if baby is None:    # built whole, then published
+            baby, z = {}, 1
+            for j in range(m):
+                baby[z] = j
+                z = z * gamma % mod
+            table = baby
         x %= mod
         if fold and x % 4 == 3:
             x = mod - x

@@ -17,25 +17,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import arith
-from .errors import InternalAdditivityViolation, SubgroupMismatch
+from .errors import InternalAdditivityViolation, Record, SubgroupMismatch
 from .intlinalg import Lattice, subgroup_lattice
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Product of cyclic groups C_{d_1} x ... x C_{d_r} with d_1 | ... | d_r."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        d = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        d = invariant_factors
         if any(x < 2 for x in d):
             raise ValueError("invariant factors must be >= 2")
         if any(d[i + 1] % d[i] for i in range(len(d) - 1)):
             raise ValueError("divisibility chain violated")
+        self._fill(invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -70,19 +69,20 @@ def cyclic(n: int) -> FiniteAbelianGroup:
     return TRIVIAL_GROUP if n == 1 else FiniteAbelianGroup((n,))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Character of a FiniteAbelianGroup given by its exponent vector."""
 
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+    __slots__ = ("group", "exponents")
 
-    def __post_init__(self):
-        d = self.group.invariant_factors
-        if len(self.exponents) != len(d):
+    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
+        d = group.invariant_factors
+        if len(exponents) != len(d):
             raise ValueError("exponent vector length mismatch")
-        if any(not 0 <= c < di for c, di in zip(self.exponents, d)):
+        if any(not 0 <= c < di for c, di in zip(exponents, d)):
             raise ValueError("exponents out of range")
+        # set directly, not by _fill: a sweep builds ~10^4 of these
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exponents", exponents)
 
     def is_trivial(self) -> bool:
         return not any(self.exponents)

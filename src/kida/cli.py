@@ -11,24 +11,33 @@ exits 2 before any work).
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
 (mu != 0, precision, work bounds, missing local type for hv); 3
 malformed field or form specs; 4 missing local data in a transition.
+
+Library modules load on first use: each handler imports what it runs, so
+``kida tau`` loads ``arith`` and ``qexp`` and nothing it does not call.
+The ``--kind`` and ``--suite`` choices are literal here for that reason,
+and tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import arith, localfactor, qexp, splitting, transition, verify
 from .errors import (KidaError, MissingLocalType, NotASubfield, NotPPower,
                      SpecParseError)
+
+# argparse choices, equal to transition.KINDS and sorted(verify.SUITES)
+KIND_CHOICES = ("algebraic", "analytic", "plus", "minus")
+SUITE_CHOICES = ("group-identity", "hasse", "path-agreement",
+                 "tower-additivity")
 
 _LOCAL_TYPE_PREFIXES = ("sc", "ups:", "ramps:", "special:", "generic:")
 
 
 def _render(mapping: dict, as_json: bool) -> str:
     if as_json:
+        import json
         return json.dumps(mapping, sort_keys=True, separators=(", ", ": "))
     lines = []
     for key in sorted(mapping):
@@ -71,9 +80,11 @@ def _apply_config(args: argparse.Namespace, keys: dict[str, type]):
 
 def parse_form_spec(spec: str) -> qexp.ModularFormData:
     """``delta`` | ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``"""
+    from .qexp import (EllipticCurve, delta_form, ec_form, load_table,
+                       table_form)
     s = spec.strip()
     if s == "delta":
-        return qexp.delta_form()
+        return delta_form()
     if s.startswith("ec:"):
         fields = {}
         for item in s[len("ec:"):].split(","):
@@ -86,14 +97,19 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
                 raise SpecParseError(f"bad integer in {spec!r}")
         if not set(fields) <= {"a1", "a2", "a3", "a4", "a6"}:
             raise SpecParseError(f"unknown curve coefficients in {spec!r}")
-        curve = qexp.EllipticCurve(**{k: fields.get(k, 0)
-                                      for k in ("a1", "a2", "a3", "a4", "a6")})
+        curve = EllipticCurve(**{k: fields.get(k, 0)
+                                 for k in ("a1", "a2", "a3", "a4", "a6")})
         if curve.discriminant() == 0:
             raise SpecParseError("curve is singular (discriminant 0)")
-        return qexp.ec_form(curve)
+        return ec_form(curve)
     if s.startswith("table:"):
-        return qexp.table_form(qexp.load_table(s[len("table:"):]))
+        return table_form(load_table(s[len("table:"):]))
     raise SpecParseError(f"bad form spec {spec!r}")
+
+
+def _is_prime(n: int) -> bool:
+    from .arith import is_prime
+    return is_prime(n)
 
 
 def _precision(args) -> int | None:
@@ -109,12 +125,13 @@ def _precision(args) -> int | None:
 # -- tau ------------------------------------------------------------------
 
 def cmd_tau(args) -> int:
+    from .qexp import tau
     _apply_config(args, {"n": int, "mod": int})
     if args.n is None:
         raise SpecParseError("tau needs --n")
     if args.mod == 0:
         raise SpecParseError("--mod must be nonzero")
-    value = qexp.tau(args.n, _precision(args))
+    value = tau(args.n, _precision(args))
     if args.mod is not None:
         value %= args.mod
     print(value)
@@ -124,13 +141,16 @@ def cmd_tau(args) -> int:
 # -- hv -------------------------------------------------------------------
 
 def cmd_hv(args) -> int:
+    from .localfactor import (Generic, UnramifiedPS, case_of,
+                              describe_local_type, h_v, m_extension,
+                              parse_local_type)
     _apply_config(args, {"form": str, "p": int, "ell": int,
                          "e": int, "ext": str})
     if args.form is None:
         raise SpecParseError("hv needs --form")
     if args.e is not None and args.e < 1:
         raise SpecParseError("--e must be >= 1")
-    if args.ell is not None and not arith.is_prime(args.ell):
+    if args.ell is not None and not _is_prime(args.ell):
         raise SpecParseError("--ell must be prime")
     spec = args.form.strip()
     record: dict[str, object] = {}
@@ -138,17 +158,18 @@ def cmd_hv(args) -> int:
                            _LOCAL_TYPE_PREFIXES if pre != "sc"):
         if spec.startswith(("ups:", "generic:")) and args.p is None:
             raise SpecParseError(f"--p required for {spec!r}")
-        V = localfactor.parse_local_type(spec, args.p or 0)
+        V = parse_local_type(spec, args.p or 0)
     else:
         form = parse_form_spec(spec)
         if args.p is None or args.ell is None:
             raise SpecParseError("hv with a form spec needs --p and --ell")
-        if not arith.is_prime(args.p):
+        if not _is_prime(args.p):
             raise SpecParseError("--p must be prime")
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
-        a, c = qexp.frobenius_data(form, args.ell, args.p, _precision(args))
-        V = localfactor.UnramifiedPS(a, c, args.p)
+        from .qexp import frobenius_data
+        a, c = frobenius_data(form, args.ell, args.p, _precision(args))
+        V = UnramifiedPS(a, c, args.p)
         record["form"] = form.describe()
         record["ell"] = args.ell
     if args.e is not None:
@@ -156,25 +177,25 @@ def cmd_hv(args) -> int:
     elif args.ext is not None:
         if args.ell is None:
             raise SpecParseError("--ext needs --ell to locate the place")
-        ext = splitting.parse_field_spec(args.ext)
-        e = splitting.efg(ext, args.ell).e
+        from .splitting import efg, parse_field_spec
+        e = efg(parse_field_spec(args.ext), args.ell).e
         record["extension"] = args.ext
     else:
         raise SpecParseError("hv needs --e or --ext")
     record["e"] = e
     if args.p is not None:
         record["p"] = args.p
-    record["type"] = localfactor.describe_local_type(V)
-    if isinstance(V, localfactor.Generic):
-        record["h"] = localfactor.m_extension(V, e)
+    record["type"] = describe_local_type(V)
+    if isinstance(V, Generic):
+        record["h"] = m_extension(V, e)
         record["path"] = "generic"
     else:
-        record["h"] = localfactor.h_v(V, e)
+        record["h"] = h_v(V, e)
         record["path"] = "table"
-    if isinstance(V, localfactor.UnramifiedPS):
+    if isinstance(V, UnramifiedPS):
         record["a"] = V.a
         record["c"] = V.c
-    record["case"] = localfactor.case_of(V, e)
+    record["case"] = case_of(V, e)
     print(_render(record, args.json))
     return 0
 
@@ -182,6 +203,7 @@ def cmd_hv(args) -> int:
 # -- transition -------------------------------------------------------------
 
 def _parse_local_overrides(items, p: int) -> dict[int, object]:
+    from .localfactor import parse_local_type
     out: dict[int, object] = {}
     for item in items or ():
         if "=" not in item:
@@ -191,11 +213,13 @@ def _parse_local_overrides(items, p: int) -> dict[int, object]:
             ell = int(ell_s)
         except ValueError:
             raise SpecParseError(f"bad prime in --local {item!r}")
-        out[ell] = localfactor.parse_local_type(typespec, p)
+        out[ell] = parse_local_type(typespec, p)
     return out
 
 
 def cmd_transition(args) -> int:
+    from .splitting import parse_field_spec
+    from .transition import KINDS, InvariantRecord, transition
     _apply_config(args, {"form": str, "p": int, "base": str, "ext": str,
                          "lambda": int, "mu": int, "kind": str})
     for name in ("p", "base", "ext"):
@@ -203,21 +227,21 @@ def cmd_transition(args) -> int:
             raise SpecParseError(f"transition needs --{name}")
     if args.lam is None or args.mu is None:
         raise SpecParseError("transition needs --lambda and --mu")
-    if args.p == 2 or not arith.is_prime(args.p):
+    if args.p == 2 or not _is_prime(args.p):
         raise SpecParseError("--p must be an odd prime")
     kind = args.kind or "algebraic"
-    if kind not in transition.KINDS:
-        raise SpecParseError(f"kind must be one of {transition.KINDS}")
-    base_field = splitting.parse_field_spec(args.base)
-    ext_field = splitting.parse_field_spec(args.ext)
+    if kind not in KINDS:
+        raise SpecParseError(f"kind must be one of {KINDS}")
+    base_field = parse_field_spec(args.base)
+    ext_field = parse_field_spec(args.ext)
     form = parse_form_spec(args.form) if args.form else None
     lam = args.lam if args.mu == 0 else None
     try:
-        base = transition.InvariantRecord(kind, args.mu, lam)
+        base = InvariantRecord(kind, args.mu, lam)
     except ValueError as exc:   # negative mu or lambda
         raise SpecParseError(str(exc))
     overrides = _parse_local_overrides(args.local, args.p)
-    report = transition.transition(
+    report = transition(
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,
         form=form, local_types=overrides,
         assert_hypotheses=bool(args.assert_hypotheses),
@@ -229,10 +253,11 @@ def cmd_transition(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
     _apply_config(args, {"suite": str, "seed": int, "size": int})
     if args.suite is None:
         raise SpecParseError("verify needs --suite")
-    result = verify.run_suite(args.suite, seed=args.seed or 0,
+    result = run_suite(args.suite, seed=args.seed or 0,
                               size=args.size)
     print(_render(result.as_mapping(), args.json))
     return 0 if result.passed else 1
@@ -272,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--ext")
     tr.add_argument("--lambda", dest="lam", type=int)
     tr.add_argument("--mu", type=int)
-    tr.add_argument("--kind", choices=list(transition.KINDS))
+    tr.add_argument("--kind", choices=KIND_CHOICES)
     tr.add_argument("--local", action="append", metavar="ELL=TYPESPEC")
     tr.add_argument("--assert-hypotheses", action="store_true")
     tr.add_argument("--config")
@@ -280,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(handler=cmd_transition)
 
     v = sub.add_parser("verify", help="run a property suite")
-    v.add_argument("--suite", choices=sorted(verify.SUITES))
+    v.add_argument("--suite", choices=SUITE_CHOICES)
     v.add_argument("--seed", type=int)
     v.add_argument("--size", type=int)
     v.add_argument("--config")

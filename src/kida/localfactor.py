@@ -16,14 +16,11 @@ are trivial mod p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import (GenericUnsupported, IncoherentGenericData,
+from .errors import (GenericUnsupported, IncoherentGenericData, Record,
                      SpecParseError)
 
 
-@dataclass(frozen=True)
-class LocalCharData:
+class LocalCharData(Record):
     """One character of the local Galois group, by the bits that matter.
 
     ``becomes_unramified_over_extension`` says whether the character is
@@ -33,19 +30,18 @@ class LocalCharData:
     for coherent restriction in towers with more than one step.
     """
 
-    ramified: bool
-    trivial_mod_p: bool
-    becomes_unramified_over_extension: bool = True
-    order_on_inertia: int | None = None
+    __slots__ = ("ramified", "trivial_mod_p",
+                 "becomes_unramified_over_extension", "order_on_inertia")
 
-    def __post_init__(self):
-        if not self.ramified:
-            object.__setattr__(self, "becomes_unramified_over_extension", True)
-            object.__setattr__(self, "order_on_inertia", 1)
-        else:
-            o = self.order_on_inertia
-            if o is not None and o < 2:
-                raise ValueError("ramified character needs order > 1 on inertia")
+    def __init__(self, ramified: bool, trivial_mod_p: bool,
+                 becomes_unramified_over_extension: bool = True,
+                 order_on_inertia: int | None = None):
+        if not ramified:
+            becomes_unramified_over_extension, order_on_inertia = True, 1
+        elif order_on_inertia is not None and order_on_inertia < 2:
+            raise ValueError("ramified character needs order > 1 on inertia")
+        self._fill(ramified, trivial_mod_p, becomes_unramified_over_extension,
+                   order_on_inertia)
 
     def dies_over(self, degree: int) -> bool:
         """Whether restriction to the degree-``degree`` extension is unramified."""
@@ -74,37 +70,36 @@ class LocalCharData:
                              order_on_inertia=new_order)
 
 
-@dataclass(frozen=True)
-class UnramifiedPS:
+class UnramifiedPS(Record):
     """Unramified principal series: Frobenius polynomial x^2 - a x + c mod p."""
 
-    a: int
-    c: int
-    p: int
+    __slots__ = ("a", "c", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "c", self.c % self.p)
+    def __init__(self, a: int, c: int, p: int):
+        self._fill(a % p, c % p, p)
 
 
-@dataclass(frozen=True)
-class RamifiedPS:
-    phi1: LocalCharData
-    phi2: LocalCharData
+class RamifiedPS(Record):
+    __slots__ = ("phi1", "phi2")
+
+    def __init__(self, phi1: LocalCharData, phi2: LocalCharData):
+        self._fill(phi1, phi2)
 
 
-@dataclass(frozen=True)
-class Special:
-    phi: LocalCharData
+class Special(Record):
+    __slots__ = ("phi",)
+
+    def __init__(self, phi: LocalCharData):
+        self._fill(phi)
 
 
-@dataclass(frozen=True)
-class Supercuspidal:
+class Supercuspidal(Record):
     """Supercuspidal or extraordinary: contributes 0 through every path."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Generic:
+
+class Generic(Record):
     """User-supplied m-values per character of the local cyclic p-group.
 
     ``m_values[j]`` is m(V_{chi_j}) for the character of exponent j of
@@ -113,29 +108,29 @@ class Generic:
     multiset, which is what makes restriction in towers well defined.
     """
 
-    degree: int
-    m_values: tuple[int, ...]
+    __slots__ = ("degree", "m_values")
 
-    def __post_init__(self):
-        if len(self.m_values) != self.degree:
+    def __init__(self, degree: int, m_values: tuple[int, ...]):
+        if len(m_values) != degree:
             raise IncoherentGenericData(
                 "generic data must cover every character of its group")
-        if any(v < 0 for v in self.m_values):
+        if any(v < 0 for v in m_values):
             raise IncoherentGenericData("generic m-values must be >= 0")
+        self._fill(degree, m_values)
 
 
 LocalType = UnramifiedPS | RamifiedPS | Special | Supercuspidal | Generic
 
 
-@dataclass(frozen=True)
-class TwistCharacter:
+class TwistCharacter(Record):
     """Character of the cyclic twisting group, by exponent."""
 
-    degree: int
-    exponent: int
+    __slots__ = ("degree", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % self.degree)
+    def __init__(self, degree: int, exponent: int):
+        # set directly, not by _fill: a sweep builds ~10^5 of these
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "exponent", exponent % degree)
 
     def is_trivial(self) -> bool:
         return self.exponent == 0

@@ -11,11 +11,9 @@ exact root-of-unity model (CycValue); nothing is ever a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from . import arith, chargroup
+from . import arith
 from .errors import (BadReduction, BoundExceeded, MissingCoefficient,
-                     PrecisionExceeded, RamifiedLevel, SpecParseError)
+                     PrecisionExceeded, RamifiedLevel, Record, SpecParseError)
 
 DEFAULT_PRECISION = 2000
 MAX_PRECISION = 10_000
@@ -77,15 +75,14 @@ def tau(n: int, precision: int | None = None) -> int:
 
 # -- elliptic curves over Q ---------------------------------------------
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(Record):
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
-    a4: int = 0
-    a6: int = 0
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+
+    def __init__(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
+                 a6: int = 0):
+        self._fill(a1, a2, a3, a4, a6)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         b2 = self.a1 ** 2 + 4 * self.a2
@@ -139,11 +136,11 @@ class EllipticCurve:
 
 # -- coefficient tables --------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    weight: int
-    level: int
-    ap: dict[int, int] = field(hash=False)
+class CoefficientTable(Record):
+    __slots__ = ("weight", "level", "ap")
+
+    def __init__(self, weight: int, level: int, ap: dict[int, int]):
+        self._fill(weight, level, ap)
 
     def __hash__(self):
         return hash((self.weight, self.level,
@@ -195,28 +192,26 @@ class _DeltaSource:
 DELTA_SOURCE = _DeltaSource()
 
 
-@dataclass(frozen=True)
-class ModularFormData:
+class ModularFormData(Record):
     """Weight, level, nebentypus and an exact coefficient source.
 
     nebentypus: None for the trivial character, else a dict of values
     mod p keyed by prime (only reductions mod p are ever consumed).
     """
 
-    weight: int
-    level: int
-    source: object
-    nebentypus: dict[int, int] | None = None
-    ordinary_at_p: bool | None = None
+    __slots__ = ("weight", "level", "source", "nebentypus", "ordinary_at_p")
 
-    def __post_init__(self):
-        if self.weight < 2 or self.level < 1:
+    def __init__(self, weight: int, level: int, source: object,
+                 nebentypus: dict[int, int] | None = None,
+                 ordinary_at_p: bool | None = None):
+        if weight < 2 or level < 1:
             raise ValueError("need weight >= 2 and level >= 1")
-        if isinstance(self.source, _DeltaSource):
-            if (self.weight, self.level) != (12, 1):
+        if isinstance(source, _DeltaSource):
+            if (weight, level) != (12, 1):
                 raise ValueError("eta-product source forces weight 12, level 1")
-        if isinstance(self.source, EllipticCurve) and self.weight != 2:
+        if isinstance(source, EllipticCurve) and weight != 2:
             raise ValueError("elliptic-curve source forces weight 2")
+        self._fill(weight, level, source, nebentypus, ordinary_at_p)
 
     def describe(self) -> str:
         if isinstance(self.source, _DeltaSource):
@@ -321,20 +316,16 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
 
 # -- Dirichlet characters and twists --------------------------------------
 
-@dataclass(frozen=True)
-class CycValue:
+class CycValue(Record):
     """Exact scalar a * zeta_m^k (zeta_m = primitive m-th root of unity).
 
     Normalized so that m is minimal: gcd(k, m) is cancelled, m = 1 for
     rational values and the sign of zeta_2 is folded into ``a``.
     """
 
-    a: int
-    k: int = 0
-    m: int = 1
+    __slots__ = ("a", "k", "m")
 
-    def __post_init__(self):
-        a, k, m = self.a, self.k, self.m
+    def __init__(self, a: int, k: int = 0, m: int = 1):
         if m < 1:
             raise ValueError("root order must be >= 1")
         if a == 0:
@@ -349,9 +340,7 @@ class CycValue:
                 m //= g
             if m == 2:          # zeta_2 = -1 folds into the sign
                 a, k, m = -a, 0, 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
+        self._fill(a, k, m)
 
     def is_zero(self) -> bool:
         return self.a == 0
@@ -385,9 +374,10 @@ class CycValue:
 class DirichletCharacter:
     """Dirichlet character presented modulo N via the unit group's
     invariant-factor coordinates; evaluation uses the primitive character
-    attached to its conductor."""
+    attached to its conductor.  ``character`` is a ``chargroup.Character``
+    of a group with the invariant factors of (Z/N)^*."""
 
-    def __init__(self, modulus: int, character: chargroup.Character):
+    def __init__(self, modulus: int, character):
         self.modulus = modulus
         self.group = arith.unit_group(modulus)
         if (character.group.invariant_factors
@@ -398,9 +388,11 @@ class DirichletCharacter:
 
     @classmethod
     def from_exponents(cls, modulus: int, exponents) -> "DirichletCharacter":
+        # chargroup loads here, not with qexp: tau never needs it
+        from .chargroup import Character, FiniteAbelianGroup
         U = arith.unit_group(modulus)
-        G = chargroup.FiniteAbelianGroup(U.invariant_factors)
-        return cls(modulus, chargroup.Character(G, tuple(exponents)))
+        G = FiniteAbelianGroup(U.invariant_factors)
+        return cls(modulus, Character(G, tuple(exponents)))
 
     @classmethod
     def trivial(cls, modulus: int = 1) -> "DirichletCharacter":

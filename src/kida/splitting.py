@@ -13,21 +13,25 @@ from efg and two p-adic valuations, with no layer built (tower_places).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from . import arith, chargroup
+from . import arith
 from .errors import (BoundExceeded, InternalAdditivityViolation,
-                     NotASubfield, NotPPower, SpecParseError)
+                     NotASubfield, NotPPower, Record, SpecParseError)
 from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
 
 _MAX_CONDUCTOR = 10 ** 12   # the scale trial-division factor() serves
 
 
 class AbelianField:
-    """Abelian extension of Q presented as (conductor, subgroup generators)."""
+    """Abelian extension of Q presented as (conductor, subgroup generators).
 
-    def __init__(self, conductor: int, subgroup_gens=()):
+    ``rows``, when given, are the generators' coordinates in the unit
+    group's invariant-factor basis, trusted as given; they spare the
+    discrete logs of the generators.
+    """
+
+    def __init__(self, conductor: int, subgroup_gens=(), rows=None):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         self.conductor = conductor
@@ -37,7 +41,8 @@ class AbelianField:
             if math.gcd(g, conductor) != 1:
                 raise ValueError(f"subgroup generator {g} not a unit mod {conductor}")
         self.subgroup_gens = tuple(gens)
-        rows = [list(self.unit_group.log(g)) for g in self.subgroup_gens]
+        if rows is None:
+            rows = [self.unit_group.log(g) for g in self.subgroup_gens]
         self._lattice = subgroup_lattice(rows, self.unit_group.invariant_factors)
 
     @property
@@ -94,12 +99,6 @@ def _aligned(F: AbelianField, Fp: AbelianField):
     return UM, _pullback_lattice(UM, F), _pullback_lattice(UM, Fp)
 
 
-def is_subfield(F: AbelianField, Fp: AbelianField) -> bool:
-    """F contained in Fp (containment of fixed fields)."""
-    _, LF, LFp = _aligned(F, Fp)
-    return LF.contains_lattice(LFp)
-
-
 def same_field(F: AbelianField, Fp: AbelianField) -> bool:
     _, LF, LFp = _aligned(F, Fp)
     return LF.key() == LFp.key()
@@ -113,15 +112,13 @@ def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     return LFp.det() // LF.det()
 
 
-@dataclass(frozen=True)
-class PlaceData:
+class PlaceData(Record):
     """Decomposition data of a rational prime in a finite abelian field."""
 
-    ell: int
-    e: int
-    f: int
-    g: int
-    degree: int
+    __slots__ = ("ell", "e", "f", "g", "degree")
+
+    def __init__(self, ell: int, e: int, f: int, g: int, degree: int):
+        self._fill(ell, e, f, g, degree)
 
 
 def _inertia_rows(U: arith.UnitGroup, ell: int) -> list[list[int]]:
@@ -171,15 +168,18 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     return PlaceData(ell, e, f, g, F.degree)
 
 
-@dataclass(frozen=True)
-class TowerPlaceData:
-    """Places above ell in the cyclotomic p-tower over a field."""
+class TowerPlaceData(Record):
+    """Places above ell in the cyclotomic p-tower over a field.
 
-    ell: int
-    p: int
-    g_layers: tuple[int, ...]   # g_0, ..., g_(stabilized_at + 1)
-    g_infinity: int
-    stabilized_at: int          # first layer with g_infinity places
+    ``g_layers`` holds g_0, ..., g_(stabilized_at + 1), and
+    ``stabilized_at`` is the first layer with ``g_infinity`` places.
+    """
+
+    __slots__ = ("ell", "p", "g_layers", "g_infinity", "stabilized_at")
+
+    def __init__(self, ell: int, p: int, g_layers: tuple[int, ...],
+                 g_infinity: int, stabilized_at: int):
+        self._fill(ell, p, g_layers, g_infinity, stabilized_at)
 
 
 def _tower_overlap(F: AbelianField, p: int) -> int:
@@ -224,20 +224,25 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     return TowerPlaceData(ell, p, gs, gs[-1], n0)
 
 
-@dataclass(frozen=True)
-class RamifiedPlace:
-    """One prime-to-p prime ramified in the tower extension."""
+class RamifiedPlace(Record):
+    """One prime-to-p prime ramified in the tower extension: its local
+    degree [F'_{infty,w'} : F_{infty,w}], a p-power, and the number of
+    places of F'_infty above it."""
 
-    ell: int
-    local_degree: int          # [F'_{infty,w'} : F_{infty,w}], a p-power
-    places: int                # number of places of F'_infty above ell
+    __slots__ = ("ell", "local_degree", "places")
+
+    def __init__(self, ell: int, local_degree: int, places: int):
+        self._fill(ell, local_degree, places)
 
 
-@dataclass(frozen=True)
-class RamifiedSet:
-    entries: tuple[RamifiedPlace, ...]
-    degree: int                       # [F' : F]
-    unramified_at_p: bool
+class RamifiedSet(Record):
+    """The ramified places of a tower extension and its degree [F' : F]."""
+
+    __slots__ = ("entries", "degree", "unramified_at_p")
+
+    def __init__(self, entries: tuple[RamifiedPlace, ...], degree: int,
+                 unramified_at_p: bool):
+        self._fill(entries, degree, unramified_at_p)
 
 
 def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
@@ -321,8 +326,9 @@ def _p_component(d, p: int):
 
 
 @lru_cache(maxsize=None)
-def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
-    """Generators of the unique index-d subgroup of (Z/N)^*, if unique.
+def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of generators of the unique index-d subgroup of
+    (Z/N)^*, if unique.
 
     Its q-part has index q^v, v = v_q(d), in the q-part of G = (Z/N)^*.
     By duality that is unique iff the q-part has one subgroup of order
@@ -344,7 +350,8 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
         if v == n:
             continue
         if v and len(part) > 1:
-            count = chargroup.subgroup_count(U.invariant_factors, d)
+            from .chargroup import subgroup_count
+            count = subgroup_count(U.invariant_factors, d)
             raise SpecParseError(
                 f"index-{d} subgroup of (Z/{N})^* is not unique "
                 f"({count} candidates); use gens=...")
@@ -356,7 +363,7 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, ...]:
             for j in [v] if len(part) == 1 else range(e):
                 vec = [0] * U.rank
                 vec[i] = q ** j * cofactor
-                gens.append(U.element(vec))
+                gens.append(tuple(vec))
     return tuple(gens)
 
 
@@ -387,7 +394,9 @@ def parse_field_spec(spec: str) -> AbelianField:
             raise SpecParseError(f"bad degree in {spec!r}")
         if d < 1:
             raise SpecParseError("degree must be >= 1")
-        return AbelianField(N, _resolve_degree_subgroup(N, d))
+        rows = _resolve_degree_subgroup(N, d)
+        U = arith.unit_group(N)
+        return AbelianField(N, [U.element(row) for row in rows], rows)
     if body.startswith("gens="):
         tail = body[len("gens="):]
         try:

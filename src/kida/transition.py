@@ -15,12 +15,10 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import localfactor, qexp, splitting
 from .errors import (ChainMismatch, IncompleteTwistData,
                      InternalAdditivityViolation, MismatchedInputs,
-                     MissingLocalType, MuNonzero)
+                     MissingLocalType, MuNonzero, Record)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -49,63 +47,64 @@ HYPOTHESIS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(Record):
     """(mu, lambda) with provenance; mu None means unknown."""
 
-    kind: str
-    mu: int | None
-    lam: int | None
-    provenance: str = "asserted-input"
+    __slots__ = ("kind", "mu", "lam", "provenance")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
+    def __init__(self, kind: str, mu: int | None, lam: int | None,
+                 provenance: str = "asserted-input"):
+        if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.provenance not in ("asserted-input", "computed"):
+        if provenance not in ("asserted-input", "computed"):
             raise ValueError("bad provenance tag")
-        if self.mu is not None and self.mu < 0:
+        if mu is not None and mu < 0:
             raise ValueError("mu must be >= 0")
-        if self.mu != 0 and self.lam is not None:
+        if mu != 0 and lam is not None:
             raise ValueError("lambda is only defined when mu = 0")
-        if self.mu == 0 and (self.lam is None or self.lam < 0):
+        if mu == 0 and (lam is None or lam < 0):
             raise ValueError("mu = 0 needs a lambda >= 0")
+        self._fill(kind, mu, lam, provenance)
 
 
-@dataclass(frozen=True)
-class LocalFactorReport:
-    """Per ramified prime: place counts and the local contribution."""
+class LocalFactorReport(Record):
+    """Per ramified prime: place counts and the local contribution.
 
-    ell: int
-    local_degree: int
-    places: int
-    m: int
-    h: int | None           # table value; None on the generic path
-    path: str               # "table" or "generic" or "composed"
-    type_spec: str
-    local_type: object = field(repr=False, compare=False)
+    ``h`` is the table value (None on the generic path) and ``path`` is
+    "table", "table(user)", "generic" or "composed".  ``local_type`` is
+    carried for composition and takes no part in eq, hash or repr.
+    """
+
+    __slots__ = ("ell", "local_degree", "places", "m", "h", "path",
+                 "type_spec", "local_type")
+    _compare = __slots__[:-1]
+
+    def __init__(self, ell: int, local_degree: int, places: int, m: int,
+                 h: int | None, path: str, type_spec: str,
+                 local_type: object):
+        self._fill(ell, local_degree, places, m, h, path, type_spec,
+                   local_type)
 
     @property
     def contribution(self) -> int:
         return self.places * self.m
 
 
-@dataclass(frozen=True)
-class TransitionReport:
-    kind: str
-    p: int
-    form: str
-    base_spec: str
-    ext_spec: str
-    base_field: splitting.AbelianField
-    ext_field: splitting.AbelianField
-    degree: int
-    lambda_in: int
-    lambda_out: int
-    mu_in: int
-    mu_out: int
-    places: tuple[LocalFactorReport, ...]
-    hypotheses: tuple[tuple[str, bool], ...]
-    warnings: tuple[str, ...]
+class TransitionReport(Record):
+    __slots__ = ("kind", "p", "form", "base_spec", "ext_spec", "base_field",
+                 "ext_field", "degree", "lambda_in", "lambda_out", "mu_in",
+                 "mu_out", "places", "hypotheses", "warnings")
+
+    def __init__(self, kind: str, p: int, form: str, base_spec: str,
+                 ext_spec: str, base_field: splitting.AbelianField,
+                 ext_field: splitting.AbelianField, degree: int,
+                 lambda_in: int, lambda_out: int, mu_in: int, mu_out: int,
+                 places: tuple[LocalFactorReport, ...],
+                 hypotheses: tuple[tuple[str, bool], ...],
+                 warnings: tuple[str, ...]):
+        self._fill(kind, p, form, base_spec, ext_spec, base_field, ext_field,
+                   degree, lambda_in, lambda_out, mu_in, mu_out, places,
+                   hypotheses, warnings)
 
     def to_invariant_record(self) -> "InvariantRecord":
         """The transported invariants, tagged as computed (chainable)."""
@@ -361,20 +360,20 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
         hypotheses=hyps, warnings=warnings)
 
 
-@dataclass(frozen=True)
-class McTransferReport:
+class McTransferReport(Record):
     """Main-conjecture transfer along a p-extension."""
 
-    p: int
-    form: str
-    base_spec: str
-    ext_spec: str
-    degree: int
-    lambda_algebraic: int
-    lambda_analytic: int
-    holds_over_base: bool
-    holds_over_extension: bool
-    statement: str
+    __slots__ = ("p", "form", "base_spec", "ext_spec", "degree",
+                 "lambda_algebraic", "lambda_analytic", "holds_over_base",
+                 "holds_over_extension", "statement")
+
+    def __init__(self, p: int, form: str, base_spec: str, ext_spec: str,
+                 degree: int, lambda_algebraic: int, lambda_analytic: int,
+                 holds_over_base: bool, holds_over_extension: bool,
+                 statement: str):
+        self._fill(p, form, base_spec, ext_spec, degree, lambda_algebraic,
+                   lambda_analytic, holds_over_base, holds_over_extension,
+                   statement)
 
     def as_mapping(self) -> dict[str, object]:
         return {

@@ -5,24 +5,31 @@ all randomness comes from a seeded random.Random, so runs are
 reproducible byte for byte.  The group-identity sweep, in plain integers,
 checks per subgroup the annihilator size, the class count and trivial
 class = annihilator, then a subsample by reference and trace oracle.
+Each suite imports the modules it checks, so a run loads no other.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import compress
 
-from . import chargroup, localfactor, qexp
-from .errors import KidaError
+from .errors import KidaError, Record
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    params: dict
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(Record):
+    """Outcome of one suite; mutable while the suite runs, so unhashable."""
+
+    __slots__ = ("name", "params", "checks", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, params: dict, checks: int = 0,
+                 failures: list[str] | None = None):
+        self.name = name
+        self.params = params
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -72,6 +79,7 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
     (``multiplicity`` = ``multiplicity_trace`` for the trivial character
     over H); each draw is one check.
     """
+    from . import chargroup
     rng = random.Random(seed)
     res = SuiteResult("group-identity",
                       {"max_order": max_order, "reps": reps, "seed": seed})
@@ -137,6 +145,7 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
 
 
 def _tabulated_types(p: int):
+    from . import localfactor
     types = [localfactor.Supercuspidal()]
     for a in range(p):
         for c in range(p):
@@ -163,6 +172,7 @@ def tower_additivity_suite(max_size: int = 27, seed: int = 0,
     tabulated local types and for generic data from random character
     multisets over cyclic p-groups of order <= max_size, cross-checked
     against brute-force multiplicity sums."""
+    from . import chargroup, localfactor
     rng = random.Random(seed)
     res = SuiteResult("tower-additivity",
                       {"max_size": max_size, "seed": seed,
@@ -231,6 +241,7 @@ def path_agreement_suite(seed: int = 0) -> SuiteResult:
     """h-table route equals m-summation route over the full cartesian
     product of local types, residue cases, and e in {p, p^2} for
     p in {3, 5, 11}."""
+    from . import localfactor
     res = SuiteResult("path-agreement", {"seed": seed})
     for p in (3, 5, 11):
         for V in _tabulated_types(p):
@@ -245,15 +256,16 @@ def path_agreement_suite(seed: int = 0) -> SuiteResult:
     return res
 
 
+# (a1, a2, a3, a4, a6) of the curves the hasse suite counts on
 TEST_CURVES = (
-    qexp.EllipticCurve(0, -1, 1, -10, -20),   # conductor 11
-    qexp.EllipticCurve(0, 0, 1, -1, 0),       # conductor 37
-    qexp.EllipticCurve(0, 0, 0, -1, 0),       # y^2 = x^3 - x
-    qexp.EllipticCurve(1, 0, 0, 0, -1),       # small mixed model
+    (0, -1, 1, -10, -20),   # conductor 11
+    (0, 0, 1, -1, 0),       # conductor 37
+    (0, 0, 0, -1, 0),       # y^2 = x^3 - x
+    (1, 0, 0, 0, -1),       # small mixed model
 )
 
 
-def _count_points_naive(E: qexp.EllipticCurve, ell: int) -> int:
+def _count_points_naive(E, ell: int) -> int:
     cnt = 1
     for x in range(ell):
         rhs = (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % ell
@@ -266,10 +278,12 @@ def _count_points_naive(E: qexp.EllipticCurve, ell: int) -> int:
 def hasse_suite(bound: int = 100, seed: int = 0) -> SuiteResult:
     """Hasse bound and an independent recount for the test curves at
     every prime of good reduction up to ``bound``."""
+    from .qexp import EllipticCurve
     res = SuiteResult("hasse", {"bound": bound, "seed": seed})
     primes = [n for n in range(2, bound + 1)
               if all(n % q for q in range(2, n))]
-    for E in TEST_CURVES:
+    for coefficients in TEST_CURVES:
+        E = EllipticCurve(*coefficients)
         disc = E.discriminant()
         for ell in primes:
             if disc % ell == 0:

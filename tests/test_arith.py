@@ -60,11 +60,10 @@ class TestFactor:
 
 class TestMultOrder:
     def test_identity(self):
-        assert arith.mult_order(arith.Residue(1, 7)) == 1
+        assert arith.mult_order(1, 7) == 1
 
     def test_23_mod_11(self):
-        assert arith.Residue(23, 11).value == 1
-        assert arith.mult_order(arith.Residue(23, 11)) == 1
+        assert arith.mult_order(23, 11) == 1
 
     def test_1123_mod_121(self):
         # 1123 = 34 mod 121; repeated-multiplication oracle
@@ -74,11 +73,15 @@ class TestMultOrder:
             x = x * 34 % 121
             k += 1
         assert k == 11
-        assert arith.mult_order(arith.Residue(1123, 121)) == 11
+        assert arith.mult_order(1123, 121) == 11
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
-            arith.mult_order(arith.Residue(6, 9))
+            arith.mult_order(6, 9)
+
+    def test_bad_modulus(self):
+        with pytest.raises(ValueError):
+            arith.mult_order(1, 0)
 
     def test_order_divides_group_order(self):
         rng = random.Random(3)
@@ -87,7 +90,7 @@ class TestMultOrder:
             a = rng.randrange(1, n)
             if math.gcd(a, n) != 1:
                 continue
-            k = arith.mult_order(arith.Residue(a, n))
+            k = arith.mult_order(a, n)
             assert pow(a, k, n) == 1
             assert all(pow(a, j, n) != 1 for j in range(1, min(k, 50)))
             assert arith.euler_phi(n) % k == 0
@@ -165,7 +168,7 @@ class TestUnitGroup:
         for N in (23, 40, 72, 100):
             U = arith.unit_group(N)
             for g, d in zip(U.generators, U.invariant_factors):
-                assert arith.mult_order(arith.Residue(g, N)) == d
+                assert arith.mult_order(g, N) == d
 
 
 class TestCrt:
@@ -182,21 +185,6 @@ class TestCrt:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError, match="moduli not coprime"):
             arith.crt([1, 2], [6, 9])
-
-
-class TestResidue:
-    def test_reduction(self):
-        r = arith.Residue(25, 11)
-        assert r.value == 3 and r.modulus == 11
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            arith.Residue(1, 0)
-
-    def test_pow_mul(self):
-        r = arith.Residue(2, 7)
-        assert (r ** 3).value == 1
-        assert (r * arith.Residue(5, 7)).value == 3
 
 
 # sha256 of f"{N}:{invariant_factors}:{generators}\n" over N = 1..2000

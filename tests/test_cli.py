@@ -410,7 +410,7 @@ class TestVerifyCommand:
             res.checks = 1
             res.fail("synthetic counterexample")
             return res
-        monkeypatch.setattr(cli.verify, "run_suite", broken)
+        monkeypatch.setattr(verify, "run_suite", broken)
         code = cli.main(["verify", "--suite", "hasse"])
         out = capsys.readouterr().out
         assert code == 1
