@@ -26,8 +26,7 @@ _EXPORTS = {
                     "Supercuspidal", "UnramifiedPS", "check_tower_additivity",
                     "h_char", "h_v", "m_extension", "m_single"),
     "qexp": ("CoefficientTable", "DirichletCharacter", "EllipticCurve",
-             "ModularFormData", "delta_form", "frobenius_data", "tau",
-             "twist_coefficients"),
+             "ModularFormData", "delta_form", "frobenius_data", "tau"),
     "splitting": ("AbelianField", "efg", "parse_field_spec", "ramified_set",
                   "rationals", "tower_places", "unramified_at_p_reduction"),
     "transition": ("InvariantRecord", "TransitionReport", "compose",

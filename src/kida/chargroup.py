@@ -98,26 +98,6 @@ class Character(Record):
         """Value logs on a generator list; equal tuples = equal on <gens>."""
         return tuple(self.value_log(g) for g in gens)
 
-    def mul(self, other: "Character") -> "Character":
-        if other.group != self.group:
-            raise ValueError("characters of different groups")
-        d = self.group.invariant_factors
-        return Character(self.group, tuple(
-            (a + b) % di for a, b, di in zip(self.exponents, other.exponents, d)))
-
-    def inverse(self) -> "Character":
-        d = self.group.invariant_factors
-        return Character(self.group, tuple(
-            (-a) % di for a, di in zip(self.exponents, d)))
-
-    def order(self) -> int:
-        o = 1
-        for c, di in zip(self.exponents, self.group.invariant_factors):
-            if c:
-                oc = di // math.gcd(c, di)
-                o = o * oc // math.gcd(o, oc)
-        return o
-
 
 def dual_group(G: FiniteAbelianGroup) -> list[Character]:
     """All |G| characters in lexicographic exponent order, trivial first."""
@@ -380,27 +360,39 @@ def subgroup_lattices(d):
     yield from walk(len(d) - 1, [])
 
 
-def subgroup_count(d, index: int) -> int:
-    """Number of subgroups of index ``index`` in Z^r / diag(d).
-
-    A subgroup is the product of its q-parts.  In an abelian q-group of
-    type lambda the subgroups of type mu number (Birkhoff 1934; Butler,
-    *Subgroup Lattices and Symmetric Functions*, 1994)
+def birkhoff_count(lam, mu, q: int) -> int:
+    """Number of subgroups of type ``mu`` in the abelian q-group of type
+    ``lam`` (partitions as descending sequences; Birkhoff 1934; Butler,
+    *Subgroup Lattices and Symmetric Functions*, 1994):
     prod_i q^(mu'_{i+1} (lambda'_i - mu'_i))
            [lambda'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_q,
-    with ' the conjugate partition; index q^v takes every mu inside lambda
-    with |mu| = |lambda| - v.
+    with ' the conjugate partition; 0 unless mu lies inside lambda.
     """
     def conj(part, i):
         return sum(1 for x in part if x >= i)
 
-    def gaussian(n, k, q):
+    def gaussian(n, k):
         num = den = 1
         for j in range(k):
             num *= q ** (n - j) - 1
             den *= q ** (j + 1) - 1
         return num // den
 
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+        return 0
+    return math.prod(q ** (conj(mu, i + 1) * (conj(lam, i) - conj(mu, i)))
+                     * gaussian(conj(lam, i) - conj(mu, i + 1),
+                                conj(mu, i) - conj(mu, i + 1))
+                     for i in range(1, max(lam, default=0) + 1))
+
+
+def subgroup_count(d, index: int) -> int:
+    """Number of subgroups of index ``index`` in Z^r / diag(d).
+
+    A subgroup is the product of its q-parts, and index q^v in a q-part
+    of type lambda takes every type mu inside lambda with
+    |mu| = |lambda| - v (``birkhoff_count``).
+    """
     order = math.prod(d)
     if order % index:
         return 0
@@ -408,13 +400,8 @@ def subgroup_count(d, index: int) -> int:
     for q, n in arith.factor(order):
         lam = sorted((arith.padic_val(x, q) for x in d if x % q == 0),
                      reverse=True)
-        count *= sum(
-            math.prod(q ** (conj(mu, i + 1) * (conj(lam, i) - conj(mu, i)))
-                      * gaussian(conj(lam, i) - conj(mu, i + 1),
-                                 conj(mu, i) - conj(mu, i + 1), q)
-                      for i in range(1, lam[0] + 1))
-            for mu in _partitions(n - arith.padic_val(index, q))
-            if len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam)))
+        count *= sum(birkhoff_count(lam, mu, q) for mu in
+                     _partitions(n - arith.padic_val(index, q)))
     return count
 
 

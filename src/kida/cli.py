@@ -3,14 +3,16 @@
 Subcommands: ``tau``, ``hv``, ``transition``, ``verify``.  Output is a
 deterministic key/value document (sorted keys, ``key = value`` per
 line); ``--json`` renders the same record as canonical JSON.  A config
-file supplies defaults with the same keys as the long flags; explicit
-flags win.  The environment variable KIDA_PRECISION overrides the
-series precision budget (default 2000, at most 10000; a larger budget
-exits 2 before any work).
+file supplies defaults for a command's single-value flags, keyed by the
+long flag's name and cast by its type; explicit flags win.  The
+environment variable KIDA_PRECISION overrides the series precision
+budget (default 2000, at most 10000; a larger budget exits 2 before any
+work).
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
 (mu != 0, precision, work bounds, missing local type for hv); 3
-malformed field or form specs; 4 missing local data in a transition.
+malformed field or form specs, flags or config values; 4 missing local
+data in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``arith`` and ``qexp`` and nothing it does not call.
@@ -24,8 +26,8 @@ import argparse
 import os
 import sys
 
-from .errors import (KidaError, MissingLocalType, NotASubfield, NotPPower,
-                     SpecParseError)
+from .errors import (BoundExceeded, KidaError, MissingLocalType,
+                     NotASubfield, NotPPower, SpecParseError)
 
 # argparse choices, equal to transition.KINDS and sorted(verify.SUITES)
 KIND_CHOICES = ("algebraic", "analytic", "plus", "minus")
@@ -63,19 +65,27 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, keys: dict[str, type]):
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """Config key -> (attribute, caster): the parser's single-value
+    options, named as their long flags, except ``--config`` itself."""
+    return {action.option_strings[0][2:]: (action.dest, action.type or str)
+            for action in parser._actions
+            if type(action) is argparse._StoreAction
+            and action.dest != "config"}
+
+
+def _apply_config(args: argparse.Namespace):
     """Fill unset options from the config file; flags override."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     conf = _read_config(args.config)
-    for key, caster in keys.items():
-        attr = "lam" if key == "lambda" else key.replace("-", "_")
-        if getattr(args, attr, None) is None and key in conf:
-            raw = conf[key]
-            if caster is bool:
-                setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, attr, caster(raw))
+    for key, (attr, caster) in args.config_keys.items():
+        if getattr(args, attr) is None and key in conf:
+            try:
+                setattr(args, attr, caster(conf[key]))
+            except ValueError:
+                raise SpecParseError(
+                    f"{args.config}: bad value {conf[key]!r} for {key}")
 
 
 def parse_form_spec(spec: str) -> qexp.ModularFormData:
@@ -107,9 +117,18 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
     raise SpecParseError(f"bad form spec {spec!r}")
 
 
-def _is_prime(n: int) -> bool:
+# --p and --ell are tested by trial division, which serves numbers up to
+# the conductor bound
+_PRIME_BOUND = 10 ** 12
+
+
+def _require_prime(flag: str, n: int, odd: bool = False):
     from .arith import is_prime
-    return is_prime(n)
+    if n > _PRIME_BOUND:
+        raise BoundExceeded(f"{flag} {n} beyond bound {_PRIME_BOUND}")
+    if not is_prime(n) or (odd and n == 2):
+        raise SpecParseError(f"{flag} must be an odd prime" if odd
+                             else f"{flag} must be prime")
 
 
 def _precision(args) -> int | None:
@@ -126,7 +145,6 @@ def _precision(args) -> int | None:
 
 def cmd_tau(args) -> int:
     from .qexp import tau
-    _apply_config(args, {"n": int, "mod": int})
     if args.n is None:
         raise SpecParseError("tau needs --n")
     if args.mod == 0:
@@ -144,14 +162,14 @@ def cmd_hv(args) -> int:
     from .localfactor import (Generic, UnramifiedPS, case_of,
                               describe_local_type, h_v, m_extension,
                               parse_local_type)
-    _apply_config(args, {"form": str, "p": int, "ell": int,
-                         "e": int, "ext": str})
     if args.form is None:
         raise SpecParseError("hv needs --form")
     if args.e is not None and args.e < 1:
         raise SpecParseError("--e must be >= 1")
-    if args.ell is not None and not _is_prime(args.ell):
-        raise SpecParseError("--ell must be prime")
+    if args.ell is not None:
+        _require_prime("--ell", args.ell)
+    if args.p is not None:
+        _require_prime("--p", args.p)
     spec = args.form.strip()
     record: dict[str, object] = {}
     if spec == "sc" or any(spec.startswith(pre) for pre in
@@ -163,8 +181,6 @@ def cmd_hv(args) -> int:
         form = parse_form_spec(spec)
         if args.p is None or args.ell is None:
             raise SpecParseError("hv with a form spec needs --p and --ell")
-        if not _is_prime(args.p):
-            raise SpecParseError("--p must be prime")
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
         from .qexp import frobenius_data
@@ -220,15 +236,12 @@ def _parse_local_overrides(items, p: int) -> dict[int, object]:
 def cmd_transition(args) -> int:
     from .splitting import parse_field_spec
     from .transition import KINDS, InvariantRecord, transition
-    _apply_config(args, {"form": str, "p": int, "base": str, "ext": str,
-                         "lambda": int, "mu": int, "kind": str})
     for name in ("p", "base", "ext"):
         if getattr(args, name) is None:
             raise SpecParseError(f"transition needs --{name}")
     if args.lam is None or args.mu is None:
         raise SpecParseError("transition needs --lambda and --mu")
-    if args.p == 2 or not _is_prime(args.p):
-        raise SpecParseError("--p must be an odd prime")
+    _require_prime("--p", args.p, odd=True)
     kind = args.kind or "algebraic"
     if kind not in KINDS:
         raise SpecParseError(f"kind must be one of {KINDS}")
@@ -254,7 +267,6 @@ def cmd_transition(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_suite
-    _apply_config(args, {"suite": str, "seed": int, "size": int})
     if args.suite is None:
         raise SpecParseError("verify needs --suite")
     result = run_suite(args.suite, seed=args.seed or 0,
@@ -277,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mod", type=int)
     t.add_argument("--config")
     t.add_argument("--json", action="store_true")
-    t.set_defaults(handler=cmd_tau)
+    t.set_defaults(handler=cmd_tau, config_keys=_config_keys(t))
 
     h = sub.add_parser("hv", help="local table value at a ramified prime")
     h.add_argument("--form")
@@ -287,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--ext")
     h.add_argument("--config")
     h.add_argument("--json", action="store_true")
-    h.set_defaults(handler=cmd_hv)
+    h.set_defaults(handler=cmd_hv, config_keys=_config_keys(h))
 
     tr = sub.add_parser("transition",
                         help="transport (mu, lambda) along a p-extension")
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--assert-hypotheses", action="store_true")
     tr.add_argument("--config")
     tr.add_argument("--json", action="store_true")
-    tr.set_defaults(handler=cmd_transition)
+    tr.set_defaults(handler=cmd_transition, config_keys=_config_keys(tr))
 
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", choices=SUITE_CHOICES)
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--size", type=int)
     v.add_argument("--config")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(handler=cmd_verify)
+    v.set_defaults(handler=cmd_verify, config_keys=_config_keys(v))
     return ap
 
 
@@ -325,6 +337,7 @@ _EXIT_CODES: list[tuple[type, int]] = [
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _apply_config(args)
         return args.handler(args)
     except KidaError as exc:
         print(f"error: {exc}", file=sys.stderr)

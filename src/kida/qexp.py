@@ -4,8 +4,8 @@ Coefficient sources: the weight-12 level-1 cusp form (eta-product),
 elliptic curves over Q via naive point counting, and user tables of
 prime-indexed eigenvalues.  Only forms with rational-integer
 coefficients are supported natively, so reduction "mod pi" is reduction
-mod p throughout.  Twists by Dirichlet characters land in a minimal
-exact root-of-unity model (CycValue); nothing is ever a float.
+mod p throughout; nothing is ever a float.  Dirichlet characters carry
+their conductors, which count the characters ramified at each prime.
 """
 
 from __future__ import annotations
@@ -249,39 +249,6 @@ class ModularFormData(Record):
         except KeyError:
             raise MissingCoefficient(f"nebentypus table has no value at {ell}")
 
-    def a_coefficient(self, n: int, precision: int | None = None) -> int:
-        """a_n for general n via multiplicativity and the Hecke recursion.
-
-        Prime-power recursion a_{l^(r+1)} = a_l a_{l^r} - l^(k-1) eps(l)
-        a_{l^(r-1)} needs the exact nebentypus value, so composite indices
-        with a nontrivial nebentypus are rejected.
-        """
-        if n < 1:
-            raise ValueError("coefficient index must be >= 1")
-        if isinstance(self.source, _DeltaSource):
-            return tau(n, precision)
-        if n == 1:
-            return 1
-        fac = arith.factor(n)
-        if any(e > 1 for _, e in fac) and self.nebentypus is not None:
-            raise MissingCoefficient(
-                "exact prime-power recursion needs a trivial nebentypus")
-        out = 1
-        for ell, e in fac:
-            a1 = self.a_prime(ell, precision)
-            if e == 1:
-                out *= a1
-                continue
-            if self.level % ell == 0:
-                out *= a1 ** e
-                continue
-            c = ell ** (self.weight - 1)
-            prev, cur = 1, a1
-            for _ in range(e - 1):
-                prev, cur = cur, a1 * cur - c * prev
-            out *= cur
-        return out
-
 
 def delta_form() -> ModularFormData:
     return ModularFormData(weight=12, level=1, source=DELTA_SOURCE)
@@ -314,68 +281,14 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
     return a, c
 
 
-# -- Dirichlet characters and twists --------------------------------------
-
-class CycValue(Record):
-    """Exact scalar a * zeta_m^k (zeta_m = primitive m-th root of unity).
-
-    Normalized so that m is minimal: gcd(k, m) is cancelled, m = 1 for
-    rational values and the sign of zeta_2 is folded into ``a``.
-    """
-
-    __slots__ = ("a", "k", "m")
-
-    def __init__(self, a: int, k: int = 0, m: int = 1):
-        if m < 1:
-            raise ValueError("root order must be >= 1")
-        if a == 0:
-            k, m = 0, 1
-        else:
-            k %= m
-            if k == 0:
-                m = 1
-            else:
-                g = math.gcd(k, m)
-                k //= g
-                m //= g
-            if m == 2:          # zeta_2 = -1 folds into the sign
-                a, k, m = -a, 0, 1
-        self._fill(a, k, m)
-
-    def is_zero(self) -> bool:
-        return self.a == 0
-
-    def is_rational(self) -> bool:
-        return self.m == 1
-
-    def rational(self) -> int:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.a
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycValue(self.a * other, self.k, self.m)
-        m = self.m * other.m // math.gcd(self.m, other.m)
-        k = self.k * (m // self.m) + other.k * (m // other.m)
-        return CycValue(self.a * other.a, k, m)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CycValue":
-        return CycValue(self.a, -self.k % self.m if self.m > 1 else 0, self.m)
-
-    def __repr__(self):
-        if self.m == 1:
-            return f"{self.a}"
-        return f"{self.a}*zeta{self.m}^{self.k}"
-
+# -- Dirichlet characters and their conductors ----------------------------
 
 class DirichletCharacter:
     """Dirichlet character presented modulo N via the unit group's
-    invariant-factor coordinates; evaluation uses the primitive character
-    attached to its conductor.  ``character`` is a ``chargroup.Character``
-    of a group with the invariant factors of (Z/N)^*."""
+    invariant-factor coordinates, with its conductor: the primes that
+    divide the conductor are the primes where the character ramifies.
+    ``character`` is a ``chargroup.Character`` of a group with the
+    invariant factors of (Z/N)^*."""
 
     def __init__(self, modulus: int, character):
         self.modulus = modulus
@@ -393,11 +306,6 @@ class DirichletCharacter:
         U = arith.unit_group(modulus)
         G = FiniteAbelianGroup(U.invariant_factors)
         return cls(modulus, Character(G, tuple(exponents)))
-
-    @classmethod
-    def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
-        U = arith.unit_group(modulus)
-        return cls.from_exponents(modulus, (0,) * len(U.invariant_factors))
 
     def _value_log_unit(self, y: int) -> int:
         return self.character.value_log(self.group.log(y))
@@ -418,38 +326,3 @@ class DirichletCharacter:
             elif any(s > 1 for s in sign):
                 cond *= 4
         return cond
-
-    def order(self) -> int:
-        return self.character.order()
-
-    def value(self, n: int) -> CycValue:
-        """chi(n) in the exact root-of-unity model; 0 off the conductor."""
-        if math.gcd(n, self.conductor) != 1:
-            return CycValue(0)
-        # Lift n to a unit mod N agreeing with n modulo the conductor.
-        res, mods = [], []
-        for q, e in arith.factor(self.modulus):
-            qe = q ** e
-            res.append(n % qe if self.conductor % q == 0 else 1)
-            mods.append(qe)
-        y = arith.crt(res, mods) if mods else 0
-        if self.modulus == 1:
-            return CycValue(1)
-        lg = self._value_log_unit(y)
-        E = self.character.group.exponent if self.character.group.rank else 1
-        return CycValue(1, lg, E)
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, self.character.inverse())
-
-    def is_trivial(self) -> bool:
-        return self.character.is_trivial()
-
-
-def twist_coefficients(f: ModularFormData, psi: DirichletCharacter,
-                       n: int, precision: int | None = None) -> CycValue:
-    """a_n * psi(n) in the exact model; zero when n meets the conductor."""
-    v = psi.value(n)
-    if v.is_zero():
-        return CycValue(0)
-    return v * f.a_coefficient(n, precision)

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from kida import chargroup as cg
+from kida import arith, chargroup as cg
 from kida.intlinalg import hnf
 from kida.errors import SubgroupMismatch
 
@@ -21,13 +23,6 @@ class TestDualGroup:
         chars = cg.dual_group(G)
         assert len(chars) == 8 == len(set(chars))
         assert chars[0].is_trivial()
-
-    def test_closed_under_product(self):
-        G = cg.FiniteAbelianGroup((2, 6))
-        chars = set(cg.dual_group(G))
-        for a in chars:
-            for b in chars:
-                assert a.mul(b) in chars
 
     def test_lex_order(self):
         G = cg.FiniteAbelianGroup((2, 6))
@@ -208,6 +203,37 @@ class TestSubgroups:
                     if G.order % index == 0 else 0
                 assert cg.subgroup_count(G.invariant_factors, index) == \
                     want, (G.invariant_factors, index)
+
+    def test_birkhoff_count_per_type(self):
+        # each subgroup's type, read off its element orders: the elements
+        # of q-order <= q^k number |H_q'| * q^(mu'_1 + ... + mu'_k), so
+        # successive ratios give the conjugate partition mu'
+        def q_type(H, q):
+            d = H.group.invariant_factors
+            vals = [max(arith.padic_val(di // math.gcd(g, di), q)
+                        for g, di in zip(h, d)) for h in H.elements()]
+            counts = [sum(v <= k for v in vals) for k in range(max(vals) + 1)]
+            conj = [arith.padic_val(b // a, q)
+                    for a, b in zip(counts, counts[1:])]
+            return tuple(sum(c >= j for c in conj)
+                         for j in range(1, max(conj, default=0) + 1))
+
+        def inside(lam):
+            return [tuple(x for x in mu if x) for mu in
+                    itertools.product(*(range(x + 1) for x in lam))
+                    if list(mu) == sorted(mu, reverse=True)]
+
+        for G in cg.abelian_groups_upto(96):
+            d = G.invariant_factors
+            primes = [q for q, _ in arith.factor(G.order)]
+            lams = [tuple(sorted((arith.padic_val(x, q) for x in d
+                                  if x % q == 0), reverse=True))
+                    for q in primes]
+            found = Counter(tuple(q_type(H, q) for q in primes)
+                            for H in cg.subgroups(G))
+            want = {mus: math.prod(map(cg.birkhoff_count, lams, mus, primes))
+                    for mus in itertools.product(*map(inside, lams))}
+            assert found == want, d
 
     def test_birkhoff_count_large(self):
         # (Z/111546435)^*: the walk over its index-16 lattices visited

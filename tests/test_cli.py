@@ -21,9 +21,13 @@ def run_cli(*argv, env_extra=None, timeout=120):
 
 TRANSITION_23 = ("transition", "--form", "delta", "--base", "Q", "--ext",
                  "cyclotomic:23:degree=11", "--lambda", "1", "--mu", "0")
-# inputs that once hung (generic with p = 1) or ended in a traceback
-# with exit code 1; each is a malformed input, so exit 3
-BAD_INPUTS = [
+EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
+# Hostile inputs, one row each: argv, extra environment, documented exit
+# code.  Each once hung, ran without bound, passed vacuously or ended in a
+# traceback.  CONFIG stands for a config file whose values are malformed.
+BAD_CONFIG = "n = abc\np = seven\nsize = big\n"
+HOSTILE_INPUTS = [(argv, None, 3) for argv in [
+    # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
     ("transition", "--form", "delta", "--p", "1", "--base", "Q", "--ext",
      "cyclotomic:13:degree=1", "--lambda", "0", "--mu", "0",
@@ -40,14 +44,68 @@ BAD_INPUTS = [
     TRANSITION_23 + ("--mu", "-1", "--p", "11"),
     TRANSITION_23 + ("--lambda", "-1", "--p", "11"),
     ("hv", "--form", "delta", "--p", "11", "--ell", "11", "--e", "11"),
+    ("hv", "--form", "ups:a=1,c=1", "--p", "4", "--e", "4"),
+    ("hv", "--form", "sc", "--p", "4", "--e", "4"),
+    ("tau", "--config", "CONFIG"),
+    ("hv", "--form", "sc", "--e", "5", "--config", "CONFIG"),
+    ("verify", "--suite", "hasse", "--config", "CONFIG"),
+    ("verify", "--suite", "hasse", "--size", "0"),
+    ("verify", "--suite", "hasse", "--size", "-1"),
+    ("verify", "--suite", "tower-additivity", "--size", "0"),
+    ("verify", "--suite", "group-identity", "--size", "0"),
+]] + [(argv, None, 2) for argv in [
+    # past a work bound: exit 2
+    ("verify", "--suite", "hasse", "--size", "8001"),
+    ("verify", "--suite", "hasse", "--size", "100000"),
+    ("verify", "--suite", "tower-additivity", "--size", "2198"),
+    ("verify", "--suite", "group-identity", "--size", "201"),
+    TRANSITION_23[:6] + ("cyclotomic:1000000000039:gens=2",)
+    + TRANSITION_23[7:] + ("--p", "11"),
+    ("hv", "--form", EC_11, "--p", "5", "--ell", "100003", "--e", "5"),
+    # 2^61 - 1: primality by trial division would take minutes
+    ("hv", "--form", "sc", "--p", str(2 ** 61 - 1), "--e", "5"),
+    ("hv", "--form", "delta", "--p", "11", "--ell", str(2 ** 61 - 1),
+     "--e", "11"),
+    TRANSITION_23 + ("--p", str(2 ** 61 - 1)),
+]] + [
+    (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
-def test_bad_input_is_a_typed_error(argv):
-    code, out, err = run_cli(*argv)
-    assert code == 3 and out == ""
+def _case_id(case):
+    argv, env, _ = case
+    return " ".join([f"{k}={v}" for k, v in (env or {}).items()] + list(argv))
+
+
+@pytest.mark.parametrize("argv, env, code", HOSTILE_INPUTS,
+                         ids=list(map(_case_id, HOSTILE_INPUTS)))
+def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
+    config = tmp_path / "bad.conf"
+    config.write_text(BAD_CONFIG, encoding="ascii")
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    got, out, err = run_cli(*argv, env_extra=env, timeout=10)
+    assert got == code and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_keys_are_the_single_value_options():
+    parser = cli.build_parser()
+    keys = {cmd: set(parser.parse_args([cmd]).config_keys)
+            for cmd in ("tau", "hv", "transition", "verify")}
+    assert keys == {
+        "tau": {"n", "mod"},
+        "hv": {"form", "p", "ell", "e", "ext"},
+        "transition": {"form", "p", "base", "ext", "lambda", "mu", "kind"},
+        "verify": {"suite", "seed", "size"},
+    }
+
+
+def test_bad_config_value_names_key_and_file(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("n = abc\n", encoding="ascii")
+    assert cli.main(["tau", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {config}: bad value 'abc' for n\n")
 
 
 @pytest.mark.parametrize("spec", [

@@ -60,7 +60,6 @@ CASES = {
     "ModularFormData": (qexp.delta_form(),
                         "ModularFormData(weight=12, level=1, source=Delta, "
                         "nebentypus=None, ordinary_at_p=None)"),
-    "CycValue": (qexp.CycValue(3, 4, 6), "3*zeta3^2"),
     "PlaceData": (sp.efg(F23, 23),
                   "PlaceData(ell=23, e=11, f=1, g=1, degree=11)"),
     "TowerPlaceData": (sp.tower_places(F23, 1123, 11),
@@ -150,7 +149,7 @@ def test_record_semantics(name):
 
 @pytest.mark.parametrize("name", ["FiniteAbelianGroup", "Character",
                                   "RamifiedPS", "Generic", "EllipticCurve",
-                                  "CycValue", "InvariantRecord"])
+                                  "InvariantRecord"])
 def test_pickle_round_trip(name):
     record = CASES[name][0]
     assert pickle.loads(pickle.dumps(record)) == record
@@ -177,25 +176,6 @@ def test_normalisation_in_constructors():
     assert lf.TwistCharacter(9, 13).exponent == 4
     assert lf.TwistCharacter(9, -1) == lf.TwistCharacter(9, 8)
     assert lf.TwistCharacter(1, 5).is_trivial()
-
-
-@pytest.mark.parametrize("args, expected", [
-    ((0, 3, 5), (0, 0, 1)),      # zero forgets its root
-    ((3, 4, 6), (3, 2, 3)),      # gcd(k, m) cancelled
-    ((5, 3, 6), (-5, 0, 1)),     # zeta_2 folds into the sign
-    ((2, 6, 6), (2, 0, 1)),      # k = 0 mod m is rational
-    ((7, -1, 4), (7, 3, 4)),
-    ((7,), (7, 0, 1)),
-])
-def test_cyc_value_normal_form(args, expected):
-    v = qexp.CycValue(*args)
-    assert (v.a, v.k, v.m) == expected
-    assert v == qexp.CycValue(*expected)
-
-
-def test_cyc_value_rejects_bad_root_order():
-    with pytest.raises(ValueError):
-        qexp.CycValue(1, 0, 0)
 
 
 def test_local_char_data_defaults():

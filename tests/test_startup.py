@@ -44,13 +44,16 @@ def kida_modules(names):
     (["tau", "--n", "23"], {"kida.arith", "kida.qexp"}),
     (["tau", "--n", "23", "--mod", "11", "--json"],
      {"kida.arith", "kida.qexp"}),
-    (["hv", "--form", "sc", "--p", "5", "--e", "5"], {"kida.localfactor"}),
+    # --p is checked for primality, which loads arith
+    (["hv", "--form", "sc", "--p", "5", "--e", "5"],
+     {"kida.localfactor", "kida.arith"}),
     (["hv", "--form", "ups:a=2,c=1", "--p", "5", "--e", "5"],
-     {"kida.localfactor"}),
+     {"kida.localfactor", "kida.arith"}),
     (["verify", "--suite", "path-agreement"],
      {"kida.verify", "kida.localfactor"}),
     (["verify", "--suite", "hasse", "--size", "30"],
      {"kida.verify", "kida.qexp", "kida.arith"}),
+    (["hv", "--form", "sc", "--e", "5"], {"kida.localfactor"}),
 ])
 def test_light_commands_load_exactly(argv, expected):
     names, code = loaded(*argv)

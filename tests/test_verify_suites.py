@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from kida import chargroup, cli, verify
-from kida.errors import KidaError
+from kida.errors import BoundExceeded, KidaError, SpecParseError
 
 GROUP_IDENTITY_DOC = """checks = {checks}
 param.max_order = {size}
@@ -139,11 +139,36 @@ class TestRunSuite:
         res = verify.run_suite("group-identity", size=12)
         assert res.params["max_order"] == 12
 
-    @pytest.mark.parametrize("size", [None, 0])
+    @pytest.mark.parametrize("size", [None])
     def test_unset_size_keeps_the_suite_default(self, size):
         assert verify.run_suite("hasse", size=size).params["bound"] == 100
         res = verify.run_suite("tower-additivity", size=size)
         assert res.params["max_size"] == 27
+
+    @pytest.mark.parametrize("name, size, error", [
+        ("hasse", 0, SpecParseError),
+        ("tower-additivity", -1, SpecParseError),
+        ("group-identity", 0, SpecParseError),
+        ("group-identity", 201, BoundExceeded),
+        ("tower-additivity", 2198, BoundExceeded),
+        ("hasse", 8001, BoundExceeded),
+    ])
+    def test_size_out_of_range_is_refused(self, name, size, error,
+                                          monkeypatch):
+        def must_not_run(**kw):
+            raise AssertionError(f"suite ran with {kw}")
+
+        monkeypatch.setattr(verify, verify.SUITES[name][0], must_not_run)
+        with pytest.raises(error):
+            verify.run_suite(name, size=size)
+
+    @pytest.mark.parametrize("name", ["group-identity", "tower-additivity",
+                                      "hasse"])
+    def test_largest_size_is_accepted(self, name, monkeypatch):
+        suite, keyword, largest = verify.SUITES[name]
+        monkeypatch.setattr(verify, suite, lambda **kw: kw)
+        assert verify.run_suite(name, size=largest) == {"seed": 0,
+                                                        keyword: largest}
 
     def test_path_agreement_ignores_size(self):
         res = verify.run_suite("path-agreement", seed=2, size=5)
