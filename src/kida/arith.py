@@ -11,7 +11,7 @@ solves there by Pohlig-Hellman, one base-rho digit at a time by
 baby-step giant-step, in O(sqrt(rho)) memory (Cohen, *A Course in
 Computational Algebraic Number Theory*, 1.4).  Everything is plain
 Python int arithmetic, so there is no overflow to detect; inputs are
-desk-scale (factorization targets up to ~10^12).
+desk-scale (``factor`` refuses targets above FACTOR_BOUND = 10^14).
 """
 
 from __future__ import annotations
@@ -20,13 +20,18 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import NotAUnit, ZeroInput
+from .errors import BoundExceeded, NotAUnit, ZeroInput
+
+FACTOR_BOUND = 10 ** 14
 
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, ascending primes."""
+    """Prime factorization of n >= 1 by trial division, ascending primes;
+    BoundExceeded past FACTOR_BOUND."""
     if n < 1:
         raise ValueError("factor() needs n >= 1")
+    if n > FACTOR_BOUND:
+        raise BoundExceeded(f"{n} beyond the trial-division bound 10^14")
     return list(_factor(n))
 
 

@@ -84,9 +84,6 @@ class Character(Record):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "exponents", exponents)
 
-    def is_trivial(self) -> bool:
-        return not any(self.exponents)
-
     def value_log(self, element) -> int:
         """log base zeta_e of the character value at ``element``."""
         e = self.group.exponent
@@ -167,10 +164,6 @@ class RepMultiset:
             if m:
                 agg[chi] = agg.get(chi, 0) + m
         self.entries = agg
-
-    @property
-    def dim(self) -> int:
-        return sum(self.entries.values())
 
 
 def multiplicity(W: RepMultiset, chi: Character,

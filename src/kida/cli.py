@@ -11,8 +11,9 @@ work).
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
 (mu != 0, precision, work bounds, missing local type for hv); 3
-malformed field or form specs, flags or config values; 4 missing local
-data in a transition.
+malformed field or form specs, flags or config values, and config or
+table files that are missing, unreadable, not ASCII or malformed; 4
+missing local data in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``arith`` and ``qexp`` and nothing it does not call.
@@ -50,25 +51,36 @@ def _render(mapping: dict, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+def _read_text(path: str) -> str:
+    """Text of a config or table file; a file that cannot be read as
+    ASCII is a spec error naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SpecParseError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise SpecParseError(f"{path}: not ASCII text")
+
+
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecParseError(
-                    f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SpecParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple]:
-    """Config key -> (attribute, caster): the parser's single-value
+    """Config key -> (attribute, caster, choices): the parser's single-value
     options, named as their long flags, except ``--config`` itself."""
-    return {action.option_strings[0][2:]: (action.dest, action.type or str)
+    return {action.option_strings[0][2:]:
+            (action.dest, action.type or str, action.choices)
             for action in parser._actions
             if type(action) is argparse._StoreAction
             and action.dest != "config"}
@@ -79,18 +91,21 @@ def _apply_config(args: argparse.Namespace):
     if not args.config:
         return
     conf = _read_config(args.config)
-    for key, (attr, caster) in args.config_keys.items():
+    for key, (attr, caster, choices) in args.config_keys.items():
         if getattr(args, attr) is None and key in conf:
             try:
-                setattr(args, attr, caster(conf[key]))
+                value = caster(conf[key])
+                if choices is not None and value not in choices:
+                    raise ValueError
             except ValueError:
                 raise SpecParseError(
                     f"{args.config}: bad value {conf[key]!r} for {key}")
+            setattr(args, attr, value)
 
 
 def parse_form_spec(spec: str) -> qexp.ModularFormData:
     """``delta`` | ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``"""
-    from .qexp import (EllipticCurve, delta_form, ec_form, load_table,
+    from .qexp import (EllipticCurve, delta_form, ec_form, parse_table,
                        table_form)
     s = spec.strip()
     if s == "delta":
@@ -113,7 +128,7 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
             raise SpecParseError("curve is singular (discriminant 0)")
         return ec_form(curve)
     if s.startswith("table:"):
-        return table_form(load_table(s[len("table:"):]))
+        return table_form(parse_table(_read_text(s[len("table:"):])))
     raise SpecParseError(f"bad form spec {spec!r}")
 
 
@@ -235,22 +250,19 @@ def _parse_local_overrides(items, p: int) -> dict[int, object]:
 
 def cmd_transition(args) -> int:
     from .splitting import parse_field_spec
-    from .transition import KINDS, InvariantRecord, transition
+    from .transition import InvariantRecord, transition
     for name in ("p", "base", "ext"):
         if getattr(args, name) is None:
             raise SpecParseError(f"transition needs --{name}")
     if args.lam is None or args.mu is None:
         raise SpecParseError("transition needs --lambda and --mu")
     _require_prime("--p", args.p, odd=True)
-    kind = args.kind or "algebraic"
-    if kind not in KINDS:
-        raise SpecParseError(f"kind must be one of {KINDS}")
     base_field = parse_field_spec(args.base)
     ext_field = parse_field_spec(args.ext)
     form = parse_form_spec(args.form) if args.form else None
     lam = args.lam if args.mu == 0 else None
     try:
-        base = InvariantRecord(kind, args.mu, lam)
+        base = InvariantRecord(args.kind or "algebraic", args.mu, lam)
     except ValueError as exc:   # negative mu or lambda
         raise SpecParseError(str(exc))
     overrides = _parse_local_overrides(args.local, args.p)
@@ -345,9 +357,6 @@ def main(argv=None) -> int:
             if isinstance(exc, klass):
                 return code
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ class BadReduction(KidaError):
 
 class BoundExceeded(KidaError):
     """Input beyond a supported work bound: a point-counting prime, a
-    field conductor, a precision budget or a verify suite size."""
+    conductor, a number to factor, a precision budget or a suite size."""
 
 
 class RamifiedLevel(KidaError):

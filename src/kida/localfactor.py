@@ -135,11 +135,6 @@ class TwistCharacter(Record):
     def is_trivial(self) -> bool:
         return self.exponent == 0
 
-    def order(self) -> int:
-        if self.exponent == 0:
-            return 1
-        return self.degree // math.gcd(self.exponent, self.degree)
-
 
 TRIVIAL_TWIST = TwistCharacter(1, 0)
 
@@ -285,9 +280,7 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
     contributes-zero convention, characters restrict by inertia order,
     and generic data restricts through its character-multiset model.
     """
-    if degree == 1:
-        return V
-    if isinstance(V, (UnramifiedPS, Supercuspidal)):
+    if degree == 1 or isinstance(V, (UnramifiedPS, Supercuspidal)):
         return V
     if isinstance(V, Special):
         return Special(V.phi.restricted(degree))

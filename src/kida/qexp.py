@@ -98,9 +98,6 @@ class EllipticCurve(Record):
         return (-b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2
                 + 9 * b2 * b4 * b6)
 
-    def bad_primes(self) -> list[int]:
-        return [p for p, _ in arith.factor(abs(self.discriminant()))]
-
     def count_points(self, ell: int) -> int:
         """#E(F_ell) including the point at infinity, good reduction only."""
         if ell > EC_PRIME_BOUND:
@@ -147,9 +144,17 @@ class CoefficientTable(Record):
                      tuple(sorted(self.ap.items()))))
 
 
+def _ints(lineno: int, *fields: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise SpecParseError(f"line {lineno}: expected integers")
+
+
 def parse_table(text: str) -> CoefficientTable:
-    """Parse the table file format: header ``weight k level N`` then
-    one ``ell a_ell`` record per line; ``#`` starts a comment."""
+    """Parse the table file format: header ``weight k level N`` (k >= 2,
+    N >= 1) then one ``ell a_ell`` record per line; ``#`` starts a
+    comment.  Anything else raises SpecParseError."""
     header = None
     ap: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -162,11 +167,14 @@ def parse_table(text: str) -> CoefficientTable:
                     or parts[2] != "level"):
                 raise SpecParseError(
                     f"line {lineno}: expected header 'weight k level N'")
-            header = (int(parts[1]), int(parts[3]))
+            header = _ints(lineno, parts[1], parts[3])
+            if header[0] < 2 or header[1] < 1:
+                raise SpecParseError(
+                    f"line {lineno}: need weight >= 2 and level >= 1")
             continue
         if len(parts) != 2:
             raise SpecParseError(f"line {lineno}: expected 'ell a_ell'")
-        ell, a = int(parts[0]), int(parts[1])
+        ell, a = _ints(lineno, *parts)
         if not arith.is_prime(ell):
             raise SpecParseError(f"line {lineno}: index {ell} is not prime")
         if ell in ap:
@@ -175,11 +183,6 @@ def parse_table(text: str) -> CoefficientTable:
     if header is None:
         raise SpecParseError("missing 'weight k level N' header")
     return CoefficientTable(weight=header[0], level=header[1], ap=ap)
-
-
-def load_table(path) -> CoefficientTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_table(fh.read())
 
 
 # -- modular form data ----------------------------------------------------
@@ -193,17 +196,15 @@ DELTA_SOURCE = _DeltaSource()
 
 
 class ModularFormData(Record):
-    """Weight, level, nebentypus and an exact coefficient source.
+    """Weight, level and an exact coefficient source.
 
-    nebentypus: None for the trivial character, else a dict of values
-    mod p keyed by prime (only reductions mod p are ever consumed).
+    Every source (the eta-product, a curve over Q, a table) has trivial
+    character, so the Frobenius determinant at ell is ell^(k-1).
     """
 
-    __slots__ = ("weight", "level", "source", "nebentypus", "ordinary_at_p")
+    __slots__ = ("weight", "level", "source")
 
-    def __init__(self, weight: int, level: int, source: object,
-                 nebentypus: dict[int, int] | None = None,
-                 ordinary_at_p: bool | None = None):
+    def __init__(self, weight: int, level: int, source: object):
         if weight < 2 or level < 1:
             raise ValueError("need weight >= 2 and level >= 1")
         if isinstance(source, _DeltaSource):
@@ -211,7 +212,7 @@ class ModularFormData(Record):
                 raise ValueError("eta-product source forces weight 12, level 1")
         if isinstance(source, EllipticCurve) and weight != 2:
             raise ValueError("elliptic-curve source forces weight 2")
-        self._fill(weight, level, source, nebentypus, ordinary_at_p)
+        self._fill(weight, level, source)
 
     def describe(self) -> str:
         if isinstance(self.source, _DeltaSource):
@@ -222,16 +223,11 @@ class ModularFormData(Record):
                     f"a4={e.a4},a6={e.a6}")
         return f"table:weight={self.weight},level={self.level}"
 
-    # coefficient access ------------------------------------------------
-
     def a_prime(self, ell: int, precision: int | None = None) -> int:
-        """Exact eigenvalue a_ell for prime ell."""
+        """Exact eigenvalue a_ell for a prime ell not dividing the level."""
         if isinstance(self.source, _DeltaSource):
             return tau(ell, precision)
         if isinstance(self.source, EllipticCurve):
-            if self.source.discriminant() % ell == 0:
-                raise MissingCoefficient(
-                    f"a_{ell} at a bad-reduction prime needs a table entry")
             return self.source.ap(ell)
         if isinstance(self.source, CoefficientTable):
             try:
@@ -240,24 +236,14 @@ class ModularFormData(Record):
                 raise MissingCoefficient(f"table has no entry for {ell}")
         raise TypeError(f"unknown source {self.source!r}")
 
-    def epsilon_mod(self, ell: int, p: int) -> int:
-        """Nebentypus value at ell reduced mod p (trivial character: 1)."""
-        if self.nebentypus is None:
-            return 1 % p
-        try:
-            return self.nebentypus[ell] % p
-        except KeyError:
-            raise MissingCoefficient(f"nebentypus table has no value at {ell}")
-
 
 def delta_form() -> ModularFormData:
     return ModularFormData(weight=12, level=1, source=DELTA_SOURCE)
 
 
 def ec_form(curve: EllipticCurve) -> ModularFormData:
-    level = 1
-    for p in curve.bad_primes():
-        level *= p
+    """Level: the product of the primes dividing the discriminant."""
+    level = math.prod(q for q, _ in arith.factor(abs(curve.discriminant())))
     return ModularFormData(weight=2, level=level, source=curve)
 
 
@@ -268,7 +254,7 @@ def table_form(table: CoefficientTable) -> ModularFormData:
 
 def frobenius_data(f: ModularFormData, ell: int, p: int,
                    precision: int | None = None) -> tuple[int, int]:
-    """(a_ell mod p, ell^(k-1) eps(ell) mod p) for unramified primes."""
+    """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np."""
     if not arith.is_prime(ell) or not arith.is_prime(p):
         raise ValueError("ell and p must be prime")
     if ell == p:
@@ -276,9 +262,7 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
     if f.level % ell == 0:
         raise RamifiedLevel(f"{ell} divides the level {f.level}; "
                             "supply a local type instead")
-    a = f.a_prime(ell, precision) % p
-    c = (pow(ell, f.weight - 1, p) * f.epsilon_mod(ell, p)) % p
-    return a, c
+    return f.a_prime(ell, precision) % p, pow(ell, f.weight - 1, p)
 
 
 # -- Dirichlet characters and their conductors ----------------------------

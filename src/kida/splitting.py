@@ -50,15 +50,11 @@ class AbelianField:
         """[F : Q] = index of H in the unit group."""
         return self._lattice.det() if self.unit_group.rank else 1
 
-    def is_rationals(self) -> bool:
-        return self.degree == 1
-
     def spec_string(self) -> str:
         if self.degree == 1:
             return "Q"
         gens = ",".join(str(g) for g in self.subgroup_gens)
-        return f"cyclotomic:{self.conductor}:gens={gens}" if gens else \
-            f"cyclotomic:{self.conductor}:gens="
+        return f"cyclotomic:{self.conductor}:gens={gens}"
 
     def __repr__(self):
         return (f"AbelianField(conductor={self.conductor}, "
@@ -67,11 +63,6 @@ class AbelianField:
 
 def rationals() -> AbelianField:
     return AbelianField(1)
-
-
-def cyclotomic_field(N: int) -> AbelianField:
-    """Q(zeta_N): trivial subgroup."""
-    return AbelianField(N, ())
 
 
 def _reduction_matrix(M_group: arith.UnitGroup, N: int) -> list[list[int]]:

@@ -198,7 +198,6 @@ def transition(*, p: int,
     Frobenius data away from the level, and from ``local_types``
     overrides at primes dividing the level.
     """
-    kind = base.kind
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(
             "transition formula needs mu = 0 (and a lambda) on input; "
@@ -217,16 +216,6 @@ def transition(*, p: int,
         warnings.append(
             "standard hypotheses not asserted by the caller; the formula "
             "is applied formally")
-    if form is not None and form.ordinary_at_p is not None:
-        signed = kind in ("plus", "minus")
-        if signed and form.ordinary_at_p:
-            warnings.append(
-                "signed invariants requested for a form flagged ordinary "
-                "at p")
-        if not signed and not form.ordinary_at_p:
-            warnings.append(
-                f"{kind} route requested for a form flagged supersingular "
-                f"at p")
     places = []
     for entry in sorted(rs.entries, key=lambda ent: ent.ell):
         V, origin = _resolve_local_type(entry.ell, p, form, local_types,
@@ -248,9 +237,9 @@ def transition(*, p: int,
             type_spec=localfactor.describe_local_type(V), local_type=V))
     lam_out = rs.degree * base.lam + sum(rep.contribution for rep in places)
     hypotheses = tuple((name, assert_hypotheses)
-                       for name in HYPOTHESIS_NAMES[kind])
+                       for name in HYPOTHESIS_NAMES[base.kind])
     return TransitionReport(
-        kind=kind, p=p,
+        kind=base.kind, p=p,
         form=form.describe() if form is not None else "local-types-only",
         base_spec=base_field.spec_string(), ext_spec=ext_field.spec_string(),
         base_field=base_red, ext_field=ext_red,

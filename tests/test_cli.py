@@ -24,8 +24,18 @@ TRANSITION_23 = ("transition", "--form", "delta", "--base", "Q", "--ext",
 EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # Hostile inputs, one row each: argv, extra environment, documented exit
 # code.  Each once hung, ran without bound, passed vacuously or ended in a
-# traceback.  CONFIG stands for a config file whose values are malformed.
-BAD_CONFIG = "n = abc\np = seven\nsize = big\n"
+# traceback.  A name in BAD_FILES stands for a file with that text (CONFIG
+# for a config file whose values are malformed), DIR for a directory.
+BAD_FILES = {
+    "CONFIG": "n = abc\np = seven\nsize = big\n",
+    "NON_ASCII": "n = 23  # \u00e9\n",
+    "TABLE_WORD": "weight two level 11\n",
+    "TABLE_FIELD": "weight 2 level 11\n2 x\n",
+    "TABLE_WEIGHT_1": "weight 1 level 11\n",
+    # 2^89 - 1: trial division would take hours
+    "TABLE_HUGE_PRIME": "weight 2 level 11\n618970019642690137449562111 1\n",
+}
+HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -53,6 +63,13 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("verify", "--suite", "hasse", "--size", "-1"),
     ("verify", "--suite", "tower-additivity", "--size", "0"),
     ("verify", "--suite", "group-identity", "--size", "0"),
+    HV_TABLE + ("table:TABLE_WORD",),
+    HV_TABLE + ("table:TABLE_FIELD",),
+    HV_TABLE + ("table:TABLE_WEIGHT_1",),
+    HV_TABLE + ("table:DIR",),
+    HV_TABLE + ("table:NON_ASCII",),
+    ("tau", "--config", "DIR"),
+    ("tau", "--config", "NON_ASCII"),
 ]] + [(argv, None, 2) for argv in [
     # past a work bound: exit 2
     ("verify", "--suite", "hasse", "--size", "8001"),
@@ -67,6 +84,10 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("hv", "--form", "delta", "--p", "11", "--ell", str(2 ** 61 - 1),
      "--e", "11"),
     TRANSITION_23 + ("--p", str(2 ** 61 - 1)),
+    # discriminant about 6.4e28: trial division would take hours
+    ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p", "5", "--ell",
+     "7", "--e", "5"),
+    HV_TABLE + ("table:TABLE_HUGE_PRIME",),
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
@@ -80,9 +101,12 @@ def _case_id(case):
 @pytest.mark.parametrize("argv, env, code", HOSTILE_INPUTS,
                          ids=list(map(_case_id, HOSTILE_INPUTS)))
 def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
-    config = tmp_path / "bad.conf"
-    config.write_text(BAD_CONFIG, encoding="ascii")
-    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    paths = {"DIR": str(tmp_path)}
+    for name, text in BAD_FILES.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(text.encode())
+    argv = [head + sep + paths.get(name, name)
+            for head, sep, name in (a.rpartition(":") for a in argv)]
     got, out, err = run_cli(*argv, env_extra=env, timeout=10)
     assert got == code and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -101,11 +125,16 @@ def test_config_keys_are_the_single_value_options():
 
 
 def test_bad_config_value_names_key_and_file(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text("n = abc\n", encoding="ascii")
-    assert cli.main(["tau", "--config", str(config)]) == 3
-    assert capsys.readouterr().err == (
-        f"error: {config}: bad value 'abc' for n\n")
+    # a value the key's type cannot cast, and values outside its choices
+    for argv, text in ((["tau"], "n = abc"),
+                       (TRANSITION_23 + ("--p", "11"), "kind = bogus"),
+                       (["verify"], "suite = bogus")):
+        config = tmp_path / "run.conf"
+        config.write_text(text + "\n", encoding="ascii")
+        assert cli.main([*argv, "--config", str(config)]) == 3
+        key, value = text.split(" = ")
+        assert capsys.readouterr() == (
+            "", f"error: {config}: bad value {value!r} for {key}\n")
 
 
 @pytest.mark.parametrize("spec", [

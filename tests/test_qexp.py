@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from kida import arith, chargroup, qexp
+from kida import arith, chargroup, cli, qexp
 from kida.errors import (BadReduction, BoundExceeded, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
 
@@ -155,6 +155,22 @@ class TestFrobeniusData:
                 _, c = qexp.frobenius_data(f, ell, p)
                 assert c == pow(ell, 11, p)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_c_is_ell_power_for_every_source(self, p):
+        # every source has trivial character, so c = ell^(k-1) mod p;
+        # the oracle reduces the exact power once, over primes from a sieve
+        sieve = bytearray([0, 0]) + bytearray([1]) * 1998
+        for n in range(2, 45):
+            sieve[n * n::n] = bytes(len(sieve[n * n::n]))
+        primes = [ell for ell in range(2000) if sieve[ell] and ell != p]
+        delta, curve = qexp.delta_form(), qexp.ec_form(X0_11)
+        for ell in primes:
+            assert qexp.frobenius_data(delta, ell, p) == (
+                qexp.tau(ell) % p, ell ** 11 % p), ell
+            if ell != 11:
+                assert qexp.frobenius_data(curve, ell, p) == (
+                    X0_11.ap(ell) % p, ell % p), ell
+
     def test_ramified_level(self):
         f = qexp.ec_form(X0_11)
         assert f.level == 11
@@ -237,7 +253,7 @@ weight 2 level 11
     def test_file_loading(self, tmp_path):
         path = tmp_path / "aps.txt"
         path.write_text(self.GOOD, encoding="ascii")
-        tbl = qexp.load_table(path)
+        tbl = cli.parse_form_spec(f"table:{path}").source
         assert tbl.ap[5] == 1
 
 

@@ -58,8 +58,7 @@ CASES = {
                          "CoefficientTable(weight=2, level=11, "
                          "ap={2: -2, 3: -1})"),
     "ModularFormData": (qexp.delta_form(),
-                        "ModularFormData(weight=12, level=1, source=Delta, "
-                        "nebentypus=None, ordinary_at_p=None)"),
+                        "ModularFormData(weight=12, level=1, source=Delta)"),
     "PlaceData": (sp.efg(F23, 23),
                   "PlaceData(ell=23, e=11, f=1, g=1, degree=11)"),
     "TowerPlaceData": (sp.tower_places(F23, 1123, 11),

@@ -134,24 +134,6 @@ class TestTransitionExamples:
         assert all(v for _, v in rep.hypotheses)
         assert not any("hypotheses" in w for w in rep.warnings)
 
-    def test_ordinarity_flag_warnings(self):
-        # tau(11) = 1 mod 11: the eta-product is ordinary at 11
-        assert qexp.tau(11) % 11 == 1
-        ordinary = qexp.ModularFormData(12, 1, qexp.DELTA_SOURCE,
-                                        ordinary_at_p=True)
-        rep = tr.transition(p=11, base_field=Q, ext_field=F23,
-                            base=tr.InvariantRecord("plus", 0, 1),
-                            form=ordinary)
-        assert any("ordinary" in w for w in rep.warnings)
-        rep2 = tr.transition(p=11, base_field=Q, ext_field=F23,
-                             base=BASE_ALG, form=ordinary)
-        assert not any("supersingular" in w for w in rep2.warnings)
-        ss = qexp.ModularFormData(12, 1, qexp.DELTA_SOURCE,
-                                  ordinary_at_p=False)
-        rep3 = tr.transition(p=11, base_field=Q, ext_field=F23,
-                             base=BASE_ALG, form=ss)
-        assert any("supersingular" in w for w in rep3.warnings)
-
 
 class TestLambdaViaTwists:
     def test_constant_twists(self):
@@ -400,7 +382,7 @@ run("efg", lambda: sp.efg(F23, 2),
     "_element_order_mod_lattice", lambda *a: 1)
 run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
     "efg", lambda F, ell: sp.PlaceData(
-        ell, 2 if F.is_rationals() else 3, 1, 1, 1))
+        ell, 2 if F.degree == 1 else 3, 1, 1, 1))
 run("transition", transition,
     "ramified_set", lambda *a: rebuilt(
         real["ramified_set"](*a), unramified_at_p=False))
