@@ -24,7 +24,7 @@ _EXPORTS = {
                   "multiplicity"),
     "localfactor": ("Generic", "LocalCharData", "RamifiedPS", "Special",
                     "Supercuspidal", "UnramifiedPS", "check_tower_additivity",
-                    "h_char", "h_v", "m_extension", "m_single"),
+                    "h_v", "m_extension", "m_single"),
     "qexp": ("CoefficientTable", "DirichletCharacter", "EllipticCurve",
              "ModularFormData", "delta_form", "frobenius_data", "tau"),
     "splitting": ("AbelianField", "efg", "parse_field_spec", "ramified_set",

@@ -128,7 +128,12 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
             raise SpecParseError("curve is singular (discriminant 0)")
         return ec_form(curve)
     if s.startswith("table:"):
-        return table_form(parse_table(_read_text(s[len("table:"):])))
+        path = s[len("table:"):]
+        text = _read_text(path)
+        try:
+            return table_form(parse_table(text))
+        except KidaError as exc:    # a malformed line or a prime past a bound
+            raise type(exc)(f"{path}: {exc}") from None
     raise SpecParseError(f"bad form spec {spec!r}")
 
 
@@ -175,7 +180,7 @@ def cmd_tau(args) -> int:
 
 def cmd_hv(args) -> int:
     from .localfactor import (Generic, UnramifiedPS, case_of,
-                              describe_local_type, h_v, m_extension,
+                              describe_local_type, m_extension,
                               parse_local_type)
     if args.form is None:
         raise SpecParseError("hv needs --form")
@@ -217,12 +222,8 @@ def cmd_hv(args) -> int:
     if args.p is not None:
         record["p"] = args.p
     record["type"] = describe_local_type(V)
-    if isinstance(V, Generic):
-        record["h"] = m_extension(V, e)
-        record["path"] = "generic"
-    else:
-        record["h"] = h_v(V, e)
-        record["path"] = "table"
+    record["h"] = m_extension(V, e)
+    record["path"] = "generic" if isinstance(V, Generic) else "table"
     if isinstance(V, UnramifiedPS):
         record["a"] = V.a
         record["c"] = V.c

@@ -4,13 +4,14 @@ For a two-dimensional representation V of the absolute Galois group of a
 local tower field L (ell != p), m(V) counts the trivial constituents of
 the Galois invariants of the inertia coinvariants.  A finite p-extension
 of L is cyclic and totally ramified, so twisting characters of the local
-Galois group form a cyclic p-group; the extension multiplicity
+Galois group form a cyclic p-group, and the extension multiplicity is
 
-    m(L'/L, V) = sum over chi of (m(V) - m(V_chi))
+    m(L'/L, V) = sum over chi of (m(V) - m(V_chi)).
 
-is what the global transition formula consumes, and it matches the h
-tables case by case (unramified characters restrict trivially iff they
-are trivial mod p).
+``m_extension`` prices it in O(1): it reads the h-table, one
+(case, value) row per character line of V, and sums user values for
+``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
+``m_single`` per twist, and serves the suites as the table's oracle.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class LocalCharData(Record):
                    order_on_inertia)
 
     def dies_over(self, degree: int) -> bool:
-        """Whether restriction to the degree-``degree`` extension is unramified."""
+        """Whether restriction to the degree-``degree`` extension is
+        unramified: never for a ramified character and degree 1."""
         if not self.ramified:
             return True
         if self.order_on_inertia is not None:
             return degree % self.order_on_inertia == 0
-        return self.becomes_unramified_over_extension
+        return degree > 1 and self.becomes_unramified_over_extension
 
     def restricted(self, degree: int) -> "LocalCharData":
         """The same character over the degree-``degree`` extension."""
@@ -122,23 +124,6 @@ class Generic(Record):
 LocalType = UnramifiedPS | RamifiedPS | Special | Supercuspidal | Generic
 
 
-class TwistCharacter(Record):
-    """Character of the cyclic twisting group, by exponent."""
-
-    __slots__ = ("degree", "exponent")
-
-    def __init__(self, degree: int, exponent: int):
-        # set directly, not by _fill: a sweep builds ~10^5 of these
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "exponent", exponent % degree)
-
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
-
-
-TRIVIAL_TWIST = TwistCharacter(1, 0)
-
-
 def trivial_eigenvalues(V: UnramifiedPS) -> int:
     """How many Frobenius eigenvalues of V are trivial mod p: 0, 1 or 2."""
     p = V.p
@@ -153,49 +138,46 @@ _UPS_CASES = ("no_trivial_frobenius_eigenvalue",
               "both_frobenius_eigenvalues_trivial")
 
 
-def _matching_exponent(phi: LocalCharData, degree: int) -> int | None:
-    """Exponent of the unique twist chi with chi*phi unramified, if any.
-
-    For unramified phi the match is the trivial twist.  For ramified phi
-    that dies over the extension, phi's inertia character factors through
-    the cyclic group, and exactly one twist cancels it; the labeling of
-    that twist is a convention (sums over all twists are label-free).
-    """
-    if not phi.ramified:
-        return 0
-    if not phi.dies_over(degree):
-        return None
-    order = phi.order_on_inertia if phi.order_on_inertia else degree
-    return degree // order if degree > 1 else None
-
-
-def _m_char(phi: LocalCharData, chi: TwistCharacter, degree: int) -> int:
-    """Multiplicity contribution of one character line under twist chi."""
+def _char_row(phi: LocalCharData, e: int) -> tuple[str, int]:
+    """(case, value) row of the h-table for one character line."""
     if not phi.trivial_mod_p:
-        return 0
-    match = _matching_exponent(phi, degree)
-    if match is None:
-        return 0
-    return 1 if chi.exponent == match else 0
+        return "character_nontrivial_mod_p", 0
+    if not phi.ramified:
+        return "character_unramified_trivial_mod_p", e - 1
+    if phi.dies_over(e):
+        return "character_dies_over_extension", -1
+    return "character_survives_ramified", 0
 
 
-def m_single(V: LocalType, chi: TwistCharacter = TRIVIAL_TWIST) -> int:
-    """m(V_chi): multiplicity of the trivial representation in the
-    Galois invariants of the inertia coinvariants of the twist."""
+def _table_rows(V: LocalType, e: int) -> list[tuple[str, int]]:
+    """The h-table: V's (case, value) rows at ramification index e, one
+    per line of V (a character, or the Frobenius data)."""
+    if e < 1:
+        raise ValueError("ramification index must be >= 1")
     if isinstance(V, Generic):
-        raise GenericUnsupported("generic types carry their m-values directly")
+        raise GenericUnsupported("generic types go through m_extension")
     if isinstance(V, Supercuspidal):
-        return 0
+        return [("supercuspidal_or_extraordinary", 0)]
     if isinstance(V, UnramifiedPS):
-        if not chi.is_trivial():
-            return 0    # ramified twist kills the coinvariants
-        return trivial_eigenvalues(V)
+        t = trivial_eigenvalues(V)
+        return [(_UPS_CASES[t], t * (e - 1))]
     if isinstance(V, Special):
-        return _m_char(V.phi, chi, chi.degree)
+        return [_char_row(V.phi, e)]
     if isinstance(V, RamifiedPS):
-        return (_m_char(V.phi1, chi, chi.degree)
-                + _m_char(V.phi2, chi, chi.degree))
+        return [_char_row(V.phi1, e), _char_row(V.phi2, e)]
     raise TypeError(f"unknown local type {V!r}")
+
+
+def h_v(V: LocalType, e: int) -> int:
+    """Per-place table value for ramification index e."""
+    return sum(value for _, value in _table_rows(V, e))
+
+
+def case_of(V: LocalType, e: int) -> str:
+    """Name of the table case V falls in at ramification index e."""
+    if isinstance(V, Generic):
+        return "generic_m_summation"
+    return "+".join(case for case, _ in _table_rows(V, e))
 
 
 def _generic_m_over(V: Generic, degree: int) -> list[int]:
@@ -208,68 +190,83 @@ def _generic_m_over(V: Generic, degree: int) -> list[int]:
 
 
 def m_extension(V: LocalType, local_degree: int) -> int:
-    """m(L'/L, V) = sum over the local_degree twist characters of
-    (m(V) - m(V_chi))."""
+    """m(L'/L, V) over the local extension of degree ``local_degree``, in
+    O(1): the sum of the user's values for generic data, the h-table for
+    every other type."""
     if local_degree < 1:
         raise ValueError("local degree must be >= 1")
     if isinstance(V, Generic):
         vals = _generic_m_over(V, local_degree)
         return sum(vals[0] - v for v in vals)
-    base = m_single(V, TwistCharacter(local_degree, 0))
-    return sum(base - m_single(V, TwistCharacter(local_degree, j))
-               for j in range(local_degree))
+    return h_v(V, local_degree)
 
 
-def char_case(phi: LocalCharData, e: int) -> str:
-    """Row of the per-character h-table that ``phi`` falls in."""
+# -- the twist-by-twist oracle ----------------------------------------------
+
+class TwistCharacter(Record):
+    """Character of the cyclic twisting group, by exponent."""
+
+    __slots__ = ("degree", "exponent")
+
+    def __init__(self, degree: int, exponent: int):
+        # set directly, not by _fill: a sweep builds ~10^5 of these
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "exponent", exponent % degree)
+
+
+TRIVIAL_TWIST = TwistCharacter(1, 0)
+
+
+def _m_char(phi: LocalCharData, chi: TwistCharacter) -> int:
+    """Multiplicity contribution of one character line under twist chi:
+    1 if phi is trivial mod p and chi is the unique twist with chi*phi
+    unramified, else 0.
+
+    For unramified phi the match is the trivial twist.  For ramified phi
+    that dies over the extension (so chi.degree > 1), phi's inertia
+    character factors through the cyclic group, and exactly one
+    nontrivial twist cancels it; the labeling of that twist is a
+    convention (sums over all twists are label-free).
+    """
     if not phi.trivial_mod_p:
-        return "character_nontrivial_mod_p"
+        return 0
     if not phi.ramified:
-        return "character_unramified_trivial_mod_p"
-    if phi.dies_over(e):
-        return "character_dies_over_extension"
-    return "character_survives_ramified"
+        return int(chi.exponent == 0)
+    if not phi.dies_over(chi.degree):
+        return 0
+    order = phi.order_on_inertia or chi.degree
+    return int(chi.exponent == chi.degree // order)
 
 
-def h_char(phi: LocalCharData, e: int) -> int:
-    """Per-character table: -1 / 0 / e-1."""
-    if e < 1:
-        raise ValueError("ramification index must be >= 1")
-    c = char_case(phi, e)
-    return (e - 1 if c == "character_unramified_trivial_mod_p"
-            else -1 if c == "character_dies_over_extension" else 0)
-
-
-def h_v(V: LocalType, e: int) -> int:
-    """Per-place table value for ramification index e."""
-    if e < 1:
-        raise ValueError("ramification index must be >= 1")
+def m_single(V: LocalType, chi: TwistCharacter = TRIVIAL_TWIST) -> int:
+    """m(V_chi): multiplicity of the trivial representation in the
+    Galois invariants of the inertia coinvariants of the twist."""
     if isinstance(V, Generic):
-        raise GenericUnsupported("generic types go through m_extension")
+        raise GenericUnsupported("generic types carry their m-values directly")
     if isinstance(V, Supercuspidal):
         return 0
     if isinstance(V, UnramifiedPS):
-        return trivial_eigenvalues(V) * (e - 1)
+        if chi.exponent:
+            return 0    # ramified twist kills the coinvariants
+        return trivial_eigenvalues(V)
     if isinstance(V, Special):
-        return h_char(V.phi, e)
+        return _m_char(V.phi, chi)
     if isinstance(V, RamifiedPS):
-        return h_char(V.phi1, e) + h_char(V.phi2, e)
+        return _m_char(V.phi1, chi) + _m_char(V.phi2, chi)
     raise TypeError(f"unknown local type {V!r}")
 
 
-def case_of(V: LocalType, e: int) -> str:
-    """Name of the table case V falls in at ramification index e."""
+def twist_sum(V: LocalType, local_degree: int) -> int:
+    """m(L'/L, V) = sum over the local_degree twist characters of
+    (m(V) - m(V_chi)), one ``m_single`` per twist: O(local_degree), the
+    oracle the suites hold ``m_extension`` to."""
+    if local_degree < 1:
+        raise ValueError("local degree must be >= 1")
     if isinstance(V, Generic):
-        return "generic_m_summation"
-    if isinstance(V, Supercuspidal):
-        return "supercuspidal_or_extraordinary"
-    if isinstance(V, UnramifiedPS):
-        return _UPS_CASES[trivial_eigenvalues(V)]
-    if isinstance(V, Special):
-        return char_case(V.phi, e)
-    if isinstance(V, RamifiedPS):
-        return f"{char_case(V.phi1, e)}+{char_case(V.phi2, e)}"
-    raise TypeError(f"unknown local type {V!r}")
+        return m_extension(V, local_degree)
+    base = m_single(V, TwistCharacter(local_degree, 0))
+    return sum(base - m_single(V, TwistCharacter(local_degree, j))
+               for j in range(local_degree))
 
 
 def restrict_type(V: LocalType, degree: int) -> LocalType:
@@ -302,15 +299,16 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
 def check_tower_additivity(V: LocalType, inner_degree: int,
                            outer_degree: int):
     """Both sides of m(L''/L,V) = [L'':L'] m(L'/L,V) + m(L''/L',V)
-    for the chain of local degrees inner_degree | outer_degree.
+    for the chain of local degrees inner_degree | outer_degree, each
+    term summed twist by twist (``twist_sum``).
 
     Returns (lhs == rhs, lhs, rhs).
     """
     if outer_degree % inner_degree:
         raise ValueError("chain degrees must be nested")
-    lhs = m_extension(V, outer_degree)
+    lhs = twist_sum(V, outer_degree)
     step = outer_degree // inner_degree
-    rhs = step * m_extension(V, inner_degree) + m_extension(
+    rhs = step * twist_sum(V, inner_degree) + twist_sum(
         restrict_type(V, inner_degree), step)
     return lhs == rhs, lhs, rhs
 

@@ -175,7 +175,11 @@ def parse_table(text: str) -> CoefficientTable:
         if len(parts) != 2:
             raise SpecParseError(f"line {lineno}: expected 'ell a_ell'")
         ell, a = _ints(lineno, *parts)
-        if not arith.is_prime(ell):
+        try:
+            prime = arith.is_prime(ell)
+        except BoundExceeded as exc:    # past the trial-division bound
+            raise BoundExceeded(f"line {lineno}: {exc}") from None
+        if not prime:
             raise SpecParseError(f"line {lineno}: index {ell} is not prime")
         if ell in ap:
             raise SpecParseError(f"line {lineno}: duplicate entry for {ell}")
@@ -243,7 +247,11 @@ def delta_form() -> ModularFormData:
 
 def ec_form(curve: EllipticCurve) -> ModularFormData:
     """Level: the product of the primes dividing the discriminant."""
-    level = math.prod(q for q, _ in arith.factor(abs(curve.discriminant())))
+    try:
+        primes = arith.factor(abs(curve.discriminant()))
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"curve discriminant {exc}") from None
+    level = math.prod(q for q, _ in primes)
     return ModularFormData(weight=2, level=level, source=curve)
 
 

@@ -9,8 +9,8 @@ valid when mu = 0 on input (and then mu = 0 on output).  The same shape
 serves the algebraic, analytic, and signed (plus/minus) invariants; only
 the asserted hypotheses differ.  Each ramified prime contributes
 (number of places of the extension tower above it) x m(type, local degree),
-and for tabulated types the h-table route is evaluated alongside as a
-cross-check.
+priced by ``localfactor.m_extension``: the h-table for tabulated types,
+the user's values for generic ones.
 """
 
 from __future__ import annotations
@@ -48,23 +48,20 @@ HYPOTHESIS_NAMES = {
 
 
 class InvariantRecord(Record):
-    """(mu, lambda) with provenance; mu None means unknown."""
+    """(mu, lambda) of one kind; mu None means unknown."""
 
-    __slots__ = ("kind", "mu", "lam", "provenance")
+    __slots__ = ("kind", "mu", "lam")
 
-    def __init__(self, kind: str, mu: int | None, lam: int | None,
-                 provenance: str = "asserted-input"):
+    def __init__(self, kind: str, mu: int | None, lam: int | None):
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if provenance not in ("asserted-input", "computed"):
-            raise ValueError("bad provenance tag")
         if mu is not None and mu < 0:
             raise ValueError("mu must be >= 0")
         if mu != 0 and lam is not None:
             raise ValueError("lambda is only defined when mu = 0")
         if mu == 0 and (lam is None or lam < 0):
             raise ValueError("mu = 0 needs a lambda >= 0")
-        self._fill(kind, mu, lam, provenance)
+        self._fill(kind, mu, lam)
 
 
 class LocalFactorReport(Record):
@@ -107,9 +104,8 @@ class TransitionReport(Record):
                    hypotheses, warnings)
 
     def to_invariant_record(self) -> "InvariantRecord":
-        """The transported invariants, tagged as computed (chainable)."""
-        return InvariantRecord(self.kind, self.mu_out, self.lambda_out,
-                               provenance="computed")
+        """The transported invariants, as the next step's input."""
+        return InvariantRecord(self.kind, self.mu_out, self.lambda_out)
 
     def as_mapping(self) -> dict[str, object]:
         """Flat key/value view with deterministic keys (for output)."""
@@ -221,19 +217,12 @@ def transition(*, p: int,
         V, origin = _resolve_local_type(entry.ell, p, form, local_types,
                                         precision, base_red)
         m = localfactor.m_extension(V, entry.local_degree)
-        if isinstance(V, localfactor.Generic):
-            h = None
-            path = "generic"
-        else:
-            h = localfactor.h_v(V, entry.local_degree)
-            path = "table" if origin == "frobenius" else "table(user)"
-            if h != m:
-                raise InternalAdditivityViolation(
-                    f"h-table and m-summation disagree at {entry.ell}: "
-                    f"{h} != {m}")
+        generic = isinstance(V, localfactor.Generic)
+        path = ("generic" if generic
+                else "table" if origin == "frobenius" else "table(user)")
         places.append(LocalFactorReport(
             ell=entry.ell, local_degree=entry.local_degree,
-            places=entry.places, m=m, h=h, path=path,
+            places=entry.places, m=m, h=None if generic else m, path=path,
             type_spec=localfactor.describe_local_type(V), local_type=V))
     lam_out = rs.degree * base.lam + sum(rep.contribution for rep in places)
     hypotheses = tuple((name, assert_hypotheses)
@@ -317,7 +306,8 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
             r_bc.ext_field, ell, p).g_infinity)
         count_mid = (ab[ell].places if ell in ab else splitting.tower_places(
             r_ab.ext_field, ell, p).g_infinity)
-        lhs = count_total * localfactor.m_extension(v_base, d_tot)
+        m_tot = localfactor.m_extension(v_base, d_tot)
+        lhs = count_total * m_tot
         rhs = (r_bc.degree * count_mid * localfactor.m_extension(v_base, d_ab)
                + count_total * localfactor.m_extension(
                    localfactor.restrict_type(v_base, d_ab), d_bc))
@@ -326,10 +316,8 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
                 f"tower bookkeeping fails at {ell}: {lhs} != {rhs}")
         local_sum += lhs
         places.append(LocalFactorReport(
-            ell=ell, local_degree=d_tot, places=count_total,
-            m=localfactor.m_extension(v_base, d_tot),
-            h=(localfactor.h_v(v_base, d_tot)
-               if not isinstance(v_base, localfactor.Generic) else None),
+            ell=ell, local_degree=d_tot, places=count_total, m=m_tot,
+            h=None if isinstance(v_base, localfactor.Generic) else m_tot,
             path="composed",
             type_spec=localfactor.describe_local_type(v_base),
             local_type=v_base))

@@ -238,17 +238,17 @@ def degreelist(t: int, p: int) -> list[int]:
 
 
 def path_agreement_suite(seed: int = 0) -> SuiteResult:
-    """h-table route equals m-summation route over the full cartesian
-    product of local types, residue cases, and e in {p, p^2} for
-    p in {3, 5, 11}."""
+    """The h-table (``m_extension``) equals the twist-by-twist sum
+    (``twist_sum``) over the full cartesian product of local types,
+    residue cases, and e in {p, p^2} for p in {3, 5, 11}."""
     from . import localfactor
     res = SuiteResult("path-agreement", {"seed": seed})
     for p in (3, 5, 11):
         for V in _tabulated_types(p):
             for e in (p, p * p):
                 res.checks += 1
-                h = localfactor.h_v(V, e)
-                m = localfactor.m_extension(V, e)
+                h = localfactor.m_extension(V, e)
+                m = localfactor.twist_sum(V, e)
                 if h != m:
                     res.fail(f"p={p} e={e} "
                              f"{localfactor.describe_local_type(V)}: "

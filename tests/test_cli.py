@@ -36,6 +36,8 @@ BAD_FILES = {
     "TABLE_HUGE_PRIME": "weight 2 level 11\n618970019642690137449562111 1\n",
 }
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
+HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
+                "5", "--ell", "7", "--e", "5")
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -85,12 +87,23 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
      "--e", "11"),
     TRANSITION_23 + ("--p", str(2 ** 61 - 1)),
     # discriminant about 6.4e28: trial division would take hours
-    ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p", "5", "--ell",
-     "7", "--e", "5"),
+    HV_BIG_CURVE,
     HV_TABLE + ("table:TABLE_HUGE_PRIME",),
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
+# the full stderr of rows whose message names its source (a file by the
+# name that stands for it)
+HOSTILE_STDERR = {
+    HV_TABLE + ("table:TABLE_FIELD",):
+        "TABLE_FIELD: line 2: expected integers",
+    HV_TABLE + ("table:TABLE_HUGE_PRIME",):
+        "TABLE_HUGE_PRIME: line 2: 618970019642690137449562111 beyond the "
+        "trial-division bound 10^14",
+    HV_BIG_CURVE:
+        "curve discriminant 64000001776000017184000056944 beyond the "
+        "trial-division bound 10^14",
+}
 
 
 def _case_id(case):
@@ -105,11 +118,15 @@ def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
     for name, text in BAD_FILES.items():
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_bytes(text.encode())
+    message = HOSTILE_STDERR.get(argv)
     argv = [head + sep + paths.get(name, name)
             for head, sep, name in (a.rpartition(":") for a in argv)]
     got, out, err = run_cli(*argv, env_extra=env, timeout=10)
     assert got == code and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    if message is not None:
+        name, sep, rest = message.partition(": ")
+        assert err == f"error: {paths.get(name, name)}{sep}{rest}\n"
 
 
 def test_config_keys_are_the_single_value_options():
@@ -269,6 +286,26 @@ path = generic
 type = generic:2,0,0
 """),
 ]
+# A dying character over a place with e = 1, by --e and by a field in
+# which 7 is unramified: no ramified character dies over the trivial
+# extension, so m = h = 0.
+HV_TRIVIAL_EXTENSION = [
+    ("--e 1", """case = character_survives_ramified
+e = 1
+h = 0
+p = 5
+path = table
+type = special:ram,triv,dies
+"""),
+    ("--ell 7 --ext cyclotomic:11:degree=5", """case = character_survives_ramified
+e = 1
+extension = cyclotomic:11:degree=5
+h = 0
+p = 5
+path = table
+type = special:ram,triv,dies
+"""),
+]
 
 
 GOLDEN_TRANSITION_23 = """base = Q
@@ -383,6 +420,13 @@ class TestHv:
         assert cli.main(["hv", "--form", *argv.split()]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("argv,expected", HV_TRIVIAL_EXTENSION,
+                             ids=["e", "ext"])
+    def test_dying_character_at_e_1(self, argv, expected, capsys):
+        assert cli.main(["hv", "--form", "special:ram,triv,dies", "--p", "5",
+                         *argv.split()]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestTransition:
     def test_golden_23(self):
@@ -402,6 +446,19 @@ class TestTransition:
         doc = json.loads(out)
         assert doc["lambda.out"] == 31
         assert doc["local.1123.places"] == 1
+
+    def test_local_degree_3_to_the_20_is_priced_in_constant_time(self):
+        # ell = 26 * 3^20 + 1: one place of local degree 3^20 with
+        # 3^19 places above it in the tower; a twist-by-twist sum would
+        # visit 3^20 characters
+        code, out, err = run_cli(
+            "transition", "--p", "3", "--base", "Q",
+            "--ext", "cyclotomic:90656394427:degree=3486784401",
+            "--local", "90656394427=ups:a=2,c=1", "--lambda", "0",
+            "--mu", "0", timeout=10)
+        assert code == 0, err
+        assert 8105110303713429600 == 3 ** 19 * 2 * (3 ** 20 - 1)
+        assert "lambda.out = 8105110303713429600" in out.splitlines()
 
     def test_identity_extension(self):
         code, out, _ = run_cli(

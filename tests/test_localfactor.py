@@ -63,6 +63,7 @@ class TestMExtension:
         for V in (lf.UnramifiedPS(2, 1, 3), lf.Special(UNRAM_TRIV),
                   lf.Supercuspidal(), lf.Generic(1, (4,))):
             assert lf.m_extension(V, 1) == 0
+            assert lf.twist_sum(V, 1) == 0
 
     def test_special_unramified_trivial(self):
         for p in (3, 5, 11):
@@ -88,20 +89,29 @@ class TestMExtension:
 
 class TestHTables:
     def test_h_char_cases(self):
-        assert lf.h_char(UNRAM_TRIV, 11) == 10
-        assert lf.h_char(ram_char(True, 5), 5) == -1
-        assert lf.h_char(UNRAM_NONTRIV, 7) == 0
-        assert lf.h_char(ram_char(False, 5), 5) == 0   # nontrivial mod p
+        # Special(phi) prices the one table row of its character phi
+        assert lf.h_v(lf.Special(UNRAM_TRIV), 11) == 10
+        assert lf.h_v(lf.Special(ram_char(True, 5)), 5) == -1
+        assert lf.h_v(lf.Special(UNRAM_NONTRIV), 7) == 0
+        # nontrivial mod p
+        assert lf.h_v(lf.Special(ram_char(False, 5)), 5) == 0
         surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
-        assert lf.h_char(surv, 5) == 0
+        assert lf.h_v(lf.Special(surv), 5) == 0
 
     def test_char_case_follows_inertia_order(self):
-        surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
-        assert lf.char_case(surv, 5) == "character_survives_ramified"
-        assert lf.char_case(surv, 25) == "character_dies_over_extension"
-        assert lf.h_char(surv, 25) == -1
-        assert lf.case_of(lf.RamifiedPS(surv, UNRAM_NONTRIV), 25) == (
+        surv = lf.Special(lf.LocalCharData(True, True, False,
+                                           order_on_inertia=25))
+        assert lf.case_of(surv, 5) == "character_survives_ramified"
+        assert lf.case_of(surv, 25) == "character_dies_over_extension"
+        assert lf.h_v(surv, 25) == -1
+        assert lf.case_of(lf.RamifiedPS(surv.phi, UNRAM_NONTRIV), 25) == (
             "character_dies_over_extension+character_nontrivial_mod_p")
+
+    def test_no_character_dies_over_the_trivial_extension(self):
+        dies = lf.LocalCharData(True, True, True)   # flag only, no order
+        assert dies.dies_over(5) and not dies.dies_over(1)
+        assert lf.case_of(lf.Special(dies), 1) == "character_survives_ramified"
+        assert lf.h_v(lf.RamifiedPS(dies, dies), 1) == 0
 
     def test_h_v_reference_cases(self):
         assert lf.h_v(lf.UnramifiedPS(10, 1, 11), 11) == 0
@@ -120,19 +130,30 @@ class TestHTables:
             lf.h_v(lf.Generic(3, (1, 0, 0)), 3)
 
     def test_path_agreement_cross_product(self):
-        chars = [UNRAM_TRIV, UNRAM_NONTRIV]
-        for p in (3, 5, 11):
-            chars_p = chars + [ram_char(t, o) for t in (True, False)
-                               for o in (p, p * p)]
+        # the h-table against the twist-by-twist oracle: every tabulated
+        # type, from flag characters and from inertia orders p .. p^4, at
+        # e = 1, p, ... up to 30000
+        cases, bad = 0, []
+        for p in (3, 5, 7, 11, 13):
+            chars = [UNRAM_TRIV, UNRAM_NONTRIV]
+            for triv in (True, False):
+                chars += [lf.LocalCharData(True, triv, dies)
+                          for dies in (True, False)]
+                chars += [ram_char(triv, p ** k) for k in range(1, 5)]
             types = [lf.Supercuspidal()]
             types += [lf.UnramifiedPS(a, c, p) for a in range(p)
                       for c in range(p)]
-            types += [lf.Special(phi) for phi in chars_p]
-            types += [lf.RamifiedPS(c1, c2) for c1 in chars_p
-                      for c2 in chars_p]
+            types += [lf.Special(phi) for phi in chars]
+            types += [lf.RamifiedPS(c1, c2) for i, c1 in enumerate(chars)
+                      for c2 in chars[i:]]
             for V in types:
-                for e in (p, p * p):
-                    assert lf.m_extension(V, e) == lf.h_v(V, e)
+                for e in (p ** k for k in range(5) if p ** k <= 30000):
+                    cases += 1
+                    h, m = lf.h_v(V, e), lf.twist_sum(V, e)
+                    if h != m:
+                        bad.append((p, e, lf.describe_local_type(V), h, m))
+        assert cases == 4865
+        assert not bad, f"{len(bad)} disagreements, first {bad[:5]}"
 
 
 class TestTowerAdditivity:

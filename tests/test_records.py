@@ -71,8 +71,7 @@ CASES = {
                     "local_degree=11, places=1),), degree=11, "
                     "unramified_at_p=True)"),
     "InvariantRecord": (tr.InvariantRecord("algebraic", 0, 1),
-                        "InvariantRecord(kind='algebraic', mu=0, lam=1, "
-                        "provenance='asserted-input')"),
+                        "InvariantRecord(kind='algebraic', mu=0, lam=1)"),
     "LocalFactorReport": (ALG.places[0], LF_REPORT),
     "TransitionReport": (
         ALG,
@@ -174,7 +173,7 @@ def test_normalisation_in_constructors():
     assert ups == lf.UnramifiedPS(4, 1, 5)
     assert lf.TwistCharacter(9, 13).exponent == 4
     assert lf.TwistCharacter(9, -1) == lf.TwistCharacter(9, 8)
-    assert lf.TwistCharacter(1, 5).is_trivial()
+    assert lf.TwistCharacter(1, 5).exponent == 0
 
 
 def test_local_char_data_defaults():

@@ -121,7 +121,7 @@ class TestTransitionExamples:
                            base=tr.InvariantRecord("algebraic", 0, 1),
                            local_types={109: V9})
         rec = r1.to_invariant_record()
-        assert rec.provenance == "computed" and rec.mu == 0
+        assert rec == tr.InvariantRecord("algebraic", 0, r1.lambda_out)
         r2 = tr.transition(p=3, base_field=F3, ext_field=F9, base=rec,
                            local_types={109: lf.restrict_type(V9, 3)})
         comp = tr.compose(r1, r2)
@@ -260,6 +260,32 @@ class TestCompose:
         assert comp.degree == direct.degree == 9
         assert [(x.ell, x.local_degree, x.places, x.m) for x in comp.places] \
             == [(x.ell, x.local_degree, x.places, x.m) for x in direct.places]
+
+    def test_places_are_priced_by_the_table_alone(self, monkeypatch):
+        # no twist-by-twist sum runs.  109 is unramified in the lower
+        # step, so compose prices its dying character at local degree 1,
+        # where it must read 0 for the tower bookkeeping to close
+        def refuse(*args):
+            raise AssertionError("twist-by-twist sum reached")
+        monkeypatch.setattr(lf, "m_single", refuse)
+        monkeypatch.setattr(lf, "TwistCharacter", refuse)
+        from kida import arith
+        F7 = sp.parse_field_spec("cyclotomic:7:degree=3")
+        U = arith.unit_group(763)
+        F763 = sp.AbelianField(763, (U.element((3, 0)), U.element((0, 3))))
+        dying = {109: lf.parse_local_type("special:ram,triv,dies", 3)}
+        base = tr.InvariantRecord("algebraic", 0, 10)
+        r_ab = tr.transition(p=3, base_field=Q, ext_field=F7, base=base,
+                             form=DELTA)
+        r_bc = tr.transition(p=3, base_field=F7, ext_field=F763,
+                             base=r_ab.to_invariant_record(), form=DELTA,
+                             local_types=dying)
+        direct = tr.transition(p=3, base_field=Q, ext_field=F763, base=base,
+                               form=DELTA, local_types=dying)
+        comp = tr.compose(r_ab, r_bc)
+        assert comp.lambda_out == direct.lambda_out == 9 * 10 + 3 * 4 - 27
+        assert [(x.ell, x.local_degree, x.places, x.m, x.h)
+                for x in comp.places] == [(7, 3, 3, 4, 4), (109, 3, 27, -1, -1)]
 
     def test_inconsistent_local_restriction_rejected(self):
         F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
