@@ -57,10 +57,6 @@ class FiniteAbelianGroup(Record):
     def elements(self):
         return itertools.product(*[range(d) for d in self.invariant_factors])
 
-    def add(self, a, b):
-        return tuple((x + y) % d for x, y, d
-                     in zip(a, b, self.invariant_factors))
-
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
 
@@ -136,9 +132,6 @@ class Subgroup:
 
     def contains(self, element) -> bool:
         return self._lattice.contains(element)
-
-    def key(self):
-        return self._lattice.key()
 
     def elements(self):
         return [el for el in self.group.elements() if self.contains(el)]

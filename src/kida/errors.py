@@ -144,6 +144,11 @@ class MismatchedInputs(KidaError):
     """Algebraic/analytic report pair disagrees on shared inputs."""
 
 
+class NegativeLambda(KidaError):
+    """The local contributions drive lambda.out below 0, which no tower
+    with mu = 0 has: the local types cannot be those of the form."""
+
+
 # -- cli / input grammars ---------------------------------------------
 
 class SpecParseError(KidaError):

@@ -4,14 +4,16 @@ For a two-dimensional representation V of the absolute Galois group of a
 local tower field L (ell != p), m(V) counts the trivial constituents of
 the Galois invariants of the inertia coinvariants.  A finite p-extension
 of L is cyclic and totally ramified, so twisting characters of the local
-Galois group form a cyclic p-group, and the extension multiplicity is
+Galois group form a cyclic p-group of order d, a twist chi_j is its
+exponent j mod d, and the extension multiplicity is
 
-    m(L'/L, V) = sum over chi of (m(V) - m(V_chi)).
+    m(L'/L, V) = sum over j mod d of (m(V) - m(V_chi_j)).
 
 ``m_extension`` prices it in O(1): it reads the h-table, one
 (case, value) row per character line of V, and sums user values for
 ``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
-``m_single`` per twist, and serves the suites as the table's oracle.
+``m_single(V, d, j)`` per exponent j, and serves the suites as the
+table's oracle.
 """
 
 from __future__ import annotations
@@ -203,69 +205,59 @@ def m_extension(V: LocalType, local_degree: int) -> int:
 
 # -- the twist-by-twist oracle ----------------------------------------------
 
-class TwistCharacter(Record):
-    """Character of the cyclic twisting group, by exponent."""
-
-    __slots__ = ("degree", "exponent")
-
-    def __init__(self, degree: int, exponent: int):
-        # set directly, not by _fill: a sweep builds ~10^5 of these
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "exponent", exponent % degree)
-
-
-TRIVIAL_TWIST = TwistCharacter(1, 0)
-
-
-def _m_char(phi: LocalCharData, chi: TwistCharacter) -> int:
-    """Multiplicity contribution of one character line under twist chi:
-    1 if phi is trivial mod p and chi is the unique twist with chi*phi
-    unramified, else 0.
+def _m_char(phi: LocalCharData, degree: int, exponent: int) -> int:
+    """Multiplicity contribution of one character line under the twist of
+    exponent ``exponent`` (already reduced mod ``degree``): 1 if phi is trivial
+    mod p and the twist is the unique one with twist*phi unramified, else 0.
 
     For unramified phi the match is the trivial twist.  For ramified phi
-    that dies over the extension (so chi.degree > 1), phi's inertia
-    character factors through the cyclic group, and exactly one
-    nontrivial twist cancels it; the labeling of that twist is a
-    convention (sums over all twists are label-free).
+    that dies over the extension (so degree > 1), phi's inertia character
+    factors through the cyclic group, and exactly one nontrivial twist
+    cancels it; the labeling of that twist is a convention (sums over all
+    twists are label-free).
     """
     if not phi.trivial_mod_p:
         return 0
     if not phi.ramified:
-        return int(chi.exponent == 0)
-    if not phi.dies_over(chi.degree):
+        return int(exponent == 0)
+    if not phi.dies_over(degree):
         return 0
-    order = phi.order_on_inertia or chi.degree
-    return int(chi.exponent == chi.degree // order)
+    order = phi.order_on_inertia or degree
+    return int(exponent == degree // order)
 
 
-def m_single(V: LocalType, chi: TwistCharacter = TRIVIAL_TWIST) -> int:
-    """m(V_chi): multiplicity of the trivial representation in the
-    Galois invariants of the inertia coinvariants of the twist."""
+def m_single(V: LocalType, degree: int = 1, exponent: int = 0) -> int:
+    """m(V_chi) for the twist chi of exponent ``exponent`` mod ``degree``
+    (by default the trivial twist): multiplicity of the trivial
+    representation in the Galois invariants of the inertia coinvariants
+    of the twist."""
     if isinstance(V, Generic):
         raise GenericUnsupported("generic types carry their m-values directly")
+    exponent %= degree
     if isinstance(V, Supercuspidal):
         return 0
     if isinstance(V, UnramifiedPS):
-        if chi.exponent:
+        if exponent:
             return 0    # ramified twist kills the coinvariants
         return trivial_eigenvalues(V)
     if isinstance(V, Special):
-        return _m_char(V.phi, chi)
+        return _m_char(V.phi, degree, exponent)
     if isinstance(V, RamifiedPS):
-        return _m_char(V.phi1, chi) + _m_char(V.phi2, chi)
+        return (_m_char(V.phi1, degree, exponent)
+                + _m_char(V.phi2, degree, exponent))
     raise TypeError(f"unknown local type {V!r}")
 
 
 def twist_sum(V: LocalType, local_degree: int) -> int:
-    """m(L'/L, V) = sum over the local_degree twist characters of
-    (m(V) - m(V_chi)), one ``m_single`` per twist: O(local_degree), the
+    """m(L'/L, V) = sum over the local_degree twist exponents j of
+    (m(V) - m(V_chi_j)), one ``m_single`` per twist: O(local_degree), the
     oracle the suites hold ``m_extension`` to."""
     if local_degree < 1:
         raise ValueError("local degree must be >= 1")
     if isinstance(V, Generic):
         return m_extension(V, local_degree)
-    base = m_single(V, TwistCharacter(local_degree, 0))
-    return sum(base - m_single(V, TwistCharacter(local_degree, j))
+    base = m_single(V, local_degree, 0)
+    return sum(base - m_single(V, local_degree, j)
                for j in range(local_degree))
 
 

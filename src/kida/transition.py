@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import localfactor, qexp, splitting
 from .errors import (ChainMismatch, IncompleteTwistData,
                      InternalAdditivityViolation, MismatchedInputs,
-                     MissingLocalType, MuNonzero, Record)
+                     MissingLocalType, MuNonzero, NegativeLambda, Record)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -224,7 +224,12 @@ def transition(*, p: int,
             ell=entry.ell, local_degree=entry.local_degree,
             places=entry.places, m=m, h=None if generic else m, path=path,
             type_spec=localfactor.describe_local_type(V), local_type=V))
-    lam_out = rs.degree * base.lam + sum(rep.contribution for rep in places)
+    local_sum = sum(rep.contribution for rep in places)
+    lam_out = rs.degree * base.lam + local_sum
+    if lam_out < 0:
+        raise NegativeLambda(
+            f"local sum {local_sum} with lambda.in = {base.lam} at degree "
+            f"{rs.degree} gives lambda.out = {lam_out} < 0")
     hypotheses = tuple((name, assert_hypotheses)
                        for name in HYPOTHESIS_NAMES[base.kind])
     return TransitionReport(

@@ -278,10 +278,10 @@ def _count_points_naive(E, ell: int) -> int:
 def hasse_suite(bound: int = 100, seed: int = 0) -> SuiteResult:
     """Hasse bound and an independent recount for the test curves at
     every prime of good reduction up to ``bound``."""
+    from . import arith
     from .qexp import EllipticCurve
     res = SuiteResult("hasse", {"bound": bound, "seed": seed})
-    primes = [n for n in range(2, bound + 1)
-              if all(n % q for q in range(2, n))]
+    primes = [n for n in range(2, bound + 1) if arith.is_prime(n)]
     for coefficients in TEST_CURVES:
         E = EllipticCurve(*coefficients)
         disc = E.discriminant()

@@ -161,7 +161,7 @@ class TestAcceptance:
             ok &= lf.m_extension(sc, degree) == 0
             ok &= lf.h_v(sc, degree) == 0
             for j in range(min(degree, 12)):
-                ok &= lf.m_single(sc, lf.TwistCharacter(degree, j)) == 0
+                ok &= lf.m_single(sc, degree, j) == 0
         rep_sc = tr.transition(p=11, base_field=Q, ext_field=F23,
                                base=tr.InvariantRecord("algebraic", 0, 1),
                                form=DELTA, local_types={23: sc})

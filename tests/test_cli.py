@@ -38,6 +38,11 @@ BAD_FILES = {
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
                 "5", "--ell", "7", "--e", "5")
+# a dying character at a prime with 3^13 places drives lambda.out below 0
+NEGATIVE_LAMBDA = ("transition", "--p", "3", "--base", "Q", "--ext",
+                   "cyclotomic:19131877:degree=4782969", "--local",
+                   "19131877=special:ram,triv,dies", "--lambda", "0",
+                   "--mu", "0")
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -89,6 +94,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # discriminant about 6.4e28: trial division would take hours
     HV_BIG_CURVE,
     HV_TABLE + ("table:TABLE_HUGE_PRIME",),
+    # a domain error: no tower with mu = 0 has a negative lambda
+    NEGATIVE_LAMBDA,
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
@@ -103,6 +110,9 @@ HOSTILE_STDERR = {
     HV_BIG_CURVE:
         "curve discriminant 64000001776000017184000056944 beyond the "
         "trial-division bound 10^14",
+    NEGATIVE_LAMBDA:
+        "local sum -1594323 with lambda.in = 0 at degree 4782969 gives "
+        "lambda.out = -1594323 < 0",
 }
 
 

@@ -28,23 +28,22 @@ class TestMSingle:
     def test_ups_ramified_twist_kills(self):
         V = lf.UnramifiedPS(2, 1, 11)
         for j in range(1, 11):
-            assert lf.m_single(V, lf.TwistCharacter(11, j)) == 0
+            assert lf.m_single(V, 11, j) == 0
 
     def test_supercuspidal_zero_for_every_twist(self):
         for degree in (1, 3, 9, 27):
             for j in range(degree):
-                assert lf.m_single(lf.Supercuspidal(),
-                                   lf.TwistCharacter(degree, j)) == 0
+                assert lf.m_single(lf.Supercuspidal(), degree, j) == 0
 
     def test_special_unramified(self):
         V = lf.Special(UNRAM_TRIV)
         assert lf.m_single(V) == 1
-        assert lf.m_single(V, lf.TwistCharacter(5, 2)) == 0
+        assert lf.m_single(V, 5, 2) == 0
 
     def test_special_dying_ramified(self):
         V = lf.Special(ram_char(True, 5))
         assert lf.m_single(V) == 0
-        hits = [lf.m_single(V, lf.TwistCharacter(5, j)) for j in range(5)]
+        hits = [lf.m_single(V, 5, j) for j in range(5)]
         assert sum(hits) == 1 and hits[0] == 0
 
     def test_generic_unsupported(self):
@@ -55,7 +54,17 @@ class TestMSingle:
         for V in [lf.UnramifiedPS(a, c, 5) for a in range(5)
                   for c in range(5)]:
             for j in range(5):
-                assert 0 <= lf.m_single(V, lf.TwistCharacter(5, j)) <= 2
+                assert 0 <= lf.m_single(V, 5, j) <= 2
+
+    def test_exponent_reduced_mod_degree(self):
+        V = lf.Special(ram_char(True, 9))   # cancelled by exponent 9 // 9
+        assert lf.m_single(V, 9, 10) == lf.m_single(V, 9, -8) == 1
+        assert lf.m_single(V, 9, -1) == lf.m_single(V, 9, 8) == 0
+        W = lf.Special(UNRAM_TRIV)          # cancelled by the trivial twist
+        assert lf.m_single(W, 1, 5) == lf.m_single(W, 9, -9) == 1
+        assert lf.m_single(W, 9, 13) == lf.m_single(W, 9, 4) == 0
+        ups = lf.UnramifiedPS(2, 1, 11)
+        assert lf.m_single(ups, 9, 18) == 2 and lf.m_single(ups, 9, 13) == 0
 
 
 class TestMExtension:
@@ -154,6 +163,27 @@ class TestHTables:
                         bad.append((p, e, lf.describe_local_type(V), h, m))
         assert cases == 4865
         assert not bad, f"{len(bad)} disagreements, first {bad[:5]}"
+
+
+class TestTwistSum:
+    def test_one_m_single_per_twist(self, monkeypatch):
+        # the oracle stays literal: the base twist plus one m_single per
+        # exponent, never a closed form borrowed from the table it checks
+        calls = []
+        real = lf.m_single
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lf, "m_single", counted)
+        for V in (lf.Special(ram_char(True, 9)), lf.UnramifiedPS(2, 1, 3),
+                  lf.RamifiedPS(UNRAM_TRIV, ram_char(True, 3))):
+            for d in (1, 3, 9, 27, 81):
+                calls.clear()
+                assert lf.twist_sum(V, d) == lf.h_v(V, d)
+                assert len(calls) == d + 1
+                assert sorted(j for _, _, j in calls[1:]) == list(range(d))
 
 
 class TestTowerAdditivity:

@@ -7,7 +7,7 @@ lists names as strings: exposure, not use.  A use is a name, an attribute
 or a string constant (``verify.SUITES`` names suite functions) outside the
 definition itself.
 
-A method name that several classes define (``contains``, ``key``,
+A method name that several classes define (``contains``, ``elements``,
 ``as_mapping``) counts for an owner class only where the receiver is
 known to be that class: ``self`` or ``cls`` in its methods, a parameter
 annotated with it, a local bound to its constructor or to a call
@@ -29,8 +29,6 @@ ALLOWED = {
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",
-    "chargroup.FiniteAbelianGroup.add": "test oracle for the group law",
-    "chargroup.Subgroup.key": "test oracle for subgroup equality",
     "qexp.DirichletCharacter":
         "the per-twist route to lambda' (ROADMAP.md) counts characters "
         "by conductor",

@@ -50,8 +50,6 @@ CASES = {
     "Supercuspidal": (lf.Supercuspidal(), "Supercuspidal()"),
     "Generic": (lf.Generic(3, (2, 1, 0)),
                 "Generic(degree=3, m_values=(2, 1, 0))"),
-    "TwistCharacter": (lf.TwistCharacter(9, 13),
-                       "TwistCharacter(degree=9, exponent=4)"),
     "EllipticCurve": (qexp.EllipticCurve(0, -1, 1, -10, -20),
                       "EllipticCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20)"),
     "CoefficientTable": (qexp.CoefficientTable(2, 11, {2: -2, 3: -1}),
@@ -171,9 +169,6 @@ def test_normalisation_in_constructors():
     ups = lf.UnramifiedPS(-1, 16, 5)
     assert (ups.a, ups.c, ups.p) == (4, 1, 5)
     assert ups == lf.UnramifiedPS(4, 1, 5)
-    assert lf.TwistCharacter(9, 13).exponent == 4
-    assert lf.TwistCharacter(9, -1) == lf.TwistCharacter(9, 8)
-    assert lf.TwistCharacter(1, 5).exponent == 0
 
 
 def test_local_char_data_defaults():

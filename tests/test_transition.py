@@ -8,7 +8,8 @@ import pytest
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, IncompleteTwistData,
-                         MismatchedInputs, MissingLocalType, MuNonzero)
+                         MismatchedInputs, MissingLocalType, MuNonzero,
+                         NegativeLambda)
 
 DELTA = qexp.delta_form()
 Q = sp.rationals()
@@ -86,6 +87,21 @@ class TestTransitionExamples:
                             base=tr.InvariantRecord("algebraic", 0, 0),
                             form=f, local_types={11: lf.Supercuspidal()})
         assert rep.lambda_out == 0
+
+    def test_negative_lambda_rejected(self):
+        # 9 places above 109, each with m = -1: lambda.out = 3 * lambda.in - 9
+        F109 = sp.parse_field_spec("cyclotomic:109:degree=3")
+        dying = {109: lf.parse_local_type("special:ram,triv,dies", 3)}
+
+        def run(lam):
+            return tr.transition(p=3, base_field=Q, ext_field=F109,
+                                 base=tr.InvariantRecord("algebraic", 0, lam),
+                                 form=DELTA, local_types=dying)
+        with pytest.raises(NegativeLambda,
+                           match="local sum -9 with lambda.in = 2"):
+            run(2)
+        assert run(3).lambda_out == 0
+        assert run(3).to_invariant_record().lam == 0
 
     def test_ramified_at_p_reduction_warns(self):
         # the first tower layer inside Q(zeta_121) reduces away entirely
@@ -268,7 +284,6 @@ class TestCompose:
         def refuse(*args):
             raise AssertionError("twist-by-twist sum reached")
         monkeypatch.setattr(lf, "m_single", refuse)
-        monkeypatch.setattr(lf, "TwistCharacter", refuse)
         from kida import arith
         F7 = sp.parse_field_spec("cyclotomic:7:degree=3")
         U = arith.unit_group(763)
