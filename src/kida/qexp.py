@@ -1,7 +1,8 @@
 """Exact q-expansion arithmetic and Fourier-coefficient sources.
 
 Coefficient sources: the weight-12 level-1 cusp form (eta-product),
-elliptic curves over Q via naive point counting, and user tables of
+elliptic curves over Q by point counting (the Legendre sum at primes up
+to 229, Shanks-Mestre baby-step giant-step above), and user tables of
 prime-indexed eigenvalues.  Only forms with rational-integer
 coefficients are supported natively, so reduction "mod pi" is reduction
 mod p throughout; nothing is ever a float.  Dirichlet characters carry
@@ -99,36 +100,156 @@ class EllipticCurve(Record):
                 + 9 * b2 * b4 * b6)
 
     def count_points(self, ell: int) -> int:
-        """#E(F_ell) including the point at infinity, good reduction only."""
+        """#E(F_ell) including the point at infinity, good reduction only:
+        the Legendre sum up to ell = 229, baby-step giant-step above."""
         if ell > EC_PRIME_BOUND:
             raise BoundExceeded(f"prime {ell} beyond bound {EC_PRIME_BOUND}")
+        if not arith.is_prime(ell):
+            raise ValueError(f"ell must be prime, got {ell}")
         if self.discriminant() % ell == 0:
             raise BadReduction(f"prime {ell} divides the discriminant")
-        if ell == 2:
-            cnt = 1
-            for x in range(2):
-                for y in range(2):
-                    if (y * y + self.a1 * x * y + self.a3 * y
-                            - (x ** 3 + self.a2 * x * x + self.a4 * x
-                               + self.a6)) % 2 == 0:
-                        cnt += 1
-            return cnt
-        # Complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-        b2, b4, b6, _ = self.b_invariants()
-        square = bytearray(ell)
-        for r in range(ell // 2 + 1):
-            square[r * r % ell] = 1
-        chi_sum = 0
-        for x in range(ell):
-            v = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % ell
-            if v:
-                chi_sum += 1 if square[v] else -1
-        return ell + 1 + chi_sum
+        if ell > _MESTRE_BOUND:
+            return _count_bsgs(self, ell)
+        return _count_legendre(self, ell)
 
     def ap(self, ell: int) -> int:
         """Trace of Frobenius a_ell = ell + 1 - #E(F_ell), with
         |a_ell| <= 2 sqrt(ell)."""
         return ell + 1 - self.count_points(ell)
+
+
+# Mestre: past this prime, E or its quadratic twist has a point whose
+# order has one multiple in the Hasse interval.  The bound is sharp:
+# y^2 = x^3 + 1 at ell = 229 is not decided by point orders.
+_MESTRE_BOUND = 229
+
+
+def _count_legendre(E: EllipticCurve, ell: int) -> int:
+    """#E(F_ell) by the O(ell) Legendre sum, the oracle of _count_bsgs."""
+    if ell == 2:
+        cnt = 1
+        for x in range(2):
+            for y in range(2):
+                if (y * y + E.a1 * x * y + E.a3 * y
+                        - (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6)) % 2 == 0:
+                    cnt += 1
+        return cnt
+    # Complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    # so each x has 1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6) points
+    b2, b4, b6, _ = E.b_invariants()
+    chi = [-1] * ell
+    chi[0] = 0
+    for r in range(1, ell // 2 + 1):
+        chi[r * r % ell] = 1
+    return ell + 1 + sum([chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % ell]
+                          for x in range(ell)])
+
+
+def _ec_add(P, Q, a: int, ell: int):
+    """P + Q on y^2 = x^3 + a x + b over F_ell in affine coordinates
+    reduced mod ell; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        m = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        m = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (m * m - x1 - x2) % ell
+    return x3, (m * (x1 - x3) - y1) % ell
+
+
+def _ec_mul(n: int, P, a: int, ell: int):
+    """nP for n >= 0 by double-and-add."""
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, a, ell)
+        n >>= 1
+        if n:
+            P = _ec_add(P, P, a, ell)
+    return R
+
+
+def _order_multiple(P, a: int, ell: int, r: int) -> int:
+    """A positive multiple of the order of a point P != O of a group whose
+    order lies in the Hasse interval [ell+1-r, ell+1+r].
+
+    Baby steps store x(jP) for 1 <= j <= s; giant steps walk G = (ell+1 -
+    kt)P for |k| <= K, t = 2s+1.  A shared abscissa means G = +-jP, so
+    ell+1 - kt -+ j kills P.  The group order is ell+1 - (kt + j) with
+    |j| <= s and |k| <= K, so the walk meets it if nothing earlier.
+    """
+    s = math.isqrt(r) + 1
+    t = 2 * s + 1
+    baby = {}                       # x(jP) -> (j, y(jP))
+    R = P
+    for j in range(1, s + 1):
+        if R is None:
+            return j
+        baby[R[0]] = (j, R[1])
+        R = _ec_add(R, P, a, ell)
+    K = r // t + 1
+    T = _ec_mul(t, P, a, ell)
+    minus_T = None if T is None else (T[0], -T[1] % ell)
+    G = _ec_mul(ell + 1 + K * t, P, a, ell)
+    for k in range(-K, K + 1):
+        n = ell + 1 - k * t
+        if G is None:
+            return n
+        if G[0] in baby:
+            j, y = baby[G[0]]
+            return n - j if G[1] == y else n + j
+        G = _ec_add(G, minus_T, a, ell)
+    raise BoundExceeded(f"no multiple of a point order within {r} of "
+                        f"{ell + 1}")
+
+
+def _count_bsgs(E: EllipticCurve, ell: int) -> int:
+    """#E(F_ell) for a good prime ell >= 5 by Shanks-Mestre baby-step
+    giant-step, O(ell^(1/4)) group operations per point (Cohen, GTM 138,
+    7.4; Washington, *Elliptic Curves*, ch. 4).
+
+    On the short model y^2 = x^3 + Ax + B, A = -27 c4, B = -54 c6, each
+    abscissa x = 0, 1, ... with d = x^3 + Ax + B != 0 gives the point
+    (dx, d^2) of y^2 = x^3 + A d^2 x + B d^3: E itself when d is a square
+    mod ell, its quadratic twist when not, told apart by Euler's
+    criterion.  #E + #E' = 2(ell + 1), so each side keeps the lcm of its
+    point orders, and the count is settled once one side's lcm has a
+    single multiple in the Hasse interval.  By x = ell every point of E
+    and E' but the 2-torsion has been seen, so past ell = 229 (Mestre)
+    the walk decides before it ends.
+    """
+    b2, b4, b6, _ = E.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    A, B = -27 * c4 % ell, -54 * c6 % ell
+    r = math.isqrt(4 * ell)
+    lo, hi = ell + 1 - r, ell + 1 + r
+    lcms = {1: 1, ell - 1: 1}       # Euler's criterion -> lcm of orders
+    half = (ell - 1) // 2
+    for x in range(ell):
+        d = (x * x * x + A * x + B) % ell
+        if not d:
+            continue
+        side = pow(d, half, ell)
+        a = A * d * d % ell
+        P = (d * x % ell, d * d % ell)
+        n = _order_multiple(P, a, ell, r)
+        for q, _ in arith.factor(n):    # strip n to the order of P
+            while n % q == 0 and _ec_mul(n // q, P, a, ell) is None:
+                n //= q
+        L = lcms[side] = math.lcm(lcms[side], n)
+        if hi // L - (lo - 1) // L == 1:
+            n = hi // L * L
+            return n if side == 1 else 2 * (ell + 1) - n
+    raise BoundExceeded(f"no point order decides #E(F_{ell}): Mestre's "
+                        f"bound needs ell > {_MESTRE_BOUND}")
 
 
 # -- coefficient tables --------------------------------------------------

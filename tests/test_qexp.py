@@ -1,9 +1,10 @@
 import hashlib
 import math
+import random
 
 import pytest
 
-from kida import arith, chargroup, cli, qexp
+from kida import arith, chargroup, cli, qexp, verify
 from kida.errors import (BadReduction, BoundExceeded, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
 
@@ -20,6 +21,34 @@ def eta24_naive(B):
 
 
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
+
+# (a1, a2, a3, a4, a6) of the curves perfbench/workloads.py draws from
+BENCHMARK_CURVES = (
+    (0, -1, 1, -10, -20),
+    (0, 0, 1, -1, 0),
+    (1, 0, 1, -1, 0),
+    (0, 1, 1, 0, 0),
+    (1, -1, 1, -1, 0),
+)
+J0 = (0, 0, 0, 0, 1)            # y^2 = x^3 + 1, j = 0
+ORACLE_CURVES = sorted({(0, -1, 1, -10, -20), *verify.TEST_CURVES,
+                        *BENCHMARK_CURVES, J0})
+
+
+def primes_upto(n):
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(sieve[d * d::d]))
+    return [ell for ell in range(n + 1) if sieve[ell]]
+
+
+PRIMES = primes_upto(10 ** 5)
+# every prime in (229, 3000], 16 drawn from (3000, 10^5], and 99991
+ORACLE_PRIMES = ([ell for ell in PRIMES if 229 < ell <= 3000]
+                 + sorted(random.Random(0).sample(
+                     [ell for ell in PRIMES if ell > 3000], 16))
+                 + [99991])
 
 # SHA-256 of ",".join(map(str, tau(1..5000))) as the 24-pass product of
 # Euler's pentagonal series computed it, before the power recurrence.
@@ -131,6 +160,80 @@ class TestEllipticCurve:
         with pytest.raises(BoundExceeded):
             X0_11.ap(100003)
 
+    @pytest.mark.parametrize("ell", [1, 15, -7, 0])
+    def test_non_prime_rejected_before_any_work(self, ell, monkeypatch):
+        def refuse(E, ell):
+            raise AssertionError(f"counted at {ell}")
+        monkeypatch.setattr(qexp, "_count_legendre", refuse)
+        monkeypatch.setattr(qexp, "_count_bsgs", refuse)
+        with pytest.raises(ValueError, match="must be prime"):
+            X0_11.count_points(ell)
+
+    def test_ap_at_prime_square_rejected(self):
+        with pytest.raises(ValueError, match="must be prime"):
+            X0_11.ap(49)
+
+
+class TestPointCountRoutes:
+    """Baby-step giant-step past 229, the Legendre sum as its oracle."""
+
+    @pytest.mark.parametrize("coefficients", ORACLE_CURVES, ids=str)
+    def test_bsgs_matches_legendre(self, coefficients):
+        E = qexp.EllipticCurve(*coefficients)
+        disc = E.discriminant()
+        for ell in ORACLE_PRIMES:
+            if disc % ell:
+                assert E.count_points(ell) == qexp._count_legendre(E, ell), ell
+
+    @pytest.mark.parametrize("coefficients", ORACLE_CURVES, ids=str)
+    def test_below_mestre_bound_right_or_refused(self, coefficients):
+        # the walk only answers when one count is left, so at small
+        # primes it is right or raises, never wrong
+        E = qexp.EllipticCurve(*coefficients)
+        for ell in PRIMES[2:PRIMES.index(229) + 1]:
+            if E.discriminant() % ell == 0:
+                continue
+            want = qexp._count_legendre(E, ell)
+            assert E.count_points(ell) == want
+            try:
+                assert qexp._count_bsgs(E, ell) == want, ell
+            except BoundExceeded:
+                pass
+
+    def test_additions_bounded(self, monkeypatch):
+        adds = 0
+        real = qexp._ec_add
+
+        def counted(*args):
+            nonlocal adds
+            adds += 1
+            return real(*args)
+        monkeypatch.setattr(qexp, "_ec_add", counted)
+        for coefficients in ORACLE_CURVES:
+            adds = 0
+            qexp.EllipticCurve(*coefficients).count_points(99991)
+            assert 0 < adds <= 2000, coefficients
+
+    def test_legendre_sum_not_entered_above_229(self, monkeypatch):
+        calls = []
+        real = qexp._count_legendre
+
+        def spy(E, ell):
+            calls.append(ell)
+            return real(E, ell)
+        monkeypatch.setattr(qexp, "_count_legendre", spy)
+        for ell in (233, 239, 1009, 99991):
+            X0_11.count_points(ell)
+        assert calls == []
+        X0_11.count_points(229)
+        assert calls == [229]
+
+    def test_j0_at_229_is_below_mestre_bound(self):
+        E = qexp.EllipticCurve(*J0)
+        assert E.count_points(229) == qexp._count_legendre(E, 229) == 252
+        with pytest.raises(BoundExceeded, match="Mestre"):
+            qexp._count_bsgs(E, 229)
+
 
 class TestFrobeniusData:
     def test_delta_23(self):
@@ -159,10 +262,7 @@ class TestFrobeniusData:
     def test_c_is_ell_power_for_every_source(self, p):
         # every source has trivial character, so c = ell^(k-1) mod p;
         # the oracle reduces the exact power once, over primes from a sieve
-        sieve = bytearray([0, 0]) + bytearray([1]) * 1998
-        for n in range(2, 45):
-            sieve[n * n::n] = bytes(len(sieve[n * n::n]))
-        primes = [ell for ell in range(2000) if sieve[ell] and ell != p]
+        primes = [ell for ell in PRIMES if ell < 2000 and ell != p]
         delta, curve = qexp.delta_form(), qexp.ec_form(X0_11)
         for ell in primes:
             assert qexp.frobenius_data(delta, ell, p) == (

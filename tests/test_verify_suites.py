@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kida import chargroup, cli, verify
+from kida import arith, chargroup, cli, qexp, verify
 from kida.errors import BoundExceeded, KidaError, SpecParseError
 
 GROUP_IDENTITY_DOC = """checks = {checks}
@@ -120,6 +120,38 @@ class TestHasseSuite:
     def test_passes(self):
         res = verify.hasse_suite(bound=100)
         assert res.passed and res.checks > 100
+
+    def test_legendre_recounts_past_229_and_a_seeded_sample(self,
+                                                            monkeypatch):
+        real = qexp._count_legendre
+
+        def recounted(seed):
+            seen = set()
+
+            def spy(E, ell):
+                if ell <= 229:
+                    return real(E, ell)
+                seen.add(ell)
+                return qexp._count_bsgs(E, ell)
+            monkeypatch.setattr(qexp, "_count_legendre", spy)
+            assert verify.hasse_suite(bound=2400, seed=seed).passed
+            return seen
+        primes = {ell for ell in range(230, 2401) if arith.is_prime(ell)}
+        s0, s1 = recounted(0), recounted(1)
+        for seen in (s0, s1):
+            assert {ell for ell in seen if ell <= 2000} == {
+                ell for ell in primes if ell <= 2000}
+            assert len({ell for ell in seen if ell > 2000}) == 32
+        assert s0 != s1
+
+    def test_recount_catches_a_wrong_count(self, monkeypatch):
+        real = qexp._count_bsgs
+        monkeypatch.setattr(qexp, "_count_bsgs",
+                            lambda E, ell: real(E, ell) + (ell == 1009))
+        res = verify.hasse_suite(bound=1100)
+        assert len(res.failures) == len(verify.TEST_CURVES)
+        assert all(f.startswith("recount mismatch") and "ell=1009" in f
+                   for f in res.failures)
 
 
 class TestRendering:
