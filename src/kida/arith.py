@@ -284,7 +284,7 @@ class UnitGroup:
         return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def unit_group(N: int) -> UnitGroup:
     """Unit group (Z/N)^* with invariant factors and coordinate maps."""
     if N < 1:

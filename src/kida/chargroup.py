@@ -119,12 +119,18 @@ class Subgroup:
     def from_hermite(cls, group: FiniteAbelianGroup, rows) -> "Subgroup":
         """Subgroup of the lattice with Hermite rows ``rows``, trusted as
         ``subgroup_lattices`` yields them: pivots a_i on the diagonal give
-        order |G| / prod a_i, and the nonzero rows mod d generate it."""
+        order |G| / prod a_i, and the rows with a_i < d_i generate it.
+
+        Such a row is already reduced mod d: a_i | d_i, and each entry
+        right of the pivot lies in [0, a_j) with a_j | d_j.  A row with
+        a_i = d_i is d_i e_i, 0 mod d: its tail then lies in the lattice
+        spanned by the rows below, and reduced against them it is 0.
+        """
         d = group.invariant_factors
         H = cls.__new__(cls)
         H.group = group
-        gens = (tuple(x % m for x, m in zip(row, d)) for row in rows)
-        H.generators = tuple(g for g in gens if any(g))
+        H.generators = tuple(tuple(row) for i, row in enumerate(rows)
+                             if row[i] < d[i])
         H._lattice = Lattice(rows, len(d), hermite=True)
         H.order = group.order // math.prod(
             row[i] for i, row in enumerate(rows))
@@ -320,14 +326,18 @@ def subgroup_lattices(d):
     diagonal and entries right of it in [0, a_j), and is kept iff
     (d_i / a_i) times its off-diagonal part lies in the span of the rows
     below, i.e. iff d_i e_i lies in L.  Each L has one such form (Cohen,
-    *A Course in Computational Algebraic Number Theory*, 2.4).
+    *A Course in Computational Algebraic Number Theory*, 2.4).  Every
+    entry is then already below its d_j, so a row is reduced mod d as it
+    stands (``Subgroup.from_hermite``); each row is built once and shared
+    by all the forms that contain it.
     """
     def in_span(vec, rows):
         for k, row in enumerate(rows):
             q, rem = divmod(vec[k], row[k])
             if rem:
                 return False
-            vec = [x - q * y for x, y in zip(vec, row)]
+            if q:
+                vec = [x - q * y for x, y in zip(vec, row)]
         return True
 
     def walk(i, below):
@@ -339,8 +349,9 @@ def subgroup_lattices(d):
         for a in range(1, d[i] + 1):
             if d[i] % a:
                 continue
+            m = d[i] // a
             for off in itertools.product(*map(range, pivots)):
-                if in_span([d[i] // a * x for x in off], tails):
+                if in_span([m * x for x in off], tails):
                     yield from walk(i - 1, [[0] * i + [a, *off]] + below)
 
     yield from walk(len(d) - 1, [])
@@ -397,7 +408,7 @@ def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     The subgroups of G = Z^r / diag(d) are the lattices between
     diag(d) Z^r and Z^r, each listed once by its Hermite normal form
     (``subgroup_lattices``).  A form with pivots a_i gives the subgroup
-    of order |G| / prod a_i generated by its nonzero rows reduced mod d.
+    of order |G| / prod a_i generated by its rows with a_i < d_i.
     """
     return [Subgroup.from_hermite(G, rows)
             for rows in subgroup_lattices(G.invariant_factors)]

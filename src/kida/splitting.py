@@ -316,7 +316,7 @@ def _p_component(d, p: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of generators of the unique index-d subgroup of
     (Z/N)^*, if unique.

@@ -72,11 +72,11 @@ class TestAcceptance:
         t0 = time.perf_counter()
         res = verify.group_identity_suite(max_order=200, reps=100, seed=7)
         dt = time.perf_counter() - t0
-        report(6, res.passed and dt < 60.0,
-               f"group identity: {res.checks} checks over all abelian "
-               f"groups of order <= 200, every subgroup, 100 random reps "
-               f"each; {len(res.failures)} counterexamples in {dt:.1f}s "
-               f"(< 60s)")
+        report(6, res.passed and res.checks == 6166476 and dt < 60.0,
+               f"group identity: {res.checks} checks (expect 6166476) over "
+               f"all abelian groups of order <= 200, every subgroup, 100 "
+               f"random reps each; {len(res.failures)} counterexamples in "
+               f"{dt:.1f}s (< 60s)")
 
     def test_c07_tower_additivity(self):
         res = verify.tower_additivity_suite(max_size=27, seed=1)

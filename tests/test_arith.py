@@ -170,6 +170,21 @@ class TestUnitGroup:
             for g, d in zip(U.generators, U.invariant_factors):
                 assert arith.mult_order(g, N) == d
 
+    def test_cache_is_bounded_and_rebuilds_on_eviction(self):
+        # more distinct conductors than the cache holds: its size stays
+        # at most maxsize, and an evicted conductor rebuilds an equal group
+        maxsize = arith.unit_group.cache_info().maxsize
+        first = arith.unit_group(1000)
+        logs = [first.log(x) for x in range(1000) if math.gcd(x, 1000) == 1]
+        for N in range(1001, 1002 + maxsize):
+            arith.unit_group(N)
+            assert arith.unit_group.cache_info().currsize <= maxsize
+        again = arith.unit_group(1000)
+        assert again is not first
+        assert again.invariant_factors == first.invariant_factors
+        assert [again.log(x) for x in range(1000)
+                if math.gcd(x, 1000) == 1] == logs
+
 
 class TestCrt:
     def test_matches_brute_force(self):

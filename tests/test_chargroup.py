@@ -262,6 +262,16 @@ class TestSubgroups:
                     == [R._lattice.key() for R in rebuilt])
             assert [H.order for H in subs] == [R.order for R in rebuilt]
 
+    def test_hermite_generators_match_reduction_mod_d(self):
+        # from_hermite keeps the rows with pivot below d_i; the reference
+        # reduces every entry mod d and drops the rows that become 0
+        for G in cg.abelian_groups_upto(96):
+            d = G.invariant_factors
+            for rows in cg.subgroup_lattices(d):
+                gens = (tuple(x % m for x, m in zip(row, d)) for row in rows)
+                assert (cg.Subgroup.from_hermite(G, rows).generators
+                        == tuple(g for g in gens if any(g))), (d, rows)
+
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4
         assert cg.Subgroup(cg.cyclic(8), []).order == 1

@@ -392,6 +392,22 @@ class TestFieldSpecGrammar:
     def test_degree_spec_golden(self, spec, printed):
         assert sp.parse_field_spec(spec).spec_string() == printed
 
+    def test_degree_cache_is_bounded(self):
+        # the quadratic subfield of Q(zeta_q) for more primes q >= 5 than
+        # the cache holds: its size stays at most maxsize, and an evicted
+        # (q, 2) resolves again to the same rows
+        cache = sp._resolve_degree_subgroup
+        maxsize = cache.cache_info().maxsize
+        primes = [q for q in range(5, 2000) if arith.is_prime(q)]
+        assert len(primes) > maxsize + 1
+        first = cache(primes[0], 2)
+        for q in primes[1:]:
+            cache(q, 2)
+            assert cache.cache_info().currsize <= maxsize
+        hits = cache.cache_info().hits
+        assert cache(primes[0], 2) == first == ((2,),)
+        assert cache.cache_info().hits == hits      # rebuilt, not a hit
+
     @pytest.mark.parametrize("N,d,count", [
         (8, 2, 3), (15015, 2, 31), (15015, 3, 4), (4849845, 8, 26179),
         (111546435, 16, 859891)])

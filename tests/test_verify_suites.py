@@ -35,6 +35,15 @@ print(json.dumps(verify.group_identity_suite(12, 100, 0).as_mapping()))
 
 
 class TestGroupIdentitySuite:
+    def test_value_logs_match_characters(self):
+        # the sweep's outer-sum lists against value_log over dual_group
+        for G in chargroup.abelian_groups_upto(64):
+            dual = chargroup.dual_group(G)
+            gens = {g for H in chargroup.subgroups(G) for g in H.generators}
+            for g in gens:
+                assert (verify._value_logs(G.invariant_factors, G.exponent, g)
+                        == [chi.value_log(g) for chi in dual]), (G, g)
+
     def test_small_sweep_passes(self):
         res = verify.group_identity_suite(max_order=48, reps=30, seed=7)
         assert res.passed and res.checks == 44622
@@ -45,7 +54,8 @@ class TestGroupIdentitySuite:
         assert a.checks == b.checks and a.failures == b.failures
 
     @pytest.mark.parametrize("size,seed,checks", [
-        (12, 0, 8032), (64, 1, 602432), (70, 3, 606646)])
+        (12, 0, 8032), (64, 1, 602432), (70, 3, 606646), (64, 0, 602432),
+        (66, 0, 603636), (68, 0, 605442), (70, 0, 606646)])
     def test_golden_stdout(self, size, seed, checks, capsys):
         argv = ["verify", "--suite", "group-identity",
                 "--size", str(size), "--seed", str(seed)]
@@ -83,6 +93,22 @@ class TestGroupIdentitySuite:
             "counterexample.0": "annihilator size 4 != 8/4 "
                                 "for G=(2, 4) H=((1, 2),)"}
 
+    def test_split_restriction_classes_are_caught(self, monkeypatch):
+        # value logs that tell apart characters equal on H (a nonzero log
+        # x at character j read as x + j e) keep every annihilator but
+        # split the restriction classes
+        real = verify._value_logs
+
+        def faulty(d, e, g):
+            return [x and x + j * e for j, x in enumerate(real(d, e, g))]
+
+        monkeypatch.setattr(verify, "_value_logs", faulty)
+        res = verify.group_identity_suite(max_order=4, reps=10, seed=0)
+        assert res.checks == 98 and res.failures == [
+            f"3 restriction classes != |H|=2 for G={d} H=({g},)"
+            for d, g in [((4,), (2,)), ((2, 2), (0, 1)), ((2, 2), (1, 0)),
+                         ((2, 2), (1, 1))]]
+
     @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
     def test_wrong_order_in_reference_draw_is_a_fail(self, flags):
         # the reference subsample at this seed draws <(0, 1)> of C_2 x C_4;
@@ -117,6 +143,11 @@ class TestPathAgreementSuite:
 
 
 class TestHasseSuite:
+    def test_sieve_matches_is_prime(self):
+        assert verify._primes_upto(8000) == [
+            n for n in range(8001) if arith.is_prime(n)]
+        assert verify._primes_upto(1) == verify._primes_upto(0) == []
+
     def test_passes(self):
         res = verify.hasse_suite(bound=100)
         assert res.passed and res.checks > 100
