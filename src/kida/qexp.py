@@ -59,8 +59,10 @@ def tau(n: int, precision: int | None = None) -> int:
 
     ``precision`` (default DEFAULT_PRECISION) is a budget: indices past it
     raise PrecisionExceeded, and budgets past MAX_PRECISION raise
-    BoundExceeded before any work.  The budget never sets the work: a
-    miss grows the prefix to max(n, DEFAULT_PRECISION).
+    BoundExceeded before any work.  The budget never sets the work: the
+    first miss builds max(n, DEFAULT_PRECISION) coefficients, and a later
+    one at least doubles the prefix, to min(max(n, 2 * len), MAX_PRECISION),
+    so a walk of n upward costs O(log n) extensions.
     """
     budget = DEFAULT_PRECISION if precision is None else precision
     if budget > MAX_PRECISION:
@@ -70,7 +72,8 @@ def tau(n: int, precision: int | None = None) -> int:
         raise PrecisionExceeded(f"tau({n}) beyond precision budget {budget}")
     b = _tau_prefix
     if n > len(b):
-        b = _extend(max(n, DEFAULT_PRECISION))
+        b = _extend(min(max(n, 2 * len(b)), MAX_PRECISION) if b
+                    else max(n, DEFAULT_PRECISION))
     return b[n - 1]
 
 

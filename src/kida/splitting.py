@@ -8,6 +8,16 @@ ell-component of the unit group, Frobenius is the class of ell prime to
 ell, and places correspond to cosets of H times the decomposition
 subgroup.  Place counts in the layers of the cyclotomic p-tower follow
 from efg and two p-adic valuations, with no layer built (tower_places).
+
+A field's presentation is the pair (conductor, HNF basis of H's
+lattice), computed once per AbelianField (``_key``): fields parsed
+again, or from other generators of the same H, share it.  ``efg``,
+``relative_degree`` and ``same_field`` are memoized on presentations,
+in lru caches that hold only integers and PlaceData: ``_efg`` keys on
+(presentation, ell) and keeps 256 entries, ``_relative_degree`` and
+``_same_field`` key on (presentation, presentation) and keep 128.  A
+miss takes its unit groups from ``arith.unit_group``'s own cache, so no
+entry pins a UnitGroup or its baby-step tables.  Errors are not cached.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ class AbelianField:
         if rows is None:
             rows = [self.unit_group.log(g) for g in self.subgroup_gens]
         self._lattice = subgroup_lattice(rows, self.unit_group.invariant_factors)
+        self._key = (conductor, tuple(map(tuple, self._lattice.basis)))
 
     @property
     def degree(self) -> int:
@@ -71,33 +82,52 @@ def _reduction_matrix(M_group: arith.UnitGroup, N: int) -> list[list[int]]:
     return [list(target.log(g % N)) for g in M_group.generators]
 
 
-def _pullback_lattice(M_group: arith.UnitGroup, field: AbelianField) -> Lattice:
-    """Lattice in U(M)-coordinates of the preimage of field's subgroup."""
-    if field.conductor == 1 or field.unit_group.rank == 0:
+def _presentation(key) -> tuple[arith.UnitGroup, Lattice]:
+    """The unit group and subgroup lattice of a presentation."""
+    N, basis = key
+    U = arith.unit_group(N)
+    return U, Lattice([list(r) for r in basis], U.rank, hermite=True)
+
+
+def _pullback_lattice(M_group: arith.UnitGroup, key) -> Lattice:
+    """Lattice in U(M)-coordinates of the preimage of a presentation's
+    subgroup."""
+    U, L = _presentation(key)
+    if U.rank == 0:
         # preimage of the full unit group: everything
         return subgroup_lattice(
             [[1 if j == i else 0 for j in range(M_group.rank)]
              for i in range(M_group.rank)],
             M_group.invariant_factors)
-    amat = _reduction_matrix(M_group, field.conductor)
-    return preimage_lattice(M_group.rank, amat, field._lattice)
+    amat = _reduction_matrix(M_group, U.modulus)
+    return preimage_lattice(M_group.rank, amat, L)
 
 
-def _aligned(F: AbelianField, Fp: AbelianField):
+def _aligned(key, key_p):
     """Both subgroup lattices pulled back to the lcm conductor."""
-    M = F.conductor * Fp.conductor // math.gcd(F.conductor, Fp.conductor)
+    M = math.lcm(key[0], key_p[0])
     UM = arith.unit_group(M)
-    return UM, _pullback_lattice(UM, F), _pullback_lattice(UM, Fp)
+    return _pullback_lattice(UM, key), _pullback_lattice(UM, key_p)
 
 
 def same_field(F: AbelianField, Fp: AbelianField) -> bool:
-    _, LF, LFp = _aligned(F, Fp)
+    return _same_field(F._key, Fp._key)
+
+
+@lru_cache(maxsize=128)
+def _same_field(key, key_p) -> bool:
+    LF, LFp = _aligned(key, key_p)
     return LF.key() == LFp.key()
 
 
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     """[Fp : F] for F contained in Fp."""
-    _, LF, LFp = _aligned(F, Fp)
+    return _relative_degree(F._key, Fp._key)
+
+
+@lru_cache(maxsize=128)
+def _relative_degree(key, key_p) -> int:
+    LF, LFp = _aligned(key, key_p)
     if not LF.contains_lattice(LFp):
         raise NotASubfield("extension field does not contain the base field")
     return LFp.det() // LF.det()
@@ -141,22 +171,27 @@ def _element_order_mod_lattice(U: arith.UnitGroup, lat: Lattice,
 
 def efg(F: AbelianField, ell: int) -> PlaceData:
     """Ramification index, residue degree, number of places of ell in F."""
+    return _efg(F._key, ell)
+
+
+@lru_cache(maxsize=256)
+def _efg(key, ell: int) -> PlaceData:
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    U = F.unit_group
+    U, L_H = _presentation(key)
     if U.rank == 0:
         return PlaceData(ell, 1, 1, 1, 1)
-    rows_HI = [list(r) for r in F._lattice.basis] + _inertia_rows(U, ell)
-    L_HI = Lattice(rows_HI, U.rank)
-    e = F._lattice.det() // L_HI.det()
+    degree = L_H.det()
+    L_HI = Lattice(L_H.basis + _inertia_rows(U, ell), U.rank)
+    e = degree // L_HI.det()
     frob = list(U.log(_frobenius_residue(U, ell)))
     f = _element_order_mod_lattice(U, L_HI, frob, L_HI.det())
     L_D = Lattice(L_HI.basis + [frob], U.rank)
     g = L_D.det()
-    if e * f * g != F.degree:
+    if e * f * g != degree:
         raise InternalAdditivityViolation(
-            f"efg: e*f*g = {e}*{f}*{g} != degree {F.degree}")
-    return PlaceData(ell, e, f, g, F.degree)
+            f"efg: e*f*g = {e}*{f}*{g} != degree {degree}")
+    return PlaceData(ell, e, f, g, degree)
 
 
 class TowerPlaceData(Record):

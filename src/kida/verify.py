@@ -52,20 +52,17 @@ class SuiteResult(Record):
         return out
 
 
-def _random_columns(order: int, reps: int, rng: random.Random):
-    """``reps`` random character multisets of dimension 1..20: byte i of
-    cols[j] is rep i's multiplicity of character j.  A rep's entries sum
-    to <= 20, so a sum of columns still keeps one rep per byte."""
-    cols, dims = [0] * order, []
-    for i in range(reps):
+def _draw_reps(order: int, reps: int, rng: random.Random):
+    """Draw ``reps`` random character multisets of dimension 1..20 over
+    ``order`` characters, the draws of one group's representations.
+    Their identities follow from trivial class = annihilator, so nothing
+    reads them; they are drawn so that the reference subsample a seed
+    selects stays fixed (the fault-injection tests pin it)."""
+    for _ in range(reps):
         dim = rng.randint(1, 20)
-        dims.append(dim)
         while dim > 0:
-            j = rng.randrange(order)
-            m = rng.randint(1, dim)
-            cols[j] += m << (8 * i)
-            dim -= m
-    return cols, dims
+            rng.randrange(order)
+            dim -= rng.randint(1, dim)
 
 
 def _value_logs(d, e: int, g) -> list[int]:
@@ -89,11 +86,12 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
     of H; each generator's logs over all characters are built once per
     group (``_value_logs``).  Per subgroup: annihilator size (|G|/|H|
     keys are 0), class count (|H| distinct keys) and trivial class =
-    annihilator.  The identity for all ``reps`` representations at once
-    is one comparison of packed sums, since lhs - rhs = |H| (s_ann -
-    s_triv) per representation; it follows from the last check.  Per
-    group, two draws go to the reference
-    ``chargroup.check_group_identity`` and to the trace oracle
+    annihilator, which is keys[0] == 0 (keys[0] belongs to the first
+    character in ``dual_group``'s order, the trivial one).  Then the
+    identity holds for every representation, since lhs - rhs = |H| (its
+    multiplicities summed over the annihilator - over the trivial
+    class), and counts ``reps`` checks.  Per group, two draws go to the
+    reference ``chargroup.check_group_identity`` and to the trace oracle
     (``multiplicity`` = ``multiplicity_trace`` for the trivial character
     over H); each draw is one check.
     """
@@ -106,7 +104,7 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
         if G.rank == 0:
             res.checks += reps
             continue
-        cols, dims = _random_columns(n, reps, rng)
+        _draw_reps(n, reps, rng)
         subs = chargroup.subgroups(G)
         logs = {}       # generator -> value logs of all characters at it
         for H in subs:
@@ -116,33 +114,17 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
                     logs[g] = _value_logs(d, e, g)
             keys = (list(zip(*map(logs.__getitem__, gens))) if gens
                     else [()] * n)
-            zero, k1 = (0,) * len(gens), keys[0]    # keys[0]: trivial chi
-            ann = [k == zero for k in keys]
-            triv = [k == k1 for k in keys]
-            n_ann, n_classes = ann.count(True), len(set(keys))
+            zero = (0,) * len(gens)
+            n_ann, n_classes = keys.count(zero), len(set(keys))
             why = (f"annihilator size {n_ann} != {n}/{h}" if n_ann != n // h
                    else f"{n_classes} restriction classes != |H|={h}"
                    if n_classes != h
-                   else "trivial-class != annihilator" if triv != ann
+                   else "trivial-class != annihilator" if keys[0] != zero
                    else None)
             if why:
                 res.fail(f"{why} for G={G.invariant_factors} H={gens}")
                 continue
             res.checks += reps
-            s_ann, s_triv = sum(compress(cols, ann)), sum(compress(cols, triv))
-            if s_ann == s_triv:
-                continue
-            m1 = cols[0].to_bytes(reps, "little")
-            s_ann = s_ann.to_bytes(reps, "little")
-            s_triv = s_triv.to_bytes(reps, "little")
-            for i in range(reps):
-                lhs = n * m1[i] - dims[i]       # sum over all characters
-                rhs = (h * ((n // h) * m1[i] - s_ann[i])
-                       + h * s_triv[i] - dims[i])
-                if lhs != rhs:
-                    res.fail(f"identity fails: G={G.invariant_factors} "
-                             f"H={gens} W#{i} lhs={lhs} rhs={rhs}")
-                    break
         # reference implementation and trace oracle on a subsample
         one = chargroup.trivial_character(G)
         for _ in range(2):
@@ -288,12 +270,19 @@ TEST_CURVES = (
 
 
 def _count_points_naive(E, ell: int) -> int:
+    """#E(F_ell) by enumeration: the point at infinity and every (x, y)
+    with y^2 + b y = x^3 + a2 x^2 + a4 x + a6, b = a1 x + a3, read from
+    a table of how often y^2 + b y takes each value, one per distinct b."""
+    tables: dict[int, list[int]] = {}
     cnt = 1
     for x in range(ell):
-        rhs = (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % ell
-        for y in range(ell):
-            if (y * y + E.a1 * x * y + E.a3 * y - rhs) % ell == 0:
-                cnt += 1
+        b = (E.a1 * x + E.a3) % ell
+        hits = tables.get(b)
+        if hits is None:
+            hits = tables[b] = [0] * ell
+            for y in range(ell):
+                hits[(y * y + b * y) % ell] += 1
+        cnt += hits[(x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % ell]
     return cnt
 
 
@@ -348,9 +337,9 @@ def hasse_suite(bound: int = 100, seed: int = 0) -> SuiteResult:
 # None, largest size accepted); the function is looked up by name when the
 # suite runs, so a replaced module attribute (a wrapper, a test double) is
 # the one called.  The maxima keep a run within about 10 s: group-identity
-# 200 is the acceptance sweep and takes about 6 s, 6166476 checks,
+# 200 is the acceptance sweep and takes about 4.5 s, 6166476 checks,
 # tower-additivity checks nothing new past 13^3 = 2197, and hasse at 8000
-# takes about 1.3 s, 5300 checks (CPython 3.11 on a 2-vCPU x86-64 VM).
+# takes about 1.2 s, 5300 checks (CPython 3.11 on a 2-vCPU x86-64 VM).
 SUITES = {
     "group-identity": ("group_identity_suite", "max_order", 200),
     "tower-additivity": ("tower_additivity_suite", "max_size", 2197),

@@ -92,8 +92,30 @@ class TestTau:
             qexp._tau_prefix = []
             qexp.tau(n, precision=qexp.MAX_PRECISION)
             assert len(qexp._tau_prefix) == qexp.DEFAULT_PRECISION
+        # a later miss doubles the prefix, past the budget, and stops at
+        # MAX_PRECISION
         qexp.tau(2500, precision=3000)
-        assert len(qexp._tau_prefix) == 2500
+        assert len(qexp._tau_prefix) == 4000
+        qexp.tau(7000, precision=qexp.MAX_PRECISION)
+        assert len(qexp._tau_prefix) == 8000
+        qexp.tau(8001, precision=qexp.MAX_PRECISION)
+        assert len(qexp._tau_prefix) == qexp.MAX_PRECISION
+
+    def test_upward_walk_extends_logarithmically(self, monkeypatch):
+        # n = 1..5000 in order: 2000, then 4000, then 8000 coefficients
+        sizes = []
+        real = qexp._extend
+
+        def counted(size):
+            sizes.append(size)
+            return real(size)
+
+        monkeypatch.setattr(qexp, "_extend", counted)
+        qexp._tau_prefix = []
+        walked = [qexp.tau(n, 5000) for n in range(1, 5001)]
+        assert sizes == [2000, 4000, 8000]
+        digest = hashlib.sha256(",".join(map(str, walked)).encode())
+        assert digest.hexdigest() == TAU_5000_SHA256
 
     def test_multiplicativity(self):
         for m, n in [(2, 3), (3, 4), (4, 5), (5, 7), (8, 9), (6, 35)]:

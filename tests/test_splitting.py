@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -128,7 +130,8 @@ def layer_place_count(F, ell, p, n):
     U = arith.unit_group(F.conductor * pk // math.gcd(F.conductor, pk))
     # fixer of the layer: the unique index-p^n subgroup of cyclic U(p^(n+1))
     layer = sp.AbelianField(pk, (arith.unit_group(pk).element((p ** n,)),))
-    L_Hn = sp._pullback_lattice(U, F).intersect(sp._pullback_lattice(U, layer))
+    L_Hn = sp._pullback_lattice(U, F._key).intersect(
+        sp._pullback_lattice(U, layer._key))
     rows = [list(r) for r in L_Hn.basis] + sp._inertia_rows(U, ell)
     rows.append(list(U.log(sp._frobenius_residue(U, ell))))
     return Lattice(rows, U.rank).det()
@@ -337,35 +340,128 @@ def _closure(gens, N):
     return out
 
 
+def _orbit_efg(N, gens, ell):
+    """(e, f, g, degree) of ell in the fixed field of H = <gens> by
+    orbit counting: places of ell are the orbits of the decomposition
+    group D = <H, inertia, Frobenius> on (Z/N)^* / H, so g = |G| / |D|,
+    e = |H I| / |H| and f = order of Frobenius mod H I."""
+    units = [x for x in range(N) if math.gcd(x, N) == 1]
+    H = _closure(gens, N)
+    k = arith.padic_val(N, ell) if N > 1 else 0
+    rest = N // ell ** k
+    inertia = [x for x in units if x % rest == 1 % rest]
+    frob = arith.crt([1, ell % rest], [ell ** k, rest])
+    HI = _closure(list(H) + inertia, N)
+    D = _closure(list(HI) + [frob], N)
+    f = 1
+    while pow(frob, f, N) not in HI:
+        f += 1
+    return len(HI) // len(H), f, len(units) // len(D), len(units) // len(H)
+
+
+def _efg_inputs(seed, max_conductor):
+    """(N, gens, ell): up to two random generators per draw, three draws
+    per conductor, ell over N's primes and the primes up to 13."""
+    rng = random.Random(seed)
+    for N in range(1, max_conductor + 1):
+        units = [x for x in range(N) if math.gcd(x, N) == 1]
+        for _ in range(3):
+            gens = rng.sample(units, min(len(units), rng.randint(0, 2)))
+            for ell in sorted({q for q, _ in arith.factor(N)}
+                              | {2, 3, 5, 7, 11, 13}):
+                yield N, gens, ell
+
+
 class TestEfgOrbitOracle:
     def test_efg_by_orbit_counting(self):
-        # Places of ell in the fixed field of H are the orbits of the
-        # decomposition group D = <H, inertia, Frobenius> on (Z/N)^* / H:
-        # g = |G| / |D|, e = |H I| / |H|, f = order of Frobenius mod H I.
-        rng = random.Random(100)
-        for N in range(1, 101):
-            units = [x for x in range(N) if math.gcd(x, N) == 1]
-            for _ in range(3):
-                gens = rng.sample(units, min(len(units), rng.randint(0, 2)))
-                F = sp.AbelianField(N, gens)
-                H = _closure(gens, N)
-                ells = sorted({q for q, _ in arith.factor(N)}
-                              | {2, 3, 5, 7, 11, 13})
-                for ell in ells:
-                    k = arith.padic_val(N, ell) if N > 1 else 0
-                    rest = N // ell ** k
-                    inertia = [x for x in units if x % rest == 1 % rest]
-                    frob = arith.crt([1, ell % rest], [ell ** k, rest])
-                    HI = _closure(list(H) + inertia, N)
-                    D = _closure(list(HI) + [frob], N)
-                    f = 1
-                    while pow(frob, f, N) not in HI:
-                        f += 1
-                    data = sp.efg(F, ell)
-                    assert (data.e, data.f, data.g) == (
-                        len(HI) // len(H), f, len(units) // len(D)), \
-                        (N, gens, ell)
-                    assert data.degree == len(units) // len(H)
+        for N, gens, ell in _efg_inputs(100, 100):
+            data = sp.efg(sp.AbelianField(N, gens), ell)
+            assert (data.e, data.f, data.g, data.degree) == _orbit_efg(
+                N, gens, ell), (N, gens, ell)
+
+
+class TestPresentationCaches:
+    CACHES = (sp._efg, sp._relative_degree, sp._same_field)
+
+    def test_caches_are_bounded(self):
+        for cache in self.CACHES:
+            assert cache.cache_info().maxsize is not None
+
+    def test_reparsed_fields_hit_the_cache(self):
+        # a field parsed again, from its generators or from the whole
+        # subgroup they generate, is a new object with the same key; its
+        # efg is the first one's cached PlaceData, and right by the
+        # orbit-counting oracle
+        checked = 0
+        for N, gens, ell in _efg_inputs(101, 60):
+            first = sp.parse_field_spec(
+                f"cyclotomic:{N}:gens={','.join(map(str, gens))}")
+            whole = sorted(_closure(gens, N)) if N > 1 else []
+            again = sp.parse_field_spec(
+                f"cyclotomic:{N}:gens={','.join(map(str, whole))}")
+            assert again is not first and again._key == first._key
+            data = sp.efg(first, ell)
+            hits = sp._efg.cache_info().hits
+            assert sp.efg(again, ell) is data
+            assert sp._efg.cache_info().hits == hits + 1
+            assert (data.e, data.f, data.g, data.degree) == _orbit_efg(
+                N, gens, ell), (N, gens, ell)
+            checked += 1
+        assert checked > 1000
+
+    def test_evicted_entries_rebuild_equal(self):
+        # past maxsize the oldest entry is dropped; asked again, it is
+        # computed again (no hit) and equal to the first answer
+        primes = [q for q in range(2, 5000) if arith.is_prime(q)]
+        assert len(primes) > sp._efg.cache_info().maxsize + 1
+        first = sp.efg(F23, primes[0])
+        for ell in primes[1:]:
+            sp.efg(F23, ell)
+            assert (sp._efg.cache_info().currsize
+                    <= sp._efg.cache_info().maxsize)
+        hits = sp._efg.cache_info().hits
+        again = sp.efg(F23, primes[0])
+        assert again == first and again is not first
+        assert sp._efg.cache_info().hits == hits
+
+        maxsize = max(sp._relative_degree.cache_info().maxsize,
+                      sp._same_field.cache_info().maxsize)
+        quadratic = [sp.parse_field_spec(f"cyclotomic:{q}:degree=2")
+                     for q in primes[2:maxsize + 4]]
+        answers = [(sp.relative_degree(Q, F), sp.same_field(F, F),
+                    sp.same_field(F, Q)) for F in quadratic]
+        assert set(answers) == {(2, True, False)}
+        for cache in (sp._relative_degree, sp._same_field):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+        hits = [c.cache_info().hits for c in self.CACHES[1:]]
+        F = quadratic[0]
+        assert sp.relative_degree(Q, F) == 2
+        assert sp.same_field(F, F) is True and sp.same_field(F, Q) is False
+        assert [c.cache_info().hits for c in self.CACHES[1:]] == hits
+
+    def test_errors_raise_on_every_call(self):
+        z23 = sp.AbelianField(23)
+        for _ in range(3):
+            misses = sp._relative_degree.cache_info().misses
+            with pytest.raises(NotASubfield):
+                sp.relative_degree(z23, F23)
+            assert sp._relative_degree.cache_info().misses == misses + 1
+            misses = sp._efg.cache_info().misses
+            with pytest.raises(ValueError, match="4 is not prime"):
+                sp.efg(F23, 4)
+            assert sp._efg.cache_info().misses == misses + 1
+
+    def test_no_entry_pins_a_unit_group(self):
+        # once the unit-group cache lets go of (Z/N)^*, nothing the
+        # presentation caches hold keeps it alive
+        F = sp.AbelianField(1009 * 17, (2,))
+        unit_group = weakref.ref(F.unit_group)
+        sp.efg(F, 2), sp.efg(F, 17), sp.relative_degree(F, F)
+        sp.same_field(F, Q)
+        del F
+        arith.unit_group.cache_clear()
+        gc.collect()
+        assert unit_group() is None
 
 
 class TestFieldSpecGrammar:
@@ -503,3 +599,57 @@ def test_large_prime_degree_spec_builds_no_table():
     assert seconds < 0.3
     assert rss_mb < 64
     assert rss_after_logs > rss_mb + 20     # the logs built the table
+
+
+# The quadratic subfield of Q(zeta_q) for more safe primes q > 10^7 than
+# any per-conductor cache holds (unit groups, degree= subgroups and the
+# presentation caches), each parsed, priced by efg at 2 and compared with
+# Q.  The log of 2 builds a baby-step table of about sqrt((q - 1) / 2) =
+# 2,236 entries per unit group.  The unit-group cache keeps 128 of them
+# and the presentation caches keep integers only, so the peak resident
+# set (VmHWM) stops growing once the unit-group cache is full; a cache
+# that kept the fields would keep their tables too.
+MANY_CONDUCTORS = r"""
+from kida import arith, splitting
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+
+caches = [arith.unit_group, splitting._resolve_degree_subgroup,
+          splitting._efg, splitting._relative_degree, splitting._same_field]
+count = max(c.cache_info().maxsize for c in caches) + 64
+full = arith.unit_group.cache_info().maxsize
+conductors = []
+q = 10 ** 7 + 7                     # safe primes > 7 are 11 mod 12
+while len(conductors) < count:
+    if arith.is_prime(q) and arith.is_prime(q // 2):
+        conductors.append(q)
+    q += 12
+Q = splitting.rationals()
+for i, q in enumerate(conductors):
+    F = splitting.parse_field_spec(f"cyclotomic:{q}:degree=2")
+    assert splitting.efg(F, 2).degree == 2
+    assert splitting.relative_degree(Q, F) == 2
+    assert not splitting.same_field(F, Q)
+    if i + 1 == full:
+        full_mb = peak_mb()
+for c in caches:
+    assert c.cache_info().currsize <= c.cache_info().maxsize
+print(full_mb, peak_mb())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_peak_memory_is_bounded_over_many_large_conductors():
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-c", MANY_CONDUCTORS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    full_mb, end_mb = map(float, proc.stdout.split())
+    assert end_mb < 64
+    assert end_mb < full_mb + 8

@@ -109,6 +109,26 @@ class TestGroupIdentitySuite:
             for d, g in [((4,), (2,)), ((2, 2), (0, 1)), ((2, 2), (1, 0)),
                          ((2, 2), (1, 1))]]
 
+    def test_nontrivial_first_key_is_caught(self, monkeypatch):
+        # value logs rotated by one character keep the annihilator size
+        # and the class count but put a nontrivial character first; the
+        # trivial class then differs from the annihilator wherever that
+        # character is nontrivial on H
+        real = verify._value_logs
+
+        def rotated(d, e, g):
+            logs = real(d, e, g)
+            return logs[1:] + logs[:1]
+
+        monkeypatch.setattr(verify, "_value_logs", rotated)
+        res = verify.group_identity_suite(max_order=4, reps=10, seed=0)
+        assert res.checks == 68 and res.failures == [
+            f"trivial-class != annihilator for G={d} H={gens}"
+            for d, gens in [((2,), ((1,),)), ((3,), ((1,),)),
+                            ((4,), ((1,),)), ((4,), ((2,),)),
+                            ((2, 2), ((1, 0), (0, 1))), ((2, 2), ((0, 1),)),
+                            ((2, 2), ((1, 1),))]]
+
     @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
     def test_wrong_order_in_reference_draw_is_a_fail(self, flags):
         # the reference subsample at this seed draws <(0, 1)> of C_2 x C_4;
@@ -147,6 +167,27 @@ class TestHasseSuite:
         assert verify._primes_upto(8000) == [
             n for n in range(8001) if arith.is_prime(n)]
         assert verify._primes_upto(1) == verify._primes_upto(0) == []
+
+    def test_tabulated_recount_matches_double_loop(self):
+        # the recount's per-b tables against a loop over every (x, y)
+        def double_loop(E, ell):
+            cnt = 1
+            for x in range(ell):
+                rhs = (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % ell
+                for y in range(ell):
+                    if (y * y + E.a1 * x * y + E.a3 * y - rhs) % ell == 0:
+                        cnt += 1
+            return cnt
+
+        cases = 0
+        for coefficients in verify.TEST_CURVES:
+            E = qexp.EllipticCurve(*coefficients)
+            for ell in verify._primes_upto(150):
+                if E.discriminant() % ell:
+                    assert (verify._count_points_naive(E, ell)
+                            == double_loop(E, ell)), (coefficients, ell)
+                    cases += 1
+        assert cases == 137
 
     def test_passes(self):
         res = verify.hasse_suite(bound=100)
