@@ -18,11 +18,27 @@ in lru caches that hold only integers and PlaceData: ``_efg`` keys on
 ``_same_field`` key on (presentation, presentation) and keep 128.  A
 miss takes its unit groups from ``arith.unit_group``'s own cache, so no
 entry pins a UnitGroup or its baby-step tables.  Errors are not cached.
+
+The data of a field pair F < F' is computed once per pair, not once per
+form carried along it:
+
+- Comparing two fields pulls both lattices back to the lcm conductor M.
+  A presentation whose conductor is M already is its own preimage (the
+  reduction map is the identity), so it is taken as it is, with no
+  discrete log, kernel or HNF.
+- ``ramified_set`` keeps the last 128 answers in ``_ramified``, keyed
+  on (F presentation, F' presentation, p).  An entry is a RamifiedSet of
+  ints, tuples and a bool.  A miss runs the body through the module's
+  ``efg`` and ``tower_places``; errors are not stored.
+- ``_resolve_degree_subgroup`` (lru, 128 entries, keyed on (N, d))
+  keeps a ``degree=`` spec's generator residues and HNF basis, so
+  parsing it again builds the field with no power and no HNF.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 
 from . import arith
@@ -36,24 +52,27 @@ _MAX_CONDUCTOR = 10 ** 12   # the scale trial-division factor() serves
 class AbelianField:
     """Abelian extension of Q presented as (conductor, subgroup generators).
 
-    ``rows``, when given, are the generators' coordinates in the unit
-    group's invariant-factor basis, trusted as given; they spare the
-    discrete logs of the generators.
+    ``basis``, when given, is the HNF basis of H's lattice in the unit
+    group's invariant-factor basis, trusted as given; it spares the
+    discrete logs of the generators and the HNF.
     """
 
-    def __init__(self, conductor: int, subgroup_gens=(), rows=None):
+    def __init__(self, conductor: int, subgroup_gens=(), basis=None):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         self.conductor = conductor
-        self.unit_group = arith.unit_group(conductor)
+        self.unit_group = U = arith.unit_group(conductor)
         gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
         for g in gens:
             if math.gcd(g, conductor) != 1:
                 raise ValueError(f"subgroup generator {g} not a unit mod {conductor}")
         self.subgroup_gens = tuple(gens)
-        if rows is None:
-            rows = [self.unit_group.log(g) for g in self.subgroup_gens]
-        self._lattice = subgroup_lattice(rows, self.unit_group.invariant_factors)
+        if basis is None:
+            self._lattice = subgroup_lattice(
+                [U.log(g) for g in self.subgroup_gens], U.invariant_factors)
+        else:
+            self._lattice = Lattice([list(r) for r in basis], U.rank,
+                                    hermite=True)
         self._key = (conductor, tuple(map(tuple, self._lattice.basis)))
 
     @property
@@ -91,14 +110,19 @@ def _presentation(key) -> tuple[arith.UnitGroup, Lattice]:
 
 def _pullback_lattice(M_group: arith.UnitGroup, key) -> Lattice:
     """Lattice in U(M)-coordinates of the preimage of a presentation's
-    subgroup."""
+    subgroup.
+
+    At the presentation's own conductor the reduction map is the identity
+    and the preimage is its Hermite lattice, taken as it is; over a
+    trivial unit group it is everything, whose HNF is the identity.
+    """
     U, L = _presentation(key)
+    if U.modulus == M_group.modulus:
+        return L
     if U.rank == 0:
-        # preimage of the full unit group: everything
-        return subgroup_lattice(
-            [[1 if j == i else 0 for j in range(M_group.rank)]
-             for i in range(M_group.rank)],
-            M_group.invariant_factors)
+        return Lattice([[1 if j == i else 0 for j in range(M_group.rank)]
+                        for i in range(M_group.rank)],
+                       M_group.rank, hermite=True)
     amat = _reduction_matrix(M_group, U.modulus)
     return preimage_lattice(M_group.rank, amat, L)
 
@@ -271,6 +295,11 @@ class RamifiedSet(Record):
         self._fill(entries, degree, unramified_at_p)
 
 
+_RAMIFIED_MAXSIZE = 128
+# (F presentation, F' presentation, p) -> RamifiedSet, least recent first
+_ramified: OrderedDict = OrderedDict()
+
+
 def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     """Prime-to-p places of Fp's tower ramified over F's tower.
 
@@ -279,6 +308,18 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     place has no p-extensions, so the whole local degree is e_ell(F'/F)
     and every place above a ramified ell is (totally) ramified.
     """
+    key = (F._key, Fp._key, p)
+    rs = _ramified.get(key)
+    if rs is None:
+        rs = _ramified[key] = _ramified_set(F, Fp, p)
+        if len(_ramified) > _RAMIFIED_MAXSIZE:
+            _ramified.popitem(last=False)
+    else:
+        _ramified.move_to_end(key)
+    return rs
+
+
+def _ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
     degree = relative_degree(F, Fp)
@@ -352,9 +393,9 @@ def _p_component(d, p: int):
 
 
 @lru_cache(maxsize=128)
-def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of generators of the unique index-d subgroup of
-    (Z/N)^*, if unique.
+def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple, tuple]:
+    """Presentation of the unique index-d subgroup of (Z/N)^*, if unique:
+    its generator residues and the HNF basis of its lattice.
 
     Its q-part has index q^v, v = v_q(d), in the q-part of G = (Z/N)^*.
     By duality that is unique iff the q-part has one subgroup of order
@@ -368,8 +409,8 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple[int, ...], ...]:
     if U.rank == 0:
         if d != 1:
             raise SpecParseError(f"(Z/{N})^* is trivial; degree must be 1")
-        return ()
-    gens = []
+        return (), ()
+    rows = []
     for q, n in arith.factor(U.order):
         v = arith.padic_val(d, q)
         part = _p_component(U.invariant_factors, q)
@@ -389,8 +430,10 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple[int, ...], ...]:
             for j in [v] if len(part) == 1 else range(e):
                 vec = [0] * U.rank
                 vec[i] = q ** j * cofactor
-                gens.append(tuple(vec))
-    return tuple(gens)
+                rows.append(vec)
+    gens = tuple(sorted({U.element(row) for row in rows}))
+    basis = subgroup_lattice(rows, U.invariant_factors).basis
+    return gens, tuple(map(tuple, basis))
 
 
 def parse_field_spec(spec: str) -> AbelianField:
@@ -420,9 +463,7 @@ def parse_field_spec(spec: str) -> AbelianField:
             raise SpecParseError(f"bad degree in {spec!r}")
         if d < 1:
             raise SpecParseError("degree must be >= 1")
-        rows = _resolve_degree_subgroup(N, d)
-        U = arith.unit_group(N)
-        return AbelianField(N, [U.element(row) for row in rows], rows)
+        return AbelianField(N, *_resolve_degree_subgroup(N, d))
     if body.startswith("gens="):
         tail = body[len("gens="):]
         try:

@@ -52,19 +52,6 @@ class SuiteResult(Record):
         return out
 
 
-def _draw_reps(order: int, reps: int, rng: random.Random):
-    """Draw ``reps`` random character multisets of dimension 1..20 over
-    ``order`` characters, the draws of one group's representations.
-    Their identities follow from trivial class = annihilator, so nothing
-    reads them; they are drawn so that the reference subsample a seed
-    selects stays fixed (the fault-injection tests pin it)."""
-    for _ in range(reps):
-        dim = rng.randint(1, 20)
-        while dim > 0:
-            rng.randrange(order)
-            dim -= rng.randint(1, dim)
-
-
 def _value_logs(d, e: int, g) -> list[int]:
     """Value logs at ``g`` of every character of Z/d_1 x ... x Z/d_r
     (exponent ``e``) in the lexicographic exponent order of
@@ -80,7 +67,7 @@ def _value_logs(d, e: int, g) -> list[int]:
 def group_identity_suite(max_order: int = 200, reps: int = 100,
                          seed: int = 0) -> SuiteResult:
     """The multiplicity identity over every abelian group G of order <=
-    max_order, every subgroup H, ``reps`` random representations each.
+    max_order and every subgroup H, counted as ``reps`` checks each.
 
     A character's key is the tuple of its value logs on the generators
     of H; each generator's logs over all characters are built once per
@@ -90,10 +77,11 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
     character in ``dual_group``'s order, the trivial one).  Then the
     identity holds for every representation, since lhs - rhs = |H| (its
     multiplicities summed over the annihilator - over the trivial
-    class), and counts ``reps`` checks.  Per group, two draws go to the
-    reference ``chargroup.check_group_identity`` and to the trace oracle
-    (``multiplicity`` = ``multiplicity_trace`` for the trivial character
-    over H); each draw is one check.
+    class), and counts ``reps`` checks; no representation is drawn for
+    them.  Per group, two random representations and subgroups, drawn
+    from the seed, go to the reference ``chargroup.check_group_identity``
+    and to the trace oracle (``multiplicity`` = ``multiplicity_trace``
+    for the trivial character over H); each draw is one check.
     """
     from . import chargroup
     rng = random.Random(seed)
@@ -104,7 +92,6 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
         if G.rank == 0:
             res.checks += reps
             continue
-        _draw_reps(n, reps, rng)
         subs = chargroup.subgroups(G)
         logs = {}       # generator -> value logs of all characters at it
         for H in subs:

@@ -11,7 +11,8 @@ import pytest
 from kida import arith, chargroup, splitting as sp
 from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
                          SpecParseError)
-from kida.intlinalg import Lattice
+from kida.errors import InternalAdditivityViolation
+from kida.intlinalg import Lattice, preimage_lattice, subgroup_lattice
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
@@ -147,6 +148,63 @@ def _all_fields(max_conductor):
         G = chargroup.FiniteAbelianGroup(U.invariant_factors)
         for H in chargroup.subgroups(G):
             yield sp.AbelianField(N, [U.element(g) for g in H.generators])
+
+
+def _identity(n):
+    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+
+
+def _pullback_by_reduction(UM, F):
+    """Oracle: the preimage of F's subgroup in U(M)-coordinates by the
+    general route, the reduction matrix pulled back through its kernel
+    and an HNF; a trivial unit group pulls back to all of U(M)."""
+    if F.unit_group.rank == 0:
+        return subgroup_lattice(_identity(UM.rank), UM.invariant_factors)
+    return preimage_lattice(UM.rank, sp._reduction_matrix(UM, F.conductor),
+                            F._lattice)
+
+
+class TestSameConductorPullback:
+    def test_shortcut_equals_the_identity_reduction(self):
+        # at the presentation's own conductor the reduction matrix is the
+        # identity, and the preimage under it is the presentation itself
+        checked = 0
+        for F in _all_fields(40):
+            U = arith.unit_group(F.conductor)
+            if U.rank:
+                assert (sp._reduction_matrix(U, F.conductor)
+                        == _identity(U.rank))
+            assert (sp._pullback_lattice(U, F._key).key()
+                    == _pullback_by_reduction(U, F).key()), F._key
+            checked += 1
+        assert checked > 250
+
+    def test_degree_and_equality_match_the_reduction_route(self):
+        # every pair of presentations with one conductor <= 40, and a
+        # seeded sample of pairs with two conductors
+        fields = list(_all_fields(40))
+        by_conductor = {}
+        for F in fields:
+            by_conductor.setdefault(F.conductor, []).append(F)
+        pairs = [(F, G) for group in by_conductor.values()
+                 for F in group for G in group]
+        rng = random.Random(16)
+        pairs += [tuple(rng.sample(fields, 2)) for _ in range(1500)]
+        seen = {"equal": 0, "unequal": 0, "subfield": 0, "not": 0}
+        for F, G in pairs:
+            UM = arith.unit_group(math.lcm(F.conductor, G.conductor))
+            LF, LG = (_pullback_by_reduction(UM, F),
+                      _pullback_by_reduction(UM, G))
+            assert sp.same_field(F, G) is (LF.key() == LG.key())
+            if LF.contains_lattice(LG):
+                assert sp.relative_degree(F, G) == LG.det() // LF.det()
+                seen["subfield"] += 1
+            else:
+                with pytest.raises(NotASubfield):
+                    sp.relative_degree(F, G)
+                seen["not"] += 1
+            seen["equal" if F.conductor == G.conductor else "unequal"] += 1
+        assert min(seen.values()) > 500, seen
 
 
 class TestTowerPlaces:
@@ -464,6 +522,100 @@ class TestPresentationCaches:
         assert unit_group() is None
 
 
+def _reachable(root):
+    """Every object reachable from ``root`` through gc referents, not
+    entering classes (an instance refers to its class, and a class to
+    its module)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+class TestRamifiedSetCache:
+    CHAINS = [("Q", "cyclotomic:23:degree=11", 11),
+              ("Q", "cyclotomic:25783:degree=11", 11),
+              ("cyclotomic:109:degree=3", "cyclotomic:109:degree=27", 3),
+              ("cyclotomic:7:degree=3", "cyclotomic:63:degree=9", 3)]
+
+    def test_reparsed_chains_hit_the_cache(self):
+        # a chain parsed again, or from the generators its fields print,
+        # is served the first RamifiedSet, equal to the uncached body's
+        for base, ext, p in self.CHAINS:
+            F, Fp = sp.parse_field_spec(base), sp.parse_field_spec(ext)
+            first = sp.ramified_set(F, Fp, p)
+            assert first == sp._ramified_set(F, Fp, p)
+            for specs in ((base, ext), (F.spec_string(), Fp.spec_string())):
+                G, Gp = map(sp.parse_field_spec, specs)
+                assert G is not F and Gp is not Fp
+                assert sp.ramified_set(G, Gp, p) is first
+            assert (F._key, Fp._key, p) in sp._ramified
+
+    def test_errors_raise_on_every_call(self, monkeypatch):
+        z23 = sp.AbelianField(23)
+        F47 = sp.parse_field_spec("cyclotomic:47:degree=23")
+
+        def fake(F, ell):       # e = 2 over Q, 3 above: 2 does not divide 3
+            return sp.PlaceData(ell, 2 if F.degree == 1 else 3, 1, 1, 1)
+
+        sp._ramified.pop((Q._key, F47._key, 23), None)
+        size = len(sp._ramified)
+        for _ in range(3):
+            with pytest.raises(NotPPower):
+                sp.ramified_set(Q, z23, 11)
+            with pytest.raises(NotASubfield):
+                sp.ramified_set(F23, F1123, 11)
+            with pytest.raises(ValueError, match="odd prime"):
+                sp.ramified_set(Q, F23, 9)
+            with monkeypatch.context() as patch:
+                patch.setattr(sp, "efg", fake)
+                with pytest.raises(InternalAdditivityViolation):
+                    sp.ramified_set(Q, F47, 23)
+            assert len(sp._ramified) == size
+        # the real efg is reached again once the fault is gone
+        assert sp.ramified_set(Q, F47, 23).entries[0].local_degree == 23
+
+    def test_cache_is_bounded(self):
+        # the cubic subfield of Q(zeta_q) over Q, for more primes q than
+        # the cache holds; an evicted chain is computed again, equal
+        maxsize = sp._RAMIFIED_MAXSIZE
+        primes = [q for q in range(7, 5000)
+                  if q % 3 == 1 and arith.is_prime(q)][:maxsize + 2]
+        assert len(primes) == maxsize + 2
+
+        def chain(q):
+            return sp.ramified_set(
+                Q, sp.parse_field_spec(f"cyclotomic:{q}:degree=3"), 3)
+
+        first = chain(primes[0])
+        assert [(e.ell, e.local_degree) for e in first.entries] == [
+            (primes[0], 3)]
+        for q in primes[1:]:
+            chain(q)
+            assert len(sp._ramified) <= maxsize
+        again = chain(primes[0])
+        assert again == first and again is not first
+
+    def test_entries_hold_no_field_or_unit_group(self):
+        # the cache holds ints, bools, tuples and records only, so the
+        # unit group of a field it has seen dies with the field
+        F = sp.parse_field_spec("cyclotomic:17153:degree=7")
+        unit_group = weakref.ref(F.unit_group)
+        sp.ramified_set(Q, F, 7)
+        assert (Q._key, F._key, 7) in sp._ramified
+        allowed = (int, tuple, sp.RamifiedSet, sp.RamifiedPlace)
+        for obj in _reachable(sp._ramified):
+            assert obj is sp._ramified or isinstance(obj, allowed), obj
+        del F
+        arith.unit_group.cache_clear()
+        gc.collect()
+        assert unit_group() is None
+
+
 class TestFieldSpecGrammar:
     def test_Q(self):
         assert sp.parse_field_spec("Q").degree == 1
@@ -491,7 +643,8 @@ class TestFieldSpecGrammar:
     def test_degree_cache_is_bounded(self):
         # the quadratic subfield of Q(zeta_q) for more primes q >= 5 than
         # the cache holds: its size stays at most maxsize, and an evicted
-        # (q, 2) resolves again to the same rows
+        # (q, 2) resolves again to the same presentation: the square 4 of
+        # the primitive root 2 mod 5, and the lattice 2Z
         cache = sp._resolve_degree_subgroup
         maxsize = cache.cache_info().maxsize
         primes = [q for q in range(5, 2000) if arith.is_prime(q)]
@@ -501,7 +654,7 @@ class TestFieldSpecGrammar:
             cache(q, 2)
             assert cache.cache_info().currsize <= maxsize
         hits = cache.cache_info().hits
-        assert cache(primes[0], 2) == first == ((2,),)
+        assert cache(primes[0], 2) == first == ((4,), ((2,),))
         assert cache.cache_info().hits == hits      # rebuilt, not a hit
 
     @pytest.mark.parametrize("N,d,count", [
@@ -539,10 +692,12 @@ class TestFieldSpecGrammar:
             assert sp.same_field(sp.parse_field_spec(F.spec_string()), F)
 
     def test_degree_spec_rows_match_discrete_logs(self):
-        # parse_field_spec hands AbelianField the coordinates it built the
-        # generators from; the lattice must equal the one their logs give
+        # parse_field_spec builds the field from the cached residues and
+        # HNF basis; the field the residues' discrete logs give has the
+        # same presentation, generators, degree and spec string, and the
+        # residues generate a subgroup of index d (by closure)
         checked = 0
-        for N in range(1, 200):
+        for N in range(1, 301):
             U = arith.unit_group(N)
             for d in range(1, U.order + 1):
                 if U.order % d:
@@ -552,10 +707,13 @@ class TestFieldSpecGrammar:
                 except SpecParseError:
                     continue
                 G = sp.AbelianField(N, F.subgroup_gens)
-                assert F._lattice.key() == G._lattice.key(), (N, d)
-                assert F.degree == d
+                assert F._key == G._key, (N, d)
+                assert F.subgroup_gens == G.subgroup_gens
+                assert F.degree == G.degree == d
+                assert F.spec_string() == G.spec_string()
+                assert len(_closure(F.subgroup_gens, N)) * d == U.order
                 checked += 1
-        assert checked > 800
+        assert checked > 1500
 
 
 # The degree=2 subfield of Q(zeta_q), q = 999999999959 prime: (Z/q)^* has
@@ -602,13 +760,15 @@ def test_large_prime_degree_spec_builds_no_table():
 
 
 # The quadratic subfield of Q(zeta_q) for more safe primes q > 10^7 than
-# any per-conductor cache holds (unit groups, degree= subgroups and the
-# presentation caches), each parsed, priced by efg at 2 and compared with
-# Q.  The log of 2 builds a baby-step table of about sqrt((q - 1) / 2) =
-# 2,236 entries per unit group.  The unit-group cache keeps 128 of them
-# and the presentation caches keep integers only, so the peak resident
-# set (VmHWM) stops growing once the unit-group cache is full; a cache
-# that kept the fields would keep their tables too.
+# any per-conductor cache holds (unit groups, degree= subgroups, the
+# presentation caches and the ramified sets), each parsed, priced by efg
+# at 2 and compared with Q; and the chain Q < Q(zeta_q)^+, of prime
+# degree r = (q - 1) / 2, parsed and run through ramified_set at p = r.
+# The log of 2 builds a baby-step table of about sqrt(r) = 2,236 entries
+# per unit group.  The unit-group cache keeps 128 of them and the other
+# caches keep integers only, so the peak resident set (VmHWM) stops
+# growing once the unit-group cache is full; a cache that kept the fields
+# would keep their tables too.
 MANY_CONDUCTORS = r"""
 from kida import arith, splitting
 
@@ -620,7 +780,8 @@ def peak_mb():
 
 caches = [arith.unit_group, splitting._resolve_degree_subgroup,
           splitting._efg, splitting._relative_degree, splitting._same_field]
-count = max(c.cache_info().maxsize for c in caches) + 64
+count = max(max(c.cache_info().maxsize for c in caches),
+            splitting._RAMIFIED_MAXSIZE) + 64
 full = arith.unit_group.cache_info().maxsize
 conductors = []
 q = 10 ** 7 + 7                     # safe primes > 7 are 11 mod 12
@@ -634,10 +795,16 @@ for i, q in enumerate(conductors):
     assert splitting.efg(F, 2).degree == 2
     assert splitting.relative_degree(Q, F) == 2
     assert not splitting.same_field(F, Q)
+    r = (q - 1) // 2
+    Fr = splitting.parse_field_spec(f"cyclotomic:{q}:degree={r}")
+    rs = splitting.ramified_set(Q, Fr, r)
+    assert rs.degree == r and rs.unramified_at_p
+    assert [(e.ell, e.local_degree) for e in rs.entries] == [(q, r)]
     if i + 1 == full:
         full_mb = peak_mb()
 for c in caches:
     assert c.cache_info().currsize <= c.cache_info().maxsize
+assert len(splitting._ramified) == splitting._RAMIFIED_MAXSIZE
 print(full_mb, peak_mb())
 """
 
