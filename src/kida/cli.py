@@ -151,7 +151,7 @@ def _require_prime(flag: str, n: int, odd: bool = False):
                              else f"{flag} must be prime")
 
 
-def _precision(args) -> int | None:
+def _precision() -> int | None:
     env = os.environ.get("KIDA_PRECISION")
     if env is not None:
         try:
@@ -169,7 +169,7 @@ def cmd_tau(args) -> int:
         raise SpecParseError("tau needs --n")
     if args.mod == 0:
         raise SpecParseError("--mod must be nonzero")
-    value = tau(args.n, _precision(args))
+    value = tau(args.n, _precision())
     if args.mod is not None:
         value %= args.mod
     print(value)
@@ -204,7 +204,7 @@ def cmd_hv(args) -> int:
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
         from .qexp import frobenius_data
-        a, c = frobenius_data(form, args.ell, args.p, _precision(args))
+        a, c = frobenius_data(form, args.ell, args.p, _precision())
         V = UnramifiedPS(a, c, args.p)
         record["form"] = form.describe()
         record["ell"] = args.ell
@@ -271,7 +271,7 @@ def cmd_transition(args) -> int:
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,
         form=form, local_types=overrides,
         assert_hypotheses=bool(args.assert_hypotheses),
-        precision=_precision(args))
+        precision=_precision())
     print(_render(report.as_mapping(), args.json))
     return 0
 
@@ -283,7 +283,7 @@ def cmd_verify(args) -> int:
     if args.suite is None:
         raise SpecParseError("verify needs --suite")
     result = run_suite(args.suite, seed=args.seed or 0,
-                              size=args.size)
+                       size=args.size)
     print(_render(result.as_mapping(), args.json))
     return 0 if result.passed else 1
 

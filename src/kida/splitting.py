@@ -11,28 +11,30 @@ from efg and two p-adic valuations, with no layer built (tower_places).
 
 A field's presentation is the pair (conductor, HNF basis of H's
 lattice), computed once per AbelianField (``_key``): fields parsed
-again, or from other generators of the same H, share it.  ``efg``,
-``relative_degree`` and ``same_field`` are memoized on presentations,
-in lru caches that hold only integers and PlaceData: ``_efg`` keys on
-(presentation, ell) and keeps 256 entries, ``_relative_degree`` and
-``_same_field`` key on (presentation, presentation) and keep 128.  A
-miss takes its unit groups from ``arith.unit_group``'s own cache, so no
-entry pins a UnitGroup or its baby-step tables.  Errors are not cached.
+again, or from other generators of the same H, share it.  Three bounded
+caches hold one fact each that repeats in the traffic, and only
+integers, tuples and records, so no entry pins an AbelianField, a
+UnitGroup or its baby-step tables; errors are not stored:
 
-The data of a field pair F < F' is computed once per pair, not once per
-form carried along it:
-
-- Comparing two fields pulls both lattices back to the lcm conductor M.
-  A presentation whose conductor is M already is its own preimage (the
-  reduction map is the identity), so it is taken as it is, with no
-  discrete log, kernel or HNF.
-- ``ramified_set`` keeps the last 128 answers in ``_ramified``, keyed
-  on (F presentation, F' presentation, p).  An entry is a RamifiedSet of
-  ints, tuples and a bool.  A miss runs the body through the module's
-  ``efg`` and ``tower_places``; errors are not stored.
-- ``_resolve_degree_subgroup`` (lru, 128 entries, keyed on (N, d))
+- ``_efg`` (lru, 256 entries) keys on (presentation, ell) and keeps the
+  PlaceData of ``efg``.  A miss takes its unit group from
+  ``arith.unit_group``'s own cache.
+- ``_ramified`` (128 entries, least recent dropped) keys on
+  (F presentation, F' presentation, p) and keeps the RamifiedSet of
+  ``ramified_set``: the data of a field pair F < F' is computed once
+  per pair, not once per form carried along it.  A miss runs the body
+  through the module's ``efg`` and ``tower_places``.
+- ``_resolve_degree_subgroup`` (lru, 128 entries) keys on (N, d) and
   keeps a ``degree=`` spec's generator residues and HNF basis, so
   parsing it again builds the field with no power and no HNF.
+
+The pair comparisons are not memoized.  ``relative_degree`` is called
+only on a ``_ramified`` miss, so a cache of its own would never be hit.
+``same_field`` answers equal presentations by comparing them, and only
+unequal ones align both lattices.  Aligning pulls both lattices back to
+the lcm conductor M; a presentation whose conductor is M already is its
+own preimage (the reduction map is the identity), so it is taken as it
+is, with no discrete log, kernel or HNF.
 """
 
 from __future__ import annotations
@@ -135,23 +137,15 @@ def _aligned(key, key_p):
 
 
 def same_field(F: AbelianField, Fp: AbelianField) -> bool:
-    return _same_field(F._key, Fp._key)
-
-
-@lru_cache(maxsize=128)
-def _same_field(key, key_p) -> bool:
-    LF, LFp = _aligned(key, key_p)
+    if F._key == Fp._key:
+        return True
+    LF, LFp = _aligned(F._key, Fp._key)
     return LF.key() == LFp.key()
 
 
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     """[Fp : F] for F contained in Fp."""
-    return _relative_degree(F._key, Fp._key)
-
-
-@lru_cache(maxsize=128)
-def _relative_degree(key, key_p) -> int:
-    LF, LFp = _aligned(key, key_p)
+    LF, LFp = _aligned(F._key, Fp._key)
     if not LF.contains_lattice(LFp):
         raise NotASubfield("extension field does not contain the base field")
     return LFp.det() // LF.det()
