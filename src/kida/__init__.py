@@ -25,12 +25,12 @@ _EXPORTS = {
     "localfactor": ("Generic", "LocalCharData", "RamifiedPS", "Special",
                     "Supercuspidal", "UnramifiedPS", "check_tower_additivity",
                     "h_v", "m_extension", "m_single"),
-    "qexp": ("CoefficientTable", "DirichletCharacter", "EllipticCurve",
-             "ModularFormData", "delta_form", "frobenius_data", "tau"),
+    "qexp": ("CoefficientTable", "EllipticCurve", "ModularFormData",
+             "delta_form", "frobenius_data", "tau"),
     "splitting": ("AbelianField", "efg", "parse_field_spec", "ramified_set",
                   "rationals", "tower_places", "unramified_at_p_reduction"),
     "transition": ("InvariantRecord", "TransitionReport", "compose",
-                   "lambda_via_twists", "mc_transfer"),
+                   "mc_transfer"),
 }
 # public name -> (module, attribute)
 _ORIGIN = {name: (module, name)

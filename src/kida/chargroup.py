@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from . import arith
 from .errors import InternalAdditivityViolation, Record, SubgroupMismatch
@@ -185,22 +186,17 @@ def multiplicity(W: RepMultiset, chi: Character,
 
 # -- independent oracle: exact cyclotomic inner product -----------------
 
-_CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
-
-
-def _cyclotomic_polynomial(n: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, by exact division of x^n - 1."""
-    if n in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]          # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly = _polydiv_exact(poly, _cyclotomic_polynomial(d))
-    _CYCLOTOMIC_CACHE[n] = poly
-    return poly
+    return tuple(poly)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
+def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):

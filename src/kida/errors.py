@@ -127,10 +127,6 @@ class MissingLocalType(KidaError):
     """No local type available at a ramified prime dividing the level."""
 
 
-class IncompleteTwistData(KidaError):
-    """Per-character lambda values missing for some character."""
-
-
 class ChainMismatch(KidaError):
     """Transition reports do not form an aligned tower."""
 

@@ -5,8 +5,7 @@ elliptic curves over Q by point counting (the Legendre sum at primes up
 to 229, Shanks-Mestre baby-step giant-step above), and user tables of
 prime-indexed eigenvalues.  Only forms with rational-integer
 coefficients are supported natively, so reduction "mod pi" is reduction
-mod p throughout; nothing is ever a float.  Dirichlet characters carry
-their conductors, which count the characters ramified at each prime.
+mod p throughout; nothing is ever a float.
 """
 
 from __future__ import annotations
@@ -395,50 +394,3 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
         raise RamifiedLevel(f"{ell} divides the level {f.level}; "
                             "supply a local type instead")
     return f.a_prime(ell, precision) % p, pow(ell, f.weight - 1, p)
-
-
-# -- Dirichlet characters and their conductors ----------------------------
-
-class DirichletCharacter:
-    """Dirichlet character presented modulo N via the unit group's
-    invariant-factor coordinates, with its conductor: the primes that
-    divide the conductor are the primes where the character ramifies.
-    ``character`` is a ``chargroup.Character`` of a group with the
-    invariant factors of (Z/N)^*."""
-
-    def __init__(self, modulus: int, character):
-        self.modulus = modulus
-        self.group = arith.unit_group(modulus)
-        if (character.group.invariant_factors
-                != self.group.invariant_factors):
-            raise ValueError("character group does not match (Z/N)^*")
-        self.character = character
-        self.conductor = self._conductor()
-
-    @classmethod
-    def from_exponents(cls, modulus: int, exponents) -> "DirichletCharacter":
-        # chargroup loads here, not with qexp: tau never needs it
-        from .chargroup import Character, FiniteAbelianGroup
-        U = arith.unit_group(modulus)
-        G = FiniteAbelianGroup(U.invariant_factors)
-        return cls(modulus, Character(G, tuple(exponents)))
-
-    def _value_log_unit(self, y: int) -> int:
-        return self.character.value_log(self.group.log(y))
-
-    def _conductor(self) -> int:
-        """Smallest f | N such that the character factors through (Z/f)^*."""
-        cond = 1
-        E = (self.character.group.exponent
-             if self.character.group.rank else 1)
-        for q, _ in arith.factor(self.modulus):
-            # orders of chi on the local generators (a primitive root, 3
-            # mod 4, or -1 and 5 mod 2^e): order q^v on the last one needs
-            # q^(v+1), or 2^(v+2) past the sign; the sign alone needs 4
-            *sign, o = [E // math.gcd(E, self._value_log_unit(g))
-                        for g in self.group.local_generators(q)] or [1]
-            if o > 1:
-                cond *= q ** (arith.padic_val(o, q) + 1 + len(sign))
-            elif any(s > 1 for s in sign):
-                cond *= 4
-        return cond

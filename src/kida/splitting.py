@@ -317,10 +317,7 @@ def _ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
     degree = relative_degree(F, Fp)
-    t = degree
-    while t % p == 0:
-        t //= p
-    if t != 1:
+    if degree != p ** arith.padic_val(degree, p):
         raise NotPPower(f"[F':F] = {degree} is not a power of {p}")
     e_p_rel = efg(Fp, p).e // efg(F, p).e
     candidates = sorted({q for q, _ in arith.factor(F.conductor)}
@@ -356,11 +353,8 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
-    a = 0
-    N = F.conductor
-    while N % p == 0:
-        N //= p
-        a += 1
+    a = arith.padic_val(F.conductor, p)
+    N = F.conductor // p ** a
     if a == 0:
         return F
     U = F.unit_group

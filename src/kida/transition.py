@@ -15,10 +15,10 @@ the user's values for generic ones.
 
 from __future__ import annotations
 
-from . import localfactor, qexp, splitting
-from .errors import (ChainMismatch, IncompleteTwistData,
-                     InternalAdditivityViolation, MismatchedInputs,
-                     MissingLocalType, MuNonzero, NegativeLambda, Record)
+from . import arith, localfactor, qexp, splitting
+from .errors import (ChainMismatch, InternalAdditivityViolation,
+                     MismatchedInputs, MissingLocalType, MuNonzero,
+                     NegativeLambda, Record)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -170,8 +170,7 @@ def _resolve_local_type(ell: int, p: int,
     # residue field exhausts all p-extensions, so only the prime-to-p
     # part of the base residue degree survives as a Frobenius power.
     f0 = splitting.efg(base_field, ell).f
-    while f0 % p == 0:
-        f0 //= p
+    f0 //= p ** arith.padic_val(f0, p)
     if f0 > 1:
         a, c = _frobenius_power(a, c, f0, p)
     return localfactor.UnramifiedPS(a, c, p), "frobenius"
@@ -240,35 +239,6 @@ def transition(*, p: int,
         degree=rs.degree, lambda_in=base.lam, lambda_out=lam_out,
         mu_in=0, mu_out=0, places=tuple(places),
         hypotheses=hypotheses, warnings=tuple(warnings))
-
-
-def lambda_via_twists(twist_invariants, expected_count: int | None = None,
-                      cross_check: TransitionReport | None = None) -> int:
-    """Sum per-character lambda invariants over the dual group.
-
-    ``twist_invariants``: iterable of InvariantRecord (or (mu, lambda)
-    pairs), one per character of Gal(F'/F); every mu must be 0.  When
-    ``expected_count`` (= [F':F]) is given the count is enforced; when
-    ``cross_check`` is given the sum must match its lambda_out.
-    """
-    records = list(twist_invariants)
-    if expected_count is not None and len(records) != expected_count:
-        raise IncompleteTwistData(
-            f"need one lambda per character: got {len(records)}, "
-            f"expected {expected_count}")
-    total = 0
-    for rec in records:
-        if isinstance(rec, InvariantRecord):
-            mu, lam = rec.mu, rec.lam
-        else:
-            mu, lam = rec
-        if mu != 0 or lam is None:
-            raise MuNonzero("per-twist lambda needs mu = 0 for every twist")
-        total += lam
-    if cross_check is not None and total != cross_check.lambda_out:
-        raise InternalAdditivityViolation(
-            f"twist sum {total} != transition lambda {cross_check.lambda_out}")
-    return total
 
 
 def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:

@@ -129,6 +129,24 @@ class TestGroupIdentity:
                     assert ok, (G.invariant_factors, H.generators)
 
 
+class TestCyclotomicPolynomial:
+    def test_product_over_divisors_is_x_n_minus_1(self):
+        for n in range(1, 201):
+            prod = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    phi = cg._cyclotomic_polynomial(d)
+                    out = [0] * (len(prod) + len(phi) - 1)
+                    for i, a in enumerate(prod):
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
+                    prod = out
+            assert prod == [-1] + [0] * (n - 1) + [1], n
+
+    def test_cache_is_bounded(self):
+        assert cg._cyclotomic_polynomial.cache_info().maxsize == 256
+
+
 def gcd_sum_subgroup_count(m, n):
     # divisor-pair gcd formula for the subgroup count of C_m x C_n
     return sum(math.gcd(a, b)

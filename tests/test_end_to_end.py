@@ -171,11 +171,6 @@ class TestEvenConductorFields:
         with pytest.raises(ValueError):
             sp.unramified_at_p_reduction(F8, 2)
 
-    def test_quadratic_twist_of_tau_by_conductor_8(self):
-        # the five-part character mod 8 is primitive
-        psi = qexp.DirichletCharacter.from_exponents(8, (0, 1))
-        assert psi.conductor == 8
-
 
 class TestMultiPlaceTransition:
     def test_extension_ramified_at_two_primes(self):
@@ -199,12 +194,6 @@ class TestMultiPlaceTransition:
         assert by_ell[1123].m == 20
         assert rep.lambda_out == 11 * 1 + \
             by_ell[23].places * 0 + by_ell[1123].places * 20
-        # twist decomposition: each nontrivial twist picks up the
-        # difference 2 at each of the places above 1123
-        lam_chi = 1 + by_ell[1123].places * 2
-        vals = [(0, 1)] + [(0, lam_chi)] * 10
-        assert tr.lambda_via_twists(vals, expected_count=11,
-                                    cross_check=rep) == rep.lambda_out
 
 
 class TestInertBaseResidueDegree:

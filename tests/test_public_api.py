@@ -29,11 +29,6 @@ ALLOWED = {
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",
-    "qexp.DirichletCharacter":
-        "the per-twist route to lambda' (ROADMAP.md) counts characters "
-        "by conductor",
-    "qexp.DirichletCharacter.from_exponents": "the per-twist route",
-    "transition.lambda_via_twists": "the per-twist route",
 }
 
 

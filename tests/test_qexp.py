@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kida import arith, chargroup, cli, qexp, verify
+from kida import arith, cli, qexp, verify
 from kida.errors import (BadReduction, BoundExceeded, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
 
@@ -307,44 +307,6 @@ class TestFrobeniusData:
     def test_ell_equals_p_rejected(self):
         with pytest.raises(ValueError):
             qexp.frobenius_data(qexp.delta_form(), 11, 11)
-
-
-class TestDirichletAndTwists:
-    def test_quadratic_mod_3_at_2(self):
-        psi = qexp.DirichletCharacter.from_exponents(3, (1,))
-        assert psi.conductor == 3
-
-    def test_imprimitive_character_uses_conductor(self):
-        # trivial character presented mod 9 has conductor 1
-        triv9 = qexp.DirichletCharacter.from_exponents(9, (0,))
-        assert triv9.conductor == 1
-        # order-2 character mod 9 comes from the quadratic character mod 3
-        psi9 = qexp.DirichletCharacter.from_exponents(9, (3,))
-        assert psi9.conductor == 3
-
-    def test_even_modulus_conductors(self):
-        # (Z/8)^* characters: sign character has conductor 4, the
-        # five-part characters have conductor 8
-        conds = {}
-        for exps in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            conds[exps] = qexp.DirichletCharacter.from_exponents(8, exps).conductor
-        assert conds[(0, 0)] == 1
-        assert sorted(conds.values()) == [1, 4, 8, 8]
-
-    def test_conductor_brute_force_oracle(self):
-        # conductor = least f | N with chi(x) = 1 for every unit x = 1 mod f
-        for N in range(1, 65):
-            U = arith.unit_group(N)
-            units = [x for x in range(N) if math.gcd(x, N) == 1]
-            divisors = [f for f in range(1, N + 1) if N % f == 0]
-            G = chargroup.FiniteAbelianGroup(U.invariant_factors)
-            logs = {x: U.log(x) for x in units}
-            for chi in chargroup.dual_group(G):
-                psi = qexp.DirichletCharacter(N, chi)
-                expected = next(f for f in divisors if all(
-                    chi.value_log(logs[x]) == 0
-                    for x in units if x % f == 1 % f))
-                assert psi.conductor == expected, (N, chi.exponents)
 
 
 class TestTableParser:

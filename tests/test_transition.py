@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,9 +8,8 @@ import pytest
 
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
-from kida.errors import (ChainMismatch, IncompleteTwistData,
-                         MismatchedInputs, MissingLocalType, MuNonzero,
-                         NegativeLambda)
+from kida.errors import (ChainMismatch, MismatchedInputs, MissingLocalType,
+                         MuNonzero, NegativeLambda)
 
 DELTA = qexp.delta_form()
 Q = sp.rationals()
@@ -149,39 +149,6 @@ class TestTransitionExamples:
                             assert_hypotheses=True)
         assert all(v for _, v in rep.hypotheses)
         assert not any("hypotheses" in w for w in rep.warnings)
-
-
-class TestLambdaViaTwists:
-    def test_constant_twists(self):
-        assert tr.lambda_via_twists([(0, 4)] * 5, expected_count=5) == 20
-
-    def test_23_example_decomposition(self):
-        rep = tr.transition(p=11, base_field=Q, ext_field=F23,
-                            base=BASE_ALG, form=DELTA)
-        # per-twist values: lambda(A) = 1 and all local differences 0
-        vals = [(0, 1)] + [(0, 1)] * 10
-        assert tr.lambda_via_twists(vals, expected_count=11,
-                                    cross_check=rep) == 11
-
-    def test_1123_example_decomposition(self):
-        rep = tr.transition(p=11, base_field=Q, ext_field=F1123,
-                            base=BASE_ALG, form=DELTA, precision=1200)
-        # nontrivial twists each pick up the m-difference 2 at one place
-        vals = [(0, 1)] + [(0, 3)] * 10
-        assert tr.lambda_via_twists(vals, expected_count=11,
-                                    cross_check=rep) == 31
-
-    def test_incomplete(self):
-        with pytest.raises(IncompleteTwistData):
-            tr.lambda_via_twists([(0, 1)] * 4, expected_count=5)
-
-    def test_mu_nonzero_twist(self):
-        with pytest.raises(MuNonzero):
-            tr.lambda_via_twists([(0, 1), (1, None)], expected_count=2)
-
-    def test_records_accepted(self):
-        recs = [tr.InvariantRecord("algebraic", 0, 2)] * 3
-        assert tr.lambda_via_twists(recs, expected_count=3) == 6
 
 
 def synthetic_chain(lam0=2, seed=5):
@@ -385,10 +352,58 @@ class TestEllipticCurveCriterion:
         assert hits >= 1   # the criterion fires somewhere in range
 
 
+def _padic_val(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+class TestPerTwistClosedForm:
+    """The per-twist sum of Pollack-Weston, over Q, in closed form.
+
+    Over F' = cyclotomic:ell:degree=p with ell = 1 mod p, Gal(F'/Q) has
+    p - 1 nontrivial characters, each ramified at ell alone.  Its twist of
+    f has lambda + g*t, where g = p^(v_p(ell^(p-1) - 1) - 1) counts the
+    places above ell in Q_infinity and t the Frobenius eigenvalues at ell
+    that are 1 mod p.  Summed over the characters:
+    lambda' = p*lambda + (p - 1)*g*t.  Neither g nor t comes from kida.
+    """
+
+    @pytest.mark.parametrize("name, p", [
+        ("delta", 3), ("delta", 5), ("delta", 7), ("delta", 11),
+        ("11a1", 3), ("11a1", 7)])
+    def test_lambda_out_is_the_twist_sum(self, name, p):
+        f = DELTA if name == "delta" else qexp.ec_form(
+            qexp.EllipticCurve(0, -1, 1, -10, -20))
+        ts = set()
+        # odd primes ell = 1 mod p, that is ell = 1 mod 2p
+        for ell in range(2 * p + 1, 2000, 2 * p):
+            if f.level % ell == 0 or any(
+                    ell % q == 0 for q in range(3, math.isqrt(ell) + 1, 2)):
+                continue
+            g = p ** (_padic_val(ell ** (p - 1) - 1, p) - 1)
+            # x^2 - a x + c: x = 1 is a root iff 1 - a + c = 0 mod p, and
+            # then the other root is c
+            a, c = f.a_prime(ell), ell ** (f.weight - 1)
+            t = 0 if (1 - a + c) % p else 1 + (c % p == 1)
+            ts.add(t)
+            ext = sp.parse_field_spec(f"cyclotomic:{ell}:degree={p}")
+            for lam in (0, 1, 2):
+                rep = tr.transition(p=p, base_field=Q, ext_field=ext,
+                                    base=tr.InvariantRecord("algebraic", 0,
+                                                            lam),
+                                    form=f)
+                assert rep.lambda_out == p * lam + (p - 1) * g * t, (ell, lam)
+        assert 2 in ts   # some prime carries a local term
+
+
 # Each fault breaks one invariant the library checks; every check must
 # raise InternalAdditivityViolation, also when python -O strips asserts.
 FAULT_INJECTION = r"""
 import json
+import math
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import InternalAdditivityViolation
 
