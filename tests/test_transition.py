@@ -151,6 +151,25 @@ class TestTransitionExamples:
         assert not any("hypotheses" in w for w in rep.warnings)
 
 
+class TestLambdaViaTwists:
+    """Delta at p = 11: lambda' is the sum of the per-twist lambdas."""
+
+    def test_23_example_decomposition(self):
+        rep = tr.transition(p=11, base_field=Q, ext_field=F23,
+                            base=BASE_ALG, form=DELTA)
+        # per-twist values: lambda(A) = 1 and all local differences 0
+        per_twist = [1] + [1] * 10
+        assert rep.lambda_out == sum(per_twist) == 11
+
+    def test_1123_example_decomposition(self):
+        rep = tr.transition(p=11, base_field=Q, ext_field=F1123,
+                            base=BASE_ALG, form=DELTA, precision=1200)
+        # nontrivial twists each pick up the m-difference 2 at one place
+        per_twist = [1] + [1 + 2] * 10
+        assert rep.lambda_out == sum(per_twist) == 31
+        assert sum(r.places * r.m for r in rep.places) == 10 * 2
+
+
 def synthetic_chain(lam0=2, seed=5):
     """Q < F3 < F9 inside Q(zeta_109) with generic local data at 109."""
     F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
