@@ -23,6 +23,8 @@ from functools import lru_cache
 from .errors import BoundExceeded, NotAUnit, ZeroInput
 
 FACTOR_BOUND = 10 ** 14
+# conductors and the primes --p and --ell: trial division up to 10^6
+_INPUT_BOUND = 10 ** 12
 
 
 def factor(n: int) -> list[tuple[int, int]]:

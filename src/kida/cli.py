@@ -137,16 +137,11 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
     raise SpecParseError(f"bad form spec {spec!r}")
 
 
-# --p and --ell are tested by trial division, which serves numbers up to
-# the conductor bound
-_PRIME_BOUND = 10 ** 12
-
-
 def _require_prime(flag: str, n: int, odd: bool = False):
-    from .arith import is_prime
-    if n > _PRIME_BOUND:
-        raise BoundExceeded(f"{flag} {n} beyond bound {_PRIME_BOUND}")
-    if not is_prime(n) or (odd and n == 2):
+    from . import arith
+    if n > arith._INPUT_BOUND:
+        raise BoundExceeded(f"{flag} {n} beyond bound {arith._INPUT_BOUND}")
+    if not arith.is_prime(n) or (odd and n == 2):
         raise SpecParseError(f"{flag} must be an odd prime" if odd
                              else f"{flag} must be prime")
 

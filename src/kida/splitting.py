@@ -9,46 +9,40 @@ ell, and places correspond to cosets of H times the decomposition
 subgroup.  Place counts in the layers of the cyclotomic p-tower follow
 from efg and two p-adic valuations, with no layer built (tower_places).
 
-A field's presentation is the pair (conductor, HNF basis of H's
-lattice), computed once per AbelianField (``_key``): fields parsed
-again, or from other generators of the same H, share it.  Three bounded
-caches hold one fact each that repeats in the traffic, and only
-integers, tuples and records, so no entry pins an AbelianField, a
-UnitGroup or its baby-step tables; errors are not stored:
+An AbelianField is a value: it is equal to, and hashes like, every field
+with its presentation (conductor, HNF basis of H's lattice), so fields
+parsed again, or from other generators of the same H, are equal.  It
+holds integers only, and reads its unit group from ``arith.unit_group``'s
+cache, so a cache keyed on fields pins no UnitGroup or baby-step table.
+Three bounded lru caches hold one fact each that repeats in the traffic;
+errors are not stored:
 
-- ``_efg`` (lru, 256 entries) keys on (presentation, ell) and keeps the
-  PlaceData of ``efg``.  A miss takes its unit group from
-  ``arith.unit_group``'s own cache.
-- ``_ramified`` (128 entries, least recent dropped) keys on
-  (F presentation, F' presentation, p) and keeps the RamifiedSet of
-  ``ramified_set``: the data of a field pair F < F' is computed once
-  per pair, not once per form carried along it.  A miss runs the body
-  through the module's ``efg`` and ``tower_places``.
-- ``_resolve_degree_subgroup`` (lru, 128 entries) keys on (N, d) and
-  keeps a ``degree=`` spec's generator residues and HNF basis, so
-  parsing it again builds the field with no power and no HNF.
+- ``efg`` (256 entries) keys on (field, ell).
+- ``ramified_set`` (128 entries) keys on (F, F', p): the data of a field
+  pair F < F' is computed once per pair, not once per form carried along
+  it.  A miss runs through the module's ``efg`` and ``tower_places``.
+- ``_resolve_degree_subgroup`` (128 entries) keys on (N, d) and keeps a
+  ``degree=`` spec's generator residues and HNF basis, so parsing it
+  again builds the field with no power and no HNF.
 
 The pair comparisons are not memoized.  ``relative_degree`` is called
-only on a ``_ramified`` miss, so a cache of its own would never be hit.
-``same_field`` answers equal presentations by comparing them, and only
-unequal ones align both lattices.  Aligning pulls both lattices back to
-the lcm conductor M; a presentation whose conductor is M already is its
-own preimage (the reduction map is the identity), so it is taken as it
-is, with no discrete log, kernel or HNF.
+only on a ``ramified_set`` miss, so a cache of its own would never be
+hit.  ``same_field`` answers equal presentations by comparing them, and
+only unequal ones align both lattices.  Aligning pulls both lattices
+back to the lcm conductor M; a presentation whose conductor is M already
+is its own preimage (the reduction map is the identity), so it is taken
+as it is, with no discrete log, kernel or HNF.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import lru_cache
 
 from . import arith
 from .errors import (BoundExceeded, InternalAdditivityViolation,
                      NotASubfield, NotPPower, Record, SpecParseError)
 from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
-
-_MAX_CONDUCTOR = 10 ** 12   # the scale trial-division factor() serves
 
 
 class AbelianField:
@@ -57,13 +51,18 @@ class AbelianField:
     ``basis``, when given, is the HNF basis of H's lattice in the unit
     group's invariant-factor basis, trusted as given; it spares the
     discrete logs of the generators and the HNF.
+
+    ``==`` means "same presentation": equal conductors and equal HNF
+    bases, whatever generators were given.  Fields of different
+    conductors can still be one field (the degree-11 subfields at
+    conductors 46 and 23 are not ``==``); ``same_field`` decides that.
     """
 
     def __init__(self, conductor: int, subgroup_gens=(), basis=None):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         self.conductor = conductor
-        self.unit_group = U = arith.unit_group(conductor)
+        U = arith.unit_group(conductor)
         gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
         for g in gens:
             if math.gcd(g, conductor) != 1:
@@ -77,10 +76,23 @@ class AbelianField:
                                     hermite=True)
         self._key = (conductor, tuple(map(tuple, self._lattice.basis)))
 
+    def __eq__(self, other):
+        if not isinstance(other, AbelianField):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    @property
+    def unit_group(self) -> arith.UnitGroup:
+        """(Z/conductor)^*, from ``arith.unit_group``'s cache."""
+        return arith.unit_group(self.conductor)
+
     @property
     def degree(self) -> int:
         """[F : Q] = index of H in the unit group."""
-        return self._lattice.det() if self.unit_group.rank else 1
+        return self._lattice.det() if self._lattice.n else 1
 
     def spec_string(self) -> str:
         if self.degree == 1:
@@ -103,49 +115,40 @@ def _reduction_matrix(M_group: arith.UnitGroup, N: int) -> list[list[int]]:
     return [list(target.log(g % N)) for g in M_group.generators]
 
 
-def _presentation(key) -> tuple[arith.UnitGroup, Lattice]:
-    """The unit group and subgroup lattice of a presentation."""
-    N, basis = key
-    U = arith.unit_group(N)
-    return U, Lattice([list(r) for r in basis], U.rank, hermite=True)
+def _pullback_lattice(M_group: arith.UnitGroup, F: AbelianField) -> Lattice:
+    """Lattice in U(M)-coordinates of the preimage of F's subgroup.
 
-
-def _pullback_lattice(M_group: arith.UnitGroup, key) -> Lattice:
-    """Lattice in U(M)-coordinates of the preimage of a presentation's
-    subgroup.
-
-    At the presentation's own conductor the reduction map is the identity
-    and the preimage is its Hermite lattice, taken as it is; over a
-    trivial unit group it is everything, whose HNF is the identity.
+    At F's own conductor the reduction map is the identity and the
+    preimage is its Hermite lattice, taken as it is; over a trivial unit
+    group it is everything, whose HNF is the identity.
     """
-    U, L = _presentation(key)
+    U = F.unit_group
     if U.modulus == M_group.modulus:
-        return L
+        return F._lattice
     if U.rank == 0:
         return Lattice([[1 if j == i else 0 for j in range(M_group.rank)]
                         for i in range(M_group.rank)],
                        M_group.rank, hermite=True)
     amat = _reduction_matrix(M_group, U.modulus)
-    return preimage_lattice(M_group.rank, amat, L)
+    return preimage_lattice(M_group.rank, amat, F._lattice)
 
 
-def _aligned(key, key_p):
+def _aligned(F: AbelianField, Fp: AbelianField):
     """Both subgroup lattices pulled back to the lcm conductor."""
-    M = math.lcm(key[0], key_p[0])
-    UM = arith.unit_group(M)
-    return _pullback_lattice(UM, key), _pullback_lattice(UM, key_p)
+    UM = arith.unit_group(math.lcm(F.conductor, Fp.conductor))
+    return _pullback_lattice(UM, F), _pullback_lattice(UM, Fp)
 
 
 def same_field(F: AbelianField, Fp: AbelianField) -> bool:
-    if F._key == Fp._key:
+    if F == Fp:
         return True
-    LF, LFp = _aligned(F._key, Fp._key)
+    LF, LFp = _aligned(F, Fp)
     return LF.key() == LFp.key()
 
 
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     """[Fp : F] for F contained in Fp."""
-    LF, LFp = _aligned(F._key, Fp._key)
+    LF, LFp = _aligned(F, Fp)
     if not LF.contains_lattice(LFp):
         raise NotASubfield("extension field does not contain the base field")
     return LFp.det() // LF.det()
@@ -187,16 +190,12 @@ def _element_order_mod_lattice(U: arith.UnitGroup, lat: Lattice,
     return order
 
 
+@lru_cache(maxsize=256)
 def efg(F: AbelianField, ell: int) -> PlaceData:
     """Ramification index, residue degree, number of places of ell in F."""
-    return _efg(F._key, ell)
-
-
-@lru_cache(maxsize=256)
-def _efg(key, ell: int) -> PlaceData:
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    U, L_H = _presentation(key)
+    U, L_H = F.unit_group, F._lattice
     if U.rank == 0:
         return PlaceData(ell, 1, 1, 1, 1)
     degree = L_H.det()
@@ -289,11 +288,7 @@ class RamifiedSet(Record):
         self._fill(entries, degree, unramified_at_p)
 
 
-_RAMIFIED_MAXSIZE = 128
-# (F presentation, F' presentation, p) -> RamifiedSet, least recent first
-_ramified: OrderedDict = OrderedDict()
-
-
+@lru_cache(maxsize=128)
 def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     """Prime-to-p places of Fp's tower ramified over F's tower.
 
@@ -302,18 +297,6 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     place has no p-extensions, so the whole local degree is e_ell(F'/F)
     and every place above a ramified ell is (totally) ramified.
     """
-    key = (F._key, Fp._key, p)
-    rs = _ramified.get(key)
-    if rs is None:
-        rs = _ramified[key] = _ramified_set(F, Fp, p)
-        if len(_ramified) > _RAMIFIED_MAXSIZE:
-            _ramified.popitem(last=False)
-    else:
-        _ramified.move_to_end(key)
-    return rs
-
-
-def _ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
     degree = relative_degree(F, Fp)
@@ -342,14 +325,20 @@ def _ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
 
 
 def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
-    """Maximal subfield of F's tower unramified at p, same presentation style.
+    """The field cut out by the tame parts of F's characters.
 
-    Realized by intersecting H with the subgroup generated by the
-    prime-to-p part of the p-component (the part of inertia at p that
-    survives in every tower layer) and projecting to the prime-to-p
-    conductor.  The reduced field has the same cyclotomic p-tower
-    whenever the p-inertia of the tower is torsion-free, which holds in
-    every p-power-degree situation the transition formula consumes.
+    With N the prime-to-p part of the conductor, each character of F is
+    chi = chi_N chi_p, chi_N of conductor dividing N and chi_p of p-power
+    conductor.  The tame part of chi is chi_N, taken over the chi whose
+    chi_p is wild (trivial on the (p-1)-th roots of unity, so a character
+    of Gal(Q_inf/Q)).  When every chi_p is wild, as it is whenever [F : Q]
+    is a power of p, the reduction has the same cyclotomic p-tower as F.
+    It need not be a subfield of F: cyclotomic:63:gens=8,55,59 at p = 3
+    reduces to the cubic field of conductor 7.
+
+    Realized by intersecting H with K = (everything prime to p) x (the
+    (p-1)-torsion at p), the common kernel of the wild characters, and
+    projecting to (Z/N)^*.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -439,7 +428,7 @@ def parse_field_spec(spec: str) -> AbelianField:
         raise SpecParseError(f"bad conductor in {spec!r}")
     if N < 1:
         raise SpecParseError(f"conductor must be >= 1 in {spec!r}")
-    if N > _MAX_CONDUCTOR:
+    if N > arith._INPUT_BOUND:
         raise BoundExceeded(
             f"conductor {N} in {spec!r} exceeds the factorization bound "
             f"10^12")

@@ -186,12 +186,14 @@ def transition(*, p: int,
                precision: int | None = None) -> TransitionReport:
     """Transport (mu, lambda) from the base tower to the extension tower.
 
-    Rejects mu != 0 inputs.  Both fields are replaced by their maximal
-    subfields unramified at p first (flagged in the warnings when this
-    changes anything); the degree is then the p-power [F' : F] of the
-    reduced fields.  Local types come from the supplied form via its
-    Frobenius data away from the level, and from ``local_types``
-    overrides at primes dividing the level.
+    Rejects mu != 0 inputs.  Both fields are first replaced by their
+    reductions at p, the fields cut out by the tame parts of their
+    characters (``splitting.unramified_at_p_reduction``; flagged in the
+    warnings when this changes anything), which have the same cyclotomic
+    p-towers when the fields' degrees are powers of p; the degree is then
+    the p-power [F' : F] of the reduced fields.  Local types come from
+    the supplied form via its Frobenius data away from the level, and
+    from ``local_types`` overrides at primes dividing the level.
     """
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(

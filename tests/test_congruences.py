@@ -111,9 +111,10 @@ def test_congruent_forms_have_equal_transitions():
                 base=tr.InvariantRecord("algebraic", 0, 1)).as_mapping()
 
         first = document(delta)
-        cached = sp._ramified[(Q._key, F._key, P)]
+        info = sp.ramified_set.cache_info()
         second = document(curve)
-        assert sp._ramified[(Q._key, F._key, P)] is cached
+        after = sp.ramified_set.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
         assert first.pop("form") == "delta"
         assert second.pop("form") == X0_11_SPEC
         assert first == second, N

@@ -60,7 +60,7 @@ class TestAbelianField:
         fields = [sp.parse_field_spec(spec), sp.parse_field_spec(spec)]
         fields.append(sp.parse_field_spec(fields[0].spec_string()))
 
-        def no_alignment(key, key_p):
+        def no_alignment(F, Fp):
             raise AssertionError("equal presentations were aligned")
 
         monkeypatch.setattr(sp, "_aligned", no_alignment)
@@ -73,18 +73,31 @@ class TestAbelianField:
         # Q(zeta_46) = Q(zeta_23), so the degree-11 subfields at conductors
         # 46 and 23 are one field with two presentations
         F46 = sp.parse_field_spec("cyclotomic:46:degree=11")
-        assert F46._key != F23._key
+        assert F46 != F23
         calls = []
         aligned = sp._aligned
 
-        def counted(key, key_p):
-            calls.append((key, key_p))
-            return aligned(key, key_p)
+        def counted(F, Fp):
+            calls.append((F, Fp))
+            return aligned(F, Fp)
 
         monkeypatch.setattr(sp, "_aligned", counted)
         assert sp.same_field(F46, F23) is True
         assert sp.same_field(F23, F46) is True
-        assert calls == [(F46._key, F23._key), (F23._key, F46._key)]
+        assert calls == [(F46, F23), (F23, F46)]
+
+    def test_equal_is_same_presentation(self):
+        # two generator sets of one subgroup give equal fields with equal
+        # hashes, which then stand for each other as dict keys; a field
+        # holds no unit group of its own
+        N, gens = 1123, (1038, 1089, 1122)
+        F = sp.AbelianField(N, gens)
+        G = sp.AbelianField(N, sorted(_closure(gens, N)))
+        assert F == G and hash(F) == hash(G)
+        assert {F: "first"}[G] == "first"
+        assert F != sp.AbelianField(N) and F != F.spec_string()
+        assert "unit_group" not in vars(F)
+        assert F.unit_group is arith.unit_group(N)
 
 
 class TestEfg:
@@ -166,8 +179,8 @@ def layer_place_count(F, ell, p, n):
     U = arith.unit_group(F.conductor * pk // math.gcd(F.conductor, pk))
     # fixer of the layer: the unique index-p^n subgroup of cyclic U(p^(n+1))
     layer = sp.AbelianField(pk, (arith.unit_group(pk).element((p ** n,)),))
-    L_Hn = sp._pullback_lattice(U, F._key).intersect(
-        sp._pullback_lattice(U, layer._key))
+    L_Hn = sp._pullback_lattice(U, F).intersect(
+        sp._pullback_lattice(U, layer))
     rows = [list(r) for r in L_Hn.basis] + sp._inertia_rows(U, ell)
     rows.append(list(U.log(sp._frobenius_residue(U, ell))))
     return Lattice(rows, U.rank).det()
@@ -209,8 +222,8 @@ class TestSameConductorPullback:
             if U.rank:
                 assert (sp._reduction_matrix(U, F.conductor)
                         == _identity(U.rank))
-            assert (sp._pullback_lattice(U, F._key).key()
-                    == _pullback_by_reduction(U, F).key()), F._key
+            assert (sp._pullback_lattice(U, F).key()
+                    == _pullback_by_reduction(U, F).key()), F
             checked += 1
         assert checked > 250
 
@@ -394,8 +407,8 @@ class TestUnramifiedAtPReduction:
     def test_mixed_graph_field_keeps_only_23_part(self):
         # pair an order-11 character mod 23 with an order-11 character
         # mod 121: the fixed field of the kernel of their ratio is a
-        # degree-11 field ramified at both 23 and 11, whose maximal
-        # subfield unramified at 11 is the 23-part alone
+        # degree-11 field ramified at both 23 and 11, whose reduction at
+        # 11 is the 23-part alone
         N = 23 * 121
         d23 = {}
         x = 1
@@ -415,6 +428,23 @@ class TestUnramifiedAtPReduction:
         assert sp.efg(F, 23).e == 11 and sp.efg(F, 11).e == 11
         R = sp.unramified_at_p_reduction(F, 11)
         assert sp.same_field(R, F23), (R.conductor, R.subgroup_gens)
+
+    def test_reduction_need_not_be_a_subfield(self):
+        # a cubic field of conductor 63 whose character is wild at 3 times
+        # cubic at 7 reduces at 3 to the cubic field of conductor 7: the
+        # two have one 3-tower (equal composita with the first layer Q_1),
+        # but neither contains the other
+        F = sp.parse_field_spec("cyclotomic:63:gens=8,55,59")
+        R = sp.unramified_at_p_reduction(F, 3)
+        assert F.degree == R.degree == 3
+        assert sp.same_field(R, sp.parse_field_spec("cyclotomic:7:degree=3"))
+        with pytest.raises(NotASubfield):
+            sp.relative_degree(R, F)
+        U = arith.unit_group(63)
+        Q1 = sp.parse_field_spec("cyclotomic:9:degree=3")
+        layer = sp._pullback_lattice(U, Q1)
+        assert (sp._pullback_lattice(U, F).intersect(layer).key()
+                == sp._pullback_lattice(U, R).intersect(layer).key())
 
 
 def _closure(gens, N):
@@ -474,7 +504,7 @@ class TestEfgOrbitOracle:
 
 
 class TestPresentationCaches:
-    CACHES = (sp._efg,)
+    CACHES = (sp.efg, sp.ramified_set)
 
     def test_caches_are_bounded(self):
         for cache in self.CACHES:
@@ -492,11 +522,11 @@ class TestPresentationCaches:
             whole = sorted(_closure(gens, N)) if N > 1 else []
             again = sp.parse_field_spec(
                 f"cyclotomic:{N}:gens={','.join(map(str, whole))}")
-            assert again is not first and again._key == first._key
+            assert again is not first and again == first
             data = sp.efg(first, ell)
-            hits = sp._efg.cache_info().hits
+            hits = sp.efg.cache_info().hits
             assert sp.efg(again, ell) is data
-            assert sp._efg.cache_info().hits == hits + 1
+            assert sp.efg.cache_info().hits == hits + 1
             assert (data.e, data.f, data.g, data.degree) == _orbit_efg(
                 N, gens, ell), (N, gens, ell)
             checked += 1
@@ -506,26 +536,26 @@ class TestPresentationCaches:
         # past maxsize the oldest entry is dropped; asked again, it is
         # computed again (no hit) and equal to the first answer
         primes = [q for q in range(2, 5000) if arith.is_prime(q)]
-        assert len(primes) > sp._efg.cache_info().maxsize + 1
+        assert len(primes) > sp.efg.cache_info().maxsize + 1
         first = sp.efg(F23, primes[0])
         for ell in primes[1:]:
             sp.efg(F23, ell)
-            assert (sp._efg.cache_info().currsize
-                    <= sp._efg.cache_info().maxsize)
-        hits = sp._efg.cache_info().hits
+            assert (sp.efg.cache_info().currsize
+                    <= sp.efg.cache_info().maxsize)
+        hits = sp.efg.cache_info().hits
         again = sp.efg(F23, primes[0])
         assert again == first and again is not first
-        assert sp._efg.cache_info().hits == hits
+        assert sp.efg.cache_info().hits == hits
 
     def test_errors_raise_on_every_call(self):
         z23 = sp.AbelianField(23)
         for _ in range(3):
             with pytest.raises(NotASubfield):
                 sp.relative_degree(z23, F23)
-            misses = sp._efg.cache_info().misses
+            misses = sp.efg.cache_info().misses
             with pytest.raises(ValueError, match="4 is not prime"):
                 sp.efg(F23, 4)
-            assert sp._efg.cache_info().misses == misses + 1
+            assert sp.efg.cache_info().misses == misses + 1
 
     def test_no_entry_pins_a_unit_group(self):
         # once the unit-group cache lets go of (Z/N)^*, nothing the efg
@@ -566,12 +596,13 @@ class TestRamifiedSetCache:
         for base, ext, p in self.CHAINS:
             F, Fp = sp.parse_field_spec(base), sp.parse_field_spec(ext)
             first = sp.ramified_set(F, Fp, p)
-            assert first == sp._ramified_set(F, Fp, p)
+            assert first == sp.ramified_set.__wrapped__(F, Fp, p)
             for specs in ((base, ext), (F.spec_string(), Fp.spec_string())):
                 G, Gp = map(sp.parse_field_spec, specs)
                 assert G is not F and Gp is not Fp
+                hits = sp.ramified_set.cache_info().hits
                 assert sp.ramified_set(G, Gp, p) is first
-            assert (F._key, Fp._key, p) in sp._ramified
+                assert sp.ramified_set.cache_info().hits == hits + 1
 
     def test_errors_raise_on_every_call(self, monkeypatch):
         z23 = sp.AbelianField(23)
@@ -580,8 +611,7 @@ class TestRamifiedSetCache:
         def fake(F, ell):       # e = 2 over Q, 3 above: 2 does not divide 3
             return sp.PlaceData(ell, 2 if F.degree == 1 else 3, 1, 1, 1)
 
-        sp._ramified.pop((Q._key, F47._key, 23), None)
-        size = len(sp._ramified)
+        sp.ramified_set.cache_clear()
         for _ in range(3):
             with pytest.raises(NotPPower):
                 sp.ramified_set(Q, z23, 11)
@@ -593,14 +623,14 @@ class TestRamifiedSetCache:
                 patch.setattr(sp, "efg", fake)
                 with pytest.raises(InternalAdditivityViolation):
                     sp.ramified_set(Q, F47, 23)
-            assert len(sp._ramified) == size
+            assert sp.ramified_set.cache_info().currsize == 0
         # the real efg is reached again once the fault is gone
         assert sp.ramified_set(Q, F47, 23).entries[0].local_degree == 23
 
     def test_cache_is_bounded(self):
         # the cubic subfield of Q(zeta_q) over Q, for more primes q than
         # the cache holds; an evicted chain is computed again, equal
-        maxsize = sp._RAMIFIED_MAXSIZE
+        maxsize = sp.ramified_set.cache_info().maxsize
         primes = [q for q in range(7, 5000)
                   if q % 3 == 1 and arith.is_prime(q)][:maxsize + 2]
         assert len(primes) == maxsize + 2
@@ -614,20 +644,19 @@ class TestRamifiedSetCache:
             (primes[0], 3)]
         for q in primes[1:]:
             chain(q)
-            assert len(sp._ramified) <= maxsize
+            assert sp.ramified_set.cache_info().currsize <= maxsize
         again = chain(primes[0])
         assert again == first and again is not first
 
-    def test_entries_hold_no_field_or_unit_group(self):
-        # the cache holds ints, bools, tuples and records only, so the
-        # unit group of a field it has seen dies with the field
+    def test_entries_hold_no_unit_group(self):
+        # an entry is its arguments, fields, and its RamifiedSet; no unit
+        # group is reachable from them, so the unit group of a field the
+        # cache has seen dies once the unit-group cache lets go of it
         F = sp.parse_field_spec("cyclotomic:17153:degree=7")
         unit_group = weakref.ref(F.unit_group)
-        sp.ramified_set(Q, F, 7)
-        assert (Q._key, F._key, 7) in sp._ramified
-        allowed = (int, tuple, sp.RamifiedSet, sp.RamifiedPlace)
-        for obj in _reachable(sp._ramified):
-            assert obj is sp._ramified or isinstance(obj, allowed), obj
+        rs = sp.ramified_set(Q, F, 7)
+        for obj in _reachable((Q, F, 7, rs)):
+            assert not isinstance(obj, arith.UnitGroup), obj
         del F
         arith.unit_group.cache_clear()
         gc.collect()
@@ -725,7 +754,7 @@ class TestFieldSpecGrammar:
                 except SpecParseError:
                     continue
                 G = sp.AbelianField(N, F.subgroup_gens)
-                assert F._key == G._key, (N, d)
+                assert F == G, (N, d)
                 assert F.subgroup_gens == G.subgroup_gens
                 assert F.degree == G.degree == d
                 assert F.spec_string() == G.spec_string()
@@ -797,9 +826,8 @@ def peak_mb():
                 return int(line.split()[1]) / 1024
 
 caches = [arith.unit_group, splitting._resolve_degree_subgroup,
-          splitting._efg]
-count = max(max(c.cache_info().maxsize for c in caches),
-            splitting._RAMIFIED_MAXSIZE) + 64
+          splitting.efg, splitting.ramified_set]
+count = max(c.cache_info().maxsize for c in caches) + 64
 full = arith.unit_group.cache_info().maxsize
 conductors = []
 q = 10 ** 7 + 7                     # safe primes > 7 are 11 mod 12
@@ -822,7 +850,8 @@ for i, q in enumerate(conductors):
         full_mb = peak_mb()
 for c in caches:
     assert c.cache_info().currsize <= c.cache_info().maxsize
-assert len(splitting._ramified) == splitting._RAMIFIED_MAXSIZE
+info = splitting.ramified_set.cache_info()
+assert info.currsize == info.maxsize
 print(full_mb, peak_mb())
 """
 

@@ -379,8 +379,39 @@ def _padic_val(n, p):
     return k
 
 
+def _twist_form(name):
+    return DELTA if name == "delta" else qexp.ec_form(
+        qexp.EllipticCurve(0, -1, 1, -10, -20))
+
+
+def _twist_primes(f, p, bound):
+    """Odd primes ell = 1 mod p (that is, 1 mod 2p) below ``bound`` that do
+    not divide the level."""
+    return [ell for ell in range(2 * p + 1, bound, 2 * p)
+            if f.level % ell and all(
+                ell % q for q in range(3, math.isqrt(ell) + 1, 2))]
+
+
+def _g_t(f, p, ell):
+    """(g, t) at ell: g = p^(v_p(ell^(p-1) - 1) - 1) and t the Frobenius
+    eigenvalues at ell that are 1 mod p.  For x^2 - a x + c, x = 1 is a
+    root iff 1 - a + c = 0 mod p, and then the other root is c."""
+    g = p ** (_padic_val(ell ** (p - 1) - 1, p) - 1)
+    a, c = f.a_prime(ell), ell ** (f.weight - 1)
+    return g, 0 if (1 - a + c) % p else 1 + (c % p == 1)
+
+
+def _primitive_root(ell):
+    return next(r for r in range(2, ell)
+                if len({pow(r, k, ell) for k in range(ell - 1)}) == ell - 1)
+
+
+def _crt(a1, ell1, a2, ell2):
+    return (a1 + ell1 * ((a2 - a1) * pow(ell1, -1, ell2))) % (ell1 * ell2)
+
+
 class TestPerTwistClosedForm:
-    """The per-twist sum of Pollack-Weston, over Q, in closed form.
+    """The per-twist sum of Pollack-Weston, in closed form.
 
     Over F' = cyclotomic:ell:degree=p with ell = 1 mod p, Gal(F'/Q) has
     p - 1 nontrivial characters, each ramified at ell alone.  Its twist of
@@ -394,19 +425,10 @@ class TestPerTwistClosedForm:
         ("delta", 3), ("delta", 5), ("delta", 7), ("delta", 11),
         ("11a1", 3), ("11a1", 7)])
     def test_lambda_out_is_the_twist_sum(self, name, p):
-        f = DELTA if name == "delta" else qexp.ec_form(
-            qexp.EllipticCurve(0, -1, 1, -10, -20))
+        f = _twist_form(name)
         ts = set()
-        # odd primes ell = 1 mod p, that is ell = 1 mod 2p
-        for ell in range(2 * p + 1, 2000, 2 * p):
-            if f.level % ell == 0 or any(
-                    ell % q == 0 for q in range(3, math.isqrt(ell) + 1, 2)):
-                continue
-            g = p ** (_padic_val(ell ** (p - 1) - 1, p) - 1)
-            # x^2 - a x + c: x = 1 is a root iff 1 - a + c = 0 mod p, and
-            # then the other root is c
-            a, c = f.a_prime(ell), ell ** (f.weight - 1)
-            t = 0 if (1 - a + c) % p else 1 + (c % p == 1)
+        for ell in _twist_primes(f, p, 2000):
+            g, t = _g_t(f, p, ell)
             ts.add(t)
             ext = sp.parse_field_spec(f"cyclotomic:{ell}:degree={p}")
             for lam in (0, 1, 2):
@@ -416,6 +438,50 @@ class TestPerTwistClosedForm:
                                     form=f)
                 assert rep.lambda_out == p * lam + (p - 1) * g * t, (ell, lam)
         assert 2 in ts   # some prime carries a local term
+
+    @pytest.mark.parametrize("name, p", [
+        ("delta", 3), ("delta", 5), ("11a1", 3), ("11a1", 5)])
+    def test_two_prime_compositum(self, name, p):
+        # F' = K1 K2 with Ki = cyclotomic:ell_i:degree=p has Gal(F'/Q) =
+        # (Z/p)^2, and p(p - 1) of its characters are ramified at each
+        # ell_i.  With d_i = g_i t_i: lambda' = p^2 lambda + p(p - 1)(d1 +
+        # d2) over Q, and over K1, whose lambda is p lambda + (p - 1) d1,
+        # lambda' = p lambda_K1 + p(p - 1) d2.  H is built here by CRT from
+        # p-th powers of primitive roots, then from a second generator set
+        # of the same H, whose equal field every cache serves again
+        f = _twist_form(name)
+        # every third prime, for a spread of g and of t
+        ells = _twist_primes(f, p, 400)[::3][:5]
+        local = 0
+        for i, ell1 in enumerate(ells):
+            K1 = sp.parse_field_spec(f"cyclotomic:{ell1}:degree={p}")
+            for ell2 in ells[i + 1:]:
+                N = ell1 * ell2
+                x1 = _crt(pow(_primitive_root(ell1), p, ell1), ell1, 1, ell2)
+                x2 = _crt(1, ell1, pow(_primitive_root(ell2), p, ell2), ell2)
+                ext, again = (sp.AbelianField(N, (x1, x2)),
+                              sp.AbelianField(N, (x1 * x2 % N, x1)))
+                assert ext.degree == p * p and ext == again
+                (g1, t1), (g2, t2) = _g_t(f, p, ell1), _g_t(f, p, ell2)
+                d1, d2 = g1 * t1, g2 * t2
+                local += d1 + d2
+                for F in (ext, again):
+                    misses = sp.ramified_set.cache_info().misses
+                    for lam in (0, 1, 2):
+                        lam_K1 = p * lam + (p - 1) * d1
+                        over_Q = tr.transition(
+                            p=p, base_field=Q, ext_field=F, form=f,
+                            base=tr.InvariantRecord("algebraic", 0, lam))
+                        over_K1 = tr.transition(
+                            p=p, base_field=K1, ext_field=F, form=f,
+                            base=tr.InvariantRecord("algebraic", 0, lam_K1))
+                        assert over_Q.lambda_out == (
+                            p * p * lam + p * (p - 1) * (d1 + d2))
+                        assert over_K1.lambda_out == (
+                            p * lam_K1 + p * (p - 1) * d2)
+                    if F is again:
+                        assert sp.ramified_set.cache_info().misses == misses
+        assert local    # some prime carries a local term
 
 
 # Each fault breaks one invariant the library checks; every check must
