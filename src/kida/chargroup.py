@@ -10,7 +10,25 @@ floating point anywhere.
 
 Subgroups of G = Z^r / diag(d) are the lattices L between diag(d) Z^r
 and Z^r; one walk over their Hermite normal forms lists each subgroup
-once, and a form with diagonal a_1..a_r has order |G| / prod a_i.
+once, and a form with diagonal a_1..a_r has order |G| / prod a_i.  A
+subgroup keeps its Hermite rows and lists its elements from them.
+
+Three bounded lru caches key on a group's value, so equal groups built
+apart share them; errors are not stored:
+
+- ``_exponent_weights`` (64 entries) keys on the invariant factors and
+  keeps e = lcm(d) and the weights e/d_i.
+- ``_dual`` (8 entries) keys on the group and keeps its characters;
+  ``dual_group`` copies them into a new list on each call, so a caller
+  cannot change the cached ones.  A sweep meets each group in one
+  stretch, so a few groups suffice.
+- ``_cyclotomic_polynomial`` (256 entries) keys on n.
+
+``value_log`` evaluates a character at one element; ``multiplicity``
+and the trace oracle call it per character and element.  The
+annihilator and the restriction classes read every character of G on
+H's generators, so they fold the weights into the generators once
+(``_restrictions``).
 """
 
 from __future__ import annotations
@@ -18,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import add, mod, mul
 
 from . import arith
 from .errors import InternalAdditivityViolation, Record, SubgroupMismatch
@@ -43,23 +62,25 @@ class FiniteAbelianGroup(Record):
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for d in self.invariant_factors:
-            e = e * d // math.gcd(e, d)
-        return e
+        return _exponent_weights(self.invariant_factors)[0]
 
     def elements(self):
         return itertools.product(*[range(d) for d in self.invariant_factors])
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
+
+
+@lru_cache(maxsize=64)
+def _exponent_weights(d: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(e, (e/d_1, ..., e/d_r)) for invariant factors ``d``: the exponent
+    e = lcm(d) and the weights that put each coordinate's log over zeta_e."""
+    e = math.lcm(*d)
+    return e, tuple(e // di for di in d)
 
 
 def cyclic(n: int) -> FiniteAbelianGroup:
@@ -77,26 +98,51 @@ class Character(Record):
             raise ValueError("exponent vector length mismatch")
         if any(not 0 <= c < di for c, di in zip(exponents, d)):
             raise ValueError("exponents out of range")
-        # set directly, not by _fill: a sweep builds ~10^4 of these
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exponents", exponents)
+        self._fill(group, exponents)
+
+    def __hash__(self):
+        # equal characters have equal exponents; one tuple hash, where
+        # Record's would hash the group through a second Python call
+        return hash(self.exponents)
 
     def value_log(self, element) -> int:
         """log base zeta_e of the character value at ``element``."""
-        e = self.group.exponent
-        d = self.group.invariant_factors
-        return sum(c * g * (e // di)
-                   for c, g, di in zip(self.exponents, element, d)) % e if d else 0
+        e, w = _exponent_weights(self.group.invariant_factors)
+        return sum(map(mul, map(mul, self.exponents, element), w)) % e
 
     def restriction_tuple(self, gens) -> tuple[int, ...]:
         """Value logs on a generator list; equal tuples = equal on <gens>."""
-        return tuple(self.value_log(g) for g in gens)
+        return tuple(map(self.value_log, gens))
+
+
+def _restrictions(G: FiniteAbelianGroup, chars, elements) -> list[tuple]:
+    """Per character of G in ``chars``, the tuple of its value logs at
+    ``elements``.  The weights e/d_i are folded into each element once,
+    so each log is one dot product with the character's exponents, mod e:
+    ``value_log``'s formula, read for many characters at a time."""
+    e, w = _exponent_weights(G.invariant_factors)
+    exps = [chi.exponents for chi in chars]
+    cols = [[sum(map(mul, c, f)) % e for c in exps]
+            for f in [tuple(map(mul, g, w)) for g in elements]]
+    return list(zip(*cols)) if cols else [()] * len(exps)
 
 
 def dual_group(G: FiniteAbelianGroup) -> list[Character]:
-    """All |G| characters in lexicographic exponent order, trivial first."""
-    return [Character(G, exps) for exps in
-            itertools.product(*[range(d) for d in G.invariant_factors])]
+    """All |G| characters in lexicographic exponent order, trivial first
+    (a new list each call, so a caller may change it)."""
+    return list(_dual(G))
+
+
+@lru_cache(maxsize=8)
+def _dual(G: FiniteAbelianGroup) -> tuple[Character, ...]:
+    # each exponent vector is in range by construction, so the characters
+    # skip the checks of Character.__init__
+    chars = []
+    for exps in itertools.product(*map(range, G.invariant_factors)):
+        chi = object.__new__(Character)
+        chi._fill(G, exps)
+        chars.append(chi)
+    return tuple(chars)
 
 
 def trivial_character(G: FiniteAbelianGroup) -> Character:
@@ -106,15 +152,17 @@ def trivial_character(G: FiniteAbelianGroup) -> Character:
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup given by coordinate generators."""
 
+    __slots__ = ("group", "generators", "order", "_rows")
+
     def __init__(self, group: FiniteAbelianGroup, generators):
         self.group = group
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
             if len(g) != group.rank:
                 raise SubgroupMismatch("generator has wrong coordinate length")
-        self._lattice = subgroup_lattice(self.generators, group.invariant_factors)
-        self.order = (group.order // self._lattice.det()
-                      if group.rank else 1)
+        lattice = subgroup_lattice(self.generators, group.invariant_factors)
+        self._rows = lattice.basis
+        self.order = group.order // lattice.det() if group.rank else 1
 
     @classmethod
     def from_hermite(cls, group: FiniteAbelianGroup, rows) -> "Subgroup":
@@ -128,26 +176,44 @@ class Subgroup:
         spanned by the rows below, and reduced against them it is 0.
         """
         d = group.invariant_factors
+        gens, order = [], 1
+        for i, row in enumerate(rows):
+            if row[i] < d[i]:
+                gens.append(row)
+                order *= d[i] // row[i]
         H = cls.__new__(cls)
-        H.group = group
-        H.generators = tuple(tuple(row) for i, row in enumerate(rows)
-                             if row[i] < d[i])
-        H._lattice = Lattice(rows, len(d), hermite=True)
-        H.order = group.order // math.prod(
-            row[i] for i, row in enumerate(rows))
+        H.group, H.generators, H._rows = group, tuple(gens), rows
+        H.order = order
         return H
+
+    @property
+    def _lattice(self) -> Lattice:
+        """H's lattice, from its Hermite rows, built when asked for."""
+        return Lattice(self._rows, self.group.rank, hermite=True)
 
     def contains(self, element) -> bool:
         return self._lattice.contains(element)
 
-    def elements(self):
-        return [el for el in self.group.elements() if self.contains(el)]
+    def elements(self) -> list[tuple[int, ...]]:
+        """The |H| elements in lexicographic order, as sums of c_i times
+        the Hermite rows of H's lattice, 0 <= c_i < d_i / a_i, mod d: each
+        element once, as (d_i / a_i) row_i lies in the span of the rows
+        below it."""
+        d = self.group.invariant_factors
+        out = [(0,) * len(d)]
+        for i, row in enumerate(self._rows):
+            steps = [tuple(c * x % di for x, di in zip(row, d))
+                     for c in range(1, d[i] // row[i])]
+            out += [tuple(map(mod, map(add, el, step), d))
+                    for el in out for step in steps]
+        out.sort()
+        return out
 
     def annihilator(self, dual=None) -> list[Character]:
         """Characters of G trivial on this subgroup (= (G/H)^dual)."""
-        chars = dual if dual is not None else dual_group(self.group)
-        return [chi for chi in chars
-                if all(chi.value_log(g) == 0 for g in self.generators)]
+        chars = dual if dual is not None else _dual(self.group)
+        keys = _restrictions(self.group, chars, self.generators)
+        return [chi for chi, key in zip(chars, keys) if not any(key)]
 
 
 class RepMultiset:
@@ -188,25 +254,41 @@ def multiplicity(W: RepMultiset, chi: Character,
 
 @lru_cache(maxsize=256)
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending, by exact division of x^n - 1."""
-    poly = [-1] + [0] * (n - 1) + [1]          # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_exact(poly, _cyclotomic_polynomial(d))
+    """Coefficients of Phi_n, ascending: the product of (x^d - 1)^mu(n/d)
+    over d | n.  Multiplies by the binomials with mu = 1 first, then
+    divides by those with mu = -1, each exactly."""
+    primes = [q for q, _ in arith.factor(n)]
+    # n / d is a product of distinct primes, mu(n / d) = (-1)^(their count)
+    dropped = [c for k in range(len(primes) + 1)
+               for c in itertools.combinations(primes, k)]
+    poly = [1]
+    for c in dropped:
+        if len(c) % 2 == 0:
+            poly = _times_binomial(poly, n // math.prod(c))
+    for c in dropped:
+        if len(c) % 2:
+            poly = _over_binomial(poly, n // math.prod(c))
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + len(den) - 1] // den[-1]
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    if any(num):   # a step that left a remainder left it in num
-        raise InternalAdditivityViolation("non-exact cyclotomic division")
+def _times_binomial(poly: list[int], d: int) -> list[int]:
+    """poly * (x^d - 1)."""
+    out = [0] * (len(poly) + d)
+    for i, c in enumerate(poly):
+        out[i] -= c
+        out[i + d] += c
     return out
+
+
+def _over_binomial(poly: list[int], d: int) -> list[int]:
+    """poly / (x^d - 1), which must be exact: poly[i] = q[i - d] - q[i]."""
+    q = []
+    for i in range(len(poly) - d):
+        q.append((q[i - d] if i >= d else 0) - poly[i])
+    if any(poly[i] != (q[i - d] if i >= d else 0)
+           for i in range(len(q), len(poly))):
+        raise InternalAdditivityViolation("non-exact cyclotomic division")
+    return q
 
 
 def multiplicity_trace(W: RepMultiset, chi: Character, H: Subgroup) -> int:
@@ -218,24 +300,23 @@ def multiplicity_trace(W: RepMultiset, chi: Character, H: Subgroup) -> int:
     """
     if chi.group != W.group or H.group != W.group:
         raise SubgroupMismatch("mixed groups in trace pairing")
-    e = W.group.exponent if W.group.rank else 1
-    acc = [0] * max(e, 1)
+    e = W.group.exponent
+    acc = [0] * e
     for h in H.elements():
         neg = chi.value_log(h)
         for psi, m in W.entries.items():
             acc[(psi.value_log(h) - neg) % e] += m
-    if e == 1:
-        total = acc[0]
-    else:
-        phi = _cyclotomic_polynomial(e)     # monic
-        rem = list(acc)
-        for i in range(len(rem) - 1, len(phi) - 2, -1):
-            q = rem[i]
-            for j, c in enumerate(phi):
-                rem[i - len(phi) + 1 + j] -= q * c
-        if any(rem[1:]):
-            raise SubgroupMismatch("trace sum not rational")
-        total = rem[0]
+    phi = _cyclotomic_polynomial(e)         # monic, of degree top
+    top = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    for i in range(e - 1, top - 1, -1):
+        q = acc[i]
+        if q:
+            for j, c in terms:
+                acc[i - top + j] -= q * c
+    if any(acc[1:top]):
+        raise SubgroupMismatch("trace sum not rational")
+    total = acc[0]
     q, r = divmod(total, H.order)
     if r:
         raise SubgroupMismatch(f"trace sum not divisible by |H|={H.order}")
@@ -255,19 +336,18 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
     if H.group != W.group:
         raise SubgroupMismatch("subgroup of the wrong group")
     G = W.group
-    dual = dual_group(G)
-    m1 = W.entries.get(trivial_character(G), 0)
+    dual = _dual(G)
+    m1 = W.entries.get(dual[0], 0)
     lhs = sum(m1 - W.entries.get(chi, 0) for chi in dual)
 
     rhs1 = H.order * sum(m1 - W.entries.get(chi, 0)
                          for chi in H.annihilator(dual))
 
     # H^dual realized as restriction classes of G^dual.
-    classes: dict[tuple, int] = {}
-    for chi in dual:
-        classes.setdefault(chi.restriction_tuple(H.generators), 0)
-    for psi, m in W.entries.items():
-        classes[psi.restriction_tuple(H.generators)] += m
+    classes = dict.fromkeys(_restrictions(G, dual, H.generators), 0)
+    for key, m in zip(_restrictions(G, W.entries, H.generators),
+                      W.entries.values()):
+        classes[key] += m
     if len(classes) != H.order:
         raise SubgroupMismatch(
             f"{len(classes)} restriction classes != |H|={H.order}")
@@ -315,42 +395,54 @@ def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
     return out
 
 
-def subgroup_lattices(d):
+def subgroup_lattices(d) -> list[list[tuple[int, ...]]]:
     """Hermite normal forms of the lattices L with diag(d) Z^r <= L <= Z^r.
 
-    Rows are built from the bottom up: row i has a pivot a_i | d_i on the
-    diagonal and entries right of it in [0, a_j), and is kept iff
-    (d_i / a_i) times its off-diagonal part lies in the span of the rows
-    below, i.e. iff d_i e_i lies in L.  Each L has one such form (Cohen,
-    *A Course in Computational Algebraic Number Theory*, 2.4).  Every
-    entry is then already below its d_j, so a row is reduced mod d as it
-    stands (``Subgroup.from_hermite``); each row is built once and shared
-    by all the forms that contain it.
+    Rows are built from the bottom up, one level at a time: row i has a
+    pivot a_i | d_i on the diagonal and entries right of it in [0, a_j),
+    and is kept iff (d_i / a_i) times its off-diagonal part lies in the
+    span of the rows below, i.e. iff d_i e_i lies in L.  Each L has one
+    such form (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4).  Every off-diagonal part qualifies when d_r divides m = d_i / a_i,
+    as m e_j then lies in diag(d) Z^r for each j; for a_i = d_i only 0
+    does, as a nonzero part of the box is not in the span, so that row is
+    d_i e_i.  Every entry is then already below its d_j, so a row is
+    reduced mod d as it stands (``Subgroup.from_hermite``); each row is
+    built once and shared by all the forms that contain it.  The forms
+    come in lexicographic order of their rows' choices, bottom row first.
     """
-    def in_span(vec, rows):
-        for k, row in enumerate(rows):
-            q, rem = divmod(vec[k], row[k])
-            if rem:
-                return False
-            if q:
-                vec = [x - q * y for x, y in zip(vec, row)]
-        return True
+    r = len(d)
+    forms = [[]]
+    for i in range(r - 1, -1, -1):
+        di = d[i]
+        full = (0,) * i + (di,) + (0,) * (r - 1 - i)
+        pivots_below = [a for a in range(1, di) if di % a == 0]
+        grown = []
+        for below in forms:
+            tails = [row[i + 1:] for row in below]
+            boxes = [range(row[k]) for k, row in enumerate(tails)]
+            for a in pivots_below:
+                m, head = di // a, (0,) * i + (a,)
+                offs = itertools.product(*boxes)
+                if m % d[-1]:
+                    offs = [off for off in offs
+                            if _in_span([m * x for x in off], tails)]
+                grown += [[head + off, *below] for off in offs]
+            grown.append([full, *below])
+        forms = grown
+    return forms
 
-    def walk(i, below):
-        if i < 0:
-            yield below
-            return
-        pivots = [row[j] for j, row in enumerate(below, i + 1)]
-        tails = [row[i + 1:] for row in below]
-        for a in range(1, d[i] + 1):
-            if d[i] % a:
-                continue
-            m = d[i] // a
-            for off in itertools.product(*map(range, pivots)):
-                if in_span([m * x for x in off], tails):
-                    yield from walk(i - 1, [[0] * i + [a, *off]] + below)
 
-    yield from walk(len(d) - 1, [])
+def _in_span(vec: list[int], rows) -> bool:
+    """Whether ``vec`` lies in the span of ``rows``, row k with its pivot
+    in column k: the rows' Hermite form, so one division per column."""
+    for k, row in enumerate(rows):
+        q, rem = divmod(vec[k], row[k])
+        if rem:
+            return False
+        if q:
+            vec = [x - q * y for x, y in zip(vec, row)]
+    return True
 
 
 def birkhoff_count(lam, mu, q: int) -> int:
@@ -412,7 +504,7 @@ def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
 
 def random_rep(G: FiniteAbelianGroup, rng, max_dim: int = 20) -> RepMultiset:
     """Random character multiset of dimension between 1 and max_dim."""
-    dual = dual_group(G)
+    dual = _dual(G)
     dim = rng.randint(1, max_dim)
     entries: dict[Character, int] = {}
     while dim > 0:

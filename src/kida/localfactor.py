@@ -13,12 +13,16 @@ exponent j mod d, and the extension multiplicity is
 (case, value) row per character line of V, and sums user values for
 ``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
 ``m_single(V, d, j)`` per exponent j, and serves the suites as the
-table's oracle.
+table's oracle.  It keeps its last 128 values in an ``lru_cache`` keyed
+on (V, d): ``check_tower_additivity`` meets each (V, d) several times
+along a suite's chains of degrees.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
 from .errors import (GenericUnsupported, IncoherentGenericData, Record,
                      SpecParseError)
 
@@ -248,6 +252,7 @@ def m_single(V: LocalType, degree: int = 1, exponent: int = 0) -> int:
     raise TypeError(f"unknown local type {V!r}")
 
 
+@lru_cache(maxsize=128)
 def twist_sum(V: LocalType, local_degree: int) -> int:
     """m(L'/L, V) = sum over the local_degree twist exponents j of
     (m(V) - m(V_chi_j)), one ``m_single`` per twist: O(local_degree), the

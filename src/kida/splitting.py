@@ -14,7 +14,7 @@ with its presentation (conductor, HNF basis of H's lattice), so fields
 parsed again, or from other generators of the same H, are equal.  It
 holds integers only, and reads its unit group from ``arith.unit_group``'s
 cache, so a cache keyed on fields pins no UnitGroup or baby-step table.
-Three bounded lru caches hold one fact each that repeats in the traffic;
+Four bounded lru caches hold one fact each that repeats in the traffic;
 errors are not stored:
 
 - ``efg`` (256 entries) keys on (field, ell).
@@ -24,6 +24,10 @@ errors are not stored:
 - ``_resolve_degree_subgroup`` (128 entries) keys on (N, d) and keeps a
   ``degree=`` spec's generator residues and HNF basis, so parsing it
   again builds the field with no power and no HNF.
+- ``_tame_field`` (64 entries) keys on (F, p) for p dividing F's
+  conductor, and keeps ``unramified_at_p_reduction``'s field, which costs
+  discrete logs and a lattice intersection.  A field whose conductor p
+  does not divide is its own reduction, returned with no cache.
 
 The pair comparisons are not memoized.  ``relative_degree`` is called
 only on a ``ramified_set`` miss, so a cache of its own would never be
@@ -338,14 +342,21 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
 
     Realized by intersecting H with K = (everything prime to p) x (the
     (p-1)-torsion at p), the common kernel of the wild characters, and
-    projecting to (Z/N)^*.
+    projecting to (Z/N)^*; when p divides the conductor that work is
+    ``_tame_field``'s, cached on (F, p).
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
+    if F.conductor % p:
+        return F
+    return _tame_field(F, p)
+
+
+@lru_cache(maxsize=64)
+def _tame_field(F: AbelianField, p: int) -> AbelianField:
+    """``unramified_at_p_reduction`` of F, for p dividing F's conductor."""
     a = arith.padic_val(F.conductor, p)
     N = F.conductor // p ** a
-    if a == 0:
-        return F
     U = F.unit_group
     # K = (everything prime to p) x (Teichmueller part at p)
     rows = [list(U.log(pow(g, p ** (a - 1) if q == p else 1, U.modulus)))

@@ -3,17 +3,30 @@
 Each suite returns a SuiteResult with a counterexample dump on failure;
 all randomness comes from a seeded random.Random, so runs are
 reproducible byte for byte.  The group-identity sweep keys each
-character by the tuple of its value logs on a subgroup's generators,
-built from one outer-sum list per generator with no Character objects;
-it checks per subgroup the annihilator size, the class count and trivial
-class = annihilator, then a subsample by reference and trace oracle.
-Each suite imports the modules it checks, so a run loads no other.
+character by its value logs on a subgroup's generators, packed into one
+integer, built from one outer-sum list per generator with no Character
+objects; it checks per subgroup the annihilator size, the class count
+and trivial class = annihilator, then a subsample by reference and trace
+oracle.  Each suite imports the modules it checks, so a run loads no
+other.
+
+The module keeps no cache across calls.  Per group, the sweep memoises
+two dicts, dropped with the group: ``logs`` keys on a generator (its
+``_value_logs`` laid out as one integer, and that times e, e^2, ...),
+``packed`` on a tail of two or more generators (their packed keys); each
+holds at most one entry per subgroup of the group.  The reference
+subsample (``chargroup.check_group_identity``, ``multiplicity`` and
+``multiplicity_trace``) reads ``Character.value_log``'s formula and
+never ``_value_logs``, so it stays independent of the sweep's outer
+sums; its caches are ``chargroup``'s.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from itertools import compress
 
 from .errors import BoundExceeded, KidaError, Record, SpecParseError
@@ -64,16 +77,48 @@ def _value_logs(d, e: int, g) -> list[int]:
     return [x % e for x in out]
 
 
+def _packed_keys(gens, d, e: int, fmt: str, logs: dict,
+                 packed: dict) -> int:
+    """The keys on ``gens`` of all n characters, side by side in one int.
+
+    A character's key is its value logs packed in base e, sum_j log_j
+    e^(k-1-j) over the k generators, and fills one ``fmt`` item of an
+    ``array``, in ``dual_group``'s order.  The keys of gens are then
+    e^(k-1) times the logs at gens[0] plus the keys of gens[1:]: one
+    addition for all n characters.  ``logs`` holds per generator its
+    ``_value_logs`` so laid out, times e^0, e^1, ...; ``packed`` holds
+    the keys of every tail of two or more generators, as the Hermite walk
+    gives many subgroups one tail.  The packing needs every log in
+    [0, e), as ``_value_logs`` gives them; a log too large for its item
+    raises OverflowError.
+    """
+    k, g = len(gens), gens[0]
+    scaled = logs.get(g)
+    if scaled is None:
+        scaled = logs[g] = [int.from_bytes(
+            array(fmt, _value_logs(d, e, g)).tobytes(), sys.byteorder)]
+    while len(scaled) < k:
+        scaled.append(scaled[-1] * e)
+    if k == 1:
+        return scaled[0]
+    tail = gens[1:]
+    rest = packed.get(tail)
+    if rest is None:
+        rest = packed[tail] = _packed_keys(tail, d, e, fmt, logs, packed)
+    return scaled[k - 1] + rest
+
+
 def group_identity_suite(max_order: int = 200, reps: int = 100,
                          seed: int = 0) -> SuiteResult:
     """The multiplicity identity over every abelian group G of order <=
     max_order and every subgroup H, counted as ``reps`` checks each.
 
-    A character's key is the tuple of its value logs on the generators
-    of H; each generator's logs over all characters are built once per
-    group (``_value_logs``).  Per subgroup: annihilator size (|G|/|H|
-    keys are 0), class count (|H| distinct keys) and trivial class =
-    annihilator, which is keys[0] == 0 (keys[0] belongs to the first
+    A character's key is its tuple of value logs on the generators of H
+    packed in base e (``_packed_keys``); each generator's logs over all
+    characters are built once per group (``_value_logs``).  Per
+    subgroup: annihilator size (|G|/|H| keys are 0), class count (|H|
+    distinct keys) and trivial class = annihilator, which is
+    keys[0] == 0 (keys[0] belongs to the first
     character in ``dual_group``'s order, the trivial one).  Then the
     identity holds for every representation, since lhs - rhs = |H| (its
     multiplicities summed over the annihilator - over the trivial
@@ -93,25 +138,29 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
             res.checks += reps
             continue
         subs = chargroup.subgroups(G)
-        logs = {}       # generator -> value logs of all characters at it
+        # a packed key is below e^rank: the smallest item type that holds
+        # it (8 bytes do for every group of order below 30,000)
+        fmt = next(t for t in "BHIQ"
+                   if e ** G.rank <= 256 ** array(t).itemsize)
+        width = n * array(fmt).itemsize
+        logs = {}       # generator -> its value logs, times e^0, e^1, ...
+        packed = {}     # tail of generators -> its keys
+        passed = 0
         for H in subs:
             h, gens = H.order, H.generators
-            for g in gens:
-                if g not in logs:
-                    logs[g] = _value_logs(d, e, g)
-            keys = (list(zip(*map(logs.__getitem__, gens))) if gens
-                    else [()] * n)
-            zero = (0,) * len(gens)
-            n_ann, n_classes = keys.count(zero), len(set(keys))
+            keys = array(fmt, (_packed_keys(gens, d, e, fmt, logs, packed)
+                               if gens else 0).to_bytes(width, sys.byteorder))
+            n_ann, n_classes = keys.count(0), len(set(keys))
             why = (f"annihilator size {n_ann} != {n}/{h}" if n_ann != n // h
                    else f"{n_classes} restriction classes != |H|={h}"
                    if n_classes != h
-                   else "trivial-class != annihilator" if keys[0] != zero
+                   else "trivial-class != annihilator" if keys[0]
                    else None)
             if why:
                 res.fail(f"{why} for G={G.invariant_factors} H={gens}")
                 continue
-            res.checks += reps
+            passed += 1
+        res.checks += reps * passed
         # reference implementation and trace oracle on a subsample
         one = chargroup.trivial_character(G)
         for _ in range(2):
@@ -324,9 +373,10 @@ def hasse_suite(bound: int = 100, seed: int = 0) -> SuiteResult:
 # None, largest size accepted); the function is looked up by name when the
 # suite runs, so a replaced module attribute (a wrapper, a test double) is
 # the one called.  The maxima keep a run within about 10 s: group-identity
-# 200 is the acceptance sweep and takes about 4.5 s, 6166476 checks,
-# tower-additivity checks nothing new past 13^3 = 2197, and hasse at 8000
-# takes about 1.2 s, 5300 checks (CPython 3.11 on a 2-vCPU x86-64 VM).
+# 200 is the acceptance sweep and takes about 1.7 s, 6166476 checks,
+# tower-additivity checks nothing new past 13^3 = 2197 (about 1 s, 4490
+# checks), and hasse at 8000 takes about 1.5 s, 5300 checks (CPython 3.11
+# on a 2-vCPU x86-64 VM).
 SUITES = {
     "group-identity": ("group_identity_suite", "max_order", 200),
     "tower-additivity": ("tower_additivity_suite", "max_size", 2197),

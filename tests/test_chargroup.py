@@ -7,7 +7,7 @@ import pytest
 
 from kida import arith, chargroup as cg
 from kida.intlinalg import hnf
-from kida.errors import SubgroupMismatch
+from kida.errors import InternalAdditivityViolation, SubgroupMismatch
 
 
 def add(G, a, b):
@@ -34,6 +34,45 @@ class TestDualGroup:
         G = cg.FiniteAbelianGroup((2, 6))
         exps = [c.exponents for c in cg.dual_group(G)]
         assert exps == sorted(exps)
+
+
+class TestCaches:
+    def test_dual_group_list_is_the_callers(self):
+        G = cg.FiniteAbelianGroup((2, 6))
+        chars = cg.dual_group(G)
+        want = list(chars)
+        chars.reverse()
+        chars.append(chars[0])
+        chars[1] = None
+        assert cg.dual_group(G) == want
+        assert cg.dual_group(G) is not cg.dual_group(G)
+
+    def test_equal_groups_give_equal_characters(self):
+        # groups built separately share the cached characters' values
+        A = cg.FiniteAbelianGroup((3, 9))
+        B = cg.FiniteAbelianGroup((3, 9))
+        assert A is not B
+        for chi, psi in zip(cg.dual_group(A), cg.dual_group(B)):
+            assert chi == psi and hash(chi) == hash(psi)
+            assert psi == cg.Character(B, psi.exponents)
+            assert hash(psi) == hash(cg.Character(B, psi.exponents))
+        assert cg.dual_group(A) != cg.dual_group(cg.FiniteAbelianGroup((27,)))
+        assert A.exponent == B.exponent == 9
+
+    def test_weights_follow_the_invariant_factors(self):
+        for d in [(2, 4), (2, 2, 2), (3, 6), (12,), ()]:
+            e, w = cg._exponent_weights(d)
+            assert e == math.lcm(*d)
+            assert w == tuple(e // di for di in d)
+        assert cg.TRIVIAL_GROUP.exponent == 1
+
+    def test_every_cache_reports_its_bound(self):
+        from kida import localfactor, splitting
+        for cache, size in [(cg._exponent_weights, 64), (cg._dual, 8),
+                            (cg._cyclotomic_polynomial, 256),
+                            (localfactor.twist_sum, 128),
+                            (splitting._tame_field, 64)]:
+            assert cache.cache_info().maxsize == size
 
 
 class TestMultiplicity:
@@ -145,6 +184,11 @@ class TestCyclotomicPolynomial:
 
     def test_cache_is_bounded(self):
         assert cg._cyclotomic_polynomial.cache_info().maxsize == 256
+
+    def test_inexact_division_is_a_typed_error(self):
+        # x^2 + 1 is not a multiple of x - 1
+        with pytest.raises(InternalAdditivityViolation):
+            cg._over_binomial([1, 0, 1], 1)
 
 
 def gcd_sum_subgroup_count(m, n):
@@ -268,12 +312,12 @@ class TestSubgroups:
         assert cg.subgroup_count((4,), 3) == 0
 
     def test_hermite_rows_match_hnf_route(self):
-        # subgroups() trusts the walk's rows; the reference is hnf of
-        # those rows and a Subgroup rebuilt from its generators by hnf
+        # subgroups() trusts the walk's rows (tuples); the reference is
+        # hnf of those rows and a Subgroup rebuilt from its generators by hnf
         for G in cg.abelian_groups_upto(64):
             d = G.invariant_factors
             for rows in cg.subgroup_lattices(d):
-                assert hnf(rows, len(d)) == rows, (d, rows)
+                assert hnf(rows, len(d)) == list(map(list, rows)), (d, rows)
             subs = cg.subgroups(G)
             rebuilt = [cg.Subgroup(G, H.generators) for H in subs]
             assert ([H._lattice.key() for H in subs]
@@ -289,6 +333,20 @@ class TestSubgroups:
                 gens = (tuple(x % m for x, m in zip(row, d)) for row in rows)
                 assert (cg.Subgroup.from_hermite(G, rows).generators
                         == tuple(g for g in gens if any(g))), (d, rows)
+
+    def test_elements_match_the_membership_filter(self):
+        # elements() sums multiples of the Hermite rows; the reference
+        # keeps the elements of G, in G's lexicographic order, that H
+        # contains.  The same subgroup rebuilt from its generators by hnf
+        # has the same lattice, so the same filter, and the same elements
+        for G in cg.abelian_groups_upto(64):
+            for H in cg.subgroups(G):
+                want = [g for g in G.elements() if H.contains(g)]
+                assert H.elements() == want, (G, H.generators)
+                assert len(want) == H.order
+                S = cg.Subgroup(G, H.generators)
+                assert S._lattice.key() == H._lattice.key()
+                assert S.elements() == want, (G, H.generators)
 
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4

@@ -143,6 +143,25 @@ class TestTransitionExamples:
         comp = tr.compose(r1, r2)
         assert comp.lambda_in == 1 and comp.lambda_out == r2.lambda_out
 
+    def test_repeated_reduction_is_a_cache_hit(self):
+        # p = 5 divides the conductor 15015 = 3 * 5 * 7 * 11 * 13, so the
+        # extension is reduced; run again, the reduction is read from
+        # _tame_field (one hit, no miss), and the report is the same.  Q's
+        # conductor is prime to 5: it is its own reduction, uncached
+        F = sp.parse_field_spec("cyclotomic:15015:degree=5")
+
+        def run():
+            return tr.transition(p=5, base_field=Q, ext_field=F,
+                                 base=BASE_ALG, form=DELTA)
+
+        first = run()
+        before = sp._tame_field.cache_info()
+        again = run()
+        after = sp._tame_field.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again == first
+        assert sp.unramified_at_p_reduction(Q, 5) is Q
+
     def test_hypotheses_echoed(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,
                             base=BASE_ALG, form=DELTA,
