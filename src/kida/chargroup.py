@@ -192,7 +192,17 @@ class Subgroup:
         return Lattice(self._rows, self.group.rank, hermite=True)
 
     def contains(self, element) -> bool:
-        return self._lattice.contains(element)
+        """Reduce against the Hermite rows, row i's pivot in column i (the
+        lattice holds the relations d_i e_i, so it has full rank): what is
+        left once every pivot divides is 0."""
+        v = list(element)
+        for i, row in enumerate(self._rows):
+            q, r = divmod(v[i], row[i])
+            if r:
+                return False
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return True
 
     def elements(self) -> list[tuple[int, ...]]:
         """The |H| elements in lexicographic order, as sums of c_i times

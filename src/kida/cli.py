@@ -10,13 +10,14 @@ budget (default 2000, at most 10000; a larger budget exits 2 before any
 work).
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
-(mu != 0, precision, work bounds, missing local type for hv); 3
-malformed field or form specs, flags or config values, and config or
-table files that are missing, unreadable, not ASCII or malformed; 4
-missing local data in a transition.
+(mu != 0, precision, work bounds, missing local type for hv, a transition
+field tamely ramified at p); 3 malformed field or form specs, flags or
+config values, and config or table files that are missing, unreadable,
+not ASCII or malformed; 4 missing local data in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
-``kida tau`` loads ``arith`` and ``qexp`` and nothing it does not call.
+``kida tau`` loads ``qexp`` alone (``qexp`` loads ``arith`` only in the
+curve, table and Frobenius functions that call it).
 The ``--kind`` and ``--suite`` choices are literal here for that reason,
 and tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
 """

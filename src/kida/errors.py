@@ -123,6 +123,12 @@ class MuNonzero(KidaError):
     """Transition formula requires mu = 0 on input."""
 
 
+class TameAtP(KidaError):
+    """A field has a character whose p-part is tamely ramified (its H
+    misses the Teichmueller (p-1)-torsion at p), so no field unramified
+    at p has its cyclotomic p-tower."""
+
+
 class MissingLocalType(KidaError):
     """No local type available at a ramified prime dividing the level."""
 
@@ -132,8 +138,8 @@ class ChainMismatch(KidaError):
 
 
 class InternalAdditivityViolation(KidaError):
-    """Tower bookkeeping or exact cyclotomic division failed; indicates a
-    library bug."""
+    """Tower bookkeeping, an exact cyclotomic division or the division by
+    756 in Ramanujan's tau identity failed; indicates a library bug."""
 
 
 class MismatchedInputs(KidaError):

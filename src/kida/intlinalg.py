@@ -89,14 +89,16 @@ class Lattice:
     """Full or partial rank sublattice of Z^n given by an HNF basis.
 
     ``hermite=True`` trusts ``rows`` to be ``hnf`` output already and
-    skips the reduction.
+    skips the reduction.  Each row's pivot column is found once, here.
     """
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "basis", "_pivots")
 
     def __init__(self, rows: list[list[int]], n: int, hermite: bool = False):
         self.n = n
         self.basis = rows if hermite else hnf(rows, n)
+        self._pivots = [(row.index(next(filter(None, row))), row)
+                        for row in self.basis]
 
     def key(self) -> tuple:
         """Hashable canonical identity (HNF rows are unique per lattice)."""
@@ -106,28 +108,19 @@ class Lattice:
         """Index [Z^n : L] for full-rank L (product of HNF pivots)."""
         if len(self.basis) != self.n:
             raise KidaError("determinant of a non-full-rank lattice")
-        piv = []
-        for row in self.basis:
-            for v in row:
-                if v:
-                    piv.append(v)
-                    break
         prod = 1
-        for v in piv:
-            prod *= v
+        for c, row in self._pivots:
+            prod *= row[c]
         return prod
 
     def contains(self, vec) -> bool:
         v = list(vec)
-        for row in self.basis:
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                continue
-            if v[c] % row[c]:
+        for c, row in self._pivots:
+            q, r = divmod(v[c], row[c])
+            if r:
                 return False
-            q = v[c] // row[c]
             if q:
-                v = [v[j] - q * row[j] for j in range(self.n)]
+                v = [x - q * y for x, y in zip(v, row)]
         return not any(v)
 
     def contains_lattice(self, other: "Lattice") -> bool:

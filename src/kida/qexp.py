@@ -6,14 +6,24 @@ to 229, Shanks-Mestre baby-step giant-step above), and user tables of
 prime-indexed eigenvalues.  Only forms with rational-integer
 coefficients are supported natively, so reduction "mod pi" is reduction
 mod p throughout; nothing is ever a float.
+
+tau(n) comes from Ramanujan's identity (1916), the coefficients of
+E_6^2 = E_12 - (762048/691) Delta in M_12(SL_2(Z)) (Serre, *A Course in
+Arithmetic*, VII.3): 756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n) - 691 *
+252 * sum_(0<k<n) sigma_5(k) sigma_5(n - k), over one growable table of
+sigma_5.  The curve, table and Frobenius functions load ``arith`` when
+called, so ``kida tau`` loads this module alone.
 """
 
 from __future__ import annotations
 
 import math
-from . import arith
-from .errors import (BadReduction, BoundExceeded, MissingCoefficient,
-                     PrecisionExceeded, RamifiedLevel, Record, SpecParseError)
+from functools import lru_cache
+from operator import mul
+
+from .errors import (BadReduction, BoundExceeded, InternalAdditivityViolation,
+                     MissingCoefficient, PrecisionExceeded, RamifiedLevel,
+                     Record, SpecParseError)
 
 DEFAULT_PRECISION = 2000
 MAX_PRECISION = 10_000
@@ -22,46 +32,47 @@ EC_PRIME_BOUND = 100_000
 
 # -- the eta-product ------------------------------------------------------
 
-# tau(1), tau(2), ...: the coefficients of Delta/q = prod (1-q^n)^24, grown
-# on demand by _extend.  A new prefix is built in a copy and published by
-# rebinding this name; a published list is never mutated, so concurrent
-# readers need no lock.  It starts empty so that the first call, whatever
-# its index, builds the default prefix.
-_tau_prefix: list[int] = []
+# sigma_5(0), sigma_5(1), ...: the divisor sums sum_(d | k) d^5 (index 0
+# holds 0), grown on demand by _sigma5_table.  A new table is built whole
+# and published by rebinding this name; a published list is never mutated,
+# so concurrent readers need no lock.  It starts empty so that the first
+# call, whatever its index, builds the default table.
+_sigma5: list[int] = []
 
 
-def _extend(size: int) -> list[int]:
-    """Publish and return a prefix of at least ``size`` coefficients.
-
-    Delta/q is the 8th power of Jacobi's eta^3/q^(1/8) = sum_k (-1)^k
-    (2k+1) q^(k(k+1)/2).  J. C. P. Miller's power recurrence (Knuth,
-    TAOCP vol. 2, 4.7) gives b_n = (1/n) sum_j (9j - n) a_j b_(n-j) over
-    the triangular j, and the division is exact.
-    """
-    global _tau_prefix
-    b = _tau_prefix[:] or [1]
-    terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
-             for k in range(1, (math.isqrt(8 * size) + 1) // 2 + 1)]
-    for n in range(len(b), size):
-        s = 0
-        for j, a in terms:
-            if j > n:
-                break
-            s += (9 * j - n) * a * b[n - j]
-        b.append(s // n)
-    _tau_prefix = b
-    return b
+def _sigma5_table(size: int) -> list[int]:
+    """Publish and return sigma_5(0..size), by a divisor sieve over the
+    pairs d <= k with d k <= size: each adds d^5 + k^5 to sigma_5(d k),
+    and d = k adds d^5 once."""
+    global _sigma5
+    fifth = [k ** 5 for k in range(size + 1)]
+    s = [0] * (size + 1)
+    for d in range(1, math.isqrt(size) + 1):
+        d5 = fifth[d]
+        s[d * d] += d5
+        for k in range(d + 1, size // d + 1):
+            s[d * k] += d5 + fifth[k]
+    _sigma5 = s
+    return s
 
 
 def tau(n: int, precision: int | None = None) -> int:
-    """n-th coefficient of the eta-product, exact.
+    """n-th coefficient of the eta-product, exact, by Ramanujan's identity
+    756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n)
+                 - 691 * 252 * sum_(0<k<n) sigma_5(k) sigma_5(n - k).
+
+    M_12(SL_2(Z)) is spanned by E_12 and Delta, so E_6^2 = E_12 -
+    (762048/691) Delta (Serre, *A Course in Arithmetic*, VII.3); comparing
+    coefficients gives the identity (Ramanujan, 1916).  A division by 756
+    that is not exact raises InternalAdditivityViolation.
 
     ``precision`` (default DEFAULT_PRECISION) is a budget: indices past it
     raise PrecisionExceeded, and budgets past MAX_PRECISION raise
     BoundExceeded before any work.  The budget never sets the work: the
-    first miss builds max(n, DEFAULT_PRECISION) coefficients, and a later
-    one at least doubles the prefix, to min(max(n, 2 * len), MAX_PRECISION),
-    so a walk of n upward costs O(log n) extensions.
+    first miss builds sigma_5 up to max(n, DEFAULT_PRECISION), and a later
+    one at least doubles the table, to min(max(n, 2 * size), MAX_PRECISION),
+    so a walk of n upward costs O(log n) sieves.  The last 256 values are
+    kept (``_tau``).
     """
     budget = DEFAULT_PRECISION if precision is None else precision
     if budget > MAX_PRECISION:
@@ -69,11 +80,31 @@ def tau(n: int, precision: int | None = None) -> int:
                             f"{MAX_PRECISION}")
     if n < 1 or n > budget:
         raise PrecisionExceeded(f"tau({n}) beyond precision budget {budget}")
-    b = _tau_prefix
-    if n > len(b):
-        b = _extend(min(max(n, 2 * len(b)), MAX_PRECISION) if b
-                    else max(n, DEFAULT_PRECISION))
-    return b[n - 1]
+    return _tau(n)
+
+
+@lru_cache(maxsize=256)
+def _tau(n: int) -> int:
+    """tau(n) for 1 <= n <= MAX_PRECISION: Ramanujan's identity on the
+    sigma_5 table, its convolution summed over k < n/2 and doubled."""
+    s = _sigma5
+    if n >= len(s):
+        s = _sigma5_table(min(max(n, 2 * (len(s) - 1)), MAX_PRECISION) if s
+                          else max(n, DEFAULT_PRECISION))
+    half = (n - 1) // 2
+    conv = 2 * sum(map(mul, s[1:half + 1], s[n - 1:n - half - 1:-1]))
+    if n % 2 == 0:
+        conv += s[n // 2] ** 2
+    r = math.isqrt(n)
+    sigma11 = sum(d ** 11 + (n // d) ** 11
+                  for d in range(1, r + 1) if n % d == 0)
+    if r * r == n:
+        sigma11 -= r ** 11
+    value, rest = divmod(65 * sigma11 + 691 * s[n] - 691 * 252 * conv, 756)
+    if rest:
+        raise InternalAdditivityViolation(
+            f"Ramanujan's identity at n = {n}: 756 does not divide the sum")
+    return value
 
 
 # -- elliptic curves over Q ---------------------------------------------
@@ -104,6 +135,7 @@ class EllipticCurve(Record):
     def count_points(self, ell: int) -> int:
         """#E(F_ell) including the point at infinity, good reduction only:
         the Legendre sum up to ell = 229, baby-step giant-step above."""
+        from . import arith
         if ell > EC_PRIME_BOUND:
             raise BoundExceeded(f"prime {ell} beyond bound {EC_PRIME_BOUND}")
         if not arith.is_prime(ell):
@@ -227,6 +259,7 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
     and E' but the 2-torsion has been seen, so past ell = 229 (Mestre)
     the walk decides before it ends.
     """
+    from . import arith
     b2, b4, b6, _ = E.b_invariants()
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
@@ -278,6 +311,7 @@ def parse_table(text: str) -> CoefficientTable:
     """Parse the table file format: header ``weight k level N`` (k >= 2,
     N >= 1) then one ``ell a_ell`` record per line; ``#`` starts a
     comment.  Anything else raises SpecParseError."""
+    from . import arith
     header = None
     ap: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -370,6 +404,7 @@ def delta_form() -> ModularFormData:
 
 def ec_form(curve: EllipticCurve) -> ModularFormData:
     """Level: the product of the primes dividing the discriminant."""
+    from . import arith
     try:
         primes = arith.factor(abs(curve.discriminant()))
     except BoundExceeded as exc:
@@ -386,6 +421,7 @@ def table_form(table: CoefficientTable) -> ModularFormData:
 def frobenius_data(f: ModularFormData, ell: int, p: int,
                    precision: int | None = None) -> tuple[int, int]:
     """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np."""
+    from . import arith
     if not arith.is_prime(ell) or not arith.is_prime(p):
         raise ValueError("ell and p must be prime")
     if ell == p:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import arith, localfactor, qexp, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
                      MismatchedInputs, MissingLocalType, MuNonzero,
-                     NegativeLambda, Record)
+                     NegativeLambda, Record, TameAtP)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -186,14 +186,16 @@ def transition(*, p: int,
                precision: int | None = None) -> TransitionReport:
     """Transport (mu, lambda) from the base tower to the extension tower.
 
-    Rejects mu != 0 inputs.  Both fields are first replaced by their
-    reductions at p, the fields cut out by the tame parts of their
-    characters (``splitting.unramified_at_p_reduction``; flagged in the
-    warnings when this changes anything), which have the same cyclotomic
-    p-towers when the fields' degrees are powers of p; the degree is then
-    the p-power [F' : F] of the reduced fields.  Local types come from
-    the supplied form via its Frobenius data away from the level, and
-    from ``local_types`` overrides at primes dividing the level.
+    Rejects mu != 0 inputs, and fields with a character whose p-part is
+    tame (TameAtP): their p-towers are no unramified field's.  Both
+    fields are then replaced by their reductions at p, the fields cut out
+    by the tame parts of their characters
+    (``splitting.unramified_at_p_reduction``; flagged in the warnings when
+    this changes anything), which have the same cyclotomic p-towers, as
+    every p-part is wild; the degree is then the p-power [F' : F] of the
+    reduced fields.  Local types come from the supplied form via its
+    Frobenius data away from the level, and from ``local_types``
+    overrides at primes dividing the level.
     """
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(
@@ -202,6 +204,14 @@ def transition(*, p: int,
     warnings: list[str] = []
     base_red = splitting.unramified_at_p_reduction(base_field, p)
     ext_red = splitting.unramified_at_p_reduction(ext_field, p)
+    for field in (base_field, ext_field):
+        # inertia at p is mu_(p-1) x (a p-group), so the prime-to-p part
+        # of e_p is the order of the Teichmueller part's image mod H
+        e = splitting.efg(field, p).e if field.conductor % p == 0 else 1
+        if e != p ** arith.padic_val(e, p):
+            raise TameAtP(
+                f"{field.spec_string()} is tamely ramified at {p} (e = {e}): "
+                f"its {p}-tower is not that of a field unramified at {p}")
     if base_red is not base_field or ext_red is not ext_field:
         warnings.append(
             "extension ramified above p: fields replaced by their maximal "

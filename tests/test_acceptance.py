@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every tolerance is exact integer equality; the two timed criteria state
-their wall-clock budgets explicitly and measure fresh computations
-(the tau prefix is reset to its cold state first).
+their wall-clock budgets explicitly and measure fresh computations (the
+sigma_5 table and the tau memo are reset to their cold state first).
 """
 
 import time
@@ -25,7 +25,8 @@ def report(num, ok, desc):
 
 class TestAcceptance:
     def test_c01_tau_23(self):
-        qexp._tau_prefix = []
+        qexp._sigma5 = []
+        qexp._tau.cache_clear()
         t0 = time.perf_counter()
         value = qexp.tau(23, precision=2000)
         dt = time.perf_counter() - t0
@@ -33,7 +34,8 @@ class TestAcceptance:
                f"tau(23) = {value} at precision 2000 in {dt:.2f}s (< 1s)")
 
     def test_c02_tau_1123_mod_11(self):
-        qexp._tau_prefix = []
+        qexp._sigma5 = []
+        qexp._tau.cache_clear()
         t0 = time.perf_counter()
         value = qexp.tau(1123, precision=1200) % 11
         dt = time.perf_counter() - t0

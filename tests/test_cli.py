@@ -43,6 +43,11 @@ NEGATIVE_LAMBDA = ("transition", "--p", "3", "--base", "Q", "--ext",
                    "cyclotomic:19131877:degree=4782969", "--local",
                    "19131877=special:ram,triv,dies", "--lambda", "0",
                    "--mu", "0")
+# the characters of Q(zeta_11) have tame 11-parts; the reduction at 11
+# once answered with the place count of another tower
+TAME_AT_P = ("transition", "--form", "delta", "--p", "11", "--base",
+             "cyclotomic:11:degree=10", "--ext", "cyclotomic:12353:gens=925",
+             "--lambda", "1", "--mu", "0")
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -96,6 +101,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     HV_TABLE + ("table:TABLE_HUGE_PRIME",),
     # a domain error: no tower with mu = 0 has a negative lambda
     NEGATIVE_LAMBDA,
+    # a domain error: Q(zeta_11)'s 11-tower is no unramified field's
+    TAME_AT_P,
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
@@ -113,6 +120,9 @@ HOSTILE_STDERR = {
     NEGATIVE_LAMBDA:
         "local sum -1594323 with lambda.in = 0 at degree 4782969 gives "
         "lambda.out = -1594323 < 0",
+    TAME_AT_P:
+        "cyclotomic:11:gens= is tamely ramified at 11 (e = 10): its "
+        "11-tower is not that of a field unramified at 11",
 }
 
 

@@ -2,8 +2,8 @@
 
 Delta = eta(z)^24 is congruent mod 11 to eta(z)^2 eta(11z)^2, the newform
 of X_0(11) (the curve 11a1: y^2 + y = x^3 - x^2 - 10x - 20).  So
-tau(ell) = a_ell(11a1) (mod 11) at every prime ell != 11: Miller's eta^24
-recurrence on one side, point counting on the other.  Kida's local terms
+tau(ell) = a_ell(11a1) (mod 11) at every prime ell != 11: Ramanujan's
+sigma_5 identity on one side, point counting on the other.  Kida's local terms
 at p = 11 depend only on the residual representation, so a transition
 prices Delta and 11a1 alike, and their documents differ in ``form`` only.
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
 from kida import arith, cli, qexp, verify
-from kida.errors import (BadReduction, BoundExceeded, MissingCoefficient,
+from kida.errors import (BadReduction, BoundExceeded,
+                         InternalAdditivityViolation, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
 
 
@@ -18,6 +20,33 @@ def eta24_naive(B):
             for i in range(B - 1, n - 1, -1):
                 cur[i] -= cur[i - n]
     return cur
+
+
+@lru_cache(maxsize=1)
+def miller_tau(size):
+    """Reference tau(1..size), independent of the sigma_5 route: Delta/q
+    is the 8th power of Jacobi's eta^3/q^(1/8) = sum_k (-1)^k (2k+1)
+    q^(k(k+1)/2), and J. C. P. Miller's power recurrence (Knuth, TAOCP
+    vol. 2, 4.7) gives b_n = (1/n) sum_j (9j - n) a_j b_(n-j) over the
+    triangular j, the division exact."""
+    b = [1]
+    terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+             for k in range(1, (math.isqrt(8 * size) + 1) // 2 + 1)]
+    for n in range(1, size):
+        s = 0
+        for j, a in terms:
+            if j > n:
+                break
+            s += (9 * j - n) * a * b[n - j]
+        assert s % n == 0, n
+        b.append(s // n)
+    return b
+
+
+def reset_tau():
+    """The cold state of a fresh process: no sigma_5 table, no memo."""
+    qexp._sigma5 = []
+    qexp._tau.cache_clear()
 
 
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
@@ -51,7 +80,8 @@ ORACLE_PRIMES = ([ell for ell in PRIMES if 229 < ell <= 3000]
                  + [99991])
 
 # SHA-256 of ",".join(map(str, tau(1..5000))) as the 24-pass product of
-# Euler's pentagonal series computed it, before the power recurrence.
+# Euler's pentagonal series computed it, before Miller's power recurrence
+# and Ramanujan's sigma_5 identity.
 TAU_5000_SHA256 = ("91d9b02b8dbb749d6754b63493bf3df8"
                    "b495447a5af441ab8093e33e4c0fbca6")
 
@@ -75,8 +105,47 @@ class TestTau:
         digest = hashlib.sha256(",".join(map(str, coeffs)).encode())
         assert digest.hexdigest() == TAU_5000_SHA256
 
+    def test_matches_miller_reference_to_2000(self):
+        reset_tau()
+        want = miller_tau(qexp.MAX_PRECISION)
+        assert [qexp.tau(n) for n in range(1, 2001)] == want[:2000]
+
+    def test_matches_miller_reference_on_a_sample_to_max_precision(self):
+        want = miller_tau(qexp.MAX_PRECISION)
+        sample = random.Random(23).sample(range(1, qexp.MAX_PRECISION + 1),
+                                          300)
+        for n in sample + [qexp.MAX_PRECISION]:
+            assert qexp.tau(n, qexp.MAX_PRECISION) == want[n - 1], n
+
+    def test_budget_edges_pinned_in_ci(self):
+        # the CI step "kida tau at the budget edges" diffs these values
+        want = miller_tau(qexp.MAX_PRECISION)
+        assert (want[0], want[1999], want[9999]) == (
+            1, -354382910343168000, -482606811957501440000)
+
+    def test_corrupted_sigma5_table_is_a_typed_error(self, monkeypatch):
+        # one wrong sigma_5(n) moves 756 tau(n) by 691, which 756 does not
+        # divide; the error is raised, never an assert, and not memoized
+        qexp.tau(23)
+        table = list(qexp._sigma5)
+        table[23] += 1
+        monkeypatch.setattr(qexp, "_sigma5", table)
+        qexp._tau.cache_clear()
+        try:
+            with pytest.raises(InternalAdditivityViolation, match="756"):
+                qexp.tau(23)
+            assert qexp.tau(22) == miller_tau(qexp.MAX_PRECISION)[21]
+        finally:
+            qexp._tau.cache_clear()
+
+    def test_memo_is_bounded(self):
+        assert qexp._tau.cache_info().maxsize == 256
+
     def test_ramanujan_congruence_mod_691(self):
-        # tau(n) = sigma_11(n) mod 691, with sigma_11 from a divisor sieve
+        # tau(n) = sigma_11(n) mod 691, with sigma_11 from a divisor sieve.
+        # Ramanujan's identity, which computes tau, implies it: mod 691 it
+        # reads 756 tau(n) = 65 sigma_11(n), and 756 = 65 mod 691.  The
+        # golden digest and eta24_naive are the independent checks
         B = 5000
         sigma = [0] * (B + 1)
         for d in range(1, B + 1):
@@ -87,31 +156,31 @@ class TestTau:
             assert (qexp.tau(n, B) - sigma[n]) % 691 == 0, n
 
     def test_prefix_grows_to_index_not_budget(self):
-        # a cold tau(1) is a warm-up: it builds the default prefix
+        # a cold tau(1) is a warm-up: it sieves sigma_5 to the default size
         for n in (1, 23):
-            qexp._tau_prefix = []
+            reset_tau()
             qexp.tau(n, precision=qexp.MAX_PRECISION)
-            assert len(qexp._tau_prefix) == qexp.DEFAULT_PRECISION
-        # a later miss doubles the prefix, past the budget, and stops at
+            assert len(qexp._sigma5) - 1 == qexp.DEFAULT_PRECISION
+        # a later miss doubles the table, past the budget, and stops at
         # MAX_PRECISION
         qexp.tau(2500, precision=3000)
-        assert len(qexp._tau_prefix) == 4000
+        assert len(qexp._sigma5) - 1 == 4000
         qexp.tau(7000, precision=qexp.MAX_PRECISION)
-        assert len(qexp._tau_prefix) == 8000
+        assert len(qexp._sigma5) - 1 == 8000
         qexp.tau(8001, precision=qexp.MAX_PRECISION)
-        assert len(qexp._tau_prefix) == qexp.MAX_PRECISION
+        assert len(qexp._sigma5) - 1 == qexp.MAX_PRECISION
 
     def test_upward_walk_extends_logarithmically(self, monkeypatch):
-        # n = 1..5000 in order: 2000, then 4000, then 8000 coefficients
+        # n = 1..5000 in order: sigma_5 to 2000, then 4000, then 8000
         sizes = []
-        real = qexp._extend
+        real = qexp._sigma5_table
 
         def counted(size):
             sizes.append(size)
             return real(size)
 
-        monkeypatch.setattr(qexp, "_extend", counted)
-        qexp._tau_prefix = []
+        monkeypatch.setattr(qexp, "_sigma5_table", counted)
+        reset_tau()
         walked = [qexp.tau(n, 5000) for n in range(1, 5001)]
         assert sizes == [2000, 4000, 8000]
         digest = hashlib.sha256(",".join(map(str, walked)).encode())
@@ -134,11 +203,14 @@ class TestTau:
         assert qexp.tau(100, precision=100) == qexp.tau(100)
 
     def test_budget_cap_before_any_work(self):
-        qexp._tau_prefix = []
+        reset_tau()
         for n in (5, qexp.MAX_PRECISION + 1):
             with pytest.raises(BoundExceeded):
                 qexp.tau(n, precision=qexp.MAX_PRECISION + 1)
-        assert qexp._tau_prefix == []
+        with pytest.raises(PrecisionExceeded):
+            qexp.tau(qexp.MAX_PRECISION + 1, precision=qexp.MAX_PRECISION)
+        assert qexp._sigma5 == []
+        assert qexp._tau.cache_info()[:2] == (0, 0)
         assert qexp.tau(qexp.MAX_PRECISION,
                         precision=qexp.MAX_PRECISION) != 0
 
@@ -353,12 +425,12 @@ class TestFormValidation:
 
 class TestConcurrentCoefficientAccess:
     def test_parallel_tau_reads_consistent(self):
-        # threads race to extend the prefix from cold; each must read
-        # exact values whichever extension gets published
+        # threads race to grow the sigma_5 table from cold; each must read
+        # exact values whichever table gets published
         import sys
         import threading
-        want = [qexp.tau(n, 4000) for n in range(1, 4001)]
-        qexp._tau_prefix = []
+        want = miller_tau(qexp.MAX_PRECISION)[:4000]
+        reset_tau()
         results = []
         lock = threading.Lock()
 

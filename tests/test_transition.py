@@ -9,7 +9,7 @@ import pytest
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, MismatchedInputs, MissingLocalType,
-                         MuNonzero, NegativeLambda)
+                         MuNonzero, NegativeLambda, TameAtP)
 
 DELTA = qexp.delta_form()
 Q = sp.rationals()
@@ -162,12 +162,63 @@ class TestTransitionExamples:
         assert again == first
         assert sp.unramified_at_p_reduction(Q, 5) is Q
 
+    def test_repeated_delta_transition_reads_tau_from_the_memo(self):
+        # the second run asks for the same tau(1123): hits, no miss
+        def run():
+            return tr.transition(p=11, base_field=Q, ext_field=F1123,
+                                 base=BASE_ALG, form=DELTA, precision=1200)
+
+        first = run()
+        before = qexp._tau.cache_info()
+        again = run()
+        after = qexp._tau.cache_info()
+        assert after.hits > before.hits
+        assert after.misses == before.misses
+        assert again == first
+
     def test_hypotheses_echoed(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,
                             base=BASE_ALG, form=DELTA,
                             assert_hypotheses=True)
         assert all(v for _, v in rep.hypotheses)
         assert not any("hypotheses" in w for w in rep.warnings)
+
+
+class TestTameAtP:
+    """A field with a character whose p-part is tame has a p-tower that no
+    field unramified at p has, so the reduction would count places in
+    another tower: refused.  Fields whose p-parts are all wild still
+    reduce, and their reports are pinned."""
+
+    BASE = sp.parse_field_spec("cyclotomic:11:degree=10")       # Q(zeta_11)
+    EXT = sp.parse_field_spec("cyclotomic:12353:gens=925")
+
+    def test_tame_fields_are_refused(self):
+        # Q(zeta_11) times the degree-11 field of conductor 1123: its
+        # tower has 10 places above 1123, the reduced field's tower 1
+        assert self.EXT.degree == 110
+        assert sp.tower_places(self.EXT, 1123, 11).g_infinity == 10
+        assert sp.tower_places(F1123, 1123, 11).g_infinity == 1
+        for base, ext in [(self.BASE, self.EXT), (Q, self.EXT),
+                          (Q, self.BASE)]:
+            with pytest.raises(TameAtP, match="tamely ramified at 11"):
+                tr.transition(p=11, base_field=base, ext_field=ext,
+                              base=BASE_ALG, form=DELTA)
+
+    @pytest.mark.parametrize("spec, p, lam, ell", [
+        ("cyclotomic:63:gens=8,55,59", 3, 7, 7),
+        ("cyclotomic:15015:degree=5", 5, 13, 11),
+        ("cyclotomic:12353:degree=11", 11, 31, 1123),
+        ("cyclotomic:121:degree=11", 11, 1, None),    # in the tower
+    ])
+    def test_wild_fields_still_reduce(self, spec, p, lam, ell):
+        rep = tr.transition(p=p, base_field=Q,
+                            ext_field=sp.parse_field_spec(spec),
+                            base=BASE_ALG, form=DELTA)
+        assert rep.lambda_out == lam
+        assert [(r.ell, r.places) for r in rep.places] == (
+            [(ell, 1)] if ell else [])
+        assert rep.warnings[0].startswith("extension ramified above p")
 
 
 class TestLambdaViaTwists:
