@@ -11,7 +11,8 @@ floating point anywhere.
 Subgroups of G = Z^r / diag(d) are the lattices L between diag(d) Z^r
 and Z^r; one walk over their Hermite normal forms lists each subgroup
 once, and a form with diagonal a_1..a_r has order |G| / prod a_i.  A
-subgroup keeps its Hermite rows and lists its elements from them.
+subgroup keeps its Hermite rows and lists its elements from them.  Each
+such lattice holds diag(d) Z^r, so it is a full-rank ``intlinalg.Lattice``.
 
 Three bounded lru caches key on a group's value, so equal groups built
 apart share them; errors are not stored:
@@ -67,9 +68,6 @@ class FiniteAbelianGroup(Record):
     @property
     def exponent(self) -> int:
         return _exponent_weights(self.invariant_factors)[0]
-
-    def elements(self):
-        return itertools.product(*[range(d) for d in self.invariant_factors])
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
@@ -162,7 +160,7 @@ class Subgroup:
                 raise SubgroupMismatch("generator has wrong coordinate length")
         lattice = subgroup_lattice(self.generators, group.invariant_factors)
         self._rows = lattice.basis
-        self.order = group.order // lattice.det() if group.rank else 1
+        self.order = group.order // lattice.det()
 
     @classmethod
     def from_hermite(cls, group: FiniteAbelianGroup, rows) -> "Subgroup":
@@ -185,24 +183,6 @@ class Subgroup:
         H.group, H.generators, H._rows = group, tuple(gens), rows
         H.order = order
         return H
-
-    @property
-    def _lattice(self) -> Lattice:
-        """H's lattice, from its Hermite rows, built when asked for."""
-        return Lattice(self._rows, self.group.rank, hermite=True)
-
-    def contains(self, element) -> bool:
-        """Reduce against the Hermite rows, row i's pivot in column i (the
-        lattice holds the relations d_i e_i, so it has full rank): what is
-        left once every pivot divides is 0."""
-        v = list(element)
-        for i, row in enumerate(self._rows):
-            q, r = divmod(v[i], row[i])
-            if r:
-                return False
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        return True
 
     def elements(self) -> list[tuple[int, ...]]:
         """The |H| elements in lexicographic order, as sums of c_i times
@@ -411,7 +391,9 @@ def subgroup_lattices(d) -> list[list[tuple[int, ...]]]:
     Rows are built from the bottom up, one level at a time: row i has a
     pivot a_i | d_i on the diagonal and entries right of it in [0, a_j),
     and is kept iff (d_i / a_i) times its off-diagonal part lies in the
-    span of the rows below, i.e. iff d_i e_i lies in L.  Each L has one
+    span of the rows below, i.e. iff d_i e_i lies in L.  Those rows' tails
+    are a full-rank Hermite lattice in the last r - 1 - i coordinates,
+    built once per lower form (``Lattice.contains``).  Each L has one
     such form (Cohen, *A Course in Computational Algebraic Number Theory*,
     2.4).  Every off-diagonal part qualifies when d_r divides m = d_i / a_i,
     as m e_j then lies in diag(d) Z^r for each j; for a_i = d_i only 0
@@ -430,29 +412,18 @@ def subgroup_lattices(d) -> list[list[tuple[int, ...]]]:
         grown = []
         for below in forms:
             tails = [row[i + 1:] for row in below]
+            span = Lattice(tails, r - 1 - i, hermite=True)
             boxes = [range(row[k]) for k, row in enumerate(tails)]
             for a in pivots_below:
                 m, head = di // a, (0,) * i + (a,)
                 offs = itertools.product(*boxes)
                 if m % d[-1]:
                     offs = [off for off in offs
-                            if _in_span([m * x for x in off], tails)]
+                            if span.contains([m * x for x in off])]
                 grown += [[head + off, *below] for off in offs]
             grown.append([full, *below])
         forms = grown
     return forms
-
-
-def _in_span(vec: list[int], rows) -> bool:
-    """Whether ``vec`` lies in the span of ``rows``, row k with its pivot
-    in column k: the rows' Hermite form, so one division per column."""
-    for k, row in enumerate(rows):
-        q, rem = divmod(vec[k], row[k])
-        if rem:
-            return False
-        if q:
-            vec = [x - q * y for x, y in zip(vec, row)]
-    return True
 
 
 def birkhoff_count(lam, mu, q: int) -> int:

@@ -231,6 +231,10 @@ def cmd_hv(args) -> int:
 # -- transition -------------------------------------------------------------
 
 def _parse_local_overrides(items, p: int) -> dict[int, object]:
+    """ELL -> local type; each ELL a prime within the ``--ell`` bound,
+    given once.  A prime need not be ramified: a level's local types may
+    be listed whole."""
+    from . import arith
     from .localfactor import parse_local_type
     out: dict[int, object] = {}
     for item in items or ():
@@ -241,6 +245,13 @@ def _parse_local_overrides(items, p: int) -> dict[int, object]:
             ell = int(ell_s)
         except ValueError:
             raise SpecParseError(f"bad prime in --local {item!r}")
+        if ell > arith._INPUT_BOUND:
+            raise BoundExceeded(f"--local {item!r}: {ell} beyond bound "
+                                f"{arith._INPUT_BOUND}")
+        if not arith.is_prime(ell):
+            raise SpecParseError(f"--local {item!r}: {ell} is not prime")
+        if ell in out:
+            raise SpecParseError(f"--local {item!r}: {ell} given twice")
         out[ell] = parse_local_type(typespec, p)
     return out
 

@@ -8,10 +8,16 @@ The main consumer is subgroup arithmetic in finite abelian groups
 presented as Z^r / diag(d_1..d_r): a subgroup generated by coordinate
 vectors corresponds to the lattice spanned by those vectors together with
 the relation rows d_i * e_i, and order / membership / intersection
-questions become lattice questions.
+questions become lattice questions.  Holding the relations, each such
+lattice has full rank, so its HNF basis has n rows with row i's pivot in
+column i (Cohen, *A Course in Computational Algebraic Number Theory*,
+2.4): the index is the product of the diagonal, and membership is one
+division per column (``Lattice``).
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import KidaError
 
@@ -86,45 +92,39 @@ def kernel(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
 
 
 class Lattice:
-    """Full or partial rank sublattice of Z^n given by an HNF basis.
+    """Full-rank sublattice of Z^n given by its HNF basis: n rows, row i
+    with its pivot in column i.  Every lattice kida builds holds the
+    relations d_i e_i of a finite group Z^n / diag(d), so it has full
+    rank; a basis of fewer than n rows raises ``KidaError``.
 
     ``hermite=True`` trusts ``rows`` to be ``hnf`` output already and
-    skips the reduction.  Each row's pivot column is found once, here.
+    skips the reduction.
     """
 
-    __slots__ = ("n", "basis", "_pivots")
+    __slots__ = ("n", "basis")
 
     def __init__(self, rows: list[list[int]], n: int, hermite: bool = False):
         self.n = n
         self.basis = rows if hermite else hnf(rows, n)
-        self._pivots = [(row.index(next(filter(None, row))), row)
-                        for row in self.basis]
-
-    def key(self) -> tuple:
-        """Hashable canonical identity (HNF rows are unique per lattice)."""
-        return (self.n, tuple(tuple(r) for r in self.basis))
+        if len(self.basis) != n:
+            raise KidaError(f"lattice of rank {len(self.basis)} in Z^{n} "
+                            "is not of full rank")
 
     def det(self) -> int:
-        """Index [Z^n : L] for full-rank L (product of HNF pivots)."""
-        if len(self.basis) != self.n:
-            raise KidaError("determinant of a non-full-rank lattice")
-        prod = 1
-        for c, row in self._pivots:
-            prod *= row[c]
-        return prod
+        """Index [Z^n : L], the product of the diagonal."""
+        return math.prod(row[i] for i, row in enumerate(self.basis))
 
     def contains(self, vec) -> bool:
+        """Reduce ``vec`` against the rows, row i at column i: what is left
+        once every pivot divides is 0."""
         v = list(vec)
-        for c, row in self._pivots:
-            q, r = divmod(v[c], row[c])
+        for i, row in enumerate(self.basis):
+            q, r = divmod(v[i], row[i])
             if r:
                 return False
             if q:
                 v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return True
 
     def intersect(self, other: "Lattice") -> "Lattice":
         # u*B1 = v*B2 solutions: left kernel of [B1; -B2] stacked.

@@ -96,7 +96,7 @@ class AbelianField:
     @property
     def degree(self) -> int:
         """[F : Q] = index of H in the unit group."""
-        return self._lattice.det() if self._lattice.n else 1
+        return self._lattice.det()
 
     def spec_string(self) -> str:
         if self.degree == 1:
@@ -147,13 +147,13 @@ def same_field(F: AbelianField, Fp: AbelianField) -> bool:
     if F == Fp:
         return True
     LF, LFp = _aligned(F, Fp)
-    return LF.key() == LFp.key()
+    return LF.basis == LFp.basis
 
 
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     """[Fp : F] for F contained in Fp."""
     LF, LFp = _aligned(F, Fp)
-    if not LF.contains_lattice(LFp):
+    if not all(map(LF.contains, LFp.basis)):
         raise NotASubfield("extension field does not contain the base field")
     return LFp.det() // LF.det()
 

@@ -214,8 +214,9 @@ def transition(*, p: int,
                 f"its {p}-tower is not that of a field unramified at {p}")
     if base_red is not base_field or ext_red is not ext_field:
         warnings.append(
-            "extension ramified above p: fields replaced by their maximal "
-            "subfields unramified at p (the towers are unchanged)")
+            "extension ramified above p: fields replaced by the fields cut "
+            "out by the tame parts of their characters (the towers are "
+            "unchanged)")
     rs = splitting.ramified_set(base_red, ext_red, p)
     if not rs.unramified_at_p:
         raise InternalAdditivityViolation("reduction left ramification at p")

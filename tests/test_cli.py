@@ -48,6 +48,14 @@ NEGATIVE_LAMBDA = ("transition", "--p", "3", "--base", "Q", "--ext",
 TAME_AT_P = ("transition", "--form", "delta", "--p", "11", "--base",
              "cyclotomic:11:degree=10", "--ext", "cyclotomic:12353:gens=925",
              "--lambda", "1", "--mu", "0")
+# --local overrides that were once ignored in silence: an ELL that is not
+# prime, one given twice (the last won), and one past the --ell bound
+TRANSITION_23_LOCAL = TRANSITION_23 + ("--p", "11", "--local")
+LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
+                   TRANSITION_23_LOCAL + ("0=sc",),
+                   TRANSITION_23 + ("--p", "11", "--local=-7=sc")]
+LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
+LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -82,6 +90,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     HV_TABLE + ("table:NON_ASCII",),
     ("tau", "--config", "DIR"),
     ("tau", "--config", "NON_ASCII"),
+    *LOCAL_NOT_PRIME,
+    LOCAL_TWICE,
 ]] + [(argv, None, 2) for argv in [
     # past a work bound: exit 2
     ("verify", "--suite", "hasse", "--size", "8001"),
@@ -103,6 +113,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     NEGATIVE_LAMBDA,
     # a domain error: Q(zeta_11)'s 11-tower is no unramified field's
     TAME_AT_P,
+    LOCAL_PAST_BOUND,
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
 ]
@@ -123,6 +134,13 @@ HOSTILE_STDERR = {
     TAME_AT_P:
         "cyclotomic:11:gens= is tamely ramified at 11 (e = 10): its "
         "11-tower is not that of a field unramified at 11",
+    LOCAL_NOT_PRIME[0]: "--local '4=sc': 4 is not prime",
+    LOCAL_NOT_PRIME[1]: "--local '0=sc': 0 is not prime",
+    LOCAL_NOT_PRIME[2]: "--local '-7=sc': -7 is not prime",
+    LOCAL_TWICE: "--local '23=ups:a=10,c=1': 23 given twice",
+    LOCAL_PAST_BOUND:
+        "--local '1000000000039=sc': 1000000000039 beyond bound "
+        "1000000000000",
 }
 
 
@@ -352,6 +370,38 @@ p = 11
 """
 
 
+# the quintic field of conductor 11, presented at conductor 15015: p = 5
+# divides the conductor, so the field is replaced by its reduction at 5
+# (conductor 3003) and warning.0 says how
+GOLDEN_TRANSITION_15015 = """base = Q
+degree = 5
+extension = cyclotomic:15015:gens=1156,3004,5006,8581,10396,10726,12013,\
+12286,12706
+form = delta
+hypothesis.archimedean_rank_condition = false
+hypothesis.graded_pieces_residually_distinct = false
+hypothesis.inertia_coinvariants_divisible = false
+hypothesis.residual_invariants_vanish = false
+kind = algebraic
+lambda.in = 1
+lambda.out = 13
+local.11.contribution = 8
+local.11.degree = 5
+local.11.h = 8
+local.11.m = 8
+local.11.path = table
+local.11.places = 1
+local.11.type = ups:a=2,c=1
+mu.in = 0
+mu.out = 0
+p = 5
+warning.0 = extension ramified above p: fields replaced by the fields cut \
+out by the tame parts of their characters (the towers are unchanged)
+warning.1 = standard hypotheses not asserted by the caller; the formula \
+is applied formally
+"""
+
+
 class TestTau:
     def test_tau_23(self):
         code, out, _ = run_cli("tau", "--n", "23")
@@ -456,6 +506,13 @@ class TestTransition:
             "--mu", "0", "--assert-hypotheses")
         assert code == 0
         assert out == GOLDEN_TRANSITION_23
+
+    def test_golden_15015(self, capsys):
+        assert cli.main([
+            "transition", "--form", "delta", "--p", "5", "--base", "Q",
+            "--ext", "cyclotomic:15015:degree=5", "--lambda", "1",
+            "--mu", "0"]) == 0
+        assert capsys.readouterr().out == GOLDEN_TRANSITION_15015
 
     def test_1123_lambda_31(self):
         code, out, _ = run_cli(

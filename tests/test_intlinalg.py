@@ -1,8 +1,18 @@
 import itertools
+import math
 import random
 
+import pytest
+
+from kida.errors import KidaError
 from kida.intlinalg import (Lattice, hnf, kernel, preimage_lattice,
                             subgroup_lattice, xgcd)
+
+
+def _spans(H, vec, cols):
+    """Whether ``vec`` lies in the row span of the HNF rows ``H``: adding
+    it leaves the canonical form unchanged.  No ``Lattice`` involved."""
+    return hnf([list(r) for r in H] + [list(vec)], cols) == H
 
 
 class TestXgcd:
@@ -23,14 +33,19 @@ class TestHnf:
             M = [[rng.randint(-5, 5) for _ in range(cols)]
                  for _ in range(rows)]
             H = hnf(M, cols)
-            lat = Lattice(M, cols)
-            # every original row is in the span of H and vice versa
+            # every original row is in the span of H, and H's rows are
+            # combinations of M's: hnf of M with them added is H again
             for r in M:
-                assert lat.contains(r)
-            relat = Lattice(H, cols)
-            for r in H:
-                assert lat.contains(r)
-            assert lat.key() == relat.key()
+                assert _spans(H, r, cols)
+            assert hnf(M + H, cols) == H
+            # canonical: another basis of the same span has the same form
+            assert hnf(H, cols) == H
+            N = [list(r) for r in M]
+            rng.shuffle(N)
+            if rows > 1:
+                k = rng.randint(-3, 3)
+                N[0] = [x + k * y for x, y in zip(N[0], N[1])]
+            assert hnf(N, cols) == H
 
     def test_pivots_positive_echelon(self):
         H = hnf([[2, 4], [0, 6], [4, 2]], 2)
@@ -62,11 +77,41 @@ class TestKernel:
             cols = rng.randint(1, 3)
             M = [[rng.randint(-4, 4) for _ in range(cols)]
                  for _ in range(rows)]
-            span = Lattice(kernel(M, cols), rows)
+            K = hnf(kernel(M, cols), rows)
             for v in itertools.product(range(-3, 4), repeat=rows):
                 if not any(sum(v[i] * M[i][j] for i in range(rows))
                            for j in range(cols)):
-                    assert span.contains(v)
+                    assert _spans(K, v, rows)
+
+
+class TestLattice:
+    def test_rank_deficient_basis_is_a_typed_error(self):
+        for rows, n in (([[1, 0]], 2), ([[2, 4], [1, 2]], 2), ([], 1),
+                        ([[0, 0, 3]], 3)):
+            with pytest.raises(KidaError, match="not of full rank"):
+                Lattice(rows, n)
+        with pytest.raises(KidaError, match="not of full rank"):
+            Lattice([[1, 0]], 2, hermite=True)
+        assert Lattice([], 0).det() == 1
+
+    def test_contains_matches_the_hnf_span(self):
+        # full-rank lattices holding diag(d): membership by one division per
+        # column against hnf(L + [v]) == hnf(L), over a box of vectors
+        rng = random.Random(5)
+        for _ in range(100):
+            orders = [rng.choice([2, 3, 4, 6, 8, 9])
+                      for _ in range(rng.randint(1, 3))]
+            gens = [[rng.randrange(o) for o in orders]
+                    for _ in range(rng.randint(0, 2))]
+            L = subgroup_lattice(gens, orders)
+            n = len(orders)
+            for v in itertools.product(range(-2, 10), repeat=n):
+                assert L.contains(v) is _spans(L.basis, v, n), (L.basis, v)
+            # det is the index: L meets the box of Z^n / diag(d) in
+            # prod(d) / det points
+            box = itertools.product(*map(range, orders))
+            assert (sum(map(L.contains, box)) * L.det()
+                    == math.prod(orders)), L.basis
 
 
 class TestSubgroupLattices:

@@ -7,12 +7,12 @@ lists names as strings: exposure, not use.  A use is a name, an attribute
 or a string constant (``verify.SUITES`` names suite functions) outside the
 definition itself.
 
-A method name that several classes define (``contains``, ``elements``,
-``as_mapping``) counts for an owner class only where the receiver is
-known to be that class: ``self`` or ``cls`` in its methods, a parameter
-annotated with it, a local bound to its constructor or to a call
-annotated to return it, or a ``self`` attribute bound earlier in one of
-those ways.  Any other receiver counts for no owner.
+A method name that several classes define (``as_mapping``) counts for
+an owner class only where the receiver is known to be that class:
+``self`` or ``cls`` in its methods, a parameter annotated with it, a
+local bound to its constructor or to a call annotated to return it, or a
+``self`` attribute bound earlier in one of those ways.  Any other
+receiver counts for no owner.
 """
 
 import ast
@@ -29,10 +29,6 @@ ALLOWED = {
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",
-    "chargroup.FiniteAbelianGroup.elements":
-        "with Subgroup.contains, the brute-force filter that the tests "
-        "hold Subgroup.elements() to",
-    "chargroup.Subgroup.contains": "the membership test of that filter",
 }
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import random
@@ -12,7 +13,7 @@ from kida import arith, chargroup, splitting as sp
 from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
                          SpecParseError)
 from kida.errors import InternalAdditivityViolation
-from kida.intlinalg import Lattice, preimage_lattice, subgroup_lattice
+from kida.intlinalg import Lattice, hnf, preimage_lattice, subgroup_lattice
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
@@ -222,8 +223,8 @@ class TestSameConductorPullback:
             if U.rank:
                 assert (sp._reduction_matrix(U, F.conductor)
                         == _identity(U.rank))
-            assert (sp._pullback_lattice(U, F).key()
-                    == _pullback_by_reduction(U, F).key()), F
+            assert (sp._pullback_lattice(U, F).basis
+                    == _pullback_by_reduction(U, F).basis), F
             checked += 1
         assert checked > 250
 
@@ -243,8 +244,9 @@ class TestSameConductorPullback:
             UM = arith.unit_group(math.lcm(F.conductor, G.conductor))
             LF, LG = (_pullback_by_reduction(UM, F),
                       _pullback_by_reduction(UM, G))
-            assert sp.same_field(F, G) is (LF.key() == LG.key())
-            if LF.contains_lattice(LG):
+            assert sp.same_field(F, G) is (LF.basis == LG.basis)
+            # LF holds LG iff LG's rows leave LF's Hermite form unchanged
+            if hnf(LF.basis + LG.basis, UM.rank) == LF.basis:
                 assert sp.relative_degree(F, G) == LG.det() // LF.det()
                 seen["subfield"] += 1
             else:
@@ -443,8 +445,97 @@ class TestUnramifiedAtPReduction:
         U = arith.unit_group(63)
         Q1 = sp.parse_field_spec("cyclotomic:9:degree=3")
         layer = sp._pullback_lattice(U, Q1)
-        assert (sp._pullback_lattice(U, F).intersect(layer).key()
-                == sp._pullback_lattice(U, R).intersect(layer).key())
+        assert (sp._pullback_lattice(U, F).intersect(layer).basis
+                == sp._pullback_lattice(U, R).intersect(layer).basis)
+
+
+def _mult_order(x, m):
+    k, y = 1, x % m
+    while y != 1 % m:
+        y, k = y * x % m, k + 1
+    return k
+
+
+def _crt(x, m, y, n):
+    """The residue mod m * n that is x mod m and y mod n (coprime m, n)."""
+    return (x + m * ((y - x) * pow(m, -1, n) % n)) % (m * n)
+
+
+def _unit_group_by_hand(N):
+    """(orders, log) of (Z/N)^* with no kida code: per prime power
+    q^e || N, generators found by brute force (-1 and 5 for 2^e, e >= 3),
+    lifted by CRT to 1 mod the rest of N; ``log`` maps each unit mod N to
+    its exponent vector in those generators."""
+    gens, orders, m, q = [], [], N, 2
+    while m > 1:
+        if m % q == 0:
+            qe = 1
+            while m % q == 0:
+                m, qe = m // q, qe * q
+            phi = qe - qe // q
+            if q == 2 and qe >= 8:
+                local = [(qe - 1, 2), (5, qe // 4)]
+            else:
+                local = [(next(g for g in range(2, qe) if g % q
+                                and _mult_order(g, qe) == phi), phi)
+                         ] if phi > 1 else []
+            for g, order in local:
+                gens.append(_crt(g, qe, 1, N // qe))
+                orders.append(order)
+        q += 1
+    log = {}
+    for exps in itertools.product(*map(range, orders)):
+        x = 1 % N
+        for g, k in zip(gens, exps):
+            x = x * pow(g, k, N) % N
+        log[x] = exps
+    assert len(log) == sum(math.gcd(x, N) == 1 for x in range(N))
+    return orders, log
+
+
+class TestReductionAgainstCharacters:
+    def test_tame_parts_cut_out_the_reduction(self):
+        # F = Q(zeta_N)^H with N = N' p^a and H holding the Teichmueller
+        # part at p.  Every character of (Z/N)^*/H is listed by brute force;
+        # it is trivial on the Teichmueller part, so its p-part is wild and
+        # its tame part is its restriction to the units that are 1 mod p^a,
+        # read mod N'.  The tame parts cut out the reduction at p: the same
+        # field, with one character per tame part
+        rng = random.Random(25)
+        seen = {"smaller": 0, "same degree": 0}
+        for p, a_max in ((3, 3), (5, 2)):
+            for _ in range(40):
+                pa = p ** rng.randint(1, a_max)
+                Np = rng.choice([n for n in range(1, 1000 // pa) if n % p])
+                N = Np * pa
+                orders, log = _unit_group_by_hand(N)
+                e = math.lcm(*orders)
+                weights = [e // o for o in orders]
+
+                def value(c, x):
+                    return sum(map(math.prod, zip(c, log[x], weights))) % e
+
+                teich = next(t for t in range(2, pa) if t % p
+                             and _mult_order(t, pa) == p - 1)
+                H = [_crt(teich, pa, 1, Np)] + [
+                    rng.choice(list(log)) for _ in range(rng.randint(0, 2))]
+                chars = [c for c in itertools.product(*map(range, orders))
+                         if all(value(c, h) == 0 for h in H)]
+                units = [x for x in range(Np) if math.gcd(x, Np) == 1]
+                lifts = [_crt(x, Np, 1, pa) for x in units]
+                tame = {tuple(value(c, y) for y in lifts) for c in chars}
+                kernel = [x for i, x in enumerate(units)
+                          if all(t[i] == 0 for t in tame)]
+                F = sp.AbelianField(N, H)
+                R = sp.unramified_at_p_reduction(F, p)
+                assert F.degree == len(chars), (N, H)
+                assert R.degree == len(tame), (N, H)
+                assert sp.same_field(sp.AbelianField(Np, kernel), R), (N, H)
+                assert R.conductor == Np
+                assert _closure(R.subgroup_gens, Np) == set(kernel), (N, H)
+                seen["smaller" if R.degree < F.degree
+                     else "same degree"] += 1
+        assert min(seen.values()) > 10, seen
 
 
 def _closure(gens, N):

@@ -109,7 +109,8 @@ class TestTransitionExamples:
         rep = tr.transition(p=11, base_field=Q, ext_field=F_layer,
                             base=BASE_ALG, form=DELTA)
         assert rep.degree == 1 and rep.lambda_out == 1
-        assert any("unramified at p" in w for w in rep.warnings)
+        assert any("tame parts of their characters" in w
+                   for w in rep.warnings)
 
     def test_supercuspidal_contributes_zero(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,

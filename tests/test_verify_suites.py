@@ -20,13 +20,13 @@ WRONG_ORDER_SWEEP = """
 import json
 from kida import chargroup, verify
 G24 = chargroup.FiniteAbelianGroup((2, 4))
-target = chargroup.Subgroup(G24, [(0, 1)])._lattice.key()
+target = chargroup.Subgroup(G24, [(0, 1)]).elements()
 real = chargroup.subgroups
 
 def faulty(G):
     subs = real(G)
     if G == G24:
-        next(H for H in subs if H._lattice.key() == target).order *= 2
+        next(H for H in subs if H.elements() == target).order *= 2
     return subs
 
 chargroup.subgroups = faulty
@@ -77,12 +77,12 @@ class TestGroupIdentitySuite:
         # subsample at this seed does not draw it)
         real = chargroup.subgroups
         G24 = chargroup.FiniteAbelianGroup((2, 4))
-        target = chargroup.Subgroup(G24, [(1, 2)])._lattice.key()
+        target = chargroup.Subgroup(G24, [(1, 2)]).elements()
 
         def faulty(G):
             subs = real(G)
             if G == G24:
-                next(H for H in subs if H._lattice.key() == target).order *= 2
+                next(H for H in subs if H.elements() == target).order *= 2
             return subs
 
         monkeypatch.setattr(chargroup, "subgroups", faulty)
