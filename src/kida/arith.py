@@ -4,9 +4,9 @@ Trial-division factorization, multiplicative orders, p-adic valuations,
 and the unit group (Z/N)^* presented in invariant-factor form with
 bidirectional residue <-> coordinate maps.  ``UnitGroup`` is the one
 place that knows how (Z/N)^* is built: from the cyclic factors of each
-(Z/q^e)^*, which ``local_generators(q)`` returns as residues mod N that
-are 1 at the other prime powers.  ``log`` stores no table of the group:
-it projects x onto each cyclic piece of prime-power order rho^a and
+(Z/q^e)^*, whose generators, 1 at the other prime powers, have the
+coordinates ``local_coordinates(q)``.  ``log`` stores no table of the
+group: it projects x onto each cyclic piece of prime-power order rho^a and
 solves there by Pohlig-Hellman, one base-rho digit at a time by
 baby-step giant-step, in O(sqrt(rho)) memory (Cohen, *A Course in
 Computational Algebraic Number Theory*, 1.4).  Everything is plain
@@ -219,25 +219,22 @@ class UnitGroup:
 
     def __init__(self, modulus: int):
         self.modulus = modulus
-        self._local: dict[int, tuple[int, ...]] = {}
         # rho -> [(rho^a, local factor index, n / rho^a, generator mod N,
         #          x -> log_g(x) mod rho^a)] over the local factors <g> = C_n
         pieces: dict[int, list] = {}
+        primes = []         # the prime of each local factor, by index
         self.order = 1
-        index = 0
         for q, e in factor(modulus):
-            local = _local_cyclic(q, e)
             qe = q ** e
-            lifts = tuple(crt([g, 1], [qe, modulus // qe]) for g, _, _ in local)
-            self._local[q] = lifts
-            for (g, n, mod), lift in zip(local, lifts):
+            for g, n, mod in _local_cyclic(q, e):
+                lift = crt([g, 1], [qe, modulus // qe])
                 for rho, a in factor(n):
                     cof = n // rho ** a
                     pieces.setdefault(rho, []).append(
-                        (rho ** a, index, cof, pow(lift, cof, modulus),
+                        (rho ** a, len(primes), cof, pow(lift, cof, modulus),
                          _piece_log(mod, g, n, rho, a)))
                 self.order *= n
-                index += 1
+                primes.append(q)
         # Invariant factors, largest first: the largest piece of every prime
         # together, then the next largest, ...; of two equal pieces the one
         # of the later local factor comes first.  Stored ascending.
@@ -253,16 +250,22 @@ class UnitGroup:
         # coordinate j: by CRT over its pieces, log_g(x) / (n / rho^a) mod
         # rho^a, the exponent of the piece's generator g^(n / rho^a)
         self._coordinates = [
-            (d, [(log, d // r * pow(d // r * cof, -1, r))
-                 for r, _, cof, _, log in level])
+            (d, [(log, d // r * pow(d // r * cof, -1, r), index)
+                 for r, index, cof, _, log in level])
             for d, level in zip(self.invariant_factors, levels)]
         self.rank = len(levels)
+        # a local generator has log 1 on its own pieces and 0 on the
+        # others, so its coordinate j is its pieces' weights in level j
+        self._local = {q: tuple(
+            tuple(sum(w for _, w, i in maps if i == index) % d
+                  for d, maps in self._coordinates)
+            for index, r in enumerate(primes) if r == q) for q in primes}
 
-    def local_generators(self, q: int) -> tuple[int, ...]:
-        """Residues mod N generating the q-part of (Z/N)^*, each 1 modulo
-        the other prime powers of N: a primitive root mod q^e for odd q,
-        3 for 4 || N, and -1, 5 mod 2^e for 2^e || N with e >= 3.  Empty
-        when the q-part is trivial."""
+    def local_coordinates(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of the generators of the q-part of (Z/N)^*, each 1
+        modulo the other prime powers of N: a primitive root mod q^e for
+        odd q, 3 for 4 || N, and -1, 5 mod 2^e for 2^e || N with e >= 3.
+        Empty when the q-part is trivial."""
         return self._local.get(q, ())
 
     # -- maps -------------------------------------------------------------
@@ -274,7 +277,7 @@ class UnitGroup:
         x %= self.modulus
         if math.gcd(x, self.modulus) != 1:
             raise NotAUnit(f"{x} is not a unit mod {self.modulus}")
-        return tuple(sum(log(x) * w for log, w in maps) % d
+        return tuple(sum(log(x) * w for log, w, _ in maps) % d
                      for d, maps in self._coordinates)
 
     def element(self, coords) -> int:

@@ -100,7 +100,7 @@ class MissingCoefficient(KidaError):
 # -- splitting ---------------------------------------------------------
 
 class NotASubfield(KidaError):
-    """Claimed field containment fails after conductor alignment."""
+    """Claimed field containment fails at the extension's conductor."""
 
 
 class NotPPower(KidaError):

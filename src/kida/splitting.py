@@ -2,18 +2,19 @@
 place counting in cyclotomic p-power towers.
 
 An abelian field is (conductor N, subgroup H of (Z/N)^*): the fixed field
-of H acting on the N-th cyclotomic field.  Decomposition data at a prime
-ell comes from the standard dictionary: inertia at ell is the
-ell-component of the unit group, Frobenius is the class of ell prime to
-ell, and places correspond to cosets of H times the decomposition
-subgroup.  Place counts in the layers of the cyclotomic p-tower follow
-from efg and two p-adic valuations, with no layer built (tower_places).
+of H acting on the N-th cyclotomic field, N the least modulus it is
+defined at.  Decomposition data at a prime ell comes from the standard
+dictionary: inertia at ell is the ell-component of the unit group,
+Frobenius is the class of ell prime to ell, and places correspond to
+cosets of H times the decomposition subgroup.  Place counts in the
+layers of the cyclotomic p-tower follow from efg and two p-adic
+valuations, with no layer built (tower_places).
 
 An AbelianField is a value: it is equal to, and hashes like, every field
-with its presentation (conductor, HNF basis of H's lattice), so fields
-parsed again, or from other generators of the same H, are equal.  It
-holds integers only, and reads its unit group from ``arith.unit_group``'s
-cache, so a cache keyed on fields pins no UnitGroup or baby-step table.
+with its (conductor, HNF basis of H's lattice), so ``==`` means "same
+field".  It holds integers only, and reads its unit group from
+``arith.unit_group``'s cache, so a cache keyed on fields pins no
+UnitGroup or baby-step table.
 Four bounded lru caches hold one fact each that repeats in the traffic;
 errors are not stored:
 
@@ -22,20 +23,17 @@ errors are not stored:
   pair F < F' is computed once per pair, not once per form carried along
   it.  A miss runs through the module's ``efg`` and ``tower_places``.
 - ``_resolve_degree_subgroup`` (128 entries) keys on (N, d) and keeps a
-  ``degree=`` spec's generator residues and HNF basis, so parsing it
-  again builds the field with no power and no HNF.
+  ``degree=`` spec's presentation at its conductor (conductor, generator
+  residues, HNF basis), so parsing it again builds the field with no
+  power, discrete log, HNF or conductor test.
 - ``_tame_field`` (64 entries) keys on (F, p) for p dividing F's
   conductor, and keeps ``unramified_at_p_reduction``'s field, which costs
-  discrete logs and a lattice intersection.  A field whose conductor p
-  does not divide is its own reduction, returned with no cache.
+  a lattice intersection and discrete logs.  A field whose conductor p
+  does not divide is unramified at p and its own reduction, returned
+  with no cache.
 
-The pair comparisons are not memoized.  ``relative_degree`` is called
-only on a ``ramified_set`` miss, so a cache of its own would never be
-hit.  ``same_field`` answers equal presentations by comparing them, and
-only unequal ones align both lattices.  Aligning pulls both lattices
-back to the lcm conductor M; a presentation whose conductor is M already
-is its own preimage (the reduction map is the identity), so it is taken
-as it is, with no discrete log, kernel or HNF.
+``relative_degree`` is not memoized: it is called only on a
+``ramified_set`` miss, so a cache of its own would never be hit.
 """
 
 from __future__ import annotations
@@ -50,35 +48,37 @@ from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
 
 
 class AbelianField:
-    """Abelian extension of Q presented as (conductor, subgroup generators).
+    """The fixed field of the subgroup H of (Z/N)^* that ``subgroup_gens``
+    generate, for any modulus N it is defined at, presented at its
+    conductor M: when M < N it is built again at M from the generators'
+    residues mod M that are not 1.  ``basis``, when given, is trusted to
+    be H's HNF basis in (Z/N)^*'s invariant-factor basis, N the conductor;
+    it spares the discrete logs, the HNF and the conductor test.
 
-    ``basis``, when given, is the HNF basis of H's lattice in the unit
-    group's invariant-factor basis, trusted as given; it spares the
-    discrete logs of the generators and the HNF.
-
-    ``==`` means "same presentation": equal conductors and equal HNF
-    bases, whatever generators were given.  Fields of different
-    conductors can still be one field (the degree-11 subfields at
-    conductors 46 and 23 are not ``==``); ``same_field`` decides that.
+    So ``==`` means "same field": the degree-11 subfields of Q(zeta_46)
+    and Q(zeta_23) are both presented at 23, and equal.
     """
 
     def __init__(self, conductor: int, subgroup_gens=(), basis=None):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        self.conductor = conductor
         U = arith.unit_group(conductor)
         gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
         for g in gens:
             if math.gcd(g, conductor) != 1:
                 raise ValueError(f"subgroup generator {g} not a unit mod {conductor}")
-        self.subgroup_gens = tuple(gens)
         if basis is None:
-            self._lattice = subgroup_lattice(
-                [U.log(g) for g in self.subgroup_gens], U.invariant_factors)
+            lattice = subgroup_lattice([U.log(g) for g in gens],
+                                       U.invariant_factors)
+            M = _conductor(U, lattice)
+            if M < conductor:       # presented again at the conductor
+                self.__init__(M, [g for g in gens if g % M != 1])
+                return
         else:
-            self._lattice = Lattice([list(r) for r in basis], U.rank,
-                                    hermite=True)
-        self._key = (conductor, tuple(map(tuple, self._lattice.basis)))
+            lattice = Lattice([list(r) for r in basis], U.rank, hermite=True)
+        self.conductor, self.subgroup_gens, self._lattice = (
+            conductor, tuple(gens), lattice)
+        self._key = (conductor, tuple(map(tuple, lattice.basis)))
 
     def __eq__(self, other):
         if not isinstance(other, AbelianField):
@@ -113,6 +113,28 @@ def rationals() -> AbelianField:
     return AbelianField(1)
 
 
+def _conductor(U: arith.UnitGroup, lat: Lattice) -> int:
+    """Conductor of the fixed field of H = ``lat`` in U = (Z/N)^*: the
+    least M | N with H holding the kernel of (Z/N)^* -> (Z/M)^*
+    (Washington, Introduction to Cyclotomic Fields, ch. 3).  For q^a || N
+    that of (Z/q^a)^* -> (Z/q^c)^* is the whole q-part for c = 0, and for
+    q = 2, c = 1; else the order-q^(a-c) subgroup of the last local factor.
+    """
+    M = U.modulus
+    for q, a in arith.factor(U.modulus):
+        local = U.local_coordinates(q)
+        for c in range(a - 1, -1, -1):
+            if c == 0 or (q == 2 and c == 1):
+                kernel = local
+            else:
+                step = 2 ** (c - 2) if q == 2 else (q - 1) * q ** (c - 1)
+                kernel = [[step * x for x in local[-1]]]
+            if not all(map(lat.contains, kernel)):
+                break
+            M //= q
+    return M
+
+
 def _reduction_matrix(M_group: arith.UnitGroup, N: int) -> list[list[int]]:
     """Coordinate matrix of the reduction map (Z/M)^* -> (Z/N)^*."""
     target = arith.unit_group(N)
@@ -123,39 +145,24 @@ def _pullback_lattice(M_group: arith.UnitGroup, F: AbelianField) -> Lattice:
     """Lattice in U(M)-coordinates of the preimage of F's subgroup.
 
     At F's own conductor the reduction map is the identity and the
-    preimage is its Hermite lattice, taken as it is; over a trivial unit
-    group it is everything, whose HNF is the identity.
+    preimage is its Hermite lattice, taken as it is.
     """
     U = F.unit_group
     if U.modulus == M_group.modulus:
         return F._lattice
-    if U.rank == 0:
-        return Lattice([[1 if j == i else 0 for j in range(M_group.rank)]
-                        for i in range(M_group.rank)],
-                       M_group.rank, hermite=True)
     amat = _reduction_matrix(M_group, U.modulus)
     return preimage_lattice(M_group.rank, amat, F._lattice)
 
 
-def _aligned(F: AbelianField, Fp: AbelianField):
-    """Both subgroup lattices pulled back to the lcm conductor."""
-    UM = arith.unit_group(math.lcm(F.conductor, Fp.conductor))
-    return _pullback_lattice(UM, F), _pullback_lattice(UM, Fp)
-
-
-def same_field(F: AbelianField, Fp: AbelianField) -> bool:
-    if F == Fp:
-        return True
-    LF, LFp = _aligned(F, Fp)
-    return LF.basis == LFp.basis
-
-
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
-    """[Fp : F] for F contained in Fp."""
-    LF, LFp = _aligned(F, Fp)
-    if not all(map(LF.contains, LFp.basis)):
+    """[Fp : F] for F contained in Fp.  A subfield's conductor divides the
+    field's, so F is pulled back to Fp's conductor, where Fp's lattice is
+    taken as it is."""
+    if Fp.conductor % F.conductor or not all(map(
+            _pullback_lattice(Fp.unit_group, F).contains,
+            Fp._lattice.basis)):
         raise NotASubfield("extension field does not contain the base field")
-    return LFp.det() // LF.det()
+    return Fp.degree // F.degree
 
 
 class PlaceData(Record):
@@ -165,11 +172,6 @@ class PlaceData(Record):
 
     def __init__(self, ell: int, e: int, f: int, g: int, degree: int):
         self._fill(ell, e, f, g, degree)
-
-
-def _inertia_rows(U: arith.UnitGroup, ell: int) -> list[list[int]]:
-    """Coordinates of generators of the inertia subgroup at ell."""
-    return [list(U.log(g)) for g in U.local_generators(ell)]
 
 
 def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
@@ -203,7 +205,8 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     if U.rank == 0:
         return PlaceData(ell, 1, 1, 1, 1)
     degree = L_H.det()
-    L_HI = Lattice(L_H.basis + _inertia_rows(U, ell), U.rank)
+    # inertia at ell is the ell-part of the unit group
+    L_HI = Lattice(L_H.basis + list(U.local_coordinates(ell)), U.rank)
     e = degree // L_HI.det()
     frob = list(U.log(_frobenius_residue(U, ell)))
     f = _element_order_mod_lattice(U, L_HI, frob, L_HI.det())
@@ -307,10 +310,8 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     if degree != p ** arith.padic_val(degree, p):
         raise NotPPower(f"[F':F] = {degree} is not a power of {p}")
     e_p_rel = efg(Fp, p).e // efg(F, p).e
-    candidates = sorted({q for q, _ in arith.factor(F.conductor)}
-                        | {q for q, _ in arith.factor(Fp.conductor)})
     entries = []
-    for ell in candidates:
+    for ell, _ in arith.factor(Fp.conductor):
         if ell == p:
             continue
         e_base = efg(F, ell).e
@@ -347,7 +348,7 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
-    if F.conductor % p:
+    if F.conductor % p:         # unramified at p
         return F
     return _tame_field(F, p)
 
@@ -359,13 +360,11 @@ def _tame_field(F: AbelianField, p: int) -> AbelianField:
     N = F.conductor // p ** a
     U = F.unit_group
     # K = (everything prime to p) x (Teichmueller part at p)
-    rows = [list(U.log(pow(g, p ** (a - 1) if q == p else 1, U.modulus)))
+    rows = [[x * p ** (a - 1) for x in c] if q == p else c
             for q, _ in arith.factor(U.modulus)
-            for g in U.local_generators(q)]
-    L_K = subgroup_lattice(rows, U.invariant_factors)
-    L_int = F._lattice.intersect(L_K)
-    gens = sorted({U.element(row) % N for row in L_int.basis})
-    return AbelianField(N, tuple(g for g in gens if N > 1))
+            for c in U.local_coordinates(q)]
+    L_int = F._lattice.intersect(subgroup_lattice(rows, U.invariant_factors))
+    return AbelianField(N, {U.element(row) % N for row in L_int.basis})
 
 
 # -- field input grammar --------------------------------------------------
@@ -381,9 +380,10 @@ def _p_component(d, p: int):
 
 
 @lru_cache(maxsize=128)
-def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple, tuple]:
-    """Presentation of the unique index-d subgroup of (Z/N)^*, if unique:
-    its generator residues and the HNF basis of its lattice.
+def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, tuple, tuple]:
+    """The unique index-d subgroup of (Z/N)^*, if unique, presented at its
+    conductor M (as the index-d subgroup of (Z/M)^*, unique too): M, the
+    generator residues and the HNF basis of its lattice.
 
     Its q-part has index q^v, v = v_q(d), in the q-part of G = (Z/N)^*.
     By duality that is unique iff the q-part has one subgroup of order
@@ -397,7 +397,7 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple, tuple]:
     if U.rank == 0:
         if d != 1:
             raise SpecParseError(f"(Z/{N})^* is trivial; degree must be 1")
-        return (), ()
+        return 1, (), ()
     rows = []
     for q, n in arith.factor(U.order):
         v = arith.padic_val(d, q)
@@ -410,18 +410,21 @@ def _resolve_degree_subgroup(N: int, d: int) -> tuple[tuple, tuple]:
             raise SpecParseError(
                 f"index-{d} subgroup of (Z/{N})^* is not unique "
                 f"({count} candidates); use gens=...")
-        # spec_string() prints these generators (the ``extension =`` line
-        # of a transition report), so the sets are fixed output: q^v times
-        # the generator of a cyclic q-part, and every q^j e_i
-        # (0 <= j < e_i) of a whole non-cyclic one
+        # spec_string() prints these generators when N is the conductor
+        # (the ``extension =`` line of a transition report), so the sets
+        # are fixed output: q^v times the generator of a cyclic q-part,
+        # and every q^j e_i (0 <= j < e_i) of a whole non-cyclic one
         for i, e, cofactor in part:
             for j in [v] if len(part) == 1 else range(e):
                 vec = [0] * U.rank
                 vec[i] = q ** j * cofactor
                 rows.append(vec)
+    lattice = subgroup_lattice(rows, U.invariant_factors)
+    M = _conductor(U, lattice)
+    if M < N:
+        return _resolve_degree_subgroup(M, d)
     gens = tuple(sorted({U.element(row) for row in rows}))
-    basis = subgroup_lattice(rows, U.invariant_factors).basis
-    return gens, tuple(map(tuple, basis))
+    return N, gens, tuple(map(tuple, lattice.basis))
 
 
 def parse_field_spec(spec: str) -> AbelianField:
@@ -451,7 +454,7 @@ def parse_field_spec(spec: str) -> AbelianField:
             raise SpecParseError(f"bad degree in {spec!r}")
         if d < 1:
             raise SpecParseError("degree must be >= 1")
-        return AbelianField(N, *_resolve_degree_subgroup(N, d))
+        return AbelianField(*_resolve_degree_subgroup(N, d))
     if body.startswith("gens="):
         tail = body[len("gens="):]
         try:

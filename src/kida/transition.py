@@ -263,7 +263,7 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
     """
     if r_ab.p != r_bc.p or r_ab.kind != r_bc.kind or r_ab.form != r_bc.form:
         raise ChainMismatch("reports disagree on p, kind, or form")
-    if not splitting.same_field(r_ab.ext_field, r_bc.base_field):
+    if r_ab.ext_field != r_bc.base_field:
         raise ChainMismatch("middle fields do not match")
     if r_bc.lambda_in != r_ab.lambda_out:
         raise ChainMismatch(
@@ -368,8 +368,7 @@ def mc_transfer(alg: TransitionReport, an: TransitionReport,
         raise MismatchedInputs("need one algebraic and one analytic report")
     if (alg.p, alg.form) != (an.p, an.form):
         raise MismatchedInputs("reports disagree on p or the form")
-    if not (splitting.same_field(alg.base_field, an.base_field)
-            and splitting.same_field(alg.ext_field, an.ext_field)):
+    if (alg.base_field, alg.ext_field) != (an.base_field, an.ext_field):
         raise MismatchedInputs("reports cover different extensions")
     if alg.degree != an.degree:
         raise MismatchedInputs("degree mismatch")

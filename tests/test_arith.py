@@ -256,8 +256,11 @@ class TestLocalGenerators:
         fac = arith.factor(N)
         total = 1
         for q, e in fac:
-            gens = U.local_generators(q)
+            coords = U.local_coordinates(q)
+            gens = [U.element(v) for v in coords]
             qe = q ** e
+            # the coordinates are those of the residues they stand for
+            assert [U.log(g) for g in gens] == list(coords)
             # 1 at every other prime power of N
             assert all(g % (N // qe) == 1 % (N // qe) for g in gens)
             # independent generators of (Z/q^e)^*: their orders multiply
@@ -270,13 +273,13 @@ class TestLocalGenerators:
             assert len(local) == math.prod(orders) == arith.euler_phi(qe)
             total *= len(local)
         assert total == U.order
-        assert U.local_generators(101) == ()
+        assert U.local_coordinates(101) == ()
 
     def test_two_adic_generators(self):
         U = arith.unit_group(16 * 3)
-        assert [g % 16 for g in U.local_generators(2)] == [15, 5]
-        assert [g % 4 for g in arith.unit_group(4 * 3).local_generators(2)] \
-            == [3]
+        assert [U.element(v) % 16 for v in U.local_coordinates(2)] == [15, 5]
+        U = arith.unit_group(4 * 3)
+        assert [U.element(v) % 4 for v in U.local_coordinates(2)] == [3]
 
 
 def test_log_mod_prime_near_10_7_is_small_and_fast():

@@ -370,13 +370,12 @@ p = 11
 """
 
 
-# the quintic field of conductor 11, presented at conductor 15015: p = 5
-# divides the conductor, so the field is replaced by its reduction at 5
-# (conductor 3003) and warning.0 says how
+# the quintic field of conductor 11, written at 15015: it is printed at
+# its conductor, which p = 5 does not divide, so it is not reduced and
+# carries no ramification warning
 GOLDEN_TRANSITION_15015 = """base = Q
 degree = 5
-extension = cyclotomic:15015:gens=1156,3004,5006,8581,10396,10726,12013,\
-12286,12706
+extension = cyclotomic:11:gens=10
 form = delta
 hypothesis.archimedean_rank_condition = false
 hypothesis.graded_pieces_residually_distinct = false
@@ -395,9 +394,7 @@ local.11.type = ups:a=2,c=1
 mu.in = 0
 mu.out = 0
 p = 5
-warning.0 = extension ramified above p: fields replaced by the fields cut \
-out by the tame parts of their characters (the towers are unchanged)
-warning.1 = standard hypotheses not asserted by the caller; the formula \
+warning.0 = standard hypotheses not asserted by the caller; the formula \
 is applied formally
 """
 

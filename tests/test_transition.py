@@ -145,14 +145,14 @@ class TestTransitionExamples:
         assert comp.lambda_in == 1 and comp.lambda_out == r2.lambda_out
 
     def test_repeated_reduction_is_a_cache_hit(self):
-        # p = 5 divides the conductor 15015 = 3 * 5 * 7 * 11 * 13, so the
-        # extension is reduced; run again, the reduction is read from
-        # _tame_field (one hit, no miss), and the report is the same.  Q's
-        # conductor is prime to 5: it is its own reduction, uncached
-        F = sp.parse_field_spec("cyclotomic:15015:degree=5")
+        # p = 3 divides the conductor 63 = 9 * 7, so the extension is
+        # reduced; run again, the reduction is read from _tame_field (one
+        # hit, no miss), and the report is the same.  Q's conductor is
+        # prime to 3: it is its own reduction, uncached
+        F = sp.parse_field_spec("cyclotomic:63:gens=8,55,59")
 
         def run():
-            return tr.transition(p=5, base_field=Q, ext_field=F,
+            return tr.transition(p=3, base_field=Q, ext_field=F,
                                  base=BASE_ALG, form=DELTA)
 
         first = run()
@@ -161,7 +161,7 @@ class TestTransitionExamples:
         after = sp._tame_field.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert again == first
-        assert sp.unramified_at_p_reduction(Q, 5) is Q
+        assert sp.unramified_at_p_reduction(Q, 3) is Q
 
     def test_repeated_delta_transition_reads_tau_from_the_memo(self):
         # the second run asks for the same tau(1123): hits, no miss
@@ -206,10 +206,10 @@ class TestTameAtP:
                 tr.transition(p=11, base_field=base, ext_field=ext,
                               base=BASE_ALG, form=DELTA)
 
+    # 2783 = 121 * 23: the kernel of chi_121 chi_23, of order 11
     @pytest.mark.parametrize("spec, p, lam, ell", [
         ("cyclotomic:63:gens=8,55,59", 3, 7, 7),
-        ("cyclotomic:15015:degree=5", 5, 13, 11),
-        ("cyclotomic:12353:degree=11", 11, 31, 1123),
+        ("cyclotomic:2783:gens=18,60", 11, 11, 23),
         ("cyclotomic:121:degree=11", 11, 1, None),    # in the tower
     ])
     def test_wild_fields_still_reduce(self, spec, p, lam, ell):
@@ -220,6 +220,25 @@ class TestTameAtP:
         assert [(r.ell, r.places) for r in rep.places] == (
             [(ell, 1)] if ell else [])
         assert rep.warnings[0].startswith("extension ramified above p")
+
+    # presented at their conductors 11 and 1123, prime to p
+    @pytest.mark.parametrize("spec, minimal, p, lam", [
+        ("cyclotomic:15015:degree=5", "cyclotomic:11:degree=5", 5, 13),
+        ("cyclotomic:12353:degree=11", "cyclotomic:1123:degree=11", 11, 31),
+    ], ids=["15015", "12353"])
+    def test_unramified_fields_are_not_reduced(self, spec, minimal, p, lam):
+        F, G = sp.parse_field_spec(spec), sp.parse_field_spec(minimal)
+        assert F == G and sp.efg(F, p).e == 1
+        reports = [tr.transition(p=p, base_field=Q, ext_field=field,
+                                 base=BASE_ALG, form=DELTA, precision=1200)
+                   for field in (F, G)]
+        assert reports[0].lambda_out == lam
+        assert reports[0].ext_spec == F.spec_string()
+        assert not any("ramified above p" in w for w in reports[0].warnings)
+        docs = [dict(r.as_mapping()) for r in reports]
+        for doc in docs:
+            del doc["extension"]
+        assert docs[0] == docs[1]
 
 
 class TestLambdaViaTwists:
