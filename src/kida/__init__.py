@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports here
 _EXPORTS = {
-    "arith": ("factor", "mult_order", "padic_val", "unit_group"),
+    "arith": ("factor", "padic_val", "unit_group"),
     "chargroup": ("Character", "FiniteAbelianGroup", "RepMultiset",
                   "Subgroup", "check_group_identity", "dual_group",
                   "multiplicity"),

@@ -1,17 +1,18 @@
 """Exact integer and residue arithmetic.
 
-Trial-division factorization, multiplicative orders, p-adic valuations,
-and the unit group (Z/N)^* presented in invariant-factor form with
-bidirectional residue <-> coordinate maps.  ``UnitGroup`` is the one
-place that knows how (Z/N)^* is built: from the cyclic factors of each
-(Z/q^e)^*, whose generators, 1 at the other prime powers, have the
-coordinates ``local_coordinates(q)``.  ``log`` stores no table of the
-group: it projects x onto each cyclic piece of prime-power order rho^a and
-solves there by Pohlig-Hellman, one base-rho digit at a time by
-baby-step giant-step, in O(sqrt(rho)) memory (Cohen, *A Course in
-Computational Algebraic Number Theory*, 1.4).  Everything is plain
-Python int arithmetic, so there is no overflow to detect; inputs are
-desk-scale (``factor`` refuses targets above FACTOR_BOUND = 10^14).
+Trial-division factorization, p-adic valuations, and the unit group
+(Z/N)^* presented in invariant-factor form with bidirectional residue <->
+coordinate maps.  ``UnitGroup`` is the one place that knows how (Z/N)^*
+is built: from the cyclic factors of each (Z/q^e)^*, whose generators, 1
+at the other prime powers, have the coordinates ``local_coordinates(q)``.
+``log`` stores no table of the group: it projects x onto each cyclic
+piece of prime-power order rho^a and solves there by Pohlig-Hellman, one
+base-rho digit at a time by baby-step giant-step, in O(sqrt(rho)) memory
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1.4).  A
+piece's map and its table depend on q^e alone, and are shared by the unit
+groups of every modulus that q^e divides.  Everything is plain Python int
+arithmetic, so there is no overflow to detect; inputs are desk-scale
+(``factor`` refuses targets above FACTOR_BOUND = 10^14).
 """
 
 from __future__ import annotations
@@ -87,30 +88,6 @@ def padic_val(n: int, p: int) -> int:
     return t
 
 
-def mult_order(a: int, modulus: int) -> int:
-    """Least k >= 1 with a^k = 1 modulo the modulus."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    a %= modulus
-    if math.gcd(a, modulus) != 1:
-        raise NotAUnit(f"{a} is not a unit mod {modulus}")
-    if modulus == 1:
-        return 1
-    # Start from the group order and strip prime factors while possible.
-    order = euler_phi(modulus)
-    for q, _ in factor(order):
-        while order % q == 0 and pow(a, order // q, modulus) == 1:
-            order //= q
-    return order
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factor(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = residues[i] mod moduli[i] for pairwise coprime moduli."""
     x, m = 0, 1
@@ -153,6 +130,7 @@ def _local_cyclic(q: int, e: int) -> list[tuple[int, int, int]]:
     return [(q ** e - 1, 2, 4), (5, 2 ** (e - 2), q ** e)]
 
 
+@lru_cache(maxsize=128)
 def _piece_log(mod: int, g: int, n: int, rho: int, a: int):
     """The map x -> log_g(x) mod rho^a on the cyclic factor <g> = C_n of
     (Z/mod)^*, where rho^a || n.
@@ -164,7 +142,8 @@ def _piece_log(mod: int, g: int, n: int, rho: int, a: int):
     table of all B of them, or rho > 64 itself, with a table of about
     sqrt(rho) baby steps, built on the first call: a piece that is never
     asked for a log keeps no table.  Mod 2^e with e >= 3 the factor <5>
-    reads x up to sign.
+    reads x up to sign.  Cached: the arguments depend on q^e alone, so
+    every unit group whose modulus q^e divides shares the map and table.
     """
     cof = n // rho ** a
     b = max((b for b in range(1, a + 1) if a % b == 0 and rho ** b <= 64),

@@ -100,7 +100,8 @@ class MissingCoefficient(KidaError):
 # -- splitting ---------------------------------------------------------
 
 class NotASubfield(KidaError):
-    """Claimed field containment fails at the extension's conductor."""
+    """The base field's conductor does not divide the extension's, or the
+    extension's subgroup does not reduce into the base field's."""
 
 
 class NotPPower(KidaError):

@@ -11,8 +11,9 @@ the relation rows d_i * e_i, and order / membership / intersection
 questions become lattice questions.  Holding the relations, each such
 lattice has full rank, so its HNF basis has n rows with row i's pivot in
 column i (Cohen, *A Course in Computational Algebraic Number Theory*,
-2.4): the index is the product of the diagonal, and membership is one
-division per column (``Lattice``).
+2.4): the index is the product of the diagonal, membership is one
+division per column, and an intersection is the HNF of one block matrix
+(``Lattice``).
 """
 
 from __future__ import annotations
@@ -78,19 +79,6 @@ def hnf(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
-def kernel(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
-    """Basis of the left kernel {v : v * mat = 0} as rows."""
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    rows = len(mat)
-    # Augment with an identity block and HNF the combined matrix; rows whose
-    # mat-part vanishes record kernel combinations in the identity part.
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    return [row[ncols:] for row in hnf(aug, ncols + rows)
-            if not any(row[:ncols])]
-
-
 class Lattice:
     """Full-rank sublattice of Z^n given by its HNF basis: n rows, row i
     with its pivot in column i.  Every lattice kida builds holds the
@@ -127,32 +115,14 @@ class Lattice:
         return True
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        # u*B1 = v*B2 solutions: left kernel of [B1; -B2] stacked.
-        b1, b2 = self.basis, other.basis
-        stacked = [list(r) for r in b1] + [[-x for x in r] for r in b2]
-        ker = kernel(stacked, self.n)
-        rows = []
-        for comb in ker:
-            vec = [0] * self.n
-            for coef, row in zip(comb[:len(b1)], b1):
-                if coef:
-                    for j in range(self.n):
-                        vec[j] += coef * row[j]
-            rows.append(vec)
-        return Lattice(rows, self.n)
-
-
-def preimage_lattice(n: int, amat: list[list[int]], target: Lattice) -> Lattice:
-    """Lattice {x in Z^n : x * amat in target}, with ``amat`` n x target.n.
-
-    ``amat`` must describe a well-defined group homomorphism, i.e. the
-    relation rows of the source must map into ``target``; the returned
-    lattice then automatically contains the source relations.
-    """
-    rows_a = [list(r) for r in amat]
-    rows_t = [[-x for x in r] for r in target.basis]
-    ker = kernel(rows_a + rows_t, target.n)
-    return Lattice([list(comb[:n]) for comb in ker], n)
+        """L1 meet L2: if u B1 + v B2 = 0, then u B1 lies in both, so the
+        rows of hnf([[B1, B1], [B2, 0]]) whose first half is 0 carry the
+        meet's Hermite basis in their second half."""
+        n = self.n
+        rows = ([[*r, *r] for r in self.basis]
+                + [[*r, *[0] * n] for r in other.basis])
+        return Lattice([r[n:] for r in hnf(rows, 2 * n)[n:]], n,
+                       hermite=True)
 
 
 def subgroup_lattice(gens, orders) -> Lattice:

@@ -6,9 +6,11 @@ of H acting on the N-th cyclotomic field, N the least modulus it is
 defined at.  Decomposition data at a prime ell comes from the standard
 dictionary: inertia at ell is the ell-component of the unit group,
 Frobenius is the class of ell prime to ell, and places correspond to
-cosets of H times the decomposition subgroup.  Place counts in the
-layers of the cyclotomic p-tower follow from efg and two p-adic
-valuations, with no layer built (tower_places).
+cosets of H times the decomposition subgroup.  F is a subfield of E iff
+F's conductor divides E's and E's subgroup reduces into F's
+(``relative_degree``).  Place counts in the layers of the cyclotomic
+p-tower follow from efg and two p-adic valuations, with no layer built
+(tower_places).
 
 An AbelianField is a value: it is equal to, and hashes like, every field
 with its (conductor, HNF basis of H's lattice), so ``==`` means "same
@@ -44,7 +46,7 @@ from functools import lru_cache
 from . import arith
 from .errors import (BoundExceeded, InternalAdditivityViolation,
                      NotASubfield, NotPPower, Record, SpecParseError)
-from .intlinalg import Lattice, preimage_lattice, subgroup_lattice
+from .intlinalg import Lattice, subgroup_lattice
 
 
 class AbelianField:
@@ -115,9 +117,9 @@ def rationals() -> AbelianField:
 
 def _conductor(U: arith.UnitGroup, lat: Lattice) -> int:
     """Conductor of the fixed field of H = ``lat`` in U = (Z/N)^*: the
-    least M | N with H holding the kernel of (Z/N)^* -> (Z/M)^*
-    (Washington, Introduction to Cyclotomic Fields, ch. 3).  For q^a || N
-    that of (Z/q^a)^* -> (Z/q^c)^* is the whole q-part for c = 0, and for
+    least M | N with H holding every unit that is 1 mod M (Washington,
+    Introduction to Cyclotomic Fields, ch. 3).  For q^a || N the units of
+    (Z/q^a)^* that are 1 mod q^c are the whole q-part for c = 0, and for
     q = 2, c = 1; else the order-q^(a-c) subgroup of the last local factor.
     """
     M = U.modulus
@@ -125,42 +127,25 @@ def _conductor(U: arith.UnitGroup, lat: Lattice) -> int:
         local = U.local_coordinates(q)
         for c in range(a - 1, -1, -1):
             if c == 0 or (q == 2 and c == 1):
-                kernel = local
+                ones = local
             else:
                 step = 2 ** (c - 2) if q == 2 else (q - 1) * q ** (c - 1)
-                kernel = [[step * x for x in local[-1]]]
-            if not all(map(lat.contains, kernel)):
+                ones = [[step * x for x in local[-1]]]
+            if not all(map(lat.contains, ones)):
                 break
             M //= q
     return M
 
 
-def _reduction_matrix(M_group: arith.UnitGroup, N: int) -> list[list[int]]:
-    """Coordinate matrix of the reduction map (Z/M)^* -> (Z/N)^*."""
-    target = arith.unit_group(N)
-    return [list(target.log(g % N)) for g in M_group.generators]
-
-
-def _pullback_lattice(M_group: arith.UnitGroup, F: AbelianField) -> Lattice:
-    """Lattice in U(M)-coordinates of the preimage of F's subgroup.
-
-    At F's own conductor the reduction map is the identity and the
-    preimage is its Hermite lattice, taken as it is.
-    """
-    U = F.unit_group
-    if U.modulus == M_group.modulus:
-        return F._lattice
-    amat = _reduction_matrix(M_group, U.modulus)
-    return preimage_lattice(M_group.rank, amat, F._lattice)
-
-
 def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
-    """[Fp : F] for F contained in Fp.  A subfield's conductor divides the
-    field's, so F is pulled back to Fp's conductor, where Fp's lattice is
-    taken as it is."""
-    if Fp.conductor % F.conductor or not all(map(
-            _pullback_lattice(Fp.unit_group, F).contains,
-            Fp._lattice.basis)):
+    """[Fp : F] for F contained in Fp: F's conductor divides Fp's, and the
+    residue of each Hermite row of Fp's lattice (only ``rank`` of them,
+    however many ``subgroup_gens``) reduces mod F's conductor into F's
+    subgroup."""
+    M, U, V = F.conductor, F.unit_group, Fp.unit_group
+    if Fp.conductor % M or not all(
+            F._lattice.contains(U.log(V.element(row) % M))
+            for row in Fp._lattice.basis):
         raise NotASubfield("extension field does not contain the base field")
     return Fp.degree // F.degree
 
@@ -186,8 +171,7 @@ def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
     return arith.crt(res, mods)
 
 
-def _element_order_mod_lattice(U: arith.UnitGroup, lat: Lattice,
-                               vec, quotient_order: int) -> int:
+def _element_order_mod_lattice(lat: Lattice, vec, quotient_order: int) -> int:
     order = quotient_order
     for q, _ in arith.factor(quotient_order):
         while order % q == 0 and lat.contains(
@@ -209,7 +193,7 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     L_HI = Lattice(L_H.basis + list(U.local_coordinates(ell)), U.rank)
     e = degree // L_HI.det()
     frob = list(U.log(_frobenius_residue(U, ell)))
-    f = _element_order_mod_lattice(U, L_HI, frob, L_HI.det())
+    f = _element_order_mod_lattice(L_HI, frob, L_HI.det())
     L_D = Lattice(L_HI.basis + [frob], U.rank)
     g = L_D.det()
     if e * f * g != degree:
@@ -237,13 +221,17 @@ def _tower_overlap(F: AbelianField, p: int) -> int:
 
     For p^a || N, Q(zeta_N) meets Q_inf in the layer of degree p^(a-1),
     and H cuts out of it the index of its image in the cyclic p-part of
-    (Z/p^a)^*, whose order is the largest p-part of ord(h mod p^a).
+    (Z/p^a)^*, whose order is the largest p-part of ord(h mod p^a): p^j
+    for the least j with h^((p-1) p^j) = 1 mod p^a.
     """
     a = arith.padic_val(F.conductor, p)
     if a == 0:
         return 0
-    return a - 1 - max((arith.padic_val(arith.mult_order(h, p ** a), p)
-                        for h in F.subgroup_gens), default=0)
+    pa, j = p ** a, 0
+    for h in F.subgroup_gens:
+        while pow(h, (p - 1) * p ** j, pa) != 1:
+            j += 1
+    return a - 1 - j
 
 
 def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
@@ -342,7 +330,7 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
     reduces to the cubic field of conductor 7.
 
     Realized by intersecting H with K = (everything prime to p) x (the
-    (p-1)-torsion at p), the common kernel of the wild characters, and
+    (p-1)-torsion at p), where every wild character is trivial, and
     projecting to (Z/N)^*; when p divides the conductor that work is
     ``_tame_field``'s, cached on (F, p).
     """

@@ -17,6 +17,11 @@ def mult_order(x, m):
     return k
 
 
+def phi(n):
+    """Euler's phi, by counting the units mod n."""
+    return sum(math.gcd(x, n) == 1 for x in range(n))
+
+
 def crt(x, m, y, n):
     """The residue mod m * n that is x mod m and y mod n (coprime m, n)."""
     return (x + m * ((y - x) * pow(m, -1, n) % n)) % (m * n)

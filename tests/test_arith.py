@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from characters import mult_order, phi
 from kida import arith
 from kida.errors import NotAUnit, ZeroInput
 
@@ -56,44 +57,6 @@ class TestFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             arith.factor(0)
-
-
-class TestMultOrder:
-    def test_identity(self):
-        assert arith.mult_order(1, 7) == 1
-
-    def test_23_mod_11(self):
-        assert arith.mult_order(23, 11) == 1
-
-    def test_1123_mod_121(self):
-        # 1123 = 34 mod 121; repeated-multiplication oracle
-        assert 1123 % 121 == 34
-        x, k = 34, 1
-        while x != 1:
-            x = x * 34 % 121
-            k += 1
-        assert k == 11
-        assert arith.mult_order(1123, 121) == 11
-
-    def test_not_a_unit(self):
-        with pytest.raises(NotAUnit):
-            arith.mult_order(6, 9)
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            arith.mult_order(1, 0)
-
-    def test_order_divides_group_order(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            n = rng.randint(2, 400)
-            a = rng.randrange(1, n)
-            if math.gcd(a, n) != 1:
-                continue
-            k = arith.mult_order(a, n)
-            assert pow(a, k, n) == 1
-            assert all(pow(a, j, n) != 1 for j in range(1, min(k, 50)))
-            assert arith.euler_phi(n) % k == 0
 
 
 class TestPadicVal:
@@ -157,18 +120,20 @@ class TestUnitGroup:
         seen = set()
         for x in range(N):
             if math.gcd(x, N) != 1:
+                with pytest.raises(NotAUnit):
+                    U.log(x)
                 continue
             c = U.log(x)
             assert all(0 <= ci < di for ci, di in zip(c, d))
             assert U.element(c) == x
             seen.add(c)
-        assert len(seen) == U.order == arith.euler_phi(N)
+        assert len(seen) == U.order == phi(N)
 
     def test_generator_orders_match_factors(self):
         for N in (23, 40, 72, 100):
             U = arith.unit_group(N)
             for g, d in zip(U.generators, U.invariant_factors):
-                assert arith.mult_order(g, N) == d
+                assert mult_order(g, N) == d
 
     def test_cache_is_bounded_and_rebuilds_on_eviction(self):
         # more distinct conductors than the cache holds: its size stays
@@ -265,12 +230,12 @@ class TestLocalGenerators:
             assert all(g % (N // qe) == 1 % (N // qe) for g in gens)
             # independent generators of (Z/q^e)^*: their orders multiply
             # to phi(q^e) and their products are pairwise distinct
-            orders = [arith.mult_order(g, qe) for g in gens]
+            orders = [mult_order(g, qe) for g in gens]
             local = {1 % qe}
             for g, n in zip(gens, orders):
                 local = {x * pow(g, k, qe) % qe for x in local
                          for k in range(n)}
-            assert len(local) == math.prod(orders) == arith.euler_phi(qe)
+            assert len(local) == math.prod(orders) == phi(qe)
             total *= len(local)
         assert total == U.order
         assert U.local_coordinates(101) == ()

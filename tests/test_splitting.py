@@ -10,12 +10,12 @@ import weakref
 import pytest
 
 from characters import (DirichletGroup, closure as _closure, crt as _crt,
-                        mult_order, spanning_subset)
+                        mult_order, phi, spanning_subset)
 from kida import arith, chargroup, splitting as sp
 from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
                          SpecParseError)
 from kida.errors import InternalAdditivityViolation
-from kida.intlinalg import Lattice, hnf, preimage_lattice, subgroup_lattice
+from kida.intlinalg import Lattice, hnf, subgroup_lattice
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
@@ -105,7 +105,7 @@ class TestEfg:
 
     def test_inert_prime(self):
         # 5 generates (Z/23)^* (order 22), so f = 11 in the +-1 quotient
-        assert arith.mult_order(5, 23) == 22
+        assert mult_order(5, 23) == 22
         pd = sp.efg(F23, 5)
         assert (pd.e, pd.f, pd.g) == (1, 11, 1)
 
@@ -136,10 +136,9 @@ class TestEfg:
                 while M % ell == 0:
                     M //= ell
                     v += 1
-                e_exp = arith.euler_phi(ell ** v)
-                f_exp = (arith.mult_order(ell, M)
-                         if M > 1 else 1)
-                g_exp = arith.euler_phi(M) // f_exp
+                e_exp = phi(ell ** v)
+                f_exp = mult_order(ell, M)
+                g_exp = phi(M) // f_exp
                 pd = sp.efg(F, ell)
                 assert (pd.e, pd.f, pd.g) == (e_exp, f_exp, g_exp), (N, ell)
 
@@ -168,8 +167,8 @@ def layer_place_count(F, ell, p, n):
     U = arith.unit_group(F.conductor * pk // math.gcd(F.conductor, pk))
     # fixer of the layer: the unique index-p^n subgroup of cyclic U(p^(n+1))
     layer = sp.AbelianField(pk, (arith.unit_group(pk).element((p ** n,)),))
-    L_Hn = sp._pullback_lattice(U, F).intersect(
-        sp._pullback_lattice(U, layer))
+    L_Hn = _pullback_by_reduction(U, F).intersect(
+        _pullback_by_reduction(U, layer))
     rows = [list(r) for r in L_Hn.basis] + list(U.local_coordinates(ell))
     rows.append(list(U.log(sp._frobenius_residue(U, ell))))
     return Lattice(rows, U.rank).det()
@@ -191,31 +190,35 @@ def _identity(n):
     return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
 
+def preimage_lattice(n, amat, target):
+    """Oracle: {x in Z^n : x amat in target}, with ``amat`` n x target.n
+    describing a group homomorphism.  If x amat + v T = 0 for T the basis
+    of ``target``, x lies in the preimage, so the rows of
+    hnf([[amat, I], [T, 0]]) whose first part is 0 end in a basis of it."""
+    m = target.n
+    rows = ([list(a) + [int(i == j) for j in range(n)]
+             for i, a in enumerate(amat)]
+            + [list(t) + [0] * n for t in target.basis])
+    return Lattice([r[m:] for r in hnf(rows, m + n) if not any(r[:m])], n)
+
+
+def _reduction_matrix(UM, N):
+    """Coordinate matrix of the reduction map U(M) -> (Z/N)^*, N | M."""
+    U = arith.unit_group(N)
+    return [list(U.log(g % N)) for g in UM.generators]
+
+
 def _pullback_by_reduction(UM, F):
     """Oracle: the preimage of F's subgroup in U(M)-coordinates by the
-    general route, the reduction matrix pulled back through its kernel
-    and an HNF; a trivial unit group pulls back to all of U(M)."""
+    general route, the reduction matrix pulled back through a block HNF;
+    a trivial unit group pulls back to all of U(M)."""
     if F.unit_group.rank == 0:
         return subgroup_lattice(_identity(UM.rank), UM.invariant_factors)
-    return preimage_lattice(UM.rank, sp._reduction_matrix(UM, F.conductor),
+    return preimage_lattice(UM.rank, _reduction_matrix(UM, F.conductor),
                             F._lattice)
 
 
 class TestSameConductorPullback:
-    def test_shortcut_equals_the_identity_reduction(self):
-        # at the presentation's own conductor the reduction matrix is the
-        # identity, and the preimage under it is the presentation itself
-        checked = 0
-        for F in _all_fields(40):
-            U = arith.unit_group(F.conductor)
-            if U.rank:
-                assert (sp._reduction_matrix(U, F.conductor)
-                        == _identity(U.rank))
-            assert (sp._pullback_lattice(U, F).basis
-                    == _pullback_by_reduction(U, F).basis), F
-            checked += 1
-        assert checked > 250
-
     def test_degree_and_equality_match_the_reduction_route(self):
         # every pair of presentations with one conductor <= 40, and a
         # seeded sample of pairs with two conductors
@@ -432,9 +435,9 @@ class TestUnramifiedAtPReduction:
             sp.relative_degree(R, F)
         U = arith.unit_group(63)
         Q1 = sp.parse_field_spec("cyclotomic:9:degree=3")
-        layer = sp._pullback_lattice(U, Q1)
-        assert (sp._pullback_lattice(U, F).intersect(layer).basis
-                == sp._pullback_lattice(U, R).intersect(layer).basis)
+        layer = _pullback_by_reduction(U, Q1)
+        assert (_pullback_by_reduction(U, F).intersect(layer).basis
+                == _pullback_by_reduction(U, R).intersect(layer).basis)
 
 
 class TestReductionAgainstCharacters:
@@ -504,7 +507,7 @@ def _written_lattice(UM, N, H):
     if U.rank == 0:
         return subgroup_lattice(_identity(UM.rank), UM.invariant_factors)
     L = subgroup_lattice([U.log(h) for h in H], U.invariant_factors)
-    return preimage_lattice(UM.rank, sp._reduction_matrix(UM, N), L)
+    return preimage_lattice(UM.rank, _reduction_matrix(UM, N), L)
 
 
 class TestConductorOracle:
@@ -883,7 +886,7 @@ class TestFieldSpecGrammar:
                 assert F.degree == G.degree == d
                 assert F.spec_string() == G.spec_string()
                 span = _closure(F.subgroup_gens, M)
-                assert len(span) * d == arith.euler_phi(M)
+                assert len(span) * d == phi(M)
                 if M < N:
                     H = [x for x in range(N) if math.gcd(x, N) == 1
                          and x % M in span]
@@ -937,16 +940,50 @@ def test_large_prime_degree_spec_builds_no_table():
     assert rss_after_logs > rss_mb + 20     # the logs built the table
 
 
+# cyclotomic:2q:gens=h is the field cyclotomic:q:gens=h, q = 10^10 + 259
+# prime with (q - 1) / 2 prime: written at 2q, its generator is logged
+# mod 2q before the conductor test, and again mod q.  The baby-step table
+# of the piece of order (q - 1) / 2 (about 70,700 entries) belongs to
+# (Z/q)^* alone, so both unit groups share one: parsing at 2q peaks
+# within 2 MB of parsing at q (VmHWM, as above).
+PIECE_TABLE_SPEC = r"""
+import sys
+from kida import splitting
+
+F = splitting.parse_field_spec(sys.argv[1])
+assert (F.conductor, F.degree) == (10000000259, 2)
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) / 1024 for line in fh
+               if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_a_prime_power_piece_table_is_built_once():
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    peaks = []
+    for N in (10000000259, 20000000518):
+        proc = subprocess.run(
+            [sys.executable, "-c", PIECE_TABLE_SPEC,
+             f"cyclotomic:{N}:gens=10000000257"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(float(proc.stdout))
+    assert peaks[1] < peaks[0] + 2, peaks
+
+
 # The quadratic subfield of Q(zeta_q) for more safe primes q > 10^7 than
-# any per-conductor cache holds (unit groups, degree= subgroups, efg and
-# the ramified sets), each parsed, priced by efg at 2 and compared with
-# Q; and the chain Q < Q(zeta_q)^+, of prime
+# any per-conductor cache holds (unit groups, their pieces' log maps,
+# degree= subgroups, efg and the ramified sets), each parsed, priced by
+# efg at 2 and compared with Q; and the chain Q < Q(zeta_q)^+, of prime
 # degree r = (q - 1) / 2, parsed and run through ramified_set at p = r.
 # The log of 2 builds a baby-step table of about sqrt(r) = 2,236 entries
-# per unit group.  The unit-group cache keeps 128 of them and the other
-# caches keep integers only, so the peak resident set (VmHWM) stops
-# growing once the unit-group cache is full; a cache that kept the fields
-# would keep their tables too.
+# per unit group.  The unit-group and piece caches keep 128 entries each
+# and the other caches keep integers only, so the peak resident set
+# (VmHWM) stops growing once the unit-group cache is full; a cache that
+# kept the fields would keep their tables too.
 MANY_CONDUCTORS = r"""
 from kida import arith, splitting
 
@@ -956,8 +993,9 @@ def peak_mb():
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024
 
-caches = [arith.unit_group, splitting._resolve_degree_subgroup,
-          splitting.efg, splitting.ramified_set]
+caches = [arith.unit_group, arith._piece_log,
+          splitting._resolve_degree_subgroup, splitting.efg,
+          splitting.ramified_set]
 count = max(c.cache_info().maxsize for c in caches) + 64
 full = arith.unit_group.cache_info().maxsize
 conductors = []
