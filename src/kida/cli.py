@@ -163,6 +163,8 @@ def cmd_tau(args) -> int:
     from .qexp import tau
     if args.n is None:
         raise SpecParseError("tau needs --n")
+    if args.n < 1:
+        raise SpecParseError("--n must be >= 1")
     if args.mod == 0:
         raise SpecParseError("--mod must be nonzero")
     value = tau(args.n, _precision())

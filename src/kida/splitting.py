@@ -4,12 +4,15 @@ place counting in cyclotomic p-power towers.
 An abelian field is (conductor N, subgroup H of (Z/N)^*): the fixed field
 of H acting on the N-th cyclotomic field, N the least modulus it is
 defined at.  Decomposition data at a prime ell comes from the standard
-dictionary: inertia at ell is the ell-component of the unit group,
+dictionary: inertia I at ell is the ell-component of the unit group U,
 Frobenius is the class of ell prime to ell, and places correspond to
-cosets of H times the decomposition subgroup.  F is a subfield of E iff
-F's conductor divides E's and E's subgroup reduces into F's
+cosets of H times the decomposition subgroup D = I <Frob>.  e, f, g and
+the overlap t with the cyclotomic Z_p-extension Q_inf are indices of
+Hermite lattices: [HI : H], [HD : HI], [U : HD] and p^t = [U : HK], K
+tame (``efg``, ``_tower_overlap``).  F is a subfield of E iff F's
+conductor divides E's and E's subgroup reduces into F's
 (``relative_degree``).  Place counts in the layers of the cyclotomic
-p-tower follow from efg and two p-adic valuations, with no layer built
+p-tower follow from efg, t and one p-adic valuation, with no layer built
 (tower_places).
 
 An AbelianField is a value: it is equal to, and hashes like, every field
@@ -17,7 +20,7 @@ with its (conductor, HNF basis of H's lattice), so ``==`` means "same
 field".  It holds integers only, and reads its unit group from
 ``arith.unit_group``'s cache, so a cache keyed on fields pins no
 UnitGroup or baby-step table.
-Four bounded lru caches hold one fact each that repeats in the traffic;
+Three bounded lru caches hold one fact each that repeats in the traffic;
 errors are not stored:
 
 - ``efg`` (256 entries) keys on (field, ell).
@@ -28,14 +31,11 @@ errors are not stored:
   ``degree=`` spec's presentation at its conductor (conductor, generator
   residues, HNF basis), so parsing it again builds the field with no
   power, discrete log, HNF or conductor test.
-- ``_tame_field`` (64 entries) keys on (F, p) for p dividing F's
-  conductor, and keeps ``unramified_at_p_reduction``'s field, which costs
-  a lattice intersection and discrete logs.  A field whose conductor p
-  does not divide is unramified at p and its own reduction, returned
-  with no cache.
 
 ``relative_degree`` is not memoized: it is called only on a
-``ramified_set`` miss, so a cache of its own would never be hit.
+``ramified_set`` miss, so a cache of its own would never be hit.  Nor is
+``unramified_at_p_reduction``: a field is presented at its conductor, so
+only a field whose conductor p divides is reduced, once per transition.
 """
 
 from __future__ import annotations
@@ -161,8 +161,6 @@ class PlaceData(Record):
 
 def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
     """Class of ell on the prime-to-ell part, 1 on the ell-part."""
-    if U.modulus == 1:
-        return 0
     res, mods = [], []
     for q, e in arith.factor(U.modulus):
         qe = q ** e
@@ -171,35 +169,18 @@ def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
     return arith.crt(res, mods)
 
 
-def _element_order_mod_lattice(lat: Lattice, vec, quotient_order: int) -> int:
-    order = quotient_order
-    for q, _ in arith.factor(quotient_order):
-        while order % q == 0 and lat.contains(
-                [x * (order // q) for x in vec]):
-            order //= q
-    return order
-
-
 @lru_cache(maxsize=256)
 def efg(F: AbelianField, ell: int) -> PlaceData:
-    """Ramification index, residue degree, number of places of ell in F."""
+    """Ramification index e = [HI : H], residue degree f = [HD : HI] and
+    number of places g = [U : HD] of ell in F, with I the ell-part of U
+    and D = I <Frob>: indices of Hermite lattices, of product [U : H]."""
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     U, L_H = F.unit_group, F._lattice
-    if U.rank == 0:
-        return PlaceData(ell, 1, 1, 1, 1)
-    degree = L_H.det()
-    # inertia at ell is the ell-part of the unit group
     L_HI = Lattice(L_H.basis + list(U.local_coordinates(ell)), U.rank)
-    e = degree // L_HI.det()
-    frob = list(U.log(_frobenius_residue(U, ell)))
-    f = _element_order_mod_lattice(L_HI, frob, L_HI.det())
-    L_D = Lattice(L_HI.basis + [frob], U.rank)
-    g = L_D.det()
-    if e * f * g != degree:
-        raise InternalAdditivityViolation(
-            f"efg: e*f*g = {e}*{f}*{g} != degree {degree}")
-    return PlaceData(ell, e, f, g, degree)
+    L_HD = Lattice(L_HI.basis + [U.log(_frobenius_residue(U, ell))], U.rank)
+    degree, hi, hd = L_H.det(), L_HI.det(), L_HD.det()
+    return PlaceData(ell, degree // hi, hi // hd, hd, degree)
 
 
 class TowerPlaceData(Record):
@@ -216,22 +197,27 @@ class TowerPlaceData(Record):
         self._fill(ell, p, g_layers, g_infinity, stabilized_at)
 
 
+def _tame_rows(U: arith.UnitGroup, p: int, a: int) -> list:
+    """Generators of K = (units prime to p) x (Teichmueller (p-1)-torsion
+    at p) in U = (Z/N)^*, p^a || N: the subgroup on which every wild
+    character is trivial, fixing the layer of degree p^(a-1) of Q_inf."""
+    return [[x * p ** (a - 1) for x in c] if q == p else c
+            for q, _ in arith.factor(U.modulus)
+            for c in U.local_coordinates(q)]
+
+
 def _tower_overlap(F: AbelianField, p: int) -> int:
     """t = v_p([F cap Q_inf : Q]).
 
-    For p^a || N, Q(zeta_N) meets Q_inf in the layer of degree p^(a-1),
-    and H cuts out of it the index of its image in the cyclic p-part of
-    (Z/p^a)^*, whose order is the largest p-part of ord(h mod p^a): p^j
-    for the least j with h^((p-1) p^j) = 1 mod p^a.
+    For p^a || N, Q(zeta_N) meets Q_inf in the fixed field of K
+    (``_tame_rows``), and F meets it in that of HK: p^t = [U : HK].
     """
     a = arith.padic_val(F.conductor, p)
     if a == 0:
         return 0
-    pa, j = p ** a, 0
-    for h in F.subgroup_gens:
-        while pow(h, (p - 1) * p ** j, pa) != 1:
-            j += 1
-    return a - 1 - j
+    U = F.unit_group
+    join = Lattice(F._lattice.basis + _tame_rows(U, p, a), U.rank)
+    return arith.padic_val(join.det(), p)
 
 
 def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
@@ -329,30 +315,19 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
     It need not be a subfield of F: cyclotomic:63:gens=8,55,59 at p = 3
     reduces to the cubic field of conductor 7.
 
-    Realized by intersecting H with K = (everything prime to p) x (the
-    (p-1)-torsion at p), where every wild character is trivial, and
-    projecting to (Z/N)^*; when p divides the conductor that work is
-    ``_tame_field``'s, cached on (F, p).
+    Realized by the meet of H with K (``_tame_rows``), where every wild
+    character is trivial, projected to (Z/N)^*.  A field whose conductor
+    p does not divide is unramified at p and its own reduction.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
-    if F.conductor % p:         # unramified at p
-        return F
-    return _tame_field(F, p)
-
-
-@lru_cache(maxsize=64)
-def _tame_field(F: AbelianField, p: int) -> AbelianField:
-    """``unramified_at_p_reduction`` of F, for p dividing F's conductor."""
     a = arith.padic_val(F.conductor, p)
-    N = F.conductor // p ** a
-    U = F.unit_group
-    # K = (everything prime to p) x (Teichmueller part at p)
-    rows = [[x * p ** (a - 1) for x in c] if q == p else c
-            for q, _ in arith.factor(U.modulus)
-            for c in U.local_coordinates(q)]
-    L_int = F._lattice.intersect(subgroup_lattice(rows, U.invariant_factors))
-    return AbelianField(N, {U.element(row) % N for row in L_int.basis})
+    if a == 0:                  # unramified at p
+        return F
+    U, N = F.unit_group, F.conductor // p ** a
+    meet = F._lattice.intersect(
+        subgroup_lattice(_tame_rows(U, p, a), U.invariant_factors))
+    return AbelianField(N, {U.element(row) % N for row in meet.basis})
 
 
 # -- field input grammar --------------------------------------------------

@@ -340,20 +340,6 @@ class McTransferReport(Record):
                    lambda_analytic, holds_over_base, holds_over_extension,
                    statement)
 
-    def as_mapping(self) -> dict[str, object]:
-        return {
-            "p": self.p,
-            "form": self.form,
-            "base": self.base_spec,
-            "extension": self.ext_spec,
-            "degree": self.degree,
-            "lambda.algebraic": self.lambda_algebraic,
-            "lambda.analytic": self.lambda_analytic,
-            "holds.base": self.holds_over_base,
-            "holds.extension": self.holds_over_extension,
-            "statement": self.statement,
-        }
-
 
 def mc_transfer(alg: TransitionReport, an: TransitionReport,
                 holds_over_base: bool = True) -> McTransferReport:

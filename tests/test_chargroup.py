@@ -92,11 +92,10 @@ class TestCaches:
         assert cg.TRIVIAL_GROUP.exponent == 1
 
     def test_every_cache_reports_its_bound(self):
-        from kida import localfactor, splitting
+        from kida import localfactor
         for cache, size in [(cg._exponent_weights, 64), (cg._dual, 8),
                             (cg._cyclotomic_polynomial, 256),
-                            (localfactor.twist_sum, 128),
-                            (splitting._tame_field, 64)]:
+                            (localfactor.twist_sum, 128)]:
             assert cache.cache_info().maxsize == size
 
 

@@ -56,6 +56,7 @@ LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
                    TRANSITION_23 + ("--p", "11", "--local=-7=sc")]
 LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
 LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
+TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -66,6 +67,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("hv", "--form", "ups:a=1,c=1", "--p", "0", "--e", "3"),
     ("hv", "--form", "sc", "--e", "0"),
     ("tau", "--n", "23", "--mod", "0"),
+    *TAU_BELOW_1,
     TRANSITION_23 + ("--p", "4"),
     TRANSITION_23 + ("--p", "-3"),
     ("hv", "--form", "delta", "--p", "11", "--ell", "4", "--e", "11"),
@@ -138,6 +140,8 @@ HOSTILE_STDERR = {
     LOCAL_NOT_PRIME[1]: "--local '0=sc': 0 is not prime",
     LOCAL_NOT_PRIME[2]: "--local '-7=sc': -7 is not prime",
     LOCAL_TWICE: "--local '23=ups:a=10,c=1': 23 given twice",
+    TAU_BELOW_1[0]: "--n must be >= 1",
+    TAU_BELOW_1[1]: "--n must be >= 1",
     LOCAL_PAST_BOUND:
         "--local '1000000000039=sc': 1000000000039 beyond bound "
         "1000000000000",

@@ -24,8 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kida"
 # qualified name -> why it stays although no module of the package uses it
 ALLOWED = {
     "transition.mc_transfer": "acceptance criterion c10",
-    "transition.McTransferReport.as_mapping":
-        "renders the report of mc_transfer (c10)",
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",

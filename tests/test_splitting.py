@@ -109,6 +109,13 @@ class TestEfg:
         pd = sp.efg(F23, 5)
         assert (pd.e, pd.f, pd.g) == (1, 11, 1)
 
+    @pytest.mark.parametrize("ell", [2, 3, 23])
+    def test_rationals_take_the_general_path(self, ell):
+        # (Z/1)^* has rank 0: every lattice is Z^0, of index 1, and the
+        # Frobenius residue is crt([], []) = 0.  __wrapped__ skips the cache
+        for efg in (sp.efg, sp.efg.__wrapped__):
+            assert efg(sp.rationals(), ell) == sp.PlaceData(ell, 1, 1, 1, 1)
+
     def test_efg_multiplies_to_degree_exhaustive(self):
         primes = [p for p in range(2, 50)
                   if all(p % q for q in range(2, p))]
@@ -341,6 +348,56 @@ class TestTowerPlaces:
                 g_base = sp.tower_places(F, ent.ell, p).g_infinity
                 assert ent.local_degree * ent.places == rs.degree * g_base, \
                     (F.conductor, Fp.conductor, ent)
+
+
+def _overlap_by_residue_orders(N, gens, p):
+    """t = v_p([F cap Q_inf : Q]) for F = Q(zeta_N)^<gens>, p^a || N,
+    a >= 1: Q(zeta_N) meets Q_inf in the layer of degree p^(a-1), and H's
+    image in the cyclic p-part of (Z/p^a)^* has order p^j, j least with
+    h^((p-1) p^j) = 1 mod p^a for every generator h."""
+    a = arith.padic_val(N, p)
+    pa, j = p ** a, 0
+    for h in gens:
+        while pow(h, (p - 1) * p ** j, pa) != 1:
+            j += 1
+    return a - 1 - j
+
+
+class TestTowerOverlap:
+    def test_index_matches_the_residue_order_route(self):
+        # N < 2000 with p | N, generators raised to random p-powers so
+        # that H's p-part is often small and t > 0.  K = _tame_rows is
+        # also checked by brute force: the units x with x^(p-1) = 1 mod
+        # p^b, p^b || the conductor; and the join with H has index p^t
+        rng = random.Random(30)
+        seen = {"t = 0": 0, "t > 0": 0, "p | conductor": 0}
+        for p in (3, 5, 7):
+            for _ in range(60):
+                a = rng.randint(1, max(a for a in range(1, 8)
+                                       if p ** a * 2 < 2000))
+                N = p ** a * rng.choice([m for m in range(1, 2000 // p ** a)
+                                         if m % p])
+                units = [x for x in range(N) if math.gcd(x, N) == 1]
+                gens = [pow(x, p ** rng.randint(0, a), N)
+                        for x in rng.sample(units, rng.randint(0, 3))]
+                F = sp.AbelianField(N, gens)
+                t = sp._tower_overlap(F, p)
+                assert t == _overlap_by_residue_orders(N, gens, p), \
+                    (N, gens, p)
+                seen["t > 0" if t else "t = 0"] += 1
+                M = F.conductor
+                b = arith.padic_val(M, p)
+                if b == 0:
+                    continue
+                U = F.unit_group
+                rows = sp._tame_rows(U, p, b)
+                assert _closure([U.element(r) for r in rows], M) == {
+                    x for x in range(M) if math.gcd(x, M) == 1
+                    and pow(x, p - 1, p ** b) == 1}, (M, p)
+                join = Lattice(F._lattice.basis + rows, U.rank)
+                assert join.det() == p ** t, (N, gens, p)
+                seen["p | conductor"] += 1
+        assert min(seen.values()) > 30, seen
 
 
 class TestRamifiedSet:
