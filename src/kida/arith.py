@@ -251,8 +251,6 @@ class UnitGroup:
 
     def log(self, x: int) -> tuple[int, ...]:
         """Coordinates of the unit x in the invariant-factor basis."""
-        if self.modulus == 1:
-            return ()
         x %= self.modulus
         if math.gcd(x, self.modulus) != 1:
             raise NotAUnit(f"{x} is not a unit mod {self.modulus}")
@@ -260,9 +258,7 @@ class UnitGroup:
                      for d, maps in self._coordinates)
 
     def element(self, coords) -> int:
-        if self.modulus == 1:
-            return 0
-        x = 1
+        x = 1 % self.modulus
         for g, c, d in zip(self.generators, coords, self.invariant_factors):
             x = (x * pow(g, c % d, self.modulus)) % self.modulus
         return x

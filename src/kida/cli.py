@@ -17,14 +17,14 @@ not ASCII or malformed; 4 missing local data in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``qexp`` alone (``qexp`` loads ``arith`` only in the
-curve, table and Frobenius functions that call it).
+curve, table and Frobenius functions that call it), and argparse loads
+only when argv is parsed (``build_parser``).
 The ``--kind`` and ``--suite`` choices are literal here for that reason,
 and tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -80,6 +80,7 @@ def _read_config(path: str) -> dict[str, str]:
 def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple]:
     """Config key -> (attribute, caster, choices): the parser's single-value
     options, named as their long flags, except ``--config`` itself."""
+    import argparse
     return {action.option_strings[0][2:]:
             (action.dest, action.type or str, action.choices)
             for action in parser._actions
@@ -165,8 +166,8 @@ def cmd_tau(args) -> int:
         raise SpecParseError("tau needs --n")
     if args.n < 1:
         raise SpecParseError("--n must be >= 1")
-    if args.mod == 0:
-        raise SpecParseError("--mod must be nonzero")
+    if args.mod is not None and args.mod < 1:
+        raise SpecParseError("--mod must be >= 1")
     value = tau(args.n, _precision())
     if args.mod is not None:
         value %= args.mod
@@ -300,6 +301,7 @@ def cmd_verify(args) -> int:
 # -- entry -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="kida",
         description="Exact transition formulas for Iwasawa invariants "

@@ -13,7 +13,9 @@ tame (``efg``, ``_tower_overlap``).  F is a subfield of E iff F's
 conductor divides E's and E's subgroup reduces into F's
 (``relative_degree``).  Place counts in the layers of the cyclotomic
 p-tower follow from efg, t and one p-adic valuation, with no layer built
-(tower_places).
+(tower_places).  A ``degree=d`` spec names the subgroup of d-th powers,
+the only index-d subgroup when the gcds of d with the invariant factors
+multiply to d (``_resolve_degree_subgroup``).
 
 An AbelianField is a value: it is equal to, and hashes like, every field
 with its (conductor, HNF basis of H's lattice), so ``==`` means "same
@@ -332,62 +334,36 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
 
 # -- field input grammar --------------------------------------------------
 
-def _p_component(d, p: int):
-    """(i, e_i, d_i / p^e_i) for each d_i with p^e_i || d_i, e_i > 0."""
-    out = []
-    for i, di in enumerate(d):
-        e = arith.padic_val(di, p)
-        if e:
-            out.append((i, e, di // p ** e))
-    return out
-
-
 @lru_cache(maxsize=128)
 def _resolve_degree_subgroup(N: int, d: int) -> tuple[int, tuple, tuple]:
-    """The unique index-d subgroup of (Z/N)^*, if unique, presented at its
-    conductor M (as the index-d subgroup of (Z/M)^*, unique too): M, the
-    generator residues and the HNF basis of its lattice.
+    """The unique index-d subgroup of U = (Z/N)^*, if unique, presented at
+    its conductor M: M, the generator residues and the HNF basis of its
+    lattice.
 
-    Its q-part has index q^v, v = v_q(d), in the q-part of G = (Z/N)^*.
-    By duality that is unique iff the q-part has one subgroup of order
-    q^v, so the subgroup is unique iff every q-part with 0 < v_q(d) <
-    v_q(|G|) is cyclic.  Each q-part is then written down: all of it
-    (v = 0), none (v = v_q(|G|)) or q^v times its generator.
+    An index-d subgroup H holds the d-th powers dU, as U/H has order d,
+    and dU has index prod a_i with a_i = gcd(d, d_i) over U's invariant
+    factors d_i.  So H is unique iff that product is d, and it is then
+    dU, whose Hermite basis is diag(a_i) and whose generators are the
+    g_i^a_i that are not 1: one per invariant factor dU does not fill.
+    dU maps onto dU_M, the d-th powers mod M, resolved again at M.
     """
     U = arith.unit_group(N)
     if U.order % d:
         raise SpecParseError(f"(Z/{N})^* has no subgroup of index {d}")
-    if U.rank == 0:
-        if d != 1:
-            raise SpecParseError(f"(Z/{N})^* is trivial; degree must be 1")
-        return 1, (), ()
-    rows = []
-    for q, n in arith.factor(U.order):
-        v = arith.padic_val(d, q)
-        part = _p_component(U.invariant_factors, q)
-        if v == n:
-            continue
-        if v and len(part) > 1:
-            from .chargroup import subgroup_count
-            count = subgroup_count(U.invariant_factors, d)
-            raise SpecParseError(
-                f"index-{d} subgroup of (Z/{N})^* is not unique "
-                f"({count} candidates); use gens=...")
-        # spec_string() prints these generators when N is the conductor
-        # (the ``extension =`` line of a transition report), so the sets
-        # are fixed output: q^v times the generator of a cyclic q-part,
-        # and every q^j e_i (0 <= j < e_i) of a whole non-cyclic one
-        for i, e, cofactor in part:
-            for j in [v] if len(part) == 1 else range(e):
-                vec = [0] * U.rank
-                vec[i] = q ** j * cofactor
-                rows.append(vec)
-    lattice = subgroup_lattice(rows, U.invariant_factors)
-    M = _conductor(U, lattice)
+    a = [math.gcd(d, di) for di in U.invariant_factors]
+    if math.prod(a) != d:
+        from .chargroup import subgroup_count
+        count = subgroup_count(U.invariant_factors, d)
+        raise SpecParseError(
+            f"index-{d} subgroup of (Z/{N})^* is not unique "
+            f"({count} candidates); use gens=...")
+    rows = [[ai if j == i else 0 for j in range(U.rank)]
+            for i, ai in enumerate(a)]
+    M = _conductor(U, Lattice(rows, U.rank, hermite=True))
     if M < N:
         return _resolve_degree_subgroup(M, d)
-    gens = tuple(sorted({U.element(row) for row in rows}))
-    return N, gens, tuple(map(tuple, lattice.basis))
+    gens = tuple(sorted({U.element(row) for row in rows} - {1}))
+    return N, gens, tuple(map(tuple, rows))
 
 
 def parse_field_spec(spec: str) -> AbelianField:

@@ -25,9 +25,11 @@ EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # Hostile inputs, one row each: argv, extra environment, documented exit
 # code.  Each once hung, ran without bound, passed vacuously or ended in a
 # traceback.  A name in BAD_FILES stands for a file with that text (CONFIG
-# for a config file whose values are malformed), DIR for a directory.
+# for a config file whose values are malformed, CONFIG_MOD for one whose
+# --mod is below 1), DIR for a directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
+    "CONFIG_MOD": "n = 23\nmod = -5\n",
     "NON_ASCII": "n = 23  # \u00e9\n",
     "TABLE_WORD": "weight two level 11\n",
     "TABLE_FIELD": "weight 2 level 11\n2 x\n",
@@ -57,6 +59,10 @@ LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
 LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
 LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
+# a --mod below 1 once printed tau mod a negative number
+TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
+                   ("tau", "--n", "23", "--mod", "-5"),
+                   ("tau", "--config", "CONFIG_MOD")]
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -66,7 +72,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("hv", "--form", "generic:1,2,3", "--p", "0", "--e", "3"),
     ("hv", "--form", "ups:a=1,c=1", "--p", "0", "--e", "3"),
     ("hv", "--form", "sc", "--e", "0"),
-    ("tau", "--n", "23", "--mod", "0"),
+    *TAU_MOD_BELOW_1,
     *TAU_BELOW_1,
     TRANSITION_23 + ("--p", "4"),
     TRANSITION_23 + ("--p", "-3"),
@@ -142,6 +148,7 @@ HOSTILE_STDERR = {
     LOCAL_TWICE: "--local '23=ups:a=10,c=1': 23 given twice",
     TAU_BELOW_1[0]: "--n must be >= 1",
     TAU_BELOW_1[1]: "--n must be >= 1",
+    **{argv: "--mod must be >= 1" for argv in TAU_MOD_BELOW_1},
     LOCAL_PAST_BOUND:
         "--local '1000000000039=sc': 1000000000039 beyond bound "
         "1000000000000",

@@ -135,3 +135,19 @@ def test_bad_choices_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_library_callers_of_the_cli_load_no_argparse():
+    # a library caller may import the CLI for parse_form_spec alone:
+    # argparse loads when argv is parsed, not on import
+    code = ("import sys\n"
+            "from kida import cli\n"
+            "cli.parse_form_spec('delta')\n"
+            "print('argparse' in sys.modules)\n"
+            "cli.build_parser()\n"
+            "print('argparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

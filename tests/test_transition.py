@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from characters import DirichletGroup, spanning_subset
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, MismatchedInputs, MissingLocalType,
@@ -568,6 +570,94 @@ class TestPerTwistClosedForm:
                     if F is again:
                         assert sp.ramified_set.cache_info().misses == misses
         assert local    # some prime carries a local term
+
+
+def _affine_points(coeffs, ell):
+    """Solutions mod ell of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
+    singular points included: ell - a_ell at good and multiplicative
+    primes alike."""
+    a1, a2, a3, a4, a6 = coeffs
+    return sum((y * y + a1 * x * y + a3 * y
+                - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0
+               for x in range(ell) for y in range(ell))
+
+
+class TestTwistSumOverCharacters:
+    """Kida's formula as Pollack-Weston prove it: lambda of F'_inf is the
+    sum over the characters chi of Gal(F'/Q) of lambda(f (x) chi) =
+    lambda + the sum of d_ell = g_ell t_ell over the primes ell of chi's
+    conductor.  The characters of (Z/N)^*/H are listed by brute force, so
+    no field data comes from kida."""
+
+    def test_random_p_extensions(self):
+        # N is two or three primes ell = 1 mod p below 400 (N < 15000, so
+        # that (Z/N)^* is listed whole), and H holds the units of order
+        # prime to p and a few random units, so Gal(F'/Q) = (Z/N)^*/H is
+        # a p-group; F lies between Q and F', fixed by H and one more
+        # unit.  Over Q and over F, lambda_out is the twist sum over F'
+        rng = random.Random(29)
+        seen = {"three primes": 0, "order p^2": 0, "proper F": 0,
+                "local term": 0}
+        for _ in range(24):
+            p = rng.choice((3, 5))
+            f = _twist_form(rng.choice(("delta", "11a1")))
+            primes = _twist_primes(f, p, 400)
+            by_count = [[c for c in itertools.combinations(primes, k)
+                         if math.prod(c) < 15000] for k in (2, 3)]
+            ells = rng.choice(rng.choice([c for c in by_count if c]))
+            N = math.prod(ells)
+            G = DirichletGroup(N)
+            wild = p ** _padic_val(G.exponent, p)
+            H = spanning_subset(sorted({pow(x, wild, N) for x in G.units}), N)
+            H += [pow(rng.choice(G.units), p ** rng.randint(0, 1), N)
+                  for _ in range(rng.randint(0, 2))]
+            H_F = H + [rng.choice(G.units)]
+            # the units 1 mod N/ell: chi is ramified at ell iff it is
+            # nontrivial on them
+            local = {ell: spanning_subset([x for x in G.units
+                                           if x % (N // ell) == 1], N)
+                     for ell in ells}
+            delta = {ell: math.prod(_g_t(f, p, ell)) for ell in ells}
+
+            def twist_sum(chars, lam):
+                return sum(lam + sum(delta[ell] for ell in ells if any(
+                    G.value(c, x) for x in local[ell])) for c in chars)
+
+            chars, chars_F = G.characters(H), G.characters(H_F)
+            lam = rng.randint(0, 3)
+            lam_F = twist_sum(chars_F, lam)
+            ext, F = sp.AbelianField(N, H), sp.AbelianField(N, H_F)
+            for base_field, lam_in in ((Q, lam), (F, lam_F)):
+                rep = tr.transition(
+                    p=p, base_field=base_field, ext_field=ext, form=f,
+                    base=tr.InvariantRecord("algebraic", 0, lam_in))
+                assert rep.lambda_out == twist_sum(chars, lam), (
+                    p, N, H, base_field)
+            gens = [x for ell in ells for x in local[ell]]
+            seen["three primes"] += len(ells) == 3
+            seen["order p^2"] += any(G.exponent // math.gcd(G.exponent, *(
+                G.value(c, x) for x in gens)) == p * p for c in chars)
+            seen["proper F"] += 1 < len(chars_F) < len(chars)
+            seen["local term"] += twist_sum(chars, 0) > 0
+        assert min(seen.values()) >= 3, seen
+
+    def test_prime_of_the_level(self):
+        # 11a1 at p = 5 over the quintic field of conductor 11: the twists
+        # lose the Euler factor 1 - a_11 X at 11, with a_11 = 11 - (affine
+        # points) = +-1, so d_11 = g_11 (a_11 = 1 mod 5), and --local names
+        # the special type a_11 gives: lambda' = 5 lambda + 4 d_11
+        p, ell = 5, 11
+        f = _twist_form("11a1")
+        a = ell - _affine_points((0, -1, 1, -10, -20), ell)
+        assert a in (1, -1)
+        g = p ** (_padic_val(ell ** (p - 1) - 1, p) - 1)
+        local = lf.parse_local_type(
+            "special:unram," + ("triv" if a == 1 else "nontriv"), p)
+        rep = tr.transition(
+            p=p, base_field=Q, form=f, local_types={ell: local},
+            ext_field=sp.parse_field_spec("cyclotomic:11:degree=5"),
+            base=tr.InvariantRecord("algebraic", 0, 1))
+        assert rep.lambda_out == p + (p - 1) * g * ((a - 1) % p == 0) == 9
 
 
 # Each fault breaks one invariant the library checks; every check must
