@@ -7,7 +7,7 @@ file supplies defaults for a command's single-value flags, keyed by the
 long flag's name and cast by its type; explicit flags win.  The
 environment variable KIDA_PRECISION overrides the series precision
 budget (default 2000, at most 10000; a larger budget exits 2 before any
-work).
+work, one below 1 exits 3).
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
 (mu != 0, precision, work bounds, missing local type for hv, a transition
@@ -150,12 +150,15 @@ def _require_prime(flag: str, n: int, odd: bool = False):
 
 def _precision() -> int | None:
     env = os.environ.get("KIDA_PRECISION")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SpecParseError(f"bad KIDA_PRECISION value {env!r}")
-    return None
+    if env is None:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:           # a budget below 1 is malformed, not exceeded
+        raise SpecParseError(f"bad KIDA_PRECISION value {env!r}")
+    return value
 
 
 # -- tau ------------------------------------------------------------------

@@ -108,6 +108,12 @@ class NotPPower(KidaError):
     """Relative degree is not a power of the working prime."""
 
 
+class TameAtP(KidaError):
+    """A field has a character whose p-part is tamely ramified (its H
+    misses the Teichmueller (p-1)-torsion at p), so no field unramified
+    at p has its cyclotomic p-tower."""
+
+
 # -- localfactor -------------------------------------------------------
 
 class GenericUnsupported(KidaError):
@@ -122,12 +128,6 @@ class IncoherentGenericData(KidaError):
 
 class MuNonzero(KidaError):
     """Transition formula requires mu = 0 on input."""
-
-
-class TameAtP(KidaError):
-    """A field has a character whose p-part is tamely ramified (its H
-    misses the Teichmueller (p-1)-torsion at p), so no field unramified
-    at p has its cyclotomic p-tower."""
 
 
 class MissingLocalType(KidaError):

@@ -26,18 +26,16 @@ Three bounded lru caches hold one fact each that repeats in the traffic;
 errors are not stored:
 
 - ``efg`` (256 entries) keys on (field, ell).
-- ``ramified_set`` (128 entries) keys on (F, F', p): the data of a field
-  pair F < F' is computed once per pair, not once per form carried along
-  it.  A miss runs through the module's ``efg`` and ``tower_places``.
+- ``ramified_set`` (128 entries) keys on (F, F', p) as given: a pair's
+  p-side decision, reductions at p and place data are computed once per
+  pair, not once per form carried along it.
 - ``_resolve_degree_subgroup`` (128 entries) keys on (N, d) and keeps a
   ``degree=`` spec's presentation at its conductor (conductor, generator
   residues, HNF basis), so parsing it again builds the field with no
   power, discrete log, HNF or conductor test.
 
-``relative_degree`` is not memoized: it is called only on a
-``ramified_set`` miss, so a cache of its own would never be hit.  Nor is
-``unramified_at_p_reduction``: a field is presented at its conductor, so
-only a field whose conductor p divides is reduced, once per transition.
+``relative_degree`` and ``unramified_at_p_reduction`` are not memoized:
+in the pipeline only a ``ramified_set`` miss calls them.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ from functools import lru_cache
 
 from . import arith
 from .errors import (BoundExceeded, InternalAdditivityViolation,
-                     NotASubfield, NotPPower, Record, SpecParseError)
+                     NotASubfield, NotPPower, Record, SpecParseError,
+                     TameAtP)
 from .intlinalg import Lattice, subgroup_lattice
 
 
@@ -201,11 +200,11 @@ class TowerPlaceData(Record):
 
 def _tame_rows(U: arith.UnitGroup, p: int, a: int) -> list:
     """Generators of K = (units prime to p) x (Teichmueller (p-1)-torsion
-    at p) in U = (Z/N)^*, p^a || N: the subgroup on which every wild
+    at p, last) in U = (Z/N)^*, p^a || N: the subgroup on which every wild
     character is trivial, fixing the layer of degree p^(a-1) of Q_inf."""
-    return [[x * p ** (a - 1) for x in c] if q == p else c
-            for q, _ in arith.factor(U.modulus)
-            for c in U.local_coordinates(q)]
+    return [c for q, _ in arith.factor(U.modulus) if q != p
+            for c in U.local_coordinates(q)] + [
+        [x * p ** (a - 1) for x in U.local_coordinates(p)[0]]]
 
 
 def _tower_overlap(F: AbelianField, p: int) -> int:
@@ -252,57 +251,73 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
 
 class RamifiedPlace(Record):
     """One prime-to-p prime ramified in the tower extension: its local
-    degree [F'_{infty,w'} : F_{infty,w}], a p-power, and the number of
-    places of F'_infty above it."""
+    degree [F'_{infty,w'} : F_{infty,w}], a p-power, the number of places
+    of F'_infty above it, and the prime-to-p part f0 of its residue degree
+    in F: Frobenius at ell in F_infty is the f0-th power of ell's."""
 
-    __slots__ = ("ell", "local_degree", "places")
+    __slots__ = ("ell", "local_degree", "places", "f_prime_to_p")
 
-    def __init__(self, ell: int, local_degree: int, places: int):
-        self._fill(ell, local_degree, places)
+    def __init__(self, ell: int, local_degree: int, places: int,
+                 f_prime_to_p: int):
+        self._fill(ell, local_degree, places, f_prime_to_p)
 
 
 class RamifiedSet(Record):
-    """The ramified places of a tower extension and its degree [F' : F]."""
+    """The ramified places of a tower extension, its degree [F' : F] and
+    the pair reduced at p that they are read from."""
 
-    __slots__ = ("entries", "degree", "unramified_at_p")
+    __slots__ = ("entries", "degree", "base", "ext")
 
     def __init__(self, entries: tuple[RamifiedPlace, ...], degree: int,
-                 unramified_at_p: bool):
-        self._fill(entries, degree, unramified_at_p)
+                 base: AbelianField, ext: AbelianField):
+        self._fill(entries, degree, base, ext)
 
 
 @lru_cache(maxsize=128)
 def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     """Prime-to-p places of Fp's tower ramified over F's tower.
 
-    For ell != p the tower layers are unramified at ell, so the local
-    ramification equals e_ell(F'/F); the residue field of a tower-layer
-    place has no p-extensions, so the whole local degree is e_ell(F'/F)
-    and every place above a ramified ell is (totally) ramified.
+    Inertia at p is mu_(p-1) x (a p-group), so a field whose H misses the
+    Teichmueller row has a tame p-part, and a p-tower that no field
+    unramified at p has: refused (TameAtP).  Otherwise both fields are
+    replaced by their reductions at p, which have the same towers,
+    returned as ``base`` and ``ext``.  For ell != p the tower layers are
+    unramified at ell, so the local ramification equals e_ell(F'/F); the
+    residue field of a tower-layer place has no p-extensions, so the whole
+    local degree is e_ell(F'/F) and every place above a ramified ell is
+    (totally) ramified.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
+    for field in (F, Fp):
+        a = arith.padic_val(field.conductor, p)
+        if a and not field._lattice.contains(
+                _tame_rows(field.unit_group, p, a)[-1]):
+            raise TameAtP(
+                f"{field.spec_string()} is tamely ramified at {p} "
+                f"(e = {efg(field, p).e}): its {p}-tower is not that of a "
+                f"field unramified at {p}")
+    F, Fp = unramified_at_p_reduction(F, p), unramified_at_p_reduction(Fp, p)
+    if F.conductor % p == 0 or Fp.conductor % p == 0:
+        raise InternalAdditivityViolation("reduction left ramification at p")
     degree = relative_degree(F, Fp)
     if degree != p ** arith.padic_val(degree, p):
         raise NotPPower(f"[F':F] = {degree} is not a power of {p}")
-    e_p_rel = efg(Fp, p).e // efg(F, p).e
     entries = []
     for ell, _ in arith.factor(Fp.conductor):
-        if ell == p:
-            continue
-        e_base = efg(F, ell).e
+        base = efg(F, ell)
         e_ext = efg(Fp, ell).e
-        if e_ext % e_base:
+        if e_ext % base.e:
             raise InternalAdditivityViolation(
-                f"e at {ell}: base {e_base} does not divide extension {e_ext}")
-        e_rel = e_ext // e_base
+                f"e at {ell}: base {base.e} does not divide extension {e_ext}")
+        e_rel = e_ext // base.e
         if e_rel == 1:
             continue
         entries.append(RamifiedPlace(
             ell=ell, local_degree=e_rel,
-            places=tower_places(Fp, ell, p).g_infinity))
-    return RamifiedSet(entries=tuple(entries), degree=degree,
-                       unramified_at_p=(e_p_rel == 1))
+            places=tower_places(Fp, ell, p).g_infinity,
+            f_prime_to_p=base.f // p ** arith.padic_val(base.f, p)))
+    return RamifiedSet(entries=tuple(entries), degree=degree, base=F, ext=Fp)
 
 
 def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:

@@ -15,10 +15,10 @@ the user's values for generic ones.
 
 from __future__ import annotations
 
-from . import arith, localfactor, qexp, splitting
+from . import localfactor, qexp, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
                      MismatchedInputs, MissingLocalType, MuNonzero,
-                     NegativeLambda, Record, TameAtP)
+                     NegativeLambda, Record)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -154,8 +154,7 @@ def _frobenius_power(a: int, c: int, f: int, p: int) -> tuple[int, int]:
 def _resolve_local_type(ell: int, p: int,
                         form: qexp.ModularFormData | None,
                         overrides: dict[int, object] | None,
-                        precision: int | None,
-                        base_field: splitting.AbelianField):
+                        precision: int | None, f0: int):
     if overrides and ell in overrides:
         return overrides[ell], "user"
     if form is None:
@@ -166,13 +165,9 @@ def _resolve_local_type(ell: int, p: int,
             f"{ell} divides the level {form.level}; supply a local type "
             f"for it explicitly")
     a, c = qexp.frobenius_data(form, ell, p, precision)
-    # The table needs the Frobenius of the base tower field.  Its
-    # residue field exhausts all p-extensions, so only the prime-to-p
-    # part of the base residue degree survives as a Frobenius power.
-    f0 = splitting.efg(base_field, ell).f
-    f0 //= p ** arith.padic_val(f0, p)
-    if f0 > 1:
-        a, c = _frobenius_power(a, c, f0, p)
+    # the table needs the Frobenius of the base tower field, the f0-th
+    # power of ell's (splitting.RamifiedPlace)
+    a, c = _frobenius_power(a, c, f0, p)
     return localfactor.UnramifiedPS(a, c, p), "frobenius"
 
 
@@ -186,40 +181,26 @@ def transition(*, p: int,
                precision: int | None = None) -> TransitionReport:
     """Transport (mu, lambda) from the base tower to the extension tower.
 
-    Rejects mu != 0 inputs, and fields with a character whose p-part is
-    tame (TameAtP): their p-towers are no unramified field's.  Both
-    fields are then replaced by their reductions at p, the fields cut out
-    by the tame parts of their characters
-    (``splitting.unramified_at_p_reduction``; flagged in the warnings when
-    this changes anything), which have the same cyclotomic p-towers, as
-    every p-part is wild; the degree is then the p-power [F' : F] of the
-    reduced fields.  Local types come from the supplied form via its
-    Frobenius data away from the level, and from ``local_types``
+    Rejects mu != 0 inputs.  ``splitting.ramified_set`` reads the field
+    pair: it refuses a field with a tame p-part (TameAtP) and otherwise
+    reduces both fields at p, to the fields cut out by the tame parts of
+    their characters, which have the same cyclotomic p-towers.  The report
+    carries the reduced pair (with a warning when it is not the given one)
+    and its p-power degree.  Local types come from the supplied form via
+    its Frobenius data away from the level, and from ``local_types``
     overrides at primes dividing the level.
     """
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(
             "transition formula needs mu = 0 (and a lambda) on input; "
             f"got mu={base.mu!r}")
+    rs = splitting.ramified_set(base_field, ext_field, p)
     warnings: list[str] = []
-    base_red = splitting.unramified_at_p_reduction(base_field, p)
-    ext_red = splitting.unramified_at_p_reduction(ext_field, p)
-    for field in (base_field, ext_field):
-        # inertia at p is mu_(p-1) x (a p-group), so the prime-to-p part
-        # of e_p is the order of the Teichmueller part's image mod H
-        e = splitting.efg(field, p).e if field.conductor % p == 0 else 1
-        if e != p ** arith.padic_val(e, p):
-            raise TameAtP(
-                f"{field.spec_string()} is tamely ramified at {p} (e = {e}): "
-                f"its {p}-tower is not that of a field unramified at {p}")
-    if base_red is not base_field or ext_red is not ext_field:
+    if rs.base != base_field or rs.ext != ext_field:
         warnings.append(
             "extension ramified above p: fields replaced by the fields cut "
             "out by the tame parts of their characters (the towers are "
             "unchanged)")
-    rs = splitting.ramified_set(base_red, ext_red, p)
-    if not rs.unramified_at_p:
-        raise InternalAdditivityViolation("reduction left ramification at p")
     if not assert_hypotheses:
         warnings.append(
             "standard hypotheses not asserted by the caller; the formula "
@@ -227,7 +208,7 @@ def transition(*, p: int,
     places = []
     for entry in sorted(rs.entries, key=lambda ent: ent.ell):
         V, origin = _resolve_local_type(entry.ell, p, form, local_types,
-                                        precision, base_red)
+                                        precision, entry.f_prime_to_p)
         m = localfactor.m_extension(V, entry.local_degree)
         generic = isinstance(V, localfactor.Generic)
         path = ("generic" if generic
@@ -248,7 +229,7 @@ def transition(*, p: int,
         kind=base.kind, p=p,
         form=form.describe() if form is not None else "local-types-only",
         base_spec=base_field.spec_string(), ext_spec=ext_field.spec_string(),
-        base_field=base_red, ext_field=ext_red,
+        base_field=rs.base, ext_field=rs.ext,
         degree=rs.degree, lambda_in=base.lam, lambda_out=lam_out,
         mu_in=0, mu_out=0, places=tuple(places),
         hypotheses=hypotheses, warnings=tuple(warnings))

@@ -59,6 +59,9 @@ LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
 LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
 LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
+# a budget below 1 once exited 2, "beyond precision budget -5"
+PRECISION_BELOW_1 = [(("tau", "--n", "23"), {"KIDA_PRECISION": value}, 3)
+                     for value in ("-5", "0")]
 # a --mod below 1 once printed tau mod a negative number
 TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
                    ("tau", "--n", "23", "--mod", "-5"),
@@ -124,9 +127,10 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     LOCAL_PAST_BOUND,
 ]] + [
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
+    *PRECISION_BELOW_1,
 ]
 # the full stderr of rows whose message names its source (a file by the
-# name that stands for it)
+# name that stands for it); a row with an environment is keyed with it
 HOSTILE_STDERR = {
     HV_TABLE + ("table:TABLE_FIELD",):
         "TABLE_FIELD: line 2: expected integers",
@@ -152,6 +156,8 @@ HOSTILE_STDERR = {
     LOCAL_PAST_BOUND:
         "--local '1000000000039=sc': 1000000000039 beyond bound "
         "1000000000000",
+    **{(argv, *env.items()): f"bad KIDA_PRECISION value "
+       f"{env['KIDA_PRECISION']!r}" for argv, env, _ in PRECISION_BELOW_1},
 }
 
 
@@ -167,7 +173,7 @@ def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
     for name, text in BAD_FILES.items():
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_bytes(text.encode())
-    message = HOSTILE_STDERR.get(argv)
+    message = HOSTILE_STDERR.get((argv, *env.items()) if env else argv)
     argv = [head + sep + paths.get(name, name)
             for head, sep, name in (a.rpartition(":") for a in argv)]
     got, out, err = run_cli(*argv, env_extra=env, timeout=10)

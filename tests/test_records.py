@@ -16,8 +16,9 @@ from kida.errors import IncoherentGenericData, Record
 G = cg.FiniteAbelianGroup((2, 4))
 RAM = lf.LocalCharData(True, True, False, 9)
 UNRAM = lf.LocalCharData(False, False)
-PLACE = sp.RamifiedPlace(1123, 11, 1)
+PLACE = sp.RamifiedPlace(1123, 11, 1, 1)
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
+F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
 
 
 def _report(kind):
@@ -63,11 +64,13 @@ CASES = {
                        "TowerPlaceData(ell=1123, p=11, g_layers=(1, 11, 11), "
                        "g_infinity=11, stabilized_at=1)"),
     "RamifiedPlace": (PLACE,
-                      "RamifiedPlace(ell=1123, local_degree=11, places=1)"),
-    "RamifiedSet": (sp.RamifiedSet((PLACE,), 11, True),
+                      "RamifiedPlace(ell=1123, local_degree=11, places=1, "
+                      "f_prime_to_p=1)"),
+    "RamifiedSet": (sp.ramified_set(sp.rationals(), F1123, 11),
                     "RamifiedSet(entries=(RamifiedPlace(ell=1123, "
-                    "local_degree=11, places=1),), degree=11, "
-                    "unramified_at_p=True)"),
+                    "local_degree=11, places=1, f_prime_to_p=1),), "
+                    "degree=11, base=AbelianField(conductor=1, degree=1), "
+                    "ext=AbelianField(conductor=1123, degree=11))"),
     "InvariantRecord": (tr.InvariantRecord("algebraic", 0, 1),
                         "InvariantRecord(kind='algebraic', mu=0, lam=1)"),
     "LocalFactorReport": (ALG.places[0], LF_REPORT),

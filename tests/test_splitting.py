@@ -13,7 +13,7 @@ from characters import (DirichletGroup, closure as _closure, crt as _crt,
                         mult_order, phi, spanning_subset)
 from kida import arith, chargroup, splitting as sp
 from kida.errors import (BoundExceeded, NotASubfield, NotPPower,
-                         SpecParseError)
+                         SpecParseError, TameAtP)
 from kida.errors import InternalAdditivityViolation
 from kida.intlinalg import Lattice, hnf, subgroup_lattice
 
@@ -400,10 +400,59 @@ class TestTowerOverlap:
         assert min(seen.values()) > 30, seen
 
 
+def _tame_at_p(F, p):
+    """e_p of F has a prime-to-p part: F has a character whose p-part is
+    tame."""
+    e = sp.efg(F, p).e
+    return e != p ** arith.padic_val(e, p)
+
+
+class TestTameDecision:
+    def test_teichmueller_row_matches_efg_and_characters(self):
+        # N = p^a m < 2000 and H of random units raised to random p-powers,
+        # every other time with the Teichmueller (p-1)-torsion at p added
+        # (so that F is often wild and ramified at p).  The verdict, F is
+        # tame iff H's lattice misses the Teichmueller row of _tame_rows,
+        # is checked against e_p having a prime-to-p part, and, by brute
+        # force, against some character of (Z/N)^*/H having a p-part that
+        # is nontrivial on the torsion; ramified_set refuses F iff tame
+        rng = random.Random(31)
+        seen = {"tame": 0, "wild, p | conductor": 0}
+        for p in (3, 5, 7):
+            for _ in range(70):
+                a = rng.randint(1, max(a for a in range(1, 8)
+                                       if p ** a * 2 < 2000))
+                m = rng.choice([m for m in range(1, 2000 // p ** a) if m % p])
+                N = p ** a * m
+                G = DirichletGroup(N)
+                torsion = spanning_subset(
+                    [x for x in G.units
+                     if x % m == 1 % m and pow(x, p - 1, N) == 1], N)
+                H = [pow(x, p ** rng.randint(0, a), N) for x in rng.sample(
+                    G.units, min(len(G.units), rng.randint(0, 3)))]
+                if rng.random() < 1 / 2:
+                    H += torsion
+                F = sp.AbelianField(N, H)
+                b = arith.padic_val(F.conductor, p)
+                tame = b > 0 and not F._lattice.contains(
+                    sp._tame_rows(F.unit_group, p, b)[-1])
+                assert tame == _tame_at_p(F, p) == any(
+                    any(G.value(c, x) for x in torsion)
+                    for c in G.characters(H)), (N, H, p)
+                if tame:
+                    with pytest.raises(TameAtP):
+                        sp.ramified_set(F, F, p)
+                else:
+                    assert sp.ramified_set(F, F, p).degree == 1
+                seen["tame"] += tame
+                seen["wild, p | conductor"] += not tame and b > 0
+        assert min(seen.values()) >= 50, seen
+
+
 class TestRamifiedSet:
     def test_real_cyclotomic_23_extension(self):
         rs = sp.ramified_set(Q, F23, 11)
-        assert rs.degree == 11 and rs.unramified_at_p
+        assert rs.degree == 11 and (rs.base, rs.ext) == (Q, F23)
         assert len(rs.entries) == 1
         ent = rs.entries[0]
         assert (ent.ell, ent.local_degree, ent.places) == (23, 11, 1)
@@ -617,22 +666,32 @@ class TestConductorExactness:
 
     def test_ramified_primes_divide_the_conductor(self):
         # F = the fixed field of H and y^m, with m the prime-to-p part of
-        # the order of y mod H, so [F' : F] is a power of p
+        # the order of y mod H, so [F' : F] is a power of p.  A pair with
+        # a tame p-part is refused; otherwise the pair is read reduced at
+        # p, which divides [F' : F] by [F' cap Q_inf : F cap Q_inf]
         rng = random.Random(28)
-        entries = 0
+        entries = refused = 0
         for N, H, Fp in _drawn_fields(28, 150):
             span = _closure(H, N)
             y = rng.choice([x for x in range(N) if math.gcd(x, N) == 1])
             k = next(k for k in itertools.count(1) if pow(y, k, N) in span)
             for p in (3, 5, 7):
                 m = k // p ** (arith.padic_val(k, p))
-                F = sp.AbelianField(N, H + [pow(y, m, N)])
+                H_F = H + [pow(y, m, N)]
+                F = sp.AbelianField(N, H_F)
+                if _tame_at_p(F, p) or _tame_at_p(Fp, p):
+                    with pytest.raises(TameAtP):
+                        sp.ramified_set(F, Fp, p)
+                    refused += 1
+                    continue
+                t, t_F = (_overlap_by_residue_orders(N, gens, p)
+                          if N % p == 0 else 0 for gens in (H, H_F))
                 rs = sp.ramified_set(F, Fp, p)
-                assert rs.degree == p ** arith.padic_val(k, p)
+                assert rs.degree == p ** (arith.padic_val(k, p) - t + t_F)
                 for entry in rs.entries:
                     assert Fp.conductor % entry.ell == 0, (N, H, p, entry)
                     entries += 1
-        assert entries > 20
+        assert entries > 20 and refused > 20, (entries, refused)
 
     def test_no_subfield_across_non_dividing_conductors(self):
         drawn = [F for _, _, F in _drawn_fields(29, 150)]
@@ -1097,7 +1156,7 @@ for i, q in enumerate(conductors):
     r = (q - 1) // 2
     Fr = splitting.parse_field_spec(f"cyclotomic:{q}:degree={r}")
     rs = splitting.ramified_set(Q, Fr, r)
-    assert rs.degree == r and rs.unramified_at_p
+    assert rs.degree == r and rs.ext == Fr
     assert [(e.ell, e.local_degree) for e in rs.entries] == [(q, r)]
     if i + 1 == full:
         full_mb = peak_mb()

@@ -641,6 +641,87 @@ class TestTwistSumOverCharacters:
             seen["local term"] += twist_sum(chars, 0) > 0
         assert min(seen.values()) >= 3, seen
 
+    def test_random_p_extensions_ramified_at_p(self, monkeypatch):
+        # N p^k for k = 1, 2, N one or two primes ell = 1 mod p, and H
+        # holding the units of order prime to p, the (p-1)-torsion at p
+        # among them, so every character's p-part is wild: the tower of F'
+        # is that of the field cut out by the tame parts of its
+        # characters, and lambda_out sums over those tame parts.  For
+        # k = 1 F' is unramified at p.  A draw repeated from the same
+        # units is a ramified_set hit, with no reduction at p run again
+        reductions, reduce = [], sp.unramified_at_p_reduction
+
+        def counted(F, p):
+            reductions.append(F)
+            return reduce(F, p)
+
+        monkeypatch.setattr(sp, "unramified_at_p_reduction", counted)
+        rng = random.Random(31)
+        seen = {"k = 1": 0, "ramified at p": 0, "smaller tower degree": 0,
+                "proper F": 0, "local term": 0}
+        for _ in range(24):
+            p, k = rng.choice((3, 5)), rng.choice((1, 2))
+            f = _twist_form(rng.choice(("delta", "11a1")))
+            primes = _twist_primes(f, p, 200)
+            ells = rng.choice([c for n in (1, 2)
+                               for c in itertools.combinations(primes, n)
+                               if math.prod(c) * p ** k < 10000])
+            N = math.prod(ells) * p ** k
+            G = DirichletGroup(N)
+            wild = p ** _padic_val(G.exponent, p)
+            H = spanning_subset(sorted({pow(x, wild, N) for x in G.units}), N)
+            H += [pow(rng.choice(G.units), p ** rng.randint(0, 1), N)
+                  for _ in range(rng.randint(0, 2))]
+            H_F = H + [rng.choice(G.units)]
+            local = {ell: spanning_subset([x for x in G.units
+                                           if x % (N // ell) == 1], N)
+                     for ell in ells}
+            # a character's tame part is its restriction to the units
+            # that are 1 mod p^k
+            tame = spanning_subset([x for x in G.units
+                                    if x % p ** k == 1], N)
+            delta = {ell: math.prod(_g_t(f, p, ell)) for ell in ells}
+
+            def tame_parts(chars):
+                return list({tuple(G.value(c, x) for x in tame): c
+                             for c in chars}.values())
+
+            def twist_sum(chars, lam):
+                return sum(lam + sum(delta[ell] for ell in ells if any(
+                    G.value(c, x) for x in local[ell]))
+                    for c in tame_parts(chars))
+
+            chars, chars_F = G.characters(H), G.characters(H_F)
+            lam = rng.randint(0, 3)
+            lam_F = twist_sum(chars_F, lam)
+            ext, F = sp.AbelianField(N, H), sp.AbelianField(N, H_F)
+            assert k == 2 or ext.conductor % p
+            for base_field, lam_in in ((Q, lam), (F, lam_F)):
+                def run(ext_field):
+                    return tr.transition(
+                        p=p, base_field=base_field, ext_field=ext_field,
+                        form=f, base=tr.InvariantRecord("algebraic", 0,
+                                                        lam_in))
+                rep = run(ext)
+                assert rep.lambda_out == twist_sum(chars, lam), (
+                    p, N, H, base_field)
+                assert rep.warnings[0].startswith(
+                    "extension ramified above p") == (ext.conductor % p == 0)
+                if base_field == Q:
+                    assert rep.degree == len(tame_parts(chars))
+                    seen["smaller tower degree"] += rep.degree < ext.degree
+                info, ran = sp.ramified_set.cache_info(), len(reductions)
+                assert run(sp.AbelianField(N, H)) == rep
+                after = sp.ramified_set.cache_info()
+                assert (after.hits, after.misses) == (info.hits + 1,
+                                                      info.misses)
+                assert len(reductions) == ran
+            seen["k = 1"] += k == 1
+            seen["ramified at p"] += ext.conductor % p == 0
+            seen["proper F"] += 1 < len(chars_F) < len(chars)
+            seen["local term"] += twist_sum(chars, 0) > 0
+        assert reductions and min(seen.values()) >= 3, seen
+
     def test_prime_of_the_level(self):
         # 11a1 at p = 5 over the quintic field of conductor 11: the twists
         # lose the Euler factor 1 - a_11 X at 11, with a_11 = 11 - (affine
@@ -670,7 +751,9 @@ from kida.errors import InternalAdditivityViolation
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
-real = {name: getattr(sp, name) for name in ("efg", "ramified_set")}
+F121 = sp.parse_field_spec("cyclotomic:121:degree=11")     # wild at 11
+real = {name: getattr(sp, name)
+        for name in ("efg", "unramified_at_p_reduction")}
 
 def rebuilt(record, **changes):
     fields = {name: getattr(record, name) for name in type(record).__slots__}
@@ -688,8 +771,8 @@ def run(name, call, attr=None, fake=None):
         if attr:
             setattr(sp, attr, real[attr])
 
-def transition(kind="algebraic"):
-    return tr.transition(p=11, base_field=Q, ext_field=F23,
+def transition(kind="algebraic", ext=F23):
+    return tr.transition(p=11, base_field=Q, ext_field=ext,
                          base=tr.InvariantRecord(kind, 0, 1),
                          form=qexp.delta_form())
 
@@ -697,9 +780,8 @@ out = {}
 run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
     "efg", lambda F, ell: sp.PlaceData(
         ell, 2 if F.degree == 1 else 3, 1, 1, 1))
-run("transition", transition,
-    "ramified_set", lambda *a: rebuilt(
-        real["ramified_set"](*a), unramified_at_p=False))
+run("transition", lambda: transition(ext=F121),
+    "unramified_at_p_reduction", lambda F, p: F)
 alg, an = transition("algebraic"), transition("analytic")
 run("mc_transfer", lambda: tr.mc_transfer(
     alg, rebuilt(an, lambda_out=an.lambda_out + 1)))
