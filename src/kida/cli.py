@@ -7,7 +7,9 @@ file supplies defaults for a command's single-value flags, keyed by the
 long flag's name and cast by its type; explicit flags win.  The
 environment variable KIDA_PRECISION overrides the series precision
 budget (default 2000, at most 10000; a larger budget exits 2 before any
-work, one below 1 exits 3).
+work).  ``main`` reads it once, before any command runs, so a value that
+is not an integer of at least 1 exits 3 in every command, whether or not
+the command spends a budget.
 
 Exit codes: 0 success; 1 property violation (verify); 2 domain errors
 (mu != 0, precision, work bounds, missing local type for hv, a transition
@@ -171,7 +173,7 @@ def cmd_tau(args) -> int:
         raise SpecParseError("--n must be >= 1")
     if args.mod is not None and args.mod < 1:
         raise SpecParseError("--mod must be >= 1")
-    value = tau(args.n, _precision())
+    value = tau(args.n, args.precision)
     if args.mod is not None:
         value %= args.mod
     print(value)
@@ -206,7 +208,7 @@ def cmd_hv(args) -> int:
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
         from .qexp import frobenius_data
-        a, c = frobenius_data(form, args.ell, args.p, _precision())
+        a, c = frobenius_data(form, args.ell, args.p, args.precision)
         V = UnramifiedPS(a, c, args.p)
         record["form"] = form.describe()
         record["ell"] = args.ell
@@ -284,7 +286,7 @@ def cmd_transition(args) -> int:
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,
         form=form, local_types=overrides,
         assert_hypotheses=bool(args.assert_hypotheses),
-        precision=_precision())
+        precision=args.precision)
     print(_render(report.as_mapping(), args.json))
     return 0
 
@@ -364,6 +366,7 @@ _EXIT_CODES: list[tuple[type, int]] = [
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.precision = _precision()
         _apply_config(args)
         return args.handler(args)
     except KidaError as exc:

@@ -2,8 +2,10 @@
 
 Coefficient sources: the weight-12 level-1 cusp form (eta-product),
 elliptic curves over Q by point counting (the Legendre sum at primes up
-to 229, Shanks-Mestre baby-step giant-step above), and user tables of
-prime-indexed eigenvalues.  Only forms with rational-integer
+to 229, Shanks-Mestre baby-step giant-step above: one walk per point;
+strip only when the Hasse interval holds more than one multiple), and
+user tables of prime-indexed eigenvalues.  a_ell of a curve is kept for
+the last 256 (curve, ell) pairs.  Only forms with rational-integer
 coefficients are supported natively, so reduction "mod pi" is reduction
 mod p throughout; nothing is ever a float.
 
@@ -149,7 +151,14 @@ class EllipticCurve(Record):
     def ap(self, ell: int) -> int:
         """Trace of Frobenius a_ell = ell + 1 - #E(F_ell), with
         |a_ell| <= 2 sqrt(ell)."""
-        return ell + 1 - self.count_points(ell)
+        return _ap(self, ell)
+
+
+# keyed on the coefficients, so equal curves parsed apart share an entry;
+# lru_cache keeps no errors, so each call re-raises them
+@lru_cache(maxsize=256)
+def _ap(E: EllipticCurve, ell: int) -> int:
+    return ell + 1 - E.count_points(ell)
 
 
 # Mestre: past this prime, E or its quadratic twist has a point whose
@@ -210,56 +219,81 @@ def _ec_mul(n: int, P, a: int, ell: int):
     return R
 
 
-def _order_multiple(P, a: int, ell: int, r: int) -> int:
-    """A positive multiple of the order of a point P != O of a group whose
-    order lies in the Hasse interval [ell+1-r, ell+1+r].
+def _hasse_multiples(P, a: int, ell: int, r: int) -> tuple[list[int], bool]:
+    """(ms, whole): positive multiples m of the order of a point P != O
+    of a group whose order lies in the Hasse interval [ell+1-r, ell+1+r].
 
     Baby steps store x(jP) for 1 <= j <= s; giant steps walk G = (ell+1 -
     kt)P for |k| <= K, t = 2s+1.  A shared abscissa means G = +-jP, so
-    ell+1 - kt -+ j kills P.  The group order is ell+1 - (kt + j) with
-    |j| <= s and |k| <= K, so the walk meets it if nothing earlier.
+    ell+1 - kt -+ j kills P; the windows |j| <= s tile the interval.  If
+    P has order > 2s, each window holds at most one multiple of it, and
+    the walk lists every m in the interval with mP = O (whole).  If not,
+    O, a 2-torsion point or a repeated abscissa among the baby steps gives
+    one multiple m <= 2s at once.
     """
     s = math.isqrt(r) + 1
     t = 2 * s + 1
     baby = {}                       # x(jP) -> (j, y(jP))
     R = P
     for j in range(1, s + 1):
-        if R is None:
-            return j
+        if R is None:               # P has order j
+            return [j], False
+        if R[0] in baby or R[1] == 0:
+            # jP = -iP, i < j (were jP = iP, O came at j - i), or jP = -jP
+            i = baby[R[0]][0] if R[0] in baby else j
+            return [i + j], False
         baby[R[0]] = (j, R[1])
         R = _ec_add(R, P, a, ell)
     K = r // t + 1
     T = _ec_mul(t, P, a, ell)
     minus_T = None if T is None else (T[0], -T[1] % ell)
     G = _ec_mul(ell + 1 + K * t, P, a, ell)
+    ms = []
     for k in range(-K, K + 1):
         n = ell + 1 - k * t
         if G is None:
-            return n
-        if G[0] in baby:
+            ms.append(n)
+        elif G[0] in baby:
             j, y = baby[G[0]]
-            return n - j if G[1] == y else n + j
+            ms.append(n - j if G[1] == y else n + j)
         G = _ec_add(G, minus_T, a, ell)
-    raise BoundExceeded(f"no multiple of a point order within {r} of "
-                        f"{ell + 1}")
+    ms = [m for m in ms if abs(m - ell - 1) <= r]
+    if not ms:
+        raise BoundExceeded(f"no multiple of a point order within {r} of "
+                            f"{ell + 1}")
+    return ms, True
+
+
+def _point_order(P, n: int, a: int, ell: int) -> int:
+    """The order of P, stripped from a positive multiple n of it."""
+    from . import arith
+    for q, _ in arith.factor(n):
+        while n % q == 0 and _ec_mul(n // q, P, a, ell) is None:
+            n //= q
+    return n
 
 
 def _count_bsgs(E: EllipticCurve, ell: int) -> int:
     """#E(F_ell) for a good prime ell >= 5 by Shanks-Mestre baby-step
     giant-step, O(ell^(1/4)) group operations per point (Cohen, GTM 138,
-    7.4; Washington, *Elliptic Curves*, ch. 4).
+    7.4; Washington, *Elliptic Curves*, ch. 4; Schoof, J. Theor. Nombres
+    Bordeaux 7 (1995), 3).  It counts on every call; the (curve, ell)
+    cache of 256 entries sits above it, at ``EllipticCurve.ap``.
 
     On the short model y^2 = x^3 + Ax + B, A = -27 c4, B = -54 c6, each
     abscissa x = 0, 1, ... with d = x^3 + Ax + B != 0 gives the point
     (dx, d^2) of y^2 = x^3 + A d^2 x + B d^3: E itself when d is a square
-    mod ell, its quadratic twist when not, told apart by Euler's
-    criterion.  #E + #E' = 2(ell + 1), so each side keeps the lcm of its
-    point orders, and the count is settled once one side's lcm has a
-    single multiple in the Hasse interval.  By x = ell every point of E
-    and E' but the 2-torsion has been seen, so past ell = 229 (Mestre)
-    the walk decides before it ends.
+    mod ell, its quadratic twist E' when not, told apart by Euler's
+    criterion; #E + #E' = 2(ell + 1).  One walk per point; strip only
+    when the Hasse interval holds more than one multiple: a walk that
+    finds exactly one multiple of the point's order has found its side's
+    count.  Otherwise (or when the order is too small for the walk) the
+    order is stripped from the first multiple, each side keeps the lcm of
+    its point orders, and the count is settled once one side's lcm has a
+    single multiple in the interval.  By x = ell every point of E and E'
+    but the 2-torsion has been seen, so past ell = 229 (Mestre) the
+    points decide before they run out.
     """
-    from . import arith
     b2, b4, b6, _ = E.b_invariants()
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
@@ -275,14 +309,16 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
         side = pow(d, half, ell)
         a = A * d * d % ell
         P = (d * x % ell, d * d % ell)
-        n = _order_multiple(P, a, ell, r)
-        for q, _ in arith.factor(n):    # strip n to the order of P
-            while n % q == 0 and _ec_mul(n // q, P, a, ell) is None:
-                n //= q
-        L = lcms[side] = math.lcm(lcms[side], n)
-        if hi // L - (lo - 1) // L == 1:
+        ms, whole = _hasse_multiples(P, a, ell, r)
+        if whole and len(ms) == 1:
+            n = ms[0]
+        else:
+            L = lcms[side] = math.lcm(lcms[side],
+                                      _point_order(P, ms[0], a, ell))
+            if hi // L - (lo - 1) // L != 1:
+                continue
             n = hi // L * L
-            return n if side == 1 else 2 * (ell + 1) - n
+        return n if side == 1 else 2 * (ell + 1) - n
     raise BoundExceeded(f"no point order decides #E(F_{ell}): Mestre's "
                         f"bound needs ell > {_MESTRE_BOUND}")
 

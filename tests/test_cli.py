@@ -59,9 +59,18 @@ LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
 LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
 LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
-# a budget below 1 once exited 2, "beyond precision budget -5"
+# a budget below 1 once exited 2, "beyond precision budget -5"; the
+# budget is read before any command runs, so a malformed one exits 3 also
+# in the commands that spend none (they once ran and exited 0)
 PRECISION_BELOW_1 = [(("tau", "--n", "23"), {"KIDA_PRECISION": value}, 3)
-                     for value in ("-5", "0")]
+                     for value in ("-5", "0")] + [
+    (("hv", "--form", "sc", "--e", "5"), {"KIDA_PRECISION": "-5"}, 3),
+    (("verify", "--suite", "hasse", "--size", "30"),
+     {"KIDA_PRECISION": "abc"}, 3),
+    (("transition", "--p", "11", "--base", "Q", "--ext",
+      "cyclotomic:23:degree=11", "--local", "23=sc", "--lambda", "1",
+      "--mu", "0"), {"KIDA_PRECISION": "abc"}, 3),
+]
 # a --mod below 1 once printed tau mod a negative number
 TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
                    ("tau", "--n", "23", "--mod", "-5"),

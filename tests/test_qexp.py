@@ -303,10 +303,89 @@ class TestPointCountRoutes:
             adds += 1
             return real(*args)
         monkeypatch.setattr(qexp, "_ec_add", counted)
+        # one walk per curve: 82 additions for seven of the curves and 84
+        # for J0, the worst case measured; stripping a point's order would
+        # cost about 30 more
         for coefficients in ORACLE_CURVES:
             adds = 0
             qexp.EllipticCurve(*coefficients).count_points(99991)
-            assert 0 < adds <= 2000, coefficients
+            assert 0 < adds <= 90, coefficients
+
+    def test_walk_lists_every_multiple_or_a_small_one(self):
+        # every point of y^2 = x^3 + A x + B and its twist, as _count_bsgs
+        # makes them, against its order stripped from the group order
+        rng = random.Random(2)
+        primes = [ell for ell in PRIMES if 229 < ell < 400]
+        seen = {"whole": 0, "small": 0, "order 2s": 0}
+        for _ in range(20):
+            ell = rng.choice(primes)
+            A, B = rng.randrange(ell), rng.randrange(ell)
+            if (4 * A ** 3 + 27 * B ** 2) % ell == 0:
+                continue
+            r = math.isqrt(4 * ell)
+            s = math.isqrt(r) + 1
+            count = qexp._count_legendre(qexp.EllipticCurve(a4=A, a6=B), ell)
+            for x in range(ell):
+                d = (x ** 3 + A * x + B) % ell
+                if not d:
+                    continue
+                a, P = A * d * d % ell, (d * x % ell, d * d % ell)
+                order = count if pow(d, (ell - 1) // 2, ell) == 1 \
+                    else 2 * (ell + 1) - count
+                for q in [q for q in PRIMES[:80] if order % q == 0]:
+                    while (order % q == 0
+                           and qexp._ec_mul(order // q, P, a, ell) is None):
+                        order //= q
+                ms, whole = qexp._hasse_multiples(P, a, ell, r)
+                if order > 2 * s:
+                    assert whole and sorted(ms) == [
+                        m for m in range(ell + 1 - r, ell + 2 + r)
+                        if m % order == 0], (ell, A, B, x)
+                    seen["whole"] += 1
+                else:
+                    assert not whole and len(ms) == 1
+                    assert ms[0] % order == 0 and ms[0] <= 2 * s
+                    seen["small"] += 1
+                    seen["order 2s"] += order == 2 * s
+        # a point of order 2s puts a 2-torsion point among the baby steps
+        assert seen["whole"] > 5000 and seen["small"] and seen["order 2s"]
+
+    def test_routes_agree_on_torsion_and_random_models(self, monkeypatch):
+        # y^2 = x^3 + a x^2 + b x has the rational 2-torsion point (0, 0),
+        # y^2 + a1 xy + a3 y = x^3 the rational 3-torsion point (0, 0);
+        # both kinds, and random small models, at primes in (229, 3000)
+        decided, stripped = [], []
+        real_walk, real_order = qexp._hasse_multiples, qexp._point_order
+
+        def walk(*args):
+            ms, whole = real_walk(*args)
+            decided.append(whole and len(ms) == 1)
+            return ms, whole
+
+        def order(*args):
+            stripped.append(args)
+            return real_order(*args)
+        monkeypatch.setattr(qexp, "_hasse_multiples", walk)
+        monkeypatch.setattr(qexp, "_point_order", order)
+        rng = random.Random(31)
+        primes = [ell for ell in PRIMES if 229 < ell < 3000]
+        models = [lambda: (0, rng.randint(-9, 9), 0, rng.randint(-9, 9), 0),
+                  lambda: (rng.randint(-9, 9), 0, rng.randint(-9, 9), 0, 0),
+                  lambda: tuple(rng.randint(-9, 9) for _ in range(5))]
+        draws = 0
+        for model in models:
+            for _ in range(40):
+                E = qexp.EllipticCurve(*model())
+                disc = E.discriminant()
+                if disc == 0:
+                    continue
+                for ell in rng.sample(primes, 3):
+                    if disc % ell:
+                        assert E.count_points(ell) == qexp._count_legendre(
+                            E, ell), (E, ell)
+                        draws += 1
+        assert draws > 300
+        assert any(decided) and stripped
 
     def test_legendre_sum_not_entered_above_229(self, monkeypatch):
         calls = []
@@ -327,6 +406,44 @@ class TestPointCountRoutes:
         assert E.count_points(229) == qexp._count_legendre(E, 229) == 252
         with pytest.raises(BoundExceeded, match="Mestre"):
             qexp._count_bsgs(E, 229)
+
+
+class TestApMemo:
+    """a_ell is counted once per (curve, ell); errors are never kept."""
+
+    def test_equal_curves_share_one_count(self, monkeypatch):
+        qexp._ap.cache_clear()
+        counts = []
+        real = qexp._count_bsgs
+
+        def spy(E, ell):
+            counts.append(ell)
+            return real(E, ell)
+        monkeypatch.setattr(qexp, "_count_bsgs", spy)
+        forms = [qexp.ec_form(qexp.EllipticCurve(0, -1, 1, -10, -20))
+                 for _ in range(2)]
+        assert forms[0].source is not forms[1].source
+        assert (qexp.frobenius_data(forms[0], 1009, 5)
+                == qexp.frobenius_data(forms[1], 1009, 5))
+        assert counts == [1009]
+
+    def test_errors_raised_on_every_call(self):
+        qexp._ap.cache_clear()
+        for ell, error in ((11, BadReduction), (100003, BoundExceeded),
+                           (49, ValueError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    X0_11.ap(ell)
+        assert qexp._ap.cache_info().currsize == 0
+
+    def test_ramified_level_refused_before_counting(self, monkeypatch):
+        qexp._ap.cache_clear()
+
+        def refuse(E, ell):
+            raise AssertionError(f"counted at {ell}")
+        monkeypatch.setattr(qexp.EllipticCurve, "count_points", refuse)
+        with pytest.raises(RamifiedLevel):
+            qexp.frobenius_data(qexp.ec_form(X0_11), 11, 5)
 
 
 class TestFrobeniusData:
