@@ -29,8 +29,7 @@ _EXPORTS = {
              "delta_form", "frobenius_data", "tau"),
     "splitting": ("AbelianField", "efg", "parse_field_spec", "ramified_set",
                   "rationals", "tower_places", "unramified_at_p_reduction"),
-    "transition": ("InvariantRecord", "TransitionReport", "compose",
-                   "mc_transfer"),
+    "transition": ("InvariantRecord", "TransitionReport", "compose"),
 }
 # public name -> (module, attribute)
 _ORIGIN = {name: (module, name)

@@ -31,7 +31,8 @@ import os
 import sys
 
 from .errors import (BoundExceeded, KidaError, MissingLocalType,
-                     NotASubfield, NotPPower, SpecParseError)
+                     NotASubfield, NotPPower, SpecParseError,
+                     parse_int_fields)
 
 # argparse choices, equal to transition.KINDS and sorted(verify.SUITES)
 KIND_CHOICES = ("algebraic", "analytic", "plus", "minus")
@@ -115,19 +116,8 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
     if s == "delta":
         return delta_form()
     if s.startswith("ec:"):
-        fields = {}
-        for item in s[len("ec:"):].split(","):
-            if "=" not in item:
-                raise SpecParseError(f"bad curve spec {spec!r}")
-            k, v = item.split("=", 1)
-            try:
-                fields[k.strip()] = int(v)
-            except ValueError:
-                raise SpecParseError(f"bad integer in {spec!r}")
-        if not set(fields) <= {"a1", "a2", "a3", "a4", "a6"}:
-            raise SpecParseError(f"unknown curve coefficients in {spec!r}")
-        curve = EllipticCurve(**{k: fields.get(k, 0)
-                                 for k in ("a1", "a2", "a3", "a4", "a6")})
+        curve = EllipticCurve(**parse_int_fields(
+            spec, s[len("ec:"):], ("a1", "a2", "a3", "a4", "a6")))
         if curve.discriminant() == 0:
             raise SpecParseError("curve is singular (discriminant 0)")
         return ec_form(curve)

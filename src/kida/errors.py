@@ -1,4 +1,5 @@
-"""Exception classes and the record base shared across the package.
+"""Exception classes, the record base and the ``key=<int>`` list parser
+shared across the package.
 
 Every documented failure mode has its own class so callers (and the CLI
 exit-code mapping) can dispatch on type rather than on message text.
@@ -143,10 +144,6 @@ class InternalAdditivityViolation(KidaError):
     756 in Ramanujan's tau identity failed; indicates a library bug."""
 
 
-class MismatchedInputs(KidaError):
-    """Algebraic/analytic report pair disagrees on shared inputs."""
-
-
 class NegativeLambda(KidaError):
     """The local contributions drive lambda.out below 0, which no tower
     with mu = 0 has: the local types cannot be those of the form."""
@@ -156,3 +153,24 @@ class NegativeLambda(KidaError):
 
 class SpecParseError(KidaError):
     """Malformed field, form, or local-type input string."""
+
+
+def parse_int_fields(spec: str, body: str,
+                     keys: tuple[str, ...]) -> dict[str, int]:
+    """The ``key=<int>,...`` list ``body`` of ``spec``, each key one of
+    ``keys`` and given at most once; which keys are required is the
+    caller's rule."""
+    out: dict[str, int] = {}
+    for item in body.split(","):
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or key not in keys:
+            raise SpecParseError(f"bad field {item!r} in {spec!r}: "
+                                 f"expected {'|'.join(keys)}=<int>")
+        if key in out:
+            raise SpecParseError(f"{spec!r}: {key} given twice")
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise SpecParseError(f"bad integer in {spec!r}")
+    return out

@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .errors import (GenericUnsupported, IncoherentGenericData, Record,
-                     SpecParseError)
+                     SpecParseError, parse_int_fields)
 
 
 class LocalCharData(Record):
@@ -343,16 +343,8 @@ def parse_local_type(spec: str, p: int) -> LocalType:
     if s.startswith(("ups:", "generic:")) and p < 2:
         raise SpecParseError(f"{spec!r} needs p >= 2, got p = {p}")
     if s.startswith("ups:"):
-        fields = {}
-        for item in s[len("ups:"):].split(","):
-            if "=" not in item:
-                raise SpecParseError(f"bad ups spec {spec!r}")
-            k, v = item.split("=", 1)
-            try:
-                fields[k.strip()] = int(v)
-            except ValueError:
-                raise SpecParseError(f"bad integer in {spec!r}")
-        if set(fields) != {"a", "c"}:
+        fields = parse_int_fields(spec, s[len("ups:"):], ("a", "c"))
+        if len(fields) != 2:
             raise SpecParseError(f"ups spec needs exactly a=..,c=..: {spec!r}")
         return UnramifiedPS(fields["a"], fields["c"], p)
     if s.startswith("ramps:"):

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from . import localfactor, qexp, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
-                     MismatchedInputs, MissingLocalType, MuNonzero,
-                     NegativeLambda, Record)
+                     MissingLocalType, MuNonzero, NegativeLambda, Record)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -305,62 +304,3 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
         mu_in=0, mu_out=0, places=tuple(places),
         hypotheses=hyps, warnings=warnings)
 
-
-class McTransferReport(Record):
-    """Main-conjecture transfer along a p-extension."""
-
-    __slots__ = ("p", "form", "base_spec", "ext_spec", "degree",
-                 "lambda_algebraic", "lambda_analytic", "holds_over_base",
-                 "holds_over_extension", "statement")
-
-    def __init__(self, p: int, form: str, base_spec: str, ext_spec: str,
-                 degree: int, lambda_algebraic: int, lambda_analytic: int,
-                 holds_over_base: bool, holds_over_extension: bool,
-                 statement: str):
-        self._fill(p, form, base_spec, ext_spec, degree, lambda_algebraic,
-                   lambda_analytic, holds_over_base, holds_over_extension,
-                   statement)
-
-
-def mc_transfer(alg: TransitionReport, an: TransitionReport,
-                holds_over_base: bool = True) -> McTransferReport:
-    """Transfer the main-conjecture status along the extension.
-
-    The algebraic and analytic transitions share one formula, so equal
-    inputs force equal outputs; the transfer statement records that the
-    conjecture holds over the extension iff it holds over the base
-    (with mu = 0 throughout).
-    """
-    if alg.kind != "algebraic" or an.kind != "analytic":
-        raise MismatchedInputs("need one algebraic and one analytic report")
-    if (alg.p, alg.form) != (an.p, an.form):
-        raise MismatchedInputs("reports disagree on p or the form")
-    if (alg.base_field, alg.ext_field) != (an.base_field, an.ext_field):
-        raise MismatchedInputs("reports cover different extensions")
-    if alg.degree != an.degree:
-        raise MismatchedInputs("degree mismatch")
-    key_alg = [(r.ell, r.local_degree, r.places, r.m) for r in alg.places]
-    key_an = [(r.ell, r.local_degree, r.places, r.m) for r in an.places]
-    if key_alg != key_an:
-        raise MismatchedInputs("local contributions differ between routes")
-    if alg.lambda_in != an.lambda_in:
-        raise MismatchedInputs(
-            f"input lambdas differ: algebraic {alg.lambda_in} vs "
-            f"analytic {an.lambda_in}")
-    if alg.lambda_out != an.lambda_out:
-        raise InternalAdditivityViolation(
-            f"shared formula disagrees: algebraic {alg.lambda_out} vs "
-            f"analytic {an.lambda_out}")
-    ext = alg.ext_spec
-    base = alg.base_spec
-    verdict = "holds" if holds_over_base else "is open"
-    statement = (f"main conjecture {verdict} over {ext} with mu = 0 "
-                 f"iff it {verdict} over {base} with mu = 0; "
-                 f"both lambda invariants transport to {alg.lambda_out}")
-    return McTransferReport(
-        p=alg.p, form=alg.form, base_spec=base, ext_spec=ext,
-        degree=alg.degree,
-        lambda_algebraic=alg.lambda_out, lambda_analytic=an.lambda_out,
-        holds_over_base=holds_over_base,
-        holds_over_extension=holds_over_base,
-        statement=statement)

@@ -24,9 +24,10 @@ TRANSITION_23 = ("transition", "--form", "delta", "--base", "Q", "--ext",
 EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # Hostile inputs, one row each: argv, extra environment, documented exit
 # code.  Each once hung, ran without bound, passed vacuously or ended in a
-# traceback.  A name in BAD_FILES stands for a file with that text (CONFIG
-# for a config file whose values are malformed, CONFIG_MOD for one whose
-# --mod is below 1), DIR for a directory.
+# traceback, or is the one documented path to its error.  A name in
+# BAD_FILES stands for a file with that text (CONFIG for a config file
+# whose values are malformed, CONFIG_MOD for one whose --mod is below 1),
+# DIR for a directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
     "CONFIG_MOD": "n = 23\nmod = -5\n",
@@ -36,6 +37,7 @@ BAD_FILES = {
     "TABLE_WEIGHT_1": "weight 1 level 11\n",
     # 2^89 - 1: trial division would take hours
     "TABLE_HUGE_PRIME": "weight 2 level 11\n618970019642690137449562111 1\n",
+    "TABLE_NO_7": "weight 2 level 11\n2 -2\n3 -1\n",
 }
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
@@ -58,6 +60,14 @@ LOCAL_NOT_PRIME = [TRANSITION_23_LOCAL + ("4=sc",),
                    TRANSITION_23 + ("--p", "11", "--local=-7=sc")]
 LOCAL_TWICE = TRANSITION_23_LOCAL + ("23=sc", "--local", "23=ups:a=10,c=1")
 LOCAL_PAST_BOUND = TRANSITION_23_LOCAL + ("1000000000039=sc",)
+# a key given twice in a key=int list once let the last value win
+UPS_KEY_TWICE = ("hv", "--form", "ups:a=1,a=2,c=1", "--p", "5", "--e", "5")
+EC_KEY_TWICE = ("hv", "--form", "ec:a3=1,a2=-1,a4=-10,a6=-20,a6=5", "--p",
+                "5", "--ell", "7", "--e", "5")
+# (Z/91)^* = C_6 x C_6 has four index-3 subgroups
+DEGREE_NOT_UNIQUE = ("transition", "--form", "delta", "--p", "3", "--base",
+                     "Q", "--ext", "cyclotomic:91:degree=3", "--lambda", "1",
+                     "--mu", "0")
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
 # a budget below 1 once exited 2, "beyond precision budget -5"; the
 # budget is read before any command runs, so a malformed one exits 3 also
@@ -112,6 +122,9 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("tau", "--config", "NON_ASCII"),
     *LOCAL_NOT_PRIME,
     LOCAL_TWICE,
+    UPS_KEY_TWICE,
+    EC_KEY_TWICE,
+    DEGREE_NOT_UNIQUE,
 ]] + [(argv, None, 2) for argv in [
     # past a work bound: exit 2
     ("verify", "--suite", "hasse", "--size", "8001"),
@@ -129,6 +142,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # discriminant about 6.4e28: trial division would take hours
     HV_BIG_CURVE,
     HV_TABLE + ("table:TABLE_HUGE_PRIME",),
+    # a domain error: a well-formed table without the prime asked
+    HV_TABLE + ("table:TABLE_NO_7",),
     # a domain error: no tower with mu = 0 has a negative lambda
     NEGATIVE_LAMBDA,
     # a domain error: Q(zeta_11)'s 11-tower is no unramified field's
@@ -146,6 +161,7 @@ HOSTILE_STDERR = {
     HV_TABLE + ("table:TABLE_HUGE_PRIME",):
         "TABLE_HUGE_PRIME: line 2: 618970019642690137449562111 beyond the "
         "trial-division bound 10^14",
+    HV_TABLE + ("table:TABLE_NO_7",): "table has no entry for 7",
     HV_BIG_CURVE:
         "curve discriminant 64000001776000017184000056944 beyond the "
         "trial-division bound 10^14",
@@ -159,6 +175,10 @@ HOSTILE_STDERR = {
     LOCAL_NOT_PRIME[1]: "--local '0=sc': 0 is not prime",
     LOCAL_NOT_PRIME[2]: "--local '-7=sc': -7 is not prime",
     LOCAL_TWICE: "--local '23=ups:a=10,c=1': 23 given twice",
+    UPS_KEY_TWICE: "'ups:a=1,a=2,c=1': a given twice",
+    EC_KEY_TWICE: "'ec:a3=1,a2=-1,a4=-10,a6=-20,a6=5': a6 given twice",
+    DEGREE_NOT_UNIQUE: "index-3 subgroup of (Z/91)^* is not unique "
+                       "(4 candidates); use gens=...",
     TAU_BELOW_1[0]: "--n must be >= 1",
     TAU_BELOW_1[1]: "--n must be >= 1",
     **{argv: "--mod must be >= 1" for argv in TAU_MOD_BELOW_1},
@@ -175,16 +195,23 @@ def _case_id(case):
     return " ".join([f"{k}={v}" for k, v in (env or {}).items()] + list(argv))
 
 
-@pytest.mark.parametrize("argv, env, code", HOSTILE_INPUTS,
-                         ids=list(map(_case_id, HOSTILE_INPUTS)))
-def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
+def with_files(argv, tmp_path):
+    """A hostile row's argv with each BAD_FILES name replaced by the path
+    of a file written under ``tmp_path`` (DIR by ``tmp_path`` itself), and
+    the name -> path map."""
     paths = {"DIR": str(tmp_path)}
     for name, text in BAD_FILES.items():
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_bytes(text.encode())
+    return [head + sep + paths.get(name, name)
+            for head, sep, name in (a.rpartition(":") for a in argv)], paths
+
+
+@pytest.mark.parametrize("argv, env, code", HOSTILE_INPUTS,
+                         ids=list(map(_case_id, HOSTILE_INPUTS)))
+def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
     message = HOSTILE_STDERR.get((argv, *env.items()) if env else argv)
-    argv = [head + sep + paths.get(name, name)
-            for head, sep, name in (a.rpartition(":") for a in argv)]
+    argv, paths = with_files(argv, tmp_path)
     got, out, err = run_cli(*argv, env_extra=env, timeout=10)
     assert got == code and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

@@ -1,4 +1,5 @@
-"""Every public name in src/kida is used by the package itself.
+"""Every public name in src/kida is used by the package itself, and every
+function in it runs on a documented path.
 
 A public module-level name or method that only the tests reach is either
 deleted or listed in ALLOWED with the reason it stays.  Uses are read from
@@ -16,14 +17,22 @@ receiver counts for no owner.
 """
 
 import ast
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "kida"
+from test_cli import HOSTILE_INPUTS, with_files
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kida"
 
 # qualified name -> why it stays although no module of the package uses it
 ALLOWED = {
-    "transition.mc_transfer": "acceptance criterion c10",
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",
@@ -178,3 +187,133 @@ def test_allowed_names_exist_and_are_unused():
     # an entry for a name that is gone, or that the package now uses,
     # leaves the list
     assert sorted(set(ALLOWED) - _unused()) == []
+
+
+# qualified name -> why it stays although no documented path runs it
+UNRUN = {
+    "transition.compose": "perfbench transition-batch's compose step",
+    "__init__.__dir__": "dir(kida) lists the names that load on first use",
+    "errors.Record.__reduce__": "copy and pickle rebuild a record",
+    "errors.Record.__repr__": "a record's repr, which verify failure "
+                              "messages embed; a passing run prints none",
+    "errors.Record.__setattr__": "refuses assignment, which no caller makes",
+    "qexp.CoefficientTable.__hash__": "a table hashes as a value although "
+                                      "its ap is a dict",
+    "qexp._DeltaSource.__repr__": "the repr of delta_form()'s source",
+    "splitting.AbelianField.__repr__": "a field's repr, for debugging",
+    "verify.SuiteResult.fail": "records a counterexample, which a passing "
+                               "suite has none of",
+}
+
+# Runs the (argv, env) rows and the code read from stdin in one
+# interpreter under sys.setprofile, and prints the (file, first line) of
+# every function called.
+PROFILED = r"""
+import contextlib, io, json, os, sys
+rows, example = json.load(sys.stdin)
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and called.add(frame.f_code))
+from kida import cli
+for argv, env in rows:
+    os.environ.update(env)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    except SystemExit:
+        sys.exit(f"argparse refused {argv}")
+    for key in env:
+        del os.environ[key]
+exec(example, {})
+sys.setprofile(None)
+print(json.dumps(sorted({(code.co_filename, code.co_firstlineno)
+                         for code in called})))
+"""
+
+# a kida command in a shell line, after any VAR=value prefixes; it ends
+# at a pipe, a redirection or the end of a command substitution
+COMMAND = re.compile(r"((?:[A-Z_]+=\S+ +)*)(?:kida|python -m kida\.cli) +"
+                     r"((?:tau|hv|transition|verify) [^|>)\n]*)")
+# suite sizes on the profiled run: hasse at 300, so that points are
+# counted past the Legendre range, and every other suite at most 30
+HASSE_SIZE, SIZE_CAP = 300, 30
+
+
+def _fenced(text, heading, lang):
+    """The first ```lang block after ``heading`` in ``text``."""
+    return text.split(heading, 1)[1].split(f"```{lang}\n", 1)[1].split(
+        "```", 1)[0]
+
+
+def _documented_commands():
+    """(argv, env) of every kida command in README's CLI block and in the
+    CI workflow, once each, with suite sizes set for the profiled run."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.sub(r"\s#.*", "", _fenced(readme, "## CLI", "sh"))
+    ci = "\n".join(
+        line for line in (ROOT / ".github" / "workflows" / "ci.yml")
+        .read_text(encoding="utf-8").splitlines()
+        if not line.lstrip().startswith(("#", "- name:")))
+    rows = {}
+    for text in (block, ci):
+        for match in COMMAND.finditer(text.replace("\\\n", " ")):
+            # a flag set from a shell variable keeps its default, and the
+            # 2 of a 2> redirection is no argument
+            args = re.sub(r'--[\w-]+ +"?\$\w+"?|\s+2$', "", match[2].strip())
+            argv = shlex.split(args)
+            if argv[0] == "verify" and "--size" in argv:
+                i = argv.index("--size") + 1
+                argv[i] = str(HASSE_SIZE if "hasse" in argv
+                              else min(int(argv[i]), SIZE_CAP))
+            rows[tuple(argv), tuple(match[1].split())] = None
+    return [(list(argv), dict(item.split("=", 1) for item in env))
+            for argv, env in rows]
+
+
+def _function_lines():
+    """(file, first line) -> qualified name of every function in
+    src/kida; the first line is a decorator's where there is one."""
+    out = {}
+
+    def walk(node, prefix, path):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([sub.lineno] + [d.lineno
+                                            for d in sub.decorator_list])
+                out[str(path), first] = prefix + sub.name
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                walk(sub, f"{prefix}{sub.name}.", path)
+            else:
+                walk(sub, prefix, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")),
+             f"{path.stem}.", path)
+    return out
+
+
+def test_every_function_runs_on_a_documented_path(tmp_path):
+    # the README and CI commands, README's library example and every
+    # hostile input with its files and environment, in one interpreter
+    rows = _documented_commands() + [
+        (with_files(argv, tmp_path)[0], env or {})
+        for argv, env, _ in HOSTILE_INPUTS]
+    example = _fenced((ROOT / "README.md").read_text(encoding="utf-8"),
+                      "## Library use", "python")
+    env = {key: value for key, value in os.environ.items()
+           if key != "KIDA_PRECISION"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", PROFILED],
+                          input=json.dumps([rows, example]), env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    called = {(str(Path(path).resolve()), line)
+              for path, line in json.loads(proc.stdout)}
+    unrun = {name for key, name in _function_lines().items()
+             if key not in called}
+    # a function no documented path runs is deleted or listed in UNRUN
+    assert sorted(unrun - set(UNRUN)) == []
+    # an entry for a function that is gone, or that now runs, leaves UNRUN
+    assert sorted(set(UNRUN) - unrun) == []

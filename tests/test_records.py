@@ -21,13 +21,9 @@ F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
 
 
-def _report(kind):
-    return tr.transition(p=11, base_field=sp.rationals(), ext_field=F23,
-                         base=tr.InvariantRecord(kind, 0, 1),
-                         form=qexp.delta_form(), assert_hypotheses=True)
-
-
-ALG, AN = _report("algebraic"), _report("analytic")
+ALG = tr.transition(p=11, base_field=sp.rationals(), ext_field=F23,
+                    base=tr.InvariantRecord("algebraic", 0, 1),
+                    form=qexp.delta_form(), assert_hypotheses=True)
 
 LF_REPORT = (
     "LocalFactorReport(ell=23, local_degree=11, places=1, m=0, h=0, "
@@ -86,14 +82,6 @@ CASES = {
         "('archimedean_rank_condition', True), "
         "('residual_invariants_vanish', True), "
         "('inertia_coinvariants_divisible', True)), warnings=())"),
-    "McTransferReport": (
-        tr.mc_transfer(ALG, AN),
-        "McTransferReport(p=11, form='delta', base_spec='Q', "
-        "ext_spec='cyclotomic:23:gens=22', degree=11, lambda_algebraic=11, "
-        "lambda_analytic=11, holds_over_base=True, "
-        "holds_over_extension=True, statement='main conjecture holds over "
-        "cyclotomic:23:gens=22 with mu = 0 iff it holds over Q with mu = 0; "
-        "both lambda invariants transport to 11')"),
     "SuiteResult": (verify.SuiteResult("hasse", {"bound": 30}),
                     "SuiteResult(name='hasse', params={'bound': 30}, "
                     "checks=0, failures=[])"),

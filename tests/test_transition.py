@@ -10,15 +10,14 @@ import pytest
 from characters import DirichletGroup, spanning_subset
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
-from kida.errors import (ChainMismatch, MismatchedInputs, MissingLocalType,
-                         MuNonzero, NegativeLambda, TameAtP)
+from kida.errors import (ChainMismatch, MissingLocalType, MuNonzero,
+                         NegativeLambda, TameAtP)
 
 DELTA = qexp.delta_form()
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
 BASE_ALG = tr.InvariantRecord("algebraic", 0, 1)
-BASE_AN = tr.InvariantRecord("analytic", 0, 1)
 
 
 class TestInvariantRecord:
@@ -408,40 +407,6 @@ class TestCompose:
             tr.compose(r_ab, bad_bc)
 
 
-class TestMcTransfer:
-    def test_23_extension(self):
-        alg = tr.transition(p=11, base_field=Q, ext_field=F23,
-                            base=BASE_ALG, form=DELTA)
-        an = tr.transition(p=11, base_field=Q, ext_field=F23,
-                           base=BASE_AN, form=DELTA)
-        mc = tr.mc_transfer(alg, an)
-        assert mc.lambda_algebraic == mc.lambda_analytic == 11
-        assert mc.holds_over_extension
-
-    def test_1123_extension(self):
-        alg = tr.transition(p=11, base_field=Q, ext_field=F1123,
-                            base=BASE_ALG, form=DELTA, precision=1200)
-        an = tr.transition(p=11, base_field=Q, ext_field=F1123,
-                           base=BASE_AN, form=DELTA, precision=1200)
-        mc = tr.mc_transfer(alg, an)
-        assert mc.lambda_algebraic == mc.lambda_analytic == 31
-
-    def test_mismatched_lambda_inputs(self):
-        alg = tr.transition(p=11, base_field=Q, ext_field=F23,
-                            base=BASE_ALG, form=DELTA)
-        an = tr.transition(p=11, base_field=Q, ext_field=F23,
-                           base=tr.InvariantRecord("analytic", 0, 2),
-                           form=DELTA)
-        with pytest.raises(MismatchedInputs):
-            tr.mc_transfer(alg, an)
-
-    def test_wrong_kinds(self):
-        alg = tr.transition(p=11, base_field=Q, ext_field=F23,
-                            base=BASE_ALG, form=DELTA)
-        with pytest.raises(MismatchedInputs):
-            tr.mc_transfer(alg, alg)
-
-
 class TestEllipticCurveCriterion:
     def test_good_ramified_primes_order_p(self):
         # h_v != 0 at a good prime ell = 1 mod 11 iff 11 | #E(F_ell)
@@ -745,7 +710,6 @@ class TestTwistSumOverCharacters:
 # raise InternalAdditivityViolation, also when python -O strips asserts.
 FAULT_INJECTION = r"""
 import json
-import math
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import InternalAdditivityViolation
 
@@ -755,36 +719,24 @@ F121 = sp.parse_field_spec("cyclotomic:121:degree=11")     # wild at 11
 real = {name: getattr(sp, name)
         for name in ("efg", "unramified_at_p_reduction")}
 
-def rebuilt(record, **changes):
-    fields = {name: getattr(record, name) for name in type(record).__slots__}
-    return type(record)(**{**fields, **changes})
-
-def run(name, call, attr=None, fake=None):
-    if attr:
-        setattr(sp, attr, fake)
+def run(name, call, attr, fake):
+    setattr(sp, attr, fake)
     try:
         call()
         out[name] = "no error"
     except InternalAdditivityViolation as exc:
         out[name] = str(exc)
     finally:
-        if attr:
-            setattr(sp, attr, real[attr])
-
-def transition(kind="algebraic", ext=F23):
-    return tr.transition(p=11, base_field=Q, ext_field=ext,
-                         base=tr.InvariantRecord(kind, 0, 1),
-                         form=qexp.delta_form())
+        setattr(sp, attr, real[attr])
 
 out = {}
 run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
     "efg", lambda F, ell: sp.PlaceData(
         ell, 2 if F.degree == 1 else 3, 1, 1, 1))
-run("transition", lambda: transition(ext=F121),
+run("transition", lambda: tr.transition(
+    p=11, base_field=Q, ext_field=F121,
+    base=tr.InvariantRecord("algebraic", 0, 1), form=qexp.delta_form()),
     "unramified_at_p_reduction", lambda F, p: F)
-alg, an = transition("algebraic"), transition("analytic")
-run("mc_transfer", lambda: tr.mc_transfer(
-    alg, rebuilt(an, lambda_out=an.lambda_out + 1)))
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -797,6 +749,4 @@ def test_broken_invariants_raise_typed_errors(flags):
     assert json.loads(proc.stdout) == {
         "ramified_set": "e at 23: base 2 does not divide extension 3",
         "transition": "reduction left ramification at p",
-        "mc_transfer": "shared formula disagrees: algebraic 11 vs "
-                       "analytic 12",
     }
