@@ -21,7 +21,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import BoundExceeded, NotAUnit, ZeroInput
+from .errors import BoundExceeded, NotAUnit, SpecParseError, ZeroInput
 
 FACTOR_BOUND = 10 ** 14
 # conductors and the primes --p and --ell: trial division up to 10^6
@@ -72,6 +72,15 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return factor(n) == [(n, 1)]
+
+
+def require_prime(name: str, n: int, odd: bool = False):
+    """Refuse ``n`` unless it is a prime, odd if ``odd``, within the input
+    bound; ``name``, the flag that gave it, opens the message."""
+    if n > _INPUT_BOUND:
+        raise BoundExceeded(f"{name} {n} beyond bound {_INPUT_BOUND}")
+    if not is_prime(n) or (odd and n == 2):
+        raise SpecParseError(f"{name} {n} is not {'an odd ' * odd}prime")
 
 
 def padic_val(n: int, p: int) -> int:

@@ -1,28 +1,19 @@
-"""Command-line surface.
+"""Command-line surface: ``tau``, ``hv``, ``transition``, ``verify``.
 
-Subcommands: ``tau``, ``hv``, ``transition``, ``verify``.  Output is a
-deterministic key/value document (sorted keys, ``key = value`` per
-line); ``--json`` renders the same record as canonical JSON.  A config
-file supplies defaults for a command's single-value flags, keyed by the
-long flag's name and cast by its type; explicit flags win.  The
-environment variable KIDA_PRECISION overrides the series precision
-budget (default 2000, at most 10000; a larger budget exits 2 before any
-work).  ``main`` reads it once, before any command runs, so a value that
-is not an integer of at least 1 exits 3 in every command, whether or not
-the command spends a budget.
-
-Exit codes: 0 success; 1 property violation (verify); 2 domain errors
-(mu != 0, precision, work bounds, missing local type for hv, a transition
-field tamely ramified at p); 3 malformed field or form specs, flags or
-config values, and config or table files that are missing, unreadable,
-not ASCII or malformed; 4 missing local data in a transition.
+Each prints a deterministic ``key = value`` document (sorted keys), or
+with ``--json`` canonical JSON of the same record.  ``COMMANDS`` holds
+each command's handler, help line and options: ``parse_args`` reads argv
+from it, and ``_apply_config`` a config file of defaults keyed by the
+long flags' names.  ``main`` reads KIDA_PRECISION, the series precision
+budget, before any command runs.  Exit codes (README lists each case):
+0 success; 1 property violation; 2 usage and domain errors; 3 malformed
+input; 4 missing local data in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``qexp`` alone (``qexp`` loads ``arith`` only in the
-curve, table and Frobenius functions that call it), and argparse loads
-only when argv is parsed (``build_parser``).
-The ``--kind`` and ``--suite`` choices are literal here for that reason,
-and tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
+curve, table and Frobenius functions that call it).  The ``--kind`` and
+``--suite`` choices are literal here for that reason, and tests pin them
+to ``transition.KINDS`` and ``verify.SUITES``.
 """
 
 from __future__ import annotations
@@ -30,29 +21,21 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import (BoundExceeded, KidaError, MissingLocalType,
-                     NotASubfield, NotPPower, SpecParseError,
-                     parse_int_fields)
+from .errors import (KidaError, MissingLocalType, NotASubfield, NotPPower,
+                     SpecParseError, parse_int_fields)
 
-# argparse choices, equal to transition.KINDS and sorted(verify.SUITES)
+# option choices, equal to transition.KINDS and sorted(verify.SUITES)
 KIND_CHOICES = ("algebraic", "analytic", "plus", "minus")
 SUITE_CHOICES = ("group-identity", "hasse", "path-agreement",
                  "tower-additivity")
-
-_LOCAL_TYPE_PREFIXES = ("sc", "ups:", "ramps:", "special:", "generic:")
-
 
 def _render(mapping: dict, as_json: bool) -> str:
     if as_json:
         import json
         return json.dumps(mapping, sort_keys=True, separators=(", ", ": "))
-    lines = []
-    for key in sorted(mapping):
-        val = mapping[key]
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{key} = {str(val).lower() if isinstance(val, bool) else val}"
+        for key, val in sorted(mapping.items()))
 
 
 def _read_text(path: str) -> str:
@@ -67,7 +50,8 @@ def _read_text(path: str) -> str:
         raise SpecParseError(f"{path}: not ASCII text")
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, keys) -> dict[str, str]:
+    """``key = value`` lines, each key one of ``keys`` and given once."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -75,37 +59,31 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise SpecParseError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise SpecParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise SpecParseError(f"{path}:{lineno}: key {key!r} given twice")
+        out[key] = val
     return out
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple]:
-    """Config key -> (attribute, caster, choices): the parser's single-value
-    options, named as their long flags, except ``--config`` itself."""
-    import argparse
-    return {action.option_strings[0][2:]:
-            (action.dest, action.type or str, action.choices)
-            for action in parser._actions
-            if type(action) is argparse._StoreAction
-            and action.dest != "config"}
-
-
-def _apply_config(args: argparse.Namespace):
-    """Fill unset options from the config file; flags override."""
+def _apply_config(args):
+    """Fill unset options from the config file; flags override.  Its keys
+    are the command's single-value flags but ``--config``, undashed."""
     if not args.config:
         return
-    conf = _read_config(args.config)
-    for key, (attr, caster, choices) in args.config_keys.items():
-        if getattr(args, attr) is None and key in conf:
+    keys = {flag[2:]: (dest, cast)
+            for flag, dest, cast, _ in COMMANDS[args.command][2]
+            if cast not in (SWITCH, APPEND) and dest != "config"}
+    for key, text in _read_config(args.config, keys).items():
+        dest, cast = keys[key]
+        if getattr(args, dest) is None:
             try:
-                value = caster(conf[key])
-                if choices is not None and value not in choices:
-                    raise ValueError
+                setattr(args, dest, _cast(cast, text))
             except ValueError:
                 raise SpecParseError(
-                    f"{args.config}: bad value {conf[key]!r} for {key}")
-            setattr(args, attr, value)
+                    f"{args.config}: bad value {text!r} for {key}")
 
 
 def parse_form_spec(spec: str) -> qexp.ModularFormData:
@@ -129,15 +107,6 @@ def parse_form_spec(spec: str) -> qexp.ModularFormData:
         except KidaError as exc:    # a malformed line or a prime past a bound
             raise type(exc)(f"{path}: {exc}") from None
     raise SpecParseError(f"bad form spec {spec!r}")
-
-
-def _require_prime(flag: str, n: int, odd: bool = False):
-    from . import arith
-    if n > arith._INPUT_BOUND:
-        raise BoundExceeded(f"{flag} {n} beyond bound {arith._INPUT_BOUND}")
-    if not arith.is_prime(n) or (odd and n == 2):
-        raise SpecParseError(f"{flag} must be an odd prime" if odd
-                             else f"{flag} must be prime")
 
 
 def _precision() -> int | None:
@@ -180,14 +149,14 @@ def cmd_hv(args) -> int:
         raise SpecParseError("hv needs --form")
     if args.e is not None and args.e < 1:
         raise SpecParseError("--e must be >= 1")
-    if args.ell is not None:
-        _require_prime("--ell", args.ell)
-    if args.p is not None:
-        _require_prime("--p", args.p)
+    for flag, n in (("--ell", args.ell), ("--p", args.p)):
+        if n is not None:
+            from .arith import require_prime
+            require_prime(flag, n)
     spec = args.form.strip()
     record: dict[str, object] = {}
-    if spec == "sc" or any(spec.startswith(pre) for pre in
-                           _LOCAL_TYPE_PREFIXES if pre != "sc"):
+    if spec == "sc" or spec.startswith(("ups:", "ramps:", "special:",
+                                        "generic:")):
         if spec.startswith(("ups:", "generic:")) and args.p is None:
             raise SpecParseError(f"--p required for {spec!r}")
         V = parse_local_type(spec, args.p or 0)
@@ -200,8 +169,7 @@ def cmd_hv(args) -> int:
         from .qexp import frobenius_data
         a, c = frobenius_data(form, args.ell, args.p, args.precision)
         V = UnramifiedPS(a, c, args.p)
-        record["form"] = form.describe()
-        record["ell"] = args.ell
+        record.update(form=form.describe(), ell=args.ell)
     if args.e is not None:
         e = args.e
     elif args.ext is not None:
@@ -212,57 +180,29 @@ def cmd_hv(args) -> int:
         record["extension"] = args.ext
     else:
         raise SpecParseError("hv needs --e or --ext")
-    record["e"] = e
     if args.p is not None:
         record["p"] = args.p
-    record["type"] = describe_local_type(V)
-    record["h"] = m_extension(V, e)
-    record["path"] = "generic" if isinstance(V, Generic) else "table"
     if isinstance(V, UnramifiedPS):
-        record["a"] = V.a
-        record["c"] = V.c
-    record["case"] = case_of(V, e)
+        record.update(a=V.a, c=V.c)
+    record.update(e=e, type=describe_local_type(V), h=m_extension(V, e),
+                  path="generic" if isinstance(V, Generic) else "table",
+                  case=case_of(V, e))
     print(_render(record, args.json))
     return 0
 
 
 # -- transition -------------------------------------------------------------
 
-def _parse_local_overrides(items, p: int) -> dict[int, object]:
-    """ELL -> local type; each ELL a prime within the ``--ell`` bound,
-    given once.  A prime need not be ramified: a level's local types may
-    be listed whole."""
-    from . import arith
-    from .localfactor import parse_local_type
-    out: dict[int, object] = {}
-    for item in items or ():
-        if "=" not in item:
-            raise SpecParseError(f"bad --local {item!r}; use ell=typespec")
-        ell_s, typespec = item.split("=", 1)
-        try:
-            ell = int(ell_s)
-        except ValueError:
-            raise SpecParseError(f"bad prime in --local {item!r}")
-        if ell > arith._INPUT_BOUND:
-            raise BoundExceeded(f"--local {item!r}: {ell} beyond bound "
-                                f"{arith._INPUT_BOUND}")
-        if not arith.is_prime(ell):
-            raise SpecParseError(f"--local {item!r}: {ell} is not prime")
-        if ell in out:
-            raise SpecParseError(f"--local {item!r}: {ell} given twice")
-        out[ell] = parse_local_type(typespec, p)
-    return out
-
-
 def cmd_transition(args) -> int:
     from .splitting import parse_field_spec
-    from .transition import InvariantRecord, transition
+    from .arith import require_prime
+    from .transition import InvariantRecord, parse_local_types, transition
     for name in ("p", "base", "ext"):
         if getattr(args, name) is None:
             raise SpecParseError(f"transition needs --{name}")
     if args.lam is None or args.mu is None:
         raise SpecParseError("transition needs --lambda and --mu")
-    _require_prime("--p", args.p, odd=True)
+    require_prime("--p", args.p, odd=True)
     base_field = parse_field_spec(args.base)
     ext_field = parse_field_spec(args.ext)
     form = parse_form_spec(args.form) if args.form else None
@@ -271,7 +211,7 @@ def cmd_transition(args) -> int:
         base = InvariantRecord(args.kind or "algebraic", args.mu, lam)
     except ValueError as exc:   # negative mu or lambda
         raise SpecParseError(str(exc))
-    overrides = _parse_local_overrides(args.local, args.p)
+    overrides = parse_local_types(args.local, args.p)
     report = transition(
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,
         form=form, local_types=overrides,
@@ -287,74 +227,134 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
     if args.suite is None:
         raise SpecParseError("verify needs --suite")
-    result = run_suite(args.suite, seed=args.seed or 0,
-                       size=args.size)
+    result = run_suite(args.suite, seed=args.seed or 0, size=args.size)
     print(_render(result.as_mapping(), args.json))
     return 0 if result.passed else 1
 
 
 # -- entry -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-    ap = argparse.ArgumentParser(
-        prog="kida",
-        description="Exact transition formulas for Iwasawa invariants "
-                    "under p-extensions")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("tau", help="Fourier coefficient of the eta-product")
-    t.add_argument("--n", type=int)
-    t.add_argument("--mod", type=int)
-    t.add_argument("--config")
-    t.add_argument("--json", action="store_true")
-    t.set_defaults(handler=cmd_tau, config_keys=_config_keys(t))
-
-    h = sub.add_parser("hv", help="local table value at a ramified prime")
-    h.add_argument("--form")
-    h.add_argument("--p", type=int)
-    h.add_argument("--ell", type=int)
-    h.add_argument("--e", type=int)
-    h.add_argument("--ext")
-    h.add_argument("--config")
-    h.add_argument("--json", action="store_true")
-    h.set_defaults(handler=cmd_hv, config_keys=_config_keys(h))
-
-    tr = sub.add_parser("transition",
-                        help="transport (mu, lambda) along a p-extension")
-    tr.add_argument("--form")
-    tr.add_argument("--p", type=int)
-    tr.add_argument("--base")
-    tr.add_argument("--ext")
-    tr.add_argument("--lambda", dest="lam", type=int)
-    tr.add_argument("--mu", type=int)
-    tr.add_argument("--kind", choices=KIND_CHOICES)
-    tr.add_argument("--local", action="append", metavar="ELL=TYPESPEC")
-    tr.add_argument("--assert-hypotheses", action="store_true")
-    tr.add_argument("--config")
-    tr.add_argument("--json", action="store_true")
-    tr.set_defaults(handler=cmd_transition, config_keys=_config_keys(tr))
-
-    v = sub.add_parser("verify", help="run a property suite")
-    v.add_argument("--suite", choices=SUITE_CHOICES)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--size", type=int)
-    v.add_argument("--config")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(handler=cmd_verify, config_keys=_config_keys(v))
-    return ap
+# command -> (handler, help line, options); an option is (flag, dest,
+# cast, help), the cast int, str, a tuple of choices, SWITCH or APPEND
+SWITCH, APPEND = "switch", "append"
+_COMMON = (("--config", "config", str, "file of KEY = VALUE defaults"),
+           ("--json", "json", SWITCH, "print the record as JSON"))
+COMMANDS = {
+    "tau": (cmd_tau, "Fourier coefficient of the eta-product", (
+        ("--n", "n", int, "the index, at least 1"),
+        ("--mod", "mod", int, "print tau(n) mod this"), *_COMMON)),
+    "hv": (cmd_hv, "local table value at a ramified prime", (
+        ("--form", "form", str, "delta, ec:..., table:PATH or a local type"),
+        ("--p", "p", int, "the prime p"),
+        ("--ell", "ell", int, "the ramified prime"),
+        ("--e", "e", int, "the ramification index at ell"),
+        ("--ext", "ext", str, "field spec that gives e at ell"), *_COMMON)),
+    "transition": (cmd_transition, "transport (mu, lambda) up a p-extension", (
+        ("--form", "form", str, "delta, ec:... or table:PATH"),
+        ("--p", "p", int, "the odd prime p"),
+        ("--base", "base", str, "field spec of the base"),
+        ("--ext", "ext", str, "field spec of the extension"),
+        ("--lambda", "lam", int, "lambda over the base"),
+        ("--mu", "mu", int, "mu over the base"),
+        ("--kind", "kind", KIND_CHOICES, "kind of the invariants"),
+        ("--local", "local", APPEND, "ELL=TYPESPEC, once per ELL"),
+        ("--assert-hypotheses", "assert_hypotheses", SWITCH,
+         "assert the standard hypotheses"), *_COMMON)),
+    "verify": (cmd_verify, "run a property suite", (
+        ("--suite", "suite", SUITE_CHOICES, "the suite"),
+        ("--seed", "seed", int, "seed of the draws"),
+        ("--size", "size", int, "size of the run"), *_COMMON)),
+}
 
 
-_EXIT_CODES: list[tuple[type, int]] = [
-    (MissingLocalType, 4),
-    (SpecParseError, 3),
-    (NotASubfield, 3),
-    (NotPPower, 3),
-]
+def _cast(cast, text: str):
+    """An option's value from its text; ValueError if it has none."""
+    if isinstance(cast, tuple) and text not in cast:
+        raise ValueError
+    return text if isinstance(cast, tuple) else cast(text)
+
+
+def _invalid(cast, text: str) -> str:
+    if isinstance(cast, tuple):
+        return (f"invalid choice: {text!r} (choose from "
+                f"{', '.join(map(repr, cast))})")
+    return f"invalid int value: {text!r}"
+
+
+def _is_flag(text: str, flags) -> bool:
+    """argparse's reading of a value as a flag: a dash word that names a
+    flag, or holds no space and is no negative number (-5, -.5, -1.5)."""
+    number = text[1:].replace(".", "", 1).isdecimal() and text[-1] != "."
+    return text[:1] == "-" and text != "-" and not number and (
+        " " not in text or text.split("=")[0] in flags)
+
+
+def _leave(cmd, error: str = ""):
+    """Exit 2 on a usage error, else print help and exit 0; ``cmd`` None
+    stands for the choice of command."""
+    rows = [(name, row[1]) for name, row in COMMANDS.items()] if not cmd \
+        else [(flag if cast is SWITCH else f"{flag} " + ("{%s}" % ",".join(
+               cast) if isinstance(cast, tuple) else flag[2:].upper()), text)
+              for flag, _, cast, text in COMMANDS[cmd][2]]
+    usage = "usage: kida " + (" ".join([cmd] + [f"[{a}]" for a, _ in rows])
+                              if cmd else "{%s} ..." % ",".join(COMMANDS))
+    if error:
+        print(usage, f"kida{' ' + cmd if cmd else ''}: error: {error}",
+              sep="\n", file=sys.stderr)
+        sys.exit(2)
+    print(usage, *(f"  {a:<24} {b}" for a, b in rows), sep="\n")
+    sys.exit(0)
+
+
+def parse_args(argv):
+    """The namespace of ``command``, ``handler`` and one attribute per
+    option of the command's row: None until given, False for a switch.
+    A usage error exits 2, and ``-h``/``--help`` prints help and exits 0."""
+    from types import SimpleNamespace
+    cmd = argv[0] if argv else None
+    if cmd not in COMMANDS:
+        _leave(None, "" if cmd in ("-h", "--help") else
+               "argument command: " + _invalid(tuple(COMMANDS), cmd) if argv
+               else "the following arguments are required: command")
+    flags = {opt[0]: opt for opt in COMMANDS[cmd][2]}
+    args = SimpleNamespace(command=cmd, handler=COMMANDS[cmd][0], **{
+        dest: False if cast is SWITCH else None
+        for _, dest, cast, _ in flags.values()})
+    extras, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _leave(cmd)
+        flag, eq, text = token.partition("=")
+        if flag not in flags or eq and flags[flag][2] is SWITCH:
+            extras.append(token)
+            continue
+        _, dest, cast, _ = flags[flag]
+        if not eq and cast is not SWITCH:
+            text = next(tokens, None)
+            if text is None or _is_flag(text, flags):
+                _leave(cmd, f"argument {flag}: expected one argument")
+        if cast is SWITCH:
+            setattr(args, dest, True)
+        elif cast is APPEND:
+            setattr(args, dest, (getattr(args, dest) or []) + [text])
+        elif getattr(args, dest) is not None:
+            _leave(cmd, f"argument {flag}: given twice")
+        else:
+            try:
+                setattr(args, dest, _cast(cast, text))
+            except ValueError:
+                _leave(cmd, f"argument {flag}: {_invalid(cast, text)}")
+    if extras:
+        _leave(cmd, "unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+_EXIT_CODES = ((MissingLocalType, 4), (SpecParseError, 3),
+               (NotASubfield, 3), (NotPPower, 3))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         args.precision = _precision()
         _apply_config(args)

@@ -15,9 +15,10 @@ the user's values for generic ones.
 
 from __future__ import annotations
 
-from . import localfactor, qexp, splitting
+from . import arith, localfactor, qexp, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
-                     MissingLocalType, MuNonzero, NegativeLambda, Record)
+                     MissingLocalType, MuNonzero, NegativeLambda, Record,
+                     SpecParseError)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
 
@@ -148,6 +149,26 @@ def _frobenius_power(a: int, c: int, f: int, p: int) -> tuple[int, int]:
     for _ in range(f - 1):
         s_prev, s_cur = s_cur, (a * s_cur - c * s_prev) % p
     return s_cur, pow(c, f, p)
+
+
+def parse_local_types(items, p: int) -> dict[int, object]:
+    """ELL -> local type from ``ELL=TYPESPEC`` items (``kida transition
+    --local``); each ELL a prime within the input bound, given once.  A
+    prime need not be ramified: a level's local types may be listed whole."""
+    out: dict[int, object] = {}
+    for item in items or ():
+        if "=" not in item:
+            raise SpecParseError(f"bad --local {item!r}; use ell=typespec")
+        ell_s, typespec = item.split("=", 1)
+        try:
+            ell = int(ell_s)
+        except ValueError:
+            raise SpecParseError(f"bad prime in --local {item!r}")
+        arith.require_prime(f"--local {item!r}:", ell)
+        if ell in out:
+            raise SpecParseError(f"--local {item!r}: {ell} given twice")
+        out[ell] = localfactor.parse_local_type(typespec, p)
+    return out
 
 
 def _resolve_local_type(ell: int, p: int,

@@ -1,11 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from kida import cli, verify
+from kida.errors import SpecParseError
 
 
 def run_cli(*argv, env_extra=None, timeout=120):
@@ -26,11 +31,16 @@ EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # code.  Each once hung, ran without bound, passed vacuously or ended in a
 # traceback, or is the one documented path to its error.  A name in
 # BAD_FILES stands for a file with that text (CONFIG for a config file
-# whose values are malformed, CONFIG_MOD for one whose --mod is below 1),
-# DIR for a directory.
+# whose values are malformed, with keys of three commands, so that each
+# refuses its first key that names none of its options; CONFIG_MOD for
+# one whose --mod is below 1; CONFIG_TWICE and CONFIG_UNKNOWN for the
+# repeated and the unknown key that once went unnoticed, the last value
+# winning and the key ignored), DIR for a directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
     "CONFIG_MOD": "n = 23\nmod = -5\n",
+    "CONFIG_TWICE": "n = 23\nn = 5\n",
+    "CONFIG_UNKNOWN": "n = 23\nbogus = 5\n",
     "NON_ASCII": "n = 23  # \u00e9\n",
     "TABLE_WORD": "weight two level 11\n",
     "TABLE_FIELD": "weight 2 level 11\n2 x\n",
@@ -85,6 +95,23 @@ PRECISION_BELOW_1 = [(("tau", "--n", "23"), {"KIDA_PRECISION": value}, 3)
 TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
                    ("tau", "--n", "23", "--mod", "-5"),
                    ("tau", "--config", "CONFIG_MOD")]
+# argv the parser refuses, exit 2, each with argparse's message: an
+# unknown flag, a flag without its value, a bad integer, a bad choice, an
+# abbreviated flag (once accepted as a unique prefix) and a repeated
+# single-value flag (once the last won)
+USAGE_ERRORS = {
+    ("tau", "--n", "23", "--bogus", "5"):
+        "unrecognized arguments: --bogus 5",
+    ("tau", "--n"): "argument --n: expected one argument",
+    ("tau", "--n", "x"): "argument --n: invalid int value: 'x'",
+    TRANSITION_23 + ("--p", "11", "--kind", "bogus"):
+        "argument --kind: invalid choice: 'bogus' (choose from "
+        "'algebraic', 'analytic', 'plus', 'minus')",
+    ("transition", "--form", "delta", "--base", "Q", "--ex",
+     "cyclotomic:23:degree=11", "--lamb", "1", "--mu", "0", "--p", "11"):
+        "unrecognized arguments: --ex cyclotomic:23:degree=11 --lamb 1",
+    ("tau", "--n", "5", "--n", "23"): "argument --n: given twice",
+}
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
     ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
@@ -101,8 +128,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("hv", "--form", "delta", "--p", "11", "--ell", "4", "--e", "11"),
     ("hv", "--form", "delta", "--p", "4", "--ell", "23", "--e", "11"),
     ("hv", "--form", "sc", "--ell", "4", "--ext", "cyclotomic:23:degree=11"),
-    TRANSITION_23 + ("--mu", "-1", "--p", "11"),
-    TRANSITION_23 + ("--lambda", "-1", "--p", "11"),
+    TRANSITION_23[:-2] + ("--mu", "-1", "--p", "11"),
+    TRANSITION_23[:-4] + ("--lambda", "-1", "--mu", "0", "--p", "11"),
     ("hv", "--form", "delta", "--p", "11", "--ell", "11", "--e", "11"),
     ("hv", "--form", "ups:a=1,c=1", "--p", "4", "--e", "4"),
     ("hv", "--form", "sc", "--p", "4", "--e", "4"),
@@ -125,7 +152,11 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     UPS_KEY_TWICE,
     EC_KEY_TWICE,
     DEGREE_NOT_UNIQUE,
+    ("tau", "--config", "CONFIG_TWICE"),
+    ("tau", "--config", "CONFIG_UNKNOWN"),
 ]] + [(argv, None, 2) for argv in [
+    # refused by the parser: exit 2
+    *USAGE_ERRORS,
     # past a work bound: exit 2
     ("verify", "--suite", "hasse", "--size", "8001"),
     ("verify", "--suite", "hasse", "--size", "100000"),
@@ -187,6 +218,15 @@ HOSTILE_STDERR = {
         "1000000000000",
     **{(argv, *env.items()): f"bad KIDA_PRECISION value "
        f"{env['KIDA_PRECISION']!r}" for argv, env, _ in PRECISION_BELOW_1},
+    ("tau", "--config", "CONFIG"): "CONFIG:2: unknown key 'p'",
+    ("hv", "--form", "sc", "--e", "5", "--config", "CONFIG"):
+        "CONFIG:1: unknown key 'n'",
+    ("verify", "--suite", "hasse", "--config", "CONFIG"):
+        "CONFIG:1: unknown key 'n'",
+    ("tau", "--config", "CONFIG_TWICE"): "CONFIG_TWICE:2: key 'n' given twice",
+    ("tau", "--config", "CONFIG_UNKNOWN"):
+        "CONFIG_UNKNOWN:2: unknown key 'bogus'",
+    **USAGE_ERRORS,
 }
 
 
@@ -211,25 +251,69 @@ def with_files(argv, tmp_path):
                          ids=list(map(_case_id, HOSTILE_INPUTS)))
 def test_bad_input_is_a_typed_error(argv, env, code, tmp_path):
     message = HOSTILE_STDERR.get((argv, *env.items()) if env else argv)
+    usage = argv in USAGE_ERRORS
     argv, paths = with_files(argv, tmp_path)
     got, out, err = run_cli(*argv, env_extra=env, timeout=10)
-    assert got == code and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert got == code and out == "" and "Traceback" not in err
+    if usage:
+        # argparse's layout: a usage line, then the error line
+        line, error = err.splitlines()
+        assert line.startswith(f"usage: kida {argv[0]} ")
+        assert error == f"kida {argv[0]}: error: {message}"
+        return
+    assert err.startswith("error: ")
     if message is not None:
+        # a file name stands first, alone or before ":<line>"
         name, sep, rest = message.partition(": ")
-        assert err == f"error: {paths.get(name, name)}{sep}{rest}\n"
+        name, colon, line = name.partition(":")
+        assert err == (f"error: {paths.get(name, name)}{colon}{line}"
+                       f"{sep}{rest}\n")
 
 
-def test_config_keys_are_the_single_value_options():
-    parser = cli.build_parser()
-    keys = {cmd: set(parser.parse_args([cmd]).config_keys)
-            for cmd in ("tau", "hv", "transition", "verify")}
-    assert keys == {
-        "tau": {"n", "mod"},
-        "hv": {"form", "p", "ell", "e", "ext"},
-        "transition": {"form", "p", "base", "ext", "lambda", "mu", "kind"},
-        "verify": {"suite", "seed", "size"},
-    }
+CONFIG_KEYS = {
+    "tau": {"n", "mod"},
+    "hv": {"form", "p", "ell", "e", "ext"},
+    "transition": {"form", "p", "base", "ext", "lambda", "mu", "kind"},
+    "verify": {"suite", "seed", "size"},
+}
+# a well-formed value for each config key
+CONFIG_VALUES = {"n": "23", "mod": "11", "form": "delta", "p": "11",
+                 "ell": "23", "e": "11", "ext": "cyclotomic:23:degree=11",
+                 "base": "Q", "lambda": "1", "mu": "0", "kind": "analytic",
+                 "suite": "hasse", "seed": "3", "size": "30"}
+
+
+def _parse(argv):
+    """``cli.parse_args(argv)``, or the exit code of a refusal; stdout
+    and stderr are swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_config_keys_are_the_single_value_options(tmp_path):
+    config = tmp_path / "run.conf"
+    for cmd, keys in CONFIG_KEYS.items():
+        # the table's single-value flags but --config, without dashes
+        _, _, options = cli.COMMANDS[cmd]
+        assert {flag[2:] for flag, _, cast, _ in options
+                if cast not in (cli.SWITCH, cli.APPEND)} - {"config"} == keys
+        # a file naming each of them sets each; any other key is refused
+        config.write_text("".join(f"{key} = {CONFIG_VALUES[key]}\n"
+                                  for key in sorted(keys)))
+        args = _parse([cmd, "--config", str(config)])
+        cli._apply_config(args)
+        dests = {flag[2:]: dest for flag, dest, _, _ in options}
+        assert {key for key in keys
+                if getattr(args, dests[key]) is not None} == keys
+        for key in ("config", "json", "local", "assert-hypotheses", "bogus"):
+            config.write_text(f"{key} = x\n")
+            with pytest.raises(SpecParseError,
+                               match=f"run.conf:1: unknown key '{key}'"):
+                cli._apply_config(_parse([cmd, "--config", str(config)]))
 
 
 def test_bad_config_value_names_key_and_file(tmp_path, capsys):
@@ -243,6 +327,150 @@ def test_bad_config_value_names_key_and_file(tmp_path, capsys):
         key, value = text.split(" = ")
         assert capsys.readouterr() == (
             "", f"error: {config}: bad value {value!r} for {key}\n")
+
+
+def retired_parser(allow_abbrev=False):
+    """The argparse parser the table replaced, built from it: one
+    subparser per command, one ``add_argument`` per option."""
+    ap = argparse.ArgumentParser(prog="kida", allow_abbrev=allow_abbrev)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (handler, line, options) in cli.COMMANDS.items():
+        command = sub.add_parser(name, help=line, allow_abbrev=allow_abbrev)
+        for flag, dest, cast, text in options:
+            kwargs = ({"action": "store_true"} if cast is cli.SWITCH
+                      else {"action": "append"} if cast is cli.APPEND
+                      else {"choices": cast} if isinstance(cast, tuple)
+                      else {"type": cast})
+            command.add_argument(flag, dest=dest, help=text, **kwargs)
+        command.set_defaults(handler=handler)
+    return ap
+
+
+def _retired(argv, allow_abbrev=False):
+    """The retired parser's namespace as a dict, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(retired_parser(allow_abbrev).parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# value draws per cast: negative integers, values that look like flags
+# (refused, but not "-", "-5", "-.5" or a dash word holding a space) and
+# bad integers and choices; "--" is left out, which argparse 3.11 drops
+# from a value ("--n=--" gave n = [])
+INT_VALUES = ("5", "-5", "0", "23", " 7", "5_0", "x", "", "1.5", "-1.5",
+              "-x", "--json", "--bogus", "-", "-.5")
+STR_VALUES = ("delta", "Q", "cyclotomic:23:degree=11", "-x", "-", "-x y",
+              "-.5", "-5", "23=sc", "", "--n=a b", "--json", "--bogus", "=")
+EXTRA_TOKENS = ("--bogus", "--bogus=1", "5", "-5", "-x", "--json=1",
+                "--lamb", "--ex", "--su", "x y", "--n=")
+
+
+def _draw(rng, cmd):
+    """One seeded argv for ``cmd``: a random subset of its options in
+    random order, each single-value flag once, ``--local`` up to three
+    times, ``--flag value`` or ``--flag=value`` forms, a value at times
+    left out, and at times a stray token."""
+    argv = [cmd]
+    _, _, options = cli.COMMANDS[cmd]
+    for flag, _, cast, _ in rng.sample(options, rng.randint(0, len(options))):
+        for _ in range(rng.randint(1, 3) if cast is cli.APPEND else 1):
+            if cast is cli.SWITCH:
+                argv.append(flag)
+                continue
+            values = (INT_VALUES if cast is int
+                      else (*cast, "bogus", "") if isinstance(cast, tuple)
+                      else STR_VALUES)
+            value = rng.choice(values)
+            shape = rng.random()
+            argv += ([f"{flag}={value}"] if shape < 0.3 else [flag]
+                     if shape < 0.35 else [flag, value])
+    if rng.random() < 0.2:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(EXTRA_TOKENS))
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parser_matches_the_retired_parser(seed):
+    # seeded draws over every command: the same namespace from both
+    # parsers, or exit 2 from both
+    rng = random.Random(f"cli-oracle:{seed}")
+    outcomes = set()
+    for _ in range(250):
+        argv = _draw(rng, rng.choice(list(cli.COMMANDS)))
+        ours, theirs = _parse(argv), _retired(argv)
+        ours = ours if isinstance(ours, int) else vars(ours)
+        assert ours == theirs, argv
+        outcomes.add(ours == 2)
+    assert outcomes == {True, False}     # both refusals and namespaces
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--json"], ["-x", "tau"],
+                                  ["tau", "--n", "5", "--"]])
+def test_command_choice_matches_the_retired_parser(argv):
+    assert _parse(argv) == _retired(argv) == 2
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["transition", "--lamb", "1", "--ex", "cyclotomic:23:degree=11"],
+     {"lam": 1, "ext": "cyclotomic:23:degree=11"}),
+    (["verify", "--su", "hasse"], {"suite": "hasse"}),
+    (["tau", "--n=23", "--mo", "11"], {"n": 23, "mod": 11}),
+])
+def test_abbreviated_flags_exit_2(argv, accepted, capsys):
+    # stated decision: a unique prefix of a flag was accepted
+    theirs = _retired(argv, allow_abbrev=True)
+    assert {key: theirs[key] for key in accepted} == accepted
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"kida {argv[0]}: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tau", "--n", "5", "--n", "23"], "--n"),
+    (["tau", "--n", "23", "--mod=11", "--mod", "11"], "--mod"),
+    (["transition", "--kind", "plus", "--kind=minus"], "--kind"),
+    (["verify", "--suite", "hasse", "--config", "a", "--config=b"],
+     "--config"),
+])
+def test_repeated_flags_exit_2(argv, flag, capsys):
+    # stated decision: the last value of a repeated flag won
+    assert _retired(argv) != 2
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"kida {argv[0]}: error: argument {flag}: given twice")
+
+
+def test_repeated_switches_and_locals_are_kept():
+    args = cli.parse_args(["transition", "--json", "--json", "--local",
+                           "23=sc", "--local=-7=sc", "--assert-hypotheses"])
+    assert args.json is args.assert_hypotheses is True
+    assert args.local == ["23=sc", "-7=sc"]
+
+
+@pytest.mark.parametrize("argv, cmd", [(["--help"], None),
+                                       (["-h", "tau"], None),
+                                       (["transition", "--p", "11", "-h"],
+                                        "transition")])
+def test_help_lists_and_exits_0(argv, cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    usage, *rows = out.splitlines()
+    assert usage.startswith(f"usage: kida {cmd or '{tau,hv,'}")
+    expected = ([(name, text) for name, (_, text, _) in cli.COMMANDS.items()]
+                if cmd is None else
+                [(flag, text) for flag, _, _, text in cli.COMMANDS[cmd][2]])
+    assert len(rows) == len(expected)
+    for row, (name, text) in zip(rows, expected):
+        assert row.split()[0] == name and row.endswith(" " + text)
 
 
 @pytest.mark.parametrize("spec", [

@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from test_cli import HOSTILE_INPUTS, with_files
+from test_cli import HOSTILE_INPUTS, USAGE_ERRORS, with_files
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kida"
@@ -205,9 +205,10 @@ UNRUN = {
                                "suite has none of",
 }
 
-# Runs the (argv, env) rows and the code read from stdin in one
+# Runs the (argv, env, usage) rows and the code read from stdin in one
 # interpreter under sys.setprofile, and prints the (file, first line) of
-# every function called.
+# every function called.  The parser refuses a row, exit 2, if and only
+# if it is a usage row.
 PROFILED = r"""
 import contextlib, io, json, os, sys
 rows, example = json.load(sys.stdin)
@@ -215,14 +216,17 @@ called = set()
 sys.setprofile(lambda frame, event, arg: event == "call"
                and called.add(frame.f_code))
 from kida import cli
-for argv, env in rows:
+for argv, env, usage in rows:
     os.environ.update(env)
+    refused = None
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv)
-    except SystemExit:
-        sys.exit(f"argparse refused {argv}")
+    except SystemExit as exc:
+        refused = exc.code
+    if refused != (2 if usage else None):
+        sys.exit(f"{argv}: parser exit {refused}")
     for key in env:
         del os.environ[key]
 exec(example, {})
@@ -296,9 +300,11 @@ def _function_lines():
 
 def test_every_function_runs_on_a_documented_path(tmp_path):
     # the README and CI commands, README's library example and every
-    # hostile input with its files and environment, in one interpreter
-    rows = _documented_commands() + [
-        (with_files(argv, tmp_path)[0], env or {})
+    # hostile input with its files and environment, in one interpreter;
+    # a usage row is refused by the parser, in CI as among the hostile
+    rows = [(argv, env, tuple(argv) in USAGE_ERRORS)
+            for argv, env in _documented_commands()] + [
+        (with_files(argv, tmp_path)[0], env or {}, argv in USAGE_ERRORS)
         for argv, env, _ in HOSTILE_INPUTS]
     example = _fenced((ROOT / "README.md").read_text(encoding="utf-8"),
                       "## Library use", "python")

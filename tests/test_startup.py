@@ -13,7 +13,9 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # Runs one command in a fresh interpreter and prints the modules it
 # loaded on top of those the interpreter had at start.  No command may
-# load NEVER (dataclasses and inspect cost about 30 ms of start-up).
+# load NEVER (dataclasses and inspect cost about 30 ms of start-up, and
+# argparse with the gettext and locale it pulls in about 5 ms; the
+# command line is read from cli.COMMANDS).
 LOADED = r"""
 import sys
 before = set(sys.modules)
@@ -24,7 +26,7 @@ print(code)
 """
 
 BASE = {"kida", "kida.cli", "kida.errors"}
-NEVER = {"dataclasses", "inspect"}
+NEVER = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def loaded(*argv):
@@ -120,12 +122,11 @@ def test_package_names_resolve_on_first_use():
 def test_choices_match_the_library():
     assert cli.KIND_CHOICES == transition.KINDS
     assert cli.SUITE_CHOICES == tuple(sorted(verify.SUITES))
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command")
-    opts = {name: {a.dest: a.choices for a in p._actions}
-            for name, p in sub.choices.items()}
-    assert tuple(opts["transition"]["kind"]) == transition.KINDS
-    assert tuple(opts["verify"]["suite"]) == tuple(sorted(verify.SUITES))
+    choices = {(name, flag): cast
+               for name, (_, _, options) in cli.COMMANDS.items()
+               for flag, _, cast, _ in options if isinstance(cast, tuple)}
+    assert choices == {("transition", "--kind"): transition.KINDS,
+                       ("verify", "--suite"): tuple(sorted(verify.SUITES))}
 
 
 @pytest.mark.parametrize("argv", [["transition", "--kind", "bogus"],
@@ -135,19 +136,3 @@ def test_bad_choices_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
-
-
-def test_library_callers_of_the_cli_load_no_argparse():
-    # a library caller may import the CLI for parse_form_spec alone:
-    # argparse loads when argv is parsed, not on import
-    code = ("import sys\n"
-            "from kida import cli\n"
-            "cli.parse_form_spec('delta')\n"
-            "print('argparse' in sys.modules)\n"
-            "cli.build_parser()\n"
-            "print('argparse' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
