@@ -35,12 +35,16 @@ EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # refuses its first key that names none of its options; CONFIG_MOD for
 # one whose --mod is below 1; CONFIG_TWICE and CONFIG_UNKNOWN for the
 # repeated and the unknown key that once went unnoticed, the last value
-# winning and the key ignored), DIR for a directory.
+# winning and the key ignored; CONFIG_N and CONFIG_KIND for the malformed
+# values that once went unchecked where a flag overrode them), DIR for a
+# directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
     "CONFIG_MOD": "n = 23\nmod = -5\n",
     "CONFIG_TWICE": "n = 23\nn = 5\n",
     "CONFIG_UNKNOWN": "n = 23\nbogus = 5\n",
+    "CONFIG_N": "n = abc\n",
+    "CONFIG_KIND": "kind = bogus\n",
     "NON_ASCII": "n = 23  # \u00e9\n",
     "TABLE_WORD": "weight two level 11\n",
     "TABLE_FIELD": "weight 2 level 11\n2 x\n",
@@ -79,6 +83,11 @@ DEGREE_NOT_UNIQUE = ("transition", "--form", "delta", "--p", "3", "--base",
                      "Q", "--ext", "cyclotomic:91:degree=3", "--lambda", "1",
                      "--mu", "0")
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
+# a config value is checked also where a flag overrides it (these printed
+# tau(5) and ran the plus transition, exit 0)
+CONFIG_OVERRIDDEN = [("tau", "--n", "5", "--config", "CONFIG_N"),
+                     TRANSITION_23 + ("--p", "11", "--kind", "plus",
+                                      "--config", "CONFIG_KIND")]
 # a budget below 1 once exited 2, "beyond precision budget -5"; the
 # budget is read before any command runs, so a malformed one exits 3 also
 # in the commands that spend none (they once ran and exited 0)
@@ -154,6 +163,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     DEGREE_NOT_UNIQUE,
     ("tau", "--config", "CONFIG_TWICE"),
     ("tau", "--config", "CONFIG_UNKNOWN"),
+    *CONFIG_OVERRIDDEN,
 ]] + [(argv, None, 2) for argv in [
     # refused by the parser: exit 2
     *USAGE_ERRORS,
@@ -226,6 +236,8 @@ HOSTILE_STDERR = {
     ("tau", "--config", "CONFIG_TWICE"): "CONFIG_TWICE:2: key 'n' given twice",
     ("tau", "--config", "CONFIG_UNKNOWN"):
         "CONFIG_UNKNOWN:2: unknown key 'bogus'",
+    CONFIG_OVERRIDDEN[0]: "CONFIG_N: bad value 'abc' for n",
+    CONFIG_OVERRIDDEN[1]: "CONFIG_KIND: bad value 'bogus' for kind",
     **USAGE_ERRORS,
 }
 

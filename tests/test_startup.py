@@ -1,6 +1,9 @@
-"""Start-up: each command loads only the kida modules it runs, and the
-package resolves its public names on first use."""
+"""Start-up and exit: each command loads only the kida modules it runs,
+the package resolves its public names on first use, and only a program
+run freezes the heap for its exit."""
 
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -29,10 +32,15 @@ BASE = {"kida", "kida.cli", "kida.errors"}
 NEVER = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
-def loaded(*argv):
+def _python(code, *argv):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+    env.pop("KIDA_PRECISION", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def loaded(*argv):
+    proc = _python(LOADED, *argv)
     assert proc.returncode == 0, proc.stderr
     *_, names, code = proc.stdout.splitlines()
     return set(names.split()), int(code)
@@ -112,9 +120,7 @@ print("ok")
 
 
 def test_package_names_resolve_on_first_use():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", PACKAGE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(PACKAGE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
@@ -136,3 +142,57 @@ def test_bad_choices_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# One command per exit path: success, a domain error, a malformed input,
+# missing local data, a usage error and --help.
+EXIT_PATHS = [
+    (["tau", "--n", "23"], 0),
+    (["tau", "--n", "2001"], 2),
+    (["tau", "--n", "0"], 3),
+    (["transition", "--p", "11", "--base", "Q", "--ext",
+      "cyclotomic:23:degree=11", "--lambda", "1", "--mu", "0"], 4),
+    (["tau", "--bogus"], 2),
+    (["--help"], 0),
+]
+
+# Registers an exit probe first, so that it runs after every handler
+# registered later, then runs kida.cli as the program.
+AS_PROGRAM = r"""
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+runpy.run_module("kida.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", EXIT_PATHS,
+                         ids=[" ".join(argv) for argv, _ in EXIT_PATHS])
+def test_a_program_run_exits_frozen(argv, code):
+    proc = _python(AS_PROGRAM, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+# Calls main with each exit path's argv in one process: the collector
+# must be as it was after every call and at exit.
+IN_PROCESS = r"""
+import atexit, gc, json, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from kida import cli
+before = gc.get_freeze_count(), gc.isenabled()
+for argv in json.loads(sys.argv[1]):
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+"""
+
+
+def test_main_with_argv_leaves_the_collector_alone():
+    proc = _python(IN_PROCESS, json.dumps([argv for argv, _ in EXIT_PATHS]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen False"
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["hv", "--form", "sc", "--e", "5"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
