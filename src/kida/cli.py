@@ -6,8 +6,9 @@ each command's handler, help line and options: ``parse_args`` reads argv
 from it, and ``_apply_config`` a config file of defaults keyed by the
 long flags' names.  ``main`` reads KIDA_PRECISION, the series precision
 budget, before any command runs.  Exit codes (README lists each case):
-0 success; 1 property violation; 2 usage and domain errors; 3 malformed
-input; 4 missing local data in a transition.
+0 success; 1 property violation; 2 usage errors; and a ``KidaError``'s
+``exit_code``: 2 domain errors, 3 malformed input, 4 missing local data
+in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``qexp`` alone (``qexp`` loads ``arith`` only in the
@@ -25,8 +26,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import (KidaError, MissingLocalType, NotASubfield, NotPPower,
-                     SpecParseError, parse_int_fields)
+from .errors import KidaError, SpecParseError, parse_int_fields
 
 # option choices, equal to transition.KINDS and sorted(verify.SUITES)
 KIND_CHOICES = ("algebraic", "analytic", "plus", "minus")
@@ -171,9 +171,8 @@ def cmd_hv(args) -> int:
             raise SpecParseError("hv with a form spec needs --p and --ell")
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
-        from .qexp import frobenius_data
-        a, c = frobenius_data(form, args.ell, args.p, args.precision)
-        V = UnramifiedPS(a, c, args.p)
+        from .qexp import local_type
+        V = local_type(form, args.ell, args.p, precision=args.precision)
         record.update(form=form.describe(), ell=args.ell)
     if args.e is not None:
         e = args.e
@@ -354,10 +353,6 @@ def parse_args(argv):
     return args
 
 
-_EXIT_CODES = ((MissingLocalType, 4), (SpecParseError, 3),
-               (NotASubfield, 3), (NotPPower, 3))
-
-
 def main(argv=None) -> int:
     if argv is None:        # a program run: no collection at exit
         import atexit
@@ -371,10 +366,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except KidaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                return code
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception classes, the record base and the ``key=<int>`` list parser
 shared across the package.
 
-Every documented failure mode has its own class so callers (and the CLI
-exit-code mapping) can dispatch on type rather than on message text.
+Every documented failure mode has its own class so callers can dispatch
+on type rather than on message text, and each class carries the exit code
+the CLI returns for it.
 """
 
 from operator import attrgetter
@@ -55,7 +56,9 @@ class Record:
 
 
 class KidaError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; a domain error unless marked."""
+
+    exit_code = 2
 
 
 # -- arith -------------------------------------------------------------
@@ -104,9 +107,13 @@ class NotASubfield(KidaError):
     """The base field's conductor does not divide the extension's, or the
     extension's subgroup does not reduce into the base field's."""
 
+    exit_code = 3
+
 
 class NotPPower(KidaError):
     """Relative degree is not a power of the working prime."""
+
+    exit_code = 3
 
 
 class TameAtP(KidaError):
@@ -134,6 +141,8 @@ class MuNonzero(KidaError):
 class MissingLocalType(KidaError):
     """No local type available at a ramified prime dividing the level."""
 
+    exit_code = 4
+
 
 class ChainMismatch(KidaError):
     """Transition reports do not form an aligned tower."""
@@ -153,6 +162,8 @@ class NegativeLambda(KidaError):
 
 class SpecParseError(KidaError):
     """Malformed field, form, or local-type input string."""
+
+    exit_code = 3
 
 
 def parse_int_fields(spec: str, body: str,

@@ -13,8 +13,9 @@ tau(n) comes from Ramanujan's identity (1916), the coefficients of
 E_6^2 = E_12 - (762048/691) Delta in M_12(SL_2(Z)) (Serre, *A Course in
 Arithmetic*, VII.3): 756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n) - 691 *
 252 * sum_(0<k<n) sigma_5(k) sigma_5(n - k), over one growable table of
-sigma_5.  The curve, table and Frobenius functions load ``arith`` when
-called, so ``kida tau`` loads this module alone.
+sigma_5.  The curve, table and Frobenius functions load ``arith`` (and
+``local_type``, a form's local type at a good prime, ``localfactor``)
+when called, so ``kida tau`` loads this module alone.
 """
 
 from __future__ import annotations
@@ -456,7 +457,8 @@ def table_form(table: CoefficientTable) -> ModularFormData:
 
 def frobenius_data(f: ModularFormData, ell: int, p: int,
                    precision: int | None = None) -> tuple[int, int]:
-    """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np."""
+    """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np;
+    ``local_type`` makes them the form's local type at ell."""
     from . import arith
     if not arith.is_prime(ell) or not arith.is_prime(p):
         raise ValueError("ell and p must be prime")
@@ -466,3 +468,17 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
         raise RamifiedLevel(f"{ell} divides the level {f.level}; "
                             "supply a local type instead")
     return f.a_prime(ell, precision) % p, pow(ell, f.weight - 1, p)
+
+
+def local_type(f: ModularFormData, ell: int, p: int, f0: int = 1,
+               precision: int | None = None):
+    """f's type at ell over a field where ell has residue degree f0: the
+    unramified principal series x^2 - s_f0 x + c^f0 mod p of Frob_ell^f0,
+    for (a, c) from ``frobenius_data`` (its checks and errors apply) and
+    Newton's recursion s_0 = 2, s_1 = a, s_j = a s_(j-1) - c s_(j-2)."""
+    from .localfactor import UnramifiedPS
+    a, c = frobenius_data(f, ell, p, precision)
+    s_prev, s_cur = 2 % p, a
+    for _ in range(f0 - 1):
+        s_prev, s_cur = s_cur, (a * s_cur - c * s_prev) % p
+    return UnramifiedPS(s_cur, pow(c, f0, p), p)

@@ -10,7 +10,8 @@ serves the algebraic, analytic, and signed (plus/minus) invariants; only
 the asserted hypotheses differ.  Each ramified prime contributes
 (number of places of the extension tower above it) x m(type, local degree),
 priced by ``localfactor.m_extension``: the h-table for tabulated types,
-the user's values for generic ones.
+the user's values for generic ones.  A place's type is a ``--local``
+override or, away from the level, the form's ``qexp.local_type``.
 """
 
 from __future__ import annotations
@@ -138,19 +139,6 @@ class TransitionReport(Record):
         return out
 
 
-def _frobenius_power(a: int, c: int, f: int, p: int) -> tuple[int, int]:
-    """Characteristic data of the f-th Frobenius power mod p.
-
-    Newton's recursion on the power sums of the roots of x^2 - a x + c:
-    trace(Frob^f) = s_f with s_0 = 2, s_1 = a, s_k = a s_{k-1} - c s_{k-2};
-    det(Frob^f) = c^f.
-    """
-    s_prev, s_cur = 2 % p, a % p
-    for _ in range(f - 1):
-        s_prev, s_cur = s_cur, (a * s_cur - c * s_prev) % p
-    return s_cur, pow(c, f, p)
-
-
 def parse_local_types(items, p: int) -> dict[int, object]:
     """ELL -> local type from ``ELL=TYPESPEC`` items (``kida transition
     --local``); each ELL a prime within the input bound, given once.  A
@@ -171,26 +159,6 @@ def parse_local_types(items, p: int) -> dict[int, object]:
     return out
 
 
-def _resolve_local_type(ell: int, p: int,
-                        form: qexp.ModularFormData | None,
-                        overrides: dict[int, object] | None,
-                        precision: int | None, f0: int):
-    if overrides and ell in overrides:
-        return overrides[ell], "user"
-    if form is None:
-        raise MissingLocalType(
-            f"no form and no local type supplied for ramified prime {ell}")
-    if form.level % ell == 0:
-        raise MissingLocalType(
-            f"{ell} divides the level {form.level}; supply a local type "
-            f"for it explicitly")
-    a, c = qexp.frobenius_data(form, ell, p, precision)
-    # the table needs the Frobenius of the base tower field, the f0-th
-    # power of ell's (splitting.RamifiedPlace)
-    a, c = _frobenius_power(a, c, f0, p)
-    return localfactor.UnramifiedPS(a, c, p), "frobenius"
-
-
 def transition(*, p: int,
                base_field: splitting.AbelianField,
                ext_field: splitting.AbelianField,
@@ -206,9 +174,10 @@ def transition(*, p: int,
     reduces both fields at p, to the fields cut out by the tame parts of
     their characters, which have the same cyclotomic p-towers.  The report
     carries the reduced pair (with a warning when it is not the given one)
-    and its p-power degree.  Local types come from the supplied form via
-    its Frobenius data away from the level, and from ``local_types``
-    overrides at primes dividing the level.
+    and its p-power degree.  A ``local_types`` override gives the type at
+    its prime; elsewhere ``qexp.local_type`` reads it off the form, over
+    the base's residue field, and a missing form or a prime dividing the
+    level raises MissingLocalType.
     """
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(
@@ -227,14 +196,24 @@ def transition(*, p: int,
             "is applied formally")
     places = []
     for entry in sorted(rs.entries, key=lambda ent: ent.ell):
-        V, origin = _resolve_local_type(entry.ell, p, form, local_types,
-                                        precision, entry.f_prime_to_p)
+        ell = entry.ell
+        user = ell in (local_types or ())
+        if user:
+            V = local_types[ell]
+        elif form is None:
+            raise MissingLocalType(
+                f"no form and no local type supplied for ramified prime {ell}")
+        elif form.level % ell == 0:
+            raise MissingLocalType(
+                f"{ell} divides the level {form.level}; supply a local type "
+                f"for it explicitly")
+        else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
+            V = qexp.local_type(form, ell, p, entry.f_prime_to_p, precision)
         m = localfactor.m_extension(V, entry.local_degree)
         generic = isinstance(V, localfactor.Generic)
-        path = ("generic" if generic
-                else "table" if origin == "frobenius" else "table(user)")
+        path = "generic" if generic else "table(user)" if user else "table"
         places.append(LocalFactorReport(
-            ell=entry.ell, local_degree=entry.local_degree,
+            ell=ell, local_degree=entry.local_degree,
             places=entry.places, m=m, h=None if generic else m, path=path,
             type_spec=localfactor.describe_local_type(V), local_type=V))
     local_sum = sum(rep.contribution for rep in places)

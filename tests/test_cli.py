@@ -527,6 +527,28 @@ def test_cli_import_leaves_numpy_out():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
+def test_each_error_class_carries_its_exit_code(monkeypatch, capsys):
+    # the table main dispatched on before the codes moved onto the
+    # classes: 4 missing local data, 3 malformed input, 2 the rest
+    from kida import errors
+    classes = [obj for obj in vars(errors).values() if isinstance(obj, type)
+               and issubclass(obj, errors.KidaError)]
+    old = {"MissingLocalType": 4, "SpecParseError": 3, "NotASubfield": 3,
+           "NotPPower": 3}
+    assert set(old) < {klass.__name__ for klass in classes}
+    monkeypatch.delenv("KIDA_PRECISION", raising=False)
+    for klass in classes:
+        assert klass.exit_code == old.get(klass.__name__, 2), klass
+
+        # main returns the code of what a handler raises
+        def handler(args, klass=klass):
+            raise klass("boom")
+        monkeypatch.setitem(cli.COMMANDS, "tau",
+                            (handler, *cli.COMMANDS["tau"][1:]))
+        assert cli.main(["tau"]) == klass.exit_code
+    assert capsys.readouterr().err == "error: boom\n" * len(classes)
+
+
 GOLDEN_HV_23 = """a = 10
 c = 1
 case = no_trivial_frobenius_eigenvalue

@@ -2,14 +2,19 @@
 elliptic-curve form sources through the CLI, even-conductor fields,
 signed-kind hypothesis echoes, and the full local-type override grammar."""
 
+import collections
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from kida import arith, qexp, splitting as sp, transition as tr
+from kida import arith, localfactor as lf, qexp, splitting as sp, \
+    transition as tr
+from kida.errors import MissingCoefficient, RamifiedLevel
 
 Q = sp.rationals()
 
@@ -196,16 +201,116 @@ class TestMultiPlaceTransition:
             by_ell[23].places * 0 + by_ell[1123].places * 20
 
 
+def _small_primes(bound):
+    return [q for q in range(2, bound + 1) if arith.is_prime(q)]
+
+
+def _count_over_extension(curve, ell, n):
+    """#E(F_(ell^n)), n <= 3, for a curve with a1 = 0, by listing the
+    points of y^2 + a3 y = x^3 + a2 x^2 + a4 x + a6.  F_(ell^n) is
+    F_ell[t]/(g) for the first monic g of degree n with no root (for
+    n <= 3, irreducible); an element is its coefficient tuple."""
+    assert curve.a1 == 0 and 1 <= n <= 3
+    tails = itertools.product(range(ell), repeat=n)
+    tail = next(g for g in tails if n == 1 or all(
+        (r ** n + sum(c * r ** i for i, c in enumerate(g))) % ell
+        for r in range(ell)))
+
+    def mul(u, v):
+        prod = [0] * (2 * n - 1)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                prod[i + j] += ui * vj
+        for k in range(2 * n - 2, n - 1, -1):   # t^n = -sum tail_i t^i
+            for i, c in enumerate(tail):
+                prod[k - n + i] -= prod[k] * c
+        return tuple(x % ell for x in prod[:n])
+
+    def plus(u, c):
+        return ((u[0] + c) % ell,) + u[1:]
+
+    field = list(itertools.product(range(ell), repeat=n))
+    lhs = collections.Counter(mul(y, plus(y, curve.a3)) for y in field)
+    return 1 + sum(
+        lhs[plus(mul(plus(mul(plus(x, curve.a2), x), curve.a4), x), curve.a6)]
+        for x in field)
+
+
 class TestInertBaseResidueDegree:
-    def test_frobenius_power_helper(self):
-        from kida.transition import _frobenius_power
+    MODULI = (3, 5, 7, 11, 691, 10007)
+
+    def test_local_type_of_delta_against_hecke(self):
+        # Hecke: tau(ell^f) = h_f(alpha, beta), so the power sum is
+        # trace(Frob^f) = tau(ell^f) - ell^11 tau(ell^(f-2)), with
+        # tau(ell^-1) = 0; det(Frob^f) = ell^(11 f)
+        delta = qexp.delta_form()
+        primes = _small_primes(2000)
+        for f0 in (1, 2, 3):
+            for ell in (q for q in primes if q ** f0 <= 2000):
+                lower = qexp.tau(ell ** (f0 - 2)) if f0 >= 2 else 0
+                trace = qexp.tau(ell ** f0) - ell ** 11 * lower
+                for p in self.MODULI:
+                    if p != ell:
+                        V = qexp.local_type(delta, ell, p, f0)
+                        assert isinstance(V, lf.UnramifiedPS)
+                        assert (V.a, V.c) == (trace % p,
+                                              pow(ell, 11 * f0, p))
+
+    def test_local_type_of_11a1_against_point_counts(self):
+        # trace(Frob^f) = ell^f + 1 - #E(F_(ell^f)), counted by listing
+        # F_(ell^f): f = 1, 2 up to 31 and f = 3 up to 7, 11 bad
+        form = qexp.ec_form(qexp.EllipticCurve(0, -1, 1, -10, -20))
+        for f0, bound in ((1, 31), (2, 31), (3, 7)):
+            for ell in _small_primes(bound):
+                if ell == 11:
+                    continue
+                q = ell ** f0
+                trace = q + 1 - _count_over_extension(form.source, ell, f0)
+                assert abs(trace) <= 2 * math.isqrt(q) + 2
+                for p in self.MODULI:
+                    if p != ell:
+                        V = qexp.local_type(form, ell, p, f0)
+                        assert (V.a, V.c) == (trace % p, q % p)
+
+    def test_local_type_of_table_forms(self):
+        f = qexp.table_form(qexp.CoefficientTable(2, 3, {11: 3, 107: 5}))
         # x^2 - 3x + 1 mod 5 has the double root 4; Frob^2 has trace
-        # 4^2 + 4^2 = 32 = 2 and determinant 1
-        assert _frobenius_power(3, 1, 2, 5) == (2, 1)
-        assert _frobenius_power(3, 1, 1, 5) == (3, 1)
-        # coprime roots: x^2 - 5x + 6 = (x-2)(x-3); f = 3 gives
-        # trace 8 + 27 = 35, det 216
-        assert _frobenius_power(5, 6, 3, 101) == (35, 216 % 101)
+        # 4^2 + 4^2 = 32 = 2 and determinant 1, Frob^3 trace 128 = 3
+        assert qexp.local_type(f, 11, 5) == lf.UnramifiedPS(3, 1, 5)
+        assert qexp.local_type(f, 11, 5, 2) == lf.UnramifiedPS(2, 1, 5)
+        assert qexp.local_type(f, 11, 5, 3) == lf.UnramifiedPS(3, 1, 5)
+        # 107 = 6 mod 101: x^2 - 5x + 6 = (x-2)(x-3); Frob^f has trace
+        # 2^f + 3^f and determinant 6^f
+        for f0 in (1, 2, 3):
+            assert qexp.local_type(f, 107, 101, f0) == lf.UnramifiedPS(
+                2 ** f0 + 3 ** f0, 6 ** f0, 101)
+        # frobenius_data's refusals stand: a level prime, a missing entry
+        with pytest.raises(RamifiedLevel):
+            qexp.local_type(f, 3, 5, 2)
+        with pytest.raises(MissingCoefficient):
+            qexp.local_type(f, 13, 5, 2)
+
+    def test_cli_over_base_where_13_is_inert(self):
+        # README's command: 13 is inert in Q(sqrt 2); a_13 = 4 and
+        # #E(F_169) = 180, so Frob^2 has trace -10 = 2 and determinant
+        # 169 = 1 mod 3, h = 2(e - 1) = 4.  Over Q the type is ups:a=1,c=1,
+        # whose h is 0
+        spec = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
+        assert _count_over_extension(
+            qexp.EllipticCurve(0, -1, 1, -10, -20), 13, 2) == 180
+        code, out, err = run_cli(
+            "transition", "--form", spec, "--p", "3", "--base",
+            "cyclotomic:8:gens=7", "--ext", "cyclotomic:104:gens=57,79",
+            "--lambda", "1", "--mu", "0")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "lambda.out = 7" in lines
+        assert "local.13.type = ups:a=2,c=1" in lines
+        assert "local.13.h = 4" in lines
+        code, out, err = run_cli("hv", "--form", spec, "--p", "3", "--ell",
+                                 "13", "--e", "3")
+        assert code == 0, err
+        assert {"h = 0", "type = ups:a=1,c=1"} <= set(out.splitlines())
 
     def test_transition_over_base_with_inert_ramified_prime(self):
         # base Q(sqrt 2) (conductor 8, fixed by {1,7}); 11 is inert there
