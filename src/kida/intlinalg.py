@@ -36,16 +36,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def hnf(mat: list[list[int]], ncols: int | None = None) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by ``mat``.
+def hnf(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row-style Hermite normal form of the lattice spanned by ``mat``,
+    whose rows have ``ncols`` entries.
 
     Returns the nonzero rows in echelon form: pivots positive, strictly
     increasing pivot columns, entries above each pivot reduced into
     [0, pivot).  The row span over Z is unchanged, and the output is the
     unique canonical basis of that lattice.
     """
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
     m = [list(row) for row in mat]
     rows = len(m)
     r = 0

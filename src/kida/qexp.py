@@ -229,7 +229,7 @@ def _hasse_multiples(P, a: int, ell: int, r: int) -> tuple[list[int], bool]:
     ell+1 - kt -+ j kills P; the windows |j| <= s tile the interval.  If
     P has order > 2s, each window holds at most one multiple of it, and
     the walk lists every m in the interval with mP = O (whole).  If not,
-    O, a 2-torsion point or a repeated abscissa among the baby steps gives
+    a 2-torsion point or a repeated abscissa among the baby steps gives
     one multiple m <= 2s at once.
     """
     s = math.isqrt(r) + 1
@@ -237,10 +237,9 @@ def _hasse_multiples(P, a: int, ell: int, r: int) -> tuple[list[int], bool]:
     baby = {}                       # x(jP) -> (j, y(jP))
     R = P
     for j in range(1, s + 1):
-        if R is None:               # P has order j
-            return [j], False
+        # R = jP != O: else (j-1)P = -P, on which step j - 1 returned
         if R[0] in baby or R[1] == 0:
-            # jP = -iP, i < j (were jP = iP, O came at j - i), or jP = -jP
+            # jP = -iP, i < j (jP = iP would give (j - i)P = O), or jP = -jP
             i = baby[R[0]][0] if R[0] in baby else j
             return [i + j], False
         baby[R[0]] = (j, R[1])

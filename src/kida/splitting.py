@@ -6,16 +6,17 @@ of H acting on the N-th cyclotomic field, N the least modulus it is
 defined at.  Decomposition data at a prime ell comes from the standard
 dictionary: inertia I at ell is the ell-component of the unit group U,
 Frobenius is the class of ell prime to ell, and places correspond to
-cosets of H times the decomposition subgroup D = I <Frob>.  e, f, g and
-the overlap t with the cyclotomic Z_p-extension Q_inf are indices of
-Hermite lattices: [HI : H], [HD : HI], [U : HD] and p^t = [U : HK], K
-tame (``efg``, ``_tower_overlap``).  F is a subfield of E iff F's
-conductor divides E's and E's subgroup reduces into F's
-(``relative_degree``).  Place counts in the layers of the cyclotomic
-p-tower follow from efg, t and one p-adic valuation, with no layer built
-(tower_places).  A ``degree=d`` spec names the subgroup of d-th powers,
-the only index-d subgroup when the gcds of d with the invariant factors
-multiply to d (``_resolve_degree_subgroup``).
+cosets of H times the decomposition subgroup D = I <Frob>.  e, f and g
+are indices of Hermite lattices: [HI : H], [HD : HI] and [U : HD]
+(``efg``).  F is a subfield of E iff F's conductor divides E's and E's
+subgroup reduces into F's (``relative_degree``).  Place counts in the
+layers of the cyclotomic p-tower over a field unramified at p follow from
+efg and one p-adic valuation, with no layer built (tower_places); a field
+ramified at p is counted through its reduction at p
+(``unramified_at_p_reduction``), which has the same tower when every
+p-part of its characters is wild.  A ``degree=d`` spec names the
+subgroup of d-th powers, the only index-d subgroup when the gcds of d
+with the invariant factors multiply to d (``_resolve_degree_subgroup``).
 
 An AbelianField is a value: it is equal to, and hashes like, every field
 with its (conductor, HNF basis of H's lattice), so ``==`` means "same
@@ -207,29 +208,17 @@ def _tame_rows(U: arith.UnitGroup, p: int, a: int) -> list:
         [x * p ** (a - 1) for x in U.local_coordinates(p)[0]]]
 
 
-def _tower_overlap(F: AbelianField, p: int) -> int:
-    """t = v_p([F cap Q_inf : Q]).
-
-    For p^a || N, Q(zeta_N) meets Q_inf in the fixed field of K
-    (``_tame_rows``), and F meets it in that of HK: p^t = [U : HK].
-    """
-    a = arith.padic_val(F.conductor, p)
-    if a == 0:
-        return 0
-    U = F.unit_group
-    join = Lattice(F._lattice.basis + _tame_rows(U, p, a), U.rank)
-    return arith.padic_val(join.det(), p)
-
-
 def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
-    """Places above ell in the layers F_n = F Q_n of F's cyclotomic p-tower.
+    """Places above ell in the layers F_n = F Q_n of the cyclotomic p-tower
+    over a field F unramified at p.
 
-    With g, f from efg(F, ell), k = v_p(ell^(p-1) - 1) + v_p(f) and
-    p^t = [F cap Q_inf : Q], layer n has g p^min(max(n - t, 0), k - 1 - t)
-    places and the tower g p^(k - 1 - t) (Washington, Introduction to
-    Cyclotomic Fields, section 13): Gal(F_inf/F) = 1 + p^(t+1) Z_p, and the
-    decomposition group of a place over ell is topologically generated by
-    <ell>^f, which generates 1 + p^k Z_p.
+    With g, f from efg(F, ell) and k = v_p(ell^(p-1) - 1) + v_p(f), layer
+    n has g p^min(n, k - 1) places and the tower g p^(k - 1), reached at
+    layer k - 1 (Washington, Introduction to Cyclotomic Fields, section
+    13): Gal(F_inf/F) = 1 + p Z_p, and the decomposition group of a place
+    over ell is topologically generated by <ell>^f, which generates
+    1 + p^k Z_p.  A field ramified at p is refused: count the tower of its
+    ``unramified_at_p_reduction``.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -237,16 +226,16 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
         raise ValueError("tower place counts are for ell != p")
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    if F.conductor % p == 0:
+        raise ValueError(f"{F.spec_string()} is ramified at {p}: count the "
+                         f"tower of its unramified_at_p_reduction")
     place = efg(F, ell)
     k = 1
     while pow(ell, p - 1, p ** (k + 1)) == 1:
         k += 1
     k += arith.padic_val(place.f, p)
-    t = _tower_overlap(F, p)
-    n0 = k - 1 if k - 1 > t else 0
-    gs = tuple(place.g * p ** min(max(n - t, 0), k - 1 - t)
-               for n in range(n0 + 2))
-    return TowerPlaceData(ell, p, gs, gs[-1], n0)
+    gs = tuple(place.g * p ** min(n, k - 1) for n in range(k + 1))
+    return TowerPlaceData(ell, p, gs, gs[-1], k - 1)
 
 
 class RamifiedPlace(Record):

@@ -26,6 +26,13 @@ def run_cli(*argv, env_extra=None, timeout=120):
 
 TRANSITION_23 = ("transition", "--form", "delta", "--base", "Q", "--ext",
                  "cyclotomic:23:degree=11", "--lambda", "1", "--mu", "0")
+
+
+def transition_ext(spec):
+    """TRANSITION_23 at --p 11 over the extension ``spec``."""
+    return TRANSITION_23[:6] + (spec,) + TRANSITION_23[7:] + ("--p", "11")
+
+
 EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # Hostile inputs, one row each: argv, extra environment, documented exit
 # code.  Each once hung, ran without bound, passed vacuously or ended in a
@@ -36,8 +43,10 @@ EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # one whose --mod is below 1; CONFIG_TWICE and CONFIG_UNKNOWN for the
 # repeated and the unknown key that once went unnoticed, the last value
 # winning and the key ignored; CONFIG_N and CONFIG_KIND for the malformed
-# values that once went unchecked where a flag overrode them), DIR for a
-# directory.
+# values that once went unchecked where a flag overrode them;
+# CONFIG_NO_EQUALS, TABLE_THREE and TABLE_COMMENTS for a line without
+# '=', a table record of three fields and a table of comments only), DIR
+# for a directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
     "CONFIG_MOD": "n = 23\nmod = -5\n",
@@ -52,6 +61,9 @@ BAD_FILES = {
     # 2^89 - 1: trial division would take hours
     "TABLE_HUGE_PRIME": "weight 2 level 11\n618970019642690137449562111 1\n",
     "TABLE_NO_7": "weight 2 level 11\n2 -2\n3 -1\n",
+    "CONFIG_NO_EQUALS": "n = 23\nbogus\n",
+    "TABLE_THREE": "weight 2 level 11\n7 1 9\n",
+    "TABLE_COMMENTS": "# comments\n# only\n",
 }
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
@@ -104,6 +116,44 @@ PRECISION_BELOW_1 = [(("tau", "--n", "23"), {"KIDA_PRECISION": value}, 3)
 TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
                    ("tau", "--n", "23", "--mod", "-5"),
                    ("tau", "--config", "CONFIG_MOD")]
+# a flag a command needs and did not get, exit 3, each with its message
+MISSING_FLAGS = {
+    ("tau",): "tau needs --n",
+    ("hv", "--p", "5", "--e", "5"): "hv needs --form",
+    ("hv", "--form", "delta", "--p", "5", "--e", "5"):
+        "hv with a form spec needs --p and --ell",
+    ("hv", "--form", "sc"): "hv needs --e or --ext",
+    ("hv", "--form", "sc", "--ext", "cyclotomic:11:degree=5"):
+        "--ext needs --ell to locate the place",
+    ("hv", "--form", "ups:a=1,c=1", "--e", "5"):
+        "--p required for 'ups:a=1,c=1'",
+    TRANSITION_23: "transition needs --p",
+    TRANSITION_23[:-4] + ("--mu", "0", "--p", "11"):
+        "transition needs --lambda and --mu",
+    ("verify",): "verify needs --suite",
+}
+# malformed specs and files, exit 3, each with its message
+MALFORMED = {
+    ("tau", "--config", "CONFIG_NO_EQUALS"):
+        "CONFIG_NO_EQUALS:2: expected 'key = value'",
+    ("hv", "--form", "bogus", "--p", "5", "--e", "5"):
+        "bad form spec 'bogus'",
+    ("hv", "--form", "ec:a9=1", "--p", "5", "--ell", "7", "--e", "5"):
+        "bad field 'a9=1' in 'ec:a9=1': expected a1|a2|a3|a4|a6=<int>",
+    HV_TABLE + ("table:TABLE_THREE",):
+        "TABLE_THREE: line 2: expected 'ell a_ell'",
+    HV_TABLE + ("table:TABLE_COMMENTS",):
+        "TABLE_COMMENTS: missing 'weight k level N' header",
+    ("hv", "--form", "special:ram", "--p", "5", "--e", "5"):
+        "bad character spec 'ram'",
+    transition_ext("cyclotomic:7:degree=x"):
+        "bad degree in 'cyclotomic:7:degree=x'",
+    transition_ext("cyclotomic:7:degree=0"): "degree must be >= 1",
+    transition_ext("cyclotomic:14:gens=7"):
+        "subgroup generator 7 not a unit mod 14",
+    TRANSITION_23_LOCAL + ("23",): "bad --local '23'; use ell=typespec",
+    TRANSITION_23_LOCAL + ("x=sc",): "bad prime in --local 'x=sc'",
+}
 # argv the parser refuses, exit 2, each with argparse's message: an
 # unknown flag, a flag without its value, a bad integer, a bad choice, an
 # abbreviated flag (once accepted as a unique prefix) and a repeated
@@ -164,6 +214,8 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("tau", "--config", "CONFIG_TWICE"),
     ("tau", "--config", "CONFIG_UNKNOWN"),
     *CONFIG_OVERRIDDEN,
+    *MISSING_FLAGS,
+    *MALFORMED,
 ]] + [(argv, None, 2) for argv in [
     # refused by the parser: exit 2
     *USAGE_ERRORS,
@@ -172,8 +224,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     ("verify", "--suite", "hasse", "--size", "100000"),
     ("verify", "--suite", "tower-additivity", "--size", "2198"),
     ("verify", "--suite", "group-identity", "--size", "201"),
-    TRANSITION_23[:6] + ("cyclotomic:1000000000039:gens=2",)
-    + TRANSITION_23[7:] + ("--p", "11"),
+    transition_ext("cyclotomic:1000000000039:gens=2"),
     ("hv", "--form", EC_11, "--p", "5", "--ell", "100003", "--e", "5"),
     # 2^61 - 1: primality by trial division would take minutes
     ("hv", "--form", "sc", "--p", str(2 ** 61 - 1), "--e", "5"),
@@ -238,6 +289,8 @@ HOSTILE_STDERR = {
         "CONFIG_UNKNOWN:2: unknown key 'bogus'",
     CONFIG_OVERRIDDEN[0]: "CONFIG_N: bad value 'abc' for n",
     CONFIG_OVERRIDDEN[1]: "CONFIG_KIND: bad value 'bogus' for kind",
+    **MISSING_FLAGS,
+    **MALFORMED,
     **USAGE_ERRORS,
 }
 

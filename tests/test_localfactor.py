@@ -257,6 +257,20 @@ class TestRestriction:
         assert r.ramified and r.order_on_inertia == 5
         assert phi.restricted(25).ramified is False
 
+    @pytest.mark.parametrize("spec, restricted", [
+        ("special:ram,triv,dies", "special:unram,triv"),
+        ("ramps:ram,triv,dies;unram,nontriv",
+         "ramps:unram,triv;unram,nontriv"),
+    ])
+    def test_grammar_dies_character_restricts_unramified(self, spec,
+                                                         restricted):
+        # a ramified character of unknown order that dies is unramified
+        # over the extension, and an unramified character dies over any
+        V = lf.parse_local_type(spec, 3)
+        assert lf.restrict_type(V, 3) == lf.parse_local_type(restricted, 3)
+        assert lf.LocalCharData(False, True).dies_over(3)
+        assert lf.check_tower_additivity(V, 3, 9) == (True, -1, -1)
+
     def test_ups_and_sc_unchanged(self):
         V = lf.UnramifiedPS(2, 1, 5)
         assert lf.restrict_type(V, 5) == V

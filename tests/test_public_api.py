@@ -3,10 +3,11 @@ function in it runs on a documented path.
 
 A public module-level name or method that only the tests reach is either
 deleted or listed in ALLOWED with the reason it stays.  Uses are read from
-the syntax trees of every module but ``__init__``, whose export table
-lists names as strings: exposure, not use.  A use is a name, an attribute
-or a string constant (``verify.SUITES`` names suite functions) outside the
-definition itself.
+the syntax trees of every module but ``__init__``, whose submodule table
+lists module names as strings (``"transition"`` is also a function's
+name): loading, not use.  A use is a name, an attribute or a string
+constant (``verify.SUITES`` names suite functions) outside the definition
+itself.
 
 A method name that several classes define (``as_mapping``) counts for
 an owner class only where the receiver is known to be that class:
@@ -192,7 +193,6 @@ def test_allowed_names_exist_and_are_unused():
 # qualified name -> why it stays although no documented path runs it
 UNRUN = {
     "transition.compose": "perfbench transition-batch's compose step",
-    "__init__.__dir__": "dir(kida) lists the names that load on first use",
     "errors.Record.__reduce__": "copy and pickle rebuild a record",
     "errors.Record.__repr__": "a record's repr, which verify failure "
                               "messages embed; a passing run prints none",

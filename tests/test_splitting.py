@@ -255,13 +255,51 @@ class TestSameConductorPullback:
         assert min(seen.values()) > 500, seen
 
 
+def walked_tower_count(F, ell, p):
+    """Oracle: the stable count of places above ell in F's own tower, by
+    the layer walk.  Counts stall below layer t = v_p([F cap Q_inf : Q]),
+    which is below v_p(N), then grow by a factor p a layer until they
+    stabilize: the first repeat from layer v_p(N) - 1 on is the tower's."""
+    n = max(arith.padic_val(F.conductor, p) - 1, 0)
+    last = layer_place_count(F, ell, p, n)
+    while True:
+        n += 1
+        count = layer_place_count(F, ell, p, n)
+        if count == last:
+            return count
+        last = count
+
+
+def counted_through_reduction(F, ell, p):
+    """For p | N: tower_places refuses F.  A field whose p-parts are all
+    wild has the tower of its reduction at p, checked against the walk of
+    its own; one with a tame p-part is refused by ramified_set too.
+    Returns whether F is tame at p."""
+    with pytest.raises(ValueError, match="unramified_at_p_reduction"):
+        sp.tower_places(F, ell, p)
+    if _tame_at_p(F, p):
+        with pytest.raises(TameAtP):
+            sp.ramified_set(F, F, p)
+        return True
+    R = sp.unramified_at_p_reduction(F, p)
+    assert sp.tower_places(R, ell, p).g_infinity == walked_tower_count(
+        F, ell, p), (F.conductor, F.subgroup_gens, ell, p)
+    return False
+
+
 class TestTowerPlaces:
     def test_closed_form_matches_layer_walk_grid(self):
-        cases = 0
+        # p prime to N: the closed form against the walk, layer by layer;
+        # p | N: counted through the reduction at p, or refused
+        seen = {"p prime to N": 0, "wild at p": 0, "tame at p": 0}
         for F in _all_fields(30):
             for p in (3, 5, 7):
                 for ell in (2, 7, 13, 53, 251):
                     if ell == p:
+                        continue
+                    if F.conductor % p == 0:
+                        tame = counted_through_reduction(F, ell, p)
+                        seen["tame at p" if tame else "wild at p"] += 1
                         continue
                     t = sp.tower_places(F, ell, p)
                     n_end = len(t.g_layers) - 1
@@ -272,18 +310,20 @@ class TestTowerPlaces:
                         (F.conductor, F.subgroup_gens, ell, p, walked)
                     assert walked[-2:] == (t.g_infinity,) * 2
                     assert t.g_layers.index(t.g_infinity) == t.stabilized_at
-                    cases += 1
-        assert cases == 2254
+                    seen["p prime to N"] += 1
+        assert seen == {"p prime to N": 1816, "wild at p": 25,
+                        "tame at p": 413}, seen
 
+    # a field of conductor N, p | N, counted through its reduction at p
     @pytest.mark.parametrize("N,gens,ell,p,g_inf", [
         (9, (8,), 53, 3, 9),      # F = Q_1: counts stall for one layer
-        (9, (), 53, 3, 9),
+        (9, (), 53, 3, 9),        # Q(zeta_9): its p-part is tame
         (25, (7,), 251, 5, 25),
     ])
     def test_field_meeting_the_tower(self, N, gens, ell, p, g_inf):
         F = sp.AbelianField(N, gens)
-        assert sp.tower_places(F, ell, p).g_infinity == g_inf
-        assert layer_place_count(F, ell, p, 4) == g_inf
+        assert walked_tower_count(F, ell, p) == g_inf
+        assert counted_through_reduction(F, ell, p) is (gens == ())
 
     def test_1123_over_Q_at_11(self):
         t = sp.tower_places(Q, 1123, 11)
@@ -367,8 +407,9 @@ class TestTowerOverlap:
     def test_index_matches_the_residue_order_route(self):
         # N < 2000 with p | N, generators raised to random p-powers so
         # that H's p-part is often small and t > 0.  K = _tame_rows is
-        # also checked by brute force: the units x with x^(p-1) = 1 mod
-        # p^b, p^b || the conductor; and the join with H has index p^t
+        # checked by brute force: the units x with x^(p-1) = 1 mod p^b,
+        # p^b || the conductor; and the join HK has index p^t, t from the
+        # residue orders
         rng = random.Random(30)
         seen = {"t = 0": 0, "t > 0": 0, "p | conductor": 0}
         for p in (3, 5, 7):
@@ -381,13 +422,12 @@ class TestTowerOverlap:
                 gens = [pow(x, p ** rng.randint(0, a), N)
                         for x in rng.sample(units, rng.randint(0, 3))]
                 F = sp.AbelianField(N, gens)
-                t = sp._tower_overlap(F, p)
-                assert t == _overlap_by_residue_orders(N, gens, p), \
-                    (N, gens, p)
+                t = _overlap_by_residue_orders(N, gens, p)
                 seen["t > 0" if t else "t = 0"] += 1
                 M = F.conductor
                 b = arith.padic_val(M, p)
-                if b == 0:
+                if b == 0:      # F meets Q_inf in Q alone
+                    assert t == 0, (N, gens, p)
                     continue
                 U = F.unit_group
                 rows = sp._tame_rows(U, p, b)

@@ -12,6 +12,7 @@ from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, MissingLocalType, MuNonzero,
                          NegativeLambda, TameAtP)
+from test_splitting import layer_place_count
 
 DELTA = qexp.delta_form()
 Q = sp.rationals()
@@ -193,9 +194,11 @@ class TestTameAtP:
 
     def test_tame_fields_are_refused(self):
         # Q(zeta_11) times the degree-11 field of conductor 1123: its
-        # tower has 10 places above 1123, the reduced field's tower 1
+        # tower has 10 places above 1123 (by the layer walk), the reduced
+        # field's tower 1
         assert self.EXT.degree == 110
-        assert sp.tower_places(self.EXT, 1123, 11).g_infinity == 10
+        assert [layer_place_count(self.EXT, 1123, 11, n)
+                for n in range(3)] == [10] * 3
         assert sp.tower_places(F1123, 1123, 11).g_infinity == 1
         for base, ext in [(self.BASE, self.EXT), (Q, self.EXT),
                           (Q, self.BASE)]:
