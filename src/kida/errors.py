@@ -14,17 +14,14 @@ class Record:
 
     A subclass names its fields in ``__slots__``, in constructor order,
     and sets them in ``__init__`` through ``object.__setattr__`` (``_fill``
-    sets them all in that order).  The fields in ``_compare`` (all of them
-    unless the subclass says) give equality within the class, the hash and
-    the ``Name(field=value, ...)`` repr.
+    sets them all in that order).  The fields give equality within the
+    class, the hash and the ``Name(field=value, ...)`` repr.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        names = cls.__dict__.get("_compare", cls.__slots__)
-        cls._compare = names
-        cls._key = staticmethod(attrgetter(*names) if names
+        cls._key = staticmethod(attrgetter(*cls.__slots__) if cls.__slots__
                                 else lambda record: ())
 
     def _fill(self, *values):
@@ -41,7 +38,7 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._compare)
+                           for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):

@@ -11,7 +11,10 @@ the asserted hypotheses differ.  Each ramified prime contributes
 (number of places of the extension tower above it) x m(type, local degree),
 priced by ``localfactor.m_extension``: the h-table for tabulated types,
 the user's values for generic ones.  A place's type is a ``--local``
-override or, away from the level, the form's ``qexp.local_type``.
+override or, away from the level, the form's ``qexp.local_type``.  A
+place report keeps the type and its price once; the printed table value
+and type string are read off them.  ``compose`` prices each place of a
+composite once and checks it against the two steps' reports.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .errors import (ChainMismatch, InternalAdditivityViolation,
                      SpecParseError)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
+
+_SIGNED = (
+    "supersingular_weight_two",
+    "congruent_to_zp_coefficient_form",
+    "extension_abelian_p_over_Q",
+)
 
 HYPOTHESIS_NAMES = {
     "algebraic": (
@@ -35,16 +44,8 @@ HYPOTHESIS_NAMES = {
         "residual_irreducible",
         "p_distinguished",
     ),
-    "plus": (
-        "supersingular_weight_two",
-        "congruent_to_zp_coefficient_form",
-        "extension_abelian_p_over_Q",
-    ),
-    "minus": (
-        "supersingular_weight_two",
-        "congruent_to_zp_coefficient_form",
-        "extension_abelian_p_over_Q",
-    ),
+    "plus": _SIGNED,
+    "minus": _SIGNED,
 }
 
 
@@ -66,22 +67,27 @@ class InvariantRecord(Record):
 
 
 class LocalFactorReport(Record):
-    """Per ramified prime: place counts and the local contribution.
+    """Per ramified prime: place count, local type and its price ``m``,
+    ``localfactor.m_extension(local_type, local_degree)``.
 
-    ``h`` is the table value (None on the generic path) and ``path`` is
-    "table", "table(user)", "generic" or "composed".  ``local_type`` is
-    carried for composition and takes no part in eq, hash or repr.
+    ``path`` is "table", "table(user)", "generic" or "composed".
     """
 
-    __slots__ = ("ell", "local_degree", "places", "m", "h", "path",
-                 "type_spec", "local_type")
-    _compare = __slots__[:-1]
+    __slots__ = ("ell", "local_degree", "places", "m", "path", "local_type")
 
     def __init__(self, ell: int, local_degree: int, places: int, m: int,
-                 h: int | None, path: str, type_spec: str,
-                 local_type: object):
-        self._fill(ell, local_degree, places, m, h, path, type_spec,
-                   local_type)
+                 path: str, local_type: object):
+        self._fill(ell, local_degree, places, m, path, local_type)
+
+    @property
+    def h(self) -> int | None:
+        """The table value ``m``; None for generic data."""
+        return (None if isinstance(self.local_type, localfactor.Generic)
+                else self.m)
+
+    @property
+    def type_spec(self) -> str:
+        return localfactor.describe_local_type(self.local_type)
 
     @property
     def contribution(self) -> int:
@@ -90,19 +96,20 @@ class LocalFactorReport(Record):
 
 class TransitionReport(Record):
     __slots__ = ("kind", "p", "form", "base_spec", "ext_spec", "base_field",
-                 "ext_field", "degree", "lambda_in", "lambda_out", "mu_in",
-                 "mu_out", "places", "hypotheses", "warnings")
+                 "ext_field", "degree", "lambda_in", "lambda_out", "places",
+                 "hypotheses", "warnings")
+    mu_in = mu_out = 0      # the formula needs mu = 0 and gives mu = 0
 
     def __init__(self, kind: str, p: int, form: str, base_spec: str,
                  ext_spec: str, base_field: splitting.AbelianField,
                  ext_field: splitting.AbelianField, degree: int,
-                 lambda_in: int, lambda_out: int, mu_in: int, mu_out: int,
+                 lambda_in: int, lambda_out: int,
                  places: tuple[LocalFactorReport, ...],
                  hypotheses: tuple[tuple[str, bool], ...],
                  warnings: tuple[str, ...]):
         self._fill(kind, p, form, base_spec, ext_spec, base_field, ext_field,
-                   degree, lambda_in, lambda_out, mu_in, mu_out, places,
-                   hypotheses, warnings)
+                   degree, lambda_in, lambda_out, places, hypotheses,
+                   warnings)
 
     def to_invariant_record(self) -> "InvariantRecord":
         """The transported invariants, as the next step's input."""
@@ -209,13 +216,12 @@ def transition(*, p: int,
                 f"for it explicitly")
         else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
             V = qexp.local_type(form, ell, p, entry.f_prime_to_p, precision)
-        m = localfactor.m_extension(V, entry.local_degree)
-        generic = isinstance(V, localfactor.Generic)
-        path = "generic" if generic else "table(user)" if user else "table"
+        path = ("generic" if isinstance(V, localfactor.Generic)
+                else "table(user)" if user else "table")
         places.append(LocalFactorReport(
-            ell=ell, local_degree=entry.local_degree,
-            places=entry.places, m=m, h=None if generic else m, path=path,
-            type_spec=localfactor.describe_local_type(V), local_type=V))
+            ell=ell, local_degree=entry.local_degree, places=entry.places,
+            m=localfactor.m_extension(V, entry.local_degree), path=path,
+            local_type=V))
     local_sum = sum(rep.contribution for rep in places)
     lam_out = rs.degree * base.lam + local_sum
     if lam_out < 0:
@@ -230,16 +236,16 @@ def transition(*, p: int,
         base_spec=base_field.spec_string(), ext_spec=ext_field.spec_string(),
         base_field=rs.base, ext_field=rs.ext,
         degree=rs.degree, lambda_in=base.lam, lambda_out=lam_out,
-        mu_in=0, mu_out=0, places=tuple(places),
+        places=tuple(places),
         hypotheses=hypotheses, warnings=tuple(warnings))
 
 
 def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
     """Composite report for F''/F from reports for F'/F and F''/F'.
 
-    Verifies the tower bookkeeping: for every prime the composite local
-    sum must decompose as [F'':F'] times the lower sum plus the upper
-    sum, place by place.
+    Prices each composite place once and checks the tower bookkeeping:
+    its contribution is [F'':F'] times the lower report's plus the upper
+    report's, 0 where a report lacks the prime (m(V, 1) = 0).
     """
     if r_ab.p != r_bc.p or r_ab.kind != r_bc.kind or r_ab.form != r_bc.form:
         raise ChainMismatch("reports disagree on p, kind, or form")
@@ -248,48 +254,39 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
     if r_bc.lambda_in != r_ab.lambda_out:
         raise ChainMismatch(
             f"lambda chain broken: {r_ab.lambda_out} -> {r_bc.lambda_in}")
-    p = r_ab.p
     ab = {rep.ell: rep for rep in r_ab.places}
     bc = {rep.ell: rep for rep in r_bc.places}
-    deg_total = r_ab.degree * r_bc.degree
     places = []
-    local_sum = 0
-    for ell in sorted(set(ab) | set(bc)):
-        d_ab = ab[ell].local_degree if ell in ab else 1
-        d_bc = bc[ell].local_degree if ell in bc else 1
-        d_tot = d_ab * d_bc
-        if ell in ab:
-            v_base = ab[ell].local_type
-        else:
+    for ell in sorted(ab.keys() | bc.keys()):
+        lower, upper = ab.get(ell), bc.get(ell)
+        if lower is None:
             # unramified in the lower step: the lower local fields agree,
             # so the upper report's type is already base-relative
-            v_base = bc[ell].local_type
-        if ell in ab and ell in bc:
-            expected_upper = localfactor.restrict_type(v_base, d_ab)
-            if expected_upper != bc[ell].local_type:
-                raise ChainMismatch(
-                    f"local type at {ell} in the upper report does not "
-                    f"restrict from the lower report")
-        count_total = (bc[ell].places if ell in bc else splitting.tower_places(
-            r_bc.ext_field, ell, p).g_infinity)
-        count_mid = (ab[ell].places if ell in ab else splitting.tower_places(
-            r_ab.ext_field, ell, p).g_infinity)
-        m_tot = localfactor.m_extension(v_base, d_tot)
-        lhs = count_total * m_tot
-        rhs = (r_bc.degree * count_mid * localfactor.m_extension(v_base, d_ab)
-               + count_total * localfactor.m_extension(
-                   localfactor.restrict_type(v_base, d_ab), d_bc))
-        if lhs != rhs:
+            V, degree = upper.local_type, upper.local_degree
+        else:
+            V, degree = lower.local_type, lower.local_degree
+            if upper is not None:
+                if localfactor.restrict_type(V, degree) != upper.local_type:
+                    raise ChainMismatch(
+                        f"local type at {ell} in the upper report does not "
+                        f"restrict from the lower report")
+                degree *= upper.local_degree
+        count = (upper.places if upper is not None else
+                 splitting.tower_places(r_bc.ext_field, ell, r_ab.p)
+                 .g_infinity)
+        rep = LocalFactorReport(
+            ell=ell, local_degree=degree, places=count,
+            m=localfactor.m_extension(V, degree), path="composed",
+            local_type=V)
+        steps = (r_bc.degree * (lower.contribution if lower else 0)
+                 + (upper.contribution if upper else 0))
+        if rep.contribution != steps:
             raise InternalAdditivityViolation(
-                f"tower bookkeeping fails at {ell}: {lhs} != {rhs}")
-        local_sum += lhs
-        places.append(LocalFactorReport(
-            ell=ell, local_degree=d_tot, places=count_total, m=m_tot,
-            h=None if isinstance(v_base, localfactor.Generic) else m_tot,
-            path="composed",
-            type_spec=localfactor.describe_local_type(v_base),
-            local_type=v_base))
-    lam_out = deg_total * r_ab.lambda_in + local_sum
+                f"tower bookkeeping fails at {ell}: "
+                f"{rep.contribution} != {steps}")
+        places.append(rep)
+    lam_out = (r_ab.degree * r_bc.degree * r_ab.lambda_in
+               + sum(rep.contribution for rep in places))
     if lam_out != r_bc.lambda_out:
         raise InternalAdditivityViolation(
             f"composite lambda {lam_out} != chained lambda {r_bc.lambda_out}")
@@ -297,10 +294,9 @@ def compose(r_ab: TransitionReport, r_bc: TransitionReport) -> TransitionReport:
     hyps = tuple((name, a and b) for (name, a), (_, b)
                  in zip(r_ab.hypotheses, r_bc.hypotheses))
     return TransitionReport(
-        kind=r_ab.kind, p=p, form=r_ab.form,
+        kind=r_ab.kind, p=r_ab.p, form=r_ab.form,
         base_spec=r_ab.base_spec, ext_spec=r_bc.ext_spec,
         base_field=r_ab.base_field, ext_field=r_bc.ext_field,
-        degree=deg_total, lambda_in=r_ab.lambda_in, lambda_out=lam_out,
-        mu_in=0, mu_out=0, places=tuple(places),
+        degree=r_ab.degree * r_bc.degree, lambda_in=r_ab.lambda_in,
+        lambda_out=lam_out, places=tuple(places),
         hypotheses=hyps, warnings=warnings)
-

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kida import chargroup as cg
-from kida import localfactor as lf
+from kida import localfactor as lf, verify
 from kida.errors import (GenericUnsupported, IncoherentGenericData,
                          SpecParseError)
 
@@ -69,10 +69,23 @@ class TestMSingle:
 
 class TestMExtension:
     def test_degree_one_always_zero(self):
-        for V in (lf.UnramifiedPS(2, 1, 3), lf.Special(UNRAM_TRIV),
-                  lf.Supercuspidal(), lf.Generic(1, (4,))):
-            assert lf.m_extension(V, 1) == 0
-            assert lf.twist_sum(V, 1) == 0
+        # compose counts a prime that a report lacks as 0 on this: every
+        # tabulated type, every grammar type and random generic data
+        rng = random.Random(5)
+        chars = [f"{r},{t}{s}" for t in ("triv", "nontriv")
+                 for r, s in (("unram", ""), ("ram", ",dies"),
+                              ("ram", ",survives"))]
+        grammar = (["sc"] + [f"special:{c}" for c in chars]
+                   + [f"ramps:{c1};{c2}" for c1 in chars for c2 in chars])
+        for p in (3, 5, 7, 11, 13):
+            types = verify._tabulated_types(p)
+            types += [lf.parse_local_type(spec, p) for spec in grammar]
+            types += [lf.Generic(p ** b, tuple(rng.randint(0, 3)
+                                               for _ in range(p ** b)))
+                      for b in (0, 1, 2) for _ in range(3)]
+            for V in types:
+                assert lf.m_extension(V, 1) == 0, V
+                assert lf.twist_sum(V, 1) == 0, V
 
     def test_special_unramified_trivial(self):
         for p in (3, 5, 11):

@@ -26,8 +26,8 @@ ALG = tr.transition(p=11, base_field=sp.rationals(), ext_field=F23,
                     form=qexp.delta_form(), assert_hypotheses=True)
 
 LF_REPORT = (
-    "LocalFactorReport(ell=23, local_degree=11, places=1, m=0, h=0, "
-    "path='table', type_spec='ups:a=10,c=1')")
+    "LocalFactorReport(ell=23, local_degree=11, places=1, m=0, "
+    "path='table', local_type=UnramifiedPS(a=10, c=1, p=11))")
 UNRAM_REPR = ("LocalCharData(ramified=False, trivial_mod_p=False, "
               "becomes_unramified_over_extension=True, order_on_inertia=1)")
 RAM_REPR = ("LocalCharData(ramified=True, trivial_mod_p=True, "
@@ -76,7 +76,7 @@ CASES = {
         "base_spec='Q', ext_spec='cyclotomic:23:gens=22', "
         "base_field=AbelianField(conductor=1, degree=1), "
         "ext_field=AbelianField(conductor=23, degree=11), degree=11, "
-        "lambda_in=1, lambda_out=11, mu_in=0, mu_out=0, "
+        "lambda_in=1, lambda_out=11, "
         f"places=({LF_REPORT},), "
         "hypotheses=(('graded_pieces_residually_distinct', True), "
         "('archimedean_rank_condition', True), "
@@ -142,13 +142,21 @@ def test_pickle_round_trip(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_fields_that_take_no_part_in_equality():
+def test_place_report_equality_reads_its_local_type():
+    # the table value and type string are read off the local type, so a
+    # report of another type is another report, with the same price
     rep = ALG.places[0]
     other = tr.LocalFactorReport(rep.ell, rep.local_degree, rep.places,
-                                 rep.m, rep.h, rep.path, rep.type_spec,
-                                 local_type=lf.Supercuspidal())
-    assert other == rep and hash(other) == hash(rep)
-    assert other.local_type != rep.local_type
+                                 rep.m, rep.path, lf.Supercuspidal())
+    assert other != rep and other.m == rep.m
+    assert (other.h, other.type_spec) == (0, "sc")
+    assert (rep.h, rep.type_spec) == (0, "ups:a=10,c=1")
+    generic = tr.LocalFactorReport(rep.ell, 3, rep.places, 2, "generic",
+                                   lf.Generic(3, (1, 0, 0)))
+    assert (generic.h, generic.type_spec) == (None, "generic:1,0,0")
+
+
+def test_fields_that_take_no_part_in_equality():
     # the table's hash ignores the order its entries were read in
     a = qexp.CoefficientTable(2, 11, {2: -2, 3: -1})
     b = qexp.CoefficientTable(2, 11, {3: -1, 2: -2})

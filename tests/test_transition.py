@@ -10,8 +10,8 @@ import pytest
 from characters import DirichletGroup, spanning_subset
 from kida import localfactor as lf
 from kida import qexp, splitting as sp, transition as tr
-from kida.errors import (ChainMismatch, MissingLocalType, MuNonzero,
-                         NegativeLambda, TameAtP)
+from kida.errors import (ChainMismatch, InternalAdditivityViolation,
+                         MissingLocalType, MuNonzero, NegativeLambda, TameAtP)
 from test_splitting import layer_place_count
 
 DELTA = qexp.delta_form()
@@ -280,6 +280,32 @@ def synthetic_chain(lam0=2, seed=5):
     return r_ab, r_bc, direct
 
 
+def fields_7_109():
+    """The cubic field of conductor 7 and the bicubic field of conductor
+    763 above it, whose step over it is ramified at 109 only."""
+    from kida import arith
+    F7 = sp.parse_field_spec("cyclotomic:7:degree=3")
+    U = arith.unit_group(763)
+    return F7, sp.AbelianField(763, (U.element((3, 0)), U.element((0, 3))))
+
+
+def chain_7_109():
+    """Delta's reports at p = 3 for Q < F7 (ramified at 7) and F7 < F763
+    (ramified at 109)."""
+    F7, F763 = fields_7_109()
+    r_ab = tr.transition(p=3, base_field=Q, ext_field=F7, base=BASE_ALG,
+                         form=DELTA)
+    r_bc = tr.transition(p=3, base_field=F7, ext_field=F763,
+                         base=r_ab.to_invariant_record(), form=DELTA)
+    return r_ab, r_bc
+
+
+def replaced(record, **fields):
+    """``record`` rebuilt with some of its fields changed."""
+    return type(record)(**{name: fields.get(name, getattr(record, name))
+                           for name in record.__slots__})
+
+
 class TestCompose:
     def test_synthetic_generic_chain(self):
         r_ab, r_bc, direct = synthetic_chain()
@@ -325,23 +351,17 @@ class TestCompose:
     def test_steps_ramified_at_different_primes(self):
         # Q < cubic of conductor 7 < bicubic field of conductor 763:
         # the lower step is ramified at 7 only, the upper at 109 only,
-        # and the composite at both, so composition must recompute
-        # tower counts for the prime missing from each report.
+        # and the composite at both, so composition must count the
+        # composite's places above 7, which the upper report lacks.
         from kida import arith
-        F7 = sp.parse_field_spec("cyclotomic:7:degree=3")
-        U = arith.unit_group(763)
-        assert U.invariant_factors == (6, 108)
-        F763 = sp.AbelianField(763, (U.element((3, 0)), U.element((0, 3))))
+        F7, F763 = fields_7_109()
+        assert arith.unit_group(763).invariant_factors == (6, 108)
         assert F763.degree == 9
         assert sp.relative_degree(F7, F763) == 3
         # tau(7) = tau(109) = 2 mod 3, c = 1 mod 3 at both primes: each
         # ramified place contributes 2(e-1) = 4 per place
-        r_ab = tr.transition(p=3, base_field=Q, ext_field=F7,
-                             base=tr.InvariantRecord("algebraic", 0, 1),
-                             form=DELTA)
+        r_ab, r_bc = chain_7_109()
         assert [x.ell for x in r_ab.places] == [7]
-        r_bc = tr.transition(p=3, base_field=F7, ext_field=F763,
-                             base=r_ab.to_invariant_record(), form=DELTA)
         assert [x.ell for x in r_bc.places] == [109]
         direct = tr.transition(p=3, base_field=Q, ext_field=F763,
                                base=tr.InvariantRecord("algebraic", 0, 1),
@@ -355,15 +375,12 @@ class TestCompose:
 
     def test_places_are_priced_by_the_table_alone(self, monkeypatch):
         # no twist-by-twist sum runs.  109 is unramified in the lower
-        # step, so compose prices its dying character at local degree 1,
-        # where it must read 0 for the tower bookkeeping to close
+        # step, whose report lacks it and so counts 0 in the tower
+        # bookkeeping, as its dying character prices at local degree 1
         def refuse(*args):
             raise AssertionError("twist-by-twist sum reached")
         monkeypatch.setattr(lf, "m_single", refuse)
-        from kida import arith
-        F7 = sp.parse_field_spec("cyclotomic:7:degree=3")
-        U = arith.unit_group(763)
-        F763 = sp.AbelianField(763, (U.element((3, 0)), U.element((0, 3))))
+        F7, F763 = fields_7_109()
         dying = {109: lf.parse_local_type("special:ram,triv,dies", 3)}
         base = tr.InvariantRecord("algebraic", 0, 10)
         r_ab = tr.transition(p=3, base_field=Q, ext_field=F7, base=base,
@@ -377,6 +394,39 @@ class TestCompose:
         assert comp.lambda_out == direct.lambda_out == 9 * 10 + 3 * 4 - 27
         assert [(x.ell, x.local_degree, x.places, x.m, x.h)
                 for x in comp.places] == [(7, 3, 3, 4, 4), (109, 3, 27, -1, -1)]
+
+    def test_a_stored_m_off_its_type_is_refused(self):
+        # the lower report prices its place at 7 one too high: 3 places
+        # of the composite at m = 4 against 3 x (1 place at m = 5)
+        r_ab, r_bc = chain_7_109()
+        (place,) = r_ab.places
+        bad = replaced(r_ab, places=(replaced(place, m=place.m + 1),))
+        with pytest.raises(InternalAdditivityViolation,
+                           match="fails at 7: 12 != 15"):
+            tr.compose(bad, r_bc)
+
+    def test_a_wrong_chained_lambda_is_refused(self):
+        r_ab, r_bc = chain_7_109()
+        assert tr.compose(r_ab, r_bc).lambda_out == r_bc.lambda_out == 129
+        bad = replaced(r_bc, lambda_out=r_bc.lambda_out + 1)
+        with pytest.raises(InternalAdditivityViolation,
+                           match="composite lambda 129 != chained lambda 130"):
+            tr.compose(r_ab, bad)
+
+    def test_the_middle_tower_is_not_counted(self, monkeypatch):
+        # 109 is missing from the lower report, which prices it at 0
+        # whatever F7's tower above 109 is; 7 is missing from the upper
+        # report, so the composite counts F763's places above 7
+        r_ab, r_bc = chain_7_109()
+        counted = []
+        tower_places = sp.tower_places
+
+        def spy(F, ell, p):
+            counted.append((F, ell))
+            return tower_places(F, ell, p)
+        monkeypatch.setattr(sp, "tower_places", spy)
+        tr.compose(r_ab, r_bc)
+        assert counted == [(r_bc.ext_field, 7)]
 
     def test_inconsistent_local_restriction_rejected(self):
         F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
