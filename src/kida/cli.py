@@ -91,24 +91,25 @@ def _apply_config(args):
             setattr(args, dest, value)
 
 
-def parse_form_spec(spec: str) -> qexp.ModularFormData:
-    """``delta`` | ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``"""
-    from .qexp import (EllipticCurve, delta_form, ec_form, parse_table,
-                       table_form)
+def parse_form_spec(spec: str):
+    """The form (``qexp.DELTA``, a curve or a table) of ``delta`` |
+    ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``"""
+    from .qexp import DELTA, EllipticCurve, parse_table
     s = spec.strip()
     if s == "delta":
-        return delta_form()
+        return DELTA
     if s.startswith("ec:"):
         curve = EllipticCurve(**parse_int_fields(
             spec, s[len("ec:"):], ("a1", "a2", "a3", "a4", "a6")))
         if curve.discriminant() == 0:
             raise SpecParseError("curve is singular (discriminant 0)")
-        return ec_form(curve)
+        curve.level     # a discriminant past the factoring bound exits 2 here
+        return curve
     if s.startswith("table:"):
         path = s[len("table:"):]
         text = _read_text(path)
         try:
-            return table_form(parse_table(text))
+            return parse_table(text)
         except KidaError as exc:    # a malformed line or a prime past a bound
             raise type(exc)(f"{path}: {exc}") from None
     raise SpecParseError(f"bad form spec {spec!r}")

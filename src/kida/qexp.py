@@ -1,13 +1,15 @@
-"""Exact q-expansion arithmetic and Fourier-coefficient sources.
+"""Exact q-expansion arithmetic and the forms kida reads coefficients from.
 
-Coefficient sources: the weight-12 level-1 cusp form (eta-product),
-elliptic curves over Q by point counting (the Legendre sum at primes up
+A form is ``DELTA``, the weight-12 level-1 cusp form (eta-product), an
+``EllipticCurve`` over Q (weight 2) or a ``CoefficientTable``; each has
+``weight``, ``level``, ``describe()`` and ``a_prime(ell, precision)``.
+A curve's a_ell comes from point counting (the Legendre sum at primes up
 to 229, Shanks-Mestre baby-step giant-step above: one walk per point;
-strip only when the Hasse interval holds more than one multiple), and
-user tables of prime-indexed eigenvalues.  a_ell of a curve is kept for
-the last 256 (curve, ell) pairs.  Only forms with rational-integer
-coefficients are supported natively, so reduction "mod pi" is reduction
-mod p throughout; nothing is ever a float.
+strip only when the Hasse interval holds more than one multiple), kept
+for the last 256 (curve, ell) pairs; a table lists prime-indexed
+eigenvalues.  Only forms with rational-integer coefficients are supported
+natively, so reduction "mod pi" is reduction mod p throughout; nothing is
+ever a float.
 
 tau(n) comes from Ramanujan's identity (1916), the coefficients of
 E_6^2 = E_12 - (762048/691) Delta in M_12(SL_2(Z)) (Serre, *A Course in
@@ -110,12 +112,30 @@ def _tau(n: int) -> int:
     return value
 
 
+class _Delta:
+    """The eta-product as a form: weight 12, level 1, a_ell = tau(ell)."""
+
+    __slots__ = ()
+    weight, level = 12, 1
+
+    def describe(self) -> str:
+        return "delta"
+
+    def a_prime(self, ell: int, precision: int | None = None) -> int:
+        return tau(ell, precision)
+
+
+DELTA = _Delta()
+
+
 # -- elliptic curves over Q ---------------------------------------------
 
 class EllipticCurve(Record):
-    """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
+    a form of weight 2."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    weight = 2
 
     def __init__(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
                  a6: int = 0):
@@ -135,6 +155,21 @@ class EllipticCurve(Record):
         return (-b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2
                 + 9 * b2 * b4 * b6)
 
+    @property
+    @lru_cache(maxsize=256)     # read at every place of a transition
+    def level(self) -> int:
+        """The product of the primes dividing the discriminant."""
+        from . import arith
+        try:
+            primes = arith.factor(abs(self.discriminant()))
+        except BoundExceeded as exc:
+            raise BoundExceeded(f"curve discriminant {exc}") from None
+        return math.prod(q for q, _ in primes)
+
+    def describe(self) -> str:
+        return (f"ec:a1={self.a1},a2={self.a2},a3={self.a3},"
+                f"a4={self.a4},a6={self.a6}")
+
     def count_points(self, ell: int) -> int:
         """#E(F_ell) including the point at infinity, good reduction only:
         the Legendre sum up to ell = 229, baby-step giant-step above."""
@@ -149,9 +184,9 @@ class EllipticCurve(Record):
             return _count_bsgs(self, ell)
         return _count_legendre(self, ell)
 
-    def ap(self, ell: int) -> int:
+    def a_prime(self, ell: int, precision: int | None = None) -> int:
         """Trace of Frobenius a_ell = ell + 1 - #E(F_ell), with
-        |a_ell| <= 2 sqrt(ell)."""
+        |a_ell| <= 2 sqrt(ell); a count spends no series budget."""
         return _ap(self, ell)
 
 
@@ -278,7 +313,7 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
     giant-step, O(ell^(1/4)) group operations per point (Cohen, GTM 138,
     7.4; Washington, *Elliptic Curves*, ch. 4; Schoof, J. Theor. Nombres
     Bordeaux 7 (1995), 3).  It counts on every call; the (curve, ell)
-    cache of 256 entries sits above it, at ``EllipticCurve.ap``.
+    cache of 256 entries sits above it, at ``EllipticCurve.a_prime``.
 
     On the short model y^2 = x^3 + Ax + B, A = -27 c4, B = -54 c6, each
     abscissa x = 0, 1, ... with d = x^3 + Ax + B != 0 gives the point
@@ -326,14 +361,28 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
 # -- coefficient tables --------------------------------------------------
 
 class CoefficientTable(Record):
+    """A form of weight k >= 2 and level N >= 1 given by its eigenvalues
+    ``ap`` at primes."""
+
     __slots__ = ("weight", "level", "ap")
 
     def __init__(self, weight: int, level: int, ap: dict[int, int]):
+        if weight < 2 or level < 1:
+            raise ValueError("need weight >= 2 and level >= 1")
         self._fill(weight, level, ap)
 
     def __hash__(self):
         return hash((self.weight, self.level,
                      tuple(sorted(self.ap.items()))))
+
+    def describe(self) -> str:
+        return f"table:weight={self.weight},level={self.level}"
+
+    def a_prime(self, ell: int, precision: int | None = None) -> int:
+        try:
+            return self.ap[ell]
+        except KeyError:
+            raise MissingCoefficient(f"table has no entry for {ell}")
 
 
 def _ints(lineno: int, *fields: str) -> list[int]:
@@ -382,82 +431,13 @@ def parse_table(text: str) -> CoefficientTable:
     return CoefficientTable(weight=header[0], level=header[1], ap=ap)
 
 
-# -- modular form data ----------------------------------------------------
+# -- Frobenius data and local types --------------------------------------
 
-class _DeltaSource:
-    def __repr__(self):
-        return "Delta"
-
-
-DELTA_SOURCE = _DeltaSource()
-
-
-class ModularFormData(Record):
-    """Weight, level and an exact coefficient source.
-
-    Every source (the eta-product, a curve over Q, a table) has trivial
-    character, so the Frobenius determinant at ell is ell^(k-1).
-    """
-
-    __slots__ = ("weight", "level", "source")
-
-    def __init__(self, weight: int, level: int, source: object):
-        if weight < 2 or level < 1:
-            raise ValueError("need weight >= 2 and level >= 1")
-        if isinstance(source, _DeltaSource):
-            if (weight, level) != (12, 1):
-                raise ValueError("eta-product source forces weight 12, level 1")
-        if isinstance(source, EllipticCurve) and weight != 2:
-            raise ValueError("elliptic-curve source forces weight 2")
-        self._fill(weight, level, source)
-
-    def describe(self) -> str:
-        if isinstance(self.source, _DeltaSource):
-            return "delta"
-        if isinstance(self.source, EllipticCurve):
-            e = self.source
-            return (f"ec:a1={e.a1},a2={e.a2},a3={e.a3},"
-                    f"a4={e.a4},a6={e.a6}")
-        return f"table:weight={self.weight},level={self.level}"
-
-    def a_prime(self, ell: int, precision: int | None = None) -> int:
-        """Exact eigenvalue a_ell for a prime ell not dividing the level."""
-        if isinstance(self.source, _DeltaSource):
-            return tau(ell, precision)
-        if isinstance(self.source, EllipticCurve):
-            return self.source.ap(ell)
-        if isinstance(self.source, CoefficientTable):
-            try:
-                return self.source.ap[ell]
-            except KeyError:
-                raise MissingCoefficient(f"table has no entry for {ell}")
-        raise TypeError(f"unknown source {self.source!r}")
-
-
-def delta_form() -> ModularFormData:
-    return ModularFormData(weight=12, level=1, source=DELTA_SOURCE)
-
-
-def ec_form(curve: EllipticCurve) -> ModularFormData:
-    """Level: the product of the primes dividing the discriminant."""
-    from . import arith
-    try:
-        primes = arith.factor(abs(curve.discriminant()))
-    except BoundExceeded as exc:
-        raise BoundExceeded(f"curve discriminant {exc}") from None
-    level = math.prod(q for q, _ in primes)
-    return ModularFormData(weight=2, level=level, source=curve)
-
-
-def table_form(table: CoefficientTable) -> ModularFormData:
-    return ModularFormData(weight=table.weight, level=table.level,
-                           source=table)
-
-
-def frobenius_data(f: ModularFormData, ell: int, p: int,
-                   precision: int | None = None) -> tuple[int, int]:
+def frobenius_data(f: _Delta | EllipticCurve | CoefficientTable, ell: int,
+                   p: int, precision: int | None = None) -> tuple[int, int]:
     """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np;
-    ``local_type`` makes them the form's local type at ell."""
+    ``local_type`` makes them the form's local type at ell.  Every form
+    has trivial character, so ell^(k-1) is the Frobenius determinant."""
     from . import arith
     if not arith.is_prime(ell) or not arith.is_prime(p):
         raise ValueError("ell and p must be prime")
@@ -469,8 +449,8 @@ def frobenius_data(f: ModularFormData, ell: int, p: int,
     return f.a_prime(ell, precision) % p, pow(ell, f.weight - 1, p)
 
 
-def local_type(f: ModularFormData, ell: int, p: int, f0: int = 1,
-               precision: int | None = None):
+def local_type(f: _Delta | EllipticCurve | CoefficientTable, ell: int, p: int,
+               f0: int = 1, precision: int | None = None):
     """f's type at ell over a field where ell has residue degree f0: the
     unramified principal series x^2 - s_f0 x + c^f0 mod p of Frob_ell^f0,
     for (a, c) from ``frobenius_data`` (its checks and errors apply) and

@@ -11,15 +11,17 @@ the asserted hypotheses differ.  Each ramified prime contributes
 (number of places of the extension tower above it) x m(type, local degree),
 priced by ``localfactor.m_extension``: the h-table for tabulated types,
 the user's values for generic ones.  A place's type is a ``--local``
-override or, away from the level, the form's ``qexp.local_type``.  A
-place report keeps the type and its price once; the printed table value
-and type string are read off them.  ``compose`` prices each place of a
-composite once and checks it against the two steps' reports.
+override or, away from the level, the form's ``qexp.local_type``, the
+one place this module loads ``qexp``, so a transition with local types
+alone loads none of it.  A place report keeps the type and its price
+once; the printed table value and type string are read off them.
+``compose`` prices each place of a composite once and checks it against
+the two steps' reports.
 """
 
 from __future__ import annotations
 
-from . import arith, localfactor, qexp, splitting
+from . import arith, localfactor, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
                      MissingLocalType, MuNonzero, NegativeLambda, Record,
                      SpecParseError)
@@ -170,7 +172,8 @@ def transition(*, p: int,
                base_field: splitting.AbelianField,
                ext_field: splitting.AbelianField,
                base: InvariantRecord,
-               form: qexp.ModularFormData | None = None,
+               form: (qexp._Delta | qexp.EllipticCurve | qexp.CoefficientTable
+                      | None) = None,
                local_types: dict[int, object] | None = None,
                assert_hypotheses: bool = False,
                precision: int | None = None) -> TransitionReport:
@@ -215,7 +218,8 @@ def transition(*, p: int,
                 f"{ell} divides the level {form.level}; supply a local type "
                 f"for it explicitly")
         else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
-            V = qexp.local_type(form, ell, p, entry.f_prime_to_p, precision)
+            from .qexp import local_type
+            V = local_type(form, ell, p, entry.f_prime_to_p, precision)
         path = ("generic" if isinstance(V, localfactor.Generic)
                 else "table(user)" if user else "table")
         places.append(LocalFactorReport(

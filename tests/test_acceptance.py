@@ -13,7 +13,7 @@ from kida import qexp, splitting as sp, transition as tr, verify
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
-DELTA = qexp.delta_form()
+DELTA = qexp.DELTA
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
 
 
@@ -95,7 +95,6 @@ class TestAcceptance:
                f"{len(res.failures)} disagreements")
 
     def test_c09_elliptic_points_of_order_p(self):
-        f = qexp.ec_form(X0_11)
         checked = 0
         fired = 0
         ok = True
@@ -104,7 +103,7 @@ class TestAcceptance:
                                     for q in range(2, int(ell ** 0.5) + 1)):
                 continue
             n_points = X0_11.count_points(ell)
-            a, c = qexp.frobenius_data(f, ell, 11)
+            a, c = qexp.frobenius_data(X0_11, ell, 11)
             h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
             checked += 1
             fired += h != 0

@@ -68,6 +68,13 @@ BAD_FILES = {
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
                 "5", "--ell", "7", "--e", "5")
+# the curve's level is computed when the spec is parsed, so its refusal
+# comes before a missing flag's and also where --local types every place
+BIG_CURVE_AT_PARSE = [
+    HV_BIG_CURVE[:5] + HV_BIG_CURVE[7:],
+    ("transition", "--form", HV_BIG_CURVE[2], "--p", "5", "--base", "Q",
+     "--ext", "cyclotomic:11:degree=5", "--lambda", "2", "--mu", "0",
+     "--local", "11=sc")]
 # a dying character at a prime with 3^13 places drives lambda.out below 0
 NEGATIVE_LAMBDA = ("transition", "--p", "3", "--base", "Q", "--ext",
                    "cyclotomic:19131877:degree=4782969", "--local",
@@ -233,6 +240,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     TRANSITION_23 + ("--p", str(2 ** 61 - 1)),
     # discriminant about 6.4e28: trial division would take hours
     HV_BIG_CURVE,
+    *BIG_CURVE_AT_PARSE,
     HV_TABLE + ("table:TABLE_HUGE_PRIME",),
     # a domain error: a well-formed table without the prime asked
     HV_TABLE + ("table:TABLE_NO_7",),
@@ -254,9 +262,10 @@ HOSTILE_STDERR = {
         "TABLE_HUGE_PRIME: line 2: 618970019642690137449562111 beyond the "
         "trial-division bound 10^14",
     HV_TABLE + ("table:TABLE_NO_7",): "table has no entry for 7",
-    HV_BIG_CURVE:
+    **dict.fromkeys(
+        (HV_BIG_CURVE, *BIG_CURVE_AT_PARSE),
         "curve discriminant 64000001776000017184000056944 beyond the "
-        "trial-division bound 10^14",
+        "trial-division bound 10^14"),
     NEGATIVE_LAMBDA:
         "local sum -1594323 with lambda.in = 0 at degree 4782969 gives "
         "lambda.out = -1594323 < 0",

@@ -28,7 +28,7 @@ def test_tau_is_a_ell_of_x0_11_mod_11():
     assert len(primes) == 1228
     for ell in primes:
         tau = qexp.tau(ell, precision=10 ** 4)
-        assert (tau - X0_11.ap(ell)) % P == 0, ell
+        assert (tau - X0_11.a_prime(ell)) % P == 0, ell
 
 
 def _mulmod_cubic(a, b, ell):
@@ -101,7 +101,7 @@ def test_congruent_forms_have_equal_transitions():
     # in the same process, is served that entry and prices its places
     # from point counts
     Q = sp.rationals()
-    delta, curve = qexp.delta_form(), qexp.ec_form(X0_11)
+    delta, curve = qexp.DELTA, X0_11
     for N in _conductors():
         F = sp.parse_field_spec(f"cyclotomic:{N}:degree={P}")
 

@@ -135,7 +135,7 @@ class TestSignedKinds:
         F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,
                             base=tr.InvariantRecord("plus", 0, 1),
-                            form=qexp.delta_form(), assert_hypotheses=True)
+                            form=qexp.DELTA, assert_hypotheses=True)
         names = [n for n, _ in rep.hypotheses]
         assert "supersingular_weight_two" in names
         assert "congruent_to_zp_coefficient_form" in names
@@ -191,7 +191,7 @@ class TestMultiPlaceTransition:
         assert sp.efg(F, 23).e == 11 and sp.efg(F, 1123).e == 11
         rep = tr.transition(p=11, base_field=Q, ext_field=F,
                             base=tr.InvariantRecord("algebraic", 0, 1),
-                            form=qexp.delta_form(), precision=1200)
+                            form=qexp.DELTA, precision=1200)
         assert rep.degree == 11
         by_ell = {r.ell: r for r in rep.places}
         assert set(by_ell) == {23, 1123}
@@ -243,7 +243,7 @@ class TestInertBaseResidueDegree:
         # Hecke: tau(ell^f) = h_f(alpha, beta), so the power sum is
         # trace(Frob^f) = tau(ell^f) - ell^11 tau(ell^(f-2)), with
         # tau(ell^-1) = 0; det(Frob^f) = ell^(11 f)
-        delta = qexp.delta_form()
+        delta = qexp.DELTA
         primes = _small_primes(2000)
         for f0 in (1, 2, 3):
             for ell in (q for q in primes if q ** f0 <= 2000):
@@ -259,13 +259,13 @@ class TestInertBaseResidueDegree:
     def test_local_type_of_11a1_against_point_counts(self):
         # trace(Frob^f) = ell^f + 1 - #E(F_(ell^f)), counted by listing
         # F_(ell^f): f = 1, 2 up to 31 and f = 3 up to 7, 11 bad
-        form = qexp.ec_form(qexp.EllipticCurve(0, -1, 1, -10, -20))
+        form = qexp.EllipticCurve(0, -1, 1, -10, -20)
         for f0, bound in ((1, 31), (2, 31), (3, 7)):
             for ell in _small_primes(bound):
                 if ell == 11:
                     continue
                 q = ell ** f0
-                trace = q + 1 - _count_over_extension(form.source, ell, f0)
+                trace = q + 1 - _count_over_extension(form, ell, f0)
                 assert abs(trace) <= 2 * math.isqrt(q) + 2
                 for p in self.MODULI:
                     if p != ell:
@@ -273,7 +273,7 @@ class TestInertBaseResidueDegree:
                         assert (V.a, V.c) == (trace % p, q % p)
 
     def test_local_type_of_table_forms(self):
-        f = qexp.table_form(qexp.CoefficientTable(2, 3, {11: 3, 107: 5}))
+        f = qexp.CoefficientTable(2, 3, {11: 3, 107: 5})
         # x^2 - 3x + 1 mod 5 has the double root 4; Frob^2 has trace
         # 4^2 + 4^2 = 32 = 2 and determinant 1, Frob^3 trace 128 = 3
         assert qexp.local_type(f, 11, 5) == lf.UnramifiedPS(3, 1, 5)
@@ -324,8 +324,7 @@ class TestInertBaseResidueDegree:
         # table form with a_11 = 3 = -2 mod 5: over Q neither Frobenius
         # eigenvalue is trivial mod 5, but over the inert base the
         # squared Frobenius has both eigenvalues trivial
-        tbl = qexp.CoefficientTable(2, 3, {11: 3})
-        f = qexp.table_form(tbl)
+        f = qexp.CoefficientTable(2, 3, {11: 3})
         rep = tr.transition(p=5, base_field=F, ext_field=Fp,
                             base=tr.InvariantRecord("algebraic", 0, 1),
                             form=f)
@@ -344,8 +343,7 @@ class TestTransitionWithTableAtLevelPrime:
     def test_override_at_level_prime(self):
         # level 11 table form, extension ramified at 11 for p = 5 needs a
         # user type; with a dying special character the drop is -1
-        tbl = qexp.CoefficientTable(2, 11, {2: -2, 3: -1})
-        f = qexp.table_form(tbl)
+        f = qexp.CoefficientTable(2, 11, {2: -2, 3: -1})
         F121 = sp.parse_field_spec("cyclotomic:121:degree=5")
         from kida import localfactor as lf
         rep = tr.transition(

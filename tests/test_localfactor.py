@@ -15,6 +15,30 @@ def ram_char(trivial, order):
     return lf.LocalCharData(True, trivial, True, order_on_inertia=order)
 
 
+def root_one_multiplicity(a, c, p):
+    """How often x - 1 divides x^2 - a x + c over F_p: divide by it,
+    synthetically, while the remainder is 0."""
+    coeffs, count = [1, -a % p, c % p], 0
+    while len(coeffs) > 1:
+        quotient = [coeffs[0]]
+        for coeff in coeffs[1:]:
+            quotient.append((coeff + quotient[-1]) % p)
+        if quotient.pop():
+            break
+        coeffs, count = quotient, count + 1
+    return count
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_trivial_eigenvalues_count_the_root_one(p):
+    # m_extension and twist_sum both read trivial_eigenvalues, so the
+    # path-agreement suite cannot tell a wrong count; this oracle can
+    for a in range(p):
+        for c in range(p):
+            assert lf.trivial_eigenvalues(lf.UnramifiedPS(a, c, p)) == \
+                root_one_multiplicity(a, c, p), (a, c)
+
+
 class TestMSingle:
     def test_ups_neither_eigenvalue_trivial(self):
         assert lf.m_single(lf.UnramifiedPS(10, 1, 11)) == 0

@@ -13,8 +13,9 @@ A method name that several classes define (``as_mapping``) counts for
 an owner class only where the receiver is known to be that class:
 ``self`` or ``cls`` in its methods, a parameter annotated with it, a
 local bound to its constructor or to a call annotated to return it, or a
-``self`` attribute bound earlier in one of those ways.  Any other
-receiver counts for no owner.
+``self`` attribute bound earlier in one of those ways.  An annotation that
+is a union (``DELTA``'s class, a curve or a table) names each of its
+classes.  Any other receiver counts for no owner.
 """
 
 import ast
@@ -67,19 +68,23 @@ def _public_definitions(trees):
     return out
 
 
-def _annotated_class(node, classes):
-    """The src/kida class an annotation names, if it names one."""
+def _annotated_classes(node, classes):
+    """The src/kida classes an annotation names: one, or each member of a
+    union ``X | Y``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return (_annotated_classes(node.left, classes)
+                | _annotated_classes(node.right, classes))
     name = (node.id if isinstance(node, ast.Name)
             else node.attr if isinstance(node, ast.Attribute) else None)
-    return name if name in classes else None
+    return frozenset({name} & classes)
 
 
 class _Uses(ast.NodeVisitor):
     """Walks one module and adds the (owner, name) pairs it uses to
-    ``uses``: owner None for any use of the name, the receiver's class
-    where it is known."""
+    ``uses``: owner None for any use of the name, each of the receiver's
+    classes where they are known."""
 
     def __init__(self, classes, returns, attr_types, uses):
         self.classes, self.returns = classes, returns
@@ -87,17 +92,21 @@ class _Uses(ast.NodeVisitor):
         self.owner, self.defining, self.env = None, [], {}
 
     def type_of(self, node):
+        """The classes the value of ``node`` may have; empty if unknown."""
         if isinstance(node, ast.Name):
-            return self.env.get(node.id)
+            return self.env.get(node.id, frozenset())
         if isinstance(node, ast.Attribute):
-            return self.attr_types.get((self.type_of(node.value), node.attr))
+            return frozenset().union(*(
+                self.attr_types.get((recv, node.attr), ())
+                for recv in self.type_of(node.value)))
         if isinstance(node, ast.Call):
             func = node.func
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
-            return name if name in self.classes else self.returns.get(name)
-        return None
+            return (frozenset({name}) if name in self.classes
+                    else self.returns.get(name, frozenset()))
+        return frozenset()
 
     def use(self, owner, name):
         # a definition does not use itself
@@ -120,10 +129,10 @@ class _Uses(ast.NodeVisitor):
         args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
         for i, arg in enumerate(args):
             if i == 0 and self.owner and arg.arg in ("self", "cls"):
-                self.env[arg.arg] = self.owner
+                self.env[arg.arg] = frozenset({self.owner})
             elif arg.annotation is not None:
-                self.env[arg.arg] = _annotated_class(arg.annotation,
-                                                     self.classes)
+                self.env[arg.arg] = _annotated_classes(arg.annotation,
+                                                       self.classes)
         self.owner = None       # a nested def belongs to no class
         self.generic_visit(node)
         self.env, self.owner = outer_env, outer_owner
@@ -135,8 +144,7 @@ class _Uses(ast.NodeVisitor):
             if isinstance(target, ast.Name):
                 self.env[target.id] = kind
             elif isinstance(target, ast.Attribute) and kind:
-                recv = self.type_of(target.value)
-                if recv:
+                for recv in self.type_of(target.value):
                     self.attr_types[recv, target.attr] = kind
         self.generic_visit(node)
 
@@ -147,8 +155,7 @@ class _Uses(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
             self.use(None, node.attr)
-            recv = self.type_of(node.value)
-            if recv:
+            for recv in self.type_of(node.value):
                 self.use(recv, node.attr)
         self.generic_visit(node)
 
@@ -166,7 +173,7 @@ def _unused():
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.returns is not None:
-                kind = _annotated_class(node.returns, classes)
+                kind = _annotated_classes(node.returns, classes)
                 if kind:
                     returns[node.name] = kind
     uses, attr_types = set(), {}
@@ -199,7 +206,6 @@ UNRUN = {
     "errors.Record.__setattr__": "refuses assignment, which no caller makes",
     "qexp.CoefficientTable.__hash__": "a table hashes as a value although "
                                       "its ap is a dict",
-    "qexp._DeltaSource.__repr__": "the repr of delta_form()'s source",
     "splitting.AbelianField.__repr__": "a field's repr, for debugging",
     "verify.SuiteResult.fail": "records a counterexample, which a passing "
                                "suite has none of",
@@ -239,6 +245,8 @@ print(json.dumps(sorted({(code.co_filename, code.co_firstlineno)
 # at a pipe, a redirection or the end of a command substitution
 COMMAND = re.compile(r"((?:[A-Z_]+=\S+ +)*)(?:kida|python -m kida\.cli) +"
                      r"((?:tau|hv|transition|verify) [^|>)\n]*)")
+# a file a CI step writes for the commands after it: printf 'TEXT' > NAME
+WRITTEN = re.compile(r"printf '([^'%]*)' > ([\w.-]+)")
 # suite sizes on the profiled run: hasse at 300, so that points are
 # counted past the Legendre range, and every other suite at most 30
 HASSE_SIZE, SIZE_CAP = 300, 30
@@ -275,6 +283,16 @@ def _documented_commands():
             for argv, env in rows]
 
 
+def _written_files(tmp_path):
+    """Write each file the CI workflow writes with printf into
+    ``tmp_path``, where the profiled run reads it by its relative name."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    for text, name in WRITTEN.findall(ci):
+        (tmp_path / name).write_text(text.replace("\\n", "\n"),
+                                     encoding="ascii")
+
+
 def _function_lines():
     """(file, first line) -> qualified name of every function in
     src/kida; the first line is a decorator's where there is one."""
@@ -301,7 +319,8 @@ def _function_lines():
 def test_every_function_runs_on_a_documented_path(tmp_path):
     # the README and CI commands, README's library example and every
     # hostile input with its files and environment, in one interpreter;
-    # a usage row is refused by the parser, in CI as among the hostile
+    # a usage row is refused by the parser, in CI as among the hostile;
+    # the commands run where the files CI writes for them are
     rows = [(argv, env, tuple(argv) in USAGE_ERRORS)
             for argv, env in _documented_commands()] + [
         (with_files(argv, tmp_path)[0], env or {}, argv in USAGE_ERRORS)
@@ -311,9 +330,11 @@ def test_every_function_runs_on_a_documented_path(tmp_path):
     env = {key: value for key, value in os.environ.items()
            if key != "KIDA_PRECISION"}
     env["PYTHONPATH"] = str(SRC.parent)
+    _written_files(tmp_path)
     proc = subprocess.run([sys.executable, "-c", PROFILED],
                           input=json.dumps([rows, example]), env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     called = {(str(Path(path).resolve()), line)
               for path, line in json.loads(proc.stdout)}

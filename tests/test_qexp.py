@@ -231,12 +231,12 @@ class TestEllipticCurve:
                                + X0_11.a6)) % ell == 0:
                         cnt += 1
             assert ell + 1 - cnt == expected
-            assert X0_11.ap(ell) == expected
+            assert X0_11.a_prime(ell) == expected
 
     def test_hasse_bound_and_recount(self):
         for ell in (2, 3, 5, 7, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97):
-            a = X0_11.ap(ell)
+            a = X0_11.a_prime(ell)
             assert a * a <= 4 * ell
             assert X0_11.count_points(ell) == ell + 1 - a
 
@@ -248,11 +248,11 @@ class TestEllipticCurve:
 
     def test_bad_reduction(self):
         with pytest.raises(BadReduction):
-            X0_11.ap(11)
+            X0_11.a_prime(11)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            X0_11.ap(100003)
+            X0_11.a_prime(100003)
 
     @pytest.mark.parametrize("ell", [1, 15, -7, 0])
     def test_non_prime_rejected_before_any_work(self, ell, monkeypatch):
@@ -265,7 +265,7 @@ class TestEllipticCurve:
 
     def test_ap_at_prime_square_rejected(self):
         with pytest.raises(ValueError, match="must be prime"):
-            X0_11.ap(49)
+            X0_11.a_prime(49)
 
 
 class TestPointCountRoutes:
@@ -420,11 +420,11 @@ class TestApMemo:
             counts.append(ell)
             return real(E, ell)
         monkeypatch.setattr(qexp, "_count_bsgs", spy)
-        forms = [qexp.ec_form(qexp.EllipticCurve(0, -1, 1, -10, -20))
-                 for _ in range(2)]
-        assert forms[0].source is not forms[1].source
-        assert (qexp.frobenius_data(forms[0], 1009, 5)
-                == qexp.frobenius_data(forms[1], 1009, 5))
+        curves = [qexp.EllipticCurve(0, -1, 1, -10, -20)
+                  for _ in range(2)]
+        assert curves[0] is not curves[1]
+        assert (qexp.frobenius_data(curves[0], 1009, 5)
+                == qexp.frobenius_data(curves[1], 1009, 5))
         assert counts == [1009]
 
     def test_errors_raised_on_every_call(self):
@@ -433,7 +433,7 @@ class TestApMemo:
                            (49, ValueError)):
             for _ in range(2):
                 with pytest.raises(error):
-                    X0_11.ap(ell)
+                    X0_11.a_prime(ell)
         assert qexp._ap.cache_info().currsize == 0
 
     def test_ramified_level_refused_before_counting(self, monkeypatch):
@@ -443,25 +443,24 @@ class TestApMemo:
             raise AssertionError(f"counted at {ell}")
         monkeypatch.setattr(qexp.EllipticCurve, "count_points", refuse)
         with pytest.raises(RamifiedLevel):
-            qexp.frobenius_data(qexp.ec_form(X0_11), 11, 5)
+            qexp.frobenius_data(X0_11, 11, 5)
 
 
 class TestFrobeniusData:
     def test_delta_23(self):
-        assert qexp.frobenius_data(qexp.delta_form(), 23, 11) == (10, 1)
+        assert qexp.frobenius_data(qexp.DELTA, 23, 11) == (10, 1)
 
     def test_delta_1123(self):
-        assert qexp.frobenius_data(qexp.delta_form(), 1123, 11,
+        assert qexp.frobenius_data(qexp.DELTA, 1123, 11,
                                    precision=1200) == (2, 1)
 
     def test_zero_coefficient(self):
         tbl = qexp.CoefficientTable(weight=2, level=5, ap={3: 0})
-        f = qexp.table_form(tbl)
-        a, c = qexp.frobenius_data(f, 3, 7)
+        a, c = qexp.frobenius_data(tbl, 3, 7)
         assert a == 0 and c == 3 % 7
 
     def test_level_one_c_is_ell_power(self):
-        f = qexp.delta_form()
+        f = qexp.DELTA
         for ell in (2, 3, 5, 7, 13):
             for p in (11, 13, 17):
                 if ell == p:
@@ -474,28 +473,28 @@ class TestFrobeniusData:
         # every source has trivial character, so c = ell^(k-1) mod p;
         # the oracle reduces the exact power once, over primes from a sieve
         primes = [ell for ell in PRIMES if ell < 2000 and ell != p]
-        delta, curve = qexp.delta_form(), qexp.ec_form(X0_11)
+        delta, curve = qexp.DELTA, X0_11
         for ell in primes:
             assert qexp.frobenius_data(delta, ell, p) == (
                 qexp.tau(ell) % p, ell ** 11 % p), ell
             if ell != 11:
                 assert qexp.frobenius_data(curve, ell, p) == (
-                    X0_11.ap(ell) % p, ell % p), ell
+                    X0_11.a_prime(ell) % p, ell % p), ell
 
     def test_ramified_level(self):
-        f = qexp.ec_form(X0_11)
+        f = X0_11
         assert f.level == 11
         with pytest.raises(RamifiedLevel):
             qexp.frobenius_data(f, 11, 5)
 
     def test_missing_coefficient(self):
-        f = qexp.table_form(qexp.CoefficientTable(2, 11, {2: -2}))
+        f = qexp.CoefficientTable(2, 11, {2: -2})
         with pytest.raises(MissingCoefficient):
             qexp.frobenius_data(f, 3, 5)
 
     def test_ell_equals_p_rejected(self):
         with pytest.raises(ValueError):
-            qexp.frobenius_data(qexp.delta_form(), 11, 11)
+            qexp.frobenius_data(qexp.DELTA, 11, 11)
 
 
 class TestTableParser:
@@ -526,18 +525,58 @@ weight 2 level 11
     def test_file_loading(self, tmp_path):
         path = tmp_path / "aps.txt"
         path.write_text(self.GOOD, encoding="ascii")
-        tbl = cli.parse_form_spec(f"table:{path}").source
+        tbl = cli.parse_form_spec(f"table:{path}")
         assert tbl.ap[5] == 1
 
 
-class TestFormValidation:
-    def test_delta_shape_enforced(self):
-        with pytest.raises(ValueError):
-            qexp.ModularFormData(2, 1, qexp.DELTA_SOURCE)
+class TestForms:
+    """Each coefficient source is a form: weight, level, describe() and
+    a_prime(ell, precision)."""
 
-    def test_ec_weight_enforced(self):
-        with pytest.raises(ValueError):
-            qexp.ModularFormData(12, 11, X0_11)
+    def test_delta(self):
+        delta = qexp.DELTA
+        assert (delta.weight, delta.level, delta.describe()) == (
+            12, 1, "delta")
+        assert delta.a_prime(23) == qexp.tau(23) == 18643272
+        with pytest.raises(PrecisionExceeded):
+            delta.a_prime(23, precision=22)
+        with pytest.raises(AttributeError):
+            delta.level = 11
+
+    def test_curve(self):
+        assert (X0_11.weight, X0_11.level) == (2, 11)
+        assert X0_11.describe() == "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
+        assert X0_11.a_prime(13, precision=1) == 4
+
+    @pytest.mark.parametrize("coefficients, disc, level", [
+        ((0, -1, 1, -10, -20), -161051, 11),        # 11a1: -11^5
+        ((0, 0, 1, -1, 0), 37, 37),                 # 37a1
+        ((0, 0, 0, 0, 1), -432, 6),                 # y^2 = x^3 + 1: -2^4 3^3
+        ((0, 0, 0, -1, 0), 64, 2),                  # y^2 = x^3 - x: 2^6
+    ])
+    def test_curve_level_is_the_radical_of_the_discriminant(
+            self, coefficients, disc, level):
+        E = qexp.EllipticCurve(*coefficients)
+        assert (E.discriminant(), E.level) == (disc, level)
+
+    def test_curve_level_past_the_factoring_bound(self):
+        E = qexp.EllipticCurve(a4=1000000007, a6=1000000009)
+        with pytest.raises(BoundExceeded, match="^curve discriminant "):
+            E.level
+
+    def test_table(self):
+        tbl = qexp.CoefficientTable(2, 11, {2: -2})
+        assert (tbl.weight, tbl.level) == (2, 11)
+        assert tbl.describe() == "table:weight=2,level=11"
+        assert tbl.a_prime(2) == tbl.a_prime(2, precision=1) == -2
+        with pytest.raises(MissingCoefficient, match="no entry for 3"):
+            tbl.a_prime(3)
+
+    @pytest.mark.parametrize("weight, level", [(1, 11), (0, 11), (2, 0),
+                                               (2, -11)])
+    def test_table_shape_enforced(self, weight, level):
+        with pytest.raises(ValueError, match="weight >= 2 and level >= 1"):
+            qexp.CoefficientTable(weight, level, {2: -2})
 
 
 class TestConcurrentCoefficientAccess:

@@ -23,7 +23,7 @@ F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
 
 ALG = tr.transition(p=11, base_field=sp.rationals(), ext_field=F23,
                     base=tr.InvariantRecord("algebraic", 0, 1),
-                    form=qexp.delta_form(), assert_hypotheses=True)
+                    form=qexp.DELTA, assert_hypotheses=True)
 
 LF_REPORT = (
     "LocalFactorReport(ell=23, local_degree=11, places=1, m=0, "
@@ -52,8 +52,6 @@ CASES = {
     "CoefficientTable": (qexp.CoefficientTable(2, 11, {2: -2, 3: -1}),
                          "CoefficientTable(weight=2, level=11, "
                          "ap={2: -2, 3: -1})"),
-    "ModularFormData": (qexp.delta_form(),
-                        "ModularFormData(weight=12, level=1, source=Delta)"),
     "PlaceData": (sp.efg(F23, 23),
                   "PlaceData(ell=23, e=11, f=1, g=1, degree=11)"),
     "TowerPlaceData": (sp.tower_places(F23, 1123, 11),
@@ -192,7 +190,7 @@ def test_constructor_validation():
     with pytest.raises(IncoherentGenericData):
         lf.Generic(3, (1, 0))
     with pytest.raises(ValueError):
-        qexp.ModularFormData(12, 2, qexp.DELTA_SOURCE)
+        qexp.CoefficientTable(1, 11, {2: -2})
     with pytest.raises(ValueError):
         tr.InvariantRecord("algebraic", 1, 3)
     with pytest.raises(TypeError):

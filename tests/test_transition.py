@@ -14,7 +14,7 @@ from kida.errors import (ChainMismatch, InternalAdditivityViolation,
                          MissingLocalType, MuNonzero, NegativeLambda, TameAtP)
 from test_splitting import layer_place_count
 
-DELTA = qexp.delta_form()
+DELTA = qexp.DELTA
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
@@ -70,7 +70,7 @@ class TestTransitionExamples:
             tr.transition(p=11, base_field=Q, ext_field=F23, base=BASE_ALG)
 
     def test_level_prime_needs_override(self):
-        f = qexp.ec_form(qexp.EllipticCurve(0, -1, 1, -10, -20))
+        f = qexp.EllipticCurve(0, -1, 1, -10, -20)
         F11s = sp.parse_field_spec("cyclotomic:23:degree=11")
         # extension ramified exactly at 23 (prime to the level): fine
         rep = tr.transition(p=3, base_field=Q,
@@ -464,13 +464,12 @@ class TestEllipticCurveCriterion:
     def test_good_ramified_primes_order_p(self):
         # h_v != 0 at a good prime ell = 1 mod 11 iff 11 | #E(F_ell)
         E = qexp.EllipticCurve(0, -1, 1, -10, -20)
-        f = qexp.ec_form(E)
         hits = 0
         for ell in range(23, 1200, 22):
             if any(ell % q == 0 for q in range(2, ell)) or ell == 11:
                 continue
             n_points = E.count_points(ell)
-            a, c = qexp.frobenius_data(f, ell, 11)
+            a, c = qexp.frobenius_data(E, ell, 11)
             h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
             assert (h != 0) == (n_points % 11 == 0), ell
             hits += h != 0
@@ -486,8 +485,7 @@ def _padic_val(n, p):
 
 
 def _twist_form(name):
-    return DELTA if name == "delta" else qexp.ec_form(
-        qexp.EllipticCurve(0, -1, 1, -10, -20))
+    return DELTA if name == "delta" else qexp.EllipticCurve(0, -1, 1, -10, -20)
 
 
 def _twist_primes(f, p, bound):
@@ -788,7 +786,7 @@ run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
         ell, 2 if F.degree == 1 else 3, 1, 1, 1))
 run("transition", lambda: tr.transition(
     p=11, base_field=Q, ext_field=F121,
-    base=tr.InvariantRecord("algebraic", 0, 1), form=qexp.delta_form()),
+    base=tr.InvariantRecord("algebraic", 0, 1), form=qexp.DELTA),
     "unramified_at_p_reduction", lambda F, p: F)
 print(json.dumps(out, sort_keys=True))
 """
