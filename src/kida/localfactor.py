@@ -9,7 +9,14 @@ exponent j mod d, and the extension multiplicity is
 
     m(L'/L, V) = sum over j mod d of (m(V) - m(V_chi_j)).
 
-``m_extension`` prices it in O(1): it reads the h-table, one
+V is given by its Frobenius data (``UnramifiedPS``), by user m-values
+(``Generic``), or, when ramified, by its character lines
+(``CharacterLines``): the characters through which the local Galois
+group acts on the lines of V that can reach the inertia coinvariants,
+none for a supercuspidal V, one for a special V and two for a ramified
+principal series.
+
+``m_extension`` prices m(L'/L, V) in O(1): it reads the h-table, one
 (case, value) row per character line of V, and sums user values for
 ``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
 ``m_single(V, d, j)`` per exponent j, and serves the suites as the
@@ -87,24 +94,18 @@ class UnramifiedPS(Record):
         self._fill(a % p, c % p, p)
 
 
-class RamifiedPS(Record):
-    __slots__ = ("phi1", "phi2")
+class CharacterLines(Record):
+    """A ramified type, as the characters on V's lines that can reach
+    the inertia coinvariants.  Their number gives the grammar prefix:
+    none ``sc`` (supercuspidal or extraordinary, 0 through every path),
+    one ``special:``, two ``ramps:``."""
 
-    def __init__(self, phi1: LocalCharData, phi2: LocalCharData):
-        self._fill(phi1, phi2)
+    __slots__ = ("chars",)
 
-
-class Special(Record):
-    __slots__ = ("phi",)
-
-    def __init__(self, phi: LocalCharData):
-        self._fill(phi)
-
-
-class Supercuspidal(Record):
-    """Supercuspidal or extraordinary: contributes 0 through every path."""
-
-    __slots__ = ()
+    def __init__(self, chars: tuple[LocalCharData, ...]):
+        if len(chars) > 2:
+            raise ValueError("V has at most two character lines")
+        self._fill(chars)
 
 
 class Generic(Record):
@@ -127,7 +128,10 @@ class Generic(Record):
         self._fill(degree, m_values)
 
 
-LocalType = UnramifiedPS | RamifiedPS | Special | Supercuspidal | Generic
+LocalType = UnramifiedPS | CharacterLines | Generic
+
+# grammar prefix by the number of character lines
+_LINE_PREFIXES = ("sc", "special:", "ramps:")
 
 
 def trivial_eigenvalues(V: UnramifiedPS) -> int:
@@ -160,17 +164,16 @@ def _table_rows(V: LocalType, e: int) -> list[tuple[str, int]]:
     per line of V (a character, or the Frobenius data)."""
     if e < 1:
         raise ValueError("ramification index must be >= 1")
-    if isinstance(V, Generic):
-        raise GenericUnsupported("generic types go through m_extension")
-    if isinstance(V, Supercuspidal):
-        return [("supercuspidal_or_extraordinary", 0)]
+    if isinstance(V, CharacterLines):
+        rows = []
+        for phi in V.chars:
+            rows.append(_char_row(phi, e))
+        return rows or [("supercuspidal_or_extraordinary", 0)]
     if isinstance(V, UnramifiedPS):
         t = trivial_eigenvalues(V)
         return [(_UPS_CASES[t], t * (e - 1))]
-    if isinstance(V, Special):
-        return [_char_row(V.phi, e)]
-    if isinstance(V, RamifiedPS):
-        return [_char_row(V.phi1, e), _char_row(V.phi2, e)]
+    if isinstance(V, Generic):
+        raise GenericUnsupported("generic types go through m_extension")
     raise TypeError(f"unknown local type {V!r}")
 
 
@@ -238,17 +241,15 @@ def m_single(V: LocalType, degree: int = 1, exponent: int = 0) -> int:
     if isinstance(V, Generic):
         raise GenericUnsupported("generic types carry their m-values directly")
     exponent %= degree
-    if isinstance(V, Supercuspidal):
-        return 0
+    if isinstance(V, CharacterLines):
+        m = 0
+        for phi in V.chars:
+            m += _m_char(phi, degree, exponent)
+        return m
     if isinstance(V, UnramifiedPS):
         if exponent:
             return 0    # ramified twist kills the coinvariants
         return trivial_eigenvalues(V)
-    if isinstance(V, Special):
-        return _m_char(V.phi, degree, exponent)
-    if isinstance(V, RamifiedPS):
-        return (_m_char(V.phi1, degree, exponent)
-                + _m_char(V.phi2, degree, exponent))
     raise TypeError(f"unknown local type {V!r}")
 
 
@@ -270,16 +271,17 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
     """The same representation over the degree-``degree`` extension.
 
     Unramified principal series keep their Frobenius data (the extension
-    is totally ramified), supercuspidal stays supercuspidal by the
-    contributes-zero convention, characters restrict by inertia order,
-    and generic data restricts through its character-multiset model.
+    is totally ramified), each character line restricts by its inertia
+    order (a supercuspidal type has none, so stays supercuspidal), and
+    generic data restricts through its character-multiset model.
     """
-    if degree == 1 or isinstance(V, (UnramifiedPS, Supercuspidal)):
+    if degree == 1 or isinstance(V, UnramifiedPS):
         return V
-    if isinstance(V, Special):
-        return Special(V.phi.restricted(degree))
-    if isinstance(V, RamifiedPS):
-        return RamifiedPS(V.phi1.restricted(degree), V.phi2.restricted(degree))
+    if isinstance(V, CharacterLines):
+        chars = ()
+        for phi in V.chars:
+            chars += (phi.restricted(degree),)
+        return V if chars == V.chars else CharacterLines(chars)
     if isinstance(V, Generic):
         if V.degree % degree:
             raise IncoherentGenericData(
@@ -338,25 +340,23 @@ def parse_local_type(spec: str, p: int) -> LocalType:
     """Grammar: ups:a=<int>,c=<int> | ramps:<charspec>;<charspec> |
     special:<charspec> | sc | generic:<m0,m1,...>"""
     s = spec.strip()
-    if s == "sc":
-        return Supercuspidal()
+    prefix, colon, body = s.partition(":")
+    prefix += colon
+    if prefix in _LINE_PREFIXES:
+        n = _LINE_PREFIXES.index(prefix)
+        # a special: body is one charspec whole, so its errors quote it all
+        lines = body.split(";") if n == 2 else [body][:n]
+        if len(lines) != n:
+            raise SpecParseError(f"ramps spec needs two characters: {spec!r}")
+        return CharacterLines(tuple(map(parse_char_spec, lines)))
     if s.startswith(("ups:", "generic:")) and p < 2:
         raise SpecParseError(f"{spec!r} needs p >= 2, got p = {p}")
     if s.startswith("ups:"):
-        fields = parse_int_fields(spec, s[len("ups:"):], ("a", "c"))
+        fields = parse_int_fields(spec, body, ("a", "c"))
         if len(fields) != 2:
             raise SpecParseError(f"ups spec needs exactly a=..,c=..: {spec!r}")
         return UnramifiedPS(fields["a"], fields["c"], p)
-    if s.startswith("ramps:"):
-        body = s[len("ramps:"):]
-        halves = body.split(";")
-        if len(halves) != 2:
-            raise SpecParseError(f"ramps spec needs two characters: {spec!r}")
-        return RamifiedPS(parse_char_spec(halves[0]), parse_char_spec(halves[1]))
-    if s.startswith("special:"):
-        return Special(parse_char_spec(s[len("special:"):]))
     if s.startswith("generic:"):
-        body = s[len("generic:"):]
         try:
             vals = tuple(int(x) for x in body.split(","))
         except ValueError:
@@ -374,14 +374,11 @@ def parse_local_type(spec: str, p: int) -> LocalType:
 
 def describe_local_type(V: LocalType) -> str:
     """Inverse of the grammar, for reports."""
-    if isinstance(V, Supercuspidal):
-        return "sc"
+    if isinstance(V, CharacterLines):
+        return (_LINE_PREFIXES[len(V.chars)]
+                + ";".join(map(_describe_char, V.chars)))
     if isinstance(V, UnramifiedPS):
         return f"ups:a={V.a},c={V.c}"
-    if isinstance(V, Special):
-        return f"special:{_describe_char(V.phi)}"
-    if isinstance(V, RamifiedPS):
-        return f"ramps:{_describe_char(V.phi1)};{_describe_char(V.phi2)}"
     if isinstance(V, Generic):
         return "generic:" + ",".join(str(v) for v in V.m_values)
     raise TypeError(f"unknown local type {V!r}")

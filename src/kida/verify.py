@@ -186,7 +186,8 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
 
 def _tabulated_types(p: int):
     from . import localfactor
-    types = [localfactor.Supercuspidal()]
+    lines = localfactor.CharacterLines
+    types = [lines(())]
     for a in range(p):
         for c in range(p):
             types.append(localfactor.UnramifiedPS(a, c, p))
@@ -196,13 +197,11 @@ def _tabulated_types(p: int):
         for order in (p, p * p):
             chars.append(localfactor.LocalCharData(
                 True, triv, True, order_on_inertia=order))
-    for phi in chars[2:]:
-        types.append(localfactor.Special(phi))
-    types.append(localfactor.Special(chars[0]))
-    types.append(localfactor.Special(chars[1]))
+    for phi in chars[2:] + chars[:2]:
+        types.append(lines((phi,)))
     for i, c1 in enumerate(chars):
         for c2 in chars[i:]:
-            types.append(localfactor.RamifiedPS(c1, c2))
+            types.append(lines((c1, c2)))
     return types
 
 

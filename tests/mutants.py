@@ -1,0 +1,161 @@
+"""A standing mutation table: wrong edits of src/kida that named tests
+must catch.
+
+Each row names a file under src/kida, an exact old text, its
+replacement, the tests that must fail on the result and why the edit is
+wrong.  For each row, one at a time, the runner copies src/ to a
+temporary directory, replaces the old text, and runs the row's tests on
+the copy in one pytest subprocess.  A row fails when its old text is not
+found exactly once (the row is stale: update it with the code), or when
+one of its tests still passes (the mutant lives).  Before the rows, the
+runner runs every row's tests once on the unchanged copy: they must pass
+there, or a "kill" would show nothing.
+
+``tests/test_startup.py`` and
+``test_public_api.py::test_every_function_runs_on_a_documented_path``
+are deselected: they fail on almost any edit, by a node count or by an
+unrun function, and would kill every row.
+
+    python tests/mutants.py          # from the repository root
+
+Stdlib only; exit status 0 when every row is killed, 1 otherwise.  Not
+part of the Tier-1 run (pytest collects ``test_*.py`` only).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DESELECT = ["--ignore=tests/test_startup.py",
+            "--deselect=tests/test_public_api.py::"
+            "test_every_function_runs_on_a_documented_path"]
+
+# (name, file, old text, new text, tests that must fail, why it is wrong)
+ROWS = [
+    ("trivial-eigenvalues-ignore-c", "localfactor.py",
+     "if V.a == 2 % p and V.c == 1 % p:",
+     "if V.a == 2 % p:",
+     ["tests/test_localfactor.py::"
+      "test_trivial_eigenvalues_count_the_root_one"],
+     "x^2 - 2x + c has the double root 1 only when c = 1: ups:a=2,c=3 at "
+     "p = 5 has no root 1, and its h is 0, not 2(e - 1)"),
+    ("dying-character-priced-zero", "localfactor.py",
+     'return "character_dies_over_extension", -1',
+     'return "character_dies_over_extension", 0',
+     ["tests/test_localfactor.py::TestMExtension::"
+      "test_special_dying_ramified_trivial"],
+     "a ramified character trivial mod p that dies over the extension "
+     "loses its one invariant line: it costs -1 per place"),
+    ("tower-ignores-residue-degree", "splitting.py",
+     "    k += arith.padic_val(place.f, p)\n",
+     "",
+     ["tests/test_splitting.py::TestTowerPlaces::"
+      "test_closed_form_matches_layer_walk_grid"],
+     "when p divides the residue degree f, v_p(ell^f - 1) gains v_p(f), "
+     "so the place keeps splitting v_p(f) layers longer"),
+    ("base-residue-degree-dropped", "splitting.py",
+     "f_prime_to_p=base.f // p ** arith.padic_val(base.f, p)))",
+     "f_prime_to_p=1))",
+     ["tests/test_end_to_end.py::TestInertBaseResidueDegree::"
+      "test_cli_over_base_where_13_is_inert"],
+     "13 is inert in Q(sqrt 2): the type over the base is that of "
+     "Frobenius squared, not of Frobenius"),
+    ("restriction-keeps-inertia-order", "localfactor.py",
+     "new_order = self.order_on_inertia // math.gcd(self.order_on_inertia,\n"
+     "                                                      degree)",
+     "new_order = self.order_on_inertia",
+     ["tests/test_localfactor.py::TestTowerAdditivity::test_all_tabulated"],
+     "over a degree-d extension a character's order on inertia drops to "
+     "order / gcd(order, d); kept, it never dies up the tower"),
+    ("line-prefixes-swapped", "localfactor.py",
+     '_LINE_PREFIXES = ("sc", "special:", "ramps:")',
+     '_LINE_PREFIXES = ("sc", "ramps:", "special:")',
+     ["tests/test_localfactor.py::TestGrammar::"
+      "test_line_count_is_the_prefix",
+      "tests/test_localfactor.py::TestGrammar::test_round_trips"],
+     "the number of character lines is the grammar prefix: one line is "
+     "special:, two are ramps:"),
+    ("restriction-drops-a-line", "localfactor.py",
+     "        for phi in V.chars:\n"
+     "            chars += (phi.restricted(degree),)",
+     "        for phi in V.chars[1:]:\n"
+     "            chars += (phi.restricted(degree),)",
+     ["tests/test_localfactor.py::TestGrammar::"
+      "test_line_count_is_the_prefix",
+      "tests/test_localfactor.py::TestTowerAdditivity::test_all_tabulated"],
+     "restriction to a totally ramified extension keeps V "
+     "two-dimensional: every line restricts, none is lost"),
+    ("twist-counts-one-line", "localfactor.py",
+     "            m += _m_char(phi, degree, exponent)",
+     "            m = _m_char(phi, degree, exponent)",
+     ["tests/test_localfactor.py::TestHTables::"
+      "test_path_agreement_cross_product"],
+     "m(V_chi) counts the invariant lines of the twist: both character "
+     "lines of a ramified principal series, not the last alone"),
+]
+
+
+def run_tests(src: Path, tests: list[str]) -> tuple[int, set[str], str]:
+    """(exit code, failed test ids, output) of one pytest run of
+    ``tests`` on the package under ``src``."""
+    # no bytecode: a mutant and its restored file may share a size and an
+    # mtime second, and a cached .pyc would then serve the wrong one
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no",
+         "-p", "no:cacheprovider", *DESELECT, *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def killed_by(test: str, failed: set[str]) -> bool:
+    """Whether ``test`` or one of its parametrized cases failed."""
+    return any(f == test or f.startswith((test + "[", test + "::"))
+               for f in failed)
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        every = sorted({t for row in ROWS for t in row[4]})
+        code, failed, out = run_tests(src, every)
+        if code != 0:
+            print(f"unmutated: the rows' tests do not pass (exit {code})\n"
+                  f"{out}")
+            return 1
+        for name, file, old, new, tests, why in ROWS:
+            path = src / "kida" / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"STALE {name}: old text found {text.count(old)} "
+                      f"times in {file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                code, failed, out = run_tests(src, tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            alive = [t for t in tests if not killed_by(t, failed)]
+            if code != 1 or alive:
+                print(f"LIVES {name} (exit {code}; not failing: {alive}): "
+                      f"{why}\n{out}")
+                bad += 1
+            else:
+                print(f"killed {name}: {len(failed)} failed")
+    print(f"{len(ROWS) - bad} of {len(ROWS)} rows killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

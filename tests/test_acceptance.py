@@ -163,7 +163,7 @@ class TestAcceptance:
         except tr.MuNonzero:
             pass
         # supercuspidal contributes 0 through every path
-        sc = lf.Supercuspidal()
+        sc = lf.CharacterLines(())
         for degree in (1, 3, 9, 11, 121):
             ok &= lf.m_extension(sc, degree) == 0
             ok &= lf.h_v(sc, degree) == 0

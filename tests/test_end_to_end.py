@@ -349,8 +349,8 @@ class TestTransitionWithTableAtLevelPrime:
         rep = tr.transition(
             p=5, base_field=Q, ext_field=F121,
             base=tr.InvariantRecord("algebraic", 0, 3), form=f,
-            local_types={11: lf.Special(lf.LocalCharData(
-                True, True, True, order_on_inertia=5))})
+            local_types={11: lf.CharacterLines((lf.LocalCharData(
+                True, True, True, order_on_inertia=5),))})
         assert rep.degree == 5
         assert rep.places[0].m == -1
         assert rep.lambda_out == 5 * 3 + rep.places[0].places * -1

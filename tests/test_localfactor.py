@@ -15,6 +15,12 @@ def ram_char(trivial, order):
     return lf.LocalCharData(True, trivial, True, order_on_inertia=order)
 
 
+def lines(*chars):
+    """The ramified type on these character lines: none is ``sc``, one
+    ``special:``, two ``ramps:``."""
+    return lf.CharacterLines(chars)
+
+
 def root_one_multiplicity(a, c, p):
     """How often x - 1 divides x^2 - a x + c over F_p: divide by it,
     synthetically, while the remainder is 0."""
@@ -57,15 +63,15 @@ class TestMSingle:
     def test_supercuspidal_zero_for_every_twist(self):
         for degree in (1, 3, 9, 27):
             for j in range(degree):
-                assert lf.m_single(lf.Supercuspidal(), degree, j) == 0
+                assert lf.m_single(lines(), degree, j) == 0
 
     def test_special_unramified(self):
-        V = lf.Special(UNRAM_TRIV)
+        V = lines(UNRAM_TRIV)
         assert lf.m_single(V) == 1
         assert lf.m_single(V, 5, 2) == 0
 
     def test_special_dying_ramified(self):
-        V = lf.Special(ram_char(True, 5))
+        V = lines(ram_char(True, 5))
         assert lf.m_single(V) == 0
         hits = [lf.m_single(V, 5, j) for j in range(5)]
         assert sum(hits) == 1 and hits[0] == 0
@@ -81,10 +87,10 @@ class TestMSingle:
                 assert 0 <= lf.m_single(V, 5, j) <= 2
 
     def test_exponent_reduced_mod_degree(self):
-        V = lf.Special(ram_char(True, 9))   # cancelled by exponent 9 // 9
+        V = lines(ram_char(True, 9))   # cancelled by exponent 9 // 9
         assert lf.m_single(V, 9, 10) == lf.m_single(V, 9, -8) == 1
         assert lf.m_single(V, 9, -1) == lf.m_single(V, 9, 8) == 0
-        W = lf.Special(UNRAM_TRIV)          # cancelled by the trivial twist
+        W = lines(UNRAM_TRIV)          # cancelled by the trivial twist
         assert lf.m_single(W, 1, 5) == lf.m_single(W, 9, -9) == 1
         assert lf.m_single(W, 9, 13) == lf.m_single(W, 9, 4) == 0
         ups = lf.UnramifiedPS(2, 1, 11)
@@ -113,20 +119,20 @@ class TestMExtension:
 
     def test_special_unramified_trivial(self):
         for p in (3, 5, 11):
-            assert lf.m_extension(lf.Special(UNRAM_TRIV), p) == p - 1
+            assert lf.m_extension(lines(UNRAM_TRIV), p) == p - 1
 
     def test_special_dying_ramified_trivial(self):
         for p in (3, 5, 11):
-            V = lf.Special(ram_char(True, p))
+            V = lines(ram_char(True, p))
             assert lf.m_extension(V, p) == -1
 
     def test_bounded_for_two_dimensional_types(self):
         for p in (3, 5):
             types = [lf.UnramifiedPS(a, c, p) for a in range(p)
                      for c in range(p)]
-            types += [lf.Special(phi) for phi in
+            types += [lines(phi) for phi in
                       (UNRAM_TRIV, UNRAM_NONTRIV, ram_char(True, p))]
-            types += [lf.RamifiedPS(ram_char(True, p), ram_char(True, p))]
+            types += [lines(ram_char(True, p), ram_char(True, p))]
             for V in types:
                 for e in (p, p * p):
                     m = lf.m_extension(V, e)
@@ -135,40 +141,40 @@ class TestMExtension:
 
 class TestHTables:
     def test_h_char_cases(self):
-        # Special(phi) prices the one table row of its character phi
-        assert lf.h_v(lf.Special(UNRAM_TRIV), 11) == 10
-        assert lf.h_v(lf.Special(ram_char(True, 5)), 5) == -1
-        assert lf.h_v(lf.Special(UNRAM_NONTRIV), 7) == 0
+        # a special type prices the one table row of its character
+        assert lf.h_v(lines(UNRAM_TRIV), 11) == 10
+        assert lf.h_v(lines(ram_char(True, 5)), 5) == -1
+        assert lf.h_v(lines(UNRAM_NONTRIV), 7) == 0
         # nontrivial mod p
-        assert lf.h_v(lf.Special(ram_char(False, 5)), 5) == 0
+        assert lf.h_v(lines(ram_char(False, 5)), 5) == 0
         surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
-        assert lf.h_v(lf.Special(surv), 5) == 0
+        assert lf.h_v(lines(surv), 5) == 0
 
     def test_char_case_follows_inertia_order(self):
-        surv = lf.Special(lf.LocalCharData(True, True, False,
-                                           order_on_inertia=25))
+        surv = lines(lf.LocalCharData(True, True, False,
+                                      order_on_inertia=25))
         assert lf.case_of(surv, 5) == "character_survives_ramified"
         assert lf.case_of(surv, 25) == "character_dies_over_extension"
         assert lf.h_v(surv, 25) == -1
-        assert lf.case_of(lf.RamifiedPS(surv.phi, UNRAM_NONTRIV), 25) == (
+        assert lf.case_of(lines(*surv.chars, UNRAM_NONTRIV), 25) == (
             "character_dies_over_extension+character_nontrivial_mod_p")
 
     def test_no_character_dies_over_the_trivial_extension(self):
         dies = lf.LocalCharData(True, True, True)   # flag only, no order
         assert dies.dies_over(5) and not dies.dies_over(1)
-        assert lf.case_of(lf.Special(dies), 1) == "character_survives_ramified"
-        assert lf.h_v(lf.RamifiedPS(dies, dies), 1) == 0
+        assert lf.case_of(lines(dies), 1) == "character_survives_ramified"
+        assert lf.h_v(lines(dies, dies), 1) == 0
 
     def test_h_v_reference_cases(self):
         assert lf.h_v(lf.UnramifiedPS(10, 1, 11), 11) == 0
         assert lf.h_v(lf.UnramifiedPS(2, 1, 11), 11) == 20
-        assert lf.h_v(lf.Supercuspidal(), 7) == 0
+        assert lf.h_v(lines(), 7) == 0
 
     def test_h_v_one_trivial_eigenvalue(self):
         assert lf.h_v(lf.UnramifiedPS(5, 4, 11), 11) == 10
 
     def test_ramified_ps_sums_characters(self):
-        V = lf.RamifiedPS(UNRAM_TRIV, ram_char(True, 5))
+        V = lines(UNRAM_TRIV, ram_char(True, 5))
         assert lf.h_v(V, 5) == (5 - 1) + (-1)
 
     def test_generic_rejected(self):
@@ -186,11 +192,11 @@ class TestHTables:
                 chars += [lf.LocalCharData(True, triv, dies)
                           for dies in (True, False)]
                 chars += [ram_char(triv, p ** k) for k in range(1, 5)]
-            types = [lf.Supercuspidal()]
+            types = [lines()]
             types += [lf.UnramifiedPS(a, c, p) for a in range(p)
                       for c in range(p)]
-            types += [lf.Special(phi) for phi in chars]
-            types += [lf.RamifiedPS(c1, c2) for i, c1 in enumerate(chars)
+            types += [lines(phi) for phi in chars]
+            types += [lines(c1, c2) for i, c1 in enumerate(chars)
                       for c2 in chars[i:]]
             for V in types:
                 for e in (p ** k for k in range(5) if p ** k <= 30000):
@@ -214,8 +220,8 @@ class TestTwistSum:
             return real(*args)
 
         monkeypatch.setattr(lf, "m_single", counted)
-        for V in (lf.Special(ram_char(True, 9)), lf.UnramifiedPS(2, 1, 3),
-                  lf.RamifiedPS(UNRAM_TRIV, ram_char(True, 3))):
+        for V in (lines(ram_char(True, 9)), lf.UnramifiedPS(2, 1, 3),
+                  lines(UNRAM_TRIV, ram_char(True, 3))):
             for d in (1, 3, 9, 27, 81):
                 calls.clear()
                 assert lf.twist_sum(V, d) == lf.h_v(V, d)
@@ -227,23 +233,23 @@ class TestTowerAdditivity:
     def test_special_unramified_chain(self):
         for p in (3, 5):
             ok, lhs, rhs = lf.check_tower_additivity(
-                lf.Special(UNRAM_TRIV), p, p * p)
+                lines(UNRAM_TRIV), p, p * p)
             assert ok
             assert lhs == p * p - 1 == p * (p - 1) + (p - 1)
 
     def test_trivial_chain(self):
-        ok, lhs, rhs = lf.check_tower_additivity(lf.Supercuspidal(), 1, 1)
+        ok, lhs, rhs = lf.check_tower_additivity(lines(), 1, 1)
         assert ok and lhs == 0 and rhs == 0
 
     def test_all_tabulated(self):
         for p in (3, 5):
             types = [lf.UnramifiedPS(a, c, p) for a in range(p)
                      for c in range(p)]
-            types += [lf.Supercuspidal(), lf.Special(UNRAM_TRIV),
-                      lf.Special(UNRAM_NONTRIV)]
-            types += [lf.Special(ram_char(t, o)) for t in (True, False)
+            types += [lines(), lines(UNRAM_TRIV),
+                      lines(UNRAM_NONTRIV)]
+            types += [lines(ram_char(t, o)) for t in (True, False)
                       for o in (p, p * p)]
-            types += [lf.RamifiedPS(ram_char(True, p), ram_char(True, p * p))]
+            types += [lines(ram_char(True, p), ram_char(True, p * p))]
             chains = [(1, 1), (1, p), (p, p), (1, p * p), (p, p * p),
                       (p * p, p * p)]
             for V in types:
@@ -280,7 +286,7 @@ class TestTowerAdditivity:
     def test_surviving_char_without_order_rejected_in_towers(self):
         phi = lf.LocalCharData(True, True, False)   # no order given
         with pytest.raises(IncoherentGenericData):
-            lf.check_tower_additivity(lf.Special(phi), 3, 9)
+            lf.check_tower_additivity(lines(phi), 3, 9)
 
 
 class TestRestriction:
@@ -311,7 +317,7 @@ class TestRestriction:
     def test_ups_and_sc_unchanged(self):
         V = lf.UnramifiedPS(2, 1, 5)
         assert lf.restrict_type(V, 5) == V
-        assert lf.restrict_type(lf.Supercuspidal(), 5) == lf.Supercuspidal()
+        assert lf.restrict_type(lines(), 5) == lines()
 
 
 class TestGrammar:
@@ -322,6 +328,36 @@ class TestGrammar:
             V = lf.parse_local_type(spec, 3)
             assert lf.parse_local_type(lf.describe_local_type(V), 3) == V
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_line_count_is_the_prefix(self, p):
+        # a ramified type is its character lines, and their number is its
+        # prefix: every spec of 0, 1 or 2 lines over the six kinds of
+        # character parses to that many lines, describes back byte for
+        # byte, and keeps its count (so its prefix) along p-power degrees
+        kinds = ["unram,triv", "unram,nontriv"] + [
+            f"ram,{t},{d}" for t in ("triv", "nontriv")
+            for d in ("dies", "survives")]
+        specs = (["sc"] + [f"special:{k}" for k in kinds]
+                 + [f"ramps:{k1};{k2}" for k1 in kinds for k2 in kinds])
+        assert len(specs) == 43
+        for spec in specs:
+            V = lf.parse_local_type(spec, p)
+            n = len(V.chars)
+            prefix = ("sc", "special:", "ramps:")[n]
+            assert spec.startswith(prefix), spec
+            assert lf.describe_local_type(V) == spec
+            for degree in (1, p, p * p, p ** 3):
+                if degree > 1 and "survives" in spec:
+                    # a surviving line of unknown inertia order
+                    with pytest.raises(IncoherentGenericData):
+                        lf.restrict_type(V, degree)
+                    continue
+                W = lf.restrict_type(V, degree)
+                assert isinstance(W, lf.CharacterLines) and len(W.chars) == n
+                text = lf.describe_local_type(W)
+                assert text.startswith(prefix)
+                assert lf.parse_local_type(text, p) == W
+
     def test_ups_reduces_mod_p(self):
         V = lf.parse_local_type("ups:a=13,c=12", 11)
         assert (V.a, V.c) == (2, 1)
@@ -329,7 +365,9 @@ class TestGrammar:
     @pytest.mark.parametrize("bad", [
         "ups:a=2", "ups:a=2,c=x", "ramps:unram,triv", "special:ram,triv",
         "special:foo,triv", "generic:1,2", "generic:a,b,c", "nonsense",
-        "special:unram,triv,dies",
+        "special:unram,triv,dies", "sc:", "scx",
+        "special:unram,triv;unram,triv",
+        "ramps:unram,triv;unram,triv;unram,triv",
     ])
     def test_malformed(self, bad):
         with pytest.raises(SpecParseError):

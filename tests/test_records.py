@@ -41,10 +41,8 @@ CASES = {
                   "(2, 4)), exponents=(1, 3))"),
     "LocalCharData": (RAM, RAM_REPR),
     "UnramifiedPS": (lf.UnramifiedPS(7, 8, 5), "UnramifiedPS(a=2, c=3, p=5)"),
-    "RamifiedPS": (lf.RamifiedPS(RAM, UNRAM),
-                   f"RamifiedPS(phi1={RAM_REPR}, phi2={UNRAM_REPR})"),
-    "Special": (lf.Special(UNRAM), f"Special(phi={UNRAM_REPR})"),
-    "Supercuspidal": (lf.Supercuspidal(), "Supercuspidal()"),
+    "CharacterLines": (lf.CharacterLines((RAM, UNRAM)),
+                       f"CharacterLines(chars=({RAM_REPR}, {UNRAM_REPR}))"),
     "Generic": (lf.Generic(3, (2, 1, 0)),
                 "Generic(degree=3, m_values=(2, 1, 0))"),
     "EllipticCurve": (qexp.EllipticCurve(0, -1, 1, -10, -20),
@@ -133,7 +131,7 @@ def test_record_semantics(name):
 
 
 @pytest.mark.parametrize("name", ["FiniteAbelianGroup", "Character",
-                                  "RamifiedPS", "Generic", "EllipticCurve",
+                                  "CharacterLines", "Generic", "EllipticCurve",
                                   "InvariantRecord"])
 def test_pickle_round_trip(name):
     record = CASES[name][0]
@@ -145,7 +143,7 @@ def test_place_report_equality_reads_its_local_type():
     # report of another type is another report, with the same price
     rep = ALG.places[0]
     other = tr.LocalFactorReport(rep.ell, rep.local_degree, rep.places,
-                                 rep.m, rep.path, lf.Supercuspidal())
+                                 rep.m, rep.path, lf.CharacterLines(()))
     assert other != rep and other.m == rep.m
     assert (other.h, other.type_spec) == (0, "sc")
     assert (rep.h, rep.type_spec) == (0, "ups:a=10,c=1")
@@ -189,6 +187,8 @@ def test_constructor_validation():
         cg.Character(G, (2, 0))
     with pytest.raises(IncoherentGenericData):
         lf.Generic(3, (1, 0))
+    with pytest.raises(ValueError):     # V is two-dimensional
+        lf.CharacterLines((UNRAM, UNRAM, UNRAM))
     with pytest.raises(ValueError):
         qexp.CoefficientTable(1, 11, {2: -2})
     with pytest.raises(ValueError):

@@ -70,18 +70,18 @@ def compiled_nodes(names):
 NODE_CEILINGS = {
     "tau --n 23": 6477,
     "tau --n 23 --mod 11 --json": 6477,
-    "hv --form sc --p 5 --e 5": 7360,
-    "hv --form ups:a=2,c=1 --p 5 --e 5": 7360,
-    "verify --suite path-agreement": 8170,
-    "verify --suite hasse --size 30": 11201,
-    "hv --form sc --e 5": 5403,
-    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 14098,
+    "hv --form sc --p 5 --e 5": 7246,
+    "hv --form ups:a=2,c=1 --p 5 --e 5": 7246,
+    "verify --suite path-agreement": 8039,
+    "verify --suite hasse --size 30": 11184,
+    "hv --form sc --e 5": 5289,
+    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 13984,
     "transition --form delta --p 11 --base Q --ext cyclotomic:23:degree=11 "
-    "--lambda 1 --mu 0": 16020,
-    "verify --suite group-identity --size 12": 12328,
-    "verify --suite tower-additivity --size 9": 14524,
+    "--lambda 1 --mu 0": 15906,
+    "verify --suite group-identity --size 12": 12311,
+    "verify --suite tower-additivity --size 9": 14393,
     "transition --p 5 --base Q --ext cyclotomic:11:degree=5 --lambda 2 "
-    "--mu 0 --local 11=special:ram,triv,dies --json": 12750,
+    "--mu 0 --local 11=special:ram,triv,dies --json": 12636,
 }
 
 

@@ -87,7 +87,7 @@ class TestTransitionExamples:
                           base=tr.InvariantRecord("algebraic", 0, 0), form=f)
         rep = tr.transition(p=5, base_field=Q, ext_field=F11ram,
                             base=tr.InvariantRecord("algebraic", 0, 0),
-                            form=f, local_types={11: lf.Supercuspidal()})
+                            form=f, local_types={11: lf.CharacterLines(())})
         assert rep.lambda_out == 0
 
     def test_negative_lambda_rejected(self):
@@ -117,7 +117,7 @@ class TestTransitionExamples:
     def test_supercuspidal_contributes_zero(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,
                             base=BASE_ALG, form=DELTA,
-                            local_types={23: lf.Supercuspidal()})
+                            local_types={23: lf.CharacterLines(())})
         assert rep.lambda_out == 11 and rep.places[0].m == 0
 
     def test_signed_kinds_share_the_formula(self):
