@@ -9,14 +9,14 @@ with all local factors (place counts, ramification data, h-table values,
 character multiplicities) computed in exact integer arithmetic.
 
 Submodules load on first use: ``import kida`` imports none of them, and
-``kida.qexp`` imports that module (PEP 562).  Library names are read from
-their modules, as ``kida.qexp.tau``; the package root re-exports none, so
+``kida.eta`` imports that module (PEP 562).  Library names are read from
+their modules, as ``kida.eta.tau``; the package root re-exports none, so
 ``from kida import *`` binds no name.
 """
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("arith", "chargroup", "cli", "errors", "intlinalg",
+_SUBMODULES = ("arith", "chargroup", "cli", "errors", "eta", "intlinalg",
                "localfactor", "qexp", "splitting", "transition", "verify")
 
 

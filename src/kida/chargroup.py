@@ -26,10 +26,11 @@ apart share them; errors are not stored:
 - ``_cyclotomic_polynomial`` (256 entries) keys on n.
 
 ``value_log`` evaluates a character at one element; ``multiplicity``
-and the trace oracle call it per character and element.  The
-annihilator and the restriction classes read every character of G on
-H's generators, so they fold the weights into the generators once
-(``_restrictions``).
+calls it per character and generator.  The trace oracle folds the
+weights e/d_i into each of its characters once, and the identity
+checker reads every character of G on H's generators once, with the
+weights folded into the generators (``_restrictions``): its annihilator
+is the class of the trivial restriction.
 """
 
 from __future__ import annotations
@@ -199,12 +200,6 @@ class Subgroup:
         out.sort()
         return out
 
-    def annihilator(self, dual=None) -> list[Character]:
-        """Characters of G trivial on this subgroup (= (G/H)^dual)."""
-        chars = dual if dual is not None else _dual(self.group)
-        keys = _restrictions(self.group, chars, self.generators)
-        return [chi for chi, key in zip(chars, keys) if not any(key)]
-
 
 class RepMultiset:
     """Finite-dimensional representation as a character multiset."""
@@ -290,12 +285,17 @@ def multiplicity_trace(W: RepMultiset, chi: Character, H: Subgroup) -> int:
     """
     if chi.group != W.group or H.group != W.group:
         raise SubgroupMismatch("mixed groups in trace pairing")
-    e = W.group.exponent
+    # value_log's formula with the weights e/d_i folded into each
+    # character once: a log at h is then one dot product with h, mod e
+    e, w = _exponent_weights(W.group.invariant_factors)
+    chi_weighted = tuple(map(mul, chi.exponents, w))
+    weighted = [(tuple(map(mul, psi.exponents, w)), m)
+                for psi, m in W.entries.items()]
     acc = [0] * e
     for h in H.elements():
-        neg = chi.value_log(h)
-        for psi, m in W.entries.items():
-            acc[(psi.value_log(h) - neg) % e] += m
+        neg = sum(map(mul, chi_weighted, h))
+        for psi_weighted, m in weighted:
+            acc[(sum(map(mul, psi_weighted, h)) - neg) % e] += m
     phi = _cyclotomic_polynomial(e)         # monic, of degree top
     top = len(phi) - 1
     terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
@@ -325,18 +325,20 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
     """
     if H.group != W.group:
         raise SubgroupMismatch("subgroup of the wrong group")
-    G = W.group
+    G, entries = W.group, W.entries
     dual = _dual(G)
-    m1 = W.entries.get(dual[0], 0)
-    lhs = sum(m1 - W.entries.get(chi, 0) for chi in dual)
+    m1 = entries.get(dual[0], 0)
+    # every character of W is one of G's, and each absent one counts m1
+    lhs = G.order * m1 - sum(entries.values())
 
-    rhs1 = H.order * sum(m1 - W.entries.get(chi, 0)
-                         for chi in H.annihilator(dual))
-
-    # H^dual realized as restriction classes of G^dual.
-    classes = dict.fromkeys(_restrictions(G, dual, H.generators), 0)
-    for key, m in zip(_restrictions(G, W.entries, H.generators),
-                      W.entries.values()):
+    # H^dual realized as restriction classes of G^dual; the annihilator
+    # is the class of the trivial restriction
+    keys = _restrictions(G, dual, H.generators)
+    rhs1 = H.order * sum(m1 - entries.get(chi, 0)
+                         for chi, key in zip(dual, keys) if not any(key))
+    classes = dict.fromkeys(keys, 0)
+    for key, m in zip(_restrictions(G, entries, H.generators),
+                      entries.values()):
         classes[key] += m
     if len(classes) != H.order:
         raise SubgroupMismatch(

@@ -11,14 +11,16 @@ budget, before any command runs.  Exit codes (README lists each case):
 in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
-``kida tau`` loads ``qexp`` alone (``qexp`` loads ``arith`` only in the
-curve, table and Frobenius functions that call it).  The ``--kind`` and
-``--suite`` choices are literal here for that reason, and tests pin them
-to ``transition.KINDS`` and ``verify.SUITES``.
+``kida tau`` loads ``eta`` alone and only a curve or a table loads
+``qexp`` (both load ``arith`` only in the functions that call it).  The
+``--kind`` and ``--suite`` choices are literal here for that reason, and
+tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
 
-Run as a program (``main()`` without argv), kida freezes the heap at any
-exit, so the interpreter's last collection skips objects whose memory the
-OS frees anyway (about 6 ms a process); ``main(argv)`` leaves ``gc`` alone.
+Run as a program (``main()`` without argv), kida flushes stdout and
+stderr and ends the process with ``os._exit`` on every exit path, help
+and usage errors included: the interpreter's teardown (module cleanup
+and a last collection) would only free memory that the OS frees anyway,
+and no atexit handler runs.  ``main(argv)`` returns its code.
 """
 
 from __future__ import annotations
@@ -92,13 +94,15 @@ def _apply_config(args):
 
 
 def parse_form_spec(spec: str):
-    """The form (``qexp.DELTA``, a curve or a table) of ``delta`` |
-    ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``"""
-    from .qexp import DELTA, EllipticCurve, parse_table
+    """The form (``eta.DELTA``, a curve or a table) of ``delta`` |
+    ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``; only a curve
+    or a table loads ``qexp``."""
     s = spec.strip()
     if s == "delta":
+        from .eta import DELTA
         return DELTA
     if s.startswith("ec:"):
+        from .qexp import EllipticCurve
         curve = EllipticCurve(**parse_int_fields(
             spec, s[len("ec:"):], ("a1", "a2", "a3", "a4", "a6")))
         if curve.discriminant() == 0:
@@ -106,6 +110,7 @@ def parse_form_spec(spec: str):
         curve.level     # a discriminant past the factoring bound exits 2 here
         return curve
     if s.startswith("table:"):
+        from .qexp import parse_table
         path = s[len("table:"):]
         text = _read_text(path)
         try:
@@ -131,7 +136,7 @@ def _precision() -> int | None:
 # -- tau ------------------------------------------------------------------
 
 def cmd_tau(args) -> int:
-    from .qexp import tau
+    from .eta import tau
     if args.n is None:
         raise SpecParseError("tau needs --n")
     if args.n < 1:
@@ -149,8 +154,8 @@ def cmd_tau(args) -> int:
 
 def cmd_hv(args) -> int:
     from .localfactor import (Generic, UnramifiedPS, case_of,
-                              describe_local_type, m_extension,
-                              parse_local_type)
+                              describe_local_type, is_local_type_spec,
+                              m_extension, parse_local_type)
     if args.form is None:
         raise SpecParseError("hv needs --form")
     if args.e is not None and args.e < 1:
@@ -161,10 +166,7 @@ def cmd_hv(args) -> int:
             require_prime(flag, n)
     spec = args.form.strip()
     record: dict[str, object] = {}
-    if spec == "sc" or spec.startswith(("ups:", "ramps:", "special:",
-                                        "generic:")):
-        if spec.startswith(("ups:", "generic:")) and args.p is None:
-            raise SpecParseError(f"--p required for {spec!r}")
+    if is_local_type_spec(spec):
         V = parse_local_type(spec, args.p or 0)
     else:
         form = parse_form_spec(spec)
@@ -172,7 +174,7 @@ def cmd_hv(args) -> int:
             raise SpecParseError("hv with a form spec needs --p and --ell")
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
-        from .qexp import local_type
+        from .eta import local_type
         V = local_type(form, args.ell, args.p, precision=args.precision)
         record.update(form=form.describe(), ell=args.ell)
     if args.e is not None:
@@ -355,11 +357,26 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:        # a program run: no collection at exit
-        import atexit
-        import gc
-        atexit.register(gc.freeze)
-        argv = sys.argv[1:]
+    """Run one command and return its exit code.  Without ``argv`` this
+    is a program run: it reads ``sys.argv`` and ends the process once
+    stdout and stderr are flushed, with the code of a return or of a
+    ``SystemExit`` (help, usage errors).  If a flush fails, the
+    interpreter's own exit reports it, as it would without this."""
+    if argv is not None:
+        return _run(argv)
+    try:
+        code = _run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
+def _run(argv) -> int:
     args = parse_args(list(argv))
     try:
         args.precision = _precision()

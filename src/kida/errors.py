@@ -75,7 +75,7 @@ class SubgroupMismatch(KidaError):
     stated order contradicts its elements."""
 
 
-# -- qexp --------------------------------------------------------------
+# -- eta and qexp ------------------------------------------------------
 
 class PrecisionExceeded(KidaError):
     """Coefficient index beyond the configured series precision."""

@@ -130,8 +130,10 @@ class Generic(Record):
 
 LocalType = UnramifiedPS | CharacterLines | Generic
 
-# grammar prefix by the number of character lines
+# the grammar's prefixes: a ramified type's by its number of character
+# lines, then those of the types that read p
 _LINE_PREFIXES = ("sc", "special:", "ramps:")
+_P_PREFIXES = ("ups:", "generic:")
 
 
 def trivial_eigenvalues(V: UnramifiedPS) -> int:
@@ -336,11 +338,20 @@ def parse_char_spec(spec: str) -> LocalCharData:
                          becomes_unramified_over_extension=dies)
 
 
+def is_local_type_spec(spec: str) -> bool:
+    """Whether ``spec`` is written in this grammar rather than as a form:
+    its word before any colon is a prefix's, so ``sc:`` is a malformed
+    local type, not a malformed form."""
+    head = spec.strip().partition(":")[0]
+    return any(head == prefix.rstrip(":")
+               for prefix in _LINE_PREFIXES + _P_PREFIXES)
+
+
 def parse_local_type(spec: str, p: int) -> LocalType:
     """Grammar: ups:a=<int>,c=<int> | ramps:<charspec>;<charspec> |
-    special:<charspec> | sc | generic:<m0,m1,...>"""
-    s = spec.strip()
-    prefix, colon, body = s.partition(":")
+    special:<charspec> | sc | generic:<m0,m1,...>; ``ups`` and
+    ``generic`` read p, 0 when no prime is given."""
+    prefix, colon, body = spec.strip().partition(":")
     prefix += colon
     if prefix in _LINE_PREFIXES:
         n = _LINE_PREFIXES.index(prefix)
@@ -349,14 +360,14 @@ def parse_local_type(spec: str, p: int) -> LocalType:
         if len(lines) != n:
             raise SpecParseError(f"ramps spec needs two characters: {spec!r}")
         return CharacterLines(tuple(map(parse_char_spec, lines)))
-    if s.startswith(("ups:", "generic:")) and p < 2:
-        raise SpecParseError(f"{spec!r} needs p >= 2, got p = {p}")
-    if s.startswith("ups:"):
+    if prefix in _P_PREFIXES and p < 2:
+        raise SpecParseError(f"--p required for {spec!r}")
+    if prefix == "ups:":
         fields = parse_int_fields(spec, body, ("a", "c"))
         if len(fields) != 2:
             raise SpecParseError(f"ups spec needs exactly a=..,c=..: {spec!r}")
         return UnramifiedPS(fields["a"], fields["c"], p)
-    if s.startswith("generic:"):
+    if prefix == "generic:":
         try:
             vals = tuple(int(x) for x in body.split(","))
         except ValueError:

@@ -11,8 +11,8 @@ the asserted hypotheses differ.  Each ramified prime contributes
 (number of places of the extension tower above it) x m(type, local degree),
 priced by ``localfactor.m_extension``: the h-table for tabulated types,
 the user's values for generic ones.  A place's type is a ``--local``
-override or, away from the level, the form's ``qexp.local_type``, the
-one place this module loads ``qexp``, so a transition with local types
+override or, away from the level, the form's ``eta.local_type``, the
+one place this module loads ``eta``, so a transition with local types
 alone loads none of it.  A place report keeps the type and its price
 once; the printed table value and type string are read off them.
 ``compose`` prices each place of a composite once and checks it against
@@ -172,7 +172,7 @@ def transition(*, p: int,
                base_field: splitting.AbelianField,
                ext_field: splitting.AbelianField,
                base: InvariantRecord,
-               form: (qexp._Delta | qexp.EllipticCurve | qexp.CoefficientTable
+               form: (eta._Delta | qexp.EllipticCurve | qexp.CoefficientTable
                       | None) = None,
                local_types: dict[int, object] | None = None,
                assert_hypotheses: bool = False,
@@ -185,7 +185,7 @@ def transition(*, p: int,
     their characters, which have the same cyclotomic p-towers.  The report
     carries the reduced pair (with a warning when it is not the given one)
     and its p-power degree.  A ``local_types`` override gives the type at
-    its prime; elsewhere ``qexp.local_type`` reads it off the form, over
+    its prime; elsewhere ``eta.local_type`` reads it off the form, over
     the base's residue field, and a missing form or a prime dividing the
     level raises MissingLocalType.
     """
@@ -218,7 +218,7 @@ def transition(*, p: int,
                 f"{ell} divides the level {form.level}; supply a local type "
                 f"for it explicitly")
         else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
-            from .qexp import local_type
+            from .eta import local_type
             V = local_type(form, ell, p, entry.f_prime_to_p, precision)
         path = ("generic" if isinstance(V, localfactor.Generic)
                 else "table(user)" if user else "table")

@@ -148,8 +148,10 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
         passed = 0
         for H in subs:
             h, gens = H.order, H.generators
-            keys = array(fmt, (_packed_keys(gens, d, e, fmt, logs, packed)
-                               if gens else 0).to_bytes(width, sys.byteorder))
+            keys = (_packed_keys(gens, d, e, fmt, logs, packed)
+                    if gens else 0).to_bytes(width, sys.byteorder)
+            if fmt != "B":      # one-byte keys are read as the bytes
+                keys = array(fmt, keys)
             n_ann, n_classes = keys.count(0), len(set(keys))
             why = (f"annihilator size {n_ann} != {n}/{h}" if n_ann != n // h
                    else f"{n_classes} restriction classes != |H|={h}"

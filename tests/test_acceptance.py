@@ -8,12 +8,12 @@ sigma_5 table and the tau memo are reset to their cold state first).
 import time
 
 from kida import localfactor as lf
-from kida import qexp, splitting as sp, transition as tr, verify
+from kida import eta, qexp, splitting as sp, transition as tr, verify
 
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
-DELTA = qexp.DELTA
+DELTA = eta.DELTA
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
 
 
@@ -25,28 +25,28 @@ def report(num, ok, desc):
 
 class TestAcceptance:
     def test_c01_tau_23(self):
-        qexp._sigma5 = []
-        qexp._tau.cache_clear()
+        eta._sigma5 = []
+        eta._tau.cache_clear()
         t0 = time.perf_counter()
-        value = qexp.tau(23, precision=2000)
+        value = eta.tau(23, precision=2000)
         dt = time.perf_counter() - t0
         report(1, value == 18643272 and dt < 1.0,
                f"tau(23) = {value} at precision 2000 in {dt:.2f}s (< 1s)")
 
     def test_c02_tau_1123_mod_11(self):
-        qexp._sigma5 = []
-        qexp._tau.cache_clear()
+        eta._sigma5 = []
+        eta._tau.cache_clear()
         t0 = time.perf_counter()
-        value = qexp.tau(1123, precision=1200) % 11
+        value = eta.tau(1123, precision=1200) % 11
         dt = time.perf_counter() - t0
         report(2, value == 2 and dt < 5.0,
                f"tau(1123) mod 11 = {value} at precision 1200 in "
                f"{dt:.2f}s (< 5s)")
 
     def test_c03_h_values(self):
-        a23, c23 = qexp.frobenius_data(DELTA, 23, 11)
+        a23, c23 = eta.frobenius_data(DELTA, 23, 11)
         h23 = lf.h_v(lf.UnramifiedPS(a23, c23, 11), 11)
-        a1123, c1123 = qexp.frobenius_data(DELTA, 1123, 11, precision=1200)
+        a1123, c1123 = eta.frobenius_data(DELTA, 1123, 11, precision=1200)
         h1123 = lf.h_v(lf.UnramifiedPS(a1123, c1123, 11), 11)
         report(3, h23 == 0 and h1123 == 20,
                f"h_23 = {h23} (expect 0), h_1123 = {h1123} (expect 20) "
@@ -103,7 +103,7 @@ class TestAcceptance:
                                     for q in range(2, int(ell ** 0.5) + 1)):
                 continue
             n_points = X0_11.count_points(ell)
-            a, c = qexp.frobenius_data(X0_11, ell, 11)
+            a, c = eta.frobenius_data(X0_11, ell, 11)
             h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
             checked += 1
             fired += h != 0

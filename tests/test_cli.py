@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from kida import cli, verify
+from kida import cli, localfactor as lf, verify
 from kida.errors import SpecParseError
 
 
@@ -857,6 +857,21 @@ class TestHv:
                                "--e", "7")
         assert code == 0
         assert "h = -1" in out.splitlines()
+
+    @pytest.mark.parametrize("prefix", lf._LINE_PREFIXES + lf._P_PREFIXES)
+    def test_a_bad_local_type_is_refused_as_transition_does(self, prefix,
+                                                            capsys):
+        # hv --form and transition --local read one grammar: a spec that
+        # opens with a prefix's word and a colon but does not parse (sc:
+        # among them) is a bad local type in both, not a bad form
+        bad = prefix.rstrip(":") + ":"
+        assert cli.main(["hv", "--form", bad, "--p", "5", "--e", "5"]) == 3
+        err = capsys.readouterr().err
+        assert cli.main(["transition", "--p", "5", "--base", "Q", "--ext",
+                         "cyclotomic:11:degree=5", "--lambda", "2", "--mu",
+                         "0", "--local", f"11={bad}"]) == 3
+        assert capsys.readouterr().err == err
+        assert err.startswith("error: ") and "form spec" not in err
 
     @pytest.mark.parametrize("argv,expected", HV_CASES,
                              ids=[a.split()[0] for a, _ in HV_CASES])

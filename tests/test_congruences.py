@@ -15,7 +15,7 @@ roots mod ell, that is as Frobenius has order 1, 3 or 2 in S_3.
 
 import random
 
-from kida import arith, qexp, splitting as sp, transition as tr
+from kida import arith, eta, qexp, splitting as sp, transition as tr
 
 P = 11
 X0_11 = qexp.EllipticCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20)
@@ -27,7 +27,7 @@ def test_tau_is_a_ell_of_x0_11_mod_11():
               if ell != P and arith.is_prime(ell)]
     assert len(primes) == 1228
     for ell in primes:
-        tau = qexp.tau(ell, precision=10 ** 4)
+        tau = eta.tau(ell, precision=10 ** 4)
         assert (tau - X0_11.a_prime(ell)) % P == 0, ell
 
 
@@ -84,7 +84,7 @@ def test_tau_mod_23_follows_the_roots_of_x3_minus_x_minus_1():
     for ell in primes:
         roots = _cubic_root_count(ell)
         seen.add(roots)
-        assert qexp.tau(ell, 10 ** 4) % 23 == residue[roots], (ell, roots)
+        assert eta.tau(ell, 10 ** 4) % 23 == residue[roots], (ell, roots)
     assert seen == set(residue)
 
 
@@ -101,7 +101,7 @@ def test_congruent_forms_have_equal_transitions():
     # in the same process, is served that entry and prices its places
     # from point counts
     Q = sp.rationals()
-    delta, curve = qexp.DELTA, X0_11
+    delta, curve = eta.DELTA, X0_11
     for N in _conductors():
         F = sp.parse_field_spec(f"cyclotomic:{N}:degree={P}")
 

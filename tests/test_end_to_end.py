@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from kida import arith, localfactor as lf, qexp, splitting as sp, \
+from kida import arith, eta, localfactor as lf, qexp, splitting as sp, \
     transition as tr
 from kida.errors import MissingCoefficient, RamifiedLevel
 
@@ -135,7 +135,7 @@ class TestSignedKinds:
         F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
         rep = tr.transition(p=11, base_field=Q, ext_field=F23,
                             base=tr.InvariantRecord("plus", 0, 1),
-                            form=qexp.DELTA, assert_hypotheses=True)
+                            form=eta.DELTA, assert_hypotheses=True)
         names = [n for n, _ in rep.hypotheses]
         assert "supersingular_weight_two" in names
         assert "congruent_to_zp_coefficient_form" in names
@@ -191,7 +191,7 @@ class TestMultiPlaceTransition:
         assert sp.efg(F, 23).e == 11 and sp.efg(F, 1123).e == 11
         rep = tr.transition(p=11, base_field=Q, ext_field=F,
                             base=tr.InvariantRecord("algebraic", 0, 1),
-                            form=qexp.DELTA, precision=1200)
+                            form=eta.DELTA, precision=1200)
         assert rep.degree == 11
         by_ell = {r.ell: r for r in rep.places}
         assert set(by_ell) == {23, 1123}
@@ -243,15 +243,15 @@ class TestInertBaseResidueDegree:
         # Hecke: tau(ell^f) = h_f(alpha, beta), so the power sum is
         # trace(Frob^f) = tau(ell^f) - ell^11 tau(ell^(f-2)), with
         # tau(ell^-1) = 0; det(Frob^f) = ell^(11 f)
-        delta = qexp.DELTA
+        delta = eta.DELTA
         primes = _small_primes(2000)
         for f0 in (1, 2, 3):
             for ell in (q for q in primes if q ** f0 <= 2000):
-                lower = qexp.tau(ell ** (f0 - 2)) if f0 >= 2 else 0
-                trace = qexp.tau(ell ** f0) - ell ** 11 * lower
+                lower = eta.tau(ell ** (f0 - 2)) if f0 >= 2 else 0
+                trace = eta.tau(ell ** f0) - ell ** 11 * lower
                 for p in self.MODULI:
                     if p != ell:
-                        V = qexp.local_type(delta, ell, p, f0)
+                        V = eta.local_type(delta, ell, p, f0)
                         assert isinstance(V, lf.UnramifiedPS)
                         assert (V.a, V.c) == (trace % p,
                                               pow(ell, 11 * f0, p))
@@ -269,26 +269,26 @@ class TestInertBaseResidueDegree:
                 assert abs(trace) <= 2 * math.isqrt(q) + 2
                 for p in self.MODULI:
                     if p != ell:
-                        V = qexp.local_type(form, ell, p, f0)
+                        V = eta.local_type(form, ell, p, f0)
                         assert (V.a, V.c) == (trace % p, q % p)
 
     def test_local_type_of_table_forms(self):
         f = qexp.CoefficientTable(2, 3, {11: 3, 107: 5})
         # x^2 - 3x + 1 mod 5 has the double root 4; Frob^2 has trace
         # 4^2 + 4^2 = 32 = 2 and determinant 1, Frob^3 trace 128 = 3
-        assert qexp.local_type(f, 11, 5) == lf.UnramifiedPS(3, 1, 5)
-        assert qexp.local_type(f, 11, 5, 2) == lf.UnramifiedPS(2, 1, 5)
-        assert qexp.local_type(f, 11, 5, 3) == lf.UnramifiedPS(3, 1, 5)
+        assert eta.local_type(f, 11, 5) == lf.UnramifiedPS(3, 1, 5)
+        assert eta.local_type(f, 11, 5, 2) == lf.UnramifiedPS(2, 1, 5)
+        assert eta.local_type(f, 11, 5, 3) == lf.UnramifiedPS(3, 1, 5)
         # 107 = 6 mod 101: x^2 - 5x + 6 = (x-2)(x-3); Frob^f has trace
         # 2^f + 3^f and determinant 6^f
         for f0 in (1, 2, 3):
-            assert qexp.local_type(f, 107, 101, f0) == lf.UnramifiedPS(
+            assert eta.local_type(f, 107, 101, f0) == lf.UnramifiedPS(
                 2 ** f0 + 3 ** f0, 6 ** f0, 101)
         # frobenius_data's refusals stand: a level prime, a missing entry
         with pytest.raises(RamifiedLevel):
-            qexp.local_type(f, 3, 5, 2)
+            eta.local_type(f, 3, 5, 2)
         with pytest.raises(MissingCoefficient):
-            qexp.local_type(f, 13, 5, 2)
+            eta.local_type(f, 13, 5, 2)
 
     def test_cli_over_base_where_13_is_inert(self):
         # README's command: 13 is inert in Q(sqrt 2); a_13 = 4 and

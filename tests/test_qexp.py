@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from kida import arith, cli, qexp, verify
+from kida import arith, cli, eta, qexp, verify
 from kida.errors import (BadReduction, BoundExceeded,
                          InternalAdditivityViolation, MissingCoefficient,
                          PrecisionExceeded, RamifiedLevel, SpecParseError)
@@ -45,8 +45,8 @@ def miller_tau(size):
 
 def reset_tau():
     """The cold state of a fresh process: no sigma_5 table, no memo."""
-    qexp._sigma5 = []
-    qexp._tau.cache_clear()
+    eta._sigma5 = []
+    eta._tau.cache_clear()
 
 
 X0_11 = qexp.EllipticCurve(0, -1, 1, -10, -20)
@@ -88,58 +88,58 @@ TAU_5000_SHA256 = ("91d9b02b8dbb749d6754b63493bf3df8"
 
 class TestTau:
     def test_leading(self):
-        assert qexp.tau(1) == 1
+        assert eta.tau(1) == 1
 
     def test_tau23_known_value(self):
-        assert qexp.tau(23) == 18643272
+        assert eta.tau(23) == 18643272
 
     def test_tau1123_mod_11(self):
-        assert qexp.tau(1123, 1200) % 11 == 2
+        assert eta.tau(1123, 1200) % 11 == 2
 
     def test_series_vs_naive_oracle(self):
         B = 40
-        assert [qexp.tau(n) for n in range(1, B + 1)] == eta24_naive(B)
+        assert [eta.tau(n) for n in range(1, B + 1)] == eta24_naive(B)
 
     def test_golden_digest_5000(self):
-        coeffs = [qexp.tau(n, 5000) for n in range(1, 5001)]
+        coeffs = [eta.tau(n, 5000) for n in range(1, 5001)]
         digest = hashlib.sha256(",".join(map(str, coeffs)).encode())
         assert digest.hexdigest() == TAU_5000_SHA256
 
     def test_matches_miller_reference_to_2000(self):
         reset_tau()
-        want = miller_tau(qexp.MAX_PRECISION)
-        assert [qexp.tau(n) for n in range(1, 2001)] == want[:2000]
+        want = miller_tau(eta.MAX_PRECISION)
+        assert [eta.tau(n) for n in range(1, 2001)] == want[:2000]
 
     def test_matches_miller_reference_on_a_sample_to_max_precision(self):
-        want = miller_tau(qexp.MAX_PRECISION)
-        sample = random.Random(23).sample(range(1, qexp.MAX_PRECISION + 1),
+        want = miller_tau(eta.MAX_PRECISION)
+        sample = random.Random(23).sample(range(1, eta.MAX_PRECISION + 1),
                                           300)
-        for n in sample + [qexp.MAX_PRECISION]:
-            assert qexp.tau(n, qexp.MAX_PRECISION) == want[n - 1], n
+        for n in sample + [eta.MAX_PRECISION]:
+            assert eta.tau(n, eta.MAX_PRECISION) == want[n - 1], n
 
     def test_budget_edges_pinned_in_ci(self):
         # the CI step "kida tau at the budget edges" diffs these values
-        want = miller_tau(qexp.MAX_PRECISION)
+        want = miller_tau(eta.MAX_PRECISION)
         assert (want[0], want[1999], want[9999]) == (
             1, -354382910343168000, -482606811957501440000)
 
     def test_corrupted_sigma5_table_is_a_typed_error(self, monkeypatch):
         # one wrong sigma_5(n) moves 756 tau(n) by 691, which 756 does not
         # divide; the error is raised, never an assert, and not memoized
-        qexp.tau(23)
-        table = list(qexp._sigma5)
+        eta.tau(23)
+        table = list(eta._sigma5)
         table[23] += 1
-        monkeypatch.setattr(qexp, "_sigma5", table)
-        qexp._tau.cache_clear()
+        monkeypatch.setattr(eta, "_sigma5", table)
+        eta._tau.cache_clear()
         try:
             with pytest.raises(InternalAdditivityViolation, match="756"):
-                qexp.tau(23)
-            assert qexp.tau(22) == miller_tau(qexp.MAX_PRECISION)[21]
+                eta.tau(23)
+            assert eta.tau(22) == miller_tau(eta.MAX_PRECISION)[21]
         finally:
-            qexp._tau.cache_clear()
+            eta._tau.cache_clear()
 
     def test_memo_is_bounded(self):
-        assert qexp._tau.cache_info().maxsize == 256
+        assert eta._tau.cache_info().maxsize == 256
 
     def test_ramanujan_congruence_mod_691(self):
         # tau(n) = sigma_11(n) mod 691, with sigma_11 from a divisor sieve.
@@ -153,35 +153,35 @@ class TestTau:
             for m in range(d, B + 1, d):
                 sigma[m] += d11
         for n in range(1, B + 1):
-            assert (qexp.tau(n, B) - sigma[n]) % 691 == 0, n
+            assert (eta.tau(n, B) - sigma[n]) % 691 == 0, n
 
     def test_prefix_grows_to_index_not_budget(self):
         # a cold tau(1) is a warm-up: it sieves sigma_5 to the default size
         for n in (1, 23):
             reset_tau()
-            qexp.tau(n, precision=qexp.MAX_PRECISION)
-            assert len(qexp._sigma5) - 1 == qexp.DEFAULT_PRECISION
+            eta.tau(n, precision=eta.MAX_PRECISION)
+            assert len(eta._sigma5) - 1 == eta.DEFAULT_PRECISION
         # a later miss doubles the table, past the budget, and stops at
         # MAX_PRECISION
-        qexp.tau(2500, precision=3000)
-        assert len(qexp._sigma5) - 1 == 4000
-        qexp.tau(7000, precision=qexp.MAX_PRECISION)
-        assert len(qexp._sigma5) - 1 == 8000
-        qexp.tau(8001, precision=qexp.MAX_PRECISION)
-        assert len(qexp._sigma5) - 1 == qexp.MAX_PRECISION
+        eta.tau(2500, precision=3000)
+        assert len(eta._sigma5) - 1 == 4000
+        eta.tau(7000, precision=eta.MAX_PRECISION)
+        assert len(eta._sigma5) - 1 == 8000
+        eta.tau(8001, precision=eta.MAX_PRECISION)
+        assert len(eta._sigma5) - 1 == eta.MAX_PRECISION
 
     def test_upward_walk_extends_logarithmically(self, monkeypatch):
         # n = 1..5000 in order: sigma_5 to 2000, then 4000, then 8000
         sizes = []
-        real = qexp._sigma5_table
+        real = eta._sigma5_table
 
         def counted(size):
             sizes.append(size)
             return real(size)
 
-        monkeypatch.setattr(qexp, "_sigma5_table", counted)
+        monkeypatch.setattr(eta, "_sigma5_table", counted)
         reset_tau()
-        walked = [qexp.tau(n, 5000) for n in range(1, 5001)]
+        walked = [eta.tau(n, 5000) for n in range(1, 5001)]
         assert sizes == [2000, 4000, 8000]
         digest = hashlib.sha256(",".join(map(str, walked)).encode())
         assert digest.hexdigest() == TAU_5000_SHA256
@@ -189,30 +189,30 @@ class TestTau:
     def test_multiplicativity(self):
         for m, n in [(2, 3), (3, 4), (4, 5), (5, 7), (8, 9), (6, 35)]:
             assert math.gcd(m, n) == 1
-            assert qexp.tau(m * n) == qexp.tau(m) * qexp.tau(n)
+            assert eta.tau(m * n) == eta.tau(m) * eta.tau(n)
 
     def test_hecke_recursion_at_prime_squares(self):
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-            assert qexp.tau(p * p) == qexp.tau(p) ** 2 - p ** 11
+            assert eta.tau(p * p) == eta.tau(p) ** 2 - p ** 11
 
     def test_precision_budget(self):
         with pytest.raises(PrecisionExceeded):
-            qexp.tau(2001)
+            eta.tau(2001)
         with pytest.raises(PrecisionExceeded):
-            qexp.tau(101, precision=100)
-        assert qexp.tau(100, precision=100) == qexp.tau(100)
+            eta.tau(101, precision=100)
+        assert eta.tau(100, precision=100) == eta.tau(100)
 
     def test_budget_cap_before_any_work(self):
         reset_tau()
-        for n in (5, qexp.MAX_PRECISION + 1):
+        for n in (5, eta.MAX_PRECISION + 1):
             with pytest.raises(BoundExceeded):
-                qexp.tau(n, precision=qexp.MAX_PRECISION + 1)
+                eta.tau(n, precision=eta.MAX_PRECISION + 1)
         with pytest.raises(PrecisionExceeded):
-            qexp.tau(qexp.MAX_PRECISION + 1, precision=qexp.MAX_PRECISION)
-        assert qexp._sigma5 == []
-        assert qexp._tau.cache_info()[:2] == (0, 0)
-        assert qexp.tau(qexp.MAX_PRECISION,
-                        precision=qexp.MAX_PRECISION) != 0
+            eta.tau(eta.MAX_PRECISION + 1, precision=eta.MAX_PRECISION)
+        assert eta._sigma5 == []
+        assert eta._tau.cache_info()[:2] == (0, 0)
+        assert eta.tau(eta.MAX_PRECISION,
+                        precision=eta.MAX_PRECISION) != 0
 
 
 class TestEllipticCurve:
@@ -423,8 +423,8 @@ class TestApMemo:
         curves = [qexp.EllipticCurve(0, -1, 1, -10, -20)
                   for _ in range(2)]
         assert curves[0] is not curves[1]
-        assert (qexp.frobenius_data(curves[0], 1009, 5)
-                == qexp.frobenius_data(curves[1], 1009, 5))
+        assert (eta.frobenius_data(curves[0], 1009, 5)
+                == eta.frobenius_data(curves[1], 1009, 5))
         assert counts == [1009]
 
     def test_errors_raised_on_every_call(self):
@@ -443,29 +443,29 @@ class TestApMemo:
             raise AssertionError(f"counted at {ell}")
         monkeypatch.setattr(qexp.EllipticCurve, "count_points", refuse)
         with pytest.raises(RamifiedLevel):
-            qexp.frobenius_data(X0_11, 11, 5)
+            eta.frobenius_data(X0_11, 11, 5)
 
 
 class TestFrobeniusData:
     def test_delta_23(self):
-        assert qexp.frobenius_data(qexp.DELTA, 23, 11) == (10, 1)
+        assert eta.frobenius_data(eta.DELTA, 23, 11) == (10, 1)
 
     def test_delta_1123(self):
-        assert qexp.frobenius_data(qexp.DELTA, 1123, 11,
+        assert eta.frobenius_data(eta.DELTA, 1123, 11,
                                    precision=1200) == (2, 1)
 
     def test_zero_coefficient(self):
         tbl = qexp.CoefficientTable(weight=2, level=5, ap={3: 0})
-        a, c = qexp.frobenius_data(tbl, 3, 7)
+        a, c = eta.frobenius_data(tbl, 3, 7)
         assert a == 0 and c == 3 % 7
 
     def test_level_one_c_is_ell_power(self):
-        f = qexp.DELTA
+        f = eta.DELTA
         for ell in (2, 3, 5, 7, 13):
             for p in (11, 13, 17):
                 if ell == p:
                     continue
-                _, c = qexp.frobenius_data(f, ell, p)
+                _, c = eta.frobenius_data(f, ell, p)
                 assert c == pow(ell, 11, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -473,28 +473,28 @@ class TestFrobeniusData:
         # every source has trivial character, so c = ell^(k-1) mod p;
         # the oracle reduces the exact power once, over primes from a sieve
         primes = [ell for ell in PRIMES if ell < 2000 and ell != p]
-        delta, curve = qexp.DELTA, X0_11
+        delta, curve = eta.DELTA, X0_11
         for ell in primes:
-            assert qexp.frobenius_data(delta, ell, p) == (
-                qexp.tau(ell) % p, ell ** 11 % p), ell
+            assert eta.frobenius_data(delta, ell, p) == (
+                eta.tau(ell) % p, ell ** 11 % p), ell
             if ell != 11:
-                assert qexp.frobenius_data(curve, ell, p) == (
+                assert eta.frobenius_data(curve, ell, p) == (
                     X0_11.a_prime(ell) % p, ell % p), ell
 
     def test_ramified_level(self):
         f = X0_11
         assert f.level == 11
         with pytest.raises(RamifiedLevel):
-            qexp.frobenius_data(f, 11, 5)
+            eta.frobenius_data(f, 11, 5)
 
     def test_missing_coefficient(self):
         f = qexp.CoefficientTable(2, 11, {2: -2})
         with pytest.raises(MissingCoefficient):
-            qexp.frobenius_data(f, 3, 5)
+            eta.frobenius_data(f, 3, 5)
 
     def test_ell_equals_p_rejected(self):
         with pytest.raises(ValueError):
-            qexp.frobenius_data(qexp.DELTA, 11, 11)
+            eta.frobenius_data(eta.DELTA, 11, 11)
 
 
 class TestTableParser:
@@ -534,10 +534,10 @@ class TestForms:
     a_prime(ell, precision)."""
 
     def test_delta(self):
-        delta = qexp.DELTA
+        delta = eta.DELTA
         assert (delta.weight, delta.level, delta.describe()) == (
             12, 1, "delta")
-        assert delta.a_prime(23) == qexp.tau(23) == 18643272
+        assert delta.a_prime(23) == eta.tau(23) == 18643272
         with pytest.raises(PrecisionExceeded):
             delta.a_prime(23, precision=22)
         with pytest.raises(AttributeError):
@@ -585,7 +585,7 @@ class TestConcurrentCoefficientAccess:
         # exact values whichever table gets published
         import sys
         import threading
-        want = miller_tau(qexp.MAX_PRECISION)[:4000]
+        want = miller_tau(eta.MAX_PRECISION)[:4000]
         reset_tau()
         results = []
         lock = threading.Lock()
@@ -593,7 +593,7 @@ class TestConcurrentCoefficientAccess:
         def worker(seed):
             ns = [1, 23, 60, 120] + [2000 + 97 * seed + 13 * k
                                      for k in range(10)]
-            vals = [(n, qexp.tau(n, precision=4000)) for n in ns]
+            vals = [(n, eta.tau(n, precision=4000)) for n in ns]
             with lock:
                 results.append(vals)
 

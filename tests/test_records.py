@@ -9,7 +9,8 @@ import pickle
 
 import pytest
 
-from kida import chargroup as cg, localfactor as lf, qexp, splitting as sp
+from kida import chargroup as cg, eta, localfactor as lf, qexp
+from kida import splitting as sp
 from kida import transition as tr, verify
 from kida.errors import IncoherentGenericData, Record
 
@@ -23,7 +24,7 @@ F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
 
 ALG = tr.transition(p=11, base_field=sp.rationals(), ext_field=F23,
                     base=tr.InvariantRecord("algebraic", 0, 1),
-                    form=qexp.DELTA, assert_hypotheses=True)
+                    form=eta.DELTA, assert_hypotheses=True)
 
 LF_REPORT = (
     "LocalFactorReport(ell=23, local_degree=11, places=1, m=0, "

@@ -1,6 +1,7 @@
 """Start-up and exit: each command loads only the kida modules it runs,
 and no more code than its ceiling, the package loads its submodules on
-first use, and only a program run freezes the heap for its exit."""
+first use, and a program run ends with main's output and code and no
+interpreter teardown."""
 
 import ast
 import gc
@@ -13,7 +14,8 @@ import pytest
 
 from kida import cli, transition, verify
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# the src directory of the kida under test, which the subprocesses run
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 # Runs one command in a fresh interpreter and prints the modules it
 # loaded on top of those the interpreter had at start.  No command may
@@ -68,27 +70,27 @@ def compiled_nodes(names):
 # The most AST nodes each command below may compile.  A change may lower
 # a ceiling; raising one is a stated decision.
 NODE_CEILINGS = {
-    "tau --n 23": 6477,
-    "tau --n 23 --mod 11 --json": 6477,
-    "hv --form sc --p 5 --e 5": 7246,
-    "hv --form ups:a=2,c=1 --p 5 --e 5": 7246,
-    "verify --suite path-agreement": 8039,
-    "verify --suite hasse --size 30": 11184,
-    "hv --form sc --e 5": 5289,
-    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 13984,
+    "tau --n 23": 4072,
+    "tau --n 23 --mod 11 --json": 4072,
+    "hv --form sc --p 5 --e 5": 7300,
+    "hv --form ups:a=2,c=1 --p 5 --e 5": 7300,
+    "verify --suite path-agreement": 8104,
+    "verify --suite hasse --size 30": 11229,
+    "hv --form sc --e 5": 5343,
+    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 11621,
     "transition --form delta --p 11 --base Q --ext cyclotomic:23:degree=11 "
-    "--lambda 1 --mu 0": 15906,
-    "verify --suite group-identity --size 12": 12311,
-    "verify --suite tower-additivity --size 9": 14393,
+    "--lambda 1 --mu 0": 13543,
+    "verify --suite group-identity --size 12": 12340,
+    "verify --suite tower-additivity --size 9": 14464,
     "transition --p 5 --base Q --ext cyclotomic:11:degree=5 --lambda 2 "
-    "--mu 0 --local 11=special:ram,triv,dies --json": 12636,
+    "--mu 0 --local 11=special:ram,triv,dies --json": 12690,
 }
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # qexp loads arith only in its curve, table and Frobenius functions
-    (["tau", "--n", "23"], {"kida.qexp"}),
-    (["tau", "--n", "23", "--mod", "11", "--json"], {"kida.qexp"}),
+    # eta loads arith only in its Frobenius functions, and no curve code
+    (["tau", "--n", "23"], {"kida.eta"}),
+    (["tau", "--n", "23", "--mod", "11", "--json"], {"kida.eta"}),
     # --p is checked for primality, which loads arith
     (["hv", "--form", "sc", "--p", "5", "--e", "5"],
      {"kida.localfactor", "kida.arith"}),
@@ -96,8 +98,9 @@ NODE_CEILINGS = {
      {"kida.localfactor", "kida.arith"}),
     (["verify", "--suite", "path-agreement"],
      {"kida.verify", "kida.localfactor"}),
+    # qexp names every form, so it loads eta too
     (["verify", "--suite", "hasse", "--size", "30"],
-     {"kida.verify", "kida.qexp", "kida.arith"}),
+     {"kida.verify", "kida.qexp", "kida.eta", "kida.arith"}),
     (["hv", "--form", "sc", "--e", "5"], {"kida.localfactor"}),
 ])
 def test_light_commands_load_exactly(argv, expected):
@@ -111,18 +114,19 @@ def test_light_commands_load_exactly(argv, expected):
 @pytest.mark.parametrize("argv, absent", [
     (["hv", "--form", "delta", "--p", "11", "--ell", "23", "--ext",
       "cyclotomic:23:degree=11"],
-     {"kida.chargroup", "kida.transition", "kida.verify"}),
+     {"kida.chargroup", "kida.qexp", "kida.transition", "kida.verify"}),
     (["transition", "--form", "delta", "--p", "11", "--base", "Q", "--ext",
       "cyclotomic:23:degree=11", "--lambda", "1", "--mu", "0"],
-     {"kida.chargroup", "kida.verify"}),
+     {"kida.chargroup", "kida.qexp", "kida.verify"}),
     (["verify", "--suite", "group-identity", "--size", "12"],
-     {"kida.localfactor", "kida.qexp", "kida.splitting", "kida.transition"}),
+     {"kida.eta", "kida.localfactor", "kida.qexp", "kida.splitting",
+      "kida.transition"}),
     (["verify", "--suite", "tower-additivity", "--size", "9"],
-     {"kida.qexp", "kida.splitting", "kida.transition"}),
+     {"kida.eta", "kida.qexp", "kida.splitting", "kida.transition"}),
     (["transition", "--p", "5", "--base", "Q", "--ext",
       "cyclotomic:11:degree=5", "--lambda", "2", "--mu", "0",
       "--local", "11=special:ram,triv,dies", "--json"],
-     {"kida.chargroup", "kida.qexp", "kida.verify"}),
+     {"kida.chargroup", "kida.eta", "kida.qexp", "kida.verify"}),
 ])
 def test_commands_skip_what_they_do_not_run(argv, absent):
     names, code = loaded(*argv)
@@ -135,9 +139,9 @@ def test_commands_skip_what_they_do_not_run(argv, absent):
 PACKAGE = r"""
 import sys
 import kida
-assert "kida.qexp" not in sys.modules
-assert kida.qexp.tau(23) == 18643272          # submodule before import
-assert "kida.transition" not in sys.modules
+assert "kida.eta" not in sys.modules
+assert kida.eta.tau(23) == 18643272           # submodule before import
+assert "kida.qexp" not in sys.modules and "kida.transition" not in sys.modules
 try:
     kida.no_such_name
 except AttributeError as exc:
@@ -185,21 +189,47 @@ EXIT_PATHS = [
     (["--help"], 0),
 ]
 
-# Registers an exit probe first, so that it runs after every handler
-# registered later, then runs kida.cli as the program.
+# Registers an atexit probe, then runs kida.cli as the program, which
+# must end with os._exit before the probe runs.
 AS_PROGRAM = r"""
-import atexit, gc, runpy
-atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+import atexit, runpy
+atexit.register(lambda: print("atexit ran"))
 runpy.run_module("kida.cli", run_name="__main__", alter_sys=True)
 """
 
 
 @pytest.mark.parametrize("argv, code", EXIT_PATHS,
                          ids=[" ".join(argv) for argv, _ in EXIT_PATHS])
-def test_a_program_run_exits_frozen(argv, code):
+def test_a_program_run_ends_as_main_returns(argv, code, capsys):
     proc = _python(AS_PROGRAM, *argv)
+    try:
+        returned = cli.main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    out, err = capsys.readouterr()
+    assert returned == code
     assert proc.returncode == code, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "frozen True"
+    assert (proc.stdout, proc.stderr) == (out, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered, code", [("1", 1), (None, 120)],
+                         ids=["unbuffered", "buffered"])
+def test_a_full_stdout_fails_the_program_run(unbuffered, code):
+    # unbuffered, print raises and the traceback exits 1; buffered, the
+    # exit path's flush fails and the interpreter's own exit reports it,
+    # with the status 120 of a failed flush at exit
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kida.cli", "tau", "--n", "23"], env=env,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "No space left on device" in proc.stderr
 
 
 # Calls main with each exit path's argv in one process: the collector

@@ -9,12 +9,12 @@ import pytest
 
 from characters import DirichletGroup, spanning_subset
 from kida import localfactor as lf
-from kida import qexp, splitting as sp, transition as tr
+from kida import eta, qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, InternalAdditivityViolation,
                          MissingLocalType, MuNonzero, NegativeLambda, TameAtP)
 from test_splitting import layer_place_count
 
-DELTA = qexp.DELTA
+DELTA = eta.DELTA
 Q = sp.rationals()
 F23 = sp.parse_field_spec("cyclotomic:23:degree=11")
 F1123 = sp.parse_field_spec("cyclotomic:1123:degree=11")
@@ -168,9 +168,9 @@ class TestTransitionExamples:
                                  base=BASE_ALG, form=DELTA, precision=1200)
 
         first = run()
-        before = qexp._tau.cache_info()
+        before = eta._tau.cache_info()
         again = run()
-        after = qexp._tau.cache_info()
+        after = eta._tau.cache_info()
         assert after.hits > before.hits
         assert after.misses == before.misses
         assert again == first
@@ -469,7 +469,7 @@ class TestEllipticCurveCriterion:
             if any(ell % q == 0 for q in range(2, ell)) or ell == 11:
                 continue
             n_points = E.count_points(ell)
-            a, c = qexp.frobenius_data(E, ell, 11)
+            a, c = eta.frobenius_data(E, ell, 11)
             h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
             assert (h != 0) == (n_points % 11 == 0), ell
             hits += h != 0
@@ -761,7 +761,7 @@ class TestTwistSumOverCharacters:
 # raise InternalAdditivityViolation, also when python -O strips asserts.
 FAULT_INJECTION = r"""
 import json
-from kida import qexp, splitting as sp, transition as tr
+from kida import eta, qexp, splitting as sp, transition as tr
 from kida.errors import InternalAdditivityViolation
 
 Q = sp.rationals()
@@ -786,7 +786,7 @@ run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
         ell, 2 if F.degree == 1 else 3, 1, 1, 1))
 run("transition", lambda: tr.transition(
     p=11, base_field=Q, ext_field=F121,
-    base=tr.InvariantRecord("algebraic", 0, 1), form=qexp.DELTA),
+    base=tr.InvariantRecord("algebraic", 0, 1), form=eta.DELTA),
     "unramified_at_p_reduction", lambda F, p: F)
 print(json.dumps(out, sort_keys=True))
 """
