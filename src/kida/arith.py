@@ -30,7 +30,8 @@ _INPUT_BOUND = 10 ** 12
 
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, ascending primes;
-    BoundExceeded past FACTOR_BOUND."""
+    BoundExceeded past FACTOR_BOUND.  The check n >= 1 is the one for every
+    modulus kida builds a unit group of: the loop would not end at 0."""
     if n < 1:
         raise ValueError("factor() needs n >= 1")
     if n > FACTOR_BOUND:
@@ -275,7 +276,6 @@ class UnitGroup:
 
 @lru_cache(maxsize=128)
 def unit_group(N: int) -> UnitGroup:
-    """Unit group (Z/N)^* with invariant factors and coordinate maps."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """Unit group (Z/N)^* with invariant factors and coordinate maps;
+    ``factor`` refuses N < 1."""
     return UnitGroup(N)

@@ -12,9 +12,11 @@ in a transition.
 
 Library modules load on first use: each handler imports what it runs, so
 ``kida tau`` loads ``eta`` alone and only a curve or a table loads
-``qexp`` (both load ``arith`` only in the functions that call it).  The
-``--kind`` and ``--suite`` choices are literal here for that reason, and
-tests pin them to ``transition.KINDS`` and ``verify.SUITES``.
+``qexp`` (``eta`` never loads ``arith``, ``qexp`` only in the functions
+that call it).  The ``--kind`` and ``--suite`` choices are literal here
+for that reason, and tests pin them to ``transition.KINDS`` and
+``verify.SUITES``.  ``hv`` and ``transition`` refuse a ``--p`` that is
+not an odd prime, as the library's ``splitting.ramified_set`` does.
 
 Run as a program (``main()`` without argv), kida flushes stdout and
 stderr and ends the process with ``os._exit`` on every exit path, help
@@ -163,7 +165,7 @@ def cmd_hv(args) -> int:
     for flag, n in (("--ell", args.ell), ("--p", args.p)):
         if n is not None:
             from .arith import require_prime
-            require_prime(flag, n)
+            require_prime(flag, n, odd=flag == "--p")
     spec = args.form.strip()
     record: dict[str, object] = {}
     if is_local_type_spec(spec):

@@ -10,8 +10,8 @@ sigma_5.
 ``frobenius_data`` and ``local_type`` give a form's type at a good prime.
 They read a form only through ``weight``, ``level`` and ``a_prime``, so
 they serve Delta, a curve and a table alike (``qexp`` holds the last
-two).  They load ``arith`` (and ``local_type`` ``localfactor``) when
-called, so ``kida tau`` loads this module alone.
+two).  ``local_type`` loads ``localfactor`` when called, so ``kida tau``
+loads this module alone.
 """
 
 from __future__ import annotations
@@ -125,12 +125,13 @@ def frobenius_data(f: _Delta | qexp.EllipticCurve | qexp.CoefficientTable,
                    precision: int | None = None) -> tuple[int, int]:
     """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np;
     ``local_type`` makes them the form's local type at ell.  Every form
-    has trivial character, so ell^(k-1) is the Frobenius determinant."""
-    from . import arith
-    if not arith.is_prime(ell) or not arith.is_prime(p):
-        raise ValueError("ell and p must be prime")
-    if ell == p:
-        raise ValueError("Frobenius data needs ell != p")
+    has trivial character, so ell^(k-1) is the Frobenius determinant.
+
+    ell and p must be distinct primes.  The callers check that: ``kida
+    hv`` with ``arith.require_prime`` and its ``--ell`` != ``--p`` test,
+    and ``transition`` takes ell from ``splitting.ramified_set``, whose
+    conductors are prime to the odd prime p it checks.  Here only a prime
+    dividing the level is refused (RamifiedLevel)."""
     if f.level % ell == 0:
         raise RamifiedLevel(f"{ell} divides the level {f.level}; "
                             "supply a local type instead")

@@ -163,9 +163,8 @@ def _char_row(phi: LocalCharData, e: int) -> tuple[str, int]:
 
 def _table_rows(V: LocalType, e: int) -> list[tuple[str, int]]:
     """The h-table: V's (case, value) rows at ramification index e, one
-    per line of V (a character, or the Frobenius data)."""
-    if e < 1:
-        raise ValueError("ramification index must be >= 1")
+    per line of V (a character, or the Frobenius data).  e must be >= 1,
+    which ``m_extension`` and ``kida hv``'s ``--e`` check."""
     if isinstance(V, CharacterLines):
         rows = []
         for phi in V.chars:
@@ -235,11 +234,10 @@ def _m_char(phi: LocalCharData, degree: int, exponent: int) -> int:
     return int(exponent == degree // order)
 
 
-def m_single(V: LocalType, degree: int = 1, exponent: int = 0) -> int:
-    """m(V_chi) for the twist chi of exponent ``exponent`` mod ``degree``
-    (by default the trivial twist): multiplicity of the trivial
-    representation in the Galois invariants of the inertia coinvariants
-    of the twist."""
+def m_single(V: LocalType, degree: int, exponent: int) -> int:
+    """m(V_chi) for the twist chi of exponent ``exponent`` mod ``degree``:
+    multiplicity of the trivial representation in the Galois invariants
+    of the inertia coinvariants of the twist."""
     if isinstance(V, Generic):
         raise GenericUnsupported("generic types carry their m-values directly")
     exponent %= degree

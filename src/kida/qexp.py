@@ -14,7 +14,8 @@ ever a float.
 ``DELTA`` and ``tau`` are ``eta``'s, imported here at load, so this
 module names every form and loading it loads ``eta`` too: perfbench's
 worker warms up through ``qexp.tau``, and its timed requests then load
-no module.  The curve and table functions load ``arith`` when called.
+no module.  A curve's level, a point order past 229 and the table
+parser load ``arith`` when called; a count below 229 loads none.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ class EllipticCurve(Record):
 
     def count_points(self, ell: int) -> int:
         """#E(F_ell) including the point at infinity, good reduction only:
-        the Legendre sum up to ell = 229, baby-step giant-step above."""
-        from . import arith
+        the Legendre sum up to ell = 229, baby-step giant-step above.
+        ell must be prime, which the callers see to: ``kida hv`` checks
+        ``--ell`` with ``arith.require_prime``, ``transition`` reads ell
+        off a factored conductor and the hasse suite off a sieve."""
         if ell > EC_PRIME_BOUND:
             raise BoundExceeded(f"prime {ell} beyond bound {EC_PRIME_BOUND}")
-        if not arith.is_prime(ell):
-            raise ValueError(f"ell must be prime, got {ell}")
         if self.discriminant() % ell == 0:
             raise BadReduction(f"prime {ell} divides the discriminant")
         if ell > _MESTRE_BOUND:

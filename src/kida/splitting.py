@@ -57,15 +57,15 @@ class AbelianField:
     conductor M: when M < N it is built again at M from the generators'
     residues mod M that are not 1.  ``basis``, when given, is trusted to
     be H's HNF basis in (Z/N)^*'s invariant-factor basis, N the conductor;
-    it spares the discrete logs, the HNF and the conductor test.
+    it spares the discrete logs, the HNF and the conductor test.  The
+    conductor must be >= 1: ``arith.factor`` refuses any other (ValueError),
+    and ``parse_field_spec`` first, with a typed error.
 
     So ``==`` means "same field": the degree-11 subfields of Q(zeta_46)
     and Q(zeta_23) are both presented at 23, and equal.
     """
 
     def __init__(self, conductor: int, subgroup_gens=(), basis=None):
-        if conductor < 1:
-            raise ValueError("conductor must be >= 1")
         U = arith.unit_group(conductor)
         gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
         for g in gens:
@@ -175,7 +175,10 @@ def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
 def efg(F: AbelianField, ell: int) -> PlaceData:
     """Ramification index e = [HI : H], residue degree f = [HD : HI] and
     number of places g = [U : HD] of ell in F, with I the ell-part of U
-    and D = I <Frob>: indices of Hermite lattices, of product [U : H]."""
+    and D = I <Frob>: indices of Hermite lattices, of product [U : H].
+
+    ell must be prime, and this is where that is checked (ValueError): every
+    function here that takes an ell calls efg before it reads ell."""
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     U, L_H = F.unit_group, F._lattice
@@ -219,13 +222,12 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     over ell is topologically generated by <ell>^f, which generates
     1 + p^k Z_p.  A field ramified at p is refused: count the tower of its
     ``unramified_at_p_reduction``.
+
+    p must be an odd prime, which ``ramified_set`` checks, and ell a prime
+    other than p: ``efg`` checks that ell is prime before the valuation
+    loop (which would not end at ell = +-1), and ``ramified_set`` passes
+    only the primes of a conductor prime to p.
     """
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if ell == p:
-        raise ValueError("tower place counts are for ell != p")
-    if not arith.is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
     if F.conductor % p == 0:
         raise ValueError(f"{F.spec_string()} is ramified at {p}: count the "
                          f"tower of its unramified_at_p_reduction")
@@ -275,6 +277,10 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     residue field of a tower-layer place has no p-extensions, so the whole
     local degree is e_ell(F'/F) and every place above a ramified ell is
     (totally) ramified.
+
+    This is where the library checks that p is an odd prime (ValueError),
+    for ``unramified_at_p_reduction`` and ``tower_places`` too; ``kida
+    transition`` checks ``--p`` before it, with ``arith.require_prime``.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -323,10 +329,9 @@ def unramified_at_p_reduction(F: AbelianField, p: int) -> AbelianField:
 
     Realized by the meet of H with K (``_tame_rows``), where every wild
     character is trivial, projected to (Z/N)^*.  A field whose conductor
-    p does not divide is unramified at p and its own reduction.
+    p does not divide is unramified at p and its own reduction.  p must be
+    an odd prime, which ``ramified_set``, its caller, checks.
     """
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError("p must be an odd prime")
     a = arith.padic_val(F.conductor, p)
     if a == 0:                  # unramified at p
         return F

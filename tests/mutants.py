@@ -13,8 +13,8 @@ there, or a "kill" would show nothing.
 
 The node ceilings of ``tests/test_startup.py`` and
 ``test_public_api.py::test_every_function_runs_on_a_documented_path``
-are deselected: they fail on almost any edit, by a node count or by an
-unrun function, and would kill every row.
+are deselected: they fail on almost any edit, by a node count, an unrun
+function or an unreached raise, and would kill every row.
 
     python tests/mutants.py          # from the repository root
 
@@ -129,6 +129,39 @@ ROWS = [
      ["tests/test_startup.py::test_a_program_run_ends_as_main_returns"],
      "a program run exits with main's code: 2 for a domain or usage "
      "error, 3 for malformed input, 4 for missing local data"),
+    ("hv-ell-equal-to-p-accepted", "cli.py",
+     "        if args.ell == args.p:\n"
+     "            raise SpecParseError(\"--ell must differ from --p\")\n",
+     "",
+     ["tests/test_cli.py::test_bad_input_is_a_typed_error"
+      "[hv --form delta --p 11 --ell 11 --e 11]"],
+     "the formula prices places away from p, and hv's check is the only "
+     "one: Frobenius data at ell = p is a number, not a local type"),
+    ("efg-takes-any-ell", "splitting.py",
+     "    if not arith.is_prime(ell):\n"
+     "        raise ValueError(f\"{ell} is not prime\")\n",
+     "",
+     ["tests/test_splitting.py::TestPresentationCaches::"
+      "test_errors_raise_on_every_call",
+      "tests/test_splitting.py::TestTowerPlaces::"
+      "test_a_non_prime_ell_is_refused_by_efg"],
+     "efg is the library's one check that ell is prime; without it "
+     "tower_places' valuation loop never ends at ell = +-1"),
+    ("local-type-refuses-p-2", "localfactor.py",
+     "if prefix in _P_PREFIXES and p < 2:",
+     "if prefix in _P_PREFIXES and p < 3:",
+     ["tests/test_localfactor.py::TestGrammar::"
+      "test_a_given_prime_is_read_as_it_is"],
+     "the grammar asks only whether a prime was given; that p is odd is "
+     "checked where p enters, and the library reads ups:/generic: at 2"),
+    ("ramified-set-takes-any-p", "splitting.py",
+     "    if p == 2 or not arith.is_prime(p):\n"
+     "        raise ValueError(\"p must be an odd prime\")\n",
+     "",
+     ["tests/test_splitting.py::TestRamifiedSetCache::"
+      "test_errors_raise_on_every_call"],
+     "ramified_set is the library's one check that p is an odd prime, "
+     "for the reduction and the place counts it calls"),
 ]
 
 
@@ -142,7 +175,9 @@ def run_tests(src: Path, tests: list[str]) -> tuple[int, set[str], str]:
         [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no",
          "-p", "no:cacheprovider", *DESELECT, *tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
-    failed = {line.split()[1] for line in proc.stdout.splitlines()
+    # "FAILED <id> - <reason>"; a parametrized id may hold spaces
+    failed = {line[len("FAILED "):].split(" - ", 1)[0]
+              for line in proc.stdout.splitlines()
               if line.startswith("FAILED ")}
     return proc.returncode, failed, proc.stdout + proc.stderr
 

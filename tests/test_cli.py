@@ -45,8 +45,10 @@ EC_11 = "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
 # winning and the key ignored; CONFIG_N and CONFIG_KIND for the malformed
 # values that once went unchecked where a flag overrode them;
 # CONFIG_NO_EQUALS, TABLE_THREE and TABLE_COMMENTS for a line without
-# '=', a table record of three fields and a table of comments only), DIR
-# for a directory.
+# '=', a table record of three fields and a table of comments only;
+# TABLE_HEADER, TABLE_NOT_PRIME and TABLE_TWICE for a header short of a
+# field, a composite index and an index given twice), DIR for a
+# directory.
 BAD_FILES = {
     "CONFIG": "n = abc\np = seven\nsize = big\n",
     "CONFIG_MOD": "n = 23\nmod = -5\n",
@@ -64,6 +66,9 @@ BAD_FILES = {
     "CONFIG_NO_EQUALS": "n = 23\nbogus\n",
     "TABLE_THREE": "weight 2 level 11\n7 1 9\n",
     "TABLE_COMMENTS": "# comments\n# only\n",
+    "TABLE_HEADER": "weight 2 level\n",
+    "TABLE_NOT_PRIME": "weight 2 level 11\n4 1\n",
+    "TABLE_TWICE": "weight 2 level 11\n2 -2\n2 -2\n",
 }
 HV_TABLE = ("hv", "--p", "5", "--ell", "7", "--e", "5", "--form")
 HV_BIG_CURVE = ("hv", "--form", "ec:a4=1000000007,a6=1000000009", "--p",
@@ -102,6 +107,36 @@ DEGREE_NOT_UNIQUE = ("transition", "--form", "delta", "--p", "3", "--base",
                      "Q", "--ext", "cyclotomic:91:degree=3", "--lambda", "1",
                      "--mu", "0")
 TAU_BELOW_1 = [("tau", "--n", "0"), ("tau", "--n", "-5")]
+# hv's --p is an odd prime, as transition's is: --p 2 once printed h = 2
+# for ups:a=2,c=1, and 0, 1 and 4 were refused as not prime
+HV_P_NOT_ODD_PRIME = [
+    ("hv", "--form", "ups:a=2,c=1", "--p", "2", "--e", "2"),
+    ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
+    ("hv", "--form", "generic:1,2,3", "--p", "0", "--e", "3"),
+    ("hv", "--form", "ups:a=1,c=1", "--p", "0", "--e", "3"),
+    ("hv", "--form", "delta", "--p", "4", "--ell", "23", "--e", "11"),
+    ("hv", "--form", "ups:a=1,c=1", "--p", "4", "--e", "4"),
+    ("hv", "--form", "sc", "--p", "4", "--e", "4"),
+]
+HV_ELL_IS_P = ("hv", "--form", "delta", "--p", "11", "--ell", "11", "--e",
+               "11")
+# documented errors past the parser, each with its message: a ramified
+# prime with neither a form nor a local type (exit 4); mu != 0, Frobenius
+# data at a prime dividing the level, a negative generic m-value and
+# generic data over a degree that the place's does not divide (exit 2)
+NO_LOCAL_TYPE = ("transition", "--p", "5", "--base", "Q", "--ext",
+                 "cyclotomic:11:degree=5", "--lambda", "1", "--mu", "0")
+DOMAIN_ERRORS = {
+    TRANSITION_23[:-1] + ("1", "--p", "11"):
+        "transition formula needs mu = 0 (and a lambda) on input; got mu=1",
+    ("hv", "--form", "ec:a2=-1,a3=1,a4=-10,a6=-20", "--p", "5", "--ell",
+     "11", "--e", "5"): "11 divides the level 11; supply a local type "
+                        "instead",
+    ("hv", "--form", "generic:-1,0,0,0,0", "--p", "5", "--e", "5"):
+        "generic m-values must be >= 0",
+    ("hv", "--form", "generic:1,0,0,0,0", "--p", "5", "--e", "25"):
+        "generic data over degree 5 cannot serve degree 25",
+}
 # a config value is checked also where a flag overrides it (these printed
 # tau(5) and ran the plus transition, exit 0)
 CONFIG_OVERRIDDEN = [("tau", "--n", "5", "--config", "CONFIG_N"),
@@ -139,7 +174,9 @@ MISSING_FLAGS = {
         "transition needs --lambda and --mu",
     ("verify",): "verify needs --suite",
 }
-# malformed specs and files, exit 3, each with its message
+# malformed specs and files, and field pairs no transition takes (a
+# degree= that no subgroup has, a relative degree that is not a power of
+# p), exit 3, each with its message
 MALFORMED = {
     ("tau", "--config", "CONFIG_NO_EQUALS"):
         "CONFIG_NO_EQUALS:2: expected 'key = value'",
@@ -160,6 +197,45 @@ MALFORMED = {
         "subgroup generator 7 not a unit mod 14",
     TRANSITION_23_LOCAL + ("23",): "bad --local '23'; use ell=typespec",
     TRANSITION_23_LOCAL + ("x=sc",): "bad prime in --local 'x=sc'",
+    transition_ext("cyclotomic:23"): "bad field spec 'cyclotomic:23'",
+    transition_ext("cyclotomic:x:degree=11"):
+        "bad conductor in 'cyclotomic:x:degree=11'",
+    transition_ext("cyclotomic:0:degree=1"):
+        "conductor must be >= 1 in 'cyclotomic:0:degree=1'",
+    transition_ext("cyclotomic:23:gens=2,x"):
+        "bad generator list in 'cyclotomic:23:gens=2,x'",
+    transition_ext("cyclotomic:23:index=11"):
+        "bad field spec 'cyclotomic:23:index=11'",
+    ("hv", "--form", "special:ram,maybe", "--p", "5", "--e", "5"):
+        "bad character spec 'ram,maybe'",
+    ("hv", "--form", "special:ram,triv", "--p", "5", "--e", "5"):
+        "ram characters need a dies|survives flag: 'ram,triv'",
+    ("hv", "--form", "special:unram,triv,dies", "--p", "5", "--e", "5"):
+        "dies/survives only applies to ram characters",
+    ("hv", "--form", "ramps:ram,triv,dies", "--p", "5", "--e", "5"):
+        "ramps spec needs two characters: 'ramps:ram,triv,dies'",
+    ("hv", "--form", "ups:a=1", "--p", "5", "--e", "5"):
+        "ups spec needs exactly a=..,c=..: 'ups:a=1'",
+    ("hv", "--form", "generic:1,x", "--p", "5", "--e", "5"):
+        "bad generic values in 'generic:1,x'",
+    ("hv", "--form", "generic:1,2,3", "--p", "5", "--e", "5"):
+        "generic data length 3 is not a power of 5",
+    ("hv", "--form", "sc:", "--p", "5", "--e", "5"):
+        "bad local type spec 'sc:'",
+    HV_TABLE + ("table:TABLE_HEADER",):
+        "TABLE_HEADER: line 1: expected header 'weight k level N'",
+    HV_TABLE + ("table:TABLE_NOT_PRIME",):
+        "TABLE_NOT_PRIME: line 2: index 4 is not prime",
+    HV_TABLE + ("table:TABLE_TWICE",):
+        "TABLE_TWICE: line 3: duplicate entry for 2",
+    ("hv", "--form", "ups:a=x,c=1", "--p", "5", "--e", "5"):
+        "bad integer in 'ups:a=x,c=1'",
+    ("hv", "--form", "ec:a1=0", "--p", "5", "--ell", "7", "--e", "5"):
+        "curve is singular (discriminant 0)",
+    transition_ext("cyclotomic:23:degree=22"):
+        "[F':F] = 22 is not a power of 11",
+    transition_ext("cyclotomic:23:degree=23"):
+        "(Z/23)^* has no subgroup of index 23",
 }
 # argv the parser refuses, exit 2, each with argparse's message: an
 # unknown flag, a flag without its value, a bad integer, a bad choice, an
@@ -180,25 +256,20 @@ USAGE_ERRORS = {
 }
 HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # malformed inputs: exit 3
-    ("hv", "--form", "generic:1,2,3", "--p", "1", "--e", "3"),
+    *HV_P_NOT_ODD_PRIME,
     ("transition", "--form", "delta", "--p", "1", "--base", "Q", "--ext",
      "cyclotomic:13:degree=1", "--lambda", "0", "--mu", "0",
      "--local", "13=generic:1,2"),
-    ("hv", "--form", "generic:1,2,3", "--p", "0", "--e", "3"),
-    ("hv", "--form", "ups:a=1,c=1", "--p", "0", "--e", "3"),
     ("hv", "--form", "sc", "--e", "0"),
     *TAU_MOD_BELOW_1,
     *TAU_BELOW_1,
     TRANSITION_23 + ("--p", "4"),
     TRANSITION_23 + ("--p", "-3"),
     ("hv", "--form", "delta", "--p", "11", "--ell", "4", "--e", "11"),
-    ("hv", "--form", "delta", "--p", "4", "--ell", "23", "--e", "11"),
     ("hv", "--form", "sc", "--ell", "4", "--ext", "cyclotomic:23:degree=11"),
     TRANSITION_23[:-2] + ("--mu", "-1", "--p", "11"),
     TRANSITION_23[:-4] + ("--lambda", "-1", "--mu", "0", "--p", "11"),
-    ("hv", "--form", "delta", "--p", "11", "--ell", "11", "--e", "11"),
-    ("hv", "--form", "ups:a=1,c=1", "--p", "4", "--e", "4"),
-    ("hv", "--form", "sc", "--p", "4", "--e", "4"),
+    HV_ELL_IS_P,
     ("tau", "--config", "CONFIG"),
     ("hv", "--form", "sc", "--e", "5", "--config", "CONFIG"),
     ("verify", "--suite", "hasse", "--config", "CONFIG"),
@@ -249,7 +320,9 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     # a domain error: Q(zeta_11)'s 11-tower is no unramified field's
     TAME_AT_P,
     LOCAL_PAST_BOUND,
+    *DOMAIN_ERRORS,
 ]] + [
+    (NO_LOCAL_TYPE, None, 4),
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
     *PRECISION_BELOW_1,
 ]
@@ -298,6 +371,11 @@ HOSTILE_STDERR = {
         "CONFIG_UNKNOWN:2: unknown key 'bogus'",
     CONFIG_OVERRIDDEN[0]: "CONFIG_N: bad value 'abc' for n",
     CONFIG_OVERRIDDEN[1]: "CONFIG_KIND: bad value 'bogus' for kind",
+    **{argv: f"--p {argv[4]} is not an odd prime"
+       for argv in HV_P_NOT_ODD_PRIME},
+    HV_ELL_IS_P: "--ell must differ from --p",
+    NO_LOCAL_TYPE: "no form and no local type supplied for ramified prime 11",
+    **DOMAIN_ERRORS,
     **MISSING_FLAGS,
     **MALFORMED,
     **USAGE_ERRORS,

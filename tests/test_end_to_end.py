@@ -169,12 +169,16 @@ class TestEvenConductorFields:
         assert sp.tower_places(F8, 2, 3).g_infinity == 1
         assert sp.tower_places(Q, 2, 3).g_infinity == 1
 
-    def test_p_two_rejected_everywhere(self):
+    def test_p_two_rejected_where_the_library_takes_p(self):
+        # ramified_set is transition's first call and checks p for the
+        # splitting functions it calls
         F8 = sp.AbelianField(8, (7,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="odd prime"):
             sp.ramified_set(Q, F8, 2)
-        with pytest.raises(ValueError):
-            sp.unramified_at_p_reduction(F8, 2)
+        with pytest.raises(ValueError, match="odd prime"):
+            tr.transition(p=2, base_field=Q, ext_field=F8,
+                          base=tr.InvariantRecord("algebraic", 0, 1),
+                          local_types={})
 
 
 class TestMultiPlaceTransition:

@@ -47,13 +47,13 @@ def test_trivial_eigenvalues_count_the_root_one(p):
 
 class TestMSingle:
     def test_ups_neither_eigenvalue_trivial(self):
-        assert lf.m_single(lf.UnramifiedPS(10, 1, 11)) == 0
+        assert lf.m_single(lf.UnramifiedPS(10, 1, 11), 1, 0) == 0
 
     def test_ups_both_eigenvalues_trivial(self):
-        assert lf.m_single(lf.UnramifiedPS(2, 1, 11)) == 2
+        assert lf.m_single(lf.UnramifiedPS(2, 1, 11), 1, 0) == 2
 
     def test_ups_one_eigenvalue(self):
-        assert lf.m_single(lf.UnramifiedPS(5, 4, 11)) == 1
+        assert lf.m_single(lf.UnramifiedPS(5, 4, 11), 1, 0) == 1
 
     def test_ups_ramified_twist_kills(self):
         V = lf.UnramifiedPS(2, 1, 11)
@@ -67,18 +67,18 @@ class TestMSingle:
 
     def test_special_unramified(self):
         V = lines(UNRAM_TRIV)
-        assert lf.m_single(V) == 1
+        assert lf.m_single(V, 1, 0) == 1
         assert lf.m_single(V, 5, 2) == 0
 
     def test_special_dying_ramified(self):
         V = lines(ram_char(True, 5))
-        assert lf.m_single(V) == 0
+        assert lf.m_single(V, 1, 0) == 0
         hits = [lf.m_single(V, 5, j) for j in range(5)]
         assert sum(hits) == 1 and hits[0] == 0
 
     def test_generic_unsupported(self):
         with pytest.raises(GenericUnsupported):
-            lf.m_single(lf.Generic(3, (1, 0, 0)))
+            lf.m_single(lf.Generic(3, (1, 0, 0)), 1, 0)
 
     def test_values_bounded(self):
         for V in [lf.UnramifiedPS(a, c, 5) for a in range(5)
@@ -361,6 +361,17 @@ class TestGrammar:
     def test_ups_reduces_mod_p(self):
         V = lf.parse_local_type("ups:a=13,c=12", 11)
         assert (V.a, V.c) == (2, 1)
+
+    def test_a_given_prime_is_read_as_it_is(self):
+        # the grammar asks only that a prime was given, 0 standing for
+        # none; that p is odd is checked where it enters (kida hv --p,
+        # kida transition --p, splitting.ramified_set)
+        assert (lf.parse_local_type("ups:a=3,c=1", 2)
+                == lf.UnramifiedPS(1, 1, 2))
+        assert lf.parse_local_type("generic:1,0", 2) == lf.Generic(2, (1, 0))
+        for p in (0, 1):
+            with pytest.raises(SpecParseError, match="--p required"):
+                lf.parse_local_type("ups:a=3,c=1", p)
 
     @pytest.mark.parametrize("bad", [
         "ups:a=2", "ups:a=2,c=x", "ramps:unram,triv", "special:ram,triv",

@@ -1,5 +1,6 @@
-"""Every public name in src/kida is used by the package itself, and every
-function in it runs on a documented path.
+"""Every public name in src/kida is used by the package itself, every
+function in it runs on a documented path, and every ``raise`` in it is
+reached on one, or listed with the reason it is not.
 
 A public module-level name or method that only the tests reach is either
 deleted or listed in ALLOWED with the reason it stays.  Uses are read from
@@ -211,16 +212,147 @@ UNRUN = {
                                "suite has none of",
 }
 
+# key of a raise (see _definitions) -> why no documented path reaches it
+_BUG = "an internal check that only a bug in kida can make fire"
+_ONE_GROUP = ("a library caller's objects over two groups; the suites "
+              "build each check over one")
+_TYPES = "a local type of no kind the grammar gives"
+_COMPOSE = "perfbench transition-batch's compose step"
+UNREACHED = {
+    "__init__.__getattr__: AttributeError 1":
+        "a package attribute that names no submodule, which kida never reads",
+    "arith.UnitGroup.log: NotAUnit 1":
+        "kida logs units only: AbelianField refuses a generator that is "
+        "not one first, and a Frobenius residue is prime to the modulus",
+    "arith.crt: ValueError 1":
+        "kida joins the coprime prime powers of one modulus",
+    "arith.factor: ValueError 1":
+        "the library's check of N >= 1 (the loop would not end at 0); the "
+        "grammar and the flags refuse a conductor or a number below 1 first",
+    "arith.padic_val: ValueError 1": "kida passes a prime p, checked at entry",
+    "arith.padic_val: ZeroInput 1":
+        "kida takes valuations of conductors and degrees, all at least 1",
+    "chargroup.Character.__init__: ValueError 1":
+        "_dual builds exponent vectors of the group's rank",
+    "chargroup.Character.__init__: ValueError 2":
+        "_dual builds exponents below their invariant factors",
+    "chargroup.FiniteAbelianGroup.__init__: ValueError 1":
+        "abelian_groups_upto and the suites give invariant factors >= 2",
+    "chargroup.FiniteAbelianGroup.__init__: ValueError 2":
+        "abelian_groups_upto and the suites give divisibility chains",
+    "chargroup.RepMultiset.__init__: SubgroupMismatch 1": _ONE_GROUP,
+    "chargroup.RepMultiset.__init__: ValueError 1":
+        "random_rep draws multiplicities >= 0",
+    "chargroup.Subgroup.__init__: SubgroupMismatch 1":
+        "the suites give generators of the group's rank",
+    "chargroup._over_binomial: InternalAdditivityViolation 1": _BUG,
+    "chargroup.check_group_identity: SubgroupMismatch 1": _ONE_GROUP,
+    "chargroup.check_group_identity: SubgroupMismatch 2":
+        "the class count, an internal check that still needs a mutation "
+        "row showing it fires",
+    "chargroup.multiplicity: SubgroupMismatch 1": _ONE_GROUP,
+    "chargroup.multiplicity: SubgroupMismatch 2": _ONE_GROUP,
+    "chargroup.multiplicity_trace: SubgroupMismatch 1": _ONE_GROUP,
+    "chargroup.multiplicity_trace: SubgroupMismatch 2": _BUG,
+    "chargroup.multiplicity_trace: SubgroupMismatch 3": _BUG,
+    "errors.Record.__setattr__: AttributeError 1":
+        "refuses assignment, which no caller makes",
+    "eta._tau: InternalAdditivityViolation 1":
+        "Ramanujan's identity makes the division by 756 exact; " + _BUG,
+    "intlinalg.Lattice.__init__: KidaError 1":
+        "every lattice kida builds holds diag(d) Z^r, so has full rank",
+    "localfactor.CharacterLines.__init__: ValueError 1":
+        "the grammar gives at most two character lines",
+    "localfactor.Generic.__init__: IncoherentGenericData 1":
+        "the grammar and restrict_type give one value per character",
+    "localfactor.LocalCharData.__init__: ValueError 1":
+        "the grammar gives no order on inertia, the suites orders >= 2",
+    "localfactor.LocalCharData.restricted: IncoherentGenericData 1":
+        "only compose and the suites restrict types, and no surviving "
+        "character they restrict lacks an order",
+    "localfactor._table_rows: GenericUnsupported 1":
+        "m_extension and case_of take generic data before the h-table",
+    "localfactor._table_rows: TypeError 1": _TYPES,
+    "localfactor.check_tower_additivity: ValueError 1":
+        "the suites give nested degrees",
+    "localfactor.describe_local_type: TypeError 1": _TYPES,
+    "localfactor.m_extension: ValueError 1":
+        "the library's check of a local degree >= 1; hv refuses --e < 1 "
+        "first, and a ramification index is at least 1",
+    "localfactor.m_single: GenericUnsupported 1":
+        "twist_sum takes generic data before m_single",
+    "localfactor.m_single: TypeError 1": _TYPES,
+    "localfactor.restrict_type: IncoherentGenericData 1":
+        "the suites restrict generic data through divisors of its degree",
+    "localfactor.restrict_type: TypeError 1": _TYPES,
+    "localfactor.twist_sum: ValueError 1": "the suites give degrees >= 1",
+    "qexp.CoefficientTable.__init__: ValueError 1":
+        "the library's check of a table's weight and level; parse_table "
+        "refuses the same header first, with its line",
+    "qexp.EllipticCurve.count_points: BadReduction 1":
+        "callers pass only primes off the level, which holds every prime "
+        "of the discriminant; kept for minimal models, whose level can "
+        "miss a prime of a given model's discriminant",
+    "qexp._count_bsgs: BoundExceeded 1":
+        "Mestre: past 229 a point order decides the count",
+    "qexp._hasse_multiples: BoundExceeded 1":
+        "Hasse: the interval holds the order of the group, a multiple of "
+        "the point's",
+    "splitting.efg: ValueError 1":
+        "the library's check that ell is prime; the flags' require_prime "
+        "and arith.factor give primes",
+    "splitting.ramified_set: InternalAdditivityViolation 1": _BUG,
+    "splitting.ramified_set: InternalAdditivityViolation 2": _BUG,
+    "splitting.ramified_set: ValueError 1":
+        "the library's check that p is an odd prime; the CLI's "
+        "require_prime refuses --p first",
+    "splitting.tower_places: ValueError 1":
+        "README's refusal of a field ramified at p, to library callers; "
+        "ramified_set passes reduced fields",
+    "transition.InvariantRecord.__init__: ValueError 1":
+        "--kind takes only the KINDS",
+    "transition.InvariantRecord.__init__: ValueError 3":
+        "kida transition passes no lambda when mu != 0",
+    "transition.compose: ChainMismatch 1": _COMPOSE,
+    "transition.compose: ChainMismatch 2": _COMPOSE,
+    "transition.compose: ChainMismatch 3": _COMPOSE,
+    "transition.compose: ChainMismatch 4": _COMPOSE,
+    "transition.compose: InternalAdditivityViolation 1": _BUG,
+    "transition.compose: InternalAdditivityViolation 2": _BUG,
+    "transition.transition: MissingLocalType 2":
+        "a ramified prime that divides the level; its row waits for the "
+        "form to supply its multiplicative local types",
+    "verify.run_suite: KidaError 1": "--suite takes only the SUITES",
+}
+
 # Runs the (argv, env, usage) rows and the code read from stdin in one
-# interpreter under sys.setprofile, and prints the (file, first line) of
-# every function called.  The parser refuses a row, exit 2, if and only
-# if it is a usage row.
-PROFILED = r"""
+# interpreter under sys.settrace, which traces the frames of the files
+# under the directory given with them and no others, and prints the file,
+# first line and lines run of every such function called.  Lines are
+# traced only in the functions given by (file, first line) as holding a
+# raise, which keeps the run near the cost of a profile of calls.  The
+# parser refuses a row, exit 2, if and only if it is a usage row.
+TRACED = r"""
 import contextlib, io, json, os, sys
-rows, example = json.load(sys.stdin)
-called = set()
-sys.setprofile(lambda frame, event, arg: event == "call"
-               and called.add(frame.f_code))
+rows, example, src, raising = json.load(sys.stdin)
+raising = set(map(tuple, raising))
+lines = {}      # code object -> the line numbers it ran
+
+def trace(frame, event, arg):
+    code = frame.f_code
+    if not code.co_filename.startswith(src):
+        return None
+    run = lines.setdefault(code, set())
+    if (code.co_filename, code.co_firstlineno) not in raising:
+        return None
+    add = run.add
+
+    def line(frame, event, arg):
+        add(frame.f_lineno)
+        return line
+    return line
+
+sys.settrace(trace)
 from kida import cli
 for argv, env, usage in rows:
     os.environ.update(env)
@@ -236,9 +368,9 @@ for argv, env, usage in rows:
     for key in env:
         del os.environ[key]
 exec(example, {})
-sys.setprofile(None)
-print(json.dumps(sorted({(code.co_filename, code.co_firstlineno)
-                         for code in called})))
+sys.settrace(None)
+print(json.dumps([(code.co_filename, code.co_firstlineno, sorted(run))
+                  for code, run in lines.items()]))
 """
 
 # a kida command in a shell line, after any VAR=value prefixes; it ends
@@ -293,27 +425,38 @@ def _written_files(tmp_path):
                                      encoding="ascii")
 
 
-def _function_lines():
-    """(file, first line) -> qualified name of every function in
-    src/kida; the first line is a decorator's where there is one."""
-    out = {}
+def _definitions():
+    """Two maps over src/kida: (file, first line) -> qualified name of
+    every function, the first line a decorator's where there is one, and
+    (file, line) -> (key, first line of its function, 1 at module level)
+    of every ``raise`` statement, whose line runs when it is reached.  A
+    raise's key is the qualified name of its function, the exception it
+    names and its ordinal among the raises of that exception there, as
+    ``cli.cmd_tau: SpecParseError 2``."""
+    functions, raises, count = {}, {}, Counter()
 
-    def walk(node, prefix, path):
+    def walk(node, prefix, path, first):
         for sub in ast.iter_child_nodes(node):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([sub.lineno] + [d.lineno
-                                            for d in sub.decorator_list])
-                out[str(path), first] = prefix + sub.name
+            if isinstance(sub, ast.Raise):
+                exc = (sub.exc.func if isinstance(sub.exc, ast.Call)
+                       else sub.exc)
+                key = f"{prefix[:-1]}: {ast.unparse(exc) if exc else 'raise'}"
+                count[key] += 1
+                raises[str(path), sub.lineno] = (f"{key} {count[key]}", first)
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.ClassDef)):
-                walk(sub, f"{prefix}{sub.name}.", path)
+                line = min([sub.lineno] + [d.lineno
+                                           for d in sub.decorator_list])
+                if not isinstance(sub, ast.ClassDef):
+                    functions[str(path), line] = prefix + sub.name
+                walk(sub, f"{prefix}{sub.name}.", path, line)
             else:
-                walk(sub, prefix, path)
+                walk(sub, prefix, path, first)
 
     for path in sorted(SRC.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")),
-             f"{path.stem}.", path)
-    return out
+             f"{path.stem}.", path, 1)
+    return functions, raises
 
 
 def test_every_function_runs_on_a_documented_path(tmp_path):
@@ -331,16 +474,27 @@ def test_every_function_runs_on_a_documented_path(tmp_path):
            if key != "KIDA_PRECISION"}
     env["PYTHONPATH"] = str(SRC.parent)
     _written_files(tmp_path)
-    proc = subprocess.run([sys.executable, "-c", PROFILED],
-                          input=json.dumps([rows, example]), env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+    functions, raises = _definitions()
+    raising = sorted({(path, first) for (path, _), (_, first)
+                      in raises.items()})
+    proc = subprocess.run([sys.executable, "-c", TRACED],
+                          input=json.dumps([rows, example, str(SRC),
+                                            raising]),
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    called = {(str(Path(path).resolve()), line)
-              for path, line in json.loads(proc.stdout)}
-    unrun = {name for key, name in _function_lines().items()
-             if key not in called}
+    called, ran = set(), set()
+    for path, first, lines in json.loads(proc.stdout):
+        path = str(Path(path).resolve())
+        called.add((path, first))
+        ran.update((path, line) for line in lines)
+    unrun = {name for key, name in functions.items() if key not in called}
     # a function no documented path runs is deleted or listed in UNRUN
     assert sorted(unrun - set(UNRUN)) == []
     # an entry for a function that is gone, or that now runs, leaves UNRUN
     assert sorted(set(UNRUN) - unrun) == []
+    unreached = {key for where, (key, _) in raises.items()
+                 if where not in ran}
+    # so is a raise no documented path reaches, in UNREACHED
+    assert sorted(unreached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - unreached) == []

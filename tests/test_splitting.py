@@ -355,11 +355,16 @@ class TestTowerPlaces:
                 assert layer_place_count(F, ell, p, n0 + extra) == \
                     t.g_infinity
 
-    def test_rejects_bad_primes(self):
-        with pytest.raises(ValueError):
-            sp.tower_places(Q, 11, 11)
-        with pytest.raises(ValueError):
-            sp.tower_places(Q, 5, 2)
+    def test_a_non_prime_ell_is_refused_by_efg(self):
+        # efg checks ell for tower_places, before a valuation loop that
+        # would not end at ell = +-1; those two are asked of efg alone, so
+        # that without its check this test fails and hangs nothing
+        for ell in (0, 4):
+            with pytest.raises(ValueError, match=f"{ell} is not prime"):
+                sp.tower_places(Q, ell, 11)
+        for ell in (1, -1):
+            with pytest.raises(ValueError, match=f"{ell} is not prime"):
+                sp.efg(Q, ell)
 
     def test_base_tower_valuation_formula(self):
         # over Q the stable count is p^(v-1) with v the valuation of
