@@ -1,12 +1,14 @@
 """Finite abelian groups, characters, and multiplicity pairings.
 
 Groups are presented by invariant factors d_1 | d_2 | ... | d_r; elements
-are coordinate tuples.  Characters are exponent vectors: the character
-with exponents (c_1..c_r) sends g to zeta_e^(sum c_i g_i (e/d_i)) where
-e = lcm(d_i).  All pairings are computed by exact counting; a second
-route through exact cyclotomic-integer sums (reduced mod the e-th
-cyclotomic polynomial) is provided as an independent oracle.  No
-floating point anywhere.
+are coordinate tuples.  A character is its exponent vector: the tuple
+(c_1..c_r), 0 <= c_i < d_i, sends g to zeta_e^(sum c_i g_i (e/d_i)) where
+e = lcm(d_i).  ``_check_character`` refuses any other vector where one
+enters: each entry of a ``RepMultiset`` and the character given to
+``multiplicity`` or ``multiplicity_trace``.  All pairings are computed by
+exact counting; a second route through exact cyclotomic-integer sums
+(reduced mod the e-th cyclotomic polynomial) is provided as an
+independent oracle.  No floating point anywhere.
 
 Subgroups of G = Z^r / diag(d) are the lattices L between diag(d) Z^r
 and Z^r; one walk over their Hermite normal forms lists each subgroup
@@ -19,18 +21,18 @@ apart share them; errors are not stored:
 
 - ``_exponent_weights`` (64 entries) keys on the invariant factors and
   keeps e = lcm(d) and the weights e/d_i.
-- ``_dual`` (8 entries) keys on the group and keeps its characters;
-  ``dual_group`` copies them into a new list on each call, so a caller
-  cannot change the cached ones.  A sweep meets each group in one
-  stretch, so a few groups suffice.
+- ``_dual`` (8 entries) keys on the group and keeps the tuple of its
+  characters' exponent vectors; ``dual_group`` copies them into a new
+  list on each call, so a caller cannot change the cached ones.  A sweep
+  meets each group in one stretch, so a few groups suffice.
 - ``_cyclotomic_polynomial`` (256 entries) keys on n.
 
-``value_log`` evaluates a character at one element; ``multiplicity``
-calls it per character and generator.  The trace oracle folds the
-weights e/d_i into each of its characters once, and the identity
-checker reads every character of G on H's generators once, with the
-weights folded into the generators (``_restrictions``): its annihilator
-is the class of the trivial restriction.
+``_restrictions`` reads characters on a list of elements, with the
+weights e/d_i folded into the elements once: ``multiplicity`` over H
+and the identity checker compare characters by their values on H's
+generators through it, and the annihilator of H is the class of the
+trivial restriction.  The trace oracle folds the weights into each of
+its characters once instead.
 """
 
 from __future__ import annotations
@@ -86,66 +88,38 @@ def cyclic(n: int) -> FiniteAbelianGroup:
     return TRIVIAL_GROUP if n == 1 else FiniteAbelianGroup((n,))
 
 
-class Character(Record):
-    """Character of a FiniteAbelianGroup given by its exponent vector."""
-
-    __slots__ = ("group", "exponents")
-
-    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
-        d = group.invariant_factors
-        if len(exponents) != len(d):
-            raise ValueError("exponent vector length mismatch")
-        if any(not 0 <= c < di for c, di in zip(exponents, d)):
-            raise ValueError("exponents out of range")
-        self._fill(group, exponents)
-
-    def __hash__(self):
-        # equal characters have equal exponents; one tuple hash, where
-        # Record's would hash the group through a second Python call
-        return hash(self.exponents)
-
-    def value_log(self, element) -> int:
-        """log base zeta_e of the character value at ``element``."""
-        e, w = _exponent_weights(self.group.invariant_factors)
-        return sum(map(mul, map(mul, self.exponents, element), w)) % e
-
-    def restriction_tuple(self, gens) -> tuple[int, ...]:
-        """Value logs on a generator list; equal tuples = equal on <gens>."""
-        return tuple(map(self.value_log, gens))
+def _check_character(G: FiniteAbelianGroup, chi: tuple[int, ...]):
+    """Refuse ``chi`` unless it is the exponent vector of a character of
+    G: one entry per invariant factor d_i, each in [0, d_i)."""
+    d = G.invariant_factors
+    if len(chi) != len(d) or any(not 0 <= c < di for c, di in zip(chi, d)):
+        raise SubgroupMismatch(f"{chi!r} is no character of {d}")
 
 
 def _restrictions(G: FiniteAbelianGroup, chars, elements) -> list[tuple]:
     """Per character of G in ``chars``, the tuple of its value logs at
     ``elements``.  The weights e/d_i are folded into each element once,
-    so each log is one dot product with the character's exponents, mod e:
-    ``value_log``'s formula, read for many characters at a time."""
+    so each log is one dot product with the character's exponents, mod e;
+    equal tuples on generators mean equal restrictions to their span."""
     e, w = _exponent_weights(G.invariant_factors)
-    exps = [chi.exponents for chi in chars]
-    cols = [[sum(map(mul, c, f)) % e for c in exps]
+    cols = [[sum(map(mul, c, f)) % e for c in chars]
             for f in [tuple(map(mul, g, w)) for g in elements]]
-    return list(zip(*cols)) if cols else [()] * len(exps)
+    return list(zip(*cols)) if cols else [()] * len(chars)
 
 
-def dual_group(G: FiniteAbelianGroup) -> list[Character]:
+def dual_group(G: FiniteAbelianGroup) -> list[tuple[int, ...]]:
     """All |G| characters in lexicographic exponent order, trivial first
     (a new list each call, so a caller may change it)."""
     return list(_dual(G))
 
 
 @lru_cache(maxsize=8)
-def _dual(G: FiniteAbelianGroup) -> tuple[Character, ...]:
-    # each exponent vector is in range by construction, so the characters
-    # skip the checks of Character.__init__
-    chars = []
-    for exps in itertools.product(*map(range, G.invariant_factors)):
-        chi = object.__new__(Character)
-        chi._fill(G, exps)
-        chars.append(chi)
-    return tuple(chars)
+def _dual(G: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(*map(range, G.invariant_factors)))
 
 
-def trivial_character(G: FiniteAbelianGroup) -> Character:
-    return Character(G, (0,) * G.rank)
+def trivial_character(G: FiniteAbelianGroup) -> tuple[int, ...]:
+    return (0,) * G.rank
 
 
 class Subgroup:
@@ -202,37 +176,36 @@ class Subgroup:
 
 
 class RepMultiset:
-    """Finite-dimensional representation as a character multiset."""
+    """Finite-dimensional representation as a character multiset: each
+    entry maps a character's exponent vector to its multiplicity."""
 
     def __init__(self, group: FiniteAbelianGroup, entries):
         self.group = group
-        agg: dict[Character, int] = {}
+        agg: dict[tuple[int, ...], int] = {}
         for chi, m in dict(entries).items():
-            if chi.group != group:
-                raise SubgroupMismatch("entry character over the wrong group")
+            _check_character(group, chi)
             if m < 0:
                 raise ValueError("multiplicities must be >= 0")
             if m:
-                agg[chi] = agg.get(chi, 0) + m
+                agg[chi] = m
         self.entries = agg
 
 
-def multiplicity(W: RepMultiset, chi: Character,
+def multiplicity(W: RepMultiset, chi: tuple[int, ...],
                  H: Subgroup | None = None) -> int:
     """Multiplicity <W, chi> over W's group, or over the subgroup H.
 
     Over H the value counts entries whose restriction to H agrees with
     the restriction of ``chi``; for H = G this is the stored multiplicity.
     """
-    if chi.group != W.group:
-        raise SubgroupMismatch("character over the wrong group")
+    _check_character(W.group, chi)
     if H is None:
         return W.entries.get(chi, 0)
     if H.group != W.group:
         raise SubgroupMismatch("subgroup of the wrong group")
-    target = chi.restriction_tuple(H.generators)
-    return sum(m for psi, m in W.entries.items()
-               if psi.restriction_tuple(H.generators) == target)
+    target, *keys = _restrictions(W.group, [chi, *W.entries], H.generators)
+    return sum(m for key, m in zip(keys, W.entries.values())
+               if key == target)
 
 
 # -- independent oracle: exact cyclotomic inner product -----------------
@@ -276,20 +249,22 @@ def _over_binomial(poly: list[int], d: int) -> list[int]:
     return q
 
 
-def multiplicity_trace(W: RepMultiset, chi: Character, H: Subgroup) -> int:
+def multiplicity_trace(W: RepMultiset, chi: tuple[int, ...],
+                       H: Subgroup) -> int:
     """<W, chi>_H via the exact trace sum (1/|H|) sum_h tr_W(h) chi(h)^-1.
 
     Accumulates the sum as an integer polynomial in zeta_e, reduces mod
     the e-th cyclotomic polynomial, and divides by |H|.  Serves as an
     independent oracle for ``multiplicity``.
     """
-    if chi.group != W.group or H.group != W.group:
-        raise SubgroupMismatch("mixed groups in trace pairing")
-    # value_log's formula with the weights e/d_i folded into each
-    # character once: a log at h is then one dot product with h, mod e
+    if H.group != W.group:
+        raise SubgroupMismatch("subgroup of the wrong group")
+    _check_character(W.group, chi)
+    # the weights e/d_i folded into each character once: a log at h is
+    # then one dot product with h, mod e
     e, w = _exponent_weights(W.group.invariant_factors)
-    chi_weighted = tuple(map(mul, chi.exponents, w))
-    weighted = [(tuple(map(mul, psi.exponents, w)), m)
+    chi_weighted = tuple(map(mul, chi, w))
+    weighted = [(tuple(map(mul, psi, w)), m)
                 for psi, m in W.entries.items()]
     acc = [0] * e
     for h in H.elements():
@@ -489,7 +464,7 @@ def random_rep(G: FiniteAbelianGroup, rng, max_dim: int = 20) -> RepMultiset:
     """Random character multiset of dimension between 1 and max_dim."""
     dual = _dual(G)
     dim = rng.randint(1, max_dim)
-    entries: dict[Character, int] = {}
+    entries: dict[tuple[int, ...], int] = {}
     while dim > 0:
         chi = dual[rng.randrange(len(dual))]
         m = rng.randint(1, dim)

@@ -71,8 +71,10 @@ class ZeroInput(KidaError):
 # -- chargroup ---------------------------------------------------------
 
 class SubgroupMismatch(KidaError):
-    """Subgroup does not live inside the expected ambient group, or its
-    stated order contradicts its elements."""
+    """Subgroup or character does not belong to the expected ambient
+    group (a character's exponent vector has the wrong length or an
+    entry out of range), or a subgroup's stated order contradicts its
+    elements."""
 
 
 # -- eta and qexp ------------------------------------------------------

@@ -264,13 +264,12 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
 
 class CoefficientTable(Record):
     """A form of weight k >= 2 and level N >= 1 given by its eigenvalues
-    ``ap`` at primes."""
+    ``ap`` at primes; ``parse_table`` checks the weight and level, with
+    the header's line."""
 
     __slots__ = ("weight", "level", "ap")
 
     def __init__(self, weight: int, level: int, ap: dict[int, int]):
-        if weight < 2 or level < 1:
-            raise ValueError("need weight >= 2 and level >= 1")
         self._fill(weight, level, ap)
 
     def __hash__(self):

@@ -4,11 +4,11 @@ Each suite returns a SuiteResult with a counterexample dump on failure;
 all randomness comes from a seeded random.Random, so runs are
 reproducible byte for byte.  The group-identity sweep keys each
 character by its value logs on a subgroup's generators, packed into one
-integer, built from one outer-sum list per generator with no Character
-objects; it checks per subgroup the annihilator size, the class count
-and trivial class = annihilator, then a subsample by reference and trace
-oracle.  Each suite imports the modules it checks, so a run loads no
-other.
+integer, built from one outer-sum list per generator rather than one
+dot product per character; it checks per subgroup the annihilator size,
+the class count and trivial class = annihilator, then a subsample by
+reference and trace oracle.  Each suite imports the modules it checks,
+so a run loads no other.
 
 The module keeps no cache across calls.  Per group, the sweep memoises
 two dicts, dropped with the group: ``logs`` keys on a generator (its
@@ -16,9 +16,10 @@ two dicts, dropped with the group: ``logs`` keys on a generator (its
 ``packed`` on a tail of two or more generators (their packed keys); each
 holds at most one entry per subgroup of the group.  The reference
 subsample (``chargroup.check_group_identity``, ``multiplicity`` and
-``multiplicity_trace``) reads ``Character.value_log``'s formula and
-never ``_value_logs``, so it stays independent of the sweep's outer
-sums; its caches are ``chargroup``'s.
+``multiplicity_trace``) reads each value log as a dot product with a
+character's exponent vector (``chargroup._restrictions``, and the trace
+oracle's own fold) and never ``_value_logs``, so it stays independent
+of the sweep's outer sums; its caches are ``chargroup``'s.
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ one of its tests still passes (the mutant lives).  Before the rows, the
 runner runs every row's tests once on the unchanged copy: they must pass
 there, or a "kill" would show nothing.
 
+Each pytest run leads its own session and gets TIMEOUT seconds.  A run
+past it is ended with its whole process group: a mutant that makes a
+loop endless counts as killed (``killed NAME: timeout``), and an
+unchanged copy that times out fails the table.
+
 The node ceilings of ``tests/test_startup.py`` and
 ``test_public_api.py::test_every_function_runs_on_a_documented_path``
 are deselected: they fail on almost any edit, by a node count, an unrun
@@ -24,12 +29,17 @@ part of the Tier-1 run (pytest collects ``test_*.py`` only).
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# seconds one pytest run may take: every row's tests together take 10 to
+# 15 s on the unchanged copy (CPython 3.11 on a 2-vCPU x86-64 VM)
+TIMEOUT = 120
 
 DESELECT = ["--deselect=tests/test_startup.py::"
             "test_light_commands_load_exactly",
@@ -116,6 +126,22 @@ ROWS = [
       "test_z3_x_z9_random_all_subgroups"],
      "the right side is |H| times the sum over (G/H)^dual plus the sum "
      "over H^dual; without the first term it holds only for H = G"),
+    ("restriction-logs-unreduced", "chargroup.py",
+     "cols = [[sum(map(mul, c, f)) % e for c in chars]",
+     "cols = [[sum(map(mul, c, f)) for c in chars]",
+     ["tests/test_chargroup.py::TestGroupIdentity::"
+      "test_zero_representation",
+      "tests/test_chargroup.py::TestGroupIdentity::"
+      "test_one_dimensional_trivial",
+      "tests/test_chargroup.py::TestGroupIdentity::"
+      "test_z9_regular_with_z3",
+      "tests/test_chargroup.py::TestGroupIdentity::"
+      "test_z3_x_z9_random_all_subgroups",
+      "tests/test_chargroup.py::TestGroupIdentity::"
+      "test_small_sweep_every_group_every_subgroup"],
+     "a value log lives mod e: unreduced, equal restrictions get unequal "
+     "keys, the classes outnumber |H| and check_group_identity's class "
+     "count refuses them"),
     ("trace-oracle-unweighted", "chargroup.py",
      "e, w = _exponent_weights(W.group.invariant_factors)",
      "e, w = W.group.exponent, (1,) * W.group.rank",
@@ -165,21 +191,30 @@ ROWS = [
 ]
 
 
-def run_tests(src: Path, tests: list[str]) -> tuple[int, set[str], str]:
+def run_tests(src: Path,
+              tests: list[str]) -> tuple[int | None, set[str], str]:
     """(exit code, failed test ids, output) of one pytest run of
-    ``tests`` on the package under ``src``."""
+    ``tests`` on the package under ``src``; the exit code is None when
+    the run passed TIMEOUT and was ended."""
     # no bytecode: a mutant and its restored file may share a size and an
     # mtime second, and a cached .pyc would then serve the wrong one
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no",
          "-p", "no:cacheprovider", *DESELECT, *tests],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        # the run leads its own process group: end it and its children
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        return None, set(), out + err
     # "FAILED <id> - <reason>"; a parametrized id may hold spaces
     failed = {line[len("FAILED "):].split(" - ", 1)[0]
-              for line in proc.stdout.splitlines()
-              if line.startswith("FAILED ")}
-    return proc.returncode, failed, proc.stdout + proc.stderr
+              for line in out.splitlines() if line.startswith("FAILED ")}
+    return proc.returncode, failed, out + err
 
 
 def killed_by(test: str, failed: set[str]) -> bool:
@@ -197,8 +232,9 @@ def main() -> int:
         every = sorted({t for row in ROWS for t in row[4]})
         code, failed, out = run_tests(src, every)
         if code != 0:
-            print(f"unmutated: the rows' tests do not pass (exit {code})\n"
-                  f"{out}")
+            why = (f"timed out after {TIMEOUT} s" if code is None
+                   else f"exit {code}")
+            print(f"unmutated: the rows' tests do not pass ({why})\n{out}")
             return 1
         for name, file, old, new, tests, why in ROWS:
             path = src / "kida" / file
@@ -214,7 +250,9 @@ def main() -> int:
             finally:
                 path.write_text(text, encoding="utf-8")
             alive = [t for t in tests if not killed_by(t, failed)]
-            if code != 1 or alive:
+            if code is None:
+                print(f"killed {name}: timeout")
+            elif code != 1 or alive:
                 print(f"LIVES {name} (exit {code}; not failing: {alive}): "
                       f"{why}\n{out}")
                 bad += 1

@@ -57,7 +57,7 @@ class TestDualGroup:
 
     def test_lex_order(self):
         G = cg.FiniteAbelianGroup((2, 6))
-        exps = [c.exponents for c in cg.dual_group(G)]
+        exps = cg.dual_group(G)
         assert exps == sorted(exps)
 
 
@@ -73,14 +73,11 @@ class TestCaches:
         assert cg.dual_group(G) is not cg.dual_group(G)
 
     def test_equal_groups_give_equal_characters(self):
-        # groups built separately share the cached characters' values
+        # groups built separately give equal lists of characters
         A = cg.FiniteAbelianGroup((3, 9))
         B = cg.FiniteAbelianGroup((3, 9))
         assert A is not B
-        for chi, psi in zip(cg.dual_group(A), cg.dual_group(B)):
-            assert chi == psi and hash(chi) == hash(psi)
-            assert psi == cg.Character(B, psi.exponents)
-            assert hash(psi) == hash(cg.Character(B, psi.exponents))
+        assert cg.dual_group(A) == cg.dual_group(B)
         assert cg.dual_group(A) != cg.dual_group(cg.FiniteAbelianGroup((27,)))
         assert A.exponent == B.exponent == 9
 
@@ -147,6 +144,23 @@ class TestMultiplicity:
         W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         with pytest.raises(SubgroupMismatch):
             cg.multiplicity(W, cg.trivial_character(G2))
+
+    @pytest.mark.parametrize("chi", [(1,), (1, 0, 0), (2, 0), (0, 4),
+                                     (0, -1)])
+    def test_a_vector_that_is_no_character_is_refused(self, chi):
+        # a character of C_2 x C_4 is an exponent vector of length 2 with
+        # entries in [0, 2) x [0, 4); each place one enters refuses others
+        G = cg.FiniteAbelianGroup((2, 4))
+        W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
+        H = cg.Subgroup(G, [(1, 2)])
+        with pytest.raises(SubgroupMismatch, match="is no character of"):
+            cg.RepMultiset(G, {chi: 1})
+        with pytest.raises(SubgroupMismatch, match="is no character of"):
+            cg.multiplicity(W, chi)
+        with pytest.raises(SubgroupMismatch, match="is no character of"):
+            cg.multiplicity(W, chi, H)
+        with pytest.raises(SubgroupMismatch, match="is no character of"):
+            cg.multiplicity_trace(W, chi, H)
 
 
 class TestGroupIdentity:

@@ -232,26 +232,23 @@ UNREACHED = {
     "arith.padic_val: ValueError 1": "kida passes a prime p, checked at entry",
     "arith.padic_val: ZeroInput 1":
         "kida takes valuations of conductors and degrees, all at least 1",
-    "chargroup.Character.__init__: ValueError 1":
-        "_dual builds exponent vectors of the group's rank",
-    "chargroup.Character.__init__: ValueError 2":
-        "_dual builds exponents below their invariant factors",
     "chargroup.FiniteAbelianGroup.__init__: ValueError 1":
         "abelian_groups_upto and the suites give invariant factors >= 2",
     "chargroup.FiniteAbelianGroup.__init__: ValueError 2":
         "abelian_groups_upto and the suites give divisibility chains",
-    "chargroup.RepMultiset.__init__: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.RepMultiset.__init__: ValueError 1":
         "random_rep draws multiplicities >= 0",
     "chargroup.Subgroup.__init__: SubgroupMismatch 1":
         "the suites give generators of the group's rank",
+    "chargroup._check_character: SubgroupMismatch 1":
+        "the suites' characters come from _dual and trivial_character: "
+        "exponent vectors of the group's rank, each entry below its factor",
     "chargroup._over_binomial: InternalAdditivityViolation 1": _BUG,
     "chargroup.check_group_identity: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.check_group_identity: SubgroupMismatch 2":
-        "the class count, an internal check that still needs a mutation "
-        "row showing it fires",
+        "the class count, " + _BUG + "; tests/mutants.py's row "
+        "restriction-logs-unreduced shows it fires",
     "chargroup.multiplicity: SubgroupMismatch 1": _ONE_GROUP,
-    "chargroup.multiplicity: SubgroupMismatch 2": _ONE_GROUP,
     "chargroup.multiplicity_trace: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.multiplicity_trace: SubgroupMismatch 2": _BUG,
     "chargroup.multiplicity_trace: SubgroupMismatch 3": _BUG,
@@ -286,9 +283,6 @@ UNREACHED = {
         "the suites restrict generic data through divisors of its degree",
     "localfactor.restrict_type: TypeError 1": _TYPES,
     "localfactor.twist_sum: ValueError 1": "the suites give degrees >= 1",
-    "qexp.CoefficientTable.__init__: ValueError 1":
-        "the library's check of a table's weight and level; parse_table "
-        "refuses the same header first, with its line",
     "qexp.EllipticCurve.count_points: BadReduction 1":
         "callers pass only primes off the level, which holds every prime "
         "of the discriminant; kept for minimal models, whose level can "

@@ -557,8 +557,10 @@ class TestForms:
     @pytest.mark.parametrize("weight, level", [(1, 11), (0, 11), (2, 0),
                                                (2, -11)])
     def test_table_shape_enforced(self, weight, level):
-        with pytest.raises(ValueError, match="weight >= 2 and level >= 1"):
-            qexp.CoefficientTable(weight, level, {2: -2})
+        # parse_table owns the check, and names the header's line
+        with pytest.raises(SpecParseError,
+                           match="line 1: need weight >= 2 and level >= 1"):
+            qexp.parse_table(f"weight {weight} level {level}\n2 -2\n")
 
 
 class TestConcurrentCoefficientAccess:

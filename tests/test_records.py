@@ -37,9 +37,6 @@ RAM_REPR = ("LocalCharData(ramified=True, trivial_mod_p=True, "
 # one instance of every record class, with its repr
 CASES = {
     "FiniteAbelianGroup": (G, "FiniteAbelianGroup(invariant_factors=(2, 4))"),
-    "Character": (cg.Character(G, (1, 3)),
-                  "Character(group=FiniteAbelianGroup(invariant_factors="
-                  "(2, 4)), exponents=(1, 3))"),
     "LocalCharData": (RAM, RAM_REPR),
     "UnramifiedPS": (lf.UnramifiedPS(7, 8, 5), "UnramifiedPS(a=2, c=3, p=5)"),
     "CharacterLines": (lf.CharacterLines((RAM, UNRAM)),
@@ -131,8 +128,8 @@ def test_record_semantics(name):
         assert record == twin      # unchanged
 
 
-@pytest.mark.parametrize("name", ["FiniteAbelianGroup", "Character",
-                                  "CharacterLines", "Generic", "EllipticCurve",
+@pytest.mark.parametrize("name", ["FiniteAbelianGroup", "CharacterLines",
+                                  "Generic", "EllipticCurve",
                                   "InvariantRecord"])
 def test_pickle_round_trip(name):
     record = CASES[name][0]
@@ -184,14 +181,10 @@ def test_local_char_data_defaults():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         cg.FiniteAbelianGroup((2, 3))
-    with pytest.raises(ValueError):
-        cg.Character(G, (2, 0))
     with pytest.raises(IncoherentGenericData):
         lf.Generic(3, (1, 0))
     with pytest.raises(ValueError):     # V is two-dimensional
         lf.CharacterLines((UNRAM, UNRAM, UNRAM))
-    with pytest.raises(ValueError):
-        qexp.CoefficientTable(1, 11, {2: -2})
     with pytest.raises(ValueError):
         tr.InvariantRecord("algebraic", 1, 3)
     with pytest.raises(TypeError):

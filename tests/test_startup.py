@@ -75,13 +75,13 @@ NODE_CEILINGS = {
     "hv --form sc --p 5 --e 5": 7282,
     "hv --form ups:a=2,c=1 --p 5 --e 5": 7282,
     "verify --suite path-agreement": 8097,
-    "verify --suite hasse --size 30": 9217,
+    "verify --suite hasse --size 30": 9199,
     "hv --form sc --e 5": 5336,
     "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 11477,
     "transition --form delta --p 11 --base Q --ext cyclotomic:23:degree=11 "
     "--lambda 1 --mu 0": 13399,
-    "verify --suite group-identity --size 12": 12335,
-    "verify --suite tower-additivity --size 9": 14446,
+    "verify --suite group-identity --size 12": 12209,
+    "verify --suite tower-additivity --size 9": 14320,
     "transition --p 5 --base Q --ext cyclotomic:11:degree=5 --lambda 2 "
     "--mu 0 --local 11=special:ram,triv,dies --json": 12586,
 }
