@@ -1,14 +1,19 @@
 """Finite abelian groups, characters, and multiplicity pairings.
 
-Groups are presented by invariant factors d_1 | d_2 | ... | d_r; elements
-are coordinate tuples.  A character is its exponent vector: the tuple
+A group is the tuple d = (d_1, ..., d_r) of its invariant factors,
+d_1 | d_2 | ... | d_r, each at least 2, and () is the trivial group: its
+rank, order and exponent are len(d), prod(d) and lcm(d).  Elements are
+coordinate tuples.  A character is its exponent vector: the tuple
 (c_1..c_r), 0 <= c_i < d_i, sends g to zeta_e^(sum c_i g_i (e/d_i)) where
-e = lcm(d_i).  ``_check_character`` refuses any other vector where one
-enters: each entry of a ``RepMultiset`` and the character given to
-``multiplicity`` or ``multiplicity_trace``.  All pairings are computed by
-exact counting; a second route through exact cyclotomic-integer sums
-(reduced mod the e-th cyclotomic polynomial) is provided as an
-independent oracle.  No floating point anywhere.
+e = lcm(d_i).  Each is checked once, where it enters, with the typed
+``SubgroupMismatch``: ``_check_group`` refuses any other tuple as the
+group of a ``Subgroup``, a ``RepMultiset`` or ``subgroups``, and
+``_check_character`` any other vector as an entry of a ``RepMultiset``
+or the character given to ``multiplicity`` or ``multiplicity_trace``;
+a ``RepMultiset`` refuses a negative multiplicity too.  All pairings are
+computed by exact counting; a second route through exact
+cyclotomic-integer sums (reduced mod the e-th cyclotomic polynomial) is
+provided as an independent oracle.  No floating point anywhere.
 
 Subgroups of G = Z^r / diag(d) are the lattices L between diag(d) Z^r
 and Z^r; one walk over their Hermite normal forms lists each subgroup
@@ -16,11 +21,10 @@ once, and a form with diagonal a_1..a_r has order |G| / prod a_i.  A
 subgroup keeps its Hermite rows and lists its elements from them.  Each
 such lattice holds diag(d) Z^r, so it is a full-rank ``intlinalg.Lattice``.
 
-Three bounded lru caches key on a group's value, so equal groups built
-apart share them; errors are not stored:
+Three bounded lru caches; errors are not stored:
 
-- ``_exponent_weights`` (64 entries) keys on the invariant factors and
-  keeps e = lcm(d) and the weights e/d_i.
+- ``_exponent_weights`` (64 entries) keys on the group and keeps
+  e = lcm(d) and the weights e/d_i.
 - ``_dual`` (8 entries) keys on the group and keeps the tuple of its
   characters' exponent vectors; ``dual_group`` copies them into a new
   list on each call, so a caller cannot change the cached ones.  A sweep
@@ -43,37 +47,8 @@ from functools import lru_cache
 from operator import add, mod, mul
 
 from . import arith
-from .errors import InternalAdditivityViolation, Record, SubgroupMismatch
+from .errors import InternalAdditivityViolation, SubgroupMismatch
 from .intlinalg import Lattice, subgroup_lattice
-
-
-class FiniteAbelianGroup(Record):
-    """Product of cyclic groups C_{d_1} x ... x C_{d_r} with d_1 | ... | d_r."""
-
-    __slots__ = ("invariant_factors",)
-
-    def __init__(self, invariant_factors: tuple[int, ...]):
-        d = invariant_factors
-        if any(x < 2 for x in d):
-            raise ValueError("invariant factors must be >= 2")
-        if any(d[i + 1] % d[i] for i in range(len(d) - 1)):
-            raise ValueError("divisibility chain violated")
-        self._fill(invariant_factors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @property
-    def exponent(self) -> int:
-        return _exponent_weights(self.invariant_factors)[0]
-
-
-TRIVIAL_GROUP = FiniteAbelianGroup(())
 
 
 @lru_cache(maxsize=64)
@@ -84,61 +59,70 @@ def _exponent_weights(d: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return e, tuple(e // di for di in d)
 
 
-def cyclic(n: int) -> FiniteAbelianGroup:
-    return TRIVIAL_GROUP if n == 1 else FiniteAbelianGroup((n,))
+def cyclic(n: int) -> tuple:
+    return () if n == 1 else (n,)
 
 
-def _check_character(G: FiniteAbelianGroup, chi: tuple[int, ...]):
+def _check_group(d: tuple):
+    """Refuse ``d`` unless it is a chain of invariant factors: each at
+    least 2, and each dividing the next."""
+    if any(x < 2 for x in d) or any(b % a for a, b in zip(d, d[1:])):
+        raise SubgroupMismatch(f"{d!r} is no chain of invariant factors")
+
+
+def _check_character(d: tuple, chi: tuple[int, ...]):
     """Refuse ``chi`` unless it is the exponent vector of a character of
-    G: one entry per invariant factor d_i, each in [0, d_i)."""
-    d = G.invariant_factors
+    the group d: one entry per invariant factor d_i, each in [0, d_i)."""
     if len(chi) != len(d) or any(not 0 <= c < di for c, di in zip(chi, d)):
         raise SubgroupMismatch(f"{chi!r} is no character of {d}")
 
 
-def _restrictions(G: FiniteAbelianGroup, chars, elements) -> list[tuple]:
-    """Per character of G in ``chars``, the tuple of its value logs at
-    ``elements``.  The weights e/d_i are folded into each element once,
-    so each log is one dot product with the character's exponents, mod e;
-    equal tuples on generators mean equal restrictions to their span."""
-    e, w = _exponent_weights(G.invariant_factors)
+def _restrictions(d: tuple, chars, elements) -> list[tuple]:
+    """Per character of the group d in ``chars``, the tuple of its value
+    logs at ``elements``.  The weights e/d_i are folded into each element
+    once, so each log is one dot product with the character's exponents,
+    mod e; equal tuples on generators mean equal restrictions to their
+    span."""
+    e, w = _exponent_weights(d)
     cols = [[sum(map(mul, c, f)) % e for c in chars]
             for f in [tuple(map(mul, g, w)) for g in elements]]
     return list(zip(*cols)) if cols else [()] * len(chars)
 
 
-def dual_group(G: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+def dual_group(G: tuple) -> list[tuple[int, ...]]:
     """All |G| characters in lexicographic exponent order, trivial first
     (a new list each call, so a caller may change it)."""
     return list(_dual(G))
 
 
 @lru_cache(maxsize=8)
-def _dual(G: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product(*map(range, G.invariant_factors)))
+def _dual(G: tuple) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(*map(range, G)))
 
 
-def trivial_character(G: FiniteAbelianGroup) -> tuple[int, ...]:
-    return (0,) * G.rank
+def trivial_character(G: tuple) -> tuple[int, ...]:
+    return (0,) * len(G)
 
 
 class Subgroup:
-    """Subgroup of a FiniteAbelianGroup given by coordinate generators."""
+    """Subgroup of the group with invariant factors ``group``, given by
+    coordinate generators."""
 
     __slots__ = ("group", "generators", "order", "_rows")
 
-    def __init__(self, group: FiniteAbelianGroup, generators):
+    def __init__(self, group: tuple, generators):
+        _check_group(group)
         self.group = group
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
-            if len(g) != group.rank:
+            if len(g) != len(group):
                 raise SubgroupMismatch("generator has wrong coordinate length")
-        lattice = subgroup_lattice(self.generators, group.invariant_factors)
+        lattice = subgroup_lattice(self.generators, group)
         self._rows = lattice.basis
-        self.order = group.order // lattice.det()
+        self.order = math.prod(group) // lattice.det()
 
     @classmethod
-    def from_hermite(cls, group: FiniteAbelianGroup, rows) -> "Subgroup":
+    def from_hermite(cls, group: tuple, rows) -> "Subgroup":
         """Subgroup of the lattice with Hermite rows ``rows``, trusted as
         ``subgroup_lattices`` yields them: pivots a_i on the diagonal give
         order |G| / prod a_i, and the rows with a_i < d_i generate it.
@@ -148,12 +132,11 @@ class Subgroup:
         a_i = d_i is d_i e_i, 0 mod d: its tail then lies in the lattice
         spanned by the rows below, and reduced against them it is 0.
         """
-        d = group.invariant_factors
         gens, order = [], 1
         for i, row in enumerate(rows):
-            if row[i] < d[i]:
+            if row[i] < group[i]:
                 gens.append(row)
-                order *= d[i] // row[i]
+                order *= group[i] // row[i]
         H = cls.__new__(cls)
         H.group, H.generators, H._rows = group, tuple(gens), rows
         H.order = order
@@ -164,7 +147,7 @@ class Subgroup:
         the Hermite rows of H's lattice, 0 <= c_i < d_i / a_i, mod d: each
         element once, as (d_i / a_i) row_i lies in the span of the rows
         below it."""
-        d = self.group.invariant_factors
+        d = self.group
         out = [(0,) * len(d)]
         for i, row in enumerate(self._rows):
             steps = [tuple(c * x % di for x, di in zip(row, d))
@@ -179,13 +162,14 @@ class RepMultiset:
     """Finite-dimensional representation as a character multiset: each
     entry maps a character's exponent vector to its multiplicity."""
 
-    def __init__(self, group: FiniteAbelianGroup, entries):
+    def __init__(self, group: tuple, entries):
+        _check_group(group)
         self.group = group
         agg: dict[tuple[int, ...], int] = {}
         for chi, m in dict(entries).items():
             _check_character(group, chi)
             if m < 0:
-                raise ValueError("multiplicities must be >= 0")
+                raise SubgroupMismatch(f"multiplicity {m} of {chi!r} is < 0")
             if m:
                 agg[chi] = m
         self.entries = agg
@@ -262,7 +246,7 @@ def multiplicity_trace(W: RepMultiset, chi: tuple[int, ...],
     _check_character(W.group, chi)
     # the weights e/d_i folded into each character once: a log at h is
     # then one dot product with h, mod e
-    e, w = _exponent_weights(W.group.invariant_factors)
+    e, w = _exponent_weights(W.group)
     chi_weighted = tuple(map(mul, chi, w))
     weighted = [(tuple(map(mul, psi, w)), m)
                 for psi, m in W.entries.items()]
@@ -304,7 +288,7 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
     dual = _dual(G)
     m1 = entries.get(dual[0], 0)
     # every character of W is one of G's, and each absent one counts m1
-    lhs = G.order * m1 - sum(entries.values())
+    lhs = math.prod(G) * m1 - sum(entries.values())
 
     # H^dual realized as restriction classes of G^dual; the annihilator
     # is the class of the trivial restriction
@@ -341,7 +325,7 @@ def _partitions(n: int):
     yield from rec(n, n)
 
 
-def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
+def abelian_groups_upto(max_order: int) -> list[tuple]:
     """All abelian groups of order <= max_order, invariant-factor form."""
     out = []
     for n in range(1, max_order + 1):
@@ -358,7 +342,7 @@ def abelian_groups_upto(max_order: int) -> list[FiniteAbelianGroup]:
                         d *= p ** lam[level]
                 ds.append(d)
             ds.reverse()
-            out.append(FiniteAbelianGroup(tuple(ds)))
+            out.append(tuple(ds))
     return out
 
 
@@ -448,7 +432,7 @@ def subgroup_count(d, index: int) -> int:
     return count
 
 
-def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
+def subgroups(G: tuple) -> list[Subgroup]:
     """Every subgroup of G, one Subgroup per distinct subgroup.
 
     The subgroups of G = Z^r / diag(d) are the lattices between
@@ -456,11 +440,11 @@ def subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     (``subgroup_lattices``).  A form with pivots a_i gives the subgroup
     of order |G| / prod a_i generated by its rows with a_i < d_i.
     """
-    return [Subgroup.from_hermite(G, rows)
-            for rows in subgroup_lattices(G.invariant_factors)]
+    _check_group(G)
+    return [Subgroup.from_hermite(G, rows) for rows in subgroup_lattices(G)]
 
 
-def random_rep(G: FiniteAbelianGroup, rng, max_dim: int = 20) -> RepMultiset:
+def random_rep(G: tuple, rng, max_dim: int = 20) -> RepMultiset:
     """Random character multiset of dimension between 1 and max_dim."""
     dual = _dual(G)
     dim = rng.randint(1, max_dim)

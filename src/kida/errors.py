@@ -71,10 +71,12 @@ class ZeroInput(KidaError):
 # -- chargroup ---------------------------------------------------------
 
 class SubgroupMismatch(KidaError):
-    """Subgroup or character does not belong to the expected ambient
-    group (a character's exponent vector has the wrong length or an
-    entry out of range), or a subgroup's stated order contradicts its
-    elements."""
+    """Malformed group data: a group that is no chain of invariant
+    factors (one below 2, or one not dividing the next), a subgroup or
+    character that does not belong to the expected group (a generator or
+    exponent vector of the wrong length, or an entry out of range), a
+    negative multiplicity, or a subgroup's stated order that contradicts
+    its elements."""
 
 
 # -- eta and qexp ------------------------------------------------------

@@ -112,20 +112,18 @@ class Generic(Record):
     """User-supplied m-values per character of the local cyclic p-group.
 
     ``m_values[j]`` is m(V_{chi_j}) for the character of exponent j of
-    the cyclic group of order ``degree`` (j = 0 the trivial character);
-    equivalently the multiplicity of chi_j in an explicit character
-    multiset, which is what makes restriction in towers well defined.
+    the cyclic group whose order, the degree of the data, is the number
+    of values (j = 0 the trivial character); equivalently the
+    multiplicity of chi_j in an explicit character multiset, which is
+    what makes restriction in towers well defined.
     """
 
-    __slots__ = ("degree", "m_values")
+    __slots__ = ("m_values",)
 
-    def __init__(self, degree: int, m_values: tuple[int, ...]):
-        if len(m_values) != degree:
-            raise IncoherentGenericData(
-                "generic data must cover every character of its group")
+    def __init__(self, m_values: tuple[int, ...]):
         if any(v < 0 for v in m_values):
             raise IncoherentGenericData("generic m-values must be >= 0")
-        self._fill(degree, m_values)
+        self._fill(m_values)
 
 
 LocalType = UnramifiedPS | CharacterLines | Generic
@@ -192,10 +190,11 @@ def case_of(V: LocalType, e: int) -> str:
 
 def _generic_m_over(V: Generic, degree: int) -> list[int]:
     """m-values of V for the characters of the degree-``degree`` quotient."""
-    if V.degree % degree:
+    n = len(V.m_values)
+    if n % degree:
         raise IncoherentGenericData(
-            f"generic data over degree {V.degree} cannot serve degree {degree}")
-    step = V.degree // degree
+            f"generic data over degree {n} cannot serve degree {degree}")
+    step = n // degree
     return [V.m_values[step * i] for i in range(degree)]
 
 
@@ -283,15 +282,16 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
             chars += (phi.restricted(degree),)
         return V if chars == V.chars else CharacterLines(chars)
     if isinstance(V, Generic):
-        if V.degree % degree:
+        n = len(V.m_values)
+        if n % degree:
             raise IncoherentGenericData(
-                f"generic data over degree {V.degree} cannot restrict "
+                f"generic data over degree {n} cannot restrict "
                 f"through degree {degree}")
-        sub = V.degree // degree
+        sub = n // degree
         vals = [0] * sub
         for j, m in enumerate(V.m_values):
             vals[j % sub] += m
-        return Generic(sub, tuple(vals))
+        return Generic(tuple(vals))
     raise TypeError(f"unknown local type {V!r}")
 
 
@@ -377,7 +377,7 @@ def parse_local_type(spec: str, p: int) -> LocalType:
         if t != 1:
             raise SpecParseError(
                 f"generic data length {n} is not a power of {p}")
-        return Generic(n, vals)
+        return Generic(vals)
     raise SpecParseError(f"bad local type spec {spec!r}")
 
 

@@ -153,12 +153,14 @@ def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
 
 
 class PlaceData(Record):
-    """Decomposition data of a rational prime in a finite abelian field."""
+    """Decomposition data of a rational prime in a finite abelian field:
+    its ramification index e, residue degree f and number of places g,
+    whose product e f g is the field's degree."""
 
-    __slots__ = ("ell", "e", "f", "g", "degree")
+    __slots__ = ("ell", "e", "f", "g")
 
-    def __init__(self, ell: int, e: int, f: int, g: int, degree: int):
-        self._fill(ell, e, f, g, degree)
+    def __init__(self, ell: int, e: int, f: int, g: int):
+        self._fill(ell, e, f, g)
 
 
 def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
@@ -184,22 +186,22 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     U, L_H = F.unit_group, F._lattice
     L_HI = Lattice(L_H.basis + list(U.local_coordinates(ell)), U.rank)
     L_HD = Lattice(L_HI.basis + [U.log(_frobenius_residue(U, ell))], U.rank)
-    degree, hi, hd = L_H.det(), L_HI.det(), L_HD.det()
-    return PlaceData(ell, degree // hi, hi // hd, hd, degree)
+    hi, hd = L_HI.det(), L_HD.det()
+    return PlaceData(ell, F.degree // hi, hi // hd, hd)
 
 
 class TowerPlaceData(Record):
     """Places above ell in the cyclotomic p-tower over a field.
 
-    ``g_layers`` holds g_0, ..., g_(stabilized_at + 1), and
-    ``stabilized_at`` is the first layer with ``g_infinity`` places.
+    ``g_layers`` holds g_0, ..., g_s, g_(s + 1), where layer s, the first
+    with ``g_infinity`` places, is ``g_layers.index(g_infinity)``.
     """
 
-    __slots__ = ("ell", "p", "g_layers", "g_infinity", "stabilized_at")
+    __slots__ = ("ell", "p", "g_layers", "g_infinity")
 
     def __init__(self, ell: int, p: int, g_layers: tuple[int, ...],
-                 g_infinity: int, stabilized_at: int):
-        self._fill(ell, p, g_layers, g_infinity, stabilized_at)
+                 g_infinity: int):
+        self._fill(ell, p, g_layers, g_infinity)
 
 
 def _tame_rows(U: arith.UnitGroup, p: int, a: int) -> list:
@@ -237,7 +239,7 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
         k += 1
     k += arith.padic_val(place.f, p)
     gs = tuple(place.g * p ** min(n, k - 1) for n in range(k + 1))
-    return TowerPlaceData(ell, p, gs, gs[-1], k - 1)
+    return TowerPlaceData(ell, p, gs, gs[-1])
 
 
 class RamifiedPlace(Record):

@@ -2,13 +2,15 @@
 
 Each suite returns a SuiteResult with a counterexample dump on failure;
 all randomness comes from a seeded random.Random, so runs are
-reproducible byte for byte.  The group-identity sweep keys each
-character by its value logs on a subgroup's generators, packed into one
-integer, built from one outer-sum list per generator rather than one
-dot product per character; it checks per subgroup the annihilator size,
-the class count and trivial class = annihilator, then a subsample by
-reference and trace oracle.  Each suite imports the modules it checks,
-so a run loads no other.
+reproducible byte for byte.  The group-identity sweep walks the groups
+of ``chargroup.abelian_groups_upto``, each the tuple d of its invariant
+factors (order prod(d), exponent lcm(d)).  It keys each character by its
+value logs on a subgroup's generators, packed into one integer, built
+from one outer-sum list per generator rather than one dot product per
+character; it checks per subgroup the annihilator size, the class count
+and trivial class = annihilator, then a subsample by reference and trace
+oracle.  Each suite imports the modules it checks, so a run loads no
+other.
 
 The module keeps no cache across calls.  Per group, the sweep memoises
 two dicts, dropped with the group: ``logs`` keys on a generator (its
@@ -134,22 +136,22 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
     res = SuiteResult("group-identity",
                       {"max_order": max_order, "reps": reps, "seed": seed})
     for G in chargroup.abelian_groups_upto(max_order):
-        n, e, d = G.order, G.exponent, G.invariant_factors
-        if G.rank == 0:
+        n, e = math.prod(G), math.lcm(*G)
+        if not G:
             res.checks += reps
             continue
         subs = chargroup.subgroups(G)
         # a packed key is below e^rank: the smallest item type that holds
         # it (8 bytes do for every group of order below 30,000)
         fmt = next(t for t in "BHIQ"
-                   if e ** G.rank <= 256 ** array(t).itemsize)
+                   if e ** len(G) <= 256 ** array(t).itemsize)
         width = n * array(fmt).itemsize
         logs = {}       # generator -> its value logs, times e^0, e^1, ...
         packed = {}     # tail of generators -> its keys
         passed = 0
         for H in subs:
             h, gens = H.order, H.generators
-            keys = (_packed_keys(gens, d, e, fmt, logs, packed)
+            keys = (_packed_keys(gens, G, e, fmt, logs, packed)
                     if gens else 0).to_bytes(width, sys.byteorder)
             if fmt != "B":      # one-byte keys are read as the bytes
                 keys = array(fmt, keys)
@@ -160,7 +162,7 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
                    else "trivial-class != annihilator" if keys[0]
                    else None)
             if why:
-                res.fail(f"{why} for G={G.invariant_factors} H={gens}")
+                res.fail(f"{why} for G={G} H={gens}")
                 continue
             passed += 1
         res.checks += reps * passed
@@ -174,15 +176,15 @@ def group_identity_suite(max_order: int = 200, reps: int = 100,
                 m = chargroup.multiplicity(W, one, H)
                 mt = chargroup.multiplicity_trace(W, one, H)
             except KidaError as exc:
-                res.fail(f"reference check fails: G={G.invariant_factors} "
+                res.fail(f"reference check fails: G={G} "
                          f"H={H.generators}: {exc}")
                 continue
             res.checks += 1
             if not ok:
-                res.fail(f"reference check fails: G={G.invariant_factors} "
+                res.fail(f"reference check fails: G={G} "
                          f"H={H.generators} lhs={l} rhs={rr}")
             elif m != mt:
-                res.fail(f"trace oracle fails: G={G.invariant_factors} "
+                res.fail(f"trace oracle fails: G={G} "
                          f"H={H.generators} <W,1>_H={m} trace={mt}")
     return res
 
@@ -245,7 +247,7 @@ def tower_additivity_suite(max_size: int = 27, seed: int = 0,
             for _ in range(generic_reps):
                 W = chargroup.random_rep(G, rng, 15)
                 mvals = tuple(W.entries.get(chi, 0) for chi in dual)
-                V = localfactor.Generic(t, mvals)
+                V = localfactor.Generic(mvals)
                 m1 = mvals[0]
                 brute = sum(m1 - v for v in mvals)
                 res.checks += 1

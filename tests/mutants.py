@@ -143,12 +143,48 @@ ROWS = [
      "keys, the classes outnumber |H| and check_group_identity's class "
      "count refuses them"),
     ("trace-oracle-unweighted", "chargroup.py",
-     "e, w = _exponent_weights(W.group.invariant_factors)",
-     "e, w = W.group.exponent, (1,) * W.group.rank",
+     "e, w = _exponent_weights(W.group)",
+     "e, w = math.lcm(*W.group), (1,) * len(W.group)",
      ["tests/test_chargroup.py::TestMultiplicity::"
       "test_trace_oracle_more_groups"],
      "a character's log at h weighs coordinate i by e/d_i; unweighted, "
      "the characters of C_2 x C_4 take wrong values on its elements"),
+    ("group-chain-unchecked", "chargroup.py",
+     "if any(x < 2 for x in d) or any(b % a for a, b in zip(d, d[1:])):",
+     "if any(x < 2 for x in d):",
+     ["tests/test_chargroup.py::TestMalformedGroupData::"
+      "test_a_broken_chain_is_refused"],
+     "a group is a chain of invariant factors, each dividing the next: "
+     "(4, 2) and (2, 3) present groups too, but not in the form every "
+     "walk over subgroups and characters reads"),
+    ("tau-sum-off-by-one", "eta.py",
+     "- 691 * 252 * conv, 756)",
+     "- 691 * 252 * conv + 1, 756)",
+     ["tests/test_qexp.py::TestTau::test_leading",
+      "tests/test_qexp.py::TestTau::test_tau23_known_value"],
+     "Ramanujan's identity makes 756 divide the sum exactly; a sum off by "
+     "one leaves a remainder, and _tau refuses it"),
+    ("extension-left-unreduced", "splitting.py",
+     "    F, Fp = unramified_at_p_reduction(F, p), "
+     "unramified_at_p_reduction(Fp, p)\n",
+     "    F = unramified_at_p_reduction(F, p)\n",
+     ["tests/test_splitting.py::TestConductorExactness::"
+      "test_ramified_primes_divide_the_conductor"],
+     "both fields are read through their reductions at p; an extension "
+     "left as given keeps p in its conductor, and ramified_set refuses "
+     "the pair"),
+    ("ramification-fields-swapped", "splitting.py",
+     "        base = efg(F, ell)\n"
+     "        e_ext = efg(Fp, ell).e\n",
+     "        base = efg(Fp, ell)\n"
+     "        e_ext = efg(F, ell).e\n",
+     ["tests/test_splitting.py::TestRamifiedSet::"
+      "test_real_cyclotomic_23_extension",
+      "tests/test_splitting.py::TestRamifiedSet::"
+      "test_conductor_1123_extension"],
+     "e at ell in the base divides e in the extension; read the other "
+     "way round at a ramified ell, it does not, and ramified_set "
+     "refuses the pair"),
     ("program-run-exits-0", "cli.py",
      "    os._exit(code)\n",
      "    os._exit(0)\n",

@@ -12,12 +12,12 @@ from kida.errors import InternalAdditivityViolation, SubgroupMismatch
 
 def add(G, a, b):
     """The group law of G on exponent vectors."""
-    return tuple((x + y) % d for x, y, d in zip(a, b, G.invariant_factors))
+    return tuple((x + y) % d for x, y, d in zip(a, b, G))
 
 
 def elements(G):
     """Every element of G, in lexicographic order."""
-    return itertools.product(*map(range, G.invariant_factors))
+    return itertools.product(*map(range, G))
 
 
 def contains(H, element):
@@ -42,28 +42,28 @@ def hermite_rows(H):
 
 class TestDualGroup:
     def test_trivial_group(self):
-        chars = cg.dual_group(cg.TRIVIAL_GROUP)
+        chars = cg.dual_group(())
         assert len(chars) == 1
-        assert chars[0] == cg.trivial_character(cg.TRIVIAL_GROUP)
+        assert chars[0] == cg.trivial_character(())
 
     def test_cyclic_3(self):
         assert len(cg.dual_group(cg.cyclic(3))) == 3
 
     def test_z2_x_z4_distinct(self):
-        G = cg.FiniteAbelianGroup((2, 4))
+        G = (2, 4)
         chars = cg.dual_group(G)
         assert len(chars) == 8 == len(set(chars))
         assert chars[0] == cg.trivial_character(G)
 
     def test_lex_order(self):
-        G = cg.FiniteAbelianGroup((2, 6))
+        G = (2, 6)
         exps = cg.dual_group(G)
         assert exps == sorted(exps)
 
 
 class TestCaches:
     def test_dual_group_list_is_the_callers(self):
-        G = cg.FiniteAbelianGroup((2, 6))
+        G = (2, 6)
         chars = cg.dual_group(G)
         want = list(chars)
         chars.reverse()
@@ -73,20 +73,16 @@ class TestCaches:
         assert cg.dual_group(G) is not cg.dual_group(G)
 
     def test_equal_groups_give_equal_characters(self):
-        # groups built separately give equal lists of characters
-        A = cg.FiniteAbelianGroup((3, 9))
-        B = cg.FiniteAbelianGroup((3, 9))
-        assert A is not B
-        assert cg.dual_group(A) == cg.dual_group(B)
-        assert cg.dual_group(A) != cg.dual_group(cg.FiniteAbelianGroup((27,)))
-        assert A.exponent == B.exponent == 9
+        # a group is its invariant factors: equal tuples are one group,
+        # and groups of one order with other factors have other duals
+        assert cg.dual_group((3, 9)) == cg.dual_group(tuple([3, 9]))
+        assert cg.dual_group((3, 9)) != cg.dual_group((27,))
 
     def test_weights_follow_the_invariant_factors(self):
         for d in [(2, 4), (2, 2, 2), (3, 6), (12,), ()]:
             e, w = cg._exponent_weights(d)
             assert e == math.lcm(*d)
             assert w == tuple(e // di for di in d)
-        assert cg.TRIVIAL_GROUP.exponent == 1
 
     def test_every_cache_reports_its_bound(self):
         from kida import localfactor
@@ -98,7 +94,7 @@ class TestCaches:
 
 class TestMultiplicity:
     def test_isotypic_trivial(self):
-        G = cg.FiniteAbelianGroup((4,))
+        G = (4,)
         W = cg.RepMultiset(G, {cg.trivial_character(G): 5})
         assert cg.multiplicity(W, cg.trivial_character(G)) == 5
 
@@ -111,13 +107,13 @@ class TestMultiplicity:
     def test_total_is_dimension(self):
         rng = random.Random(11)
         for factors in [(2,), (3,), (2, 4), (3, 9), (2, 2, 2)]:
-            G = cg.FiniteAbelianGroup(factors)
+            G = factors
             W = cg.random_rep(G, rng)
             assert sum(cg.multiplicity(W, chi)
                        for chi in cg.dual_group(G)) == sum(W.entries.values())
 
     def test_diagonal_subgroup_vs_trace_oracle(self):
-        G = cg.FiniteAbelianGroup((2, 2))
+        G = (2, 2)
         H = cg.Subgroup(G, [(1, 1)])
         rng = random.Random(5)
         for _ in range(50):
@@ -129,7 +125,7 @@ class TestMultiplicity:
     def test_trace_oracle_more_groups(self):
         rng = random.Random(6)
         for factors in [(3,), (4,), (2, 4), (3, 3)]:
-            G = cg.FiniteAbelianGroup(factors)
+            G = factors
             subs = cg.subgroups(G)
             for _ in range(10):
                 W = cg.random_rep(G, rng, 8)
@@ -139,8 +135,8 @@ class TestMultiplicity:
                             == cg.multiplicity_trace(W, chi, H))
 
     def test_subgroup_mismatch(self):
-        G = cg.FiniteAbelianGroup((2, 2))
-        G2 = cg.FiniteAbelianGroup((4,))
+        G = (2, 2)
+        G2 = (4,)
         W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         with pytest.raises(SubgroupMismatch):
             cg.multiplicity(W, cg.trivial_character(G2))
@@ -150,7 +146,7 @@ class TestMultiplicity:
     def test_a_vector_that_is_no_character_is_refused(self, chi):
         # a character of C_2 x C_4 is an exponent vector of length 2 with
         # entries in [0, 2) x [0, 4); each place one enters refuses others
-        G = cg.FiniteAbelianGroup((2, 4))
+        G = (2, 4)
         W = cg.RepMultiset(G, dict.fromkeys(cg.dual_group(G), 1))
         H = cg.Subgroup(G, [(1, 2)])
         with pytest.raises(SubgroupMismatch, match="is no character of"):
@@ -163,20 +159,49 @@ class TestMultiplicity:
             cg.multiplicity_trace(W, chi, H)
 
 
+class TestMalformedGroupData:
+    # a group enters as a Subgroup's, a RepMultiset's or subgroups'
+    # argument, and each refuses a tuple that is no chain of invariant
+    # factors there, with the typed error
+    @staticmethod
+    def refused_everywhere(d):
+        for enter in (lambda: cg.Subgroup(d, []),
+                      lambda: cg.RepMultiset(d, {}),
+                      lambda: cg.subgroups(d)):
+            with pytest.raises(SubgroupMismatch,
+                               match="is no chain of invariant factors"):
+                enter()
+
+    @pytest.mark.parametrize("d", [(1,), (0,), (-2,), (1, 4), (1, 1)])
+    def test_a_factor_below_2_is_refused(self, d):
+        self.refused_everywhere(d)
+
+    @pytest.mark.parametrize("d", [(4, 2), (2, 3), (2, 4, 6), (3, 6, 4)])
+    def test_a_broken_chain_is_refused(self, d):
+        self.refused_everywhere(d)
+
+    def test_a_negative_multiplicity_is_refused(self):
+        # the one entry point of a multiplicity, checked with its character
+        with pytest.raises(SubgroupMismatch, match="is < 0"):
+            cg.RepMultiset((2, 4), {(1, 2): 3, (0, 1): -1})
+        assert cg.RepMultiset((2, 4), {(1, 2): 3, (0, 1): 0}).entries == \
+            {(1, 2): 3}
+
+
 class TestGroupIdentity:
     def test_zero_representation(self):
-        G = cg.FiniteAbelianGroup((3, 3))
+        G = (3, 3)
         W = cg.RepMultiset(G, {})
         for H in cg.subgroups(G):
             ok, lhs, rhs = cg.check_group_identity(W, H)
             assert ok and lhs == 0 and rhs == 0
 
     def test_one_dimensional_trivial(self):
-        G = cg.FiniteAbelianGroup((8,))
+        G = (8,)
         W = cg.RepMultiset(G, {cg.trivial_character(G): 1})
         for H in cg.subgroups(G):
             ok, lhs, rhs = cg.check_group_identity(W, H)
-            assert ok and lhs == G.order - 1
+            assert ok and lhs == math.prod(G) - 1
 
     def test_z9_regular_with_z3(self):
         G = cg.cyclic(9)
@@ -186,7 +211,7 @@ class TestGroupIdentity:
         assert ok and lhs == rhs == 0
 
     def test_z3_x_z9_random_all_subgroups(self):
-        G = cg.FiniteAbelianGroup((3, 9))
+        G = (3, 9)
         rng = random.Random(1)
         subs = cg.subgroups(G)
         for _ in range(25):
@@ -203,7 +228,7 @@ class TestGroupIdentity:
                 W = cg.random_rep(G, rng, 15)
                 for H in subs:
                     ok, lhs, rhs = cg.check_group_identity(W, H)
-                    assert ok, (G.invariant_factors, H.generators)
+                    assert ok, (G, H.generators)
 
 
 class TestCyclotomicPolynomial:
@@ -248,16 +273,16 @@ class TestSubgroups:
                                     (4, 8), (2, 8)])
     def test_rank2_gcd_formula(self, mn):
         m, n = mn
-        G = cg.FiniteAbelianGroup((m, n))
+        G = (m, n)
         assert len(cg.subgroups(G)) == gcd_sum_subgroup_count(m, n)
 
     def test_elementary_galois_numbers(self):
         for r, expect in [(1, 2), (2, 5), (3, 16), (4, 67), (5, 374)]:
-            G = cg.FiniteAbelianGroup((2,) * r)
+            G = (2,) * r
             assert len(cg.subgroups(G)) == expect
 
     def test_subgroups_distinct_and_closed(self):
-        G = cg.FiniteAbelianGroup((2, 4))
+        G = (2, 4)
         subs = cg.subgroups(G)
         keys = {hermite_rows(H) for H in subs}
         assert len(keys) == len(subs)
@@ -272,7 +297,7 @@ class TestSubgroups:
         # every subgroup is reached from {0} by adding one element at a
         # time and closing under +; the enumerator must list exactly those
         for G in cg.abelian_groups_upto(32):
-            zero = (0,) * G.rank
+            zero = (0,) * len(G)
             found = {frozenset([zero])}
             frontier = list(found)
             while frontier:
@@ -294,7 +319,7 @@ class TestSubgroups:
                 frontier = new
             subs = cg.subgroups(G)
             listed = [frozenset(H.elements()) for H in subs]
-            assert set(listed) == found, G.invariant_factors
+            assert set(listed) == found, G
             assert len(listed) == len(found)
             for H in subs:
                 assert len(H.elements()) == H.order
@@ -304,18 +329,17 @@ class TestSubgroups:
         # of every subgroup, filtered by order
         for G in cg.abelian_groups_upto(96):
             orders = [H.order for H in cg.subgroups(G)]
-            for index in range(1, G.order + 1):
-                want = orders.count(G.order // index) \
-                    if G.order % index == 0 else 0
-                assert cg.subgroup_count(G.invariant_factors, index) == \
-                    want, (G.invariant_factors, index)
+            n = math.prod(G)
+            for index in range(1, n + 1):
+                want = orders.count(n // index) if n % index == 0 else 0
+                assert cg.subgroup_count(G, index) == want, (G, index)
 
     def test_birkhoff_count_per_type(self):
         # each subgroup's type, read off its element orders: the elements
         # of q-order <= q^k number |H_q'| * q^(mu'_1 + ... + mu'_k), so
         # successive ratios give the conjugate partition mu'
         def q_type(H, q):
-            d = H.group.invariant_factors
+            d = H.group
             vals = [max(arith.padic_val(di // math.gcd(g, di), q)
                         for g, di in zip(h, d)) for h in H.elements()]
             counts = [sum(v <= k for v in vals) for k in range(max(vals) + 1)]
@@ -329,14 +353,13 @@ class TestSubgroups:
                     itertools.product(*(range(x + 1) for x in lam))
                     if list(mu) == sorted(mu, reverse=True)]
 
-        for G in cg.abelian_groups_upto(96):
-            d = G.invariant_factors
-            primes = [q for q, _ in arith.factor(G.order)]
+        for d in cg.abelian_groups_upto(96):
+            primes = [q for q, _ in arith.factor(math.prod(d))]
             lams = [tuple(sorted((arith.padic_val(x, q) for x in d
                                   if x % q == 0), reverse=True))
                     for q in primes]
             found = Counter(tuple(q_type(H, q) for q in primes)
-                            for H in cg.subgroups(G))
+                            for H in cg.subgroups(d))
             want = {mus: math.prod(map(cg.birkhoff_count, lams, mus, primes))
                     for mus in itertools.product(*map(inside, lams))}
             assert found == want, d
@@ -353,9 +376,8 @@ class TestSubgroups:
         # subgroups() trusts the walk's rows (tuples); the reference is
         # hnf of those rows and a Subgroup rebuilt from its generators by hnf
         for G in cg.abelian_groups_upto(64):
-            d = G.invariant_factors
-            for rows in cg.subgroup_lattices(d):
-                assert hnf(rows, len(d)) == list(map(list, rows)), (d, rows)
+            for rows in cg.subgroup_lattices(G):
+                assert hnf(rows, len(G)) == list(map(list, rows)), (G, rows)
             subs = cg.subgroups(G)
             rebuilt = [cg.Subgroup(G, H.generators) for H in subs]
             assert ([hermite_rows(H) for H in subs]
@@ -365,11 +387,10 @@ class TestSubgroups:
     def test_hermite_generators_match_reduction_mod_d(self):
         # from_hermite keeps the rows with pivot below d_i; the reference
         # reduces every entry mod d and drops the rows that become 0
-        for G in cg.abelian_groups_upto(96):
-            d = G.invariant_factors
+        for d in cg.abelian_groups_upto(96):
             for rows in cg.subgroup_lattices(d):
                 gens = (tuple(x % m for x, m in zip(row, d)) for row in rows)
-                assert (cg.Subgroup.from_hermite(G, rows).generators
+                assert (cg.Subgroup.from_hermite(d, rows).generators
                         == tuple(g for g in gens if any(g))), (d, rows)
 
     def test_elements_match_the_membership_filter(self):
@@ -389,24 +410,20 @@ class TestSubgroups:
     def test_subgroup_order(self):
         assert cg.Subgroup(cg.cyclic(8), [(2,)]).order == 4
         assert cg.Subgroup(cg.cyclic(8), []).order == 1
-        assert cg.Subgroup(cg.FiniteAbelianGroup((2, 4)),
+        assert cg.Subgroup((2, 4),
                            [(1, 0), (0, 1)]).order == 8
 
     def test_annihilator_size(self):
         # the characters trivial on H, (G/H)^dual, number |G| / |H|
-        G = cg.FiniteAbelianGroup((2, 6))
+        G = (2, 6)
         for H in cg.subgroups(G):
             keys = cg._restrictions(G, cg.dual_group(G), H.generators)
-            assert sum(not any(key) for key in keys) == G.order // H.order
+            assert sum(not any(key) for key in keys) == 12 // H.order
 
 
 class TestGroupEnumeration:
     def test_counts_match_partition_products(self):
-        groups = cg.abelian_groups_upto(36)
-        by_order = {}
-        for G in groups:
-            by_order.setdefault(G.order, 0)
-            by_order[G.order] += 1
+        by_order = Counter(map(math.prod, cg.abelian_groups_upto(36)))
         # number of abelian groups of order n (OEIS A000688 prefix)
         expected = {1: 1, 2: 1, 3: 1, 4: 2, 8: 3, 16: 5, 32: 7, 12: 2,
                     36: 4, 24: 3, 30: 1}
@@ -414,6 +431,5 @@ class TestGroupEnumeration:
             assert by_order[n] == cnt
 
     def test_invariant_chains(self):
-        for G in cg.abelian_groups_upto(60):
-            d = G.invariant_factors
+        for d in cg.abelian_groups_upto(60):
             assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))

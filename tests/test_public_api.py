@@ -232,17 +232,16 @@ UNREACHED = {
     "arith.padic_val: ValueError 1": "kida passes a prime p, checked at entry",
     "arith.padic_val: ZeroInput 1":
         "kida takes valuations of conductors and degrees, all at least 1",
-    "chargroup.FiniteAbelianGroup.__init__: ValueError 1":
-        "abelian_groups_upto and the suites give invariant factors >= 2",
-    "chargroup.FiniteAbelianGroup.__init__: ValueError 2":
-        "abelian_groups_upto and the suites give divisibility chains",
-    "chargroup.RepMultiset.__init__: ValueError 1":
+    "chargroup.RepMultiset.__init__: SubgroupMismatch 1":
         "random_rep draws multiplicities >= 0",
     "chargroup.Subgroup.__init__: SubgroupMismatch 1":
         "the suites give generators of the group's rank",
     "chargroup._check_character: SubgroupMismatch 1":
         "the suites' characters come from _dual and trivial_character: "
         "exponent vectors of the group's rank, each entry below its factor",
+    "chargroup._check_group: SubgroupMismatch 1":
+        "abelian_groups_upto and cyclic give chains of invariant factors, "
+        "each at least 2 and dividing the next",
     "chargroup._over_binomial: InternalAdditivityViolation 1": _BUG,
     "chargroup.check_group_identity: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.check_group_identity: SubgroupMismatch 2":
@@ -255,13 +254,12 @@ UNREACHED = {
     "errors.Record.__setattr__: AttributeError 1":
         "refuses assignment, which no caller makes",
     "eta._tau: InternalAdditivityViolation 1":
-        "Ramanujan's identity makes the division by 756 exact; " + _BUG,
+        "Ramanujan's identity makes the division by 756 exact; " + _BUG
+        + "; tests/mutants.py's row tau-sum-off-by-one shows it fires",
     "intlinalg.Lattice.__init__: KidaError 1":
         "every lattice kida builds holds diag(d) Z^r, so has full rank",
     "localfactor.CharacterLines.__init__: ValueError 1":
         "the grammar gives at most two character lines",
-    "localfactor.Generic.__init__: IncoherentGenericData 1":
-        "the grammar and restrict_type give one value per character",
     "localfactor.LocalCharData.__init__: ValueError 1":
         "the grammar gives no order on inertia, the suites orders >= 2",
     "localfactor.LocalCharData.restricted: IncoherentGenericData 1":
@@ -295,8 +293,12 @@ UNREACHED = {
     "splitting.efg: ValueError 1":
         "the library's check that ell is prime; the flags' require_prime "
         "and arith.factor give primes",
-    "splitting.ramified_set: InternalAdditivityViolation 1": _BUG,
-    "splitting.ramified_set: InternalAdditivityViolation 2": _BUG,
+    "splitting.ramified_set: InternalAdditivityViolation 1":
+        "the reduction at p, " + _BUG + "; tests/mutants.py's row "
+        "extension-left-unreduced shows it fires",
+    "splitting.ramified_set: InternalAdditivityViolation 2":
+        "e in the base divides e in the extension, " + _BUG + "; "
+        "tests/mutants.py's row ramification-fields-swapped shows it fires",
     "splitting.ramified_set: ValueError 1":
         "the library's check that p is an odd prime; the CLI's "
         "require_prime refuses --p first",

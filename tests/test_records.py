@@ -9,12 +9,11 @@ import pickle
 
 import pytest
 
-from kida import chargroup as cg, eta, localfactor as lf, qexp
+from kida import eta, localfactor as lf, qexp
 from kida import splitting as sp
 from kida import transition as tr, verify
 from kida.errors import IncoherentGenericData, Record
 
-G = cg.FiniteAbelianGroup((2, 4))
 RAM = lf.LocalCharData(True, True, False, 9)
 UNRAM = lf.LocalCharData(False, False)
 PLACE = sp.RamifiedPlace(1123, 11, 1, 1)
@@ -36,23 +35,21 @@ RAM_REPR = ("LocalCharData(ramified=True, trivial_mod_p=True, "
 
 # one instance of every record class, with its repr
 CASES = {
-    "FiniteAbelianGroup": (G, "FiniteAbelianGroup(invariant_factors=(2, 4))"),
     "LocalCharData": (RAM, RAM_REPR),
     "UnramifiedPS": (lf.UnramifiedPS(7, 8, 5), "UnramifiedPS(a=2, c=3, p=5)"),
     "CharacterLines": (lf.CharacterLines((RAM, UNRAM)),
                        f"CharacterLines(chars=({RAM_REPR}, {UNRAM_REPR}))"),
-    "Generic": (lf.Generic(3, (2, 1, 0)),
-                "Generic(degree=3, m_values=(2, 1, 0))"),
+    "Generic": (lf.Generic((2, 1, 0)), "Generic(m_values=(2, 1, 0))"),
     "EllipticCurve": (qexp.EllipticCurve(0, -1, 1, -10, -20),
                       "EllipticCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20)"),
     "CoefficientTable": (qexp.CoefficientTable(2, 11, {2: -2, 3: -1}),
                          "CoefficientTable(weight=2, level=11, "
                          "ap={2: -2, 3: -1})"),
     "PlaceData": (sp.efg(F23, 23),
-                  "PlaceData(ell=23, e=11, f=1, g=1, degree=11)"),
+                  "PlaceData(ell=23, e=11, f=1, g=1)"),
     "TowerPlaceData": (sp.tower_places(F23, 1123, 11),
                        "TowerPlaceData(ell=1123, p=11, g_layers=(1, 11, 11), "
-                       "g_infinity=11, stabilized_at=1)"),
+                       "g_infinity=11)"),
     "RamifiedPlace": (PLACE,
                       "RamifiedPlace(ell=1123, local_degree=11, places=1, "
                       "f_prime_to_p=1)"),
@@ -128,8 +125,8 @@ def test_record_semantics(name):
         assert record == twin      # unchanged
 
 
-@pytest.mark.parametrize("name", ["FiniteAbelianGroup", "CharacterLines",
-                                  "Generic", "EllipticCurve",
+@pytest.mark.parametrize("name", ["CharacterLines", "Generic",
+                                  "EllipticCurve", "TowerPlaceData",
                                   "InvariantRecord"])
 def test_pickle_round_trip(name):
     record = CASES[name][0]
@@ -146,7 +143,7 @@ def test_place_report_equality_reads_its_local_type():
     assert (other.h, other.type_spec) == (0, "sc")
     assert (rep.h, rep.type_spec) == (0, "ups:a=10,c=1")
     generic = tr.LocalFactorReport(rep.ell, 3, rep.places, 2, "generic",
-                                   lf.Generic(3, (1, 0, 0)))
+                                   lf.Generic((1, 0, 0)))
     assert (generic.h, generic.type_spec) == (None, "generic:1,0,0")
 
 
@@ -179,16 +176,14 @@ def test_local_char_data_defaults():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        cg.FiniteAbelianGroup((2, 3))
     with pytest.raises(IncoherentGenericData):
-        lf.Generic(3, (1, 0))
+        lf.Generic((1, -1, 0))
     with pytest.raises(ValueError):     # V is two-dimensional
         lf.CharacterLines((UNRAM, UNRAM, UNRAM))
     with pytest.raises(ValueError):
         tr.InvariantRecord("algebraic", 1, 3)
     with pytest.raises(TypeError):
-        sp.PlaceData(2, 1, 1, 1)
+        sp.PlaceData(2, 1, 1)
     assert qexp.EllipticCurve(a4=-1) == qexp.EllipticCurve(0, 0, 0, -1, 0)
     assert verify.SuiteResult("x", {}).failures == []
     assert verify.SuiteResult("x", {}).failures is not \

@@ -135,7 +135,7 @@ class TestTransitionExamples:
     def test_chaining_via_computed_record(self):
         F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
         F9 = sp.parse_field_spec("cyclotomic:109:degree=9")
-        V9 = lf.Generic(9, (2, 1, 0, 1, 0, 0, 1, 0, 0))
+        V9 = lf.Generic((2, 1, 0, 1, 0, 0, 1, 0, 0))
         r1 = tr.transition(p=3, base_field=Q, ext_field=F3,
                            base=tr.InvariantRecord("algebraic", 0, 1),
                            local_types={109: V9})
@@ -265,7 +265,7 @@ def synthetic_chain(lam0=2, seed=5):
     F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
     F9 = sp.parse_field_spec("cyclotomic:109:degree=9")
     rng = random.Random(seed)
-    V9 = lf.Generic(9, tuple(rng.randint(0, 3) for _ in range(9)))
+    V9 = lf.Generic(tuple(rng.randint(0, 3) for _ in range(9)))
     V3 = lf.restrict_type(V9, 3)
     r_ab = tr.transition(p=3, base_field=Q, ext_field=F3,
                          base=tr.InvariantRecord("algebraic", 0, lam0),
@@ -328,7 +328,7 @@ class TestCompose:
         F9 = sp.parse_field_spec("cyclotomic:109:degree=9")
         F27 = sp.parse_field_spec("cyclotomic:109:degree=27")
         rng = random.Random(11)
-        V27 = lf.Generic(27, tuple(rng.randint(0, 2) for _ in range(27)))
+        V27 = lf.Generic(tuple(rng.randint(0, 2) for _ in range(27)))
         lam = 60   # headroom: synthetic generic data can push lambda down
         reps = []
         chain = [(Q, F3, V27, 1), (F3, F9, lf.restrict_type(V27, 3), None),
@@ -431,11 +431,11 @@ class TestCompose:
     def test_inconsistent_local_restriction_rejected(self):
         F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
         F9 = sp.parse_field_spec("cyclotomic:109:degree=9")
-        V9 = lf.Generic(9, (2, 1, 0, 1, 0, 0, 1, 0, 0))
+        V9 = lf.Generic((2, 1, 0, 1, 0, 0, 1, 0, 0))
         r_ab = tr.transition(p=3, base_field=Q, ext_field=F3,
                              base=tr.InvariantRecord("algebraic", 0, 5),
                              local_types={109: V9})
-        wrong_v3 = lf.Generic(3, (9, 0, 0))   # not the restriction of V9
+        wrong_v3 = lf.Generic((9, 0, 0))   # not the restriction of V9
         r_bc = tr.transition(p=3, base_field=F3, ext_field=F9,
                              base=r_ab.to_invariant_record(),
                              local_types={109: wrong_v3})
@@ -451,7 +451,7 @@ class TestCompose:
         r_ab, _, _ = synthetic_chain()
         F3 = sp.parse_field_spec("cyclotomic:109:degree=3")
         F9 = sp.parse_field_spec("cyclotomic:109:degree=9")
-        V3 = lf.restrict_type(lf.Generic(9, (1,) * 9), 3)
+        V3 = lf.restrict_type(lf.Generic((1,) * 9), 3)
         bad_bc = tr.transition(p=3, base_field=F3, ext_field=F9,
                                base=tr.InvariantRecord("algebraic", 0,
                                                        r_ab.lambda_out + 1),
@@ -783,7 +783,7 @@ def run(name, call, attr, fake):
 out = {}
 run("ramified_set", lambda: sp.ramified_set(Q, F23, 11),
     "efg", lambda F, ell: sp.PlaceData(
-        ell, 2 if F.degree == 1 else 3, 1, 1, 1))
+        ell, 2 if F.degree == 1 else 3, 1, 1))
 run("transition", lambda: tr.transition(
     p=11, base_field=Q, ext_field=F121,
     base=tr.InvariantRecord("algebraic", 0, 1), form=eta.DELTA),
