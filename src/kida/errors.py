@@ -125,10 +125,6 @@ class TameAtP(KidaError):
 
 # -- localfactor -------------------------------------------------------
 
-class GenericUnsupported(KidaError):
-    """Operation undefined for generic (user-tabulated) local types."""
-
-
 class IncoherentGenericData(KidaError):
     """Generic per-character values incompatible with the requested tower."""
 

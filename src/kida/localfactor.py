@@ -16,13 +16,16 @@ group acts on the lines of V that can reach the inertia coinvariants,
 none for a supercuspidal V, one for a special V and two for a ramified
 principal series.
 
-``m_extension`` prices m(L'/L, V) in O(1): it reads the h-table, one
-(case, value) row per character line of V, and sums user values for
-``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
-``m_single(V, d, j)`` per exponent j, and serves the suites as the
-table's oracle.  It keeps its last 128 values in an ``lru_cache`` keyed
-on (V, d): ``check_tower_additivity`` meets each (V, d) several times
-along a suite's chains of degrees.
+Each type answers for itself through four methods: ``_rows(e)``, its
+(case, value) rows of the h-table at ramification index e; ``_twist``,
+its m(V_chi) for one twist; ``_restricted``, the type over a larger
+field; and ``_spec``, its grammar string.  ``m_extension`` sums the rows:
+one per character line of V, one for its Frobenius data, or one summing
+the user's values for ``Generic`` data.  ``twist_sum`` evaluates the sum
+above literally, one ``m_single(V, d, j)`` per exponent j, and serves the
+suites as the table's oracle.  It keeps its last 128 values in an
+``lru_cache`` keyed on (V, d): ``check_tower_additivity`` meets each
+(V, d) several times along a suite's chains of degrees.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import (GenericUnsupported, IncoherentGenericData, Record,
-                     SpecParseError, parse_int_fields)
+from .errors import (IncoherentGenericData, Record, SpecParseError,
+                     parse_int_fields)
 
 
 class LocalCharData(Record):
@@ -93,6 +96,21 @@ class UnramifiedPS(Record):
     def __init__(self, a: int, c: int, p: int):
         self._fill(a % p, c % p, p)
 
+    def _rows(self, e: int) -> list[tuple[str, int]]:
+        t = trivial_eigenvalues(self)
+        return [(_UPS_CASES[t], t * (e - 1))]
+
+    def _twist(self, degree: int, exponent: int) -> int:
+        if exponent:
+            return 0    # ramified twist kills the coinvariants
+        return trivial_eigenvalues(self)
+
+    def _restricted(self, degree: int) -> "UnramifiedPS":
+        return self
+
+    def _spec(self) -> str:
+        return f"ups:a={self.a},c={self.c}"
+
 
 class CharacterLines(Record):
     """A ramified type, as the characters on V's lines that can reach
@@ -106,6 +124,28 @@ class CharacterLines(Record):
         if len(chars) > 2:
             raise ValueError("V has at most two character lines")
         self._fill(chars)
+
+    def _rows(self, e: int) -> list[tuple[str, int]]:
+        rows = []
+        for phi in self.chars:
+            rows.append(_char_row(phi, e))
+        return rows or [("supercuspidal_or_extraordinary", 0)]
+
+    def _twist(self, degree: int, exponent: int) -> int:
+        m = 0
+        for phi in self.chars:
+            m += _m_char(phi, degree, exponent)
+        return m
+
+    def _restricted(self, degree: int) -> "CharacterLines":
+        chars = ()
+        for phi in self.chars:
+            chars += (phi.restricted(degree),)
+        return self if chars == self.chars else CharacterLines(chars)
+
+    def _spec(self) -> str:
+        return (_LINE_PREFIXES[len(self.chars)]
+                + ";".join(map(_describe_char, self.chars)))
 
 
 class Generic(Record):
@@ -121,9 +161,40 @@ class Generic(Record):
     __slots__ = ("m_values",)
 
     def __init__(self, m_values: tuple[int, ...]):
+        if not m_values:
+            raise IncoherentGenericData("generic data needs at least one "
+                                        "m-value")
         if any(v < 0 for v in m_values):
             raise IncoherentGenericData("generic m-values must be >= 0")
         self._fill(m_values)
+
+    def _step(self, degree: int) -> int:
+        """The index step from a character of the degree-``degree``
+        quotient to its value: exponent j there is exponent step * j
+        here, and step is also the degree of the restricted data."""
+        n = len(self.m_values)
+        if n % degree:
+            raise IncoherentGenericData(
+                f"generic data over degree {n} cannot serve degree {degree}")
+        return n // degree
+
+    def _rows(self, e: int) -> list[tuple[str, int]]:
+        step, vals = self._step(e), self.m_values
+        return [("generic_m_summation",
+                 sum(vals[0] - vals[step * i] for i in range(e)))]
+
+    def _twist(self, degree: int, exponent: int) -> int:
+        return self.m_values[self._step(degree) * exponent]
+
+    def _restricted(self, degree: int) -> "Generic":
+        sub = self._step(degree)
+        vals = [0] * sub
+        for j, m in enumerate(self.m_values):
+            vals[j % sub] += m
+        return Generic(tuple(vals))
+
+    def _spec(self) -> str:
+        return "generic:" + ",".join(str(v) for v in self.m_values)
 
 
 LocalType = UnramifiedPS | CharacterLines | Generic
@@ -159,55 +230,18 @@ def _char_row(phi: LocalCharData, e: int) -> tuple[str, int]:
     return "character_survives_ramified", 0
 
 
-def _table_rows(V: LocalType, e: int) -> list[tuple[str, int]]:
-    """The h-table: V's (case, value) rows at ramification index e, one
-    per line of V (a character, or the Frobenius data).  e must be >= 1,
-    which ``m_extension`` and ``kida hv``'s ``--e`` check."""
-    if isinstance(V, CharacterLines):
-        rows = []
-        for phi in V.chars:
-            rows.append(_char_row(phi, e))
-        return rows or [("supercuspidal_or_extraordinary", 0)]
-    if isinstance(V, UnramifiedPS):
-        t = trivial_eigenvalues(V)
-        return [(_UPS_CASES[t], t * (e - 1))]
-    if isinstance(V, Generic):
-        raise GenericUnsupported("generic types go through m_extension")
-    raise TypeError(f"unknown local type {V!r}")
-
-
-def h_v(V: LocalType, e: int) -> int:
-    """Per-place table value for ramification index e."""
-    return sum(value for _, value in _table_rows(V, e))
-
-
 def case_of(V: LocalType, e: int) -> str:
     """Name of the table case V falls in at ramification index e."""
-    if isinstance(V, Generic):
-        return "generic_m_summation"
-    return "+".join(case for case, _ in _table_rows(V, e))
-
-
-def _generic_m_over(V: Generic, degree: int) -> list[int]:
-    """m-values of V for the characters of the degree-``degree`` quotient."""
-    n = len(V.m_values)
-    if n % degree:
-        raise IncoherentGenericData(
-            f"generic data over degree {n} cannot serve degree {degree}")
-    step = n // degree
-    return [V.m_values[step * i] for i in range(degree)]
+    return "+".join(case for case, _ in V._rows(e))
 
 
 def m_extension(V: LocalType, local_degree: int) -> int:
-    """m(L'/L, V) over the local extension of degree ``local_degree``, in
-    O(1): the sum of the user's values for generic data, the h-table for
-    every other type."""
+    """m(L'/L, V) over the local extension of degree ``local_degree``: the
+    sum of V's h-table rows, in O(1) for every type but generic data,
+    whose one row sums the user's values."""
     if local_degree < 1:
         raise ValueError("local degree must be >= 1")
-    if isinstance(V, Generic):
-        vals = _generic_m_over(V, local_degree)
-        return sum(vals[0] - v for v in vals)
-    return h_v(V, local_degree)
+    return sum(value for _, value in V._rows(local_degree))
 
 
 # -- the twist-by-twist oracle ----------------------------------------------
@@ -236,20 +270,9 @@ def _m_char(phi: LocalCharData, degree: int, exponent: int) -> int:
 def m_single(V: LocalType, degree: int, exponent: int) -> int:
     """m(V_chi) for the twist chi of exponent ``exponent`` mod ``degree``:
     multiplicity of the trivial representation in the Galois invariants
-    of the inertia coinvariants of the twist."""
-    if isinstance(V, Generic):
-        raise GenericUnsupported("generic types carry their m-values directly")
-    exponent %= degree
-    if isinstance(V, CharacterLines):
-        m = 0
-        for phi in V.chars:
-            m += _m_char(phi, degree, exponent)
-        return m
-    if isinstance(V, UnramifiedPS):
-        if exponent:
-            return 0    # ramified twist kills the coinvariants
-        return trivial_eigenvalues(V)
-    raise TypeError(f"unknown local type {V!r}")
+    of the inertia coinvariants of the twist, the user's value for
+    generic data."""
+    return V._twist(degree, exponent % degree)
 
 
 @lru_cache(maxsize=128)
@@ -259,8 +282,6 @@ def twist_sum(V: LocalType, local_degree: int) -> int:
     oracle the suites hold ``m_extension`` to."""
     if local_degree < 1:
         raise ValueError("local degree must be >= 1")
-    if isinstance(V, Generic):
-        return m_extension(V, local_degree)
     base = m_single(V, local_degree, 0)
     return sum(base - m_single(V, local_degree, j)
                for j in range(local_degree))
@@ -274,25 +295,7 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
     order (a supercuspidal type has none, so stays supercuspidal), and
     generic data restricts through its character-multiset model.
     """
-    if degree == 1 or isinstance(V, UnramifiedPS):
-        return V
-    if isinstance(V, CharacterLines):
-        chars = ()
-        for phi in V.chars:
-            chars += (phi.restricted(degree),)
-        return V if chars == V.chars else CharacterLines(chars)
-    if isinstance(V, Generic):
-        n = len(V.m_values)
-        if n % degree:
-            raise IncoherentGenericData(
-                f"generic data over degree {n} cannot restrict "
-                f"through degree {degree}")
-        sub = n // degree
-        vals = [0] * sub
-        for j, m in enumerate(V.m_values):
-            vals[j % sub] += m
-        return Generic(tuple(vals))
-    raise TypeError(f"unknown local type {V!r}")
+    return V if degree == 1 else V._restricted(degree)
 
 
 def check_tower_additivity(V: LocalType, inner_degree: int,
@@ -383,14 +386,7 @@ def parse_local_type(spec: str, p: int) -> LocalType:
 
 def describe_local_type(V: LocalType) -> str:
     """Inverse of the grammar, for reports."""
-    if isinstance(V, CharacterLines):
-        return (_LINE_PREFIXES[len(V.chars)]
-                + ";".join(map(_describe_char, V.chars)))
-    if isinstance(V, UnramifiedPS):
-        return f"ups:a={V.a},c={V.c}"
-    if isinstance(V, Generic):
-        return "generic:" + ",".join(str(v) for v in V.m_values)
-    raise TypeError(f"unknown local type {V!r}")
+    return V._spec()
 
 
 def _describe_char(phi: LocalCharData) -> str:

@@ -94,9 +94,9 @@ ROWS = [
      "the number of character lines is the grammar prefix: one line is "
      "special:, two are ramps:"),
     ("restriction-drops-a-line", "localfactor.py",
-     "        for phi in V.chars:\n"
+     "        for phi in self.chars:\n"
      "            chars += (phi.restricted(degree),)",
-     "        for phi in V.chars[1:]:\n"
+     "        for phi in self.chars[1:]:\n"
      "            chars += (phi.restricted(degree),)",
      ["tests/test_localfactor.py::TestGrammar::"
       "test_line_count_is_the_prefix",
@@ -110,6 +110,29 @@ ROWS = [
       "test_path_agreement_cross_product"],
      "m(V_chi) counts the invariant lines of the twist: both character "
      "lines of a ramified principal series, not the last alone"),
+    ("generic-twist-ignores-quotient", "localfactor.py",
+     "return self.m_values[self._step(degree) * exponent]",
+     "return self.m_values[exponent]",
+     ["tests/test_localfactor.py::TestMSingle::"
+      "test_generic_reads_the_quotients_values",
+      "tests/test_localfactor.py::TestTwistSum::"
+      "test_generic_data_at_every_divisor_degree"],
+     "a twist of the degree-d quotient is exponent (n / d) j of the "
+     "degree-n data; read at j, it prices a character the quotient "
+     "does not have"),
+    ("generic-degree-unchecked", "localfactor.py",
+     "        if n % degree:\n"
+     "            raise IncoherentGenericData(\n"
+     "                f\"generic data over degree {n} cannot serve degree "
+     "{degree}\")\n",
+     "",
+     ["tests/test_cli.py::test_bad_input_is_a_typed_error"
+      "[hv --form generic:1,0,0,0,0 --p 5 --e 25]",
+      "tests/test_localfactor.py::TestTowerAdditivity::"
+      "test_incoherent_generic_rejected"],
+     "data over degree n serves only the degrees that divide n; past n "
+     "the step n // d is 0 and every twist reads the trivial one, so a "
+     "place would be priced 0"),
     ("sweep-class-count-assumed", "verify.py",
      "n_ann, n_classes = keys.count(0), len(set(keys))",
      "n_ann, n_classes = keys.count(0), h",

@@ -45,9 +45,9 @@ class TestAcceptance:
 
     def test_c03_h_values(self):
         a23, c23 = eta.frobenius_data(DELTA, 23, 11)
-        h23 = lf.h_v(lf.UnramifiedPS(a23, c23, 11), 11)
+        h23 = lf.m_extension(lf.UnramifiedPS(a23, c23, 11), 11)
         a1123, c1123 = eta.frobenius_data(DELTA, 1123, 11, precision=1200)
-        h1123 = lf.h_v(lf.UnramifiedPS(a1123, c1123, 11), 11)
+        h1123 = lf.m_extension(lf.UnramifiedPS(a1123, c1123, 11), 11)
         report(3, h23 == 0 and h1123 == 20,
                f"h_23 = {h23} (expect 0), h_1123 = {h1123} (expect 20) "
                f"at p = 11, e = 11")
@@ -104,7 +104,7 @@ class TestAcceptance:
                 continue
             n_points = X0_11.count_points(ell)
             a, c = eta.frobenius_data(X0_11, ell, 11)
-            h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
+            h = lf.m_extension(lf.UnramifiedPS(a, c, 11), 11)
             checked += 1
             fired += h != 0
             if (h != 0) != (n_points % 11 == 0):
@@ -166,7 +166,6 @@ class TestAcceptance:
         sc = lf.CharacterLines(())
         for degree in (1, 3, 9, 11, 121):
             ok &= lf.m_extension(sc, degree) == 0
-            ok &= lf.h_v(sc, degree) == 0
             for j in range(min(degree, 12)):
                 ok &= lf.m_single(sc, degree, j) == 0
         rep_sc = tr.transition(p=11, base_field=Q, ext_field=F23,

@@ -218,6 +218,9 @@ MALFORMED = {
         "ups spec needs exactly a=..,c=..: 'ups:a=1'",
     ("hv", "--form", "generic:1,x", "--p", "5", "--e", "5"):
         "bad generic values in 'generic:1,x'",
+    # no values: the grammar refuses it before Generic's own check
+    ("hv", "--form", "generic:", "--p", "3", "--e", "3"):
+        "bad generic values in 'generic:'",
     ("hv", "--form", "generic:1,2,3", "--p", "5", "--e", "5"):
         "generic data length 3 is not a power of 5",
     ("hv", "--form", "sc:", "--p", "5", "--e", "5"):

@@ -4,8 +4,7 @@ import pytest
 
 from kida import chargroup as cg
 from kida import localfactor as lf, verify
-from kida.errors import (GenericUnsupported, IncoherentGenericData,
-                         SpecParseError)
+from kida.errors import IncoherentGenericData, SpecParseError
 
 UNRAM_TRIV = lf.LocalCharData(ramified=False, trivial_mod_p=True)
 UNRAM_NONTRIV = lf.LocalCharData(ramified=False, trivial_mod_p=False)
@@ -76,9 +75,14 @@ class TestMSingle:
         hits = [lf.m_single(V, 5, j) for j in range(5)]
         assert sum(hits) == 1 and hits[0] == 0
 
-    def test_generic_unsupported(self):
-        with pytest.raises(GenericUnsupported):
-            lf.m_single(lf.Generic((1, 0, 0)), 1, 0)
+    def test_generic_reads_the_quotients_values(self):
+        # a twist of the degree-3 quotient is exponent 3 j of the degree-9
+        # data: the user's values at 0, 3 and 6
+        V = lf.Generic((3, 0, 1, 1, 2, 0, 1, 0, 0))
+        for j in range(3):
+            assert lf.m_single(V, 3, j) == (3, 1, 1)[j]
+        for j in range(9):
+            assert lf.m_single(V, 9, j) == V.m_values[j]
 
     def test_values_bounded(self):
         for V in [lf.UnramifiedPS(a, c, 5) for a in range(5)
@@ -142,20 +146,20 @@ class TestMExtension:
 class TestHTables:
     def test_h_char_cases(self):
         # a special type prices the one table row of its character
-        assert lf.h_v(lines(UNRAM_TRIV), 11) == 10
-        assert lf.h_v(lines(ram_char(True, 5)), 5) == -1
-        assert lf.h_v(lines(UNRAM_NONTRIV), 7) == 0
+        assert lf.m_extension(lines(UNRAM_TRIV), 11) == 10
+        assert lf.m_extension(lines(ram_char(True, 5)), 5) == -1
+        assert lf.m_extension(lines(UNRAM_NONTRIV), 7) == 0
         # nontrivial mod p
-        assert lf.h_v(lines(ram_char(False, 5)), 5) == 0
+        assert lf.m_extension(lines(ram_char(False, 5)), 5) == 0
         surv = lf.LocalCharData(True, True, False, order_on_inertia=25)
-        assert lf.h_v(lines(surv), 5) == 0
+        assert lf.m_extension(lines(surv), 5) == 0
 
     def test_char_case_follows_inertia_order(self):
         surv = lines(lf.LocalCharData(True, True, False,
                                       order_on_inertia=25))
         assert lf.case_of(surv, 5) == "character_survives_ramified"
         assert lf.case_of(surv, 25) == "character_dies_over_extension"
-        assert lf.h_v(surv, 25) == -1
+        assert lf.m_extension(surv, 25) == -1
         assert lf.case_of(lines(*surv.chars, UNRAM_NONTRIV), 25) == (
             "character_dies_over_extension+character_nontrivial_mod_p")
 
@@ -163,23 +167,26 @@ class TestHTables:
         dies = lf.LocalCharData(True, True, True)   # flag only, no order
         assert dies.dies_over(5) and not dies.dies_over(1)
         assert lf.case_of(lines(dies), 1) == "character_survives_ramified"
-        assert lf.h_v(lines(dies, dies), 1) == 0
+        assert lf.m_extension(lines(dies, dies), 1) == 0
 
-    def test_h_v_reference_cases(self):
-        assert lf.h_v(lf.UnramifiedPS(10, 1, 11), 11) == 0
-        assert lf.h_v(lf.UnramifiedPS(2, 1, 11), 11) == 20
-        assert lf.h_v(lines(), 7) == 0
+    def test_reference_cases(self):
+        assert lf.m_extension(lf.UnramifiedPS(10, 1, 11), 11) == 0
+        assert lf.m_extension(lf.UnramifiedPS(2, 1, 11), 11) == 20
+        assert lf.m_extension(lines(), 7) == 0
 
-    def test_h_v_one_trivial_eigenvalue(self):
-        assert lf.h_v(lf.UnramifiedPS(5, 4, 11), 11) == 10
+    def test_one_trivial_eigenvalue(self):
+        assert lf.m_extension(lf.UnramifiedPS(5, 4, 11), 11) == 10
 
     def test_ramified_ps_sums_characters(self):
         V = lines(UNRAM_TRIV, ram_char(True, 5))
-        assert lf.h_v(V, 5) == (5 - 1) + (-1)
+        assert lf.m_extension(V, 5) == (5 - 1) + (-1)
 
-    def test_generic_rejected(self):
-        with pytest.raises(GenericUnsupported):
-            lf.h_v(lf.Generic((1, 0, 0)), 3)
+    def test_generic_is_one_summation_row(self):
+        # generic data is priced by one row: the sum of m(V) - m(V_chi_j)
+        # over the user's values at the quotient's exponents
+        V = lf.Generic((1, 0, 0))
+        assert lf.m_extension(V, 3) == 2 and lf.m_extension(V, 1) == 0
+        assert lf.case_of(V, 3) == lf.case_of(V, 1) == "generic_m_summation"
 
     def test_path_agreement_cross_product(self):
         # the h-table against the twist-by-twist oracle: every tabulated
@@ -201,7 +208,7 @@ class TestHTables:
             for V in types:
                 for e in (p ** k for k in range(5) if p ** k <= 30000):
                     cases += 1
-                    h, m = lf.h_v(V, e), lf.twist_sum(V, e)
+                    h, m = lf.m_extension(V, e), lf.twist_sum(V, e)
                     if h != m:
                         bad.append((p, e, lf.describe_local_type(V), h, m))
         assert cases == 4865
@@ -224,9 +231,21 @@ class TestTwistSum:
                   lines(UNRAM_TRIV, ram_char(True, 3))):
             for d in (1, 3, 9, 27, 81):
                 calls.clear()
-                assert lf.twist_sum(V, d) == lf.h_v(V, d)
+                assert lf.twist_sum(V, d) == lf.m_extension(V, d)
                 assert len(calls) == d + 1
                 assert sorted(j for _, _, j in calls[1:]) == list(range(d))
+
+    def test_generic_data_at_every_divisor_degree(self):
+        # the twist-by-twist sum reads the user's values one twist at a
+        # time, the table sums them in its one row: both must agree
+        rng = random.Random(11)
+        for p in (3, 5):
+            for b in range(4):
+                n = p ** b
+                for _ in range(5):
+                    V = lf.Generic(tuple(rng.randint(0, 4) for _ in range(n)))
+                    for d in (p ** k for k in range(b + 1)):
+                        assert lf.twist_sum(V, d) == lf.m_extension(V, d)
 
 
 class TestTowerAdditivity:
@@ -280,6 +299,17 @@ class TestTowerAdditivity:
     def test_incoherent_generic_rejected(self):
         with pytest.raises(IncoherentGenericData):
             lf.m_extension(lf.Generic((1, 0, 0)), 9)
+
+    @pytest.mark.parametrize("call", [
+        lambda: lf.m_extension(lf.Generic(()), 3),
+        lambda: lf.m_single(lf.Generic(()), 3, 0),
+        lambda: lf.restrict_type(lf.Generic(()), 3),
+    ], ids=["m_extension", "m_single", "restrict_type"])
+    def test_empty_generic_data_is_refused(self, call):
+        # the grammar refuses "generic:" first, so only a library caller
+        # can build empty data, and it gets a typed error
+        with pytest.raises(IncoherentGenericData, match="at least one"):
+            call()
 
     def test_surviving_char_without_order_rejected_in_towers(self):
         phi = lf.LocalCharData(True, True, False)   # no order given

@@ -216,7 +216,6 @@ UNRUN = {
 _BUG = "an internal check that only a bug in kida can make fire"
 _ONE_GROUP = ("a library caller's objects over two groups; the suites "
               "build each check over one")
-_TYPES = "a local type of no kind the grammar gives"
 _COMPOSE = "perfbench transition-batch's compose step"
 UNREACHED = {
     "__init__.__getattr__: AttributeError 1":
@@ -260,26 +259,19 @@ UNREACHED = {
         "every lattice kida builds holds diag(d) Z^r, so has full rank",
     "localfactor.CharacterLines.__init__: ValueError 1":
         "the grammar gives at most two character lines",
+    "localfactor.Generic.__init__: IncoherentGenericData 1":
+        "the grammar refuses a generic: spec with no values first, as the "
+        "hostile row hv --form generic: --p 3 --e 3 shows",
     "localfactor.LocalCharData.__init__: ValueError 1":
         "the grammar gives no order on inertia, the suites orders >= 2",
     "localfactor.LocalCharData.restricted: IncoherentGenericData 1":
         "only compose and the suites restrict types, and no surviving "
         "character they restrict lacks an order",
-    "localfactor._table_rows: GenericUnsupported 1":
-        "m_extension and case_of take generic data before the h-table",
-    "localfactor._table_rows: TypeError 1": _TYPES,
     "localfactor.check_tower_additivity: ValueError 1":
         "the suites give nested degrees",
-    "localfactor.describe_local_type: TypeError 1": _TYPES,
     "localfactor.m_extension: ValueError 1":
         "the library's check of a local degree >= 1; hv refuses --e < 1 "
         "first, and a ramification index is at least 1",
-    "localfactor.m_single: GenericUnsupported 1":
-        "twist_sum takes generic data before m_single",
-    "localfactor.m_single: TypeError 1": _TYPES,
-    "localfactor.restrict_type: IncoherentGenericData 1":
-        "the suites restrict generic data through divisors of its degree",
-    "localfactor.restrict_type: TypeError 1": _TYPES,
     "localfactor.twist_sum: ValueError 1": "the suites give degrees >= 1",
     "qexp.EllipticCurve.count_points: BadReduction 1":
         "callers pass only primes off the level, which holds every prime "

@@ -470,7 +470,7 @@ class TestEllipticCurveCriterion:
                 continue
             n_points = E.count_points(ell)
             a, c = eta.frobenius_data(E, ell, 11)
-            h = lf.h_v(lf.UnramifiedPS(a, c, 11), 11)
+            h = lf.m_extension(lf.UnramifiedPS(a, c, 11), 11)
             assert (h != 0) == (n_points % 11 == 0), ell
             hits += h != 0
         assert hits >= 1   # the criterion fires somewhere in range
