@@ -155,9 +155,9 @@ def cmd_tau(args) -> int:
 # -- hv -------------------------------------------------------------------
 
 def cmd_hv(args) -> int:
-    from .localfactor import (Generic, UnramifiedPS, case_of,
-                              describe_local_type, is_local_type_spec,
-                              m_extension, parse_local_type)
+    from .localfactor import (case_of, describe_local_type,
+                              is_local_type_spec, m_extension,
+                              parse_local_type)
     if args.form is None:
         raise SpecParseError("hv needs --form")
     if args.e is not None and args.e < 1:
@@ -191,11 +191,9 @@ def cmd_hv(args) -> int:
         raise SpecParseError("hv needs --e or --ext")
     if args.p is not None:
         record["p"] = args.p
-    if isinstance(V, UnramifiedPS):
-        record.update(a=V.a, c=V.c)
+    record.update({name: getattr(V, name) for name in V.hv_fields})
     record.update(e=e, type=describe_local_type(V), h=m_extension(V, e),
-                  path="generic" if isinstance(V, Generic) else "table",
-                  case=case_of(V, e))
+                  path=V.path, case=case_of(V, e))
     print(_render(record, args.json))
     return 0
 
@@ -216,10 +214,7 @@ def cmd_transition(args) -> int:
     ext_field = parse_field_spec(args.ext)
     form = parse_form_spec(args.form) if args.form else None
     lam = args.lam if args.mu == 0 else None
-    try:
-        base = InvariantRecord(args.kind or "algebraic", args.mu, lam)
-    except ValueError as exc:   # negative mu or lambda
-        raise SpecParseError(str(exc))
+    base = InvariantRecord(args.kind or "algebraic", args.mu, lam)
     overrides = parse_local_types(args.local, args.p)
     report = transition(
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,

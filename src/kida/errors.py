@@ -1,55 +1,10 @@
-"""Exception classes, the record base and the ``key=<int>`` list parser
-shared across the package.
+"""Exception classes and the ``key=<int>`` list parser shared across the
+package.
 
 Every documented failure mode has its own class so callers can dispatch
 on type rather than on message text, and each class carries the exit code
 the CLI returns for it.
 """
-
-from operator import attrgetter
-
-
-class Record:
-    """Immutable value record.
-
-    A subclass names its fields in ``__slots__``, in constructor order,
-    and sets them in ``__init__`` through ``object.__setattr__`` (``_fill``
-    sets them all in that order).  The fields give equality within the
-    class, the hash and the ``Name(field=value, ...)`` repr.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._key = staticmethod(attrgetter(*cls.__slots__) if cls.__slots__
-                                else lambda record: ())
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == other._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: __setattr__ refuses
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__slots__)
 
 
 class KidaError(Exception):

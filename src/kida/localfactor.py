@@ -19,25 +19,36 @@ principal series.
 Each type answers for itself through four methods: ``_rows(e)``, its
 (case, value) rows of the h-table at ramification index e; ``_twist``,
 its m(V_chi) for one twist; ``_restricted``, the type over a larger
-field; and ``_spec``, its grammar string.  ``m_extension`` sums the rows:
-one per character line of V, one for its Frobenius data, or one summing
-the user's values for ``Generic`` data.  ``twist_sum`` evaluates the sum
-above literally, one ``m_single(V, d, j)`` per exponent j, and serves the
-suites as the table's oracle.  It keeps its last 128 values in an
-``lru_cache`` keyed on (V, d): ``check_tower_additivity`` meets each
-(V, d) several times along a suite's chains of degrees.
+field; and ``_spec``, its grammar string.  Two class attributes name the
+rest: ``path``, the report path that prices it ("table", or "generic"
+for the user's values), and ``hv_fields``, the fields ``kida hv`` prints
+besides its type.  ``m_extension`` sums the rows: one per character line
+of V, one for its Frobenius data, or one summing the user's values for
+``Generic`` data.  ``twist_sum`` evaluates the sum above literally, one
+``m_single(V, d, j)`` per exponent j, and serves the suites as the
+table's oracle.  It keeps its last 128 values in an ``lru_cache`` keyed
+on (V, d): ``check_tower_additivity`` meets each (V, d) several times
+along a suite's chains of degrees.
+
+Each type is a ``namedtuple``, so it equals a plain tuple of its values,
+but no two types can be equal: ``UnramifiedPS`` has three fields and the
+others one, which holds ``LocalCharData`` tuples for ``CharacterLines``
+and at least one int for ``Generic``.  The cache above and ``compose``'s
+comparison of restricted types rely on that.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
-from .errors import (IncoherentGenericData, Record, SpecParseError,
-                     parse_int_fields)
+from .errors import IncoherentGenericData, SpecParseError, parse_int_fields
 
 
-class LocalCharData(Record):
+class LocalCharData(namedtuple("LocalCharData", (
+        "ramified", "trivial_mod_p", "becomes_unramified_over_extension",
+        "order_on_inertia"))):
     """One character of the local Galois group, by the bits that matter.
 
     ``becomes_unramified_over_extension`` says whether the character is
@@ -47,18 +58,18 @@ class LocalCharData(Record):
     for coherent restriction in towers with more than one step.
     """
 
-    __slots__ = ("ramified", "trivial_mod_p",
-                 "becomes_unramified_over_extension", "order_on_inertia")
+    __slots__ = ()
 
-    def __init__(self, ramified: bool, trivial_mod_p: bool,
-                 becomes_unramified_over_extension: bool = True,
-                 order_on_inertia: int | None = None):
+    def __new__(cls, ramified: bool, trivial_mod_p: bool,
+                becomes_unramified_over_extension: bool = True,
+                order_on_inertia: int | None = None):
         if not ramified:
             becomes_unramified_over_extension, order_on_inertia = True, 1
         elif order_on_inertia is not None and order_on_inertia < 2:
             raise ValueError("ramified character needs order > 1 on inertia")
-        self._fill(ramified, trivial_mod_p, becomes_unramified_over_extension,
-                   order_on_inertia)
+        return super().__new__(cls, ramified, trivial_mod_p,
+                               becomes_unramified_over_extension,
+                               order_on_inertia)
 
     def dies_over(self, degree: int) -> bool:
         """Whether restriction to the degree-``degree`` extension is
@@ -88,13 +99,14 @@ class LocalCharData(Record):
                              order_on_inertia=new_order)
 
 
-class UnramifiedPS(Record):
+class UnramifiedPS(namedtuple("UnramifiedPS", "a c p")):
     """Unramified principal series: Frobenius polynomial x^2 - a x + c mod p."""
 
-    __slots__ = ("a", "c", "p")
+    __slots__ = ()
+    path, hv_fields = "table", ("a", "c")
 
-    def __init__(self, a: int, c: int, p: int):
-        self._fill(a % p, c % p, p)
+    def __new__(cls, a: int, c: int, p: int):
+        return super().__new__(cls, a % p, c % p, p)
 
     def _rows(self, e: int) -> list[tuple[str, int]]:
         t = trivial_eigenvalues(self)
@@ -112,18 +124,19 @@ class UnramifiedPS(Record):
         return f"ups:a={self.a},c={self.c}"
 
 
-class CharacterLines(Record):
+class CharacterLines(namedtuple("CharacterLines", "chars")):
     """A ramified type, as the characters on V's lines that can reach
-    the inertia coinvariants.  Their number gives the grammar prefix:
-    none ``sc`` (supercuspidal or extraordinary, 0 through every path),
-    one ``special:``, two ``ramps:``."""
+    the inertia coinvariants, a tuple of ``LocalCharData``.  Their number
+    gives the grammar prefix: none ``sc`` (supercuspidal or extraordinary,
+    0 through every path), one ``special:``, two ``ramps:``."""
 
-    __slots__ = ("chars",)
+    __slots__ = ()
+    path, hv_fields = "table", ()
 
-    def __init__(self, chars: tuple[LocalCharData, ...]):
+    def __new__(cls, chars: tuple[LocalCharData, ...]):
         if len(chars) > 2:
             raise ValueError("V has at most two character lines")
-        self._fill(chars)
+        return super().__new__(cls, chars)
 
     def _rows(self, e: int) -> list[tuple[str, int]]:
         rows = []
@@ -148,7 +161,7 @@ class CharacterLines(Record):
                 + ";".join(map(_describe_char, self.chars)))
 
 
-class Generic(Record):
+class Generic(namedtuple("Generic", "m_values")):
     """User-supplied m-values per character of the local cyclic p-group.
 
     ``m_values[j]`` is m(V_{chi_j}) for the character of exponent j of
@@ -158,15 +171,16 @@ class Generic(Record):
     what makes restriction in towers well defined.
     """
 
-    __slots__ = ("m_values",)
+    __slots__ = ()
+    path, hv_fields = "generic", ()
 
-    def __init__(self, m_values: tuple[int, ...]):
+    def __new__(cls, m_values: tuple[int, ...]):
         if not m_values:
             raise IncoherentGenericData("generic data needs at least one "
                                         "m-value")
         if any(v < 0 for v in m_values):
             raise IncoherentGenericData("generic m-values must be >= 0")
-        self._fill(m_values)
+        return super().__new__(cls, m_values)
 
     def _step(self, degree: int) -> int:
         """The index step from a character of the degree-``degree``

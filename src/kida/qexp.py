@@ -21,9 +21,10 @@ parser load ``arith`` when called; a count below 229 loads none.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
-from .errors import (BadReduction, BoundExceeded, MissingCoefficient, Record,
+from .errors import (BadReduction, BoundExceeded, MissingCoefficient,
                      SpecParseError)
 from .eta import DELTA, tau
 
@@ -32,16 +33,13 @@ EC_PRIME_BOUND = 100_000
 
 # -- elliptic curves over Q ---------------------------------------------
 
-class EllipticCurve(Record):
+class EllipticCurve(namedtuple("EllipticCurve", "a1 a2 a3 a4 a6",
+                               defaults=(0,) * 5)):
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
     a form of weight 2."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ()
     weight = 2
-
-    def __init__(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
-                 a6: int = 0):
-        self._fill(a1, a2, a3, a4, a6)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         b2 = self.a1 ** 2 + 4 * self.a2
@@ -262,15 +260,12 @@ def _count_bsgs(E: EllipticCurve, ell: int) -> int:
 
 # -- coefficient tables --------------------------------------------------
 
-class CoefficientTable(Record):
+class CoefficientTable(namedtuple("CoefficientTable", "weight level ap")):
     """A form of weight k >= 2 and level N >= 1 given by its eigenvalues
-    ``ap`` at primes; ``parse_table`` checks the weight and level, with
-    the header's line."""
+    ``ap`` at primes, a dict; ``parse_table`` checks the weight and level,
+    with the header's line."""
 
-    __slots__ = ("weight", "level", "ap")
-
-    def __init__(self, weight: int, level: int, ap: dict[int, int]):
-        self._fill(weight, level, ap)
+    __slots__ = ()
 
     def __hash__(self):
         return hash((self.weight, self.level,

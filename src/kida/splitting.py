@@ -42,11 +42,12 @@ in the pipeline only a ``ramified_set`` miss calls them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 from . import arith
 from .errors import (BoundExceeded, InternalAdditivityViolation,
-                     NotASubfield, NotPPower, Record, SpecParseError,
+                     NotASubfield, NotPPower, SpecParseError,
                      TameAtP)
 from .intlinalg import Lattice, subgroup_lattice
 
@@ -152,15 +153,12 @@ def relative_degree(F: AbelianField, Fp: AbelianField) -> int:
     return Fp.degree // F.degree
 
 
-class PlaceData(Record):
+class PlaceData(namedtuple("PlaceData", "ell e f g")):
     """Decomposition data of a rational prime in a finite abelian field:
     its ramification index e, residue degree f and number of places g,
     whose product e f g is the field's degree."""
 
-    __slots__ = ("ell", "e", "f", "g")
-
-    def __init__(self, ell: int, e: int, f: int, g: int):
-        self._fill(ell, e, f, g)
+    __slots__ = ()
 
 
 def _frobenius_residue(U: arith.UnitGroup, ell: int) -> int:
@@ -190,18 +188,15 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     return PlaceData(ell, F.degree // hi, hi // hd, hd)
 
 
-class TowerPlaceData(Record):
+class TowerPlaceData(namedtuple("TowerPlaceData",
+                                 "ell p g_layers g_infinity")):
     """Places above ell in the cyclotomic p-tower over a field.
 
     ``g_layers`` holds g_0, ..., g_s, g_(s + 1), where layer s, the first
     with ``g_infinity`` places, is ``g_layers.index(g_infinity)``.
     """
 
-    __slots__ = ("ell", "p", "g_layers", "g_infinity")
-
-    def __init__(self, ell: int, p: int, g_layers: tuple[int, ...],
-                 g_infinity: int):
-        self._fill(ell, p, g_layers, g_infinity)
+    __slots__ = ()
 
 
 def _tame_rows(U: arith.UnitGroup, p: int, a: int) -> list:
@@ -242,28 +237,22 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     return TowerPlaceData(ell, p, gs, gs[-1])
 
 
-class RamifiedPlace(Record):
+class RamifiedPlace(namedtuple("RamifiedPlace",
+                                "ell local_degree places f_prime_to_p")):
     """One prime-to-p prime ramified in the tower extension: its local
     degree [F'_{infty,w'} : F_{infty,w}], a p-power, the number of places
     of F'_infty above it, and the prime-to-p part f0 of its residue degree
     in F: Frobenius at ell in F_infty is the f0-th power of ell's."""
 
-    __slots__ = ("ell", "local_degree", "places", "f_prime_to_p")
-
-    def __init__(self, ell: int, local_degree: int, places: int,
-                 f_prime_to_p: int):
-        self._fill(ell, local_degree, places, f_prime_to_p)
+    __slots__ = ()
 
 
-class RamifiedSet(Record):
-    """The ramified places of a tower extension, its degree [F' : F] and
-    the pair reduced at p that they are read from."""
+class RamifiedSet(namedtuple("RamifiedSet", "entries degree base ext")):
+    """The ramified places of a tower extension (a tuple of
+    ``RamifiedPlace``), its degree [F' : F] and the pair reduced at p
+    that they are read from."""
 
-    __slots__ = ("entries", "degree", "base", "ext")
-
-    def __init__(self, entries: tuple[RamifiedPlace, ...], degree: int,
-                 base: AbelianField, ext: AbelianField):
-        self._fill(entries, degree, base, ext)
+    __slots__ = ()
 
 
 @lru_cache(maxsize=128)

@@ -21,9 +21,11 @@ the two steps' reports.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import arith, localfactor, splitting
 from .errors import (ChainMismatch, InternalAdditivityViolation,
-                     MissingLocalType, MuNonzero, NegativeLambda, Record,
+                     MissingLocalType, MuNonzero, NegativeLambda,
                      SpecParseError)
 
 KINDS = ("algebraic", "analytic", "plus", "minus")
@@ -51,41 +53,37 @@ HYPOTHESIS_NAMES = {
 }
 
 
-class InvariantRecord(Record):
+class InvariantRecord(namedtuple("InvariantRecord", "kind mu lam")):
     """(mu, lambda) of one kind; mu None means unknown."""
 
-    __slots__ = ("kind", "mu", "lam")
+    __slots__ = ()
 
-    def __init__(self, kind: str, mu: int | None, lam: int | None):
+    def __new__(cls, kind: str, mu: int | None, lam: int | None):
         if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+            raise SpecParseError(f"kind must be one of {KINDS}")
         if mu is not None and mu < 0:
-            raise ValueError("mu must be >= 0")
+            raise SpecParseError("mu must be >= 0")
         if mu != 0 and lam is not None:
-            raise ValueError("lambda is only defined when mu = 0")
+            raise SpecParseError("lambda is only defined when mu = 0")
         if mu == 0 and (lam is None or lam < 0):
-            raise ValueError("mu = 0 needs a lambda >= 0")
-        self._fill(kind, mu, lam)
+            raise SpecParseError("mu = 0 needs a lambda >= 0")
+        return super().__new__(cls, kind, mu, lam)
 
 
-class LocalFactorReport(Record):
+class LocalFactorReport(namedtuple("LocalFactorReport", (
+        "ell", "local_degree", "places", "m", "path", "local_type"))):
     """Per ramified prime: place count, local type and its price ``m``,
     ``localfactor.m_extension(local_type, local_degree)``.
 
     ``path`` is "table", "table(user)", "generic" or "composed".
     """
 
-    __slots__ = ("ell", "local_degree", "places", "m", "path", "local_type")
-
-    def __init__(self, ell: int, local_degree: int, places: int, m: int,
-                 path: str, local_type: object):
-        self._fill(ell, local_degree, places, m, path, local_type)
+    __slots__ = ()
 
     @property
     def h(self) -> int | None:
-        """The table value ``m``; None for generic data."""
-        return (None if isinstance(self.local_type, localfactor.Generic)
-                else self.m)
+        """The table value ``m``; None where the type's path is generic."""
+        return None if self.local_type.path == "generic" else self.m
 
     @property
     def type_spec(self) -> str:
@@ -96,22 +94,16 @@ class LocalFactorReport(Record):
         return self.places * self.m
 
 
-class TransitionReport(Record):
-    __slots__ = ("kind", "p", "form", "base_spec", "ext_spec", "base_field",
-                 "ext_field", "degree", "lambda_in", "lambda_out", "places",
-                 "hypotheses", "warnings")
-    mu_in = mu_out = 0      # the formula needs mu = 0 and gives mu = 0
+class TransitionReport(namedtuple("TransitionReport", (
+        "kind", "p", "form", "base_spec", "ext_spec", "base_field",
+        "ext_field", "degree", "lambda_in", "lambda_out", "places",
+        "hypotheses", "warnings"))):
+    """One transition: the reduced field pair, its degree, lambda in and
+    out, a ``LocalFactorReport`` per ramified prime, and the hypotheses
+    and warnings, each a tuple."""
 
-    def __init__(self, kind: str, p: int, form: str, base_spec: str,
-                 ext_spec: str, base_field: splitting.AbelianField,
-                 ext_field: splitting.AbelianField, degree: int,
-                 lambda_in: int, lambda_out: int,
-                 places: tuple[LocalFactorReport, ...],
-                 hypotheses: tuple[tuple[str, bool], ...],
-                 warnings: tuple[str, ...]):
-        self._fill(kind, p, form, base_spec, ext_spec, base_field, ext_field,
-                   degree, lambda_in, lambda_out, places, hypotheses,
-                   warnings)
+    __slots__ = ()
+    mu_in = mu_out = 0      # the formula needs mu = 0 and gives mu = 0
 
     def to_invariant_record(self) -> "InvariantRecord":
         """The transported invariants, as the next step's input."""
@@ -220,8 +212,7 @@ def transition(*, p: int,
         else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
             from .eta import local_type
             V = local_type(form, ell, p, entry.f_prime_to_p, precision)
-        path = ("generic" if isinstance(V, localfactor.Generic)
-                else "table(user)" if user else "table")
+        path = V.path + "(user)" if user and V.path == "table" else V.path
         places.append(LocalFactorReport(
             ell=ell, local_degree=entry.local_degree, places=entry.places,
             m=localfactor.m_extension(V, entry.local_degree), path=path,

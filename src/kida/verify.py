@@ -32,16 +32,13 @@ import sys
 from array import array
 from itertools import compress
 
-from .errors import BoundExceeded, KidaError, Record, SpecParseError
+from .errors import BoundExceeded, KidaError, SpecParseError
 
 
-class SuiteResult(Record):
-    """Outcome of one suite; mutable while the suite runs, so unhashable."""
+class SuiteResult:
+    """Outcome of one suite, filled in while the suite runs."""
 
     __slots__ = ("name", "params", "checks", "failures")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, name: str, params: dict, checks: int = 0,
                  failures: list[str] | None = None):

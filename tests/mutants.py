@@ -239,6 +239,21 @@ ROWS = [
       "test_a_given_prime_is_read_as_it_is"],
      "the grammar asks only whether a prime was given; that p is odd is "
      "checked where p enters, and the library reads ups:/generic: at 2"),
+    ("generic-priced-by-the-table", "localfactor.py",
+     'path, hv_fields = "generic", ()',
+     'path, hv_fields = "table", ()',
+     ["tests/test_cli.py::TestHv::test_generic_local_type",
+      "tests/test_cli.py::TestTransition::test_local_override_generic",
+      "tests/test_records.py::"
+      "test_place_report_equality_reads_its_local_type"],
+     "generic data is the user's values, not a table case: its report "
+     "path is generic and it prints no h line"),
+    ("ups-left-unreduced", "localfactor.py",
+     "return super().__new__(cls, a % p, c % p, p)",
+     "return super().__new__(cls, a, c, p)",
+     ["tests/test_records.py::test_normalisation_in_constructors"],
+     "Frobenius data is read mod p: ups:a=-1,c=16 at p = 5 is "
+     "ups:a=4,c=1, one type with one spec and one hash"),
     ("ramified-set-takes-any-p", "splitting.py",
      "    if p == 2 or not arith.is_prime(p):\n"
      "        raise ValueError(\"p must be an odd prime\")\n",

@@ -1043,6 +1043,8 @@ class TestTransition:
         assert code == 0
         doc = json.loads(out)
         assert doc["local.7.m"] == 4 and doc["lambda.out"] == 2 * 3 + 4
+        # generic data is priced by its own path, with no table value
+        assert doc["local.7.path"] == "generic" and "local.7.h" not in doc
 
     def test_json_and_kv_agree(self):
         args = ("transition", "--form", "delta", "--p", "11", "--base", "Q",

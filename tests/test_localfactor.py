@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,23 @@ def root_one_multiplicity(a, c, p):
             break
         coeffs, count = quotient, count + 1
     return count
+
+
+def test_no_module_switches_on_the_local_type():
+    # each type names its own rows, path and hv fields, so no isinstance
+    # (or issubclass) in src/kida asks which local type it holds
+    types = {"UnramifiedPS", "CharacterLines", "Generic", "LocalType"}
+    found = []
+    for path in sorted(Path(lf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")):
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for arg in node.args[1:] for n in ast.walk(arg)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if names & types:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

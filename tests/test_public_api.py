@@ -201,10 +201,6 @@ def test_allowed_names_exist_and_are_unused():
 # qualified name -> why it stays although no documented path runs it
 UNRUN = {
     "transition.compose": "perfbench transition-batch's compose step",
-    "errors.Record.__reduce__": "copy and pickle rebuild a record",
-    "errors.Record.__repr__": "a record's repr, which verify failure "
-                              "messages embed; a passing run prints none",
-    "errors.Record.__setattr__": "refuses assignment, which no caller makes",
     "qexp.CoefficientTable.__hash__": "a table hashes as a value although "
                                       "its ap is a dict",
     "splitting.AbelianField.__repr__": "a field's repr, for debugging",
@@ -250,19 +246,17 @@ UNREACHED = {
     "chargroup.multiplicity_trace: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.multiplicity_trace: SubgroupMismatch 2": _BUG,
     "chargroup.multiplicity_trace: SubgroupMismatch 3": _BUG,
-    "errors.Record.__setattr__: AttributeError 1":
-        "refuses assignment, which no caller makes",
     "eta._tau: InternalAdditivityViolation 1":
         "Ramanujan's identity makes the division by 756 exact; " + _BUG
         + "; tests/mutants.py's row tau-sum-off-by-one shows it fires",
     "intlinalg.Lattice.__init__: KidaError 1":
         "every lattice kida builds holds diag(d) Z^r, so has full rank",
-    "localfactor.CharacterLines.__init__: ValueError 1":
+    "localfactor.CharacterLines.__new__: ValueError 1":
         "the grammar gives at most two character lines",
-    "localfactor.Generic.__init__: IncoherentGenericData 1":
+    "localfactor.Generic.__new__: IncoherentGenericData 1":
         "the grammar refuses a generic: spec with no values first, as the "
         "hostile row hv --form generic: --p 3 --e 3 shows",
-    "localfactor.LocalCharData.__init__: ValueError 1":
+    "localfactor.LocalCharData.__new__: ValueError 1":
         "the grammar gives no order on inertia, the suites orders >= 2",
     "localfactor.LocalCharData.restricted: IncoherentGenericData 1":
         "only compose and the suites restrict types, and no surviving "
@@ -297,9 +291,9 @@ UNREACHED = {
     "splitting.tower_places: ValueError 1":
         "README's refusal of a field ramified at p, to library callers; "
         "ramified_set passes reduced fields",
-    "transition.InvariantRecord.__init__: ValueError 1":
+    "transition.InvariantRecord.__new__: SpecParseError 1":
         "--kind takes only the KINDS",
-    "transition.InvariantRecord.__init__: ValueError 3":
+    "transition.InvariantRecord.__new__: SpecParseError 3":
         "kida transition passes no lambda when mu != 0",
     "transition.compose: ChainMismatch 1": _COMPOSE,
     "transition.compose: ChainMismatch 2": _COMPOSE,

@@ -1,18 +1,24 @@
-"""Value semantics of the record classes built on ``errors.Record``.
+"""Value semantics of the record classes, each a ``collections.namedtuple``
+subclass with ``__slots__ = ()``.
 
 The expected reprs are the ``Name(field=value, ...)`` text the records
 have always printed (failure messages of the verify suites embed them).
+A record is a tuple: it equals a plain tuple of its values, so two
+classes whose values can coincide would compare equal.  The local types,
+which caches and ``transition.compose`` compare, never can.
 """
 
 import copy
+import importlib
 import pickle
 
 import pytest
 
+import kida
 from kida import eta, localfactor as lf, qexp
 from kida import splitting as sp
 from kida import transition as tr, verify
-from kida.errors import IncoherentGenericData, Record
+from kida.errors import IncoherentGenericData, SpecParseError
 
 RAM = lf.LocalCharData(True, True, False, 9)
 UNRAM = lf.LocalCharData(False, False)
@@ -73,23 +79,26 @@ CASES = {
         "('archimedean_rank_condition', True), "
         "('residual_invariants_vanish', True), "
         "('inertia_coinvariants_divisible', True)), warnings=())"),
-    "SuiteResult": (verify.SuiteResult("hasse", {"bound": 30}),
-                    "SuiteResult(name='hasse', params={'bound': 30}, "
-                    "checks=0, failures=[])"),
 }
-
-MUTABLE = {"SuiteResult"}
 
 
 def rebuilt(record):
     """The record's constructor called again on its own field values."""
-    return type(record)(*(getattr(record, name)
-                          for name in record.__slots__))
+    return type(record)(*(getattr(record, name) for name in record._fields))
 
 
 def test_every_record_class_is_covered():
-    classes = {cls.__name__ for cls in Record.__subclasses__()
-               if cls.__module__.startswith("kida.")}
+    classes = set()
+    for name in kida._SUBMODULES:
+        module = importlib.import_module(f"kida.{name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and issubclass(cls, tuple)
+                    and hasattr(cls, "_fields")
+                    and cls.__module__ == module.__name__):
+                # a namedtuple subclass that adds no instance dict
+                assert cls.__dict__.get("__slots__") == (), cls
+                assert cls.__base__.__bases__ == (tuple,), cls
+                classes.add(cls.__name__)
     assert classes == set(CASES)
 
 
@@ -102,27 +111,56 @@ def test_record_semantics(name):
     twin = rebuilt(record)
     assert twin is not record and twin == record and not twin != record
     assert copy.copy(record) == record
-    # equal values in another class are not equal
-    other = type("Other", (Record,), {"__slots__": record.__slots__})
-    stranger = other.__new__(other)
-    for slot in record.__slots__:
-        object.__setattr__(stranger, slot, getattr(record, slot))
-    assert record != stranger and stranger != record
+    # a stated decision: a record equals a plain tuple of its values
+    values = tuple(getattr(record, field) for field in record._fields)
+    assert record == values and values == record
     assert all(record != rec for key, (rec, _) in CASES.items()
                if key != name)
-    field = record.__slots__[0] if record.__slots__ else "anything"
-    if name in MUTABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-        twin.checks += 1
-        assert twin != record
-    else:
-        assert hash(twin) == hash(record)
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0)
-        with pytest.raises(AttributeError):
-            delattr(record, field)
-        assert record == twin      # unchanged
+    assert hash(twin) == hash(record)
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert record == twin      # unchanged
+
+
+def test_local_types_never_equal_each_other():
+    # UnramifiedPS has three fields and the other two one; Generic holds
+    # at least one int, CharacterLines only LocalCharData tuples.  So a
+    # twist_sum cache entry or compose's restricted type is never read
+    # for a type of another class.
+    assert [len(cls._fields) for cls in (lf.UnramifiedPS, lf.CharacterLines,
+                                         lf.Generic)] == [3, 1, 1]
+    types = [lf.UnramifiedPS(a, c, 3) for a in range(3) for c in range(3)]
+    types += [lf.parse_local_type(spec, 3) for spec in (
+        "sc", "special:unram,triv", "special:ram,triv,dies",
+        "ramps:unram,triv;ram,nontriv,survives", "generic:0",
+        "generic:1,0,0", "generic:2,1,1,0,0,0,0,0,0")]
+    for x in types:
+        for y in types:
+            if type(x) is not type(y):
+                assert x != y and y != x
+    with pytest.raises(IncoherentGenericData):
+        lf.Generic(())
+
+
+def test_suite_result_is_mutable_with_fixed_fields():
+    res = verify.SuiteResult("hasse", {"bound": 30})
+    assert not hasattr(res, "__dict__")
+    res.checks += 1
+    res.fail("counterexample")
+    assert (res.name, res.params, res.checks, res.failures) == (
+        "hasse", {"bound": 30}, 1, ["counterexample"])
+    assert not res.passed
+    with pytest.raises(AttributeError):
+        res.other = 0
+
+
+def test_output_mappings_hold_no_record():
+    # json.dumps would print a record as a list, where it once refused it
+    mapping = ALG.as_mapping()
+    assert {type(value) for value in mapping.values()} <= {bool, int, str}
 
 
 @pytest.mark.parametrize("name", ["CharacterLines", "Generic",
@@ -180,7 +218,7 @@ def test_constructor_validation():
         lf.Generic((1, -1, 0))
     with pytest.raises(ValueError):     # V is two-dimensional
         lf.CharacterLines((UNRAM, UNRAM, UNRAM))
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecParseError):
         tr.InvariantRecord("algebraic", 1, 3)
     with pytest.raises(TypeError):
         sp.PlaceData(2, 1, 1)

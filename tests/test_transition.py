@@ -11,7 +11,8 @@ from characters import DirichletGroup, spanning_subset
 from kida import localfactor as lf
 from kida import eta, qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, InternalAdditivityViolation,
-                         MissingLocalType, MuNonzero, NegativeLambda, TameAtP)
+                         MissingLocalType, MuNonzero, NegativeLambda,
+                         SpecParseError, TameAtP)
 from test_splitting import layer_place_count
 
 DELTA = eta.DELTA
@@ -23,17 +24,17 @@ BASE_ALG = tr.InvariantRecord("algebraic", 0, 1)
 
 class TestInvariantRecord:
     def test_lambda_requires_mu_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecParseError):
             tr.InvariantRecord("algebraic", 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecParseError):
             tr.InvariantRecord("algebraic", None, 3)
 
     def test_mu_zero_requires_lambda(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecParseError):
             tr.InvariantRecord("algebraic", 0, None)
 
     def test_kinds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecParseError):
             tr.InvariantRecord("spectral", 0, 1)
 
 
@@ -300,12 +301,6 @@ def chain_7_109():
     return r_ab, r_bc
 
 
-def replaced(record, **fields):
-    """``record`` rebuilt with some of its fields changed."""
-    return type(record)(**{name: fields.get(name, getattr(record, name))
-                           for name in record.__slots__})
-
-
 class TestCompose:
     def test_synthetic_generic_chain(self):
         r_ab, r_bc, direct = synthetic_chain()
@@ -400,7 +395,7 @@ class TestCompose:
         # of the composite at m = 4 against 3 x (1 place at m = 5)
         r_ab, r_bc = chain_7_109()
         (place,) = r_ab.places
-        bad = replaced(r_ab, places=(replaced(place, m=place.m + 1),))
+        bad = r_ab._replace(places=(place._replace(m=place.m + 1),))
         with pytest.raises(InternalAdditivityViolation,
                            match="fails at 7: 12 != 15"):
             tr.compose(bad, r_bc)
@@ -408,7 +403,7 @@ class TestCompose:
     def test_a_wrong_chained_lambda_is_refused(self):
         r_ab, r_bc = chain_7_109()
         assert tr.compose(r_ab, r_bc).lambda_out == r_bc.lambda_out == 129
-        bad = replaced(r_bc, lambda_out=r_bc.lambda_out + 1)
+        bad = r_bc._replace(lambda_out=r_bc.lambda_out + 1)
         with pytest.raises(InternalAdditivityViolation,
                            match="composite lambda 129 != chained lambda 130"):
             tr.compose(r_ab, bad)
