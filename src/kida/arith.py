@@ -30,10 +30,10 @@ _INPUT_BOUND = 10 ** 12
 
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, ascending primes;
-    BoundExceeded past FACTOR_BOUND.  The check n >= 1 is the one for every
-    modulus kida builds a unit group of: the loop would not end at 0."""
+    ZeroInput below 1, the check for every modulus kida builds a unit group
+    of (the loop would not end at 0), and BoundExceeded past FACTOR_BOUND."""
     if n < 1:
-        raise ValueError("factor() needs n >= 1")
+        raise ZeroInput("factor() needs n >= 1")
     if n > FACTOR_BOUND:
         raise BoundExceeded(f"{n} beyond the trial-division bound 10^14")
     return list(_factor(n))
@@ -85,11 +85,11 @@ def require_prime(name: str, n: int, odd: bool = False):
 
 
 def padic_val(n: int, p: int) -> int:
-    """Largest t with p^t | n; rejects n = 0."""
+    """Largest t with p^t | n; ZeroInput for n = 0 or p < 2 (endless loops)."""
     if n == 0:
         raise ZeroInput("valuation of 0 is undefined")
     if p < 2:
-        raise ValueError("p must be a prime >= 2")
+        raise ZeroInput("p must be a prime >= 2")
     n = abs(n)
     t = 0
     while n % p == 0:
@@ -99,13 +99,13 @@ def padic_val(n: int, p: int) -> int:
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:
-    """Solve x = residues[i] mod moduli[i] for pairwise coprime moduli."""
+    """Solve x = residues[i] mod moduli[i]; NotAUnit unless coprime."""
     x, m = 0, 1
     for r, q in zip(residues, moduli):
         try:
             inv = pow(m, -1, q)
         except ValueError:
-            raise ValueError("moduli not coprime") from None
+            raise NotAUnit("moduli not coprime") from None
         t = ((r - x) * inv) % q
         x += m * t
         m *= q

@@ -1,14 +1,15 @@
 """Exception classes and the ``key=<int>`` list parser shared across the
 package.
 
-Every documented failure mode has its own class so callers can dispatch
-on type rather than on message text, and each class carries the exit code
-the CLI returns for it.
+Every library refusal is one of these classes, each documented failure
+mode its own, so callers can dispatch on type rather than on message text;
+each class carries the exit code the CLI returns for it.
 """
 
 
 class KidaError(Exception):
-    """Base class for all library errors; a domain error unless marked."""
+    """Base class for all library errors, raised itself where no subclass
+    fits (as by ``tower_places``); a domain error unless marked."""
 
     exit_code = 2
 
@@ -16,11 +17,11 @@ class KidaError(Exception):
 # -- arith -------------------------------------------------------------
 
 class NotAUnit(KidaError):
-    """Residue is not invertible modulo its modulus."""
+    """Residue is not invertible modulo its modulus; crt moduli not coprime."""
 
 
 class ZeroInput(KidaError):
-    """p-adic valuation of zero requested."""
+    """Valuation of 0 or to a base < 2, or factor() below 1: endless loops."""
 
 
 # -- chargroup ---------------------------------------------------------
@@ -81,7 +82,7 @@ class TameAtP(KidaError):
 # -- localfactor -------------------------------------------------------
 
 class IncoherentGenericData(KidaError):
-    """Generic per-character values incompatible with the requested tower."""
+    """Generic values incompatible with the tower, or unnested degrees."""
 
 
 # -- transition --------------------------------------------------------
@@ -113,7 +114,7 @@ class NegativeLambda(KidaError):
 # -- cli / input grammars ---------------------------------------------
 
 class SpecParseError(KidaError):
-    """Malformed field, form, or local-type input string."""
+    """Malformed field, form, or local-type input, as a string or as values."""
 
     exit_code = 3
 

@@ -66,7 +66,8 @@ class LocalCharData(namedtuple("LocalCharData", (
         if not ramified:
             becomes_unramified_over_extension, order_on_inertia = True, 1
         elif order_on_inertia is not None and order_on_inertia < 2:
-            raise ValueError("ramified character needs order > 1 on inertia")
+            raise SpecParseError(
+                "ramified character needs order > 1 on inertia")
         return super().__new__(cls, ramified, trivial_mod_p,
                                becomes_unramified_over_extension,
                                order_on_inertia)
@@ -135,7 +136,7 @@ class CharacterLines(namedtuple("CharacterLines", "chars")):
 
     def __new__(cls, chars: tuple[LocalCharData, ...]):
         if len(chars) > 2:
-            raise ValueError("V has at most two character lines")
+            raise SpecParseError("V has at most two character lines")
         return super().__new__(cls, chars)
 
     def _rows(self, e: int) -> list[tuple[str, int]]:
@@ -254,7 +255,7 @@ def m_extension(V: LocalType, local_degree: int) -> int:
     sum of V's h-table rows, in O(1) for every type but generic data,
     whose one row sums the user's values."""
     if local_degree < 1:
-        raise ValueError("local degree must be >= 1")
+        raise SpecParseError("local degree must be >= 1")
     return sum(value for _, value in V._rows(local_degree))
 
 
@@ -285,7 +286,9 @@ def m_single(V: LocalType, degree: int, exponent: int) -> int:
     """m(V_chi) for the twist chi of exponent ``exponent`` mod ``degree``:
     multiplicity of the trivial representation in the Galois invariants
     of the inertia coinvariants of the twist, the user's value for
-    generic data."""
+    generic data; the check of the degree for ``twist_sum``."""
+    if degree < 1:
+        raise SpecParseError("local degree must be >= 1")
     return V._twist(degree, exponent % degree)
 
 
@@ -294,8 +297,6 @@ def twist_sum(V: LocalType, local_degree: int) -> int:
     """m(L'/L, V) = sum over the local_degree twist exponents j of
     (m(V) - m(V_chi_j)), one ``m_single`` per twist: O(local_degree), the
     oracle the suites hold ``m_extension`` to."""
-    if local_degree < 1:
-        raise ValueError("local degree must be >= 1")
     base = m_single(V, local_degree, 0)
     return sum(base - m_single(V, local_degree, j)
                for j in range(local_degree))
@@ -309,6 +310,8 @@ def restrict_type(V: LocalType, degree: int) -> LocalType:
     order (a supercuspidal type has none, so stays supercuspidal), and
     generic data restricts through its character-multiset model.
     """
+    if degree < 1:
+        raise SpecParseError("local degree must be >= 1")
     return V if degree == 1 else V._restricted(degree)
 
 
@@ -320,12 +323,12 @@ def check_tower_additivity(V: LocalType, inner_degree: int,
 
     Returns (lhs == rhs, lhs, rhs).
     """
+    inner = twist_sum(V, inner_degree)     # m_single refuses a degree < 1
     if outer_degree % inner_degree:
-        raise ValueError("chain degrees must be nested")
-    lhs = twist_sum(V, outer_degree)
+        raise IncoherentGenericData("chain degrees must be nested")
     step = outer_degree // inner_degree
-    rhs = step * twist_sum(V, inner_degree) + twist_sum(
-        restrict_type(V, inner_degree), step)
+    lhs = twist_sum(V, outer_degree)
+    rhs = step * inner + twist_sum(restrict_type(V, inner_degree), step)
     return lhs == rhs, lhs, rhs
 
 

@@ -46,9 +46,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import arith
-from .errors import (BoundExceeded, InternalAdditivityViolation,
-                     NotASubfield, NotPPower, SpecParseError,
-                     TameAtP)
+from .errors import (BoundExceeded, InternalAdditivityViolation, KidaError,
+                     NotASubfield, NotPPower, SpecParseError, TameAtP)
 from .intlinalg import Lattice, subgroup_lattice
 
 
@@ -59,8 +58,10 @@ class AbelianField:
     residues mod M that are not 1.  ``basis``, when given, is trusted to
     be H's HNF basis in (Z/N)^*'s invariant-factor basis, N the conductor;
     it spares the discrete logs, the HNF and the conductor test.  The
-    conductor must be >= 1: ``arith.factor`` refuses any other (ValueError),
-    and ``parse_field_spec`` first, with a typed error.
+    conductor must be >= 1: ``arith.factor`` refuses any other (ZeroInput),
+    and ``parse_field_spec`` first.  A generator that is not a unit is
+    refused as written (SpecParseError).  ``degree``, [F : Q], is the
+    index of H in the unit group.
 
     So ``==`` means "same field": the degree-11 subfields of Q(zeta_46)
     and Q(zeta_23) are both presented at 23, and equal.
@@ -68,10 +69,11 @@ class AbelianField:
 
     def __init__(self, conductor: int, subgroup_gens=(), basis=None):
         U = arith.unit_group(conductor)
-        gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
-        for g in gens:
+        for g in subgroup_gens:
             if math.gcd(g, conductor) != 1:
-                raise ValueError(f"subgroup generator {g} not a unit mod {conductor}")
+                raise SpecParseError(
+                    f"subgroup generator {g} not a unit mod {conductor}")
+        gens = sorted({g % conductor for g in subgroup_gens}) if conductor > 1 else []
         if basis is None:
             lattice = subgroup_lattice([U.log(g) for g in gens],
                                        U.invariant_factors)
@@ -83,6 +85,7 @@ class AbelianField:
             lattice = Lattice([list(r) for r in basis], U.rank, hermite=True)
         self.conductor, self.subgroup_gens, self._lattice = (
             conductor, tuple(gens), lattice)
+        self.degree = lattice.det()
         self._key = (conductor, tuple(map(tuple, lattice.basis)))
 
     def __eq__(self, other):
@@ -97,11 +100,6 @@ class AbelianField:
     def unit_group(self) -> arith.UnitGroup:
         """(Z/conductor)^*, from ``arith.unit_group``'s cache."""
         return arith.unit_group(self.conductor)
-
-    @property
-    def degree(self) -> int:
-        """[F : Q] = index of H in the unit group."""
-        return self._lattice.det()
 
     def spec_string(self) -> str:
         if self.degree == 1:
@@ -177,10 +175,10 @@ def efg(F: AbelianField, ell: int) -> PlaceData:
     number of places g = [U : HD] of ell in F, with I the ell-part of U
     and D = I <Frob>: indices of Hermite lattices, of product [U : H].
 
-    ell must be prime, and this is where that is checked (ValueError): every
-    function here that takes an ell calls efg before it reads ell."""
-    if not arith.is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    ell must be prime, and this is where it is checked, by
+    ``arith.require_prime``: every function here that takes an ell calls
+    efg before it reads ell."""
+    arith.require_prime("ell", ell)
     U, L_H = F.unit_group, F._lattice
     L_HI = Lattice(L_H.basis + list(U.local_coordinates(ell)), U.rank)
     L_HD = Lattice(L_HI.basis + [U.log(_frobenius_residue(U, ell))], U.rank)
@@ -217,8 +215,8 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     layer k - 1 (Washington, Introduction to Cyclotomic Fields, section
     13): Gal(F_inf/F) = 1 + p Z_p, and the decomposition group of a place
     over ell is topologically generated by <ell>^f, which generates
-    1 + p^k Z_p.  A field ramified at p is refused: count the tower of its
-    ``unramified_at_p_reduction``.
+    1 + p^k Z_p.  A field ramified at p is refused (KidaError): count the
+    tower of its ``unramified_at_p_reduction``.
 
     p must be an odd prime, which ``ramified_set`` checks, and ell a prime
     other than p: ``efg`` checks that ell is prime before the valuation
@@ -226,8 +224,8 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     only the primes of a conductor prime to p.
     """
     if F.conductor % p == 0:
-        raise ValueError(f"{F.spec_string()} is ramified at {p}: count the "
-                         f"tower of its unramified_at_p_reduction")
+        raise KidaError(f"{F.spec_string()} is ramified at {p}: count the "
+                        f"tower of its unramified_at_p_reduction")
     place = efg(F, ell)
     k = 1
     while pow(ell, p - 1, p ** (k + 1)) == 1:
@@ -269,12 +267,12 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     local degree is e_ell(F'/F) and every place above a ramified ell is
     (totally) ramified.
 
-    This is where the library checks that p is an odd prime (ValueError),
-    for ``unramified_at_p_reduction`` and ``tower_places`` too; ``kida
-    transition`` checks ``--p`` before it, with ``arith.require_prime``.
+    This is where the library checks that p is an odd prime, with
+    ``arith.require_prime``, for ``unramified_at_p_reduction`` and
+    ``tower_places`` too; ``kida transition`` checks ``--p`` the same way
+    before it.
     """
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError("p must be an odd prime")
+    arith.require_prime("p", p, odd=True)
     for field in (F, Fp):
         a = arith.padic_val(field.conductor, p)
         if a and not field._lattice.contains(
@@ -400,8 +398,5 @@ def parse_field_spec(spec: str) -> AbelianField:
             gens = tuple(int(x) for x in tail.split(",") if x != "")
         except ValueError:
             raise SpecParseError(f"bad generator list in {spec!r}")
-        try:
-            return AbelianField(N, gens)
-        except ValueError as exc:
-            raise SpecParseError(str(exc))
+        return AbelianField(N, gens)
     raise SpecParseError(f"bad field spec {spec!r}")

@@ -223,8 +223,7 @@ ROWS = [
      "the formula prices places away from p, and hv's check is the only "
      "one: Frobenius data at ell = p is a number, not a local type"),
     ("efg-takes-any-ell", "splitting.py",
-     "    if not arith.is_prime(ell):\n"
-     "        raise ValueError(f\"{ell} is not prime\")\n",
+     "    arith.require_prime(\"ell\", ell)\n",
      "",
      ["tests/test_splitting.py::TestPresentationCaches::"
       "test_errors_raise_on_every_call",
@@ -255,13 +254,22 @@ ROWS = [
      "Frobenius data is read mod p: ups:a=-1,c=16 at p = 5 is "
      "ups:a=4,c=1, one type with one spec and one hash"),
     ("ramified-set-takes-any-p", "splitting.py",
-     "    if p == 2 or not arith.is_prime(p):\n"
-     "        raise ValueError(\"p must be an odd prime\")\n",
+     "    arith.require_prime(\"p\", p, odd=True)\n",
      "",
      ["tests/test_splitting.py::TestRamifiedSetCache::"
       "test_errors_raise_on_every_call"],
      "ramified_set is the library's one check that p is an odd prime, "
      "for the reduction and the place counts it calls"),
+    ("generators-checked-reduced", "splitting.py",
+     "        for g in subgroup_gens:\n",
+     "        for g in sorted({g % conductor for g in subgroup_gens}):\n",
+     ["tests/test_cli.py::test_bad_input_is_a_typed_error"
+      "[transition --form delta --base Q --ext cyclotomic:7:gens=7 "
+      "--lambda 1 --mu 0 --p 11]",
+      "tests/test_public_api.py::test_each_guard_refuses_with_its_class"
+      "[generators-10-3-mod-15]"],
+     "a generator is refused as the user wrote it; checked after the "
+     "reduction mod N, gens=7 at N = 7 is named as the residue 0"),
 ]
 
 

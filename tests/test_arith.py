@@ -55,7 +55,7 @@ class TestFactor:
             assert fac == trial_division_oracle(n)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroInput, match="factor"):
             arith.factor(0)
 
 
@@ -163,7 +163,7 @@ class TestCrt:
         assert arith.crt([5, 0], [7, 1]) == 5
 
     def test_rejects_common_factor(self):
-        with pytest.raises(ValueError, match="moduli not coprime"):
+        with pytest.raises(NotAUnit, match="moduli not coprime"):
             arith.crt([1, 2], [6, 9])
 
 

@@ -195,6 +195,9 @@ MALFORMED = {
     transition_ext("cyclotomic:7:degree=0"): "degree must be >= 1",
     transition_ext("cyclotomic:14:gens=7"):
         "subgroup generator 7 not a unit mod 14",
+    # named as written, not as its residue 0
+    transition_ext("cyclotomic:7:gens=7"):
+        "subgroup generator 7 not a unit mod 7",
     TRANSITION_23_LOCAL + ("23",): "bad --local '23'; use ell=typespec",
     TRANSITION_23_LOCAL + ("x=sc",): "bad prime in --local 'x=sc'",
     transition_ext("cyclotomic:23"): "bad field spec 'cyclotomic:23'",

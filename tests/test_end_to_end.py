@@ -14,7 +14,7 @@ import pytest
 
 from kida import arith, eta, localfactor as lf, qexp, splitting as sp, \
     transition as tr
-from kida.errors import MissingCoefficient, RamifiedLevel
+from kida.errors import MissingCoefficient, RamifiedLevel, SpecParseError
 
 Q = sp.rationals()
 
@@ -173,9 +173,9 @@ class TestEvenConductorFields:
         # ramified_set is transition's first call and checks p for the
         # splitting functions it calls
         F8 = sp.AbelianField(8, (7,))
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(SpecParseError, match="p 2 is not an odd prime"):
             sp.ramified_set(Q, F8, 2)
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(SpecParseError, match="p 2 is not an odd prime"):
             tr.transition(p=2, base_field=Q, ext_field=F8,
                           base=tr.InvariantRecord("algebraic", 0, 1),
                           local_types={})

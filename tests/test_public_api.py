@@ -1,6 +1,8 @@
 """Every public name in src/kida is used by the package itself, every
 function in it runs on a documented path, and every ``raise`` in it is
-reached on one, or listed with the reason it is not.
+reached on one, or listed with the reason it is not.  Every ``raise``
+names a ``kida.errors`` class, and each library guard refuses with its
+class and message.
 
 A public module-level name or method that only the tests reach is either
 deleted or listed in ALLOWED with the reason it stays.  Uses are read from
@@ -29,6 +31,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from kida import arith, errors, localfactor as lf, splitting as sp
 from test_cli import HOSTILE_INPUTS, USAGE_ERRORS, with_files
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,14 +224,14 @@ UNREACHED = {
     "arith.UnitGroup.log: NotAUnit 1":
         "kida logs units only: AbelianField refuses a generator that is "
         "not one first, and a Frobenius residue is prime to the modulus",
-    "arith.crt: ValueError 1":
+    "arith.crt: NotAUnit 1":
         "kida joins the coprime prime powers of one modulus",
-    "arith.factor: ValueError 1":
+    "arith.factor: ZeroInput 1":
         "the library's check of N >= 1 (the loop would not end at 0); the "
         "grammar and the flags refuse a conductor or a number below 1 first",
-    "arith.padic_val: ValueError 1": "kida passes a prime p, checked at entry",
     "arith.padic_val: ZeroInput 1":
         "kida takes valuations of conductors and degrees, all at least 1",
+    "arith.padic_val: ZeroInput 2": "kida passes a prime p, checked at entry",
     "chargroup.RepMultiset.__init__: SubgroupMismatch 1":
         "random_rep draws multiplicities >= 0",
     "chargroup.Subgroup.__init__: SubgroupMismatch 1":
@@ -251,22 +256,26 @@ UNREACHED = {
         + "; tests/mutants.py's row tau-sum-off-by-one shows it fires",
     "intlinalg.Lattice.__init__: KidaError 1":
         "every lattice kida builds holds diag(d) Z^r, so has full rank",
-    "localfactor.CharacterLines.__new__: ValueError 1":
+    "localfactor.CharacterLines.__new__: SpecParseError 1":
         "the grammar gives at most two character lines",
     "localfactor.Generic.__new__: IncoherentGenericData 1":
         "the grammar refuses a generic: spec with no values first, as the "
         "hostile row hv --form generic: --p 3 --e 3 shows",
-    "localfactor.LocalCharData.__new__: ValueError 1":
+    "localfactor.LocalCharData.__new__: SpecParseError 1":
         "the grammar gives no order on inertia, the suites orders >= 2",
     "localfactor.LocalCharData.restricted: IncoherentGenericData 1":
         "only compose and the suites restrict types, and no surviving "
         "character they restrict lacks an order",
-    "localfactor.check_tower_additivity: ValueError 1":
+    "localfactor.check_tower_additivity: IncoherentGenericData 1":
         "the suites give nested degrees",
-    "localfactor.m_extension: ValueError 1":
+    "localfactor.m_extension: SpecParseError 1":
         "the library's check of a local degree >= 1; hv refuses --e < 1 "
         "first, and a ramification index is at least 1",
-    "localfactor.twist_sum: ValueError 1": "the suites give degrees >= 1",
+    "localfactor.m_single: SpecParseError 1":
+        "the library's check of a degree >= 1 for twist_sum and the "
+        "chains; the suites give degrees >= 1",
+    "localfactor.restrict_type: SpecParseError 1":
+        "compose and the suites restrict by local degrees, each >= 1",
     "qexp.EllipticCurve.count_points: BadReduction 1":
         "callers pass only primes off the level, which holds every prime "
         "of the discriminant; kept for minimal models, whose level can "
@@ -276,19 +285,13 @@ UNREACHED = {
     "qexp._hasse_multiples: BoundExceeded 1":
         "Hasse: the interval holds the order of the group, a multiple of "
         "the point's",
-    "splitting.efg: ValueError 1":
-        "the library's check that ell is prime; the flags' require_prime "
-        "and arith.factor give primes",
     "splitting.ramified_set: InternalAdditivityViolation 1":
         "the reduction at p, " + _BUG + "; tests/mutants.py's row "
         "extension-left-unreduced shows it fires",
     "splitting.ramified_set: InternalAdditivityViolation 2":
         "e in the base divides e in the extension, " + _BUG + "; "
         "tests/mutants.py's row ramification-fields-swapped shows it fires",
-    "splitting.ramified_set: ValueError 1":
-        "the library's check that p is an odd prime; the CLI's "
-        "require_prime refuses --p first",
-    "splitting.tower_places: ValueError 1":
+    "splitting.tower_places: KidaError 1":
         "README's refusal of a field ramified at p, to library callers; "
         "ramified_set passes reduced fields",
     "transition.InvariantRecord.__new__: SpecParseError 1":
@@ -480,3 +483,95 @@ def test_every_function_runs_on_a_documented_path(tmp_path):
     # so is a raise no documented path reaches, in UNREACHED
     assert sorted(unreached - set(UNREACHED)) == []
     assert sorted(set(UNREACHED) - unreached) == []
+
+
+# keys of the raises (see _definitions) that name no kida.errors class:
+# PEP 562 has a module's __getattr__ raise AttributeError, and
+# cli._cast's ValueError, the class int() raises too, is the parser's
+# control flow, which both its callers catch
+NOT_KIDA_ERRORS = {"__init__.__getattr__: AttributeError 1",
+                   "cli._cast: ValueError 1"}
+
+
+def test_every_raise_names_a_kida_error():
+    kida_errors = {name for name, value in vars(errors).items()
+                   if isinstance(value, type)
+                   and issubclass(value, errors.KidaError)}
+    # raise type(exc)(...) inside ``except C as exc`` raises a C again
+    again = set()
+    for path in sorted(SRC.glob("*.py")):
+        for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(handler, ast.ExceptHandler) and handler.name
+                    and ast.unparse(handler.type) in kida_errors):
+                again.update(
+                    (str(path), node.lineno) for node in ast.walk(handler)
+                    if isinstance(node, ast.Raise)
+                    and ast.unparse(node.exc).startswith(
+                        f"type({handler.name})("))
+    _, raises = _definitions()
+    keys = {key for where, (key, _) in raises.items() if where not in again}
+    named = {key for key in keys
+             if key.split(": ")[1].rsplit(" ", 1)[0] in kida_errors}
+    assert sorted(keys - named - NOT_KIDA_ERRORS) == []
+    # an exemption whose raise is gone, or now names a class, leaves
+    assert sorted(NOT_KIDA_ERRORS - (keys - named)) == []
+
+
+SC, UNRAM = lf.CharacterLines(()), lf.LocalCharData(False, True)
+DEGREE = (errors.SpecParseError, "local degree must be >= 1")
+# each library guard: a call it refuses, the class and the message
+GUARDS = {
+    "factor-0": (lambda: arith.factor(0), errors.ZeroInput,
+                 "factor() needs n >= 1"),
+    "padic-val-base-1": (lambda: arith.padic_val(4, 1), errors.ZeroInput,
+                         "p must be a prime >= 2"),
+    "crt-not-coprime": (lambda: arith.crt([1, 2], [6, 9]), errors.NotAUnit,
+                        "moduli not coprime"),
+    "order-1-on-inertia": (lambda: lf.LocalCharData(True, True, True, 1),
+                           errors.SpecParseError,
+                           "ramified character needs order > 1 on inertia"),
+    "three-lines": (lambda: lf.CharacterLines((UNRAM,) * 3),
+                    errors.SpecParseError,
+                    "V has at most two character lines"),
+    "m-extension-0": (lambda: lf.m_extension(SC, 0), *DEGREE),
+    "twist-sum-0": (lambda: lf.twist_sum(SC, 0), *DEGREE),
+    "m-single-0": (lambda: lf.m_single(SC, 0, 0), *DEGREE),
+    "chain-inner-0": (lambda: lf.check_tower_additivity(SC, 0, 3), *DEGREE),
+    "chain-not-nested": (lambda: lf.check_tower_additivity(SC, 2, 3),
+                         errors.IncoherentGenericData,
+                         "chain degrees must be nested"),
+    "restrict-generic-0": (lambda: lf.restrict_type(lf.Generic((1, 0, 0)), 0),
+                           *DEGREE),
+    **{f"restrict-surviving-line-{d}": (
+        lambda d=d: lf.restrict_type(lf.CharacterLines(
+            (lf.LocalCharData(True, True, False, 3),)), d), *DEGREE)
+       for d in (0, -3)},
+    # a generator is named as written, the first bad one first
+    "generator-7-mod-7": (lambda: sp.AbelianField(7, (7,)),
+                          errors.SpecParseError,
+                          "subgroup generator 7 not a unit mod 7"),
+    "generators-10-3-mod-15": (lambda: sp.AbelianField(15, (10, 3)),
+                               errors.SpecParseError,
+                               "subgroup generator 10 not a unit mod 15"),
+    "efg-ell-4": (lambda: sp.efg(sp.rationals(), 4), errors.SpecParseError,
+                  "ell 4 is not prime"),
+    "efg-ell-past-bound": (lambda: sp.efg(sp.rationals(), 10 ** 12 + 39),
+                           errors.BoundExceeded,
+                           "ell 1000000000039 beyond bound 1000000000000"),
+    "ramified-set-p-9": (lambda: sp.ramified_set(sp.rationals(),
+                                                 sp.rationals(), 9),
+                         errors.SpecParseError, "p 9 is not an odd prime"),
+    "tower-places-ramified": (
+        lambda: sp.tower_places(sp.AbelianField(11), 23, 11),
+        errors.KidaError, "cyclotomic:11:gens= is ramified at 11: count the "
+        "tower of its unramified_at_p_reduction"),
+}
+
+
+@pytest.mark.parametrize("call, cls, message", GUARDS.values(),
+                         ids=list(GUARDS))
+def test_each_guard_refuses_with_its_class(call, cls, message):
+    with pytest.raises(errors.KidaError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message

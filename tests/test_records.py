@@ -209,14 +209,14 @@ def test_local_char_data_defaults():
     assert ram.order_on_inertia is None
     assert lf.LocalCharData(ramified=True, trivial_mod_p=True,
                             order_on_inertia=3).order_on_inertia == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecParseError, match="order > 1 on inertia"):
         lf.LocalCharData(True, True, True, 1)
 
 
 def test_constructor_validation():
     with pytest.raises(IncoherentGenericData):
         lf.Generic((1, -1, 0))
-    with pytest.raises(ValueError):     # V is two-dimensional
+    with pytest.raises(SpecParseError):     # V is two-dimensional
         lf.CharacterLines((UNRAM, UNRAM, UNRAM))
     with pytest.raises(SpecParseError):
         tr.InvariantRecord("algebraic", 1, 3)
