@@ -5,7 +5,8 @@ with ``--json`` canonical JSON of the same record.  ``COMMANDS`` holds
 each command's handler, help line and options: ``parse_args`` reads argv
 from it, and ``_apply_config`` a config file of defaults keyed by the
 long flags' names.  ``main`` reads KIDA_PRECISION, the series precision
-budget, before any command runs.  Exit codes (README lists each case):
+budget, before any command runs; ``tau`` spends it, and ``delta`` in a
+form spec carries it.  Exit codes (README lists each case):
 0 success; 1 property violation; 2 usage errors; and a ``KidaError``'s
 ``exit_code``: 2 domain errors, 3 malformed input, 4 missing local data
 in a transition.
@@ -96,13 +97,13 @@ def _apply_config(args):
 
 
 def parse_form_spec(spec: str):
-    """The form (``eta.DELTA``, a curve or a table) of ``delta`` |
-    ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` | ``table:<path>``; only a curve
-    or a table loads ``qexp``."""
+    """The form (``eta.Delta`` at the KIDA_PRECISION budget, a curve or a
+    table) of ``delta`` | ``ec:a1=..,a2=..,a3=..,a4=..,a6=..`` |
+    ``table:<path>``; only a curve or a table loads ``qexp``."""
     s = spec.strip()
     if s == "delta":
-        from .eta import DELTA
-        return DELTA
+        from .eta import Delta
+        return Delta(_precision())
     if s.startswith("ec:"):
         from .qexp import EllipticCurve
         curve = EllipticCurve(**parse_int_fields(
@@ -177,7 +178,7 @@ def cmd_hv(args) -> int:
         if args.ell == args.p:
             raise SpecParseError("--ell must differ from --p")
         from .eta import local_type
-        V = local_type(form, args.ell, args.p, precision=args.precision)
+        V = local_type(form, args.ell, args.p)
         record.update(form=form.describe(), ell=args.ell)
     if args.e is not None:
         e = args.e
@@ -219,8 +220,7 @@ def cmd_transition(args) -> int:
     report = transition(
         p=args.p, base_field=base_field, ext_field=ext_field, base=base,
         form=form, local_types=overrides,
-        assert_hypotheses=bool(args.assert_hypotheses),
-        precision=args.precision)
+        assert_hypotheses=bool(args.assert_hypotheses))
     print(_render(report.as_mapping(), args.json))
     return 0
 

@@ -1,6 +1,8 @@
 """Delta, the eta-product, and the Frobenius data of any form.
 
-``DELTA`` is the weight-12 level-1 cusp form eta(q)^24 = sum tau(n) q^n.
+``Delta`` is the weight-12 level-1 cusp form eta(q)^24 = sum tau(n) q^n,
+a value that carries its series budget, ``precision``: its a_ell is
+tau(ell) within that budget.  ``DELTA`` is Delta at the default budget.
 tau(n) comes from Ramanujan's identity (1916), the coefficients of
 E_6^2 = E_12 - (762048/691) Delta in M_12(SL_2(Z)) (Serre, *A Course in
 Arithmetic*, VII.3): 756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n) - 691 *
@@ -8,20 +10,21 @@ Arithmetic*, VII.3): 756 tau(n) = 65 sigma_11(n) + 691 sigma_5(n) - 691 *
 sigma_5.
 
 ``frobenius_data`` and ``local_type`` give a form's type at a good prime.
-They read a form only through ``weight``, ``level`` and ``a_prime``, so
-they serve Delta, a curve and a table alike (``qexp`` holds the last
-two).  ``local_type`` loads ``localfactor`` when called, so ``kida tau``
-loads this module alone.
+They read a form only through ``weight``, ``level`` and ``a_prime(ell)``,
+so they serve Delta, a curve and a table alike (``qexp`` holds the last
+two); each form bounds its own coefficients.  ``local_type`` loads
+``localfactor`` when called, so ``kida tau`` loads this module alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
 from .errors import (BoundExceeded, InternalAdditivityViolation,
-                     PrecisionExceeded, RamifiedLevel)
+                     PrecisionExceeded, RamifiedLevel, SpecParseError)
 
 DEFAULT_PRECISION = 2000
 MAX_PRECISION = 10_000
@@ -61,19 +64,22 @@ def tau(n: int, precision: int | None = None) -> int:
     coefficients gives the identity (Ramanujan, 1916).  A division by 756
     that is not exact raises InternalAdditivityViolation.
 
-    ``precision`` (default DEFAULT_PRECISION) is a budget: indices past it
-    raise PrecisionExceeded, and budgets past MAX_PRECISION raise
-    BoundExceeded before any work.  The budget never sets the work: the
-    first miss builds sigma_5 up to max(n, DEFAULT_PRECISION), and a later
-    one at least doubles the table, to min(max(n, 2 * size), MAX_PRECISION),
-    so a walk of n upward costs O(log n) sieves.  The last 256 values are
+    An index below 1 raises SpecParseError.  ``precision`` (default
+    DEFAULT_PRECISION) is a budget: indices past it raise
+    PrecisionExceeded, and budgets past MAX_PRECISION raise BoundExceeded
+    before any work.  The budget never sets the work: the first miss
+    builds sigma_5 up to max(n, DEFAULT_PRECISION), and a later one at
+    least doubles the table, to min(max(n, 2 * size), MAX_PRECISION), so
+    a walk of n upward costs O(log n) sieves.  The last 256 values are
     kept (``_tau``).
     """
     budget = DEFAULT_PRECISION if precision is None else precision
     if budget > MAX_PRECISION:
         raise BoundExceeded(f"precision budget {budget} beyond bound "
                             f"{MAX_PRECISION}")
-    if n < 1 or n > budget:
+    if n < 1:
+        raise SpecParseError(f"tau index {n} must be >= 1")
+    if n > budget:
         raise PrecisionExceeded(f"tau({n}) beyond precision budget {budget}")
     return _tau(n)
 
@@ -102,8 +108,9 @@ def _tau(n: int) -> int:
     return value
 
 
-class _Delta:
-    """The eta-product as a form: weight 12, level 1, a_ell = tau(ell)."""
+class Delta(namedtuple("Delta", "precision", defaults=(None,))):
+    """The eta-product as a form: weight 12, level 1, a_ell = tau(ell)
+    within the budget ``precision`` (None for DEFAULT_PRECISION)."""
 
     __slots__ = ()
     weight, level = 12, 1
@@ -111,18 +118,17 @@ class _Delta:
     def describe(self) -> str:
         return "delta"
 
-    def a_prime(self, ell: int, precision: int | None = None) -> int:
-        return tau(ell, precision)
+    def a_prime(self, ell: int) -> int:
+        return tau(ell, self.precision)
 
 
-DELTA = _Delta()
+DELTA = Delta()
 
 
 # -- Frobenius data and local types --------------------------------------
 
-def frobenius_data(f: _Delta | qexp.EllipticCurve | qexp.CoefficientTable,
-                   ell: int, p: int,
-                   precision: int | None = None) -> tuple[int, int]:
+def frobenius_data(f: Delta | qexp.EllipticCurve | qexp.CoefficientTable,
+                   ell: int, p: int) -> tuple[int, int]:
     """(a_ell mod p, ell^(k-1) mod p) for primes ell not dividing Np;
     ``local_type`` makes them the form's local type at ell.  Every form
     has trivial character, so ell^(k-1) is the Frobenius determinant.
@@ -135,17 +141,17 @@ def frobenius_data(f: _Delta | qexp.EllipticCurve | qexp.CoefficientTable,
     if f.level % ell == 0:
         raise RamifiedLevel(f"{ell} divides the level {f.level}; "
                             "supply a local type instead")
-    return f.a_prime(ell, precision) % p, pow(ell, f.weight - 1, p)
+    return f.a_prime(ell) % p, pow(ell, f.weight - 1, p)
 
 
-def local_type(f: _Delta | qexp.EllipticCurve | qexp.CoefficientTable,
-               ell: int, p: int, f0: int = 1, precision: int | None = None):
+def local_type(f: Delta | qexp.EllipticCurve | qexp.CoefficientTable,
+               ell: int, p: int, f0: int = 1):
     """f's type at ell over a field where ell has residue degree f0: the
     unramified principal series x^2 - s_f0 x + c^f0 mod p of Frob_ell^f0,
     for (a, c) from ``frobenius_data`` (its checks and errors apply) and
     Newton's recursion s_0 = 2, s_1 = a, s_j = a s_(j-1) - c s_(j-2)."""
     from .localfactor import UnramifiedPS
-    a, c = frobenius_data(f, ell, p, precision)
+    a, c = frobenius_data(f, ell, p)
     s_prev, s_cur = 2 % p, a
     for _ in range(f0 - 1):
         s_prev, s_cur = s_cur, (a * s_cur - c * s_prev) % p

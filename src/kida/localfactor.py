@@ -107,6 +107,8 @@ class UnramifiedPS(namedtuple("UnramifiedPS", "a c p")):
     path, hv_fields = "table", ("a", "c")
 
     def __new__(cls, a: int, c: int, p: int):
+        if p < 2:
+            raise SpecParseError(f"ups needs p >= 2, got {p}")
         return super().__new__(cls, a % p, c % p, p)
 
     def _rows(self, e: int) -> list[tuple[str, int]]:

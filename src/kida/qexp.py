@@ -1,8 +1,10 @@
 """The elliptic curves and coefficient tables kida reads coefficients from.
 
-A form is ``DELTA``, the weight-12 level-1 cusp form (``eta``), an
+A form is ``Delta``, the weight-12 level-1 cusp form (``eta``), an
 ``EllipticCurve`` over Q (weight 2) or a ``CoefficientTable``; each has
-``weight``, ``level``, ``describe()`` and ``a_prime(ell, precision)``.
+``weight``, ``level``, ``describe()`` and ``a_prime(ell)``, and bounds
+its own coefficients: Delta by its series budget ``precision``, a curve
+by EC_PRIME_BOUND, a table by its rows.
 A curve's a_ell comes from point counting (the Legendre sum at primes up
 to 229, Shanks-Mestre baby-step giant-step above: one walk per point;
 strip only when the Hasse interval holds more than one multiple), kept
@@ -84,9 +86,9 @@ class EllipticCurve(namedtuple("EllipticCurve", "a1 a2 a3 a4 a6",
             return _count_bsgs(self, ell)
         return _count_legendre(self, ell)
 
-    def a_prime(self, ell: int, precision: int | None = None) -> int:
+    def a_prime(self, ell: int) -> int:
         """Trace of Frobenius a_ell = ell + 1 - #E(F_ell), with
-        |a_ell| <= 2 sqrt(ell); a count spends no series budget."""
+        |a_ell| <= 2 sqrt(ell)."""
         return _ap(self, ell)
 
 
@@ -274,7 +276,7 @@ class CoefficientTable(namedtuple("CoefficientTable", "weight level ap")):
     def describe(self) -> str:
         return f"table:weight={self.weight},level={self.level}"
 
-    def a_prime(self, ell: int, precision: int | None = None) -> int:
+    def a_prime(self, ell: int) -> int:
         try:
             return self.ap[ell]
         except KeyError:

@@ -164,11 +164,10 @@ def transition(*, p: int,
                base_field: splitting.AbelianField,
                ext_field: splitting.AbelianField,
                base: InvariantRecord,
-               form: (eta._Delta | qexp.EllipticCurve | qexp.CoefficientTable
+               form: (eta.Delta | qexp.EllipticCurve | qexp.CoefficientTable
                       | None) = None,
                local_types: dict[int, object] | None = None,
-               assert_hypotheses: bool = False,
-               precision: int | None = None) -> TransitionReport:
+               assert_hypotheses: bool = False) -> TransitionReport:
     """Transport (mu, lambda) from the base tower to the extension tower.
 
     Rejects mu != 0 inputs.  ``splitting.ramified_set`` reads the field
@@ -179,7 +178,8 @@ def transition(*, p: int,
     and its p-power degree.  A ``local_types`` override gives the type at
     its prime; elsewhere ``eta.local_type`` reads it off the form, over
     the base's residue field, and a missing form or a prime dividing the
-    level raises MissingLocalType.
+    level raises MissingLocalType.  The form bounds its own coefficients:
+    pass ``eta.Delta(1200)`` for Delta with a series budget of 1200.
     """
     if base.mu != 0 or base.lam is None:
         raise MuNonzero(
@@ -211,7 +211,7 @@ def transition(*, p: int,
                 f"for it explicitly")
         else:   # Frobenius of the base tower field (splitting.RamifiedPlace)
             from .eta import local_type
-            V = local_type(form, ell, p, entry.f_prime_to_p, precision)
+            V = local_type(form, ell, p, entry.f_prime_to_p)
         path = V.path + "(user)" if user and V.path == "table" else V.path
         places.append(LocalFactorReport(
             ell=ell, local_degree=entry.local_degree, places=entry.places,

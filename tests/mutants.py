@@ -270,6 +270,20 @@ ROWS = [
       "[generators-10-3-mod-15]"],
      "a generator is refused as the user wrote it; checked after the "
      "reduction mod N, gens=7 at N = 7 is named as the residue 0"),
+    ("delta-budget-dropped", "eta.py",
+     "        return tau(ell, self.precision)\n",
+     "        return tau(ell)\n",
+     ["tests/test_cli.py::test_bad_input_is_a_typed_error"
+      "[KIDA_PRECISION=1122 hv --form delta --p 11 --ell 1123 --ext "
+      "cyclotomic:1123:degree=11]",
+      "tests/test_cli.py::test_bad_input_is_a_typed_error"
+      "[KIDA_PRECISION=1122 transition --form delta --p 11 --base Q --ext "
+      "cyclotomic:1123:degree=11 --lambda 1 --mu 0]",
+      "tests/test_transition.py::TestTransitionExamples::"
+      "test_1123_past_the_budget_of_delta",
+      "tests/test_qexp.py::TestForms::test_delta_carries_its_budget"],
+     "Delta carries its series budget, and its a_ell is tau within it: "
+     "read at the default budget, tau(1123) passes KIDA_PRECISION=1122"),
 ]
 
 

@@ -46,7 +46,7 @@ class TestAcceptance:
     def test_c03_h_values(self):
         a23, c23 = eta.frobenius_data(DELTA, 23, 11)
         h23 = lf.m_extension(lf.UnramifiedPS(a23, c23, 11), 11)
-        a1123, c1123 = eta.frobenius_data(DELTA, 1123, 11, precision=1200)
+        a1123, c1123 = eta.frobenius_data(eta.Delta(1200), 1123, 11)
         h1123 = lf.m_extension(lf.UnramifiedPS(a1123, c1123, 11), 11)
         report(3, h23 == 0 and h1123 == 20,
                f"h_23 = {h23} (expect 0), h_1123 = {h1123} (expect 20) "
@@ -63,7 +63,7 @@ class TestAcceptance:
     def test_c05_transition_1123(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F1123,
                             base=tr.InvariantRecord("algebraic", 0, 1),
-                            form=DELTA, precision=1200)
+                            form=eta.Delta(1200))
         g = rep.places[0].places if rep.places else None
         report(5, rep.lambda_out == 31 and g == 1,
                f"lambda over the degree-11 field of conductor 1123 = "
@@ -132,7 +132,7 @@ class TestAcceptance:
         for ext, expect in ((F23, 11), (F1123, 31)):
             alg, an = (tr.transition(p=11, base_field=Q, ext_field=ext,
                                      base=tr.InvariantRecord(kind, 0, 1),
-                                     form=DELTA, precision=1200)
+                                     form=eta.Delta(1200))
                        for kind in ("algebraic", "analytic"))
             a, b = alg.as_mapping(), an.as_mapping()
             differing = {key for key in a.keys() | b.keys()

@@ -154,6 +154,21 @@ PRECISION_BELOW_1 = [(("tau", "--n", "23"), {"KIDA_PRECISION": value}, 3)
       "cyclotomic:23:degree=11", "--local", "23=sc", "--lambda", "1",
       "--mu", "0"), {"KIDA_PRECISION": "abc"}, 3),
 ]
+# Delta's budget on the failure paths of hv and transition: tau(1123)
+# past a budget of 1122, and a budget past MAX_PRECISION, refused at the
+# first coefficient
+HV_1123 = ("hv", "--form", "delta", "--p", "11", "--ell", "1123", "--ext",
+           "cyclotomic:1123:degree=11")
+TRANSITION_1123 = ("transition", "--form", "delta", "--p", "11", "--base",
+                   "Q", "--ext", "cyclotomic:1123:degree=11", "--lambda",
+                   "1", "--mu", "0")
+DELTA_BUDGETS = {
+    "1122": "tau(1123) beyond precision budget 1122",
+    "10001": "precision budget 10001 beyond bound 10000",
+}
+DELTA_PAST_BUDGET = [(argv, {"KIDA_PRECISION": budget}, 2)
+                     for argv in (HV_1123, TRANSITION_1123)
+                     for budget in DELTA_BUDGETS]
 # a --mod below 1 once printed tau mod a negative number
 TAU_MOD_BELOW_1 = [("tau", "--n", "23", "--mod", "0"),
                    ("tau", "--n", "23", "--mod", "-5"),
@@ -331,6 +346,7 @@ HOSTILE_INPUTS = [(argv, None, 3) for argv in [
     (NO_LOCAL_TYPE, None, 4),
     (("tau", "--n", "5"), {"KIDA_PRECISION": "1000000"}, 2),
     *PRECISION_BELOW_1,
+    *DELTA_PAST_BUDGET,
 ]
 # the full stderr of rows whose message names its source (a file by the
 # name that stands for it); a row with an environment is keyed with it
@@ -367,6 +383,8 @@ HOSTILE_STDERR = {
         "1000000000000",
     **{(argv, *env.items()): f"bad KIDA_PRECISION value "
        f"{env['KIDA_PRECISION']!r}" for argv, env, _ in PRECISION_BELOW_1},
+    **{(argv, *env.items()): DELTA_BUDGETS[env["KIDA_PRECISION"]]
+       for argv, env, _ in DELTA_PAST_BUDGET},
     ("tau", "--config", "CONFIG"): "CONFIG:2: unknown key 'p'",
     ("hv", "--form", "sc", "--e", "5", "--config", "CONFIG"):
         "CONFIG:1: unknown key 'n'",
@@ -987,15 +1005,15 @@ class TestTransition:
             "--mu", "0"]) == 0
         assert capsys.readouterr().out == GOLDEN_TRANSITION_15015
 
-    def test_1123_lambda_31(self):
-        code, out, _ = run_cli(
-            "transition", "--form", "delta", "--p", "11", "--base", "Q",
-            "--ext", "cyclotomic:1123:degree=11", "--lambda", "1",
-            "--mu", "0", "--json", env_extra={"KIDA_PRECISION": "1200"})
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_1123_lambda_31(self, flags):
+        code, out, _ = run_cli(*TRANSITION_1123, *flags,
+                               env_extra={"KIDA_PRECISION": "1200"})
         assert code == 0
-        doc = json.loads(out)
-        assert doc["lambda.out"] == 31
-        assert doc["local.1123.places"] == 1
+        doc = json.loads(out) if flags else dict(
+            line.split(" = ", 1) for line in out.splitlines())
+        assert int(doc["lambda.out"]) == 31
+        assert int(doc["local.1123.places"]) == 1
 
     def test_local_degree_3_to_the_20_is_priced_in_constant_time(self):
         # ell = 26 * 3^20 + 1: one place of local degree 3^20 with

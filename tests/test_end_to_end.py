@@ -195,7 +195,7 @@ class TestMultiPlaceTransition:
         assert sp.efg(F, 23).e == 11 and sp.efg(F, 1123).e == 11
         rep = tr.transition(p=11, base_field=Q, ext_field=F,
                             base=tr.InvariantRecord("algebraic", 0, 1),
-                            form=eta.DELTA, precision=1200)
+                            form=eta.Delta(1200))
         assert rep.degree == 11
         by_ell = {r.ell: r for r in rep.places}
         assert set(by_ell) == {23, 1123}

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from kida import arith, errors, localfactor as lf, splitting as sp
+from kida import arith, errors, eta, localfactor as lf, splitting as sp
 from test_cli import HOSTILE_INPUTS, USAGE_ERRORS, with_files
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +44,8 @@ ALLOWED = {
     "transition.compose": "perfbench's transition-batch composes reports",
     "transition.TransitionReport.to_invariant_record":
         "perfbench's worker chains reports through it",
+    "eta.DELTA": "Delta at the default budget, for library callers; the "
+                 "CLI builds Delta at the KIDA_PRECISION budget",
 }
 
 
@@ -251,6 +253,9 @@ UNREACHED = {
     "chargroup.multiplicity_trace: SubgroupMismatch 1": _ONE_GROUP,
     "chargroup.multiplicity_trace: SubgroupMismatch 2": _BUG,
     "chargroup.multiplicity_trace: SubgroupMismatch 3": _BUG,
+    "eta.tau: SpecParseError 1":
+        "the library's check of an index >= 1; kida tau refuses --n < 1 "
+        "first, and Delta's a_ell is read at primes",
     "eta._tau: InternalAdditivityViolation 1":
         "Ramanujan's identity makes the division by 756 exact; " + _BUG
         + "; tests/mutants.py's row tau-sum-off-by-one shows it fires",
@@ -258,6 +263,10 @@ UNREACHED = {
         "every lattice kida builds holds diag(d) Z^r, so has full rank",
     "localfactor.CharacterLines.__new__: SpecParseError 1":
         "the grammar gives at most two character lines",
+    "localfactor.UnramifiedPS.__new__: SpecParseError 1":
+        "the library's check of p >= 2; the grammar refuses a ups: spec "
+        "without --p first ('--p required for'), and hv and transition "
+        "refuse a --p that is not an odd prime",
     "localfactor.Generic.__new__: IncoherentGenericData 1":
         "the grammar refuses a generic: spec with no values first, as the "
         "hostile row hv --form generic: --p 3 --e 3 shows",
@@ -517,6 +526,18 @@ def test_every_raise_names_a_kida_error():
     assert sorted(NOT_KIDA_ERRORS - (keys - named)) == []
 
 
+def test_only_tau_takes_a_precision_budget():
+    # a form bounds its own coefficients, Delta by its precision field,
+    # so no function on the coefficient path passes a budget on
+    takers = [f"{mod}.{node.name}" for mod, tree in _trees().items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "precision" in [arg.arg for arg in (
+                  node.args.posonlyargs + node.args.args
+                  + node.args.kwonlyargs)]]
+    assert takers == ["eta.tau"]
+
+
 SC, UNRAM = lf.CharacterLines(()), lf.LocalCharData(False, True)
 DEGREE = (errors.SpecParseError, "local degree must be >= 1")
 # each library guard: a call it refuses, the class and the message
@@ -565,6 +586,13 @@ GUARDS = {
         lambda: sp.tower_places(sp.AbelianField(11), 23, 11),
         errors.KidaError, "cyclotomic:11:gens= is ramified at 11: count the "
         "tower of its unramified_at_p_reduction"),
+    # once PrecisionExceeded, "tau(0) beyond precision budget 2000"
+    **{f"tau-{n}": (lambda n=n: eta.tau(n), errors.SpecParseError,
+                    f"tau index {n} must be >= 1") for n in (0, -1)},
+    # p = 0 once raised ZeroDivisionError, and p = -5 was kept
+    **{f"ups-p-{p}": (lambda p=p: lf.UnramifiedPS(2, 1, p),
+                      errors.SpecParseError, f"ups needs p >= 2, got {p}")
+       for p in (1, 0, -5)},
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 from functools import lru_cache
@@ -201,6 +202,13 @@ class TestTau:
         with pytest.raises(PrecisionExceeded):
             eta.tau(101, precision=100)
         assert eta.tau(100, precision=100) == eta.tau(100)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_index_below_1_is_malformed(self, n):
+        # once PrecisionExceeded, "tau(0) beyond precision budget 2000"
+        with pytest.raises(SpecParseError,
+                           match=f"^tau index {n} must be >= 1$"):
+            eta.tau(n)
 
     def test_budget_cap_before_any_work(self):
         reset_tau()
@@ -437,8 +445,7 @@ class TestFrobeniusData:
         assert eta.frobenius_data(eta.DELTA, 23, 11) == (10, 1)
 
     def test_delta_1123(self):
-        assert eta.frobenius_data(eta.DELTA, 1123, 11,
-                                   precision=1200) == (2, 1)
+        assert eta.frobenius_data(eta.Delta(1200), 1123, 11) == (2, 1)
 
     def test_zero_coefficient(self):
         tbl = qexp.CoefficientTable(weight=2, level=5, ap={3: 0})
@@ -513,22 +520,40 @@ weight 2 level 11
 
 class TestForms:
     """Each coefficient source is a form: weight, level, describe() and
-    a_prime(ell, precision)."""
+    a_prime(ell), and each bounds its own coefficients."""
+
+    @pytest.mark.parametrize("form", [
+        eta.DELTA, eta.Delta(1200), X0_11, qexp.CoefficientTable(2, 11, {})])
+    def test_a_prime_takes_ell_alone(self, form):
+        assert list(inspect.signature(form.a_prime).parameters) == ["ell"]
 
     def test_delta(self):
         delta = eta.DELTA
         assert (delta.weight, delta.level, delta.describe()) == (
             12, 1, "delta")
         assert delta.a_prime(23) == eta.tau(23) == 18643272
-        with pytest.raises(PrecisionExceeded):
-            delta.a_prime(23, precision=22)
         with pytest.raises(AttributeError):
             delta.level = 11
+
+    def test_delta_carries_its_budget(self):
+        # a stated decision: Delta equals the plain tuple of its budget,
+        # so a budgeted Delta is another value with the same describe()
+        assert eta.DELTA == eta.Delta() == (None,)
+        assert eta.Delta(1200) == (1200,) and eta.Delta(1200) != eta.DELTA
+        assert eta.Delta(1200).describe() == eta.DELTA.describe()
+        assert eta.Delta(23).a_prime(23) == 18643272
+        with pytest.raises(PrecisionExceeded,
+                           match="^tau.23. beyond precision budget 22$"):
+            eta.Delta(22).a_prime(23)
+        with pytest.raises(PrecisionExceeded):
+            eta.DELTA.a_prime(2003)
+        with pytest.raises(BoundExceeded):
+            eta.Delta(eta.MAX_PRECISION + 1).a_prime(2)
 
     def test_curve(self):
         assert (X0_11.weight, X0_11.level) == (2, 11)
         assert X0_11.describe() == "ec:a1=0,a2=-1,a3=1,a4=-10,a6=-20"
-        assert X0_11.a_prime(13, precision=1) == 4
+        assert X0_11.a_prime(13) == 4
 
     @pytest.mark.parametrize("coefficients, disc, level", [
         ((0, -1, 1, -10, -20), -161051, 11),        # 11a1: -11^5
@@ -550,7 +575,7 @@ class TestForms:
         tbl = qexp.CoefficientTable(2, 11, {2: -2})
         assert (tbl.weight, tbl.level) == (2, 11)
         assert tbl.describe() == "table:weight=2,level=11"
-        assert tbl.a_prime(2) == tbl.a_prime(2, precision=1) == -2
+        assert tbl.a_prime(2) == -2
         with pytest.raises(MissingCoefficient, match="no entry for 3"):
             tbl.a_prime(3)
 

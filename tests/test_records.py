@@ -43,6 +43,7 @@ RAM_REPR = ("LocalCharData(ramified=True, trivial_mod_p=True, "
 CASES = {
     "LocalCharData": (RAM, RAM_REPR),
     "UnramifiedPS": (lf.UnramifiedPS(7, 8, 5), "UnramifiedPS(a=2, c=3, p=5)"),
+    "Delta": (eta.Delta(1200), "Delta(precision=1200)"),
     "CharacterLines": (lf.CharacterLines((RAM, UNRAM)),
                        f"CharacterLines(chars=({RAM_REPR}, {UNRAM_REPR}))"),
     "Generic": (lf.Generic((2, 1, 0)), "Generic(m_values=(2, 1, 0))"),
@@ -165,7 +166,7 @@ def test_output_mappings_hold_no_record():
 
 @pytest.mark.parametrize("name", ["CharacterLines", "Generic",
                                   "EllipticCurve", "TowerPlaceData",
-                                  "InvariantRecord"])
+                                  "InvariantRecord", "Delta"])
 def test_pickle_round_trip(name):
     record = CASES[name][0]
     assert pickle.loads(pickle.dumps(record)) == record

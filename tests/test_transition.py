@@ -12,7 +12,7 @@ from kida import localfactor as lf
 from kida import eta, qexp, splitting as sp, transition as tr
 from kida.errors import (ChainMismatch, InternalAdditivityViolation,
                          MissingLocalType, MuNonzero, NegativeLambda,
-                         SpecParseError, TameAtP)
+                         PrecisionExceeded, SpecParseError, TameAtP)
 from test_splitting import layer_place_count
 
 DELTA = eta.DELTA
@@ -49,10 +49,17 @@ class TestTransitionExamples:
 
     def test_1123_subfield(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F1123,
-                            base=BASE_ALG, form=DELTA, precision=1200)
+                            base=BASE_ALG, form=eta.Delta(1200))
         assert rep.lambda_out == 31
         place = rep.places[0]
         assert (place.ell, place.m, place.places) == (1123, 20, 1)
+
+    def test_1123_past_the_budget_of_delta(self):
+        # Delta carries its budget: tau(1123) is one index past 1122
+        with pytest.raises(PrecisionExceeded,
+                           match="^tau.1123. beyond precision budget 1122$"):
+            tr.transition(p=11, base_field=Q, ext_field=F1123,
+                          base=BASE_ALG, form=eta.Delta(1122))
 
     def test_degree_one_is_identity(self):
         rep = tr.transition(p=11, base_field=F23, ext_field=F23,
@@ -166,7 +173,7 @@ class TestTransitionExamples:
         # the second run asks for the same tau(1123): hits, no miss
         def run():
             return tr.transition(p=11, base_field=Q, ext_field=F1123,
-                                 base=BASE_ALG, form=DELTA, precision=1200)
+                                 base=BASE_ALG, form=eta.Delta(1200))
 
         first = run()
         before = eta._tau.cache_info()
@@ -231,7 +238,7 @@ class TestTameAtP:
         F, G = sp.parse_field_spec(spec), sp.parse_field_spec(minimal)
         assert F == G and sp.efg(F, p).e == 1
         reports = [tr.transition(p=p, base_field=Q, ext_field=field,
-                                 base=BASE_ALG, form=DELTA, precision=1200)
+                                 base=BASE_ALG, form=eta.Delta(1200))
                    for field in (F, G)]
         assert reports[0].lambda_out == lam
         assert reports[0].ext_spec == F.spec_string()
@@ -254,7 +261,7 @@ class TestLambdaViaTwists:
 
     def test_1123_example_decomposition(self):
         rep = tr.transition(p=11, base_field=Q, ext_field=F1123,
-                            base=BASE_ALG, form=DELTA, precision=1200)
+                            base=BASE_ALG, form=eta.Delta(1200))
         # nontrivial twists each pick up the m-difference 2 at one place
         per_twist = [1] + [1 + 2] * 10
         assert rep.lambda_out == sum(per_twist) == 31
