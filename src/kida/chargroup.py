@@ -25,9 +25,8 @@ Three bounded lru caches; errors are not stored:
 
 - ``_exponent_weights`` (64 entries) keys on the group and keeps
   e = lcm(d) and the weights e/d_i.
-- ``_dual`` (8 entries) keys on the group and keeps the tuple of its
-  characters' exponent vectors; ``dual_group`` copies them into a new
-  list on each call, so a caller cannot change the cached ones.  A sweep
+- ``dual_group`` (8 entries) keys on the group and returns the tuple of
+  its characters' exponent vectors, which no caller can change.  A sweep
   meets each group in one stretch, so a few groups suffice.
 - ``_cyclotomic_polynomial`` (256 entries) keys on n.
 
@@ -89,14 +88,9 @@ def _restrictions(d: tuple, chars, elements) -> list[tuple]:
     return list(zip(*cols)) if cols else [()] * len(chars)
 
 
-def dual_group(G: tuple) -> list[tuple[int, ...]]:
-    """All |G| characters in lexicographic exponent order, trivial first
-    (a new list each call, so a caller may change it)."""
-    return list(_dual(G))
-
-
 @lru_cache(maxsize=8)
-def _dual(G: tuple) -> tuple[tuple[int, ...], ...]:
+def dual_group(G: tuple) -> tuple[tuple[int, ...], ...]:
+    """All |G| characters in lexicographic exponent order, trivial first."""
     return tuple(itertools.product(*map(range, G)))
 
 
@@ -175,16 +169,12 @@ class RepMultiset:
         self.entries = agg
 
 
-def multiplicity(W: RepMultiset, chi: tuple[int, ...],
-                 H: Subgroup | None = None) -> int:
-    """Multiplicity <W, chi> over W's group, or over the subgroup H.
-
-    Over H the value counts entries whose restriction to H agrees with
-    the restriction of ``chi``; for H = G this is the stored multiplicity.
+def multiplicity(W: RepMultiset, chi: tuple[int, ...], H: Subgroup) -> int:
+    """Multiplicity <W, chi>_H over the subgroup H of W's group: the
+    entries whose restriction to H agrees with the restriction of
+    ``chi``; for H = G this is the stored multiplicity.
     """
     _check_character(W.group, chi)
-    if H is None:
-        return W.entries.get(chi, 0)
     if H.group != W.group:
         raise SubgroupMismatch("subgroup of the wrong group")
     target, *keys = _restrictions(W.group, [chi, *W.entries], H.generators)
@@ -285,7 +275,7 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
     if H.group != W.group:
         raise SubgroupMismatch("subgroup of the wrong group")
     G, entries = W.group, W.entries
-    dual = _dual(G)
+    dual = dual_group(G)
     m1 = entries.get(dual[0], 0)
     # every character of W is one of G's, and each absent one counts m1
     lhs = math.prod(G) * m1 - sum(entries.values())
@@ -312,9 +302,6 @@ def check_group_identity(W: RepMultiset, H: Subgroup):
 
 def _partitions(n: int):
     """Partitions of n as descending tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(rest, maxpart):
         if rest == 0:
             yield ()
@@ -444,9 +431,9 @@ def subgroups(G: tuple) -> list[Subgroup]:
     return [Subgroup.from_hermite(G, rows) for rows in subgroup_lattices(G)]
 
 
-def random_rep(G: tuple, rng, max_dim: int = 20) -> RepMultiset:
+def random_rep(G: tuple, rng, max_dim: int) -> RepMultiset:
     """Random character multiset of dimension between 1 and max_dim."""
-    dual = _dual(G)
+    dual = dual_group(G)
     dim = rng.randint(1, max_dim)
     entries: dict[tuple[int, ...], int] = {}
     while dim > 0:

@@ -34,7 +34,10 @@ Each type is a ``namedtuple``, so it equals a plain tuple of its values,
 but no two types can be equal: ``UnramifiedPS`` has three fields and the
 others one, which holds ``LocalCharData`` tuples for ``CharacterLines``
 and at least one int for ``Generic``.  The cache above and ``compose``'s
-comparison of restricted types rely on that.
+comparison of restricted types rely on that.  A record here or in
+``transition`` whose ``__new__`` checks or reduces its fields takes
+``_checked_make`` as its ``_make``, so ``_make`` and ``_replace`` build
+through ``__new__`` too.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import IncoherentGenericData, SpecParseError, parse_int_fields
+
+
+@classmethod
+def _checked_make(cls, iterable):
+    """A namedtuple's ``_make``, which ``_replace`` calls, built through
+    ``cls(*iterable)``: a record's ``__new__`` checks every copy."""
+    return cls(*iterable)
 
 
 class LocalCharData(namedtuple("LocalCharData", (
@@ -71,6 +81,8 @@ class LocalCharData(namedtuple("LocalCharData", (
         return super().__new__(cls, ramified, trivial_mod_p,
                                becomes_unramified_over_extension,
                                order_on_inertia)
+
+    _make = _checked_make
 
     def dies_over(self, degree: int) -> bool:
         """Whether restriction to the degree-``degree`` extension is
@@ -111,6 +123,8 @@ class UnramifiedPS(namedtuple("UnramifiedPS", "a c p")):
             raise SpecParseError(f"ups needs p >= 2, got {p}")
         return super().__new__(cls, a % p, c % p, p)
 
+    _make = _checked_make
+
     def _rows(self, e: int) -> list[tuple[str, int]]:
         t = trivial_eigenvalues(self)
         return [(_UPS_CASES[t], t * (e - 1))]
@@ -140,6 +154,8 @@ class CharacterLines(namedtuple("CharacterLines", "chars")):
         if len(chars) > 2:
             raise SpecParseError("V has at most two character lines")
         return super().__new__(cls, chars)
+
+    _make = _checked_make
 
     def _rows(self, e: int) -> list[tuple[str, int]]:
         rows = []
@@ -184,6 +200,8 @@ class Generic(namedtuple("Generic", "m_values")):
         if any(v < 0 for v in m_values):
             raise IncoherentGenericData("generic m-values must be >= 0")
         return super().__new__(cls, m_values)
+
+    _make = _checked_make
 
     def _step(self, degree: int) -> int:
         """The index step from a character of the degree-``degree``

@@ -218,11 +218,13 @@ def tower_places(F: AbelianField, ell: int, p: int) -> TowerPlaceData:
     1 + p^k Z_p.  A field ramified at p is refused (KidaError): count the
     tower of its ``unramified_at_p_reduction``.
 
-    p must be an odd prime, which ``ramified_set`` checks, and ell a prime
-    other than p: ``efg`` checks that ell is prime before the valuation
-    loop (which would not end at ell = +-1), and ``ramified_set`` passes
-    only the primes of a conductor prime to p.
+    p must be an odd prime, checked first with ``arith.require_prime``
+    (p = 0 would divide by zero, and p = 1 divides every conductor), and
+    ell a prime other than p: ``efg`` checks that ell is prime before the
+    valuation loop (which would not end at ell = +-1), and
+    ``ramified_set`` passes only the primes of a conductor prime to p.
     """
+    arith.require_prime("p", p, odd=True)
     if F.conductor % p == 0:
         raise KidaError(f"{F.spec_string()} is ramified at {p}: count the "
                         f"tower of its unramified_at_p_reduction")
@@ -268,9 +270,9 @@ def ramified_set(F: AbelianField, Fp: AbelianField, p: int) -> RamifiedSet:
     (totally) ramified.
 
     This is where the library checks that p is an odd prime, with
-    ``arith.require_prime``, for ``unramified_at_p_reduction`` and
-    ``tower_places`` too; ``kida transition`` checks ``--p`` the same way
-    before it.
+    ``arith.require_prime``, for ``unramified_at_p_reduction`` too, as
+    ``tower_places`` does for itself; ``kida transition`` checks ``--p``
+    the same way before it.
     """
     arith.require_prime("p", p, odd=True)
     for field in (F, Fp):

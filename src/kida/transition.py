@@ -69,6 +69,8 @@ class InvariantRecord(namedtuple("InvariantRecord", "kind mu lam")):
             raise SpecParseError("mu = 0 needs a lambda >= 0")
         return super().__new__(cls, kind, mu, lam)
 
+    _make = localfactor._checked_make
+
 
 class LocalFactorReport(namedtuple("LocalFactorReport", (
         "ell", "local_degree", "places", "m", "path", "local_type"))):

@@ -254,12 +254,20 @@ ROWS = [
      "Frobenius data is read mod p: ups:a=-1,c=16 at p = 5 is "
      "ups:a=4,c=1, one type with one spec and one hash"),
     ("ramified-set-takes-any-p", "splitting.py",
-     "    arith.require_prime(\"p\", p, odd=True)\n",
-     "",
+     "    arith.require_prime(\"p\", p, odd=True)\n    for field in",
+     "    for field in",
      ["tests/test_splitting.py::TestRamifiedSetCache::"
       "test_errors_raise_on_every_call"],
-     "ramified_set is the library's one check that p is an odd prime, "
-     "for the reduction and the place counts it calls"),
+     "ramified_set is the library's one check that p is an odd prime "
+     "for the reductions it calls"),
+    ("tower-places-takes-any-p", "splitting.py",
+     "    arith.require_prime(\"p\", p, odd=True)\n    if F.conductor",
+     "    if F.conductor",
+     ["tests/test_public_api.py::test_each_guard_refuses_with_its_class"
+      f"[tower-places-p-{p}]" for p in (0, 1, 9)],
+     "tower_places checks p for a library caller: p = 0 divides by zero, "
+     "p = 1 names Q ramified at 1, and p = 9 counts a tower that is "
+     "not one"),
     ("generators-checked-reduced", "splitting.py",
      "        for g in subgroup_gens:\n",
      "        for g in sorted({g % conductor for g in subgroup_gens}):\n",

@@ -72,7 +72,7 @@ class TestAcceptance:
 
     def test_c06_group_identity_sweep(self):
         t0 = time.perf_counter()
-        res = verify.group_identity_suite(max_order=200, reps=100, seed=7)
+        res = verify.group_identity_suite(max_order=200, seed=7)
         dt = time.perf_counter() - t0
         report(6, res.passed and res.checks == 6166476 and dt < 60.0,
                f"group identity: {res.checks} checks (expect 6166476) over "

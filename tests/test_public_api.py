@@ -211,6 +211,9 @@ UNRUN = {
     "qexp.CoefficientTable.__hash__": "a table hashes as a value although "
                                       "its ap is a dict",
     "splitting.AbelianField.__repr__": "a field's repr, for debugging",
+    "localfactor._checked_make": "the _make and _replace of a checked "
+                                 "record, which kida never calls: a "
+                                 "library caller's copy is checked too",
     "verify.SuiteResult.fail": "records a counterexample, which a passing "
                                "suite has none of",
 }
@@ -239,8 +242,9 @@ UNREACHED = {
     "chargroup.Subgroup.__init__: SubgroupMismatch 1":
         "the suites give generators of the group's rank",
     "chargroup._check_character: SubgroupMismatch 1":
-        "the suites' characters come from _dual and trivial_character: "
-        "exponent vectors of the group's rank, each entry below its factor",
+        "the suites' characters come from dual_group and "
+        "trivial_character: exponent vectors of the group's rank, each "
+        "entry below its factor",
     "chargroup._check_group: SubgroupMismatch 1":
         "abelian_groups_upto and cyclic give chains of invariant factors, "
         "each at least 2 and dividing the next",
@@ -586,6 +590,11 @@ GUARDS = {
         lambda: sp.tower_places(sp.AbelianField(11), 23, 11),
         errors.KidaError, "cyclotomic:11:gens= is ramified at 11: count the "
         "tower of its unramified_at_p_reduction"),
+    # p = 0 once divided by zero, and p = 1 was named a ramified prime
+    **{f"tower-places-p-{p}": (
+        lambda p=p: sp.tower_places(sp.rationals(), 23, p),
+        errors.SpecParseError, f"p {p} is not an odd prime")
+       for p in (0, 1, 9)},
     # once PrecisionExceeded, "tau(0) beyond precision budget 2000"
     **{f"tau-{n}": (lambda n=n: eta.tau(n), errors.SpecParseError,
                     f"tau index {n} must be >= 1") for n in (0, -1)},

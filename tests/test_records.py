@@ -164,7 +164,8 @@ def test_output_mappings_hold_no_record():
     assert {type(value) for value in mapping.values()} <= {bool, int, str}
 
 
-@pytest.mark.parametrize("name", ["CharacterLines", "Generic",
+@pytest.mark.parametrize("name", ["LocalCharData", "UnramifiedPS",
+                                  "CharacterLines", "Generic",
                                   "EllipticCurve", "TowerPlaceData",
                                   "InvariantRecord", "Delta"])
 def test_pickle_round_trip(name):
@@ -198,6 +199,37 @@ def test_normalisation_in_constructors():
     ups = lf.UnramifiedPS(-1, 16, 5)
     assert (ups.a, ups.c, ups.p) == (4, 1, 5)
     assert ups == lf.UnramifiedPS(4, 1, 5)
+
+
+# a record whose __new__ checks or reduces its fields, a change of them,
+# and what the constructor makes of the changed fields: the same record
+# or the same refusal
+REPLACED = {
+    "LocalCharData": (lf.LocalCharData(False, True),
+                      {"order_on_inertia": 5}, lf.LocalCharData(False, True)),
+    "UnramifiedPS": (lf.UnramifiedPS(2, 1, 5), {"a": 7},
+                     lf.UnramifiedPS(7, 1, 5)),
+    "CharacterLines": (lf.CharacterLines(()), {"chars": (UNRAM,) * 3},
+                       SpecParseError),
+    "Generic": (lf.Generic((1, 0, 0)), {"m_values": (1, -1, 0)},
+                IncoherentGenericData),
+    "InvariantRecord": (tr.InvariantRecord("algebraic", 0, 1), {"lam": -4},
+                        SpecParseError),
+}
+
+
+@pytest.mark.parametrize("record, changes, made", REPLACED.values(),
+                         ids=list(REPLACED))
+def test_replace_and_make_build_through_the_constructor(record, changes,
+                                                        made):
+    fields = {**record._asdict(), **changes}
+    for build in (lambda: record._replace(**changes),
+                  lambda: type(record)._make(fields.values())):
+        if isinstance(made, type):
+            with pytest.raises(made):
+                build()
+        else:
+            assert build() == made
 
 
 def test_local_char_data_defaults():

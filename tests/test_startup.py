@@ -72,18 +72,18 @@ def compiled_nodes(names):
 NODE_CEILINGS = {
     "tau --n 23": 3787,
     "tau --n 23 --mod 11 --json": 3787,
-    "hv --form sc --p 5 --e 5": 7032,
-    "hv --form ups:a=2,c=1 --p 5 --e 5": 7032,
-    "verify --suite path-agreement": 7816,
-    "verify --suite hasse --size 30": 8838,
-    "hv --form sc --e 5": 5086,
-    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 11028,
+    "hv --form sc --p 5 --e 5": 7068,
+    "hv --form ups:a=2,c=1 --p 5 --e 5": 7068,
+    "verify --suite path-agreement": 7799,
+    "verify --suite hasse --size 30": 8785,
+    "hv --form sc --e 5": 5122,
+    "hv --form delta --p 11 --ell 23 --ext cyclotomic:23:degree=11": 11075,
     "transition --form delta --p 11 --base Q --ext cyclotomic:23:degree=11 "
-    "--lambda 1 --mu 0": 12814,
-    "verify --suite group-identity --size 12": 11836,
-    "verify --suite tower-additivity --size 9": 13946,
+    "--lambda 1 --mu 0": 12868,
+    "verify --suite group-identity --size 12": 11723,
+    "verify --suite tower-additivity --size 9": 13869,
     "transition --p 5 --base Q --ext cyclotomic:11:degree=5 --lambda 2 "
-    "--mu 0 --local 11=special:ram,triv,dies --json": 12003,
+    "--mu 0 --local 11=special:ram,triv,dies --json": 12057,
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import subprocess
@@ -16,7 +17,7 @@ result = pass
 suite = group-identity
 """
 
-# the sweep at (12, 100, 0) with <(0, 1)> of C_2 x C_4 claiming order 8
+# the sweep at size 12, seed 0 with <(0, 1)> of C_2 x C_4 claiming order 8
 WRONG_ORDER_SWEEP = """
 import json
 from kida import chargroup, verify
@@ -31,8 +32,30 @@ def faulty(G):
     return subs
 
 chargroup.subgroups = faulty
-print(json.dumps(verify.group_identity_suite(12, 100, 0).as_mapping()))
+print(json.dumps(verify.group_identity_suite(12, 0).as_mapping()))
 """
+
+
+def _parameters(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    return [arg.arg for arg in [*a.posonlyargs, *a.args, a.vararg,
+                                *a.kwonlyargs, a.kwarg] if arg]
+
+
+def test_a_suite_takes_only_its_seed_and_size():
+    # run_suite passes a suite its seed and its --size keyword, and a
+    # suite fills in its result: any other parameter is one no caller sets
+    with open(verify.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for suite, size_kw, _ in verify.SUITES.values():
+        assert sorted(_parameters(defs[suite])) == sorted(
+            filter(None, ["seed", size_kw])), suite
+    init = next(node for node in defs["SuiteResult"].body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert _parameters(init) == ["self", "name", "params"]
 
 
 class TestGroupIdentitySuite:
@@ -49,12 +72,12 @@ class TestGroupIdentitySuite:
                         == column), (G, g)
 
     def test_small_sweep_passes(self):
-        res = verify.group_identity_suite(max_order=48, reps=30, seed=7)
-        assert res.passed and res.checks == 44622
+        res = verify.group_identity_suite(max_order=48, seed=7)
+        assert res.passed and res.checks == 148362
 
     def test_deterministic(self):
-        a = verify.group_identity_suite(max_order=24, reps=10, seed=3)
-        b = verify.group_identity_suite(max_order=24, reps=10, seed=3)
+        a = verify.group_identity_suite(max_order=24, seed=3)
+        b = verify.group_identity_suite(max_order=24, seed=3)
         assert a.checks == b.checks and a.failures == b.failures
 
     @pytest.mark.parametrize("size,seed,checks", [
@@ -90,7 +113,7 @@ class TestGroupIdentitySuite:
             return subs
 
         monkeypatch.setattr(chargroup, "subgroups", faulty)
-        res = verify.group_identity_suite(max_order=12, reps=100, seed=0)
+        res = verify.group_identity_suite(max_order=12, seed=0)
         assert res.as_mapping() == {
             "suite": "group-identity", "checks": 7932, "result": "FAIL",
             "param.max_order": 12, "param.reps": 100, "param.seed": 0,
@@ -107,8 +130,8 @@ class TestGroupIdentitySuite:
             return [x and x + j * e for j, x in enumerate(real(d, e, g))]
 
         monkeypatch.setattr(verify, "_value_logs", faulty)
-        res = verify.group_identity_suite(max_order=4, reps=10, seed=0)
-        assert res.checks == 98 and res.failures == [
+        res = verify.group_identity_suite(max_order=4, seed=0)
+        assert res.checks == 908 and res.failures == [
             f"3 restriction classes != |H|=2 for G={d} H=({g},)"
             for d, g in [((4,), (2,)), ((2, 2), (0, 1)), ((2, 2), (1, 0)),
                          ((2, 2), (1, 1))]]
@@ -125,8 +148,8 @@ class TestGroupIdentitySuite:
             return logs[1:] + logs[:1]
 
         monkeypatch.setattr(verify, "_value_logs", rotated)
-        res = verify.group_identity_suite(max_order=4, reps=10, seed=0)
-        assert res.checks == 68 and res.failures == [
+        res = verify.group_identity_suite(max_order=4, seed=0)
+        assert res.checks == 608 and res.failures == [
             f"trivial-class != annihilator for G={d} H={gens}"
             for d, gens in [((2,), ((1,),)), ((3,), ((1,),)),
                             ((4,), ((1,),)), ((4,), ((2,),)),
